@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -19,7 +19,7 @@ from .errors import (
     IterationCapExceeded,
     NotEquilibrium,
     RankGamesError,
-    StepBudgetExceeded,
+    Singular,
 )
 from .games import (
     BimatrixGame,
@@ -34,24 +34,14 @@ from .games import (
     reduce_constant_beta,
     verify_equilibrium,
 )
-from .labeledpath import (
-    BACKWARD,
-    FORWARD,
-    V_FIXED,
-    ComponentTrace,
-    PathEdge,
-    g_value,
-    make_node,
-    step,
-    step_budget,
-    trace_path,
-)
+from .labeledpath import V_FIXED, ComponentTrace, PathEdge, g_value, trace_path, walk
 from .linalg import (
     Matrix,
     Rat,
     Vec,
     determinant,
     frac,
+    sign,
     solve_linear_system,
     vdot,
     vector,
@@ -77,10 +67,6 @@ class BinSearchReport:
     bound_k: int  # proven iteration bound for the integerized instance
     history: tuple[tuple[Rat, Rat], ...]  # (a1, a2) after each loop step
     bit_length: int  # total bit size of the integerized instance (diagnostic)
-
-
-def _sign(x: Rat) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _ceil_log2(n: int) -> int:
@@ -121,7 +107,7 @@ def index_of(game_positive: BimatrixGame, rec: EquilibriumRecord, crossing: Cros
     cols = [j - 1 for j in big_j]
     det_a = determinant(game_positive.a.submatrix(rows, cols))
     det_b = determinant(game_positive.b.submatrix(rows, cols))
-    det_index = (-1) ** (len(big_i) + 1) * _sign(det_a * det_b)
+    det_index = (-1) ** (len(big_i) + 1) * sign(det_a * det_b)
     if det_index == 0:
         raise DegeneratePolytope("singular support submatrix")
     if det_index != crossing.orient_index:
@@ -132,19 +118,28 @@ def index_of(game_positive: BimatrixGame, rec: EquilibriumRecord, crossing: Cros
 
 
 def _finalize(
-    original: BimatrixGame,
-    found: FoundEquilibrium,
-    provenance: str,
-    shifted: Optional[BimatrixGame] = None,
+    original: BimatrixGame, found: FoundEquilibrium, provenance: str, shifted: BimatrixGame
 ) -> EquilibriumRecord:
-    """Re-anchor a found equilibrium on the original game and fix its index."""
+    """Re-anchor a found equilibrium on the original game; index it on ``shifted``."""
     rec = make_record(original, found.record.profile, provenance)
-    if shifted is None:
-        shifted = positivity_shift(original)[0]
     return replace(rec, index=index_of(shifted, rec, found.crossing))
 
 
-def bin_search(d: Rank1Decomposition, _depth: int = 0) -> BinSearchReport:
+def rank1_family(d: Rank1Decomposition) -> tuple[Rank1Decomposition, GameFamily]:
+    """The decomposition the path runs on, and its family (c = -a).
+
+    A constant beta is reduced to the zero-sum game with the default beta: the
+    path needs distinct extreme entries of beta, and the reduction keeps the
+    equilibrium set.
+    """
+    if all(b == d.beta[0] for b in d.beta):
+        d = Rank1Decomposition(
+            reduce_constant_beta(d).a, vector([0] * len(d.gamma)), default_beta(len(d.beta))
+        )
+    return d, GameFamily(d.a, d.a.scale(-1), d.beta)
+
+
+def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     """Binary search on the path's lambda coordinate for one equilibrium.
 
     Works on the integerized copy (equilibria are scale-invariant); the
@@ -155,23 +150,12 @@ def bin_search(d: Rank1Decomposition, _depth: int = 0) -> BinSearchReport:
     if game.n == 1:
         rec = _trivial_single_column(game, "bin-search")
         return BinSearchReport(rec, 0, 0, (), _instance_bits(integerize(d)[0]))
-    if all(b == d.beta[0] for b in d.beta):
-        if _depth > 0:
-            raise RankGamesError("constant beta survived reduction")
-        zero_sum = reduce_constant_beta(d)
-        d2 = Rank1Decomposition(
-            zero_sum.a, vector([0] * game.m), default_beta(game.n)
-        )
-        report = bin_search(d2, _depth + 1)
-        rec = make_record(game, report.equilibrium.profile, "bin-search")
-        return replace(report, equilibrium=replace(rec, index=report.equilibrium.index))
 
-    di, _scale = integerize(d)
-    family = GameFamily(di.a, di.a.scale(-1), di.beta)
+    di, family = rank1_family(integerize(d)[0])
     gamma = di.gamma
     g_min, g_max = min(gamma), max(gamma)
     bits = _instance_bits(di)
-    shifted = positivity_shift(game)[0]
+    shifted = positivity_shift(family.game_at(gamma))[0]
 
     def report_for(found: FoundEquilibrium, iters: int, bound: int, hist) -> BinSearchReport:
         if found.crossing.orient_index != 1:
@@ -200,12 +184,17 @@ def bin_search(d: Rank1Decomposition, _depth: int = 0) -> BinSearchReport:
     if high.kind != "above":
         raise RankGamesError("high probe is not on the high side of the hyperplane")
 
+    # Invariant: the path is below the hyperplane at a1 and above it just
+    # before a2, so (a1, a2) holds a +1 crossing. Along the path lambda never
+    # decreases and the hyperplane value falls through every -1 crossing, so a
+    # probe that hits one is above just before its lambda and becomes a2. The
+    # invariant is the one the bound's proof uses, so bound_k still holds.
     a1, a2 = g_min, g_max
     history: list[tuple[Rat, Rat]] = []
     for it in range(1, bound_k + 2):
         a = (a1 + a2) / 2
         out = is_ne(family, gamma, a)
-        if out.kind == "found":
+        if out.kind == "found" and out.found[0].crossing.orient_index == 1:
             return report_for(out.found[0], it, bound_k, history)
         if out.kind == "below":
             a1 = a
@@ -215,72 +204,47 @@ def bin_search(d: Rank1Decomposition, _depth: int = 0) -> BinSearchReport:
     raise IterationCapExceeded(f"no equilibrium within {bound_k + 1} probes")
 
 
-def enumeration(
+def _edges_between(family: GameFamily, start: PathEdge, end: PathEdge) -> Iterator[PathEdge]:
+    """The oriented path from edge ``start`` through edge ``end``."""
+    yield start
+    if start.key() == end.key():
+        return
+    if start.head is not None:
+        for edge in walk(family, start.head):
+            yield edge
+            if edge.key() == end.key():
+                return
+    raise RankGamesError("walk ran off the path before the end edge")
+
+
+def _path_equilibria(
+    game: BimatrixGame,
     family: GameFamily,
     gamma: Sequence[Fraction],
-    start: PathEdge,
-    end: PathEdge,
-    provenance: str = "enumeration",
-) -> list[FoundEquilibrium]:
-    """Walk the oriented path from start to end, collecting hyperplane hits."""
-    gamma = vector(gamma)
-    found: list[FoundEquilibrium] = []
-    budget = step_budget(family.m, family.n)
-    edge = start
-    steps = 0
-    while True:
-        found.extend(crossing_records(family, gamma, edge, provenance))
-        if edge.key() == end.key():
-            return found
-        if edge.head is None:
-            raise RankGamesError("walk ran off the path before the end edge")
-        edge, _far = step(family, edge.head, "P" if edge.head.sign > 0 else "Q")
-        steps += 1
-        if steps > budget:
-            raise StepBudgetExceeded(f"more than {budget} edges walked")
+    edges: Iterable[PathEdge],
+    provenance: str,
+) -> list[EquilibriumRecord]:
+    """Hyperplane crossings of the edges, in path order, recorded on ``game``.
+
+    Indices are computed on the game the path ran on, ``family.game_at(gamma)``.
+    """
+    founds = [fe for edge in edges for fe in crossing_records(family, gamma, edge, provenance)]
+    if not founds:
+        raise RankGamesError("path walk found no equilibrium; theory guarantees one")
+    shifted = positivity_shift(family.game_at(gamma))[0]
+    return [_finalize(game, fe, provenance, shifted) for fe in founds]
 
 
-def path_extreme_edges(family: GameFamily) -> tuple[PathEdge, PathEdge]:
-    """The two unbounded path edges, oriented low-ray first."""
-    u0 = make_node(family, family.v_s(), family.w_start())
-    if u0.sign != 1:
-        raise RankGamesError("low-ray node sign is not +1")
-    ray0 = family.qp.pivot(family.w_start(), u0.duplicate)
-    if not ray0.unbounded:
-        raise RankGamesError("low ray is bounded")
-    start = PathEdge(V_FIXED, family.v_s(), ray0, None, u0, BACKWARD)
-    u1 = make_node(family, family.v_e(), family.w_end())
-    if u1.sign != -1:
-        raise RankGamesError("high-ray node sign is not -1")
-    ray1 = family.qp.pivot(family.w_end(), u1.duplicate)
-    if not ray1.unbounded:
-        raise RankGamesError("high ray is bounded")
-    end = PathEdge(V_FIXED, family.v_e(), ray1, u1, None, FORWARD)
-    return start, end
-
-
-def enumerate_rank1(d: Rank1Decomposition, _depth: int = 0) -> list[EquilibriumRecord]:
+def enumerate_rank1(d: Rank1Decomposition) -> list[EquilibriumRecord]:
     """All equilibria of a rank-1 game, in path order, with indices attached."""
     game = d.game()
     if game.n == 1:
         return [_trivial_single_column(game, "enumeration")]
-    if all(b == d.beta[0] for b in d.beta):
-        if _depth > 0:
-            raise RankGamesError("constant beta survived reduction")
-        zero_sum = reduce_constant_beta(d)
-        d2 = Rank1Decomposition(zero_sum.a, vector([0] * game.m), default_beta(game.n))
-        recs = enumerate_rank1(d2, _depth + 1)
-        return [
-            replace(make_record(game, r.profile, "enumeration"), index=r.index)
-            for r in recs
-        ]
-    family = GameFamily(d.a, d.a.scale(-1), d.beta)
-    g_min, g_max = min(d.gamma), max(d.gamma)
-    start = solve_lp_delta(family, g_min).edge
-    end = solve_lp_delta(family, g_max).edge
-    founds = enumeration(family, d.gamma, start, end)
-    shifted = positivity_shift(game)[0]
-    return [_finalize(game, fe, "enumeration", shifted) for fe in founds]
+    run, family = rank1_family(d)
+    start = solve_lp_delta(family, min(run.gamma)).edge
+    end = solve_lp_delta(family, max(run.gamma)).edge
+    edges = _edges_between(family, start, end)
+    return _path_equilibria(game, family, run.gamma, edges, "enumeration")
 
 
 def general_embedding(
@@ -303,12 +267,7 @@ def enumerate_general(
         return [_trivial_single_column(game, "general-path")]
     d = general_embedding(game, beta)
     family = GameFamily(d.a, d.c, d.beta)
-    start, end = path_extreme_edges(family)
-    founds = enumeration(family, d.gamma, start, end, provenance="general-path")
-    if not founds:
-        raise RankGamesError("path walk found no equilibrium; theory guarantees one")
-    shifted = positivity_shift(game)[0]
-    return [_finalize(game, fe, "general-path", shifted) for fe in founds]
+    return _path_equilibria(game, family, d.gamma, trace_path(family).edges, "general-path")
 
 
 def solve_general(
@@ -470,7 +429,7 @@ def fixed_point_search(
         rhs = vsub(fa, jac.mul_vec(a))
         try:
             z = solve_linear_system(system, rhs)
-        except Exception:
+        except Singular:
             return None
         if not in_box(z):
             return None

@@ -22,6 +22,7 @@ from .algorithms import (
     fixed_point_record,
     fixed_point_search,
     general_embedding,
+    rank1_family,
     region_graph,
 )
 from .errors import (
@@ -42,8 +43,6 @@ from .games import (
     Rank1Decomposition,
     decompose_rank1,
     decompose_rank_k,
-    default_beta,
-    reduce_constant_beta,
 )
 from .labeledpath import export_lines, make_node, trace_cycle, trace_path
 from .linalg import Matrix, matrix_rank
@@ -55,6 +54,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_GUARD = 4
+EXIT_INTERNAL = 5
 
 
 class ParseError(RankGamesError):
@@ -164,22 +164,13 @@ def _rank1_or_none(game: BimatrixGame, beta) -> Optional[Rank1Decomposition]:
         return None
 
 
-def _family_for(game: BimatrixGame, beta) -> tuple[GameFamily, tuple]:
-    """Natural embedding: rank-1 inputs use c = -a, others c = b, weights 0.
-
-    A constant-beta rank-1 factorization is reduced to its zero-sum
-    equivalent first (generic default vector), since the path machinery needs
-    distinct extreme entries.
-    """
+def _family_for(game: BimatrixGame, beta) -> GameFamily:
+    """Natural embedding: rank-1 inputs use c = -a, others c = b, weights 0."""
     d1 = _rank1_or_none(game, beta)
     if d1 is not None:
-        if all(b == d1.beta[0] for b in d1.beta):
-            zero_sum = reduce_constant_beta(d1)
-            fam = GameFamily(zero_sum.a, zero_sum.a.scale(-1), default_beta(game.n))
-            return fam, tuple([0] * game.m)
-        return GameFamily(d1.a, d1.a.scale(-1), d1.beta), d1.gamma
+        return rank1_family(d1)[1]
     d = general_embedding(game, beta)
-    return GameFamily(d.a, d.c, d.beta), d.gamma
+    return GameFamily(d.a, d.c, d.beta)
 
 
 def cmd_solve(game: BimatrixGame, args, out: dict) -> None:
@@ -230,7 +221,7 @@ def cmd_rank(game: BimatrixGame, args, out: dict) -> None:
 
 
 def cmd_trace(game: BimatrixGame, args, out: dict) -> None:
-    family, _gamma = _family_for(game, _beta_override(args))
+    family = _family_for(game, _beta_override(args))
     if args.all_from:
         try:
             v_part, w_part = args.all_from.split("/")
@@ -238,6 +229,9 @@ def cmd_trace(game: BimatrixGame, args, out: dict) -> None:
             w_basis = frozenset(int(t) for t in w_part.split(","))
         except ValueError as exc:
             raise ParseError("--all-from wants 'v1,v2,../w1,w2,..'") from exc
+        top = family.m + family.n
+        if any(not 1 <= lab <= top for lab in v_basis | w_basis):
+            raise ParseError(f"--all-from labels must lie in 1..{top}")
         seed = make_node(
             family,
             family.p.vertex_from_basis(v_basis),
@@ -263,7 +257,7 @@ def cmd_trace(game: BimatrixGame, args, out: dict) -> None:
 
 
 def cmd_regions(game: BimatrixGame, args, out: dict) -> None:
-    family, _gamma = _family_for(game, _beta_override(args))
+    family = _family_for(game, _beta_override(args))
     graph = region_graph(family, trace_path(family))
     lines = [f"regions on the {graph.kind}: {len(graph.regions)}"]
     regions_json = []
@@ -340,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="retry once with a tiny seeded perturbation on degeneracy")
     common.add_argument("--beta", default=None,
                         help="override the embedding vector, e.g. '1,2,3'")
-    common.add_argument("--max-iters", type=int, default=60)
     parser = argparse.ArgumentParser(
         prog="rankgames",
         description="Exact bimatrix equilibrium solver on fully-labeled paths",
@@ -356,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k-eval", default=None, metavar="A1,..,AK")
     group.add_argument("--search", action="store_true")
     fp.add_argument("--tol", default="1/1000")
+    fp.add_argument("--max-iters", type=int, default=60)
     return parser
 
 
@@ -425,6 +419,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TooLarge, StepBudgetExceeded, IterationCapExceeded) as exc:
         print(f"error: guard exceeded ({exc})", file=sys.stderr)
         return EXIT_GUARD
+    except RankGamesError as exc:
+        # A broken internal invariant: report it instead of a traceback.
+        print(f"error: internal failure ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return EXIT_INTERNAL
 
     _emit(out, args.json, perturbed_seed)
     return EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (
     DegeneratePolytope,
@@ -20,7 +20,7 @@ from .errors import (
     RankGamesError,
     StepBudgetExceeded,
 )
-from .linalg import Matrix, Rat, determinant, vdot
+from .linalg import Matrix, Rat, determinant, sign, vdot
 from .polytope import EdgeDescriptor, GameFamily, Vertex
 
 V_FIXED = "v_fixed"  # vertex of P fixed, edge moves in Q'
@@ -60,12 +60,6 @@ class PathEdge:
     def key(self) -> tuple[str, frozenset[int], frozenset[int]]:
         return (self.kind, self.fixed.basis, self.moving.tight_set)
 
-    def end_parameters(self) -> tuple[Optional[Rat], Optional[Rat]]:
-        """(t_tail, t_head); None stands for the infinite end."""
-        if self.direction == FORWARD:
-            return Fraction(0), self.moving.t_max
-        return self.moving.t_max, Fraction(0)
-
 
 @dataclass(frozen=True)
 class ComponentTrace:
@@ -77,10 +71,6 @@ class ComponentTrace:
 def step_budget(m: int, n: int) -> int:
     """Hard cap exceeding the number of vertex pairs; crossing it is a bug."""
     return comb(m + n, n) * comb(m + n + 1, m + 1)
-
-
-def _sign(x: Rat) -> int:
-    return (x > 0) - (x < 0)
 
 
 def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
@@ -136,7 +126,7 @@ def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
         cols.append(unit)
     det_w = determinant(Matrix(cols).transpose())
 
-    s = _sign(det_v * det_w)
+    s = sign(det_v * det_w)
     if s == 0:
         raise DegeneratePolytope("singular tight system at a fully-labeled pair")
     return s
@@ -183,9 +173,20 @@ def step(family: GameFamily, node: PathNode, side: str) -> tuple[PathEdge, Optio
     return edge, far
 
 
-def _walk_side(node: PathNode) -> str:
-    # Positive sign directs the P-side relaxation away from the node.
-    return "P" if node.sign > 0 else "Q"
+def walk(family: GameFamily, first: PathNode) -> Iterator[PathEdge]:
+    """Edges in orientation order from ``first``; each edge's head is its far node.
+
+    A positive sign directs the P-side relaxation away from the node. The walk
+    ends after a ray (head None) or on the edge that returns to ``first``.
+    """
+    budget = step_budget(family.m, family.n)
+    node = first
+    for _ in range(budget):
+        edge, node = step(family, node, "P" if node.sign > 0 else "Q")
+        yield edge
+        if node is None or node.key() == first.key():
+            return
+    raise StepBudgetExceeded(f"more than {budget} steps from one node")
 
 
 def trace_path(family: GameFamily) -> ComponentTrace:
@@ -198,49 +199,25 @@ def trace_path(family: GameFamily) -> ComponentTrace:
     ray = family.qp.pivot(w0, u0.duplicate)
     if not ray.unbounded:
         raise RankGamesError("relaxing the start duplicate did not open the low ray")
-    edges: list[PathEdge] = [PathEdge(V_FIXED, v_s, ray, None, u0, BACKWARD)]
-    nodes: list[PathNode] = [u0]
-    seen = {u0.key()}
-    budget = step_budget(family.m, family.n)
-    node = u0
-    while True:
-        edge, far = step(family, node, _walk_side(node))
-        edges.append(edge)
-        if far is None:
-            break
-        if far.key() in seen:
-            raise RankGamesError("path revisited a node; traversal is broken")
-        seen.add(far.key())
-        nodes.append(far)
-        node = far
-        if len(nodes) > budget:
-            raise StepBudgetExceeded(f"more than {budget} nodes on the path")
+    edges = [PathEdge(V_FIXED, v_s, ray, None, u0, BACKWARD), *walk(family, u0)]
+    if edges[-1].head is not None:
+        raise RankGamesError("path returned to its start node; traversal is broken")
     v_e = family.v_e()
     if edges[-1].fixed.basis != v_e.basis:
         raise RankGamesError("path did not terminate at the high-ray vertex")
     if family.lambda_of(edges[-1].moving.base) != family.start.lambda_e:
         raise RankGamesError("high ray does not start at its lambda bound")
-    return ComponentTrace("path", tuple(nodes), tuple(edges))
+    nodes = tuple(edge.head for edge in edges[:-1])
+    return ComponentTrace("path", nodes, tuple(edges))
 
 
 def trace_cycle(family: GameFamily, seed: PathNode) -> ComponentTrace:
     """Closed alternating traversal from a node that is not on the path."""
-    nodes: list[PathNode] = [seed]
-    edges: list[PathEdge] = []
-    budget = step_budget(family.m, family.n)
-    node = seed
-    while True:
-        edge, far = step(family, node, _walk_side(node))
-        edges.append(edge)
-        if far is None:
-            raise RankGamesError("seed lies on the path, not on a cycle")
-        if far.key() == seed.key():
-            break
-        nodes.append(far)
-        node = far
-        if len(nodes) > budget:
-            raise StepBudgetExceeded(f"more than {budget} nodes on a cycle")
-    return ComponentTrace("cycle", tuple(nodes), tuple(edges))
+    edges = tuple(walk(family, seed))
+    if edges[-1].head is None:
+        raise RankGamesError("seed lies on the path, not on a cycle")
+    nodes = (seed,) + tuple(edge.head for edge in edges[:-1])
+    return ComponentTrace("cycle", nodes, edges)
 
 
 def oriented_edge(

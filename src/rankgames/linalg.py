@@ -19,6 +19,10 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
 def vector(entries: Iterable) -> Vec:
     return tuple(frac(e) for e in entries)
 
@@ -61,6 +65,10 @@ class Matrix:
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        # Rebuild through __init__: the default protocol would set slots via setattr.
+        return (Matrix, (self._data,))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":

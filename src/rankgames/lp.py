@@ -54,7 +54,6 @@ class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     point: Optional[Vec]
     value: Optional[Rat]
-    basis: tuple[int, ...]  # independent tight row indices at the point
     pivots: int = 0
 
     @property
@@ -149,7 +148,7 @@ def solve_lp(lp: LinearProgram, max_pivots: Optional[int] = None) -> LPSolution:
     costrow = tab.price_out(phase1_cost)
     tab.run(costrow, [True] * width)
     if -costrow[-1] != 0:
-        return LPSolution("infeasible", None, None, (), tab.pivots)
+        return LPSolution("infeasible", None, None, tab.pivots)
 
     # Drive leftover artificials out of the basis; drop redundant rows.
     for i in reversed(range(len(tab.basis))):
@@ -168,7 +167,7 @@ def solve_lp(lp: LinearProgram, max_pivots: Optional[int] = None) -> LPSolution:
     costrow = tab.price_out(phase2_cost)
     status = tab.run(costrow, allowed)
     if status == "unbounded":
-        return LPSolution("unbounded", None, None, (), tab.pivots)
+        return LPSolution("unbounded", None, None, tab.pivots)
 
     point = [Fraction(0)] * (2 * n)
     for i, b in enumerate(tab.basis):
@@ -176,29 +175,5 @@ def solve_lp(lp: LinearProgram, max_pivots: Optional[int] = None) -> LPSolution:
             point[b] = tab.rows[i][-1]
     z = tuple(point[j] - point[n + j] for j in range(n))
     value = vdot(lp.objective, z)
-    return LPSolution("optimal", z, value, tight_basis(lp, z), tab.pivots)
+    return LPSolution("optimal", z, value, tab.pivots)
 
-
-def tight_rows(lp: LinearProgram, z: Sequence[Fraction]) -> list[int]:
-    return [i for i in range(len(lp.rows)) if vdot(lp.rows[i], z) == lp.rhs[i]]
-
-
-def tight_basis(lp: LinearProgram, z: Sequence[Fraction]) -> tuple[int, ...]:
-    """Lexicographically first maximal independent subset of tight rows."""
-    basis: list[int] = []
-    reduced: list[list[Fraction]] = []  # rows in echelon form, pivot-normalized
-    pivots: list[int] = []
-    for i in tight_rows(lp, z):
-        work = list(lp.rows[i])
-        for vec, piv in zip(reduced, pivots):
-            if work[piv] != 0:
-                f = work[piv]
-                work = [x - f * y for x, y in zip(work, vec)]
-        piv = next((j for j, x in enumerate(work) if x != 0), None)
-        if piv is None:
-            continue
-        pv = work[piv]
-        reduced.append([x / pv for x in work])
-        pivots.append(piv)
-        basis.append(i)
-    return tuple(basis)

@@ -168,21 +168,6 @@ def _h_linear(family: GameFamily, edge: PathEdge, h: Hyperplane) -> tuple[Rat, R
     return h0, dh
 
 
-def edge_hyperplane_intersection(
-    family: GameFamily, edge: PathEdge, h: Hyperplane
-) -> list[Vec]:
-    """Lifted-polytope points where the edge meets the hyperplane.
-
-    Raises EdgeInHyperplane when the whole edge lies inside it; a hit exactly
-    at an endpoint node signals a degenerate game.
-    """
-    res = _analyze_edge(family, edge, h)
-    if res[0] == "point":
-        _, _, w_coords, _ = res
-        return [w_coords]
-    return []
-
-
 def _analyze_edge(family: GameFamily, edge: PathEdge, h: Hyperplane):
     """('whole',) | ('none', side_sign) | ('point', t, w_coords, v_coords)."""
     h0, dh = _h_linear(family, edge, h)

@@ -19,6 +19,7 @@ from .errors import (
     DegeneratePolytope,
     DependentBetas,
     DimensionMismatch,
+    Singular,
     TooLarge,
     ZeroBeta,
 )
@@ -125,7 +126,7 @@ class Polytope:
             )
         try:
             point = self._basis_point(sorted(basis))
-        except Exception:
+        except Singular:
             return None
         if not self.feasible(point):
             return None
@@ -144,37 +145,43 @@ class Polytope:
         rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(-1)]
         return solve_linear_system(Matrix(rows), rhs)
 
+    def _min_ratio(self, point: Sequence[Fraction], direction: Vec,
+                   tight: frozenset[int]) -> tuple[Optional[Rat], Optional[int]]:
+        """Shortest step from ``point`` along ``direction`` to a row outside ``tight``.
+
+        Returns the step and the row that becomes tight, or (None, None) when
+        no row bounds the ray. A zero step or a tie is degenerate.
+        """
+        best_t: Optional[Rat] = None
+        hits: list[int] = []
+        for lab in range(1, self.n_labels + 1):
+            if lab in tight:
+                continue
+            rate = vdot(self.row(lab)[0], direction)
+            if rate <= 0:
+                continue
+            t = self.slack(lab, point) / rate
+            if best_t is None or t < best_t:
+                best_t, hits = t, [lab]
+            elif t == best_t:
+                hits.append(lab)
+        if best_t == 0:
+            raise DegeneratePolytope(f"extra tight row {hits[0]} leaving {sorted(tight)}")
+        if len(hits) > 1:
+            raise DegeneratePolytope(f"ratio tie between rows {hits} leaving {sorted(tight)}")
+        return best_t, hits[0] if hits else None
+
     def pivot(self, vertex: Vertex, relax: int) -> EdgeDescriptor:
         """Exact ratio test along the edge obtained by relaxing one basis row."""
         if relax not in vertex.basis:
             raise ValueError(f"label {relax} not in basis {sorted(vertex.basis)}")
         kept = vertex.basis - {relax}
         direction = self.null_direction(kept, relax)
-        best_t: Optional[Rat] = None
-        hits: list[int] = []
-        for lab in range(1, self.n_labels + 1):
-            if lab in kept or lab == relax:
-                continue
-            rate = vdot(self.row(lab)[0], direction)
-            if rate <= 0:
-                continue
-            t = self.slack(lab, vertex.coords) / rate
-            if t == 0:
-                raise DegeneratePolytope(
-                    f"extra tight row {lab} at vertex {sorted(vertex.basis)}"
-                )
-            if best_t is None or t < best_t:
-                best_t, hits = t, [lab]
-            elif t == best_t:
-                hits.append(lab)
+        best_t, hit = self._min_ratio(vertex.coords, direction, vertex.basis)
         if best_t is None:
             return EdgeDescriptor(vertex, relax, direction, None, None)
-        if len(hits) > 1:
-            raise DegeneratePolytope(
-                f"ratio tie between rows {hits} leaving {sorted(vertex.basis)}"
-            )
         far_coords = vadd(vertex.coords, vscale(best_t, direction))
-        far_basis = kept | {hits[0]}
+        far_basis = kept | {hit}
         far = Vertex(far_coords, far_basis, self.labels_at(far_coords))
         if len(far.labels) > self.basis_size:
             raise DegeneratePolytope(
@@ -192,27 +199,8 @@ class Polytope:
         point = vector(point)
         rows = [self.eq[0]] + [self.row(lab)[0] for lab in sorted(tight)]
         direction = _free_direction(rows, self.dim)
-
-        def shoot(d: Vec) -> tuple[Optional[Rat], Optional[int]]:
-            best_t: Optional[Rat] = None
-            hits: list[int] = []
-            for lab in range(1, self.n_labels + 1):
-                if lab in tight:
-                    continue
-                rate = vdot(self.row(lab)[0], d)
-                if rate <= 0:
-                    continue
-                t = self.slack(lab, point) / rate
-                if best_t is None or t < best_t:
-                    best_t, hits = t, [lab]
-                elif t == best_t:
-                    hits.append(lab)
-            if len(hits) > 1:
-                raise DegeneratePolytope(f"ratio tie between rows {hits} on edge")
-            return best_t, hits[0] if hits else None
-
-        t_pos, lab_pos = shoot(direction)
-        t_neg, lab_neg = shoot(vscale(-1, direction))
+        t_pos, lab_pos = self._min_ratio(point, direction, tight)
+        t_neg, lab_neg = self._min_ratio(point, vscale(-1, direction), tight)
         if t_pos is None and t_neg is None:
             raise DegeneratePolytope("edge is a full line; polytope not pointed")
 
@@ -248,7 +236,7 @@ def _free_direction(rows: list[Vec], dim: int) -> Vec:
         sub = Matrix([[r[c] for c in cols] for r in rows])
         try:
             sol = solve_linear_system(sub, [-r[free_col] for r in rows])
-        except Exception:
+        except Singular:
             continue
         direction = list(sol)
         direction.insert(free_col, Fraction(1))
@@ -367,27 +355,6 @@ def start_data(a: Matrix, c: Matrix, beta: Sequence[Fraction]) -> StartData:
     )
 
 
-def start_vertices(p: Polytope, beta: Sequence[Fraction], a: Matrix) -> tuple[Vertex, Vertex]:
-    """The two pure-strategy path endpoints in P (min-beta and max-beta columns)."""
-    i_s, j_s, i_e, j_e = _endpoint_indices(a, vector(beta))
-    m = a.rows
-
-    def pure_vertex(i_one: int, j_one: int) -> Vertex:
-        basis = frozenset({i_one + 1} | {m + j for j in range(1, p.n + 1) if j != j_one + 1})
-        v = p.vertex_from_basis(basis)
-        if len(v.labels) != p.basis_size:
-            raise DegeneratePolytope(f"degenerate endpoint vertex {sorted(basis)}")
-        return v
-
-    return pure_vertex(i_s, j_s), pure_vertex(i_e, j_e)
-
-
-def lambda_bounds(a: Matrix, c: Matrix, beta: Sequence[Fraction]) -> tuple[Rat, Rat]:
-    """Extent of the two unbounded edges: lambda in (-inf, lam_s] and [lam_e, inf)."""
-    sd = start_data(a, c, beta)
-    return sd.lambda_s, sd.lambda_e
-
-
 class GameFamily:
     """Shared-row-player game family: fixed a, c, beta with free row weights.
 
@@ -438,14 +405,6 @@ class GameFamily:
         basis = frozenset(
             {i for i in range(1, self.m + 1) if i != sd.i_s}
             | {self.m + sd.j_s, self.m + sd.jstar_s}
-        )
-        return self.qp.vertex_from_basis(basis)
-
-    def w_end(self) -> Vertex:
-        sd = self.start
-        basis = frozenset(
-            {i for i in range(1, self.m + 1) if i != sd.i_e}
-            | {self.m + sd.j_e, self.m + sd.jstar_e}
         )
         return self.qp.vertex_from_basis(basis)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from rankgames.errors import DegeneracyError, RankGamesError
+from rankgames.errors import DegeneracyError
 from rankgames.games import BimatrixGame, Rank1Decomposition
 from rankgames.linalg import Matrix
 from rankgames.polytope import GameFamily
@@ -73,6 +73,15 @@ R1B_NE_KEYS = (
     ),
 )
 
+# Rank-1 4x5 fixture with three equilibria (indices +1, -1, +1) on which a
+# bisection probe lands on the -1 crossing's edge.
+R1C = Rank1Decomposition(
+    Matrix([[-11, -12, 22, 20, -27], [2, -29, -19, -8, -15], [-29, 20, -18, 29, 10],
+            [-29, 19, -9, -14, 23]]),
+    tuple(Fraction(g) for g in (7, -19, -18, 0)),
+    tuple(Fraction(b) for b in (17, 17, 13, 10, 11)),
+)
+
 
 # Rank-2 fixture: the worked example's row matrix with a two-term payoff sum.
 K2_A = EX1_A
@@ -97,7 +106,8 @@ def nondegenerate_rank1_fixtures(seed: int, count: int, min_mn=2, max_mn=5,
     """Deterministic list of rank-1 instances that survive the full pipeline.
 
     ``pipeline`` is called on each candidate and may raise degeneracy errors;
-    failures are skipped so the returned fixtures are operationally clean.
+    those candidates are skipped so the returned fixtures are operationally
+    clean. Any other library error propagates.
     """
     rng = random.Random(seed)
     out = []
@@ -108,7 +118,7 @@ def nondegenerate_rank1_fixtures(seed: int, count: int, min_mn=2, max_mn=5,
         try:
             if pipeline is not None:
                 pipeline(d)
-        except (DegeneracyError, RankGamesError):
+        except DegeneracyError:
             continue
         out.append(d)
     return out
@@ -128,7 +138,7 @@ def random_general_games(seed: int, count: int, min_mn=2, max_mn=4, span=9,
         try:
             if pipeline is not None:
                 pipeline(game)
-        except (DegeneracyError, RankGamesError):
+        except DegeneracyError:
             continue
         out.append(game)
     return out

@@ -44,9 +44,11 @@ from fixtures import (
     R1A_NE_Y,
     R1B,
     R1B_NE_KEYS,
+    R1C,
     ex1_family,
     nondegenerate_rank1_fixtures,
     random_general_games,
+    random_rank1,
 )
 
 
@@ -110,6 +112,40 @@ def test_bin_search_iteration_bound_on_random_fixtures():
         assert verify_equilibrium(d.game(), report.equilibrium.profile)
         for a1, a2 in report.history:
             assert a1 < a2
+
+
+def test_bin_search_steps_past_a_negative_index_crossing():
+    # A midpoint probe hits the -1 equilibrium; the search keeps bisecting
+    # below it and returns one of the two +1 equilibria.
+    report = bin_search(R1C)
+    rec = report.equilibrium
+    assert rec.index == 1
+    assert report.iterations <= report.bound_k + 1
+    oracle = support_enumeration(R1C.game()).equilibria
+    assert len(oracle) == 3
+    assert rec.key() in {r.key() for r in oracle}
+    assert [r.index for r in enumerate_rank1(R1C)] == [1, -1, 1]
+
+
+def test_bin_search_matches_oracle_on_wide_spans():
+    # Spans well past the other corpora's, where probes can land on -1
+    # crossings. Degenerate games are counted, not dropped unseen.
+    rng = random.Random(2)
+    solved = degenerate = 0
+    for k in range(20):
+        size = 4 + k % 2
+        d = random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
+        try:
+            report = bin_search(d)
+        except DegeneracyError:
+            degenerate += 1
+            continue
+        assert report.equilibrium.index == 1
+        assert report.iterations <= report.bound_k + 1
+        oracle = support_enumeration(d.game()).equilibria
+        assert report.equilibrium.key() in {r.key() for r in oracle}
+        solved += 1
+    assert (solved, degenerate) == (20, 0)
 
 
 # --------------------------------------------------------------- enumeration

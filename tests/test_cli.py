@@ -3,19 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+from rankgames import cli
 from rankgames.cli import (
     EXIT_DEGENERATE,
     EXIT_GUARD,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     main,
     parse_game_file,
     render_game,
 )
+from rankgames.errors import NotEquilibrium
 from rankgames.games import BimatrixGame
 from rankgames.linalg import Matrix
 
-from fixtures import EX1_A, EX1_BETA, EX1_C, MATCHING_PENNIES, R1A, R1B
+from fixtures import EX1_A, EX1_BETA, EX1_C, MATCHING_PENNIES, R1A, R1B, R1C
 
 
 def write_game(tmp_path, game, name="g.game"):
@@ -219,3 +222,38 @@ def test_solve_falls_back_on_higher_rank(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "rank >= 2" in captured.err
     assert captured.out.startswith("x = ")
+
+
+def test_solve_past_a_negative_index_probe(tmp_path, capsys):
+    path = write_game(tmp_path, R1C.game())
+    assert main(["solve", "--input", path]) == EXIT_OK
+    assert capsys.readouterr().out.strip().endswith("index +1")
+
+
+def test_internal_failure_is_one_line_and_exits_5(tmp_path, capsys, monkeypatch):
+    def broken(_d):
+        raise NotEquilibrium("forced failure")
+
+    monkeypatch.setattr(cli, "bin_search", broken)
+    path = write_game(tmp_path, R1A.game())
+    assert main(["solve", "--input", path]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal failure (NotEquilibrium: forced failure)\n"
+
+
+def test_all_from_label_out_of_range_is_parse_error(tmp_path, capsys):
+    game = BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA))
+    path = write_game(tmp_path, game)
+    code = main(
+        ["trace", "--input", path, "--beta", "9,7,8", "--all-from", "2,3,9/1,3,4,6"]
+    )
+    assert code == EXIT_PARSE
+    assert "1..6" in capsys.readouterr().err
+
+
+def test_max_iters_belongs_to_fixedpoint_only(tmp_path, capsys):
+    path = write_game(tmp_path, R1A.game())
+    with pytest.raises(SystemExit):
+        main(["solve", "--input", path, "--max-iters", "5"])
+    assert main(["fixedpoint", "--input", path, "--search", "--max-iters", "5"]) == EXIT_OK

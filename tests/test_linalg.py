@@ -123,3 +123,16 @@ def test_matrix_access_is_bounds_checked():
 def test_matrix_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2], [3]])
+
+
+def test_matrix_pickles_and_deep_copies_as_an_equal_immutable_matrix():
+    import copy
+    import pickle
+
+    m = Matrix([[Fraction(1, 3), -2], [0, Fraction(7, 5)]])
+    for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert clone == m
+        assert hash(clone) == hash(m)
+        assert (clone.rows, clone.cols) == (2, 2)
+        with pytest.raises(AttributeError):
+            clone.rows = 3

@@ -10,7 +10,7 @@ from rankgames.linalg import Matrix, vdot
 from rankgames.paramlp import (
     Hyperplane,
     box_bounds,
-    edge_hyperplane_intersection,
+    crossing_records,
     fixed_point_eval,
     is_ne,
     labeling_gap,
@@ -120,16 +120,16 @@ def test_edge_intersection_midpoint(r1a_family):
     # Build the containing edge of the equilibrium lambda and check the hit.
     opt = solve_lp_delta(r1a_family, R1A_NE_LAMBDA)
     h = Hyperplane(R1A.gamma)
-    points = edge_hyperplane_intersection(r1a_family, opt.edge, h)
-    assert len(points) == 1
-    assert points[0][: r1a_family.m] == R1A_NE_X
-    assert h.value_at(points[0]) == 0
+    hits = crossing_records(r1a_family, R1A.gamma, opt.edge, "test")
+    assert len(hits) == 1
+    point = hits[0].crossing.w_coords
+    assert point[: r1a_family.m] == R1A_NE_X
+    assert h.value_at(point) == 0
 
 
 def test_edge_intersection_empty_off_hyperplane(r1a_family):
     opt = solve_lp_delta(r1a_family, min(R1A.gamma))
-    h = Hyperplane(R1A.gamma)
-    assert edge_hyperplane_intersection(r1a_family, opt.edge, h) == []
+    assert crossing_records(r1a_family, R1A.gamma, opt.edge, "test") == []
 
 
 def test_every_enumerated_equilibrium_is_a_unique_edge_hit(r1a_family):
@@ -137,10 +137,9 @@ def test_every_enumerated_equilibrium_is_a_unique_edge_hit(r1a_family):
 
     recs = enumerate_rank1(R1A)
     trace = trace_path(r1a_family)
-    h = Hyperplane(R1A.gamma)
     hits = []
     for edge in trace.edges:
-        hits.extend(edge_hyperplane_intersection(r1a_family, edge, h))
+        hits.extend(crossing_records(r1a_family, R1A.gamma, edge, "test"))
     assert len(hits) == len(recs)
 
 

@@ -19,11 +19,9 @@ from rankgames.polytope import (
     build_qprime_k,
     check_nondegenerate,
     enumerate_vertices,
-    lambda_bounds,
-    start_vertices,
 )
 
-from fixtures import EX1_A, EX1_BETA, EX1_C, ex1_family
+from fixtures import EX1_A, EX1_C, ex1_family
 
 
 def test_build_p_single_strategy_vertex():
@@ -137,17 +135,16 @@ def test_pivot_involution_over_all_edges():
 
 
 def test_start_vertices_worked_example():
-    p = build_p(EX1_A)
-    v_s, v_e = start_vertices(p, EX1_BETA, EX1_A)
-    assert v_s.coords == (0, 1, 0, 9)
-    assert v_e.coords == (1, 0, 0, 9)
+    fam = ex1_family()
+    assert fam.v_s().coords == (0, 1, 0, 9)
+    assert fam.v_e().coords == (1, 0, 0, 9)
 
 
 def test_start_vertices_forced_1x2():
     a = Matrix([[0, 1]])
-    v_s, v_e = start_vertices(build_p(a), (1, 2), a)
-    assert v_s.coords == (1, 0, 0)
-    assert v_e.coords == (0, 1, 1)
+    fam = GameFamily(a, a.scale(-1), (1, 2))
+    assert fam.v_s().coords == (1, 0, 0)
+    assert fam.v_e().coords == (0, 1, 1)
 
 
 def test_start_vertices_random_feasible():
@@ -158,31 +155,31 @@ def test_start_vertices_random_feasible():
         beta = tuple(rng.randint(1, 5) for _ in range(3))
         if len(set(beta)) == 1:
             continue
-        p = build_p(a)
+        fam = GameFamily(a, a.scale(-1), beta)
         try:
-            v_s, v_e = start_vertices(p, beta, a)
+            v_s, v_e = fam.v_s(), fam.v_e()
         except DegeneratePolytope:
             continue
         for v in (v_s, v_e):
-            assert p.feasible(v.coords)
-            assert len(v.labels) == p.basis_size
+            assert fam.p.feasible(v.coords)
+            assert len(v.labels) == fam.p.basis_size
         done += 1
 
 
 def test_start_vertices_constant_beta():
     with pytest.raises(ConstantBeta):
-        start_vertices(build_p(EX1_A), (2, 2, 2), EX1_A)
+        GameFamily(EX1_A, EX1_C, (2, 2, 2)).v_s()
 
 
 def test_lambda_bounds_single_ratio():
-    lam_s, _ = lambda_bounds(Matrix([[0, 1]]), Matrix([[0, 0]]), (1, 2))
-    assert lam_s == 0
+    fam = GameFamily(Matrix([[0, 1]]), Matrix([[0, 0]]), (1, 2))
+    assert fam.start.lambda_s == 0
 
 
 def test_lambda_bounds_worked_example():
-    lam_s, lam_e = lambda_bounds(EX1_A, EX1_C, EX1_BETA)
-    assert lam_s == 1  # min((8-6)/(9-7), (8-6)/(8-7)) on row 1
-    assert lam_e == Fraction(-1, 2)
+    sd = ex1_family().start
+    assert sd.lambda_s == 1  # min((8-6)/(9-7), (8-6)/(8-7)) on row 1
+    assert sd.lambda_e == Fraction(-1, 2)
 
 
 def test_lambda_bounds_infeasible_beyond():
