@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -204,17 +205,17 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     raise IterationCapExceeded(f"no equilibrium within {bound_k + 1} probes")
 
 
-def _edges_between(family: GameFamily, start: PathEdge, end: PathEdge) -> Iterator[PathEdge]:
-    """The oriented path from edge ``start`` through edge ``end``."""
-    yield start
-    if start.key() == end.key():
-        return
-    if start.head is not None:
-        for edge in walk(family, start.head):
-            yield edge
-            if edge.key() == end.key():
-                return
-    raise RankGamesError("walk ran off the path before the end edge")
+def _edges_until(family: GameFamily, start: PathEdge, lam_max: Rat) -> Iterator[PathEdge]:
+    """The oriented path from ``start`` through the first edge whose head lambda
+    exceeds ``lam_max``: lambda never decreases along the path, and every
+    equilibrium has lambda = gamma . x <= max gamma."""
+    for edge in chain([start], walk(family, start.head) if start.head is not None else ()):
+        ends = [family.lambda_of(u.w) for u in (edge.tail, edge.head) if u is not None]
+        if ends != sorted(ends):
+            raise RankGamesError("lambda decreases along the path")
+        yield edge
+        if edge.head is not None and ends[-1] > lam_max:
+            return
 
 
 def _path_equilibria(
@@ -242,8 +243,7 @@ def enumerate_rank1(d: Rank1Decomposition) -> list[EquilibriumRecord]:
         return [_trivial_single_column(game, "enumeration")]
     run, family = rank1_family(d)
     start = solve_lp_delta(family, min(run.gamma)).edge
-    end = solve_lp_delta(family, max(run.gamma)).edge
-    edges = _edges_between(family, start, end)
+    edges = _edges_until(family, start, max(run.gamma))
     return _path_equilibria(game, family, run.gamma, edges, "enumeration")
 
 

@@ -31,6 +31,7 @@ from .errors import (
     DependentBetas,
     DimensionMismatch,
     IterationCapExceeded,
+    NotFullyLabeled,
     RankGamesError,
     RankTooHigh,
     StepBudgetExceeded,
@@ -231,12 +232,15 @@ def cmd_trace(game: BimatrixGame, args, out: dict) -> None:
             raise ParseError("--all-from wants 'v1,v2,../w1,w2,..'") from exc
         top = family.m + family.n
         if any(not 1 <= lab <= top for lab in v_basis | w_basis):
-            raise ParseError(f"--all-from labels must lie in 1..{top}")
-        seed = make_node(
-            family,
-            family.p.vertex_from_basis(v_basis),
-            family.qp.vertex_from_basis(w_basis),
-        )
+            raise ParseError(f"--all-from seed {args.all_from!r}: labels must lie in 1..{top}")
+        try:
+            v = family.p.try_vertex(v_basis)
+            w = family.qp.try_vertex(w_basis)
+            if v is None or w is None:
+                raise ParseError(f"--all-from seed {args.all_from!r}: not a feasible vertex pair")
+            seed = make_node(family, v, w)
+        except (DimensionMismatch, NotFullyLabeled) as exc:
+            raise ParseError(f"--all-from seed {args.all_from!r}: {exc}") from exc
         trace = trace_cycle(family, seed)
     else:
         trace = trace_path(family)

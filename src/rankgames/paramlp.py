@@ -1,8 +1,8 @@
 """Lambda-section LPs, hyperplane probes, and rank-k fixed-point evaluation.
 
-The section LP at a parameter value splits into two independent solves (one
-per polytope); their basic optima recombine into a fully-labeled pair whose
-combined objective is exactly zero. Intersecting the containing edge with a
+The section LP at a parameter value is solved on the row polytope; complementary
+slackness gives its dual optimum on the lifted polytope, a fully-labeled partner
+with combined objective exactly zero. Intersecting the containing edge with a
 game's selection hyperplane yields equilibria or a side classification.
 """
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import (
     EdgeInHyperplane,
     NonzeroOptimum,
     NotEquilibrium,
-    NotFullyLabeled,
     OutOfBox,
     RankGamesError,
 )
@@ -29,7 +28,7 @@ from .labeledpath import (
     make_node,
     oriented_edge,
 )
-from .linalg import Rat, Vec, frac, vdot, vector
+from .linalg import Matrix, Rat, Vec, frac, solve_linear_system, vdot, vector
 from .lp import EQ, LE, LinearProgram, solve_lp
 from .polytope import GameFamily, Polytope, RankKFamily, Vertex
 
@@ -70,12 +69,11 @@ class IsNEOutcome:
 
 @dataclass(frozen=True)
 class OptSet:
-    """Representative of the optimal section, with its containing edge."""
+    """A point of the optimal section, with its containing edge."""
 
     v_coords: Vec
     w_coords: Vec
     edge: PathEdge
-    is_edge: bool  # True when the whole fixed-lambda edge is optimal
 
 
 def polytope_lp(poly: Polytope, objective: Sequence[Fraction]) -> LinearProgram:
@@ -109,7 +107,8 @@ def labeling_gap(family: GameFamily, v_coords: Sequence[Fraction],
 
 
 def solve_lp_delta(family: GameFamily, delta) -> OptSet:
-    """Optimal section at a fixed lambda via the split primal/dual solves."""
+    """Optimal section at lambda = delta: the row-polytope LP, then its dual in
+    Q', which is unique (v is nondegenerate) and tight on the labels v lacks."""
     if not family.rank1:
         raise RankGamesError("section LP needs the rank-1 family (c = -a)")
     delta = frac(delta)
@@ -124,37 +123,32 @@ def solve_lp_delta(family: GameFamily, delta) -> OptSet:
         raise DegeneratePolytope(f"section optimum has {len(v_labels)} tight rows in P")
     v = Vertex(v_coords, v_labels, v_labels)
 
-    q_obj = [Fraction(0)] * (m + 2)
-    q_obj[m + 1] = Fraction(-1)  # minimize pi2
+    qp = family.qp
     lam_row = [Fraction(0)] * (m + 2)
     lam_row[m] = Fraction(1)
-    q_lp = _with_rows(polytope_lp(family.qp, q_obj), [lam_row], [EQ], [delta])
-    q_sol = solve_lp(q_lp)
-    if not q_sol.optimal:
-        raise RankGamesError(f"lifted polytope section LP is {q_sol.status}")
-    w_coords = q_sol.point
-    w_labels = family.qp.labels_at(w_coords)
+    tight = sorted(frozenset(range(1, m + n + 1)) - v_labels)
+    rows = [qp.eq[0], lam_row] + [qp.row(lab)[0] for lab in tight]
+    rhs = [qp.eq[1], delta] + [qp.row(lab)[1] for lab in tight]
+    w_coords = solve_linear_system(Matrix(rows), rhs)  # Singular is an internal failure
+    if not qp.feasible(w_coords):
+        raise RankGamesError("complementary lifted point is infeasible")
+    w_labels = qp.labels_at(w_coords)
 
-    combined = delta * vdot(family.beta, v_coords[:n]) - v_coords[n] - w_coords[m + 1]
+    combined = labeling_gap(family, v_coords, w_coords)
     if combined != 0:
         raise NonzeroOptimum(f"section objective is {combined}, expected 0")
 
     if len(w_labels) == m:
-        if (v_labels | w_labels) != frozenset(range(1, m + n + 1)):
-            raise NotFullyLabeled("section optima do not recombine")
-        ed = family.qp.edge_through_point(w_labels, w_coords)
-        edge = oriented_edge(family, V_FIXED, v, ed)
-        return OptSet(v_coords, w_coords, edge, is_edge=False)
-    if len(w_labels) == m + 1:
+        edge = oriented_edge(family, V_FIXED, v, qp.edge_through_point(w_labels, w_coords))
+    elif len(w_labels) == m + 1:
         w = Vertex(w_coords, w_labels, w_labels)
-        node = make_node(family, v, w)
-        ed = family.p.pivot(v, node.duplicate)
+        ed = family.p.pivot(v, make_node(family, v, w).duplicate)
         if ed.unbounded:
             raise RankGamesError("unexpected unbounded edge in the row polytope")
         edge = oriented_edge(family, W_FIXED, w, ed)
-        rep_v = min((ed.base, ed.far_end), key=lambda vert: sorted(vert.basis))
-        return OptSet(rep_v.coords, w_coords, edge, is_edge=True)
-    raise DegeneratePolytope(f"section optimum has {len(w_labels)} tight rows in Q'")
+    else:
+        raise DegeneratePolytope(f"section optimum has {len(w_labels)} tight rows in Q'")
+    return OptSet(v_coords, w_coords, edge)
 
 
 def _h_linear(family: GameFamily, edge: PathEdge, h: Hyperplane) -> tuple[Rat, Rat]:

@@ -129,12 +129,20 @@ def test_bin_search_steps_past_a_negative_index_crossing():
 
 def test_bin_search_matches_oracle_on_wide_spans():
     # Spans well past the other corpora's, where probes can land on -1
-    # crossings. Degenerate games are counted, not dropped unseen.
+    # crossings. Degenerate games are counted, not dropped unseen; the
+    # enumeration, which walks from one section up to max gamma, must return
+    # exactly the oracle's set.
     rng = random.Random(2)
-    solved = degenerate = 0
+    solved = degenerate = enum_solved = enum_degenerate = 0
     for k in range(20):
         size = 4 + k % 2
         d = random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
+        oracle = {r.key() for r in support_enumeration(d.game()).equilibria}
+        try:
+            assert keys(enumerate_rank1(d)) == sorted(oracle)
+            enum_solved += 1
+        except DegeneracyError:
+            enum_degenerate += 1
         try:
             report = bin_search(d)
         except DegeneracyError:
@@ -142,10 +150,10 @@ def test_bin_search_matches_oracle_on_wide_spans():
             continue
         assert report.equilibrium.index == 1
         assert report.iterations <= report.bound_k + 1
-        oracle = support_enumeration(d.game()).equilibria
-        assert report.equilibrium.key() in {r.key() for r in oracle}
+        assert report.equilibrium.key() in oracle
         solved += 1
     assert (solved, degenerate) == (20, 0)
+    assert (enum_solved, enum_degenerate) == (20, 0)
 
 
 # --------------------------------------------------------------- enumeration
@@ -166,6 +174,33 @@ def test_enumerate_unique_equilibrium_game():
     recs = enumerate_rank1(R1A)
     assert len(recs) == 1
     assert recs[0].index == 1
+
+
+def test_one_lp_per_probe_and_per_enumeration(monkeypatch):
+    # The lifted side of a section comes from complementary slackness, and the
+    # enumeration solves one section; only the row-polytope LP remains.
+    import rankgames.algorithms as algorithms
+    import rankgames.paramlp as paramlp
+
+    lp_calls = []
+    real_lp, real_is_ne = paramlp.solve_lp, algorithms.is_ne
+    monkeypatch.setattr(paramlp, "solve_lp", lambda lp: lp_calls.append(lp) or real_lp(lp))
+    per_probe = []
+
+    def counted_is_ne(*args):
+        before = len(lp_calls)
+        out = real_is_ne(*args)
+        per_probe.append(len(lp_calls) - before)
+        return out
+
+    monkeypatch.setattr(algorithms, "is_ne", counted_is_ne)
+    for d in (R1A, R1B, R1C):
+        per_probe.clear()
+        bin_search(d)
+        assert per_probe and set(per_probe) == {1}
+        lp_calls.clear()
+        enumerate_rank1(d)
+        assert len(lp_calls) == 1
 
 
 def test_enumerate_general_ex1_game_proper_subset_of_oracle():

@@ -243,13 +243,22 @@ def test_internal_failure_is_one_line_and_exits_5(tmp_path, capsys, monkeypatch)
 
 
 def test_all_from_label_out_of_range_is_parse_error(tmp_path, capsys):
+    # Also every other seed that names no fully-labeled vertex pair: a label
+    # out of range, a basis of the wrong size, a basis that is not a feasible
+    # vertex, and a pair that misses a label.
     game = BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA))
     path = write_game(tmp_path, game)
-    code = main(
-        ["trace", "--input", path, "--beta", "9,7,8", "--all-from", "2,3,9/1,3,4,6"]
-    )
-    assert code == EXIT_PARSE
-    assert "1..6" in capsys.readouterr().err
+    for seed, detail in [
+        ("2,3,9/1,3,4,6", "1..6"),
+        ("1/1", "basis size 1 != 3"),
+        ("1,2,4/1,2,3,4", "not a feasible vertex pair"),
+        ("1,2,3/1,2,4,5", "missing labels [6]"),
+    ]:
+        code = main(["trace", "--input", path, "--beta", "9,7,8", "--all-from", seed])
+        assert code == EXIT_PARSE, seed
+        err = capsys.readouterr().err
+        assert f"--all-from seed {seed!r}" in err and detail in err, err
+        assert err.count("\n") == 1, err
 
 
 def test_max_iters_belongs_to_fixedpoint_only(tmp_path, capsys):

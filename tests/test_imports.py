@@ -1,0 +1,31 @@
+"""Every module-level import in the package is used (no linter ships here)."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rankgames"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+
+
+def test_finds_an_unused_import():
+    tree = ast.parse("from typing import Iterator, Optional\nx: Optional[int] = None\n")
+    assert _unused_imports(tree) == ["Iterator (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankgames.errors import OutOfBox
+from rankgames.errors import DegeneracyError, OutOfBox
 from rankgames.games import decompose_rank_k, verify_equilibrium
 from rankgames.labeledpath import trace_path
 from rankgames.linalg import Matrix, vdot
@@ -19,7 +19,7 @@ from rankgames.paramlp import (
 )
 from rankgames.polytope import GameFamily, RankKFamily
 
-from fixtures import K2_GAME, R1A, R1A_NE_LAMBDA, R1A_NE_X, R1A_NE_Y
+from fixtures import K2_GAME, R1A, R1A_NE_LAMBDA, R1A_NE_X, R1A_NE_Y, random_rank1
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +144,8 @@ def test_every_enumerated_equilibrium_is_a_unique_edge_hit(r1a_family):
 
 
 def test_solve_lp_k_specializes_to_rank1(r1a_family):
+    # solve_lp_k solves the lifted side by LP, so it is the reference for the
+    # complementary-slackness solve of solve_lp_delta.
     kfam = RankKFamily(R1A.a, [R1A.beta])
     rng = random.Random(10)
     for _ in range(5):
@@ -152,6 +154,33 @@ def test_solve_lp_k_specializes_to_rank1(r1a_family):
         optk = solve_lp_k(kfam, (delta,))
         assert optk.v_coords == opt1.v_coords
         assert optk.w_coords == opt1.w_coords
+
+    # Wide-span corpus at the sections enumeration and bisection use, plus one
+    # on the low ray. Degenerate rejects are counted, not skipped unseen.
+    rng = random.Random(3)
+    checked = rejected = 0
+    for k in range(10):
+        size = 4 + k % 2
+        d = random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
+        fam = GameFamily(d.a, d.a.scale(-1), d.beta)
+        kfam = RankKFamily(d.a, [d.beta])
+        lo, hi = min(d.gamma), max(d.gamma)
+        deltas = [lo, hi, (lo + hi) / 2]
+        try:
+            deltas.append(fam.start.lambda_s - 1)
+        except DegeneracyError:
+            rejected += 1
+        for delta in deltas:
+            try:
+                opt1 = solve_lp_delta(fam, delta)
+            except DegeneracyError:
+                rejected += 1
+                continue
+            optk = solve_lp_k(kfam, (delta,), check_unique=False)
+            assert optk.v_coords == opt1.v_coords
+            assert optk.w_coords == opt1.w_coords
+            checked += 1
+    assert (checked, rejected) == (39, 1)  # the reject: tied extremes, no low ray
 
 
 def test_solve_lp_k_zero_objective_at_box_corner(k2):
