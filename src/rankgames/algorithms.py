@@ -371,7 +371,7 @@ def fixed_point_record(
 ) -> EquilibriumRecord:
     """Convert an exact fixed point into a verified equilibrium record."""
     gammas = tuple(vector(g) for g in gammas)
-    opt = solve_lp_k(kfam, vector(a), check_unique=False)
+    opt = solve_lp_k(kfam, vector(a))
     profile = MixedProfile(opt.w_coords[: kfam.m], opt.v_coords[: kfam.n])
     game = kfam.game_at(gammas)
     if not verify_equilibrium(game, profile):

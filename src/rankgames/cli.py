@@ -34,6 +34,7 @@ from .errors import (
     NotFullyLabeled,
     RankGamesError,
     RankTooHigh,
+    SeedOnPath,
     StepBudgetExceeded,
     TooLarge,
     ZeroBeta,
@@ -241,7 +242,10 @@ def cmd_trace(game: BimatrixGame, args, out: dict) -> None:
             seed = make_node(family, v, w)
         except (DimensionMismatch, NotFullyLabeled) as exc:
             raise ParseError(f"--all-from seed {args.all_from!r}: {exc}") from exc
-        trace = trace_cycle(family, seed)
+        try:
+            trace = trace_cycle(family, seed)
+        except SeedOnPath as exc:
+            raise ParseError(f"--all-from seed {args.all_from!r}: {exc}") from exc
     else:
         trace = trace_path(family)
     out["lines"] = export_lines(family, trace)

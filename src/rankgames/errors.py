@@ -53,6 +53,10 @@ class NotFullyLabeled(RankGamesError):
     """Vertex pair does not cover all inequality labels."""
 
 
+class SeedOnPath(RankGamesError):
+    """A cycle trace was seeded with a node of the path; the CLI maps this to exit 2."""
+
+
 class ZeroBeta(RankGamesError):
     """Column-scaling vector must be nonzero."""
 

@@ -18,6 +18,7 @@ from .errors import (
     MultipleDuplicates,
     NotFullyLabeled,
     RankGamesError,
+    SeedOnPath,
     StepBudgetExceeded,
 )
 from .linalg import Matrix, Rat, determinant, sign, vdot
@@ -215,7 +216,7 @@ def trace_cycle(family: GameFamily, seed: PathNode) -> ComponentTrace:
     """Closed alternating traversal from a node that is not on the path."""
     edges = tuple(walk(family, seed))
     if edges[-1].head is None:
-        raise RankGamesError("seed lies on the path, not on a cycle")
+        raise SeedOnPath("seed lies on the path, not on a cycle")
     nodes = (seed,) + tuple(edge.head for edge in edges[:-1])
     return ComponentTrace("cycle", nodes, edges)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import Singular, TooLarge
+from .errors import NotEquilibrium, Singular, TooLarge
 from .games import (
     BimatrixGame,
     EquilibriumRecord,
@@ -147,5 +147,6 @@ def zero_sum_solve(a: Matrix) -> EquilibriumRecord:
 
     game = BimatrixGame(a, a.scale(-1))
     profile = MixedProfile(x, y)
-    assert verify_equilibrium(game, profile), "minimax strategies failed verification"
+    if not verify_equilibrium(game, profile):
+        raise NotEquilibrium("minimax strategies failed verification")
     return make_record(game, profile, "zero-sum-lp")

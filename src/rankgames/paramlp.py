@@ -7,7 +7,7 @@ game's selection hyperplane yields equilibria or a side classification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -83,13 +83,14 @@ def polytope_lp(poly: Polytope, objective: Sequence[Fraction]) -> LinearProgram:
     return LinearProgram.build(objective, rows, rels, rhs)
 
 
-def _with_rows(lp: LinearProgram, rows, rels, rhs) -> LinearProgram:
-    return LinearProgram(
-        lp.objective,
-        lp.rows + tuple(vector(r) for r in rows),
-        lp.relations + tuple(rels),
-        lp.rhs + vector(rhs),
-    )
+def _section_gap(betas: Sequence[Vec], v_coords: Sequence[Fraction],
+                 w_coords: Sequence[Fraction]) -> Rat:
+    """sum_l lambda_l * (beta_l . y) - pi1 - pi2 for k betas over the lifted
+    coordinates (x, lambda_1..lambda_k, pi2); nonpositive, zero iff fully labeled."""
+    n, k = len(betas[0]), len(betas)
+    lams = w_coords[-k - 1: -1]
+    weighted = sum((lam * vdot(b, v_coords[:n]) for lam, b in zip(lams, betas)), Fraction(0))
+    return weighted - v_coords[n] - w_coords[-1]
 
 
 def labeling_gap(family: GameFamily, v_coords: Sequence[Fraction],
@@ -99,47 +100,59 @@ def labeling_gap(family: GameFamily, v_coords: Sequence[Fraction],
     Valid on rank-1 families (c = -a), where the two polytope systems sum to
     this bound.
     """
-    y = v_coords[: family.n]
-    pi1 = v_coords[family.n]
-    lam = w_coords[family.m]
-    pi2 = w_coords[family.m + 1]
-    return lam * vdot(family.beta, y) - pi1 - pi2
+    return _section_gap((family.beta,), v_coords, w_coords)
 
 
-def solve_lp_delta(family: GameFamily, delta) -> OptSet:
+def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec],
+             delta: Vec) -> tuple[Vertex, Vec, Matrix]:
     """Optimal section at lambda = delta: the row-polytope LP, then its dual in
-    Q', which is unique (v is nondegenerate) and tight on the labels v lacks."""
-    if not family.rank1:
-        raise RankGamesError("section LP needs the rank-1 family (c = -a)")
-    delta = frac(delta)
-    n, m = family.n, family.m
-    p_obj = tuple(delta * b for b in family.beta) + (Fraction(-1),)
-    p_sol = solve_lp(polytope_lp(family.p, p_obj))
+    the lifted polytope from complementary slackness.
+
+    The LP optimum v must have exactly n tight rows. Then the dual optimum is
+    unique and tight on exactly the m labels v lacks, so it solves the square
+    system of the equality row, the k rows lambda_l = delta_l and those m rows.
+    Returns v, the lifted point w and that system; a feasible w with zero gap
+    certifies both optima.
+    """
+    n, m, k = p.n, p.m, len(betas)
+    p_obj = tuple(vdot(delta, col) for col in zip(*betas)) + (Fraction(-1),)
+    p_sol = solve_lp(polytope_lp(p, p_obj))
     if not p_sol.optimal:
         raise RankGamesError(f"row polytope LP is {p_sol.status}")
     v_coords = p_sol.point
-    v_labels = family.p.labels_at(v_coords)
+    v_labels = p.labels_at(v_coords)
     if len(v_labels) != n:
         raise DegeneratePolytope(f"section optimum has {len(v_labels)} tight rows in P")
-    v = Vertex(v_coords, v_labels, v_labels)
 
-    qp = family.qp
-    lam_row = [Fraction(0)] * (m + 2)
-    lam_row[m] = Fraction(1)
+    unit = Matrix.identity(m + k + 1)
     tight = sorted(frozenset(range(1, m + n + 1)) - v_labels)
-    rows = [qp.eq[0], lam_row] + [qp.row(lab)[0] for lab in tight]
-    rhs = [qp.eq[1], delta] + [qp.row(lab)[1] for lab in tight]
-    w_coords = solve_linear_system(Matrix(rows), rhs)  # Singular is an internal failure
-    if not qp.feasible(w_coords):
+    rows = [lifted.eq[0]] + [unit.row(m + l) for l in range(k)]
+    rows += [lifted.row(lab)[0] for lab in tight]
+    rhs = [lifted.eq[1], *delta] + [lifted.row(lab)[1] for lab in tight]
+    system = Matrix(rows)
+    w_coords = solve_linear_system(system, rhs)  # Singular is an internal failure
+    if not lifted.feasible(w_coords):
         raise RankGamesError("complementary lifted point is infeasible")
+    gap = _section_gap(betas, v_coords, w_coords)
+    if gap != 0:
+        raise NonzeroOptimum(f"section objective is {gap}, expected 0")
+    return Vertex(v_coords, v_labels, v_labels), w_coords, system
+
+
+def solve_lp_delta(family: GameFamily, delta) -> OptSet:
+    """Optimal section at lambda = delta, with the edge of the path containing it."""
+    if not family.rank1:
+        raise RankGamesError("section LP needs the rank-1 family (c = -a)")
+    m, qp = family.m, family.qp
+    v, w_coords, system = _section(family.p, qp, (family.beta,), (frac(delta),))
     w_labels = qp.labels_at(w_coords)
-
-    combined = labeling_gap(family, v_coords, w_coords)
-    if combined != 0:
-        raise NonzeroOptimum(f"section objective is {combined}, expected 0")
-
     if len(w_labels) == m:
-        edge = oriented_edge(family, V_FIXED, v, qp.edge_through_point(w_labels, w_coords))
+        # Along the edge the m tight rows stay tight while lambda rises at rate 1.
+        rate = [Fraction(0), Fraction(1)] + [Fraction(0)] * m
+        direction = solve_linear_system(system, rate)
+        edge = oriented_edge(
+            family, V_FIXED, v, qp.edge_through_point(w_labels, w_coords, direction)
+        )
     elif len(w_labels) == m + 1:
         w = Vertex(w_coords, w_labels, w_labels)
         ed = family.p.pivot(v, make_node(family, v, w).duplicate)
@@ -148,7 +161,7 @@ def solve_lp_delta(family: GameFamily, delta) -> OptSet:
         edge = oriented_edge(family, W_FIXED, w, ed)
     else:
         raise DegeneratePolytope(f"section optimum has {len(w_labels)} tight rows in Q'")
-    return OptSet(v_coords, w_coords, edge)
+    return OptSet(v.coords, w_coords, edge)
 
 
 def _h_linear(family: GameFamily, edge: PathEdge, h: Hyperplane) -> tuple[Rat, Rat]:
@@ -163,7 +176,7 @@ def _h_linear(family: GameFamily, edge: PathEdge, h: Hyperplane) -> tuple[Rat, R
 
 
 def _analyze_edge(family: GameFamily, edge: PathEdge, h: Hyperplane):
-    """('whole',) | ('none', side_sign) | ('point', t, w_coords, v_coords)."""
+    """('none', side_sign) | ('point', Crossing) for the hit strictly inside."""
     h0, dh = _h_linear(family, edge, h)
     t_max = edge.moving.t_max
     if dh == 0:
@@ -188,7 +201,7 @@ def _analyze_edge(family: GameFamily, edge: PathEdge, h: Hyperplane):
     else:
         v_coords = edge.moving.point_at(t_star)
         w_coords = edge.fixed.coords
-    return ("point", t_star, w_coords, v_coords)
+    return ("point", Crossing(edge, t_star, v_coords, w_coords, _orient_index(edge, dh)))
 
 
 def _orient_index(edge: PathEdge, dh: Rat) -> int:
@@ -196,35 +209,34 @@ def _orient_index(edge: PathEdge, dh: Rat) -> int:
     return 1 if rising else -1
 
 
+def _verified(family: GameFamily, gamma: Vec, crossing: Crossing,
+              provenance: str) -> FoundEquilibrium:
+    """The crossing as an exactly verified equilibrium of the gamma game."""
+    profile = MixedProfile(crossing.w_coords[: family.m], crossing.v_coords[: family.n])
+    game = family.game_at(gamma)
+    if not verify_equilibrium(game, profile):
+        raise NotEquilibrium("hyperplane crossing failed exact verification")
+    return FoundEquilibrium(make_record(game, profile, provenance), crossing)
+
+
 def crossing_records(
     family: GameFamily, gamma: Sequence[Fraction], edge: PathEdge, provenance: str
 ) -> list[FoundEquilibrium]:
     """Equilibria of the gamma game on one edge, with orientation indices."""
-    h = Hyperplane(vector(gamma))
-    res = _analyze_edge(family, edge, h)
-    if res[0] != "point":
-        return []
-    _, t_star, w_coords, v_coords = res
-    _, dh = _h_linear(family, edge, h)
-    profile = MixedProfile(w_coords[: family.m], v_coords[: family.n])
-    game = family.game_at(gamma)
-    if not verify_equilibrium(game, profile):
-        raise NotEquilibrium("hyperplane crossing failed exact verification")
-    record = make_record(game, profile, provenance)
-    crossing = Crossing(edge, t_star, v_coords, w_coords, _orient_index(edge, dh))
-    return [FoundEquilibrium(record, crossing)]
+    gamma = vector(gamma)
+    kind, hit = _analyze_edge(family, edge, Hyperplane(gamma))
+    return [_verified(family, gamma, hit, provenance)] if kind == "point" else []
 
 
 def is_ne(family: GameFamily, gamma: Sequence[Fraction], delta) -> IsNEOutcome:
-    """Probe one lambda value: equilibria on the containing edge, or its side."""
+    """Probe one lambda value: equilibrium on the containing edge, or its side."""
     gamma = vector(gamma)
     opt = solve_lp_delta(family, delta)
-    h = Hyperplane(gamma)
-    res = _analyze_edge(family, opt.edge, h)
-    if res[0] == "none":
-        return IsNEOutcome("below" if res[1] < 0 else "above")
-    found = crossing_records(family, gamma, opt.edge, f"section-probe(delta={frac(delta)})")
-    return IsNEOutcome("found", tuple(found))
+    kind, hit = _analyze_edge(family, opt.edge, Hyperplane(gamma))
+    if kind == "none":
+        return IsNEOutcome("below" if hit < 0 else "above")
+    found = _verified(family, gamma, hit, f"section-probe(delta={frac(delta)})")
+    return IsNEOutcome("found", (found,))
 
 
 @dataclass(frozen=True)
@@ -233,62 +245,13 @@ class KSectionOpt:
     w_coords: Vec
 
 
-def solve_lp_k(kfam: RankKFamily, delta: Sequence[Fraction],
-               check_unique: bool = True) -> KSectionOpt:
-    """Optimal section of the rank-k system at a fixed lambda vector.
-
-    Asserts the zero-objective certificate and, unless disabled, that the
-    lifted-side optimum is the unique point of its optimal face.
-    """
+def solve_lp_k(kfam: RankKFamily, delta: Sequence[Fraction]) -> KSectionOpt:
+    """Optimal section of the rank-k system at a fixed lambda vector."""
     delta = vector(delta)
     if len(delta) != kfam.k:
         raise OutOfBox(f"delta has length {len(delta)}, expected {kfam.k}")
-    m, n, k = kfam.m, kfam.n, kfam.k
-    p_obj = tuple(
-        sum((delta[l] * kfam.betas[l][j] for l in range(k)), Fraction(0))
-        for j in range(n)
-    ) + (Fraction(-1),)
-    p_sol = solve_lp(polytope_lp(kfam.p, p_obj))
-    if not p_sol.optimal:
-        raise RankGamesError(f"row polytope LP is {p_sol.status}")
-    v_coords = p_sol.point
-
-    q_obj = [Fraction(0)] * (m + k + 1)
-    q_obj[m + k] = Fraction(-1)
-    lam_rows = []
-    for l in range(k):
-        row = [Fraction(0)] * (m + k + 1)
-        row[m + l] = Fraction(1)
-        lam_rows.append(row)
-    base_lp = _with_rows(polytope_lp(kfam.qk, q_obj), lam_rows, [EQ] * k, delta)
-    q_sol = solve_lp(base_lp)
-    if not q_sol.optimal:
-        raise RankGamesError(f"lifted section LP is {q_sol.status}")
-    w_coords = q_sol.point
-    pi2 = w_coords[m + k]
-
-    combined = (
-        sum((delta[l] * vdot(kfam.betas[l], v_coords[:n]) for l in range(k)), Fraction(0))
-        - v_coords[n]
-        - pi2
-    )
-    if combined != 0:
-        raise NonzeroOptimum(f"rank-k section objective is {combined}, expected 0")
-
-    if check_unique:
-        pin_row = [Fraction(0)] * (m + k + 1)
-        pin_row[m + k] = Fraction(1)
-        pinned = _with_rows(base_lp, [pin_row], [EQ], [pi2])
-        for i in range(m):
-            probe = [Fraction(0)] * (m + k + 1)
-            probe[i] = Fraction(1)
-            hi = solve_lp(replace(pinned, objective=vector(probe)))
-            lo = solve_lp(replace(pinned, objective=vector([-q for q in probe])))
-            if not (hi.optimal and lo.optimal) or hi.value != -lo.value:
-                raise DegeneratePolytope(
-                    "lifted-side section optimum is not unique"
-                )
-    return KSectionOpt(v_coords, w_coords)
+    v, w_coords, _ = _section(kfam.p, kfam.qk, kfam.betas, delta)
+    return KSectionOpt(v.coords, w_coords)
 
 
 def box_bounds(gammas: Sequence[Sequence[Fraction]]) -> tuple[Vec, Vec]:
@@ -305,6 +268,6 @@ def fixed_point_eval(kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]],
     lows, highs = box_bounds(gammas)
     if any(not lo <= ai <= hi for ai, lo, hi in zip(a, lows, highs)):
         raise OutOfBox(f"{a} outside box {lows}..{highs}")
-    opt = solve_lp_k(kfam, a, check_unique=False)
+    opt = solve_lp_k(kfam, a)
     x = opt.w_coords[: kfam.m]
     return tuple(vdot(g, x) for g in gammas)

@@ -189,16 +189,17 @@ class Polytope:
             )
         return EdgeDescriptor(vertex, relax, direction, best_t, far)
 
-    def edge_through_point(self, tight: Iterable[int], point: Sequence[Fraction]) -> EdgeDescriptor:
+    def edge_through_point(self, tight: Iterable[int], point: Sequence[Fraction],
+                           direction: Vec) -> EdgeDescriptor:
         """Maximal edge through an interior point with the given tight rows.
 
-        The bounded endpoint (lexicographically smallest basis when both ends
-        are bounded) becomes the base vertex of the returned edge.
+        ``direction`` is a nonzero vector along the edge (it keeps the equality
+        and the ``tight`` rows). The bounded endpoint (lexicographically
+        smallest basis when both ends are bounded) becomes the base vertex of
+        the returned edge.
         """
         tight = frozenset(tight)
         point = vector(point)
-        rows = [self.eq[0]] + [self.row(lab)[0] for lab in sorted(tight)]
-        direction = _free_direction(rows, self.dim)
         t_pos, lab_pos = self._min_ratio(point, direction, tight)
         t_neg, lab_neg = self._min_ratio(point, vscale(-1, direction), tight)
         if t_pos is None and t_neg is None:
@@ -227,21 +228,6 @@ class Polytope:
         relaxed = next(iter(base.basis - tight))
         t_total = None if pos_v is None else t_pos + t_neg
         return EdgeDescriptor(base, relaxed, direction, t_total, pos_v)
-
-
-def _free_direction(rows: list[Vec], dim: int) -> Vec:
-    """Unit-free kernel vector of a (dim-1) x dim full-rank system."""
-    for free_col in range(dim):
-        cols = [c for c in range(dim) if c != free_col]
-        sub = Matrix([[r[c] for c in cols] for r in rows])
-        try:
-            sol = solve_linear_system(sub, [-r[free_col] for r in rows])
-        except Singular:
-            continue
-        direction = list(sol)
-        direction.insert(free_col, Fraction(1))
-        return tuple(direction)
-    raise DegeneratePolytope("tight rows do not define an edge")
 
 
 def build_p(a: Matrix) -> Polytope:
@@ -410,9 +396,6 @@ class GameFamily:
 
     def lambda_of(self, w: Vertex) -> Rat:
         return w.coords[self.m]
-
-    def x_of(self, w: Vertex) -> Vec:
-        return w.coords[: self.m]
 
     def y_of(self, v: Vertex) -> Vec:
         return v.coords[: self.n]

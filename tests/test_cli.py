@@ -243,9 +243,9 @@ def test_internal_failure_is_one_line_and_exits_5(tmp_path, capsys, monkeypatch)
 
 
 def test_all_from_label_out_of_range_is_parse_error(tmp_path, capsys):
-    # Also every other seed that names no fully-labeled vertex pair: a label
-    # out of range, a basis of the wrong size, a basis that is not a feasible
-    # vertex, and a pair that misses a label.
+    # Also every other seed that names no fully-labeled vertex pair off the
+    # path: a label out of range, a basis of the wrong size, a basis that is
+    # not a feasible vertex, a pair that misses a label, and a path node.
     game = BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA))
     path = write_game(tmp_path, game)
     for seed, detail in [
@@ -253,6 +253,7 @@ def test_all_from_label_out_of_range_is_parse_error(tmp_path, capsys):
         ("1/1", "basis size 1 != 3"),
         ("1,2,4/1,2,3,4", "not a feasible vertex pair"),
         ("1,2,3/1,2,4,5", "missing labels [6]"),
+        ("1,4,6/2,3,4,5", "seed lies on the path"),
     ]:
         code = main(["trace", "--input", path, "--beta", "9,7,8", "--all-from", seed])
         assert code == EXIT_PARSE, seed

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used (no linter ships here)."""
+"""Every module-level import in the package is used, and no module checks with
+an assert statement, which python -O strips (no linter ships here)."""
 import ast
 from pathlib import Path
 
@@ -29,3 +30,17 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _assert_lines(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_finds_an_assert():
+    tree = ast.parse("def f(x):\n    assert x > 0, 'positive'\n    return x\n")
+    assert _assert_lines(tree) == [2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert _assert_lines(ast.parse(path.read_text())) == []

@@ -1,6 +1,6 @@
 import pytest
 
-from rankgames.errors import NotFullyLabeled, RankGamesError
+from rankgames.errors import NotFullyLabeled, RankGamesError, SeedOnPath
 from rankgames.labeledpath import (
     V_FIXED,
     W_FIXED,
@@ -144,7 +144,7 @@ def test_cycle_retrace_is_identical(ex1, ex1_cycle):
 
 
 def test_trace_cycle_rejects_path_seed(ex1, ex1_path):
-    with pytest.raises(RankGamesError):
+    with pytest.raises(SeedOnPath):
         trace_cycle(ex1, ex1_path.nodes[0])
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankgames.errors import TooLarge
+from rankgames.errors import NotEquilibrium, TooLarge
 from rankgames.games import BimatrixGame, verify_equilibrium
 from rankgames.linalg import Matrix
 from rankgames.oracle import fully_labeled_pairs, support_enumeration, zero_sum_solve
@@ -105,3 +105,12 @@ def test_zero_sum_duality_on_random_matrices():
         rec_t = zero_sum_solve(a.scale(-1).transpose())
         assert rec.payoff1 == -rec_t.payoff1
         assert verify_equilibrium(BimatrixGame(a, a.scale(-1)), rec.profile)
+
+
+def test_zero_sum_solve_raises_when_verification_fails(monkeypatch):
+    # The check is a raise, not an assert, so it also holds under python -O.
+    import rankgames.oracle as oracle
+
+    monkeypatch.setattr(oracle, "verify_equilibrium", lambda game, profile: False)
+    with pytest.raises(NotEquilibrium):
+        zero_sum_solve(Matrix([[1, -1], [-1, 1]]))

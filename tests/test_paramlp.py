@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from rankgames.errors import DegeneracyError, OutOfBox
+from rankgames.errors import DegeneracyError, DegeneratePolytope, OutOfBox
 from rankgames.games import decompose_rank_k, verify_equilibrium
 from rankgames.labeledpath import trace_path
-from rankgames.linalg import Matrix, vdot
+from rankgames.linalg import Matrix, matrix_rank, vdot, vscale
+from rankgames.lp import EQ, LE, LinearProgram, solve_lp
 from rankgames.paramlp import (
     Hyperplane,
     box_bounds,
@@ -17,7 +18,7 @@ from rankgames.paramlp import (
     solve_lp_delta,
     solve_lp_k,
 )
-from rankgames.polytope import GameFamily, RankKFamily
+from rankgames.polytope import GameFamily, Polytope, RankKFamily
 
 from fixtures import K2_GAME, R1A, R1A_NE_LAMBDA, R1A_NE_X, R1A_NE_Y, random_rank1
 
@@ -143,9 +144,22 @@ def test_every_enumerated_equilibrium_is_a_unique_edge_hit(r1a_family):
     assert len(hits) == len(recs)
 
 
+def lifted_lp_point(lifted: Polytope, delta):
+    """Reference section point in the lifted polytope, by LP: minimize pi2
+    with lambda pinned to delta (k = len(delta) lambda rows)."""
+    k, unit = len(delta), Matrix.identity(lifted.dim)
+    m = lifted.dim - k - 1
+    rows = [a for a, _ in lifted.ineqs] + [lifted.eq[0]] + [unit.row(m + l) for l in range(k)]
+    rels = [LE] * len(lifted.ineqs) + [EQ] * (k + 1)
+    rhs = [b for _, b in lifted.ineqs] + [lifted.eq[1], *delta]
+    sol = solve_lp(LinearProgram.build(vscale(-1, unit.row(m + k)), rows, rels, rhs))
+    assert sol.optimal
+    return sol.point
+
+
 def test_solve_lp_k_specializes_to_rank1(r1a_family):
-    # solve_lp_k solves the lifted side by LP, so it is the reference for the
-    # complementary-slackness solve of solve_lp_delta.
+    # At k = 1, solve_lp_k and solve_lp_delta give the same section, and its
+    # lifted point is the one an LP over Q' with lambda pinned finds.
     kfam = RankKFamily(R1A.a, [R1A.beta])
     rng = random.Random(10)
     for _ in range(5):
@@ -153,7 +167,7 @@ def test_solve_lp_k_specializes_to_rank1(r1a_family):
         opt1 = solve_lp_delta(r1a_family, delta)
         optk = solve_lp_k(kfam, (delta,))
         assert optk.v_coords == opt1.v_coords
-        assert optk.w_coords == opt1.w_coords
+        assert optk.w_coords == opt1.w_coords == lifted_lp_point(r1a_family.qp, (delta,))
 
     # Wide-span corpus at the sections enumeration and bisection use, plus one
     # on the low ray. Degenerate rejects are counted, not skipped unseen.
@@ -176,11 +190,64 @@ def test_solve_lp_k_specializes_to_rank1(r1a_family):
             except DegeneracyError:
                 rejected += 1
                 continue
-            optk = solve_lp_k(kfam, (delta,), check_unique=False)
+            optk = solve_lp_k(kfam, (delta,))
             assert optk.v_coords == opt1.v_coords
-            assert optk.w_coords == opt1.w_coords
+            assert optk.w_coords == opt1.w_coords == lifted_lp_point(fam.qp, (delta,))
             checked += 1
     assert (checked, rejected) == (39, 1)  # the reject: tied extremes, no low ray
+
+
+def test_solve_lp_k_matches_lifted_lp_on_rank_k_corpus():
+    # Seeded rank-2 and rank-3 families at points of their box: a section is
+    # either the LP reference's optimum with zero duality gap, or a P optimum
+    # with more than n tight rows, rejected as degenerate. Both counts are
+    # asserted.
+    rng = random.Random(4)
+    matched = rejected = 0
+    for g in range(16):
+        k = 2 + g % 2
+        m = n = rng.randint(k + 1, 4)
+        a = Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+        while True:
+            betas = [[rng.randint(1, 6) for _ in range(n)] for _ in range(k)]
+            if matrix_rank(Matrix(betas)) == k:
+                break
+        gammas = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+        kfam = RankKFamily(a, betas)
+        lows, highs = box_bounds(gammas)
+        for _ in range(4):
+            delta = tuple(
+                lo + (hi - lo) * Fraction(rng.randint(0, 8), 8) for lo, hi in zip(lows, highs)
+            )
+            w_ref = lifted_lp_point(kfam.qk, delta)
+            try:
+                opt = solve_lp_k(kfam, delta)
+            except DegeneratePolytope:
+                rejected += 1
+                continue
+            assert opt.w_coords == w_ref
+            weighted = sum(
+                (delta[l] * vdot(kfam.betas[l], opt.v_coords[:n]) for l in range(k)), Fraction(0)
+            )
+            assert weighted - opt.v_coords[n] == w_ref[m + k]
+            matched += 1
+    assert (matched, rejected) == (54, 10)
+
+
+def test_one_lp_per_rank_k_section(k2, monkeypatch):
+    # The lifted side comes from complementary slackness: one LP, on P.
+    import rankgames.paramlp as paramlp
+
+    calls = []
+    real_lp = paramlp.solve_lp
+    monkeypatch.setattr(paramlp, "solve_lp", lambda lp: calls.append(lp) or real_lp(lp))
+    d, kfam = k2
+    lows, highs = box_bounds(d.gammas)
+    mid = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
+    solve_lp_k(kfam, mid)
+    assert len(calls) == 1
+    fixed_point_eval(kfam, d.gammas, mid)
+    assert len(calls) == 2
 
 
 def test_solve_lp_k_zero_objective_at_box_corner(k2):
