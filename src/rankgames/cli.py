@@ -127,11 +127,11 @@ def record_json(rec: EquilibriumRecord) -> dict:
 
 
 def perturb_game(game: BimatrixGame, seed: int) -> BimatrixGame:
-    """Deterministic tiny perturbation of the row payoffs.
+    """Deterministic tiny perturbation that keeps the payoff sum A + B.
 
     Adds independent uniform rationals from (0, 1/D) to every entry of the
-    first matrix; a rank-1 factorization, when present, is rebuilt so the
-    perturbed game stays rank-1.
+    first matrix and subtracts them from the second, so a rank-k game stays
+    rank-k with the same factorization of A + B.
     """
     rng = random.Random(seed)
     m, n = game.m, game.n
@@ -141,13 +141,7 @@ def perturb_game(game: BimatrixGame, seed: int) -> BimatrixGame:
         [[Fraction(rng.randint(1, 10**6 - 1), 10**6 * d_scale) for _ in range(n)]
          for _ in range(m)]
     )
-    a2 = game.a + eps
-    try:
-        d = decompose_rank1(game)
-        b2 = -a2 + Matrix.outer(d.gamma, d.beta)
-    except RankTooHigh:
-        b2 = game.b
-    return BimatrixGame(a2, b2)
+    return BimatrixGame(game.a + eps, game.b - eps)
 
 
 def _beta_override(args) -> Optional[tuple]:

@@ -1,7 +1,9 @@
 """Exact rational linear algebra: dense matrices, determinants, rank, solving.
 
 All scalars are ``fractions.Fraction``; every operation is exact. Vectors are
-plain tuples of Fractions, matrices are immutable row-major grids.
+plain tuples of Fractions, matrices are immutable row-major grids. The
+elimination kernels scale rows to integers and divide only exactly
+(fraction-free), so no intermediate Fraction is normalised.
 """
 from __future__ import annotations
 
@@ -164,16 +166,41 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], Fraction]:
+def scaled_integers(values: Iterable[Fraction], scale: int) -> list[int]:
+    """``scale * x`` for each x, as ints; ``scale`` is a multiple of every denominator."""
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _integer_rows(grid: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], Fraction]:
     """Scale each row to integers; return rows and the product of scale factors."""
     rows: list[list[int]] = []
     factor = Fraction(1)
-    for i in range(m.rows):
-        row = m.row(i)
-        mult = lcm(*(x.denominator for x in row)) if row else 1
+    for row in grid:
+        mult = lcm(*(x.denominator for x in row))
         factor *= mult
-        rows.append([int(x * mult) for x in row])
+        rows.append(scaled_integers(row, mult))
     return rows, factor
+
+
+def integer_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) -> int:
+    """Fraction-free pivot at column ``c`` of ``prow`` on integer rows whose
+    true values are ``row / d``; returns the new common denominator ``prow[c]``.
+
+    The pivot row is kept and every other row becomes
+    ``(row * p - row[c] * prow) / d`` in place, with ``p = prow[c]``. Each
+    division is exact: every entry stays a subdeterminant of the starting
+    integer rows (Edmonds' integer-preserving elimination, as in Bareiss).
+    """
+    p = prow[c]
+    for row in rows:
+        if row is prow:
+            continue
+        f = row[c]
+        if f:
+            row[:] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+        elif p != d:
+            row[:] = [x * p // d for x in row]
+    return p
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -183,7 +210,7 @@ def determinant(m: Matrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    a, factor = _integer_rows(m)
+    a, factor = _integer_rows(m._data)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -205,7 +232,7 @@ def determinant(m: Matrix) -> Fraction:
 
 def matrix_rank(m: Matrix) -> int:
     """Exact rank over the rationals (fraction-free row echelon)."""
-    a, _ = _integer_rows(m)
+    a, _ = _integer_rows(m._data)
     rank = 0
     row = 0
     for col in range(m.cols):
@@ -225,22 +252,19 @@ def matrix_rank(m: Matrix) -> int:
 
 
 def solve_linear_system(m: Matrix, rhs: Sequence[Fraction]) -> Vec:
-    """Solve m @ z = rhs exactly; raises Singular when no unique solution exists."""
+    """Solve m @ z = rhs exactly by fraction-free Gauss-Jordan elimination;
+    raises Singular when no unique solution exists."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
     n = m.rows
     if len(rhs) != n:
         raise DimensionMismatch("rhs length mismatch")
-    aug = [list(m.row(i)) + [frac(rhs[i])] for i in range(n)]
+    rows, _ = _integer_rows([*m.row(i), frac(rhs[i])] for i in range(n))
+    denom = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot is None:
             raise Singular(f"zero pivot in column {col}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        denom = integer_pivot(rows, rows[col], col, denom)
+    return tuple(Fraction(row[n], denom) for row in rows)

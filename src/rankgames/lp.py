@@ -4,15 +4,20 @@ Constraints are rows ``a . z <= b`` or ``a . z = b`` over unrestricted
 variables; nonnegativity must be stated as explicit rows. The solver converts
 to standard form (variable splitting, slacks, artificials), runs a two-phase
 simplex with Bland's smallest-index rule, and reports an exact basic optimum.
+The tableau is fraction-free: integer rows over one common denominator, each
+pivot a Bareiss-style exact-division update (``linalg.integer_pivot``), as in
+integer pivoting for equilibrium enumeration (Avis, Rosenberg, Savani & von
+Stengel, 2010). Points and values are still returned as ``Fraction``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Optional
 
 from .errors import MalformedLP, PivotLimitExceeded
-from .linalg import Rat, Vec, frac, vdot, vector
+from .linalg import Rat, Vec, integer_pivot, scaled_integers, vdot, vector
 
 LE = "<="
 EQ = "="
@@ -62,92 +67,97 @@ class LPSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau in canonical form with Bland's rule."""
+    """Dense simplex tableau in canonical form with Bland's rule, kept
+    fraction-free: integer rows with one positive common denominator
+    ``denom``, the true tableau being ``rows / denom``."""
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int], max_pivots: Optional[int]):
+    def __init__(self, rows: list[list[int]], basis: list[int], max_pivots: Optional[int]):
         self.rows = rows
         self.basis = basis
         self.max_pivots = max_pivots
         self.pivots = 0
+        self.denom = 1
 
-    def price_out(self, cost: list[Fraction]) -> list[Fraction]:
-        costrow = list(cost) + [Fraction(0)]
-        for i, b in enumerate(self.basis):
-            if costrow[b] != 0:
-                f = costrow[b]
-                costrow = [x - f * y for x, y in zip(costrow, self.rows[i])]
+    def price_out(self, cost: list[int]) -> list[int]:
+        """``denom * cost - sum_i cost[basis[i]] * rows[i]``: the reduced costs
+        over the same denominator, zero on every basic column."""
+        costrow = [self.denom * x for x in cost] + [0]
+        for row, b in zip(self.rows, self.basis):
+            f = cost[b]
+            if f:
+                costrow = [x - f * y for x, y in zip(costrow, row)]
         return costrow
 
-    def run(self, costrow: list[Fraction], allowed: Sequence[bool]) -> str:
+    def run(self, costrow: list[int]) -> str:
         while True:
-            enter = next(
-                (j for j in range(len(allowed)) if allowed[j] and costrow[j] > 0), None
-            )
+            enter = next((j for j, x in enumerate(costrow[:-1]) if x > 0), None)
             if enter is None:
                 return "optimal"
-            best_t = None
             leave = None
             for i, row in enumerate(self.rows):
                 coef = row[enter]
                 if coef > 0:
-                    t = row[-1] / coef
-                    if best_t is None or t < best_t or (t == best_t and self.basis[i] < self.basis[leave]):
-                        best_t, leave = t, i
+                    if leave is None:
+                        leave = i
+                        continue
+                    # row[-1] / coef against the best ratio, by cross-multiplying
+                    best = self.rows[leave]
+                    lhs, rhs = row[-1] * best[enter], best[-1] * coef
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave = i
             if leave is None:
                 return "unbounded"
             self.pivot(leave, enter, costrow)
 
-    def pivot(self, r: int, c: int, costrow: list[Fraction]) -> None:
+    def pivot(self, r: int, c: int, costrow: list[int]) -> None:
         self.pivots += 1
         if self.max_pivots is not None and self.pivots > self.max_pivots:
             raise PivotLimitExceeded(f"more than {self.max_pivots} pivots")
-        prow = self.rows[r]
-        pv = prow[c]
-        prow = [x / pv for x in prow]
-        self.rows[r] = prow
-        for i, row in enumerate(self.rows):
-            if i != r and row[c] != 0:
-                f = row[c]
-                self.rows[i] = [x - f * y for x, y in zip(row, prow)]
-        if costrow[c] != 0:
-            f = costrow[c]
-            costrow[:] = [x - f * y for x, y in zip(costrow, prow)]
+        every = self.rows + [costrow]
+        self.denom = integer_pivot(every, self.rows[r], c, self.denom)
+        if self.denom < 0:  # a negative pivot, met only in the artificial drive-out
+            for row in every:
+                row[:] = [-x for x in row]
+            self.denom = -self.denom
         self.basis[r] = c
 
 
 def solve_lp(lp: LinearProgram, max_pivots: Optional[int] = None) -> LPSolution:
-    """Exact optimal basic solution of ``lp``, deterministic across runs."""
+    """Exact optimal basic solution of ``lp``, deterministic across runs.
+
+    Every constraint row and the rhs are scaled by one common integer, and the
+    objective by its own, so the tableau is integer; positive scaling of rows
+    and columns leaves every Bland choice unchanged.
+    """
     lp.validate()
     n = lp.n_vars
     m = len(lp.rows)
     n_slack = sum(1 for rel in lp.relations if rel == LE)
-    width = 2 * n + n_slack + m  # p, q, slacks, artificials
+    art_start = 2 * n + n_slack
+    width = art_start + m  # p, q, slacks, artificials
+    scale = lcm(*(x.denominator for row in (*lp.rows, lp.rhs) for x in row))
+    rhs = scaled_integers(lp.rhs, scale)
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     slack_at = 0
     for i in range(m):
-        row = [Fraction(0)] * (width + 1)
-        for j, a in enumerate(lp.rows[i]):
-            row[j] = a
-            row[n + j] = -a
+        row = [0] * (width + 1)
+        coefs = scaled_integers(lp.rows[i], scale)
+        row[:n] = coefs
+        row[n: 2 * n] = [-a for a in coefs]
         if lp.relations[i] == LE:
-            row[2 * n + slack_at] = Fraction(1)
+            row[2 * n + slack_at] = 1
             slack_at += 1
-        row[-1] = frac(lp.rhs[i])
+        row[-1] = rhs[i]
         if row[-1] < 0:
             row = [-x for x in row]
-        row[2 * n + n_slack + i] = Fraction(1)
+        row[art_start + i] = 1
         rows.append(row)
 
-    tab = _Tableau(rows, [2 * n + n_slack + i for i in range(m)], max_pivots)
-    art_start = 2 * n + n_slack
-
-    phase1_cost = [Fraction(0)] * width
-    for j in range(art_start, width):
-        phase1_cost[j] = Fraction(-1)
-    costrow = tab.price_out(phase1_cost)
-    tab.run(costrow, [True] * width)
-    if -costrow[-1] != 0:
+    tab = _Tableau(rows, [art_start + i for i in range(m)], max_pivots)
+    costrow = tab.price_out([0] * art_start + [-1] * m)
+    tab.run(costrow)
+    if costrow[-1] != 0:
         return LPSolution("infeasible", None, None, tab.pivots)
 
     # Drive leftover artificials out of the basis; drop redundant rows.
@@ -158,22 +168,19 @@ def solve_lp(lp: LinearProgram, max_pivots: Optional[int] = None) -> LPSolution:
                 del tab.rows[i], tab.basis[i]
             else:
                 tab.pivot(i, col, costrow)
+    # No artificial is basic now, and phase 2 never lets one enter: drop their columns.
+    for row in tab.rows:
+        del row[art_start:width]
 
-    allowed = [j < art_start for j in range(width)]
-    phase2_cost = [Fraction(0)] * width
-    for j in range(n):
-        phase2_cost[j] = frac(lp.objective[j])
-        phase2_cost[n + j] = -frac(lp.objective[j])
-    costrow = tab.price_out(phase2_cost)
-    status = tab.run(costrow, allowed)
-    if status == "unbounded":
+    objective = scaled_integers(lp.objective, lcm(*(x.denominator for x in lp.objective)))
+    costrow = tab.price_out(objective + [-x for x in objective] + [0] * n_slack)
+    if tab.run(costrow) == "unbounded":
         return LPSolution("unbounded", None, None, tab.pivots)
 
     point = [Fraction(0)] * (2 * n)
-    for i, b in enumerate(tab.basis):
+    for row, b in zip(tab.rows, tab.basis):
         if b < 2 * n:
-            point[b] = tab.rows[i][-1]
+            point[b] = Fraction(row[-1], tab.denom)
     z = tuple(point[j] - point[n + j] for j in range(n))
     value = vdot(lp.objective, z)
     return LPSolution("optimal", z, value, tab.pivots)
-

@@ -267,3 +267,33 @@ def test_max_iters_belongs_to_fixedpoint_only(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["solve", "--input", path, "--max-iters", "5"])
     assert main(["fixedpoint", "--input", path, "--search", "--max-iters", "5"]) == EXIT_OK
+
+
+def test_perturb_keeps_a_rank1_factorization():
+    from rankgames.games import decompose_rank1
+
+    game = BimatrixGame(R1A.a, -R1A.a + Matrix.outer(R1A.gamma, R1A.beta))
+    perturbed = cli.perturb_game(game, 1)
+    assert perturbed.a != game.a
+    # the game the rank-1 rebuild gave: B = -A' + gamma beta^T
+    assert perturbed.b == -perturbed.a + Matrix.outer(R1A.gamma, R1A.beta)
+    d = decompose_rank1(perturbed)
+    assert (d.gamma, d.beta) == (decompose_rank1(game).gamma, decompose_rank1(game).beta)
+
+
+def test_perturb_keeps_the_rank_of_a_rank2_game():
+    import random
+
+    from rankgames.games import decompose_rank_k
+
+    rng = random.Random(9)
+    a = Matrix([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
+    c = Matrix.zero(3, 3)
+    for _ in range(2):
+        c = c + Matrix.outer([rng.randint(-3, 3) for _ in range(3)],
+                             [rng.randint(1, 6) for _ in range(3)])
+    game = BimatrixGame(a, -a + c)
+    perturbed = cli.perturb_game(game, 1)
+    assert perturbed.a != game.a
+    assert perturbed.a + perturbed.b == game.a + game.b
+    assert decompose_rank_k(perturbed).k == decompose_rank_k(game).k == 2

@@ -136,3 +136,48 @@ def test_matrix_pickles_and_deep_copies_as_an_equal_immutable_matrix():
         assert (clone.rows, clone.cols) == (2, 2)
         with pytest.raises(AttributeError):
             clone.rows = 3
+
+
+def random_rational_matrix(rng, rows, cols):
+    return Matrix(
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(cols)]
+         for _ in range(rows)]
+    )
+
+
+def test_solve_rational_systems_exactly():
+    rng = random.Random(17)
+    solved = singular = 0
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        m = random_rational_matrix(rng, n, n)
+        rhs = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n))
+        try:
+            z = solve_linear_system(m, rhs)
+        except Singular:
+            assert determinant(m) == 0
+            singular += 1
+            continue
+        assert m.mul_vec(z) == rhs
+        solved += 1
+    assert (solved, singular) == (78, 2)
+
+
+def test_singular_message_names_the_first_column_without_a_pivot():
+    # Rational matrices whose column j is a combination of the columns before
+    # it: elimination finds no nonzero entry at or below the diagonal there.
+    # The pinned columns are the ones the Fraction elimination named.
+    rng = random.Random(23)
+    messages = []
+    for _ in range(24):
+        n = rng.randint(2, 6)
+        j = rng.randint(0, n - 1)
+        cols = random_rational_matrix(rng, n, n).transpose().tolists()
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(j)]
+        cols[j] = [sum((w * cols[k][i] for k, w in enumerate(weights)), Fraction(0))
+                   for i in range(n)]
+        with pytest.raises(Singular) as err:
+            solve_linear_system(Matrix(cols).transpose(), (Fraction(1),) * n)
+        messages.append(str(err.value))
+    pinned = (0, 2, 1, 0, 1, 1, 0, 0, 2, 1, 0, 1, 2, 1, 0, 1, 0, 1, 3, 1, 2, 0, 0, 1)
+    assert messages == [f"zero pivot in column {c}" for c in pinned]

@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from rankgames.algorithms import rank1_family
 from rankgames.errors import MalformedLP, Singular
 from rankgames.linalg import Matrix, matrix_rank, solve_linear_system, vdot
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
+from rankgames.paramlp import polytope_lp
+
+from fixtures import random_rank1
 
 
 def segment_lp(objective):
@@ -114,8 +119,6 @@ def test_bland_terminates_on_classic_cycling_example():
 
 
 def test_matches_vertex_enumeration_oracle_on_random_lps():
-    import random
-
     rng = random.Random(12)
     checked = 0
     while checked < 25:
@@ -139,3 +142,96 @@ def test_matches_vertex_enumeration_oracle_on_random_lps():
         assert sol.optimal
         assert sol.value == oracle
         checked += 1
+
+
+def rational_lp_corpus(seed: int, count: int):
+    """Seeded bounded LPs with non-integer rational data, '<=' rows whose rhs
+    may be negative (the tableau negates those rows), one equality, and on
+    every other LP a rational multiple of that equality (a redundant row that
+    phase 1 leaves with an artificial basic at zero, so it is deleted)."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    for t in range(count):
+        n = rng.randint(2, 3)
+        rows = [[q() for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        rhs = [q() for _ in rows]
+        rels = [LE] * len(rows)
+        eq, eq_rhs = [q() for _ in range(n)], q()
+        if t % 4 == 2:
+            # a positive combination of '<=' rows with rhs 0, held at 0: every
+            # row ends tight, and phase 1 may leave the equality's artificial
+            # basic at zero, to be driven out on a negative entry
+            rhs = [Fraction(0)] * len(rows)
+            weights = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in rows]
+            eq = [sum((w * r[j] for w, r in zip(weights, rows)), Fraction(0)) for j in range(n)]
+            eq_rhs = Fraction(0)
+        rows.append(eq)
+        rhs.append(eq_rhs)
+        rels.append(EQ)
+        redundant = t % 2 == 1
+        if redundant:
+            s = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+            rows.append([s * x for x in eq])
+            rhs.append(s * eq_rhs)
+            rels.append(EQ)
+        for j in range(n):  # keep the region bounded: |z_j| <= 5
+            for sgn in (1, -1):
+                rows.append([sgn if i == j else 0 for i in range(n)])
+                rhs.append(Fraction(5))
+                rels.append(LE)
+        yield LinearProgram.build([q() for _ in range(n)], rows, rels, rhs), redundant
+
+
+def test_integer_tableau_matches_oracle_on_rational_lps(monkeypatch):
+    import rankgames.lp as lp_module
+
+    negative_pivots = []
+    plain_pivot = lp_module.integer_pivot
+
+    def watched(rows, prow, c, d):
+        negative_pivots.append(prow[c] < 0)
+        return plain_pivot(rows, prow, c, d)
+
+    monkeypatch.setattr(lp_module, "integer_pivot", watched)
+    counts = {"optimal": 0, "infeasible": 0, "redundant": 0, "negative_rhs": 0}
+    pivots = 0
+    for lp, redundant in rational_lp_corpus(31, 80):
+        sol = solve_lp(lp)
+        pivots += sol.pivots
+        counts["negative_rhs"] += any(b < 0 for b in lp.rhs)
+        oracle = brute_force_value(lp)
+        if oracle is None:
+            assert sol.status == "infeasible"
+            counts["infeasible"] += 1
+            continue
+        assert sol.optimal
+        assert sol.value == oracle == vdot(lp.objective, sol.point)
+        for row, rel, b in zip(lp.rows, lp.relations, lp.rhs):
+            lhs = vdot(row, sol.point)
+            assert lhs <= b if rel == LE else lhs == b
+        counts["optimal"] += 1
+        counts["redundant"] += redundant
+    assert counts == {"optimal": 69, "infeasible": 11, "redundant": 34, "negative_rhs": 54}
+    assert sum(negative_pivots) == 20  # drive-out pivots on a negative entry
+    assert pivots == 978  # the total the Fraction tableau took
+
+
+def test_section_lp_pivot_count_is_pinned():
+    # The rank-1 section LPs (P at lambda = delta) at min gamma, max gamma and
+    # their midpoint on seeded wide-span games. 724 is the total the Fraction
+    # tableau took: integer pivoting makes the same Bland choices.
+    rng = random.Random(8)
+    total = 0
+    for size in (3, 4, 4, 5, 5, 6, 6, 7):
+        d = random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
+        family = rank1_family(d)[1]
+        lo, hi = min(d.gamma), max(d.gamma)
+        for delta in (lo, hi, (lo + hi) / 2):
+            objective = tuple(delta * b for b in family.beta) + (Fraction(-1),)
+            sol = solve_lp(polytope_lp(family.p, objective))
+            assert sol.optimal
+            total += sol.pivots
+    assert total == 724
