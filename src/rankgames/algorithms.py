@@ -2,12 +2,14 @@
 
 Binary search and full enumeration for rank-1 games, a path-following solver
 for arbitrary bimatrix games, equilibrium indices with a built-in cross-check,
-the forward/inverse homeomorphism maps, the rank-k fixed-point search, and
-game-space region extraction.
+the forward/inverse homeomorphism maps, the exact rank-k fixed-point search
+(a breadth-first walk over the affine cells of the box map), and game-space
+region extraction.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
@@ -20,7 +22,6 @@ from .errors import (
     IterationCapExceeded,
     NotEquilibrium,
     RankGamesError,
-    Singular,
 )
 from .games import (
     BimatrixGame,
@@ -36,25 +37,15 @@ from .games import (
     verify_equilibrium,
 )
 from .labeledpath import V_FIXED, ComponentTrace, PathEdge, g_value, trace_path, walk
-from .linalg import (
-    Matrix,
-    Rat,
-    Vec,
-    determinant,
-    frac,
-    sign,
-    solve_linear_system,
-    vdot,
-    vector,
-    vsub,
-)
+from .linalg import Matrix, Rat, Vec, determinant, sign, vdot, vector, vscale
+from .lp import EQ, LE, LinearProgram, solve_lp
 from .paramlp import (
     Crossing,
     FoundEquilibrium,
     box_bounds,
     crossing_records,
-    fixed_point_eval,
     is_ne,
+    piece_fixed_point,
     solve_lp_delta,
     solve_lp_k,
 )
@@ -379,110 +370,53 @@ def fixed_point_record(
     return make_record(game, profile, "fixed-point")
 
 
-def fixed_point_search(
-    kfam: RankKFamily,
-    gammas: Sequence[Sequence[Fraction]],
-    tol: Rat = Fraction(1, 1000),
-    max_iters: int = 60,
-    start: Optional[Sequence[Fraction]] = None,
-) -> Optional[Vec]:
-    """Heuristic fixed-point search on the box (experimental).
+def fixed_point_search(kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]]) -> Vec:
+    """Exact fixed point of the box map, by a breadth-first walk over its cells.
 
-    Damped iteration from the box center with an exact per-piece affine solve
-    at every step, then a coarse grid restart. No convergence guarantee is
-    claimed; a returned point has residual at most tol, and an exact fixed
-    point is verified as an equilibrium before being returned.
+    A cell is a vertex v of P with exactly n tight rows, over the part of the
+    box where v is the section optimum: there no edge of P at v raises the
+    section objective, and the map is affine (``piece_fixed_point``). A cell's
+    fixed point is accepted when it lies in the box and in the cell and
+    ``fixed_point_record`` verifies it. The walk starts at the section optimum
+    of the box centre and pivots across every edge whose zero-rate facet meets
+    box and cell (a k-variable feasibility LP). Raises ``DegeneratePolytope``
+    when no cell reached holds a verified fixed point.
     """
     gammas = tuple(vector(g) for g in gammas)
-    tol = frac(tol)
     lows, highs = box_bounds(gammas)
-    k = kfam.k
-
-    def evaluate(a: Vec) -> Vec:
-        return fixed_point_eval(kfam, gammas, a)
-
-    def residual(a: Vec, fa: Vec) -> Rat:
-        return max(abs(f - x) for f, x in zip(fa, a))
-
-    def in_box(a: Vec) -> bool:
-        return all(lo <= x <= hi for x, lo, hi in zip(a, lows, highs))
-
-    def local_solve(a: Vec, fa: Vec) -> Optional[Vec]:
-        # Probe the affine piece around a; solve z = f(z) inside it.
-        eps = max(hi - lo for lo, hi in zip(lows, highs)) / 4096
-        if eps == 0:
-            return None
-        cols = []
-        for l in range(k):
-            room_up = highs[l] - a[l]
-            room_dn = a[l] - lows[l]
-            step_l = min(eps, room_up) if room_up >= room_dn else -min(eps, room_dn)
-            if step_l == 0:
-                cols.append([Fraction(0)] * k)
+    p, n, k = kfam.p, kfam.n, kfam.k
+    unit = Matrix.identity(k)
+    box = [(unit.row(l), highs[l]) for l in range(k)]
+    box += [(vscale(-1, unit.row(l)), -lows[l]) for l in range(k)]
+    start = solve_lp_k(kfam, tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))).v
+    seen, queue = {start.basis}, deque([start])
+    while queue:
+        v = queue.popleft()
+        # Relaxing r moves along d; the objective's rate there is g . a - d[n].
+        rates = {}
+        for r in sorted(v.basis):
+            d = p.null_direction(v.basis - {r}, r)
+            rates[r] = (tuple(vdot(beta, d[:n]) for beta in kfam.betas), d[n])
+        a = piece_fixed_point(kfam, gammas, v)
+        if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):
+            fixed_point_record(kfam, gammas, a)
+            return a
+        for r, facet in rates.items():
+            rest = [gc for s, gc in rates.items() if s != r] + box
+            lp = LinearProgram.build(
+                [0] * k, [facet[0]] + [g for g, _ in rest],
+                [EQ] + [LE] * len(rest), [facet[1]] + [c for _, c in rest],
+            )
+            if solve_lp(lp).status == "infeasible":
                 continue
-            probe = list(a)
-            probe[l] += step_l
-            fp = evaluate(tuple(probe))
-            cols.append([(fp[i] - fa[i]) / step_l for i in range(k)])
-        jac = Matrix(cols).transpose()
-        system = Matrix.identity(k) - jac
-        rhs = vsub(fa, jac.mul_vec(a))
-        try:
-            z = solve_linear_system(system, rhs)
-        except Singular:
-            return None
-        if not in_box(z):
-            return None
-        if evaluate(z) == z:
-            return z
-        return None
-
-    def damped(a: Vec, iters: int) -> tuple[Rat, Vec, Optional[Vec]]:
-        best_r: Optional[Rat] = None
-        best_a = a
-        for _ in range(iters):
-            fa = evaluate(a)
-            r = residual(a, fa)
-            if best_r is None or r < best_r:
-                best_r, best_a = r, a
-            if r == 0:
-                return Fraction(0), a, a
-            exact = local_solve(a, fa)
-            if exact is not None:
-                return Fraction(0), exact, exact
-            a = tuple((x + f) / 2 for x, f in zip(a, fa))
-        return best_r, best_a, None
-
-    start_pt = vector(start) if start is not None else tuple(
-        (lo + hi) / 2 for lo, hi in zip(lows, highs)
-    )
-    if not in_box(start_pt):
-        raise RankGamesError("start point lies outside the box")
-    best_r, best_a, exact = damped(start_pt, max_iters)
-    if exact is not None:
-        fixed_point_record(kfam, gammas, exact)
-        return exact
-    if best_r <= tol:
-        return best_a
-    # Grid restart: pick the best of a coarse lattice and iterate again.
-    grid_pts: list[Vec] = [()]
-    for lo, hi in zip(lows, highs):
-        span = hi - lo
-        axis = [lo + span * i / 4 for i in range(5)] if span > 0 else [lo]
-        grid_pts = [p + (v,) for p in grid_pts for v in axis]
-    scored = []
-    for p in grid_pts:
-        fp = evaluate(p)
-        scored.append((residual(p, fp), p))
-    scored.sort()
-    _, seed = scored[0]
-    r2, a2, exact2 = damped(seed, max_iters)
-    if exact2 is not None:
-        fixed_point_record(kfam, gammas, exact2)
-        return exact2
-    if min(best_r, r2) <= tol:
-        return a2 if r2 <= best_r else best_a
-    return None
+            try:
+                far = p.pivot(v, r).far_end
+            except DegeneratePolytope:
+                continue  # a degenerate neighbour has no cell; walk around it
+            if far is not None and far.basis not in seen:
+                seen.add(far.basis)
+                queue.append(far)
+    raise DegeneratePolytope("no cell of the box map holds a verified fixed point")
 
 
 HALF_SPACE = "half_space"

@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     IterationCapExceeded,
     NotFullyLabeled,
+    OutOfBox,
     RankGamesError,
     RankTooHigh,
     SeedOnPath,
@@ -49,7 +50,7 @@ from .games import (
 from .labeledpath import export_lines, make_node, trace_cycle, trace_path
 from .linalg import Matrix, matrix_rank
 from .oracle import support_enumeration
-from .paramlp import fixed_point_eval
+from .paramlp import box_bounds, fixed_point_eval
 from .polytope import GameFamily, RankKFamily
 
 EXIT_OK = 0
@@ -195,10 +196,6 @@ def cmd_enumerate(game: BimatrixGame, args, out: dict) -> None:
         out["records"] = enumerate_general(game, beta)
 
 
-def cmd_index(game: BimatrixGame, args, out: dict) -> None:
-    cmd_enumerate(game, args, out)
-
-
 def cmd_oracle(game: BimatrixGame, args, out: dict) -> None:
     out["records"] = list(support_enumeration(game).equilibria)
 
@@ -293,34 +290,28 @@ def cmd_fixedpoint(game: BimatrixGame, args, out: dict) -> None:
     kfam = RankKFamily(d.a, d.betas)
     if args.k_eval is not None:
         a = tuple(parse_fraction(t) for t in args.k_eval.split(","))
-        fa = fixed_point_eval(kfam, d.gammas, a)
+        try:
+            fa = fixed_point_eval(kfam, d.gammas, a)
+        except OutOfBox as exc:
+            lows, highs = box_bounds(d.gammas)
+            raise ParseError(
+                f"--k-eval point {_vec_str(a)} lies outside the box "
+                f"{_vec_str(lows)}..{_vec_str(highs)}"
+            ) from exc
         out["lines"] = [f"f{_vec_str(a)} = {_vec_str(fa)} (experimental)"]
         out["fixedpoint"] = {"a": [_rat_str(v) for v in a], "f": [_rat_str(v) for v in fa]}
         return
-    tol = parse_fraction(args.tol)
-    point = fixed_point_search(kfam, d.gammas, tol=tol, max_iters=args.max_iters)
-    if point is None:
-        out["lines"] = ["no point within tolerance (experimental heuristic)"]
-        out["fixedpoint"] = None
-        return
-    fa = fixed_point_eval(kfam, d.gammas, point)
-    residual = max(abs(f - x) for f, x in zip(fa, point))
-    lines = [f"a = {_vec_str(point)} residual = {_rat_str(residual)} (experimental)"]
-    if residual == 0:
-        rec = fixed_point_record(kfam, d.gammas, point)
-        out["records"] = [rec]
-    out["lines"] = lines
-    out["fixedpoint"] = {
-        "a": [_rat_str(v) for v in point],
-        "residual": _rat_str(residual),
-    }
+    point = fixed_point_search(kfam, d.gammas)
+    out["records"] = [fixed_point_record(kfam, d.gammas, point)]
+    out["lines"] = [f"a = {_vec_str(point)}"]
+    out["fixedpoint"] = {"a": [_rat_str(v) for v in point]}
 
 
 COMMANDS = {
     "solve": cmd_solve,
     "enumerate": cmd_enumerate,
     "trace": cmd_trace,
-    "index": cmd_index,
+    "index": cmd_enumerate,
     "oracle": cmd_oracle,
     "rank": cmd_rank,
     "regions": cmd_regions,
@@ -350,9 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
     group = fp.add_mutually_exclusive_group(required=True)
     group.add_argument("--k-eval", default=None, metavar="A1,..,AK")
     group.add_argument("--search", action="store_true")
-    fp.add_argument("--tol", default="1/1000")
-    fp.add_argument("--max-iters", type=int, default=60)
     return parser
+
+
+# argparse reads a separate value that starts with '-' as an option.
+_SIGNED_VALUE_FLAGS = ("--beta", "--k-eval")
+
+
+def _join_signed_values(argv: Sequence[str]) -> list[str]:
+    """'--k-eval -1/2,1' -> '--k-eval=-1/2,1' for the flags whose values may be negative."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and tok[:1] == "-" and tok[:2] != "--":
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _emit(out: dict, as_json: bool, perturbed: Optional[int]) -> None:
@@ -377,7 +381,12 @@ def _emit(out: dict, as_json: bool, perturbed: Optional[int]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(
+            _join_signed_values(sys.argv[1:] if argv is None else argv)
+        )
+    except SystemExit as exc:  # argparse exits on --help and on usage errors
+        return exc.code
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             game = parse_game_file(fh.read())

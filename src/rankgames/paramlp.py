@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -18,6 +18,7 @@ from .errors import (
     NotEquilibrium,
     OutOfBox,
     RankGamesError,
+    Singular,
 )
 from .games import EquilibriumRecord, MixedProfile, make_record, verify_equilibrium
 from .labeledpath import (
@@ -28,7 +29,7 @@ from .labeledpath import (
     make_node,
     oriented_edge,
 )
-from .linalg import Matrix, Rat, Vec, frac, solve_linear_system, vdot, vector
+from .linalg import Matrix, Rat, Vec, frac, solve_linear_system, vdot, vector, vsub
 from .lp import EQ, LE, LinearProgram, solve_lp
 from .polytope import GameFamily, Polytope, RankKFamily, Vertex
 
@@ -103,6 +104,18 @@ def labeling_gap(family: GameFamily, v_coords: Sequence[Fraction],
     return _section_gap((family.beta,), v_coords, w_coords)
 
 
+def _complementary_system(lifted: Polytope, v_labels: frozenset[int],
+                          lam_rows: Sequence[Vec], lam_rhs: Sequence[Fraction]
+                          ) -> tuple[Matrix, list[Fraction]]:
+    """Square system of the lifted point complementary to a row-polytope vertex
+    with ``v_labels``: the equality row, k rows that fix lambda, and the m rows
+    of the labels v lacks."""
+    tight = sorted(frozenset(range(1, lifted.n_labels + 1)) - v_labels)
+    rows = [lifted.eq[0], *lam_rows] + [lifted.row(lab)[0] for lab in tight]
+    rhs = [lifted.eq[1], *lam_rhs] + [lifted.row(lab)[1] for lab in tight]
+    return Matrix(rows), rhs
+
+
 def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec],
              delta: Vec) -> tuple[Vertex, Vec, Matrix]:
     """Optimal section at lambda = delta: the row-polytope LP, then its dual in
@@ -125,11 +138,9 @@ def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec],
         raise DegeneratePolytope(f"section optimum has {len(v_labels)} tight rows in P")
 
     unit = Matrix.identity(m + k + 1)
-    tight = sorted(frozenset(range(1, m + n + 1)) - v_labels)
-    rows = [lifted.eq[0]] + [unit.row(m + l) for l in range(k)]
-    rows += [lifted.row(lab)[0] for lab in tight]
-    rhs = [lifted.eq[1], *delta] + [lifted.row(lab)[1] for lab in tight]
-    system = Matrix(rows)
+    system, rhs = _complementary_system(
+        lifted, v_labels, [unit.row(m + l) for l in range(k)], delta
+    )
     w_coords = solve_linear_system(system, rhs)  # Singular is an internal failure
     if not lifted.feasible(w_coords):
         raise RankGamesError("complementary lifted point is infeasible")
@@ -241,8 +252,12 @@ def is_ne(family: GameFamily, gamma: Sequence[Fraction], delta) -> IsNEOutcome:
 
 @dataclass(frozen=True)
 class KSectionOpt:
-    v_coords: Vec
+    v: Vertex
     w_coords: Vec
+
+    @property
+    def v_coords(self) -> Vec:
+        return self.v.coords
 
 
 def solve_lp_k(kfam: RankKFamily, delta: Sequence[Fraction]) -> KSectionOpt:
@@ -251,7 +266,7 @@ def solve_lp_k(kfam: RankKFamily, delta: Sequence[Fraction]) -> KSectionOpt:
     if len(delta) != kfam.k:
         raise OutOfBox(f"delta has length {len(delta)}, expected {kfam.k}")
     v, w_coords, _ = _section(kfam.p, kfam.qk, kfam.betas, delta)
-    return KSectionOpt(v.coords, w_coords)
+    return KSectionOpt(v, w_coords)
 
 
 def box_bounds(gammas: Sequence[Sequence[Fraction]]) -> tuple[Vec, Vec]:
@@ -271,3 +286,23 @@ def fixed_point_eval(kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]],
     opt = solve_lp_k(kfam, a)
     x = opt.w_coords[: kfam.m]
     return tuple(vdot(g, x) for g in gammas)
+
+
+def piece_fixed_point(kfam: RankKFamily, gammas: Sequence[Vec], v: Vertex) -> Optional[Vec]:
+    """Fixed point of the affine piece of the box map on the cell of v.
+
+    On that cell the lifted point solves v's complementary system with lambda
+    = delta, so the map is a -> Gamma x(a). Replacing each row lambda_l =
+    delta_l by lambda_l = gamma_l . x makes lambda its own image: one square
+    solve (the k x k system (I - Gamma X_v) a = Gamma x_0 before elimination).
+    None when that system is singular. The point may lie outside the cell.
+    """
+    m, k = kfam.m, kfam.k
+    unit = Matrix.identity(m + k + 1)
+    lam_rows = [vsub(unit.row(m + l), tuple(g) + (0,) * (k + 1)) for l, g in enumerate(gammas)]
+    system, rhs = _complementary_system(kfam.qk, v.labels, lam_rows, [Fraction(0)] * k)
+    try:
+        w_coords = solve_linear_system(system, rhs)
+    except Singular:
+        return None
+    return w_coords[m: m + k]

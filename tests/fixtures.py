@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from rankgames.errors import DegeneracyError
 from rankgames.games import BimatrixGame, Rank1Decomposition
-from rankgames.linalg import Matrix
+from rankgames.linalg import Matrix, matrix_rank
 from rankgames.polytope import GameFamily
 
 # Worked example: a game family whose fully-labeled set is a path plus one
@@ -99,6 +99,18 @@ def random_rank1(rng: random.Random, m: int, n: int, span: int = 9,
         if len(set(beta)) == 1:
             continue
         return Rank1Decomposition(a, gamma, beta)
+
+
+def random_rank_k(rng: random.Random, k: int, m: int, n: int):
+    """(a, betas, gammas) of one random rank-k family: entries of a in -9..9,
+    k independent betas from 1..6 and gammas from -3..3."""
+    a = Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+    while True:
+        betas = [[rng.randint(1, 6) for _ in range(n)] for _ in range(k)]
+        if matrix_rank(Matrix(betas)) == k:
+            break
+    gammas = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+    return a, betas, gammas
 
 
 def nondegenerate_rank1_fixtures(seed: int, count: int, min_mn=2, max_mn=5,

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +19,13 @@ from rankgames.algorithms import (
     region_graph,
     solve_general,
 )
-from rankgames.errors import DegeneracyError, NotEquilibrium, RankGamesError
+from rankgames.errors import (
+    DegeneracyError,
+    DegeneratePolytope,
+    NotEquilibrium,
+    RankGamesError,
+    Singular,
+)
 from rankgames.games import (
     BimatrixGame,
     MixedProfile,
@@ -28,9 +35,9 @@ from rankgames.games import (
     verify_equilibrium,
 )
 from rankgames.labeledpath import trace_path
-from rankgames.linalg import Matrix, vdot
+from rankgames.linalg import Matrix, solve_linear_system, vdot
 from rankgames.oracle import support_enumeration, zero_sum_solve
-from rankgames.paramlp import fixed_point_eval
+from rankgames.paramlp import box_bounds, fixed_point_eval
 from rankgames.polytope import GameFamily, RankKFamily
 
 from fixtures import (
@@ -40,6 +47,7 @@ from fixtures import (
     K2_GAME,
     MATCHING_PENNIES,
     R1A,
+    R1A_NE_LAMBDA,
     R1A_NE_X,
     R1A_NE_Y,
     R1B,
@@ -49,6 +57,7 @@ from fixtures import (
     nondegenerate_rank1_fixtures,
     random_general_games,
     random_rank1,
+    random_rank_k,
 )
 
 
@@ -359,10 +368,8 @@ def test_homeo_k_forward_on_k2_and_g_distinctness():
 
 def test_fixed_point_search_rank1_matches_bin_search():
     kfam = RankKFamily(R1A.a, [R1A.beta])
-    point = fixed_point_search(kfam, [R1A.gamma], tol=Fraction(1, 1000), max_iters=40)
-    assert point is not None
-    fa = fixed_point_eval(kfam, [R1A.gamma], point)
-    assert fa == point  # exact fixed point
+    point = fixed_point_search(kfam, [R1A.gamma])
+    assert fixed_point_eval(kfam, [R1A.gamma], point) == point  # exact fixed point
     rec = fixed_point_record(kfam, [R1A.gamma], point)
     report = bin_search(R1A)
     assert rec.profile == report.equilibrium.profile
@@ -370,24 +377,80 @@ def test_fixed_point_search_rank1_matches_bin_search():
 
 def test_fixed_point_search_accepts_given_fixed_point():
     kfam = RankKFamily(R1A.a, [R1A.beta])
-    lam = vdot(R1A.gamma, R1A_NE_X)
-    point = fixed_point_search(
-        kfam, [R1A.gamma], tol=Fraction(1, 1000), max_iters=5, start=(lam,)
-    )
-    assert point == (lam,)
+    assert fixed_point_search(kfam, [R1A.gamma]) == (R1A_NE_LAMBDA,)
 
 
 def test_fixed_point_search_k2():
     d = decompose_rank_k(K2_GAME)
     kfam = RankKFamily(d.a, d.betas)
-    point = fixed_point_search(kfam, d.gammas, tol=Fraction(1, 1000), max_iters=40)
-    assert point is not None
-    fa = fixed_point_eval(kfam, d.gammas, point)
-    residual = max(abs(f - x) for f, x in zip(fa, point))
-    assert residual <= Fraction(1, 1000)
-    if residual == 0:
-        rec = fixed_point_record(kfam, d.gammas, point)
-        assert verify_equilibrium(K2_GAME, rec.profile)
+    point = fixed_point_search(kfam, d.gammas)
+    assert fixed_point_eval(kfam, d.gammas, point) == point
+    rec = fixed_point_record(kfam, d.gammas, point)
+    assert verify_equilibrium(K2_GAME, rec.profile)
+
+
+def basis_scan_fixed_points(kfam, gammas):
+    """Reference: every exact fixed point that the affine piece of some
+    nondegenerate vertex of P yields, by a scan over all bases of P.
+
+    On v's piece the lifted point solves v's complementary system with
+    lambda = delta, so x(delta) = x0 + X delta and the piece's fixed point
+    solves (I - Gamma X) a = Gamma x0. It counts when it lies in the box and
+    the box map fixes it exactly.
+    """
+    m, n, k = kfam.m, kfam.n, kfam.k
+    lows, highs = box_bounds(gammas)
+    unit = Matrix.identity(m + k + 1)
+    points = set()
+    for basis in combinations(range(1, m + n + 1), n):
+        v = kfam.p.try_vertex(basis)
+        if v is None or len(v.labels) != n:
+            continue
+        lacks = [kfam.qk.row(lab)[0] for lab in range(1, m + n + 1) if lab not in v.labels]
+        system = Matrix([kfam.qk.eq[0]] + [unit.row(m + l) for l in range(k)] + lacks)
+        try:
+            x0 = solve_linear_system(system, [1] + [0] * (k + m))[:m]
+            xs = [solve_linear_system(system, unit.row(1 + l))[:m] for l in range(k)]
+            a = solve_linear_system(
+                Matrix.identity(k) - Matrix([[vdot(g, x) for x in xs] for g in gammas]),
+                [vdot(g, x0) for g in gammas],
+            )
+        except Singular:
+            continue
+        if any(not lo <= x <= hi for x, lo, hi in zip(a, lows, highs)):
+            continue
+        try:
+            if fixed_point_eval(kfam, gammas, a) == a:
+                points.add(a)
+        except DegeneracyError:
+            continue
+    return points
+
+
+def test_fixed_point_search_matches_basis_scan_on_rank_k_corpus():
+    # Seeded rank-2 and rank-3 families: every walk answer is one of the
+    # reference's fixed points and its record verifies. The walk gives up on
+    # the 3 games whose box centre has a degenerate section; the scan, which
+    # needs no start, still finds a fixed point on one of them.
+    rng = random.Random(11)
+    found = degenerate = scan_found = 0
+    for g in range(24):
+        k = 2 + g % 2
+        m = n = rng.randint(k + 1, 4)
+        a, betas, gammas = random_rank_k(rng, k, m, n)
+        kfam = RankKFamily(a, betas)
+        reference = basis_scan_fixed_points(kfam, gammas)
+        scan_found += bool(reference)
+        try:
+            point = fixed_point_search(kfam, gammas)
+        except DegeneratePolytope:
+            degenerate += 1
+            continue
+        assert point in reference
+        rec = fixed_point_record(kfam, gammas, point)
+        assert verify_equilibrium(kfam.game_at(gammas), rec.profile)
+        found += 1
+    assert (found, degenerate, scan_found) == (21, 3, 22)
 
 
 # ---------------------------------------------------------------- regions

@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -145,7 +147,34 @@ def test_fixedpoint_eval_and_search(tmp_path, capsys):
     assert "f(-9/22) = (-9/22)" in out
     assert main(["fixedpoint", "--input", path, "--search"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "residual = 0" in out
+    assert out == "a = (-9/22)\nx = (0, 7/11, 4/11); y = (13/21, 8/21, 0); index unknown\n"
+
+
+def test_k_eval_outside_the_box_is_parse_error(tmp_path, capsys):
+    from fixtures import K2_GAME
+
+    path = write_game(tmp_path, K2_GAME, "k2.game")
+    for point in ("100,100", "1", "1,1,1"):
+        assert main(["fixedpoint", "--input", path, "--k-eval", point]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        shown = "(" + point.replace(",", ", ") + ")"
+        assert captured.err == (
+            f"error: --k-eval point {shown} lies outside the box (0, 0)..(5, 1)\n"
+        )
+
+
+def test_values_that_start_with_a_minus_sign(tmp_path, capsys):
+    path = write_game(tmp_path, R1A.game())
+    assert main(["fixedpoint", "--input", path, "--k-eval", "-9/22"]) == EXIT_OK
+    assert capsys.readouterr().out == "f(-9/22) = (-9/22) (experimental)\n"
+    game = BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA))
+    path = write_game(tmp_path, game, "ex1.game")
+    assert main(["enumerate", "--input", path, "--beta=-1,2,3"]) == EXIT_OK
+    joined = capsys.readouterr().out
+    assert main(["enumerate", "--input", path, "--beta", "-1,2,3"]) == EXIT_OK
+    assert capsys.readouterr().out == joined
+    assert joined.count("\n") == 3
 
 
 def test_missing_file_is_parse_error(capsys):
@@ -262,11 +291,28 @@ def test_all_from_label_out_of_range_is_parse_error(tmp_path, capsys):
         assert err.count("\n") == 1, err
 
 
-def test_max_iters_belongs_to_fixedpoint_only(tmp_path, capsys):
+def test_no_verb_takes_max_iters_or_tol(tmp_path, capsys):
+    # The fixed-point search is exact: it has no iteration cap and no tolerance.
     path = write_game(tmp_path, R1A.game())
-    with pytest.raises(SystemExit):
-        main(["solve", "--input", path, "--max-iters", "5"])
-    assert main(["fixedpoint", "--input", path, "--search", "--max-iters", "5"]) == EXIT_OK
+    for verb in cli.COMMANDS:
+        extra = ["--search"] if verb == "fixedpoint" else []
+        for flag in ("--max-iters", "--tol"):
+            assert main([verb, "--input", path, *extra, flag, "5"]) == EXIT_PARSE
+            assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+def test_readme_cli_block_matches_the_parser(capsys):
+    # Every verb of the README synopsis exists, and every --flag it lists for
+    # a verb is one that verb's parser accepts.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    synopsis = [line.split() for line in block.splitlines() if line.startswith("rankgames ")]
+    assert sorted(words[1] for words in synopsis) == sorted(cli.COMMANDS)
+    for words in synopsis:
+        assert main([words[1], "--help"]) == EXIT_OK
+        accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        listed = set(re.findall(r"--[a-z][a-z-]*", " ".join(words)))
+        assert listed <= accepted, (words[1], listed - accepted)
 
 
 def test_perturb_keeps_a_rank1_factorization():

@@ -6,7 +6,7 @@ import pytest
 from rankgames.errors import DegeneracyError, DegeneratePolytope, OutOfBox
 from rankgames.games import decompose_rank_k, verify_equilibrium
 from rankgames.labeledpath import trace_path
-from rankgames.linalg import Matrix, matrix_rank, vdot, vscale
+from rankgames.linalg import Matrix, vdot, vscale
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
 from rankgames.paramlp import (
     Hyperplane,
@@ -20,7 +20,15 @@ from rankgames.paramlp import (
 )
 from rankgames.polytope import GameFamily, Polytope, RankKFamily
 
-from fixtures import K2_GAME, R1A, R1A_NE_LAMBDA, R1A_NE_X, R1A_NE_Y, random_rank1
+from fixtures import (
+    K2_GAME,
+    R1A,
+    R1A_NE_LAMBDA,
+    R1A_NE_X,
+    R1A_NE_Y,
+    random_rank1,
+    random_rank_k,
+)
 
 
 @pytest.fixture(scope="module")
@@ -207,12 +215,7 @@ def test_solve_lp_k_matches_lifted_lp_on_rank_k_corpus():
     for g in range(16):
         k = 2 + g % 2
         m = n = rng.randint(k + 1, 4)
-        a = Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-        while True:
-            betas = [[rng.randint(1, 6) for _ in range(n)] for _ in range(k)]
-            if matrix_rank(Matrix(betas)) == k:
-                break
-        gammas = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+        a, betas, gammas = random_rank_k(rng, k, m, n)
         kfam = RankKFamily(a, betas)
         lows, highs = box_bounds(gammas)
         for _ in range(4):
