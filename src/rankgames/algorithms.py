@@ -370,7 +370,9 @@ def fixed_point_record(
     return make_record(game, profile, "fixed-point")
 
 
-def fixed_point_search(kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]]) -> Vec:
+def fixed_point_search(
+    kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]]
+) -> tuple[Vec, EquilibriumRecord]:
     """Exact fixed point of the box map, by a breadth-first walk over its cells.
 
     A cell is a vertex v of P with exactly n tight rows, over the part of the
@@ -379,8 +381,9 @@ def fixed_point_search(kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]]) 
     fixed point is accepted when it lies in the box and in the cell and
     ``fixed_point_record`` verifies it. The walk starts at the section optimum
     of the box centre and pivots across every edge whose zero-rate facet meets
-    box and cell (a k-variable feasibility LP). Raises ``DegeneratePolytope``
-    when no cell reached holds a verified fixed point.
+    box and cell (a k-variable feasibility LP). Returns the point with its
+    verified record; raises ``DegeneratePolytope`` when no cell reached holds
+    one.
     """
     gammas = tuple(vector(g) for g in gammas)
     lows, highs = box_bounds(gammas)
@@ -399,8 +402,7 @@ def fixed_point_search(kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]]) 
             rates[r] = (tuple(vdot(beta, d[:n]) for beta in kfam.betas), d[n])
         a = piece_fixed_point(kfam, gammas, v)
         if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):
-            fixed_point_record(kfam, gammas, a)
-            return a
+            return a, fixed_point_record(kfam, gammas, a)
         for r, facet in rates.items():
             rest = [gc for s, gc in rates.items() if s != r] + box
             lp = LinearProgram.build(

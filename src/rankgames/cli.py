@@ -19,11 +19,11 @@ from .algorithms import (
     bin_search,
     enumerate_general,
     enumerate_rank1,
-    fixed_point_record,
     fixed_point_search,
     general_embedding,
     rank1_family,
     region_graph,
+    solve_general,
 )
 from .errors import (
     ConstantBeta,
@@ -184,7 +184,7 @@ def cmd_solve(game: BimatrixGame, args, out: dict) -> None:
             "path equilibrium",
             file=sys.stderr,
         )
-        out["records"] = [enumerate_general(game, beta)[0]]
+        out["records"] = [solve_general(game, beta)]
 
 
 def cmd_enumerate(game: BimatrixGame, args, out: dict) -> None:
@@ -301,8 +301,8 @@ def cmd_fixedpoint(game: BimatrixGame, args, out: dict) -> None:
         out["lines"] = [f"f{_vec_str(a)} = {_vec_str(fa)} (experimental)"]
         out["fixedpoint"] = {"a": [_rat_str(v) for v in a], "f": [_rat_str(v) for v in fa]}
         return
-    point = fixed_point_search(kfam, d.gammas)
-    out["records"] = [fixed_point_record(kfam, d.gammas, point)]
+    point, record = fixed_point_search(kfam, d.gammas)
+    out["records"] = [record]
     out["lines"] = [f"a = {_vec_str(point)}"]
     out["fixedpoint"] = {"a": [_rat_str(v) for v in point]}
 

@@ -191,22 +191,22 @@ def walk(family: GameFamily, first: PathNode) -> Iterator[PathEdge]:
 
 
 def trace_path(family: GameFamily) -> ComponentTrace:
-    """The unique path, oriented from the low ray to the high ray."""
-    v_s = family.v_s()
-    w0 = family.w_start()
-    u0 = make_node(family, v_s, w0)
-    if u0.sign != 1:
+    """The unique path, oriented from the low ray to the high ray.
+
+    Both rays come from ``GameFamily.ray``; the walk starts at the low ray's
+    bounding node and must end on the high ray, built independently.
+    """
+    v_s, ray_s = family.ray(high=False)
+    v_e, ray_e = family.ray(high=True)
+    low = oriented_edge(family, V_FIXED, v_s, ray_s)
+    if low.head is None:
         raise RankGamesError("start node sign is not +1; orientation broken")
-    ray = family.qp.pivot(w0, u0.duplicate)
-    if not ray.unbounded:
-        raise RankGamesError("relaxing the start duplicate did not open the low ray")
-    edges = [PathEdge(V_FIXED, v_s, ray, None, u0, BACKWARD), *walk(family, u0)]
+    edges = [low, *walk(family, low.head)]
     if edges[-1].head is not None:
         raise RankGamesError("path returned to its start node; traversal is broken")
-    v_e = family.v_e()
     if edges[-1].fixed.basis != v_e.basis:
         raise RankGamesError("path did not terminate at the high-ray vertex")
-    if family.lambda_of(edges[-1].moving.base) != family.start.lambda_e:
+    if edges[-1].moving.base.basis != ray_e.base.basis:
         raise RankGamesError("high ray does not start at its lambda bound")
     nodes = tuple(edge.head for edge in edges[:-1])
     return ComponentTrace("path", nodes, tuple(edges))
@@ -224,7 +224,7 @@ def trace_cycle(family: GameFamily, seed: PathNode) -> ComponentTrace:
 def oriented_edge(
     family: GameFamily, kind: str, fixed: Vertex, ed: EdgeDescriptor
 ) -> PathEdge:
-    """Orient an edge found mid-path by the signs of its endpoint nodes.
+    """Orient an edge found off the walk by the signs of its endpoint nodes.
 
     Moving edges of type (v, E_v) point at their +1 node, edges of type
     (E_w, w) at their -1 node; rays put the infinite end opposite the single

@@ -301,50 +301,11 @@ def _endpoint_indices(a: Matrix, beta: Vec) -> tuple[int, int, int, int]:
     return i_s, j_s, i_e, j_e
 
 
-@dataclass(frozen=True)
-class StartData:
-    """Pure-strategy anchors of the two unbounded path edges."""
-
-    i_s: int  # 1-based row index for the min-beta column
-    j_s: int
-    i_e: int
-    j_e: int
-    lambda_s: Rat
-    jstar_s: int  # column whose constraint bounds the low ray
-    lambda_e: Rat
-    jstar_e: int
-
-
-def start_data(a: Matrix, c: Matrix, beta: Sequence[Fraction]) -> StartData:
-    beta = vector(beta)
-    n = len(beta)
-    i_s, j_s, i_e, j_e = _endpoint_indices(a, beta)
-
-    ratios_s = [
-        ((c[i_s, j_s] - c[i_s, j]) / (beta[j] - beta[j_s]), j)
-        for j in range(n)
-        if j != j_s and beta[j] > beta[j_s]
-    ]
-    lam_s = min(r for r, _ in ratios_s)
-    hits_s = [j for r, j in ratios_s if r == lam_s]
-    ratios_e = [
-        ((c[i_e, j] - c[i_e, j_e]) / (beta[j_e] - beta[j]), j)
-        for j in range(n)
-        if j != j_e and beta[j] < beta[j_e]
-    ]
-    lam_e = max(r for r, _ in ratios_e)
-    hits_e = [j for r, j in ratios_e if r == lam_e]
-    if len(hits_s) > 1 or len(hits_e) > 1:
-        raise DegeneratePolytope("tied lambda bound on an unbounded edge")
-    return StartData(
-        i_s + 1, j_s + 1, i_e + 1, j_e + 1, lam_s, hits_s[0] + 1, lam_e, hits_e[0] + 1
-    )
-
-
 class GameFamily:
     """Shared-row-player game family: fixed a, c, beta with free row weights.
 
-    Bundles the two polytopes and the path anchors for everything downstream.
+    Bundles the two polytopes, and builds the path's two rays, for everything
+    downstream.
     """
 
     def __init__(self, a: Matrix, c: Matrix, beta: Sequence[Fraction]):
@@ -357,42 +318,36 @@ class GameFamily:
         self.p = build_p(a)
         self.qp = build_qprime(c, self.beta)
         self.rank1 = c == a.scale(-1)
-        self._start: Optional[StartData] = None
-
-    @property
-    def start(self) -> StartData:
-        if self._start is None:
-            self._start = start_data(self.a, self.c, self.beta)
-        return self._start
 
     def game_at(self, alpha: Sequence[Fraction]):
         from .games import BimatrixGame
 
         return BimatrixGame(self.a, self.c + Matrix.outer(alpha, self.beta))
 
-    def v_s(self) -> Vertex:
-        sd = self.start
-        return self._pure_p_vertex(sd.i_s, sd.j_s)
+    def ray(self, high: bool) -> tuple[Vertex, EdgeDescriptor]:
+        """Pure vertex of P and unbounded edge of Q' on one ray of the path.
 
-    def v_e(self) -> Vertex:
-        sd = self.start
-        return self._pure_p_vertex(sd.i_e, sd.j_e)
-
-    def _pure_p_vertex(self, i_one: int, j_one: int) -> Vertex:
-        basis = frozenset({i_one} | {self.m + j for j in range(1, self.n + 1) if j != j_one})
-        v = self.p.vertex_from_basis(basis)
-        if len(v.labels) != self.p.basis_size:
-            raise DegeneratePolytope("degenerate path endpoint")
-        return v
-
-    def w_start(self) -> Vertex:
-        """Bounding vertex of the low unbounded edge (lambda = lambda_s)."""
-        sd = self.start
-        basis = frozenset(
-            {i for i in range(1, self.m + 1) if i != sd.i_s}
-            | {self.m + sd.j_s, self.m + sd.jstar_s}
-        )
-        return self.qp.vertex_from_basis(basis)
+        Column j has the least beta on the low ray (lambda -> -inf) and the
+        greatest on the high ray; i is its best row. At x = e_i the column-j
+        row stays tight along (0, .., 0, 1, beta_j). Past every column ratio,
+        at lambda = delta, that line is inside the ray, so the ratio test from
+        there finds the ray's lambda bound and bounding column. The returned
+        edge is based at that bound.
+        """
+        i_s, j_s, i_e, j_e = _endpoint_indices(self.a, self.beta)
+        i, j = (i_e, j_e) if high else (i_s, j_s)
+        m, n, b_j = self.m, self.n, self.beta[j]
+        y = tuple(Fraction(int(col == j)) for col in range(n)) + (self.a[i, j],)
+        v_labels = self.p.labels_at(y)
+        gap = min(abs(b - b_j) for b in self.beta if b != b_j)
+        c_max = max(abs(x) for row in range(m) for x in self.c.row(row))
+        delta = (2 * c_max / gap + 1) * (1 if high else -1)
+        x = tuple(Fraction(int(row == i)) for row in range(m))
+        tight = frozenset(row + 1 for row in range(m) if row != i) | {m + j + 1}
+        point = x + (delta, self.c[i, j] + b_j * delta)
+        direction = (Fraction(0),) * m + (Fraction(1), b_j)
+        ed = self.qp.edge_through_point(tight, point, direction)
+        return Vertex(y, v_labels, v_labels), ed
 
     def lambda_of(self, w: Vertex) -> Rat:
         return w.coords[self.m]
@@ -437,27 +392,10 @@ def enumerate_vertices(poly: Polytope, guard: int = 10**6) -> list[Vertex]:
     return list(seen.values())
 
 
-def check_nondegenerate(poly: Polytope, guard: int = 10**6,
-                        sample: Optional[int] = None, seed: int = 0) -> bool:
-    """True when no basic feasible point has extra tight rows.
-
-    Exhaustive below the guard; above it a sampling mode must be requested
-    explicitly, otherwise the size is an error.
-    """
-    total = basis_count(poly)
-    if total > guard:
-        if sample is None:
-            raise TooLarge(f"{total} bases exceeds guard {guard}")
-        import random
-
-        rng = random.Random(seed)
-        labels = range(1, poly.n_labels + 1)
-        for _ in range(sample):
-            combo = rng.sample(labels, poly.basis_size)
-            v = poly.try_vertex(combo)
-            if v is not None and len(v.labels) > poly.basis_size:
-                return False
-        return True
+def check_nondegenerate(poly: Polytope, guard: int = 10**6) -> bool:
+    """True when no basic feasible point has extra tight rows (exhaustive, guarded)."""
+    if basis_count(poly) > guard:
+        raise TooLarge(f"{basis_count(poly)} bases exceeds guard {guard}")
     for combo in combinations(range(1, poly.n_labels + 1), poly.basis_size):
         v = poly.try_vertex(combo)
         if v is not None and len(v.labels) > poly.basis_size:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from rankgames.errors import DegeneracyError
@@ -34,6 +35,59 @@ EX1_CYCLE_P_DECIMALS = (((0.5, 0.0, 0.5), 5.5), ((0.38, 0.18, 0.44), 5.56), ((0.
 
 def ex1_family() -> GameFamily:
     return GameFamily(EX1_A, EX1_C, EX1_BETA)
+
+
+@dataclass(frozen=True)
+class RayAnchors:
+    """Closed-form ends of the path, 1-based: column j has the least (low
+    ray) or greatest (high ray) beta and row i is its best row; column jstar
+    bounds the ray at lambda."""
+
+    i_s: int
+    j_s: int
+    lambda_s: Fraction
+    jstar_s: int
+    i_e: int
+    j_e: int
+    lambda_e: Fraction
+    jstar_e: int
+
+    def pure_vertex(self, n: int, a: Matrix, high: bool) -> tuple:
+        """Coordinates (y, pi1) of the row polytope vertex y = e_j."""
+        i, j = (self.i_e, self.j_e) if high else (self.i_s, self.j_s)
+        return tuple(Fraction(int(col == j - 1)) for col in range(n)) + (a[i - 1, j - 1],)
+
+
+def ray_anchors(a: Matrix, c: Matrix, beta) -> RayAnchors:
+    """Reference anchors from the column ratios on the pure rows.
+
+    On the low ray x = e_i and column j is tight; column j' binds where
+    c[i,j] + beta_j lambda = c[i,j'] + beta_j' lambda, and the least such
+    lambda bounds the ray (the greatest one on the high ray). Raises
+    ``DegeneracyError`` on a tied extreme or a tied bound.
+    """
+    beta = tuple(Fraction(b) for b in beta)
+    n = len(beta)
+
+    def unique_arg(values, best):
+        hits = [k for k, v in enumerate(values) if v == best(values)]
+        if len(hits) > 1:
+            raise DegeneracyError(f"tied extreme at {hits}")
+        return hits[0]
+
+    def end(want_max):
+        j = unique_arg(beta, max if want_max else min)
+        i = unique_arg(a.col(j), max)
+        ratios = {
+            jj: (c[i, j] - c[i, jj]) / (beta[jj] - beta[j]) for jj in range(n) if jj != j
+        }
+        lam = (max if want_max else min)(ratios.values())
+        hits = [jj for jj, r in ratios.items() if r == lam]
+        if len(hits) > 1:
+            raise DegeneracyError(f"tied lambda bound at columns {hits}")
+        return i + 1, j + 1, lam, hits[0] + 1
+
+    return RayAnchors(*end(False), *end(True))
 
 
 def rank1_game(a: Matrix, gamma, beta) -> BimatrixGame:

@@ -16,7 +16,6 @@ import pytest
 from rankgames.algorithms import (
     bin_search,
     enumerate_rank1,
-    fixed_point_record,
     fixed_point_search,
     homeo_forward,
     homeo_inverse,
@@ -297,13 +296,11 @@ def test_criterion_10_rank_k_fixed_point():
             )
             fa = fixed_point_eval(kfam, d.gammas, a)
             assert all(lo <= v <= hi for v, lo, hi in zip(fa, lows, highs))
-        point = fixed_point_search(kfam, d.gammas)
+        point, rec = fixed_point_search(kfam, d.gammas)
         assert fixed_point_eval(kfam, d.gammas, point) == point
-        rec = fixed_point_record(kfam, d.gammas, point)
         assert verify_equilibrium(K2_GAME, rec.profile)
         # k = 1: the exact fixed point reproduces the binary-search equilibrium.
         kfam1 = RankKFamily(R1A.a, [R1A.beta])
-        point1 = fixed_point_search(kfam1, [R1A.gamma])
+        point1, rec1 = fixed_point_search(kfam1, [R1A.gamma])
         assert fixed_point_eval(kfam1, [R1A.gamma], point1) == point1
-        rec1 = fixed_point_record(kfam1, [R1A.gamma], point1)
         assert rec1.profile == bin_search(R1A).equilibrium.profile

@@ -58,6 +58,7 @@ from fixtures import (
     random_general_games,
     random_rank1,
     random_rank_k,
+    ray_anchors,
 )
 
 
@@ -322,7 +323,7 @@ def test_homeo_round_trip_exact(r1a_family, r1a_trace):
 
 
 def test_homeo_inverse_low_values_sit_on_low_ray(r1a_family, r1a_trace):
-    sd = r1a_family.start
+    sd = ray_anchors(R1A.a, R1A.a.scale(-1), R1A.beta)
     alpha_prime = (Fraction(-1000), Fraction(0), Fraction(0))
     alpha, profile = homeo_inverse(r1a_family, alpha_prime, r1a_trace)
     expected_x = [Fraction(0)] * 3
@@ -368,24 +369,23 @@ def test_homeo_k_forward_on_k2_and_g_distinctness():
 
 def test_fixed_point_search_rank1_matches_bin_search():
     kfam = RankKFamily(R1A.a, [R1A.beta])
-    point = fixed_point_search(kfam, [R1A.gamma])
+    point, rec = fixed_point_search(kfam, [R1A.gamma])
     assert fixed_point_eval(kfam, [R1A.gamma], point) == point  # exact fixed point
-    rec = fixed_point_record(kfam, [R1A.gamma], point)
+    assert rec == fixed_point_record(kfam, [R1A.gamma], point)
     report = bin_search(R1A)
     assert rec.profile == report.equilibrium.profile
 
 
 def test_fixed_point_search_accepts_given_fixed_point():
     kfam = RankKFamily(R1A.a, [R1A.beta])
-    assert fixed_point_search(kfam, [R1A.gamma]) == (R1A_NE_LAMBDA,)
+    assert fixed_point_search(kfam, [R1A.gamma])[0] == (R1A_NE_LAMBDA,)
 
 
 def test_fixed_point_search_k2():
     d = decompose_rank_k(K2_GAME)
     kfam = RankKFamily(d.a, d.betas)
-    point = fixed_point_search(kfam, d.gammas)
+    point, rec = fixed_point_search(kfam, d.gammas)
     assert fixed_point_eval(kfam, d.gammas, point) == point
-    rec = fixed_point_record(kfam, d.gammas, point)
     assert verify_equilibrium(K2_GAME, rec.profile)
 
 
@@ -442,12 +442,11 @@ def test_fixed_point_search_matches_basis_scan_on_rank_k_corpus():
         reference = basis_scan_fixed_points(kfam, gammas)
         scan_found += bool(reference)
         try:
-            point = fixed_point_search(kfam, gammas)
+            point, rec = fixed_point_search(kfam, gammas)
         except DegeneratePolytope:
             degenerate += 1
             continue
         assert point in reference
-        rec = fixed_point_record(kfam, gammas, point)
         assert verify_equilibrium(kfam.game_at(gammas), rec.profile)
         found += 1
     assert (found, degenerate, scan_found) == (21, 3, 22)

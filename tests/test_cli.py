@@ -150,6 +150,34 @@ def test_fixedpoint_eval_and_search(tmp_path, capsys):
     assert out == "a = (-9/22)\nx = (0, 7/11, 4/11); y = (13/21, 8/21, 0); index unknown\n"
 
 
+def test_fixedpoint_search_verifies_once(tmp_path, capsys, monkeypatch):
+    # The CLI prints the record the search verified: it makes no section
+    # solve beyond the search's own.
+    from rankgames import algorithms
+    from rankgames.games import decompose_rank_k
+    from rankgames.polytope import RankKFamily
+
+    from fixtures import K2_GAME
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_lp_k(*args, **kwargs)
+
+    solve_lp_k = algorithms.solve_lp_k
+    monkeypatch.setattr(algorithms, "solve_lp_k", counted)
+    for game in (R1A.game(), K2_GAME):
+        d = decompose_rank_k(game)
+        algorithms.fixed_point_search(RankKFamily(d.a, d.betas), d.gammas)
+        direct = len(calls)
+        calls.clear()
+        assert main(["fixedpoint", "--input", write_game(tmp_path, game), "--search"]) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == direct
+        calls.clear()
+
+
 def test_k_eval_outside_the_box_is_parse_error(tmp_path, capsys):
     from fixtures import K2_GAME
 

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from rankgames.errors import NotFullyLabeled, RankGamesError, SeedOnPath
+from rankgames.errors import DegeneracyError, NotFullyLabeled, RankGamesError, SeedOnPath
 from rankgames.labeledpath import (
     V_FIXED,
     W_FIXED,
@@ -16,11 +18,14 @@ from rankgames.oracle import fully_labeled_pairs
 from rankgames.polytope import GameFamily
 
 from fixtures import (
+    EX1_A,
+    EX1_C,
     EX1_CYCLE_P_DECIMALS,
     EX1_CYCLE_P_VERTICES,
     EX1_PATH_P_VERTICES,
     ex1_family,
     nondegenerate_rank1_fixtures,
+    ray_anchors,
 )
 
 
@@ -46,13 +51,14 @@ def ex1_cycle(ex1, ex1_path):
 
 
 def test_start_node_sign_is_positive(ex1):
-    u0 = make_node(ex1, ex1.v_s(), ex1.w_start())
+    v_s, ray = ex1.ray(high=False)
+    u0 = make_node(ex1, v_s, ray.base)
     assert u0.sign == 1
-    assert u0.duplicate == ex1.m + ex1.start.jstar_s
+    assert u0.duplicate == ex1.m + ray_anchors(EX1_A, EX1_C, ex1.beta).jstar_s
 
 
 def test_make_node_rejects_partial_labeling(ex1):
-    v_s = ex1.v_s()
+    v_s = ex1.ray(high=False)[0]
     w_bad = ex1.qp.vertex_from_basis({1, 2, ex1.m + 1, ex1.m + 2})
     # x3 = 1 with columns 1,2 tight: rows 1,2 and label 3 missing from the union
     with pytest.raises(NotFullyLabeled):
@@ -81,9 +87,10 @@ def test_path_edges_alternate_and_signs_flip(ex1_path):
 
 def test_path_rays_span_the_lambda_bounds(ex1, ex1_path):
     first, last = ex1_path.edges[0], ex1_path.edges[-1]
+    sd = ray_anchors(EX1_A, EX1_C, ex1.beta)
     assert first.moving.unbounded and last.moving.unbounded
-    assert ex1.lambda_of(first.moving.base) == ex1.start.lambda_s
-    assert ex1.lambda_of(last.moving.base) == ex1.start.lambda_e
+    assert ex1.lambda_of(first.moving.base) == sd.lambda_s
+    assert ex1.lambda_of(last.moving.base) == sd.lambda_e
     assert first.moving.direction[ex1.m] < 0  # to -infinity
     assert last.moving.direction[ex1.m] > 0  # to +infinity
 
@@ -208,6 +215,59 @@ def test_rank1_paths_cover_all_fully_labeled_pairs():
         trace_keys = {u.key() for u in trace.nodes}
         pair_keys = {(v.basis, w.basis) for v, w in pairs}
         assert trace_keys == pair_keys  # no cycles on rank-1 instances
+
+
+def test_rays_match_closed_form_anchors():
+    # Both rays, and the traced path's first and last edges, against the
+    # column-ratio reference on rank-1 and general families whose extremes
+    # and lambda bounds are unique.
+    games = [(d.a, d.a.scale(-1), d.beta) for d in nondegenerate_rank1_fixtures(
+        seed=5, count=10, min_mn=2, max_mn=5,
+        pipeline=lambda d: trace_path(GameFamily(d.a, d.a.scale(-1), d.beta)),
+    )]
+    rng = random.Random(5)
+    for size in (2, 3, 4, 5) * 3:
+        a, c = (Matrix([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)])
+                for _ in range(2))
+        games.append((a, c, tuple(rng.randint(1, 9) for _ in range(size))))
+    checked = 0
+    for a, c, beta in games:
+        try:
+            sd = ray_anchors(a, c, beta)
+        except DegeneracyError:
+            continue
+        fam = GameFamily(a, c, beta)
+        path = trace_path(fam)
+        ends = [(False, sd.lambda_s, sd.jstar_s, path.edges[0]),
+                (True, sd.lambda_e, sd.jstar_e, path.edges[-1])]
+        for high, lam, jstar, edge in ends:
+            v, ray = fam.ray(high)
+            assert v.coords == sd.pure_vertex(fam.n, a, high)
+            assert ray.unbounded and edge.moving.unbounded
+            assert fam.lambda_of(ray.base) == lam
+            assert ray.relaxed == fam.m + jstar
+            assert (ray.direction[fam.m] > 0) == high
+            assert edge.fixed.basis == v.basis
+            assert edge.moving.base.basis == ray.base.basis
+        checked += 1
+    assert checked == 18  # of 22; the rest tie an extreme or a lambda bound
+
+
+def test_tied_max_beta_with_a_second_ray_path_is_rejected():
+    # beta's maximum is tied, and 4 fully-labeled pairs open a ray in Q': the
+    # family holds two ray-to-ray paths. Dropping the high-end uniqueness
+    # check would return one of them as "the" path.
+    fam = GameFamily(
+        Matrix([[-2, -9, 5], [7, 8, -7], [-4, 6, -5]]),
+        Matrix([[7, 4, 0], [3, 2, 1], [8, -9, -4]]),
+        (1, 4, 4),
+    )
+    rays = sum(
+        step(fam, make_node(fam, v, w), "Q")[1] is None for v, w in fully_labeled_pairs(fam)
+    )
+    assert rays == 4
+    with pytest.raises(DegeneracyError):
+        trace_path(fam)
 
 
 def test_general_families_partition_into_path_and_cycles():

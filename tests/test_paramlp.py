@@ -28,6 +28,7 @@ from fixtures import (
     R1A_NE_Y,
     random_rank1,
     random_rank_k,
+    ray_anchors,
 )
 
 
@@ -49,7 +50,7 @@ def test_section_at_gamma_min_has_zero_objective(r1a_family):
 
 
 def test_section_below_lambda_bound_lands_on_low_ray(r1a_family):
-    sd = r1a_family.start
+    sd = ray_anchors(R1A.a, R1A.a.scale(-1), R1A.beta)
     delta = sd.lambda_s - 5
     opt = solve_lp_delta(r1a_family, delta)
     x = opt.w_coords[: r1a_family.m]
@@ -189,7 +190,7 @@ def test_solve_lp_k_specializes_to_rank1(r1a_family):
         lo, hi = min(d.gamma), max(d.gamma)
         deltas = [lo, hi, (lo + hi) / 2]
         try:
-            deltas.append(fam.start.lambda_s - 1)
+            deltas.append(ray_anchors(d.a, d.a.scale(-1), d.beta).lambda_s - 1)
         except DegeneracyError:
             rejected += 1
         for delta in deltas:

@@ -21,7 +21,7 @@ from rankgames.polytope import (
     enumerate_vertices,
 )
 
-from fixtures import EX1_A, EX1_C, ex1_family
+from fixtures import EX1_A, EX1_C, ex1_family, ray_anchors
 
 
 def test_build_p_single_strategy_vertex():
@@ -65,7 +65,7 @@ def test_build_qprime_rejects_zero_beta():
 
 def test_build_qprime_start_vertex_exists():
     fam = ex1_family()
-    w = fam.w_start()
+    w = fam.ray(high=False)[1].base
     assert w.coords == (Fraction(1), Fraction(0), Fraction(0), Fraction(1), Fraction(15))
     assert w.labels == frozenset({2, 3, 4, 5})
 
@@ -90,7 +90,7 @@ def test_qprime_slice_matches_direct_best_response_polytope():
 
 def test_pivot_worked_example_step():
     fam = ex1_family()
-    v_s = fam.v_s()
+    v_s = fam.ray(high=False)[0]
     ed = fam.p.pivot(v_s, 4)  # relax the duplicate of the first node
     assert not ed.unbounded
     assert ed.far_end.coords == (
@@ -103,7 +103,7 @@ def test_pivot_worked_example_step():
 
 def test_pivot_unbounded_ray():
     fam = ex1_family()
-    w0 = fam.w_start()
+    w0 = fam.ray(high=False)[1].base
     ed = fam.qp.pivot(w0, fam.m + 1)  # relax the bounding column constraint
     assert ed.unbounded
     assert ed.direction[fam.m] < 0  # lambda heads to -infinity
@@ -111,7 +111,7 @@ def test_pivot_unbounded_ray():
 
 def test_pivot_involution():
     fam = ex1_family()
-    v_s = fam.v_s()
+    v_s = fam.ray(high=False)[0]
     ed = fam.p.pivot(v_s, 4)
     new_label = next(iter(ed.far_end.basis - (v_s.basis - {4})))
     back = fam.p.pivot(ed.far_end, new_label)
@@ -136,15 +136,15 @@ def test_pivot_involution_over_all_edges():
 
 def test_start_vertices_worked_example():
     fam = ex1_family()
-    assert fam.v_s().coords == (0, 1, 0, 9)
-    assert fam.v_e().coords == (1, 0, 0, 9)
+    assert fam.ray(high=False)[0].coords == (0, 1, 0, 9)
+    assert fam.ray(high=True)[0].coords == (1, 0, 0, 9)
 
 
 def test_start_vertices_forced_1x2():
     a = Matrix([[0, 1]])
     fam = GameFamily(a, a.scale(-1), (1, 2))
-    assert fam.v_s().coords == (1, 0, 0)
-    assert fam.v_e().coords == (0, 1, 1)
+    assert fam.ray(high=False)[0].coords == (1, 0, 0)
+    assert fam.ray(high=True)[0].coords == (0, 1, 1)
 
 
 def test_start_vertices_random_feasible():
@@ -157,7 +157,7 @@ def test_start_vertices_random_feasible():
             continue
         fam = GameFamily(a, a.scale(-1), beta)
         try:
-            v_s, v_e = fam.v_s(), fam.v_e()
+            v_s, v_e = fam.ray(high=False)[0], fam.ray(high=True)[0]
         except DegeneratePolytope:
             continue
         for v in (v_s, v_e):
@@ -168,26 +168,26 @@ def test_start_vertices_random_feasible():
 
 def test_start_vertices_constant_beta():
     with pytest.raises(ConstantBeta):
-        GameFamily(EX1_A, EX1_C, (2, 2, 2)).v_s()
+        GameFamily(EX1_A, EX1_C, (2, 2, 2)).ray(high=False)
 
 
 def test_lambda_bounds_single_ratio():
     fam = GameFamily(Matrix([[0, 1]]), Matrix([[0, 0]]), (1, 2))
-    assert fam.start.lambda_s == 0
+    assert fam.lambda_of(fam.ray(high=False)[1].base) == 0
 
 
 def test_lambda_bounds_worked_example():
-    sd = ex1_family().start
-    assert sd.lambda_s == 1  # min((8-6)/(9-7), (8-6)/(8-7)) on row 1
-    assert sd.lambda_e == Fraction(-1, 2)
+    fam = ex1_family()
+    low, high = fam.ray(high=False)[1], fam.ray(high=True)[1]
+    assert fam.lambda_of(low.base) == 1  # min((8-6)/(9-7), (8-6)/(8-7)) on row 1
+    assert fam.lambda_of(high.base) == Fraction(-1, 2)
 
 
 def test_lambda_bounds_infeasible_beyond():
     # Just past the low bound the ray's defining system leaves the polytope.
     fam = ex1_family()
-    sd = fam.start
-    w0 = fam.w_start()
-    ray = fam.qp.pivot(w0, fam.m + sd.jstar_s)
+    w0 = fam.ray(high=False)[1].base
+    ray = fam.qp.pivot(w0, fam.m + ray_anchors(EX1_A, EX1_C, fam.beta).jstar_s)
     probe = ray.point_at(Fraction(-1))  # one unit against the ray: lambda > lambda_s
     assert not fam.qp.feasible(probe)
     assert fam.qp.feasible(ray.point_at(Fraction(1)))
@@ -201,7 +201,8 @@ def test_lambda_bounds_sign_convention_by_lp_probe():
 
     a, c, beta = R1A.a, R1A.a.scale(-1), R1A.beta
     fam = GameFamily(a, c, beta)
-    sd = fam.start
+    sd = ray_anchors(a, c, beta)
+    lambda_s = fam.lambda_of(fam.ray(high=False)[1].base)
     m = fam.m
 
     def probe(lam) -> str:
@@ -227,9 +228,10 @@ def test_lambda_bounds_sign_convention_by_lp_probe():
         lp = LinearProgram.build([Fraction(0)] * (m + 2), rows, rels, rhs)
         return solve_lp(lp).status
 
-    assert probe(sd.lambda_s) == "optimal"
-    assert probe(sd.lambda_s - 1) == "optimal"  # inside the ray
-    assert probe(sd.lambda_s + Fraction(1, 7)) == "infeasible"
+    assert lambda_s == sd.lambda_s
+    assert probe(lambda_s) == "optimal"
+    assert probe(lambda_s - 1) == "optimal"  # inside the ray
+    assert probe(lambda_s + Fraction(1, 7)) == "infeasible"
 
 
 def test_build_qprime_k_specializes_to_qprime():
@@ -277,7 +279,6 @@ def test_check_nondegenerate_after_perturbation():
 def test_check_nondegenerate_guard():
     with pytest.raises(TooLarge):
         check_nondegenerate(build_p(EX1_A), guard=2)
-    assert check_nondegenerate(build_p(EX1_A), guard=2, sample=30) in (True, False)
 
 
 def test_label_union_bound_on_vertex_pairs():
