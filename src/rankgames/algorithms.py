@@ -392,13 +392,14 @@ def fixed_point_search(
     box = [(unit.row(l), highs[l]) for l in range(k)]
     box += [(vscale(-1, unit.row(l)), -lows[l]) for l in range(k)]
     start = solve_lp_k(kfam, tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))).v
+    start = replace(start, tableau=p.tableau(start))
     seen, queue = {start.basis}, deque([start])
     while queue:
         v = queue.popleft()
         # Relaxing r moves along d; the objective's rate there is g . a - d[n].
         rates = {}
         for r in sorted(v.basis):
-            d = p.null_direction(v.basis - {r}, r)
+            d = p.edge_direction(v, r)
             rates[r] = (tuple(vdot(beta, d[:n]) for beta in kfam.betas), d[n])
         a = piece_fixed_point(kfam, gammas, v)
         if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):

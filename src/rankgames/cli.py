@@ -161,8 +161,14 @@ def _rank1_or_none(game: BimatrixGame, beta) -> Optional[Rank1Decomposition]:
         return None
 
 
-def _family_for(game: BimatrixGame, beta) -> GameFamily:
-    """Natural embedding: rank-1 inputs use c = -a, others c = b, weights 0."""
+def _family_for(game: BimatrixGame, args) -> GameFamily:
+    """Natural embedding: rank-1 inputs use c = -a, others c = b, weights 0.
+
+    The path needs two columns: with one, beta is constant whatever it is.
+    """
+    if game.n < 2:
+        raise ParseError(f"{args.command} needs at least 2 columns (game is {game.m}x{game.n})")
+    beta = _beta_override(args)
     d1 = _rank1_or_none(game, beta)
     if d1 is not None:
         return rank1_family(d1)[1]
@@ -214,7 +220,7 @@ def cmd_rank(game: BimatrixGame, args, out: dict) -> None:
 
 
 def cmd_trace(game: BimatrixGame, args, out: dict) -> None:
-    family = _family_for(game, _beta_override(args))
+    family = _family_for(game, args)
     if args.all_from:
         try:
             v_part, w_part = args.all_from.split("/")
@@ -256,7 +262,7 @@ def cmd_trace(game: BimatrixGame, args, out: dict) -> None:
 
 
 def cmd_regions(game: BimatrixGame, args, out: dict) -> None:
-    family = _family_for(game, _beta_override(args))
+    family = _family_for(game, args)
     graph = region_graph(family, trace_path(family))
     lines = [f"regions on the {graph.kind}: {len(graph.regions)}"]
     regions_json = []

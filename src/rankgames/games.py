@@ -4,10 +4,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NotConstantBeta, RankTooHigh
-from .linalg import Matrix, Rat, Vec, vdot, vector
+from .linalg import Matrix, Rat, Vec, vector
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,36 @@ class EquilibriumRecord:
         return (self.profile.x, self.profile.y)
 
 
+def _check_shape(game: BimatrixGame, p: MixedProfile) -> None:
+    if len(p.x) != game.m or len(p.y) != game.n:
+        raise DimensionMismatch("profile does not match game shape")
+
+
+def _payoff_rows(mat: Matrix, rows: Iterable[int], y: Vec) -> list[Rat]:
+    """``mat @ y`` on ``rows``, summed over the support of y only (zero terms
+    add 0)."""
+    support = [(j, yj) for j, yj in enumerate(y) if yj]
+    return [sum((mat.row(i)[j] * yj for j, yj in support), Fraction(0)) for i in rows]
+
+
+def _col_payoffs(mat: Matrix, x: Vec) -> list[Rat]:
+    """``x @ mat``, reading mat by rows of the support of x, without a transpose."""
+    totals = [Fraction(0)] * mat.cols
+    for i, xi in enumerate(x):
+        if xi:
+            totals = [t + xi * e for t, e in zip(totals, mat.row(i))]
+    return totals
+
+
 def payoffs(game: BimatrixGame, p: MixedProfile) -> tuple[Rat, Rat]:
-    ay = game.a.mul_vec(p.y)
-    by = game.b.mul_vec(p.y)
-    return vdot(p.x, ay), vdot(p.x, by)
+    """``x . A y`` and ``x . B y``, summed over both supports only."""
+    _check_shape(game, p)
+    rows = [i for i, xi in enumerate(p.x) if xi]
+    p1, p2 = (
+        sum((p.x[i] * v for i, v in zip(rows, _payoff_rows(mat, rows, p.y))), Fraction(0))
+        for mat in (game.a, game.b)
+    )
+    return p1, p2
 
 
 def make_record(
@@ -91,14 +117,17 @@ def make_record(
 
 
 def verify_equilibrium(game: BimatrixGame, p: MixedProfile) -> bool:
-    """Exact best-response check: every played pure strategy attains the max."""
-    if len(p.x) != game.m or len(p.y) != game.n:
-        raise DimensionMismatch("profile does not match game shape")
-    row_payoffs = game.a.mul_vec(p.y)
+    """Exact best-response check: every played pure strategy attains the max.
+
+    Every row and column payoff is computed, each summed over the other
+    player's support only.
+    """
+    _check_shape(game, p)
+    row_payoffs = _payoff_rows(game.a, range(game.m), p.y)
     best1 = max(row_payoffs)
     if any(xi > 0 and row_payoffs[i] != best1 for i, xi in enumerate(p.x)):
         return False
-    col_payoffs = game.b.transpose().mul_vec(p.x)
+    col_payoffs = _col_payoffs(game.b, p.x)
     best2 = max(col_payoffs)
     return not any(yj > 0 and col_payoffs[j] != best2 for j, yj in enumerate(p.y))
 

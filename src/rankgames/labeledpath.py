@@ -5,11 +5,15 @@ polytope so that together they carry every label 1..m+n; exactly one label is
 shared (the duplicate). Relaxing the duplicate on either side yields the two
 incident edges, so the pairs form paths and cycles. Node signs come from the
 determinants of the two tight-constraint systems and orient the traversal.
+
+A step is one ``Polytope.pivot``, an integer pivot on the moving vertex's
+tableau, so the walk solves no linear system. Each node sign is taken afresh
+from the polytopes' integer rows by Bareiss elimination, independently of the
+pivots, which is what makes "sign alternation violated" a real check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional
 
@@ -21,8 +25,8 @@ from .errors import (
     SeedOnPath,
     StepBudgetExceeded,
 )
-from .linalg import Matrix, Rat, determinant, sign, vdot
-from .polytope import EdgeDescriptor, GameFamily, Vertex
+from .linalg import Rat, integer_determinant, sign, vdot
+from .polytope import EdgeDescriptor, GameFamily, Polytope, Vertex
 
 V_FIXED = "v_fixed"  # vertex of P fixed, edge moves in Q'
 W_FIXED = "w_fixed"  # vertex of Q' fixed, edge moves in P
@@ -74,16 +78,23 @@ def step_budget(m: int, n: int) -> int:
     return comb(m + n, n) * comb(m + n + 1, m + 1)
 
 
+def _tight_determinant(poly: Polytope, labels: list[int], order: list[int]) -> int:
+    """Determinant of the equality row and the rows of ``labels``, taken from
+    the polytope's integer rows with the columns in ``order``."""
+    rows = [poly.int_rows[0], *(poly.int_rows[lab] for lab in labels)]
+    return integer_determinant([[row[col] for col in order] for row in rows])
+
+
 def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
     """Sign of the pair from the two tight-system determinants.
 
     Blocks are ordered: shared strategy sets ascending, the duplicate's unit
     row or column in its own slot between the payoff block and the identity
     block. Determinant signs are invariant under the orderings that move rows
-    and columns of both systems together, so this choice is canonical.
+    and columns of both systems together, so this choice is canonical; the
+    positive scale of each integer row leaves them unchanged too.
     """
     m, n = family.m, family.n
-    a, c, beta = family.a, family.c, family.beta
     big_x = sorted(lab for lab in v.labels if lab <= m)
     big_y = sorted(lab - m for lab in w.labels if lab > m)
     minus_x = sorted(set(range(1, m + 1)) - set(big_x))
@@ -91,42 +102,17 @@ def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
     dup_is_row = duplicate <= m
 
     # Row player system over columns (y_Y, y_-Y, pi1).
-    y_order = big_y + minus_y
-    y_pos = {j: idx for idx, j in enumerate(y_order)}
-    ev_rows: list[list[Rat]] = [[Fraction(1)] * n + [Fraction(0)]]
-    for i in big_x:
-        ev_rows.append([a[i - 1, j - 1] for j in y_order] + [Fraction(-1)])
-    if not dup_is_row:
-        unit = [Fraction(0)] * (n + 1)
-        unit[y_pos[duplicate - m]] = Fraction(-1)
-        ev_rows.append(unit)
-    for j in minus_y:
-        unit = [Fraction(0)] * (n + 1)
-        unit[y_pos[j]] = Fraction(-1)
-        ev_rows.append(unit)
-    det_v = determinant(Matrix(ev_rows))
-
-    # Column player system over rows (lambda, x_X, x_-X, pi2), constraint columns.
-    x_order = big_x + minus_x
-    x_pos = {i: idx for idx, i in enumerate(x_order)}
-    cols: list[list[Rat]] = []
-    cols.append([Fraction(0)] + [Fraction(1)] * m + [Fraction(0)])
-    for j in big_y:
-        cols.append(
-            [beta[j - 1]]
-            + [c[i - 1, j - 1] for i in x_order]
-            + [Fraction(-1)]
-        )
-    if dup_is_row:
-        unit = [Fraction(0)] * (m + 2)
-        unit[1 + x_pos[duplicate]] = Fraction(-1)
-        cols.append(unit)
-    for i in minus_x:
-        unit = [Fraction(0)] * (m + 2)
-        unit[1 + x_pos[i]] = Fraction(-1)
-        cols.append(unit)
-    det_w = determinant(Matrix(cols).transpose())
-
+    det_v = _tight_determinant(
+        family.p,
+        big_x + ([] if dup_is_row else [duplicate]) + [m + j for j in minus_y],
+        [j - 1 for j in big_y + minus_y] + [n],
+    )
+    # Column player system over columns (lambda, x_X, x_-X, pi2).
+    det_w = _tight_determinant(
+        family.qp,
+        [m + j for j in big_y] + ([duplicate] if dup_is_row else []) + minus_x,
+        [m] + [i - 1 for i in big_x + minus_x] + [m + 1],
+    )
     s = sign(det_v * det_w)
     if s == 0:
         raise DegeneratePolytope("singular tight system at a fully-labeled pair")

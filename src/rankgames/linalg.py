@@ -203,14 +203,12 @@ def integer_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) ->
     return p
 
 
-def determinant(m: Matrix) -> Fraction:
-    """Exact determinant via Bareiss fraction-free elimination."""
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols}")
-    n = m.rows
+def integer_determinant(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination; the rows of ``a`` are overwritten."""
+    n = len(a)
     if n == 0:
-        return Fraction(1)
-    a, factor = _integer_rows(m._data)
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -221,13 +219,21 @@ def determinant(m: Matrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / factor
+    return sign * a[n - 1][n - 1]
+
+
+def determinant(m: Matrix) -> Fraction:
+    """Exact determinant: the Bareiss core on rows scaled to integers."""
+    if m.rows != m.cols:
+        raise NotSquare(f"{m.rows}x{m.cols}")
+    a, factor = _integer_rows(m._data)
+    return Fraction(integer_determinant(a)) / factor
 
 
 def matrix_rank(m: Matrix) -> int:

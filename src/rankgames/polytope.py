@@ -5,14 +5,22 @@ over (y, pi1), the lifted column polytope over (x, lambda, pi2), and its
 rank-k generalization over (x, lambda_1..lambda_k, pi2). Inequalities carry
 the labels 1..m+n (rows of player 1 first, then columns of player 2); each
 polytope additionally has the single probability equality.
+
+Pivoting runs on a fraction-free integer tableau of the polytope that each
+vertex carries (integer pivoting as in lrsnash: Avis, Rosenberg, Savani & von
+Stengel, 2010). A pivot is one ``linalg.integer_pivot`` on a copy of the base
+vertex's tableau; the edge direction, the ratio test, the far vertex and its
+labels are read off that tableau, so the walk solves no system. Coordinates,
+directions and steps are still returned as ``Fraction``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from typing import Iterable, Optional, Sequence
+from math import comb, lcm
+from operator import mul
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     ConstantBeta,
@@ -28,7 +36,9 @@ from .linalg import (
     Rat,
     Vec,
     frac,
+    integer_pivot,
     matrix_rank,
+    scaled_integers,
     solve_linear_system,
     vadd,
     vdot,
@@ -37,13 +47,34 @@ from .linalg import (
 )
 
 
+class Tableau(NamedTuple):
+    """Fraction-free tableau of a polytope at one vertex.
+
+    One row per row of ``Polytope.int_rows``, over the columns z_0..z_{d-1},
+    the slacks of labels 1..L and the right-hand side; the true tableau is
+    ``rows / denom`` with ``denom > 0``. Row r's basic variable is the column
+    ``basic[r]``: z_r in the first d rows, then one slack per row, the slacks
+    outside the basis. The slack of label l is measured in ``int_rows[l]``,
+    so it is the true slack times ``Polytope.scales[l]``.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    denom: int
+    basic: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Vertex:
-    """Basic feasible point keyed by its defining tight-row set."""
+    """Basic feasible point keyed by its defining tight-row set.
+
+    ``tableau`` is the polytope's tableau at this vertex when the vertex came
+    from a pivot; otherwise ``Polytope.tableau`` builds it from the basis.
+    """
 
     coords: Vec
     basis: frozenset[int]
     labels: frozenset[int]
+    tableau: Optional[Tableau] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -83,6 +114,15 @@ class Polytope:
         self.eq = (vector(eq[0]), frac(eq[1]))
         self.m = m
         self.n = n
+        # Each row a . z <= b (the equality at index 0, inequality l at index
+        # l) as integers (a, b) times its own positive scale.
+        self.scales = tuple(
+            lcm(*(x.denominator for x in (*a, b))) for a, b in (self.eq, *self.ineqs)
+        )
+        self.int_rows = tuple(
+            tuple(scaled_integers((*a, b), scale))
+            for (a, b), scale in zip((self.eq, *self.ineqs), self.scales)
+        )
 
     @property
     def n_labels(self) -> int:
@@ -97,20 +137,26 @@ class Polytope:
             raise IndexError(f"label {label} out of 1..{self.n_labels}")
         return self.ineqs[label - 1]
 
-    def slack(self, label: int, point: Sequence[Fraction]) -> Rat:
-        a, b = self.row(label)
-        return b - vdot(a, point)
+    def _dots(self, v: Sequence[Fraction]) -> tuple[list[int], int]:
+        """``a . v`` of every inequality, times its row scale and q, the least
+        common denominator of ``v``; returns those integers and q."""
+        q = lcm(*(x.denominator for x in v))
+        z = scaled_integers(v, q)
+        return [sum(map(mul, row, z)) for row in self.int_rows[1:]], q
+
+    def _slacks(self, point: Sequence[Fraction]) -> tuple[list[int], int]:
+        """Every inequality's slack at ``point`` in the units of ``_dots``:
+        exact in sign and in being zero."""
+        dots, q = self._dots(point)
+        return [row[-1] * q - dot for row, dot in zip(self.int_rows[1:], dots)], q
 
     def labels_at(self, point: Sequence[Fraction]) -> frozenset[int]:
-        return frozenset(
-            lab for lab in range(1, self.n_labels + 1) if self.slack(lab, point) == 0
-        )
+        slacks, _ = self._slacks(point)
+        return frozenset(lab for lab, s in enumerate(slacks, 1) if s == 0)
 
     def feasible(self, point: Sequence[Fraction]) -> bool:
         ea, eb = self.eq
-        if vdot(ea, point) != eb:
-            return False
-        return all(self.slack(lab, point) >= 0 for lab in range(1, self.n_labels + 1))
+        return vdot(ea, point) == eb and min(self._slacks(point)[0]) >= 0
 
     def _basis_point(self, basis: Iterable[int]) -> Vec:
         rows = [self.eq[0]] + [self.row(lab)[0] for lab in basis]
@@ -138,56 +184,99 @@ class Polytope:
             raise DegeneratePolytope(f"basis {sorted(basis)} is not a feasible vertex")
         return v
 
-    def null_direction(self, tight: Iterable[int], leaving: int) -> Vec:
-        """Edge direction keeping ``tight`` rows tight, moving off ``leaving``."""
-        rows = [self.eq[0]] + [self.row(lab)[0] for lab in sorted(tight)]
-        rows.append(self.row(leaving)[0])
-        rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(-1)]
-        return solve_linear_system(Matrix(rows), rhs)
+    def tableau(self, vertex: Vertex) -> Tableau:
+        """The vertex's tableau; built from its basis with d integer pivots,
+        each bringing one z into the equality row or a basis row, when the
+        vertex carries none."""
+        if vertex.tableau is not None:
+            return vertex.tableau
+        if len(vertex.basis) != self.basis_size:
+            raise DimensionMismatch(
+                f"basis size {len(vertex.basis)} != {self.basis_size} for {self.which}"
+            )
+        d, n_labels = self.dim, self.n_labels
+        rows = [[*row[:d], *([0] * n_labels), row[d]] for row in self.int_rows]
+        basic = [-1] + list(range(d, d + n_labels))  # the equality has no slack
+        for lab in range(1, n_labels + 1):
+            rows[lab][d + lab - 1] = 1
+        free = [0, *sorted(vertex.basis)]
+        denom = 1
+        for col in range(d):
+            r = next((r for r in free if rows[r][col]), None)
+            if r is None:
+                raise Singular(f"basis {sorted(vertex.basis)} is singular in {self.which}")
+            free.remove(r)
+            denom = integer_pivot(rows, rows[r], col, denom)
+            basic[r] = col
+        order = sorted(range(len(rows)), key=basic.__getitem__)
+        sign = 1 if denom > 0 else -1
+        return Tableau(
+            tuple(tuple(sign * x for x in rows[r]) for r in order),
+            sign * denom,
+            tuple(basic[r] for r in order),
+        )
 
-    def _min_ratio(self, point: Sequence[Fraction], direction: Vec,
+    def edge_direction(self, vertex: Vertex, relax: int) -> Vec:
+        """Edge direction keeping the rest of the basis tight while the slack
+        of ``relax`` grows at rate 1: the entering column on the z rows."""
+        return self._direction(self.tableau(vertex), relax)
+
+    def _direction(self, tab: Tableau, relax: int) -> Vec:
+        col, scale = self.dim + relax - 1, -self.scales[relax]
+        return tuple(Fraction(scale * row[col], tab.denom) for row in tab.rows[: self.dim])
+
+    def _min_ratio(self, steps: Iterable[tuple[int, int, int]],
                    tight: frozenset[int]) -> tuple[Optional[Rat], Optional[int]]:
-        """Shortest step from ``point`` along ``direction`` to a row outside ``tight``.
-
-        Returns the step and the row that becomes tight, or (None, None) when
-        no row bounds the ray. A zero step or a tie is degenerate.
+        """Shortest step over (label, slack, rate) integer triples in ascending
+        label order: the least slack / rate over the positive rates, with its
+        label, or (None, None) when no rate is positive. The step is in the
+        caller's units. A zero step or a tie is degenerate; ``tight`` names the
+        edge in the message.
         """
-        best_t: Optional[Rat] = None
+        best_s = best_r = 0
         hits: list[int] = []
-        for lab in range(1, self.n_labels + 1):
-            if lab in tight:
+        for lab, s, r in steps:
+            if r <= 0:
                 continue
-            rate = vdot(self.row(lab)[0], direction)
-            if rate <= 0:
-                continue
-            t = self.slack(lab, point) / rate
-            if best_t is None or t < best_t:
-                best_t, hits = t, [lab]
-            elif t == best_t:
+            if not hits or s * best_r < best_s * r:
+                best_s, best_r, hits = s, r, [lab]
+            elif s * best_r == best_s * r:
                 hits.append(lab)
-        if best_t == 0:
+        if not hits:
+            return None, None
+        if best_s == 0:
             raise DegeneratePolytope(f"extra tight row {hits[0]} leaving {sorted(tight)}")
         if len(hits) > 1:
             raise DegeneratePolytope(f"ratio tie between rows {hits} leaving {sorted(tight)}")
-        return best_t, hits[0] if hits else None
+        return Fraction(best_s, best_r), hits[0]
 
     def pivot(self, vertex: Vertex, relax: int) -> EdgeDescriptor:
-        """Exact ratio test along the edge obtained by relaxing one basis row."""
+        """Exact ratio test along the edge obtained by relaxing one basis row,
+        and one integer pivot on a copy of the vertex's tableau to its far end."""
         if relax not in vertex.basis:
             raise ValueError(f"label {relax} not in basis {sorted(vertex.basis)}")
-        kept = vertex.basis - {relax}
-        direction = self.null_direction(kept, relax)
-        best_t, hit = self._min_ratio(vertex.coords, direction, vertex.basis)
-        if best_t is None:
+        tab = self.tableau(vertex)
+        d, col = self.dim, self.dim + relax - 1
+        direction = self._direction(tab, relax)
+        slack_rows = zip(tab.basic[d:], tab.rows[d:])
+        step, hit = self._min_ratio(
+            sorted((var - d + 1, row[-1], row[col]) for var, row in slack_rows), vertex.basis
+        )
+        if hit is None:
             return EdgeDescriptor(vertex, relax, direction, None, None)
-        far_coords = vadd(vertex.coords, vscale(best_t, direction))
-        far_basis = kept | {hit}
-        far = Vertex(far_coords, far_basis, self.labels_at(far_coords))
-        if len(far.labels) > self.basis_size:
-            raise DegeneratePolytope(
-                f"vertex {sorted(far_basis)} has {len(far.labels)} tight rows"
-            )
-        return EdgeDescriptor(vertex, relax, direction, best_t, far)
+        r = tab.basic.index(d + hit - 1)
+        rows = [list(row) for row in tab.rows]
+        denom = integer_pivot(rows, rows[r], col, tab.denom)
+        basic = tab.basic[:r] + (col,) + tab.basic[r + 1:]
+        far_basis = vertex.basis - {relax} | {hit}
+        labels = far_basis | {var - d + 1 for var, row in zip(basic[d:], rows[d:]) if not row[-1]}
+        if len(labels) > self.basis_size:
+            raise DegeneratePolytope(f"vertex {sorted(far_basis)} has {len(labels)} tight rows")
+        far = Vertex(
+            tuple(Fraction(row[-1], denom) for row in rows[:d]), far_basis, labels,
+            Tableau(tuple(map(tuple, rows)), denom, basic),
+        )
+        return EdgeDescriptor(vertex, relax, direction, step / self.scales[relax], far)
 
     def edge_through_point(self, tight: Iterable[int], point: Sequence[Fraction],
                            direction: Vec) -> EdgeDescriptor:
@@ -199,9 +288,22 @@ class Polytope:
         the returned edge.
         """
         tight = frozenset(tight)
-        point = vector(point)
-        t_pos, lab_pos = self._min_ratio(point, direction, tight)
-        t_neg, lab_neg = self._min_ratio(point, vscale(-1, direction), tight)
+        point, direction = vector(point), vector(direction)
+        # Row l's step along direction is (slack / rate) * unit.
+        slacks, p_scale = self._slacks(point)
+        rates, d_scale = self._dots(direction)
+        unit = Fraction(d_scale, p_scale)
+
+        def ratio(sign: int) -> tuple[Optional[Rat], Optional[int]]:
+            step, lab = self._min_ratio(
+                ((lab, s, sign * r) for lab, (s, r) in enumerate(zip(slacks, rates), 1)
+                 if lab not in tight),
+                tight,
+            )
+            return (None, None) if step is None else (step * unit, lab)
+
+        t_pos, lab_pos = ratio(1)
+        t_neg, lab_neg = ratio(-1)
         if t_pos is None and t_neg is None:
             raise DegeneratePolytope("edge is a full line; polytope not pointed")
 

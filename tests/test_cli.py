@@ -260,6 +260,19 @@ def test_constant_beta_override_is_usage_error(tmp_path, capsys):
     assert "embedding vector" in capsys.readouterr().err  # wrong length
 
 
+def test_trace_and_regions_need_two_columns(tmp_path, capsys):
+    # A single column leaves beta constant whatever it is; the other verbs
+    # solve the game directly.
+    path = write_game(tmp_path, BimatrixGame(Matrix([[1], [2]]), Matrix([[3], [1]])))
+    for verb in ("trace", "regions"):
+        assert main([verb, "--input", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"error: {verb} needs at least 2 columns (game is 2x1)\n"
+    for verb in ("solve", "enumerate", "index"):
+        assert main([verb, "--input", path]) == EXIT_OK
+        assert "x = (0, 1); y = (1)" in capsys.readouterr().out
+
+
 def test_rank_json_contains_decomposition(tmp_path, capsys):
     from fixtures import K2_GAME
 

@@ -11,11 +11,12 @@ from rankgames.games import (
     decompose_rank1,
     decompose_rank_k,
     integerize,
+    payoffs,
     positivity_shift,
     reduce_constant_beta,
     verify_equilibrium,
 )
-from rankgames.linalg import Matrix
+from rankgames.linalg import Matrix, vdot
 from rankgames.oracle import support_enumeration
 
 from fixtures import EX1_A, EX1_BETA, EX1_C, K2_GAME, MATCHING_PENNIES, rank1_game
@@ -55,6 +56,38 @@ def test_verify_scaling_invariance():
         scaled = game.scale(Fraction(7, 3))
         for rec in support_enumeration(game).equilibria:
             assert verify_equilibrium(scaled, rec.profile)
+
+
+def test_support_sums_match_dense_products():
+    # Reference: dense products with a transpose. Profiles put zero weight on
+    # some strategies, and each game has a pure or mixed equilibrium.
+    rng = random.Random(21)
+    checked = equilibria = 0
+    for _ in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        game = BimatrixGame(
+            Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(m)]),
+            Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]),
+        )
+        profiles = [rec.profile for rec in support_enumeration(game).equilibria]
+        for _ in range(3):
+            x = [rng.choice((0, 0, 1, 2)) for _ in range(m)]
+            y = [rng.choice((0, 0, 1, 2)) for _ in range(n)]
+            x[rng.randrange(m)] += 1
+            y[rng.randrange(n)] += 1
+            profiles.append(MixedProfile([Fraction(v, sum(x)) for v in x],
+                                         [Fraction(v, sum(y)) for v in y]))
+        for p in profiles:
+            ay, by = game.a.mul_vec(p.y), game.b.mul_vec(p.y)
+            bx = game.b.transpose().mul_vec(p.x)
+            assert payoffs(game, p) == (vdot(p.x, ay), vdot(p.x, by))
+            dense = all(ay[i] == max(ay) for i in range(m) if p.x[i]) and all(
+                bx[j] == max(bx) for j in range(n) if p.y[j])
+            assert verify_equilibrium(game, p) == dense
+            checked += 1
+            equilibria += dense
+    assert (checked, equilibria) == (195, 81)
 
 
 def test_decompose_rank1_zero_sum_defaults():

@@ -1,21 +1,27 @@
 import random
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from rankgames.errors import DegeneracyError, NotFullyLabeled, RankGamesError, SeedOnPath
+import rankgames.linalg
+
+from rankgames.errors import ConstantBeta, DegeneracyError, NotFullyLabeled, RankGamesError, SeedOnPath
 from rankgames.labeledpath import (
     V_FIXED,
     W_FIXED,
     export_lines,
     g_value,
     make_node,
+    node_sign,
     step,
     trace_cycle,
     trace_path,
 )
-from rankgames.linalg import Matrix
+from rankgames.linalg import Matrix, determinant, sign
 from rankgames.oracle import fully_labeled_pairs
-from rankgames.polytope import GameFamily
+from rankgames.polytope import GameFamily, Polytope
 
 from fixtures import (
     EX1_A,
@@ -322,3 +328,110 @@ def test_ex1_pairs_split_into_path_and_cycle(ex1, ex1_path, ex1_cycle):
     }
     assert pair_keys == component_keys
     assert len(pair_keys) == len(ex1_path.nodes) + len(ex1_cycle.nodes)
+
+
+def reference_node_sign(family, v, w, duplicate):
+    """The node sign from two Fraction matrices built from the payoffs: the
+    row player's tight system over (y_Y, y_-Y, pi1) and the column player's,
+    built by columns over (lambda, x_X, x_-X, pi2)."""
+    m, n = family.m, family.n
+    a, c, beta = family.a, family.c, family.beta
+    big_x = sorted(lab for lab in v.labels if lab <= m)
+    big_y = sorted(lab - m for lab in w.labels if lab > m)
+    minus_x = sorted(set(range(1, m + 1)) - set(big_x))
+    minus_y = sorted(set(range(1, n + 1)) - set(big_y))
+    dup_is_row = duplicate <= m
+
+    y_order = big_y + minus_y
+    y_pos = {j: idx for idx, j in enumerate(y_order)}
+    ev_rows = [[Fraction(1)] * n + [Fraction(0)]]
+    for i in big_x:
+        ev_rows.append([a[i - 1, j - 1] for j in y_order] + [Fraction(-1)])
+    for j in ([] if dup_is_row else [duplicate - m]) + minus_y:
+        unit = [Fraction(0)] * (n + 1)
+        unit[y_pos[j]] = Fraction(-1)
+        ev_rows.append(unit)
+    det_v = determinant(Matrix(ev_rows))
+
+    x_order = big_x + minus_x
+    x_pos = {i: idx for idx, i in enumerate(x_order)}
+    cols = [[Fraction(0)] + [Fraction(1)] * m + [Fraction(0)]]
+    for j in big_y:
+        cols.append([beta[j - 1]] + [c[i - 1, j - 1] for i in x_order] + [Fraction(-1)])
+    for i in ([duplicate] if dup_is_row else []) + minus_x:
+        unit = [Fraction(0)] * (m + 2)
+        unit[1 + x_pos[i]] = Fraction(-1)
+        cols.append(unit)
+    det_w = determinant(Matrix(cols).transpose())
+    return sign(det_v * det_w)
+
+
+def test_node_sign_matches_fraction_reference_on_traces_and_cycles():
+    # Every node of the worked example's path and cycle, of seeded rank-1
+    # paths and of every component of 16 seeded general families.
+    families = [ex1_family()]
+    families += [GameFamily(d.a, d.a.scale(-1), d.beta) for d in nondegenerate_rank1_fixtures(
+        seed=31, count=12, min_mn=2, max_mn=4,
+        pipeline=lambda d: trace_path(GameFamily(d.a, d.a.scale(-1), d.beta)),
+    )]
+    rng = random.Random(2)
+    while len(families) < 29:
+        size = 3 + len(families) % 2
+        a, c = (Matrix([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)])
+                for _ in range(2))
+        fam = GameFamily(a, c, tuple(rng.randint(1, 4) for _ in range(size)))
+        try:
+            trace_path(fam)
+        except (ConstantBeta, DegeneracyError):
+            continue
+        families.append(fam)
+    checked = cycles = 0
+    for fam in families:
+        components = [trace_path(fam)]
+        seen = {u.key() for u in components[0].nodes}
+        for v, w in fully_labeled_pairs(fam):
+            if (v.basis, w.basis) not in seen:
+                components.append(trace_cycle(fam, make_node(fam, v, w)))
+                seen |= {u.key() for u in components[-1].nodes}
+                cycles += 1
+        for u in (u for comp in components for u in comp.nodes):
+            assert node_sign(fam, u.v, u.w, u.duplicate) == u.sign
+            assert reference_node_sign(fam, u.v, u.w, u.duplicate) == u.sign
+            checked += 1
+    assert (checked, cycles) == (220, 4)
+
+
+def _count_calls(monkeypatch, counts):
+    """Count calls of the linear solver, the determinant and the labeling,
+    wherever a module holds them."""
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "rankgames"]
+    for name in ("solve_linear_system", "determinant"):
+        fn = getattr(rankgames.linalg, name)
+        wrapper = counted(name, fn)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(Polytope, "labels_at", counted("labels_at", Polytope.labels_at))
+
+
+def test_walk_makes_no_solve_labeling_or_determinant_call(monkeypatch):
+    # Past the two rays a step is one tableau pivot: the traced path makes
+    # exactly the calls its two rays make on their own.
+    rng = random.Random(5)
+    a, b = (Matrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]) for _ in range(2))
+    fam = GameFamily(a, b, tuple(range(1, 7)))
+    counts = Counter()
+    _count_calls(monkeypatch, counts)
+    fam.ray(high=False)
+    fam.ray(high=True)
+    ray_counts = Counter(counts)
+    counts.clear()
+    path = trace_path(fam)
+    assert counts == ray_counts
+    assert len(path.nodes) == 34

@@ -1,4 +1,6 @@
+import copy
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,9 +13,11 @@ from rankgames.errors import (
     TooLarge,
     ZeroBeta,
 )
-from rankgames.linalg import Matrix
+from rankgames.linalg import Matrix, solve_linear_system, vadd, vdot, vscale
 from rankgames.polytope import (
+    EdgeDescriptor,
     GameFamily,
+    Vertex,
     build_p,
     build_qprime,
     build_qprime_k,
@@ -21,7 +25,7 @@ from rankgames.polytope import (
     enumerate_vertices,
 )
 
-from fixtures import EX1_A, EX1_C, ex1_family, ray_anchors
+from fixtures import EX1_A, EX1_C, ex1_family, random_rank1, random_rank_k, ray_anchors
 
 
 def test_build_p_single_strategy_vertex():
@@ -132,6 +136,157 @@ def test_pivot_involution_over_all_edges():
                 back = poly.pivot(ed.far_end, new_label)
                 assert back.far_end.basis == v.basis
                 assert back.far_end.coords == v.coords
+
+
+def fraction_slack(poly, lab, point):
+    a, b = poly.row(lab)
+    return b - vdot(a, point)
+
+
+def fraction_labels(poly, point):
+    return frozenset(
+        lab for lab in range(1, poly.n_labels + 1) if fraction_slack(poly, lab, point) == 0
+    )
+
+
+def reference_pivot(poly, vertex, relax):
+    """The pivot by a fresh d x d solve and Fraction slacks: the direction
+    from the equality, the kept basis rows and the relaxed row; the ratio test
+    over every row outside the basis; the far vertex's labels from its slacks."""
+    kept = vertex.basis - {relax}
+    rows = [poly.eq[0]] + [poly.row(lab)[0] for lab in sorted(kept)] + [poly.row(relax)[0]]
+    direction = solve_linear_system(
+        Matrix(rows), [Fraction(0)] * (len(rows) - 1) + [Fraction(-1)]
+    )
+    best_t, hits = None, []
+    for lab in range(1, poly.n_labels + 1):
+        if lab in vertex.basis:
+            continue
+        rate = vdot(poly.row(lab)[0], direction)
+        if rate <= 0:
+            continue
+        t = fraction_slack(poly, lab, vertex.coords) / rate
+        if best_t is None or t < best_t:
+            best_t, hits = t, [lab]
+        elif t == best_t:
+            hits.append(lab)
+    tight = sorted(vertex.basis)
+    if best_t == 0:
+        raise DegeneratePolytope(f"extra tight row {hits[0]} leaving {tight}")
+    if len(hits) > 1:
+        raise DegeneratePolytope(f"ratio tie between rows {hits} leaving {tight}")
+    if best_t is None:
+        return EdgeDescriptor(vertex, relax, direction, None, None)
+    coords = vadd(vertex.coords, vscale(best_t, direction))
+    far = Vertex(coords, kept | {hits[0]}, fraction_labels(poly, coords))
+    if len(far.labels) > poly.basis_size:
+        raise DegeneratePolytope(f"vertex {sorted(far.basis)} has {len(far.labels)} tight rows")
+    return EdgeDescriptor(vertex, relax, direction, best_t, far)
+
+
+def _pivot_outcome(poly, vertex, relax):
+    try:
+        ed = poly.pivot(vertex, relax)
+    except DegeneratePolytope as exc:
+        return str(exc)
+    return ed
+
+
+def _reference_outcome(poly, vertex, relax):
+    try:
+        return reference_pivot(poly, vertex, relax)
+    except DegeneratePolytope as exc:
+        return str(exc)
+
+
+def _pivot_corpus():
+    """P and Q' of seeded rank-1 and general families, and Q'_k of rank-k
+    ones, with small spans so that degenerate vertices, ties and rays occur."""
+    rng = random.Random(8)
+    polys = []
+    for size in (2, 3, 3, 4):
+        d = random_rank1(rng, size, size + 1, span=3, gamma_span=2, beta_span=3)
+        fam = GameFamily(d.a, d.a.scale(-1), d.beta)
+        polys += [fam.p, fam.qp]
+        a, c = (Matrix([[rng.randint(-4, 4) for _ in range(size)] for _ in range(size + 1)])
+                for _ in range(2))
+        fam = GameFamily(a, c, tuple(rng.randint(1, 4) for _ in range(size)))
+        polys += [fam.p, fam.qp]
+    for k, size in ((2, 3), (2, 4), (3, 4)):
+        a, betas, _ = random_rank_k(rng, k, size, size)
+        polys.append(build_qprime_k(a, betas))
+    return polys
+
+
+def test_tableau_pivot_matches_fraction_reference_on_every_edge():
+    # Every edge of every vertex, then every edge of each far end, whose
+    # tableau came from the pivot: direction, step, far vertex and every
+    # degeneracy message equal the Fraction reference's. The far end's
+    # tableau equals one built from its basis, row for row by basic variable,
+    # and pivoting leaves the base vertex's tableau as it was.
+    compared = messages = rays = 0
+    for poly in _pivot_corpus():
+        for v in enumerate_vertices(poly):
+            for relax in sorted(v.basis):
+                got, want = _pivot_outcome(poly, v, relax), _reference_outcome(poly, v, relax)
+                compared += 1
+                if isinstance(want, str):
+                    assert got == want
+                    messages += 1
+                    continue
+                assert (got.direction, got.t_max) == (want.direction, want.t_max)
+                if want.far_end is None:
+                    assert got.far_end is None
+                    rays += 1
+                    continue
+                far = got.far_end
+                assert (far.coords, far.basis, far.labels) == (
+                    want.far_end.coords, want.far_end.basis, want.far_end.labels)
+                built = poly.tableau(replace(far, tableau=None))
+                assert far.tableau.denom == built.denom
+                assert dict(zip(far.tableau.basic, far.tableau.rows)) == dict(
+                    zip(built.basic, built.rows))
+                snapshot = copy.deepcopy(far.tableau)
+                for again in sorted(far.basis):
+                    got2 = _pivot_outcome(poly, far, again)
+                    want2 = _reference_outcome(poly, far, again)
+                    compared += 1
+                    if isinstance(want2, str):
+                        assert got2 == want2
+                        messages += 1
+                        continue
+                    assert (got2.direction, got2.t_max) == (want2.direction, want2.t_max)
+                    assert (got2.far_end is None) == (want2.far_end is None)
+                    if got2.far_end is not None:
+                        assert (got2.far_end.coords, got2.far_end.labels) == (
+                            want2.far_end.coords, want2.far_end.labels)
+                assert far.tableau == snapshot
+    assert (compared, messages, rays) == (2163, 312, 125)
+
+
+def test_integer_labels_and_feasibility_match_fraction_slacks():
+    # At each vertex and at points before, on and past the far end of each
+    # bounded edge.
+    checked = infeasible = 0
+    for poly in _pivot_corpus():
+        for v in enumerate_vertices(poly):
+            points = [v.coords]
+            for relax in sorted(v.basis):
+                try:
+                    ed = poly.pivot(v, relax)
+                except DegeneratePolytope:
+                    continue
+                if ed.t_max is not None:
+                    points += [ed.point_at(ed.t_max * t) for t in (Fraction(1, 3), 1, 2)]
+            for point in points:
+                assert poly.labels_at(point) == fraction_labels(poly, point)
+                feasible = all(
+                    fraction_slack(poly, lab, point) >= 0 for lab in range(1, poly.n_labels + 1)
+                )
+                assert poly.feasible(point) == feasible
+                checked += 1
+                infeasible += not feasible
+    assert (checked, infeasible) == (1108, 328)
 
 
 def test_start_vertices_worked_example():
