@@ -44,6 +44,7 @@ from .paramlp import (
     FoundEquilibrium,
     box_bounds,
     crossing_records,
+    edge_rates,
     is_ne,
     piece_fixed_point,
     solve_lp_delta,
@@ -387,20 +388,15 @@ def fixed_point_search(
     """
     gammas = tuple(vector(g) for g in gammas)
     lows, highs = box_bounds(gammas)
-    p, n, k = kfam.p, kfam.n, kfam.k
+    p, k = kfam.p, kfam.k
     unit = Matrix.identity(k)
     box = [(unit.row(l), highs[l]) for l in range(k)]
     box += [(vscale(-1, unit.row(l)), -lows[l]) for l in range(k)]
     start = solve_lp_k(kfam, tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))).v
-    start = replace(start, tableau=p.tableau(start))
     seen, queue = {start.basis}, deque([start])
     while queue:
         v = queue.popleft()
-        # Relaxing r moves along d; the objective's rate there is g . a - d[n].
-        rates = {}
-        for r in sorted(v.basis):
-            d = p.edge_direction(v, r)
-            rates[r] = (tuple(vdot(beta, d[:n]) for beta in kfam.betas), d[n])
+        rates = edge_rates(p, v, kfam.betas)  # the objective's rate on r's edge is g . a - c
         a = piece_fixed_point(kfam, gammas, v)
         if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):
             return a, fixed_point_record(kfam, gammas, a)

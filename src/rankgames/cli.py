@@ -350,6 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # built once: in-process callers call main once per game
+
+
 # argparse reads a separate value that starts with '-' as an option.
 _SIGNED_VALUE_FLAGS = ("--beta", "--k-eval")
 
@@ -388,7 +391,7 @@ def _emit(out: dict, as_json: bool, perturbed: Optional[int]) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(
+        args = PARSER.parse_args(
             _join_signed_values(sys.argv[1:] if argv is None else argv)
         )
     except SystemExit as exc:  # argparse exits on --help and on usage errors

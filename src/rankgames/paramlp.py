@@ -1,9 +1,10 @@
 """Lambda-section LPs, hyperplane probes, and rank-k fixed-point evaluation.
 
-The section LP at a parameter value is solved on the row polytope; complementary
-slackness gives its dual optimum on the lifted polytope, a fully-labeled partner
-with combined objective exactly zero. Intersecting the containing edge with a
-game's selection hyperplane yields equilibria or a side classification.
+The section LP at a parameter value is a primal walk on the row polytope's own
+tableau (``Polytope.pivot``); complementary slackness gives its dual optimum on
+the lifted polytope, a fully-labeled partner with combined objective exactly
+zero. Intersecting the containing edge with a game's selection hyperplane
+yields equilibria or a side classification.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .labeledpath import (
     oriented_edge,
 )
 from .linalg import Matrix, Rat, Vec, frac, solve_linear_system, vdot, vector, vsub
-from .lp import EQ, LE, LinearProgram, solve_lp
 from .polytope import GameFamily, Polytope, RankKFamily, Vertex
 
 
@@ -77,13 +77,6 @@ class OptSet:
     edge: PathEdge
 
 
-def polytope_lp(poly: Polytope, objective: Sequence[Fraction]) -> LinearProgram:
-    rows = [a for a, _ in poly.ineqs] + [poly.eq[0]]
-    rhs = [b for _, b in poly.ineqs] + [poly.eq[1]]
-    rels = [LE] * len(poly.ineqs) + [EQ]
-    return LinearProgram.build(objective, rows, rels, rhs)
-
-
 def _section_gap(betas: Sequence[Vec], v_coords: Sequence[Fraction],
                  w_coords: Sequence[Fraction]) -> Rat:
     """sum_l lambda_l * (beta_l . y) - pi1 - pi2 for k betas over the lifted
@@ -116,38 +109,67 @@ def _complementary_system(lifted: Polytope, v_labels: frozenset[int],
     return Matrix(rows), rhs
 
 
+def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> dict[int, tuple[Vec, Rat]]:
+    """(g_r, c_r) per basis label r of a vertex v of P, in label order: along r's
+    edge direction d the section objective sum_l delta_l * (beta_l . y) - pi1
+    changes at rate g_r . delta - c_r, with g_r = (beta_l . d_y)_l, c_r = d_pi1."""
+    rates = {}
+    for r in sorted(v.basis):
+        d = p.edge_direction(v, r)
+        rates[r] = (tuple(vdot(beta, d[: p.n]) for beta in betas), d[p.n])
+    return rates
+
+
 def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec],
              delta: Vec) -> tuple[Vertex, Vec, Matrix]:
-    """Optimal section at lambda = delta: the row-polytope LP, then its dual in
-    the lifted polytope from complementary slackness.
+    """Optimal section at lambda = delta: a primal walk on P's tableau, then
+    the dual in the lifted polytope from complementary slackness.
 
-    The LP optimum v must have exactly n tight rows. Then the dual optimum is
-    unique and tight on exactly the m labels v lacks, so it solves the square
-    system of the equality row, the k rows lambda_l = delta_l and those m rows.
-    Returns v, the lifted point w and that system; a feasible w with zero gap
-    certifies both optima.
+    The walk starts at the best pure vertex y = e_j of a column with a unique
+    best row and pivots on the lowest basis label of positive rate (Bland's
+    rule on labels), or the next one when that pivot is degenerate. Each of
+    its vertices has exactly n tight rows and each pivot gains, so it stops at
+    an optimum v. The dual optimum is then unique and tight on exactly the m
+    labels v lacks: it solves the square system of the equality row, the k
+    rows lambda_l = delta_l and those m rows. Returns v, the lifted point w and
+    that system; a feasible w with zero gap certifies both optima.
     """
     n, m, k = p.n, p.m, len(betas)
-    p_obj = tuple(vdot(delta, col) for col in zip(*betas)) + (Fraction(-1),)
-    p_sol = solve_lp(polytope_lp(p, p_obj))
-    if not p_sol.optimal:
-        raise RankGamesError(f"row polytope LP is {p_sol.status}")
-    v_coords = p_sol.point
-    v_labels = p.labels_at(v_coords)
-    if len(v_labels) != n:
-        raise DegeneratePolytope(f"section optimum has {len(v_labels)} tight rows in P")
+    weights = tuple(vdot(delta, col) for col in zip(*betas))
+    cols = [[a[j] for a, _ in p.ineqs[:m]] for j in range(n)]
+    starts = [j for j, col in enumerate(cols) if col.count(max(col)) == 1]
+    if not starts:
+        raise DegeneratePolytope("every column of P has tied best rows")
+    j = max(starts, key=lambda j: weights[j] - max(cols[j]))  # ties: the lowest column
+    i = cols[j].index(max(cols[j]))
+    v = p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
+    while True:
+        errors = []
+        for r, (g, c) in edge_rates(p, v, betas).items():
+            if vdot(g, delta) <= c:
+                continue
+            try:
+                far = p.pivot(v, r).far_end
+                break
+            except DegeneratePolytope as exc:
+                errors.append(exc)
+        else:
+            if errors:
+                raise errors[0]
+            break
+        v = far
 
     unit = Matrix.identity(m + k + 1)
     system, rhs = _complementary_system(
-        lifted, v_labels, [unit.row(m + l) for l in range(k)], delta
+        lifted, v.labels, [unit.row(m + l) for l in range(k)], delta
     )
     w_coords = solve_linear_system(system, rhs)  # Singular is an internal failure
     if not lifted.feasible(w_coords):
         raise RankGamesError("complementary lifted point is infeasible")
-    gap = _section_gap(betas, v_coords, w_coords)
+    gap = _section_gap(betas, v.coords, w_coords)
     if gap != 0:
         raise NonzeroOptimum(f"section objective is {gap}, expected 0")
-    return Vertex(v_coords, v_labels, v_labels), w_coords, system
+    return v, w_coords, system
 
 
 def solve_lp_delta(family: GameFamily, delta) -> OptSet:

@@ -39,7 +39,6 @@ from .linalg import (
     integer_pivot,
     matrix_rank,
     scaled_integers,
-    solve_linear_system,
     vadd,
     vdot,
     vector,
@@ -68,7 +67,8 @@ class Vertex:
     """Basic feasible point keyed by its defining tight-row set.
 
     ``tableau`` is the polytope's tableau at this vertex when the vertex came
-    from a pivot; otherwise ``Polytope.tableau`` builds it from the basis.
+    from a pivot or a basis (``try_vertex``); otherwise ``Polytope.tableau``
+    builds it from the basis.
     """
 
     coords: Vec
@@ -158,25 +158,16 @@ class Polytope:
         ea, eb = self.eq
         return vdot(ea, point) == eb and min(self._slacks(point)[0]) >= 0
 
-    def _basis_point(self, basis: Iterable[int]) -> Vec:
-        rows = [self.eq[0]] + [self.row(lab)[0] for lab in basis]
-        rhs = [self.eq[1]] + [self.row(lab)[1] for lab in basis]
-        return solve_linear_system(Matrix(rows), rhs)
-
     def try_vertex(self, basis: Iterable[int]) -> Optional[Vertex]:
-        """Vertex for a basis, or None when singular or infeasible."""
+        """Vertex for a basis, with its tableau, or None when singular or infeasible."""
         basis = frozenset(basis)
-        if len(basis) != self.basis_size:
-            raise DimensionMismatch(
-                f"basis size {len(basis)} != {self.basis_size} for {self.which}"
-            )
         try:
-            point = self._basis_point(sorted(basis))
+            tab = self._basis_tableau(basis)
         except Singular:
             return None
-        if not self.feasible(point):
+        if any(row[-1] < 0 for row in tab.rows[self.dim:]):
             return None
-        return Vertex(point, basis, self.labels_at(point))
+        return self._tableau_vertex(basis, tab)
 
     def vertex_from_basis(self, basis: Iterable[int]) -> Vertex:
         v = self.try_vertex(basis)
@@ -185,26 +176,27 @@ class Polytope:
         return v
 
     def tableau(self, vertex: Vertex) -> Tableau:
-        """The vertex's tableau; built from its basis with d integer pivots,
-        each bringing one z into the equality row or a basis row, when the
-        vertex carries none."""
-        if vertex.tableau is not None:
-            return vertex.tableau
-        if len(vertex.basis) != self.basis_size:
+        """The vertex's tableau, built from its basis when it carries none."""
+        return self._basis_tableau(vertex.basis) if vertex.tableau is None else vertex.tableau
+
+    def _basis_tableau(self, basis: frozenset[int]) -> Tableau:
+        """The tableau of a basis, built with d integer pivots, each bringing
+        one z into the equality row or a basis row."""
+        if len(basis) != self.basis_size:
             raise DimensionMismatch(
-                f"basis size {len(vertex.basis)} != {self.basis_size} for {self.which}"
+                f"basis size {len(basis)} != {self.basis_size} for {self.which}"
             )
         d, n_labels = self.dim, self.n_labels
         rows = [[*row[:d], *([0] * n_labels), row[d]] for row in self.int_rows]
         basic = [-1] + list(range(d, d + n_labels))  # the equality has no slack
         for lab in range(1, n_labels + 1):
             rows[lab][d + lab - 1] = 1
-        free = [0, *sorted(vertex.basis)]
+        free = [0, *sorted(basis)]
         denom = 1
         for col in range(d):
             r = next((r for r in free if rows[r][col]), None)
             if r is None:
-                raise Singular(f"basis {sorted(vertex.basis)} is singular in {self.which}")
+                raise Singular(f"basis {sorted(basis)} is singular in {self.which}")
             free.remove(r)
             denom = integer_pivot(rows, rows[r], col, denom)
             basic[r] = col
@@ -215,6 +207,14 @@ class Polytope:
             sign * denom,
             tuple(basic[r] for r in order),
         )
+
+    def _tableau_vertex(self, basis: frozenset[int], tab: Tableau) -> Vertex:
+        """The point of a tableau: coordinates off its z rows; labels the basis
+        and every basic slack at zero."""
+        d = self.dim
+        zeros = {var - d + 1 for var, row in zip(tab.basic[d:], tab.rows[d:]) if not row[-1]}
+        coords = tuple(Fraction(row[-1], tab.denom) for row in tab.rows[:d])
+        return Vertex(coords, basis, basis | zeros, tab)
 
     def edge_direction(self, vertex: Vertex, relax: int) -> Vec:
         """Edge direction keeping the rest of the basis tight while the slack
@@ -268,14 +268,13 @@ class Polytope:
         rows = [list(row) for row in tab.rows]
         denom = integer_pivot(rows, rows[r], col, tab.denom)
         basic = tab.basic[:r] + (col,) + tab.basic[r + 1:]
-        far_basis = vertex.basis - {relax} | {hit}
-        labels = far_basis | {var - d + 1 for var, row in zip(basic[d:], rows[d:]) if not row[-1]}
-        if len(labels) > self.basis_size:
-            raise DegeneratePolytope(f"vertex {sorted(far_basis)} has {len(labels)} tight rows")
-        far = Vertex(
-            tuple(Fraction(row[-1], denom) for row in rows[:d]), far_basis, labels,
-            Tableau(tuple(map(tuple, rows)), denom, basic),
+        far = self._tableau_vertex(
+            vertex.basis - {relax} | {hit}, Tableau(tuple(map(tuple, rows)), denom, basic)
         )
+        if len(far.labels) > self.basis_size:
+            raise DegeneratePolytope(
+                f"vertex {sorted(far.basis)} has {len(far.labels)} tight rows"
+            )
         return EdgeDescriptor(vertex, relax, direction, step / self.scales[relax], far)
 
     def edge_through_point(self, tight: Iterable[int], point: Sequence[Fraction],
@@ -496,10 +495,4 @@ def enumerate_vertices(poly: Polytope, guard: int = 10**6) -> list[Vertex]:
 
 def check_nondegenerate(poly: Polytope, guard: int = 10**6) -> bool:
     """True when no basic feasible point has extra tight rows (exhaustive, guarded)."""
-    if basis_count(poly) > guard:
-        raise TooLarge(f"{basis_count(poly)} bases exceeds guard {guard}")
-    for combo in combinations(range(1, poly.n_labels + 1), poly.basis_size):
-        v = poly.try_vertex(combo)
-        if v is not None and len(v.labels) > poly.basis_size:
-            return False
-    return True
+    return all(len(v.labels) == poly.basis_size for v in enumerate_vertices(poly, guard))

@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from rankgames.errors import DegeneracyError
 from rankgames.games import BimatrixGame, Rank1Decomposition
-from rankgames.linalg import Matrix, matrix_rank
-from rankgames.polytope import GameFamily
+from rankgames.linalg import Matrix, matrix_rank, vdot
+from rankgames.lp import EQ, LE, LinearProgram
+from rankgames.polytope import GameFamily, Polytope
 
 # Worked example: a game family whose fully-labeled set is a path plus one
 # 3-cycle. Derived path vertices (exact): ((0,1,0),9) -> ((2/11,9/11,0),81/11)
@@ -31,6 +33,38 @@ EX1_CYCLE_P_VERTICES = (
 # Paper prints the same vertices rounded to two decimals.
 EX1_PATH_P_DECIMALS = (((0.0, 1.0, 0.0), 9.0), ((0.18, 0.82, 0.0), 7.36), ((1.0, 0.0, 0.0), 9.0))
 EX1_CYCLE_P_DECIMALS = (((0.5, 0.0, 0.5), 5.5), ((0.38, 0.18, 0.44), 5.56), ((0.4, 0.0, 0.6), 5.4))
+
+
+def polytope_lp(poly: Polytope, objective) -> LinearProgram:
+    """A polytope's rows as a generic LP: the reference for its section walk."""
+    rows = [a for a, _ in poly.ineqs] + [poly.eq[0]]
+    rhs = [b for _, b in poly.ineqs] + [poly.eq[1]]
+    return LinearProgram.build(objective, rows, [LE] * len(poly.ineqs) + [EQ], rhs)
+
+
+def watch_solve_lp(monkeypatch) -> list:
+    """Record every ``lp.solve_lp`` call: the function is rebound in every
+    ``rankgames`` module that holds it, since ``from .lp import solve_lp``
+    copies it. Returns the list of recorded argument tuples."""
+    import rankgames.lp as lp
+
+    calls: list = []
+    real = lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rankgames" and vars(module).get("solve_lp") is real:
+            monkeypatch.setattr(module, "solve_lp", counted)
+    return calls
+
+
+def section_objective(betas, delta) -> tuple:
+    """The section LP's objective on P at lambda = delta: max sum_l delta_l
+    * (beta_l . y) - pi1."""
+    return tuple(vdot(delta, col) for col in zip(*betas)) + (Fraction(-1),)
 
 
 def ex1_family() -> GameFamily:

@@ -59,6 +59,7 @@ from fixtures import (
     random_rank1,
     random_rank_k,
     ray_anchors,
+    watch_solve_lp,
 )
 
 
@@ -186,21 +187,23 @@ def test_enumerate_unique_equilibrium_game():
     assert recs[0].index == 1
 
 
-def test_one_lp_per_probe_and_per_enumeration(monkeypatch):
-    # The lifted side of a section comes from complementary slackness, and the
-    # enumeration solves one section; only the row-polytope LP remains.
+def test_no_lp_and_one_section_per_probe_and_per_enumeration(monkeypatch):
+    # A section walks P's own tableau and takes its lifted side from
+    # complementary slackness: the solvers make no generic LP call, one
+    # section per probe and one per enumeration.
     import rankgames.algorithms as algorithms
     import rankgames.paramlp as paramlp
 
-    lp_calls = []
-    real_lp, real_is_ne = paramlp.solve_lp, algorithms.is_ne
-    monkeypatch.setattr(paramlp, "solve_lp", lambda lp: lp_calls.append(lp) or real_lp(lp))
+    lp_calls = watch_solve_lp(monkeypatch)
+    sections = []
+    real_section, real_is_ne = paramlp._section, algorithms.is_ne
+    monkeypatch.setattr(paramlp, "_section", lambda *a: sections.append(a) or real_section(*a))
     per_probe = []
 
     def counted_is_ne(*args):
-        before = len(lp_calls)
+        before = len(sections)
         out = real_is_ne(*args)
-        per_probe.append(len(lp_calls) - before)
+        per_probe.append(len(sections) - before)
         return out
 
     monkeypatch.setattr(algorithms, "is_ne", counted_is_ne)
@@ -208,9 +211,10 @@ def test_one_lp_per_probe_and_per_enumeration(monkeypatch):
         per_probe.clear()
         bin_search(d)
         assert per_probe and set(per_probe) == {1}
-        lp_calls.clear()
+        sections.clear()
         enumerate_rank1(d)
-        assert len(lp_calls) == 1
+        assert len(sections) == 1
+    assert lp_calls == []
 
 
 def test_enumerate_general_ex1_game_proper_subset_of_oracle():

@@ -205,6 +205,40 @@ def test_values_that_start_with_a_minus_sign(tmp_path, capsys):
     assert joined.count("\n") == 3
 
 
+def test_consecutive_runs_print_what_fresh_runs_print(tmp_path, capsys, monkeypatch):
+    # main parses with the one parser built at import; a run that follows
+    # others prints what a run on a freshly built parser prints.
+    from fixtures import K2_GAME
+
+    r1a = write_game(tmp_path, R1A.game())
+    k2 = write_game(tmp_path, K2_GAME, "k2.game")
+    ex1 = write_game(tmp_path, BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA)),
+                     "ex1.game")
+    runs = [
+        ["solve", "--input", r1a, "--json"],
+        ["enumerate", "--input", ex1, "--beta", "-1,2,3"],
+        ["fixedpoint", "--input", k2, "--search"],
+        ["fixedpoint", "--input", k2, "--search", "--k-eval", "1,1"],
+        ["trace", "--input", r1a, "--json"],
+        ["solve", "--input", r1a],
+        ["enumerate", "--input", ex1],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    consecutive = [run(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        monkeypatch.setattr(cli, "PARSER", cli.build_parser())
+        fresh.append(run(argv))
+    assert consecutive == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, EXIT_PARSE, 0, 0, EXIT_DEGENERATE]
+    assert "not allowed with argument" in fresh[3][2]
+
+
 def test_missing_file_is_parse_error(capsys):
     assert main(["solve", "--input", "/nonexistent/g.game"]) == EXIT_PARSE
 

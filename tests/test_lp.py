@@ -8,9 +8,8 @@ from rankgames.algorithms import rank1_family
 from rankgames.errors import MalformedLP, Singular
 from rankgames.linalg import Matrix, matrix_rank, solve_linear_system, vdot
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
-from rankgames.paramlp import polytope_lp
 
-from fixtures import random_rank1
+from fixtures import polytope_lp, random_rank1, section_objective
 
 
 def segment_lp(objective):
@@ -221,8 +220,8 @@ def test_integer_tableau_matches_oracle_on_rational_lps(monkeypatch):
 
 def test_section_lp_pivot_count_is_pinned():
     # The rank-1 section LPs (P at lambda = delta) at min gamma, max gamma and
-    # their midpoint on seeded wide-span games. 724 is the total the Fraction
-    # tableau took: integer pivoting makes the same Bland choices.
+    # their midpoint on seeded wide-span games, as generic LPs. 724 is the total
+    # the Fraction tableau took: integer pivoting makes the same Bland choices.
     rng = random.Random(8)
     total = 0
     for size in (3, 4, 4, 5, 5, 6, 6, 7):
@@ -230,8 +229,7 @@ def test_section_lp_pivot_count_is_pinned():
         family = rank1_family(d)[1]
         lo, hi = min(d.gamma), max(d.gamma)
         for delta in (lo, hi, (lo + hi) / 2):
-            objective = tuple(delta * b for b in family.beta) + (Fraction(-1),)
-            sol = solve_lp(polytope_lp(family.p, objective))
+            sol = solve_lp(polytope_lp(family.p, section_objective([family.beta], [delta])))
             assert sol.optimal
             total += sol.pivots
     assert total == 724

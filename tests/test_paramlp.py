@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from rankgames.paramlp import (
     Hyperplane,
     box_bounds,
     crossing_records,
+    edge_rates,
     fixed_point_eval,
     is_ne,
     labeling_gap,
@@ -26,9 +28,12 @@ from fixtures import (
     R1A_NE_LAMBDA,
     R1A_NE_X,
     R1A_NE_Y,
+    polytope_lp,
     random_rank1,
     random_rank_k,
     ray_anchors,
+    section_objective,
+    watch_solve_lp,
 )
 
 
@@ -238,20 +243,110 @@ def test_solve_lp_k_matches_lifted_lp_on_rank_k_corpus():
     assert (matched, rejected) == (54, 10)
 
 
-def test_one_lp_per_rank_k_section(k2, monkeypatch):
-    # The lifted side comes from complementary slackness: one LP, on P.
+def test_rank_k_sections_make_no_lp_call(k2, monkeypatch):
+    # A section walks P's own tableau and takes its lifted side from
+    # complementary slackness: one section per call, no generic LP. The cell
+    # walk's facet test is the one LP left on the solver path.
     import rankgames.paramlp as paramlp
+    from rankgames.algorithms import fixed_point_search
 
-    calls = []
-    real_lp = paramlp.solve_lp
-    monkeypatch.setattr(paramlp, "solve_lp", lambda lp: calls.append(lp) or real_lp(lp))
+    lp_calls = watch_solve_lp(monkeypatch)
+    sections = []
+    real_section = paramlp._section
+    monkeypatch.setattr(paramlp, "_section", lambda *a: sections.append(a) or real_section(*a))
     d, kfam = k2
     lows, highs = box_bounds(d.gammas)
     mid = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
     solve_lp_k(kfam, mid)
-    assert len(calls) == 1
+    assert len(sections) == 1
     fixed_point_eval(kfam, d.gammas, mid)
-    assert len(calls) == 2
+    assert len(sections) == 2
+    assert lp_calls == []
+    rng = random.Random(4)
+    m = rng.randint(3, 4)
+    a, betas, gammas = random_rank_k(rng, 2, m, m)
+    fixed_point_search(RankKFamily(a, betas), gammas)
+    assert len(lp_calls) == 6  # the cell walk's facet tests, all in the watch
+
+
+def section_corpus():
+    """(P, lifted polytope, betas, delta) of seeded sections: wide-span rank-1
+    games at min gamma, max gamma and their midpoint; small-span rank-1 games
+    at the same three; rank-2 and rank-3 families at points of their box."""
+    rng = random.Random(8)
+    for size in (3, 4, 4, 5, 5, 6, 6, 7):
+        d = random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
+        fam = GameFamily(d.a, d.a.scale(-1), d.beta)
+        lo, hi = min(d.gamma), max(d.gamma)
+        for delta in (lo, hi, (lo + hi) / 2):
+            yield "wide", fam.p, fam.qp, (fam.beta,), (delta,)
+    rng = random.Random(2024)
+    for _ in range(40):
+        d = random_rank1(rng, rng.randint(2, 5), rng.randint(2, 5))
+        fam = GameFamily(d.a, d.a.scale(-1), d.beta)
+        lo, hi = min(d.gamma), max(d.gamma)
+        for delta in (lo, hi, (lo + hi) / 2):
+            yield "small", fam.p, fam.qp, (fam.beta,), (delta,)
+    rng = random.Random(4)
+    for g in range(16):
+        k = 2 + g % 2
+        m = n = rng.randint(k + 1, 4)
+        a, betas, gammas = random_rank_k(rng, k, m, n)
+        kfam = RankKFamily(a, betas)
+        lows, highs = box_bounds(gammas)
+        for _ in range(4):
+            delta = tuple(
+                lo + (hi - lo) * Fraction(rng.randint(0, 8), 8) for lo, hi in zip(lows, highs)
+            )
+            yield "rank-k", kfam.p, kfam.qk, kfam.betas, delta
+
+
+def test_section_walk_matches_generic_lp_reference(monkeypatch):
+    # The section walk against the generic two-phase LP over P's rows. Where
+    # the reference optimum has n tight rows the walk finds the same v, or
+    # another optimum with a zero-rate edge (the optimum is not unique); w is
+    # the lifted LP's point. Where the reference has more, the walk rejects it
+    # too or finds an optimum of the same value. The walk rejects no section
+    # that the reference accepts.
+    import rankgames.paramlp as paramlp
+
+    pivots = []
+    real_pivot = Polytope.pivot
+    monkeypatch.setattr(
+        Polytope, "pivot", lambda self, v, r: pivots.append(r) or real_pivot(self, v, r)
+    )
+    counts = Counter()
+    for corpus, p, lifted, betas, delta in section_corpus():
+        objective = section_objective(betas, delta)
+        ref = solve_lp(polytope_lp(p, objective))
+        assert ref.optimal
+        ref_ok = len(p.labels_at(ref.point)) == p.n
+        try:
+            v, w_coords, _ = paramlp._section(p, lifted, betas, delta)
+        except DegeneratePolytope:
+            counts[corpus, "rejected by both" if not ref_ok else "rejected by the walk"] += 1
+            continue
+        assert vdot(objective, v.coords) == ref.value
+        if not ref_ok:
+            counts[corpus, "accepted by the walk"] += 1
+            continue
+        assert w_coords == lifted_lp_point(lifted, delta)
+        if v.coords == ref.point:
+            counts[corpus, "matched"] += 1
+        else:
+            rates = edge_rates(p, v, betas).values()
+            assert any(vdot(g, delta) == c for g, c in rates)
+            counts[corpus, "another optimum"] += 1
+    assert not any(kind == "rejected by the walk" for _, kind in counts)
+    assert dict(counts) == {
+        ("wide", "matched"): 24,
+        ("small", "matched"): 100,
+        ("small", "another optimum"): 1,
+        ("small", "rejected by both"): 19,
+        ("rank-k", "matched"): 54,
+        ("rank-k", "rejected by both"): 10,
+    }
+    assert len(pivots) == 316  # the generic LP takes 4,529 on the same sections
 
 
 def test_solve_lp_k_zero_objective_at_box_corner(k2):
