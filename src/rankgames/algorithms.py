@@ -46,6 +46,7 @@ from .paramlp import (
     crossing_records,
     edge_rates,
     is_ne,
+    nondegenerate_far_end,
     piece_fixed_point,
     solve_lp_delta,
     solve_lp_k,
@@ -408,10 +409,7 @@ def fixed_point_search(
             )
             if solve_lp(lp).status == "infeasible":
                 continue
-            try:
-                far = p.pivot(v, r).far_end
-            except DegeneratePolytope:
-                continue  # a degenerate neighbour has no cell; walk around it
+            far = nondegenerate_far_end(p, v, r)  # a degenerate neighbour has no cell
             if far is not None and far.basis not in seen:
                 seen.add(far.basis)
                 queue.append(far)

@@ -1,10 +1,11 @@
 """Lambda-section LPs, hyperplane probes, and rank-k fixed-point evaluation.
 
 The section LP at a parameter value is a primal walk on the row polytope's own
-tableau (``Polytope.pivot``); complementary slackness gives its dual optimum on
-the lifted polytope, a fully-labeled partner with combined objective exactly
-zero. Intersecting the containing edge with a game's selection hyperplane
-yields equilibria or a side classification.
+tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot`` by Bland's rule
+where every improving pivot is degenerate); complementary slackness gives its
+dual optimum on the lifted polytope, a fully-labeled partner with combined
+objective exactly zero. Intersecting the containing edge with a game's
+selection hyperplane yields equilibria or a side classification.
 """
 from __future__ import annotations
 
@@ -113,11 +114,16 @@ def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> dict[int, tuple[
     """(g_r, c_r) per basis label r of a vertex v of P, in label order: along r's
     edge direction d the section objective sum_l delta_l * (beta_l . y) - pi1
     changes at rate g_r . delta - c_r, with g_r = (beta_l . d_y)_l, c_r = d_pi1."""
-    rates = {}
-    for r in sorted(v.basis):
-        d = p.edge_direction(v, r)
-        rates[r] = (tuple(vdot(beta, d[: p.n]) for beta in betas), d[p.n])
-    return rates
+    dirs = {r: p.edge_direction(v, r) for r in sorted(v.basis)}
+    return {r: (tuple(vdot(beta, d[: p.n]) for beta in betas), d[p.n]) for r, d in dirs.items()}
+
+
+def nondegenerate_far_end(p: Polytope, v: Vertex, r: int) -> Optional[Vertex]:
+    """Far end of r's edge at v; None when that pivot is degenerate or the edge unbounded."""
+    try:
+        return p.pivot(v, r).far_end
+    except DegeneratePolytope:
+        return None
 
 
 def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec],
@@ -125,39 +131,27 @@ def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec],
     """Optimal section at lambda = delta: a primal walk on P's tableau, then
     the dual in the lifted polytope from complementary slackness.
 
-    The walk starts at the best pure vertex y = e_j of a column with a unique
-    best row and pivots on the lowest basis label of positive rate (Bland's
-    rule on labels), or the next one when that pivot is degenerate. Each of
-    its vertices has exactly n tight rows and each pivot gains, so it stops at
-    an optimum v. The dual optimum is then unique and tight on exactly the m
-    labels v lacks: it solves the square system of the equality row, the k
-    rows lambda_l = delta_l and those m rows. Returns v, the lifted point w and
-    that system; a feasible w with zero gap certifies both optima.
+    The walk starts at the best pure vertex y = e_j, preferring columns with
+    one best row. It relaxes the lowest basis label of positive rate whose
+    pivot is nondegenerate (a strict gain), else takes the simplex pivot on
+    the lowest such label by Bland's rule, which cannot cycle. Its optimum v
+    must have exactly n tight rows; the dual optimum is then unique, tight on
+    the m labels v lacks, and solves the square system of the equality row,
+    the k rows lambda_l = delta_l and those m rows. Returns v, the lifted
+    point w and that system; a feasible w with zero gap certifies both optima.
     """
     n, m, k = p.n, p.m, len(betas)
     weights = tuple(vdot(delta, col) for col in zip(*betas))
     cols = [[a[j] for a, _ in p.ineqs[:m]] for j in range(n)]
-    starts = [j for j, col in enumerate(cols) if col.count(max(col)) == 1]
-    if not starts:
-        raise DegeneratePolytope("every column of P has tied best rows")
+    starts = [j for j, col in enumerate(cols) if col.count(max(col)) == 1] or range(n)
     j = max(starts, key=lambda j: weights[j] - max(cols[j]))  # ties: the lowest column
     i = cols[j].index(max(cols[j]))
     v = p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
-    while True:
-        errors = []
-        for r, (g, c) in edge_rates(p, v, betas).items():
-            if vdot(g, delta) <= c:
-                continue
-            try:
-                far = p.pivot(v, r).far_end
-                break
-            except DegeneratePolytope as exc:
-                errors.append(exc)
-        else:
-            if errors:
-                raise errors[0]
-            break
-        v = far
+    while improving := [r for r, (g, c) in edge_rates(p, v, betas).items() if vdot(g, delta) > c]:
+        fars = (nondegenerate_far_end(p, v, r) for r in improving)
+        v = next(filter(None, fars), None) or p.simplex_pivot(v, improving[0])
+    if len(v.labels) != n:
+        raise DegeneratePolytope(f"section optimum has {len(v.labels)} tight rows in P")
 
     unit = Matrix.identity(m + k + 1)
     system, rhs = _complementary_system(

@@ -66,9 +66,8 @@ class Tableau(NamedTuple):
 class Vertex:
     """Basic feasible point keyed by its defining tight-row set.
 
-    ``tableau`` is the polytope's tableau at this vertex when the vertex came
-    from a pivot or a basis (``try_vertex``); otherwise ``Polytope.tableau``
-    builds it from the basis.
+    ``tableau`` is the polytope's tableau at this vertex, set by ``pivot`` and
+    ``try_vertex``; when it is None ``Polytope.tableau`` builds it.
     """
 
     coords: Vec
@@ -250,6 +249,15 @@ class Polytope:
             raise DegeneratePolytope(f"ratio tie between rows {hits} leaving {sorted(tight)}")
         return Fraction(best_s, best_r), hits[0]
 
+    def _pivot_to(self, vertex: Vertex, tab: Tableau, relax: int, hit: int) -> Vertex:
+        """One integer pivot on a copy of the tableau: relax leaves the basis, hit enters."""
+        d, col = self.dim, self.dim + relax - 1
+        r = tab.basic.index(d + hit - 1)
+        rows = [list(row) for row in tab.rows]
+        denom = integer_pivot(rows, rows[r], col, tab.denom)
+        tab = Tableau(tuple(map(tuple, rows)), denom, tab.basic[:r] + (col,) + tab.basic[r + 1:])
+        return self._tableau_vertex(vertex.basis - {relax} | {hit}, tab)
+
     def pivot(self, vertex: Vertex, relax: int) -> EdgeDescriptor:
         """Exact ratio test along the edge obtained by relaxing one basis row,
         and one integer pivot on a copy of the vertex's tableau to its far end."""
@@ -264,18 +272,19 @@ class Polytope:
         )
         if hit is None:
             return EdgeDescriptor(vertex, relax, direction, None, None)
-        r = tab.basic.index(d + hit - 1)
-        rows = [list(row) for row in tab.rows]
-        denom = integer_pivot(rows, rows[r], col, tab.denom)
-        basic = tab.basic[:r] + (col,) + tab.basic[r + 1:]
-        far = self._tableau_vertex(
-            vertex.basis - {relax} | {hit}, Tableau(tuple(map(tuple, rows)), denom, basic)
-        )
-        if len(far.labels) > self.basis_size:
-            raise DegeneratePolytope(
-                f"vertex {sorted(far.basis)} has {len(far.labels)} tight rows"
-            )
+        far = self._pivot_to(vertex, tab, relax, hit)
+        if (tight := len(far.labels)) > self.basis_size:
+            raise DegeneratePolytope(f"vertex {sorted(far.basis)} has {tight} tight rows")
         return EdgeDescriptor(vertex, relax, direction, step / self.scales[relax], far)
+
+    def simplex_pivot(self, vertex: Vertex, relax: int) -> Optional[Vertex]:
+        """The basis after relaxing ``relax`` with Bland's leaving rule: the
+        lowest label of least ratio enters. Zero steps and extra tight rows are
+        allowed; None when the edge is unbounded."""
+        tab, d, col = self.tableau(vertex), self.dim, self.dim + relax - 1
+        ratios = [(Fraction(row[-1], row[col]), var - d + 1)
+                  for var, row in zip(tab.basic[d:], tab.rows[d:]) if row[col] > 0]
+        return self._pivot_to(vertex, tab, relax, min(ratios)[1]) if ratios else None
 
     def edge_through_point(self, tight: Iterable[int], point: Sequence[Fraction],
                            direction: Vec) -> EdgeDescriptor:

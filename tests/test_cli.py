@@ -334,6 +334,16 @@ def test_solve_past_a_negative_index_probe(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("index +1")
 
 
+def test_every_column_with_tied_best_rows(tmp_path, capsys):
+    # Every pure vertex of the row polytope is degenerate; the section optima
+    # are not, so solve and enumerate answer.
+    a = Matrix([[3, 0], [3, 1], [0, 3], [1, 3]])
+    path = write_game(tmp_path, BimatrixGame(a, a.scale(-1) + Matrix.outer((1,) * 4, (0, 1))))
+    for verb in ("solve", "enumerate"):
+        assert main([verb, "--input", path]) == EXIT_OK
+        assert capsys.readouterr().out == "x = (0, 1/4, 0, 3/4); y = (1/2, 1/2); index +1\n"
+
+
 def test_internal_failure_is_one_line_and_exits_5(tmp_path, capsys, monkeypatch):
     def broken(_d):
         raise NotEquilibrium("forced failure")

@@ -310,11 +310,13 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
     # that the reference accepts.
     import rankgames.paramlp as paramlp
 
-    pivots = []
-    real_pivot = Polytope.pivot
-    monkeypatch.setattr(
-        Polytope, "pivot", lambda self, v, r: pivots.append(r) or real_pivot(self, v, r)
-    )
+    pivots = Counter()
+    for name in ("pivot", "simplex_pivot"):
+        def counted(self, v, r, name=name, real=getattr(Polytope, name)):
+            pivots[name] += 1
+            return real(self, v, r)
+
+        monkeypatch.setattr(Polytope, name, counted)
     counts = Counter()
     for corpus, p, lifted, betas, delta in section_corpus():
         objective = section_objective(betas, delta)
@@ -346,7 +348,32 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
         ("rank-k", "matched"): 54,
         ("rank-k", "rejected by both"): 10,
     }
-    assert len(pivots) == 316  # the generic LP takes 4,529 on the same sections
+    # Nondegenerate pivots tried, and Bland's-rule pivots, which only the
+    # rejected sections take here; the generic LP takes 4,529 pivots on the
+    # same sections.
+    assert dict(pivots) == {"pivot": 350, "simplex_pivot": 52}
+
+
+def test_section_walk_leaves_a_degenerate_start(monkeypatch):
+    # Every column of A has tied best rows, so every pure vertex of P is
+    # degenerate. The walk starts on one and leaves it by Bland's rule; for
+    # -2 < delta < 2 the optimum y = (1/2, 1/2) has the two tight rows 2 and 4.
+    import rankgames.paramlp as paramlp
+
+    a = Matrix([[3, 0], [3, 1], [0, 3], [1, 3]])
+    fam = GameFamily(a, a.scale(-1), (0, 1))
+    bland = []
+    real = Polytope.simplex_pivot
+    monkeypatch.setattr(
+        Polytope, "simplex_pivot", lambda self, v, r: bland.append(r) or real(self, v, r)
+    )
+    for delta in (-1, 0, Fraction(3, 2)):
+        v, w_coords, _ = paramlp._section(fam.p, fam.qp, (fam.beta,), (Fraction(delta),))
+        ref = solve_lp(polytope_lp(fam.p, section_objective((fam.beta,), (delta,))))
+        assert v.coords == ref.point and v.coords[:2] == (Fraction(1, 2), Fraction(1, 2))
+        assert v.labels == {2, 4}
+        assert w_coords == lifted_lp_point(fam.qp, (delta,))
+    assert bland
 
 
 def test_solve_lp_k_zero_objective_at_box_corner(k2):

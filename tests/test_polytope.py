@@ -417,6 +417,24 @@ def test_build_qprime_k_wedge_vertices_match_enumeration():
     assert combos == len(vertices)  # nondegenerate: one basis per vertex
 
 
+def test_simplex_pivot_steps_through_a_degenerate_vertex():
+    # At y = e_1 rows 1 and 2 of A tie, so the vertex with basis {1, 6} has
+    # the extra tight row 2. Relaxing y_2 >= 0 (label 6) meets row 2 at once:
+    # pivot rejects that zero step, simplex_pivot takes it to basis {1, 2} at
+    # the same point. Relaxing row 1 lets pi1 grow without bound.
+    p = build_p(Matrix([[3, 0], [3, 1], [0, 3], [1, 3]]))
+    v = p.vertex_from_basis({1, 6})
+    assert v.labels == {1, 2, 6}
+    with pytest.raises(DegeneratePolytope):
+        p.pivot(v, 6)
+    far = p.simplex_pivot(v, 6)
+    assert (far.basis, far.labels, far.coords) == ({1, 2}, {1, 2, 6}, v.coords)
+    tab, built = far.tableau, p.vertex_from_basis({1, 2}).tableau  # rows in another order
+    assert tab.denom == built.denom
+    assert sorted(zip(tab.basic, tab.rows)) == sorted(zip(built.basic, built.rows))
+    assert p.simplex_pivot(v, 1) is None
+
+
 def test_check_nondegenerate_worked_example():
     assert check_nondegenerate(build_p(EX1_A))
 
