@@ -379,8 +379,9 @@ def fixed_point_search(
 
     A cell is a vertex v of P with exactly n tight rows, over the part of the
     box where v is the section optimum: there no edge of P at v raises the
-    section objective, and the map is affine (``piece_fixed_point``). A cell's
-    fixed point is accepted when it lies in the box and in the cell and
+    section objective, and the map is affine, read off v's edge rates
+    (``piece_fixed_point``, one k x k solve). A cell's fixed point is
+    accepted when it lies in the box and in the cell and
     ``fixed_point_record`` verifies it. The walk starts at the section optimum
     of the box centre and pivots across every edge whose zero-rate facet meets
     box and cell (a k-variable feasibility LP). Returns the point with its
@@ -398,7 +399,7 @@ def fixed_point_search(
     while queue:
         v = queue.popleft()
         rates = edge_rates(p, v, kfam.betas)  # the objective's rate on r's edge is g . a - c
-        a = piece_fixed_point(kfam, gammas, v)
+        a = piece_fixed_point(kfam, gammas, rates)
         if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):
             return a, fixed_point_record(kfam, gammas, a)
         for r, facet in rates.items():

@@ -145,10 +145,12 @@ def perturb_game(game: BimatrixGame, seed: int) -> BimatrixGame:
     return BimatrixGame(game.a + eps, game.b - eps)
 
 
-def _beta_override(args) -> Optional[tuple]:
+def _beta_override(game: BimatrixGame, args) -> Optional[tuple]:
     if args.beta is None:
         return None
     beta = tuple(parse_fraction(t) for t in args.beta.split(","))
+    if len(beta) != game.n:
+        raise ParseError(f"embedding vector --beta has {len(beta)} entries for {game.n} columns")
     if len(set(beta)) < 2:
         raise ParseError("--beta needs at least two distinct entries")
     return beta
@@ -168,7 +170,7 @@ def _family_for(game: BimatrixGame, args) -> GameFamily:
     """
     if game.n < 2:
         raise ParseError(f"{args.command} needs at least 2 columns (game is {game.m}x{game.n})")
-    beta = _beta_override(args)
+    beta = _beta_override(game, args)
     d1 = _rank1_or_none(game, beta)
     if d1 is not None:
         return rank1_family(d1)[1]
@@ -177,7 +179,7 @@ def _family_for(game: BimatrixGame, args) -> GameFamily:
 
 
 def cmd_solve(game: BimatrixGame, args, out: dict) -> None:
-    beta = _beta_override(args)
+    beta = _beta_override(game, args)
     d1 = _rank1_or_none(game, beta)
     if d1 is not None:
         report = bin_search(d1)
@@ -194,7 +196,7 @@ def cmd_solve(game: BimatrixGame, args, out: dict) -> None:
 
 
 def cmd_enumerate(game: BimatrixGame, args, out: dict) -> None:
-    beta = _beta_override(args)
+    beta = _beta_override(game, args)
     d1 = _rank1_or_none(game, beta)
     if d1 is not None:
         out["records"] = enumerate_rank1(d1)

@@ -2,10 +2,12 @@
 
 The section LP at a parameter value is a primal walk on the row polytope's own
 tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot`` by Bland's rule
-where every improving pivot is degenerate); complementary slackness gives its
-dual optimum on the lifted polytope, a fully-labeled partner with combined
-objective exactly zero. Intersecting the containing edge with a game's
-selection hyperplane yields equilibria or a side classification.
+where every improving pivot is degenerate). The walk's edge rates at its
+optimum are the dual optimum on the lifted polytope, a fully-labeled partner
+with combined objective exactly zero; the same rates give the path edge through
+that partner and the affine piece of the rank-k box map, so no square system
+is solved. Intersecting the containing edge with a game's selection
+hyperplane yields equilibria or a side classification.
 """
 from __future__ import annotations
 
@@ -31,8 +33,10 @@ from .labeledpath import (
     make_node,
     oriented_edge,
 )
-from .linalg import Matrix, Rat, Vec, frac, solve_linear_system, vdot, vector, vsub
+from .linalg import Matrix, Rat, Vec, frac, solve_linear_system, vdot, vector
 from .polytope import GameFamily, Polytope, RankKFamily, Vertex
+
+Rates = dict[int, tuple[Vec, Rat]]  # (g_r, c_r) per basis label r: see edge_rates
 
 
 @dataclass(frozen=True)
@@ -98,19 +102,7 @@ def labeling_gap(family: GameFamily, v_coords: Sequence[Fraction],
     return _section_gap((family.beta,), v_coords, w_coords)
 
 
-def _complementary_system(lifted: Polytope, v_labels: frozenset[int],
-                          lam_rows: Sequence[Vec], lam_rhs: Sequence[Fraction]
-                          ) -> tuple[Matrix, list[Fraction]]:
-    """Square system of the lifted point complementary to a row-polytope vertex
-    with ``v_labels``: the equality row, k rows that fix lambda, and the m rows
-    of the labels v lacks."""
-    tight = sorted(frozenset(range(1, lifted.n_labels + 1)) - v_labels)
-    rows = [lifted.eq[0], *lam_rows] + [lifted.row(lab)[0] for lab in tight]
-    rhs = [lifted.eq[1], *lam_rhs] + [lifted.row(lab)[1] for lab in tight]
-    return Matrix(rows), rhs
-
-
-def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> dict[int, tuple[Vec, Rat]]:
+def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> Rates:
     """(g_r, c_r) per basis label r of a vertex v of P, in label order: along r's
     edge direction d the section objective sum_l delta_l * (beta_l . y) - pi1
     changes at rate g_r . delta - c_r, with g_r = (beta_l . d_y)_l, c_r = d_pi1."""
@@ -126,19 +118,26 @@ def nondegenerate_far_end(p: Polytope, v: Vertex, r: int) -> Optional[Vertex]:
         return None
 
 
+def _on_rows(m: int, rates: Rates, value) -> Vec:
+    """value(g_i, c_i) for each row label i <= m of the rates' basis, zero on
+    the other rows."""
+    return tuple(value(*rates[i]) if i in rates else Fraction(0) for i in range(1, m + 1))
+
+
 def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec],
-             delta: Vec) -> tuple[Vertex, Vec, Matrix]:
-    """Optimal section at lambda = delta: a primal walk on P's tableau, then
-    the dual in the lifted polytope from complementary slackness.
+             delta: Vec) -> tuple[Vertex, Vec, Rates]:
+    """Optimal section at lambda = delta: a primal walk on P's tableau, whose
+    edge rates at the optimum are the dual in the lifted polytope.
 
     The walk starts at the best pure vertex y = e_j, preferring columns with
     one best row. It relaxes the lowest basis label of positive rate whose
     pivot is nondegenerate (a strict gain), else takes the simplex pivot on
     the lowest such label by Bland's rule, which cannot cycle. Its optimum v
-    must have exactly n tight rows; the dual optimum is then unique, tight on
-    the m labels v lacks, and solves the square system of the equality row,
-    the k rows lambda_l = delta_l and those m rows. Returns v, the lifted
-    point w and that system; a feasible w with zero gap certifies both optima.
+    must have exactly n tight rows. The multiplier of row i is then minus the
+    rate of its edge, x_i = c_i - g_i . delta on v's basis rows and zero on
+    the others; lambda = delta and pi2 is the least feasible. Returns v, the
+    lifted point w and v's edge rates; a feasible w with zero gap certifies
+    both optima.
     """
     n, m, k = p.n, p.m, len(betas)
     weights = tuple(vdot(delta, col) for col in zip(*betas))
@@ -147,23 +146,24 @@ def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec],
     j = max(starts, key=lambda j: weights[j] - max(cols[j]))  # ties: the lowest column
     i = cols[j].index(max(cols[j]))
     v = p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
-    while improving := [r for r, (g, c) in edge_rates(p, v, betas).items() if vdot(g, delta) > c]:
+    rates = edge_rates(p, v, betas)
+    while improving := [r for r, (g, c) in rates.items() if vdot(g, delta) > c]:
         fars = (nondegenerate_far_end(p, v, r) for r in improving)
         v = next(filter(None, fars), None) or p.simplex_pivot(v, improving[0])
+        rates = edge_rates(p, v, betas)
     if len(v.labels) != n:
         raise DegeneratePolytope(f"section optimum has {len(v.labels)} tight rows in P")
 
-    unit = Matrix.identity(m + k + 1)
-    system, rhs = _complementary_system(
-        lifted, v.labels, [unit.row(m + l) for l in range(k)], delta
-    )
-    w_coords = solve_linear_system(system, rhs)  # Singular is an internal failure
+    x_lam = _on_rows(m, rates, lambda g, c: c - vdot(g, delta)) + delta
+    # Column j's lifted row is (coefficients) . (x, lambda) - pi2 <= 0.
+    pi2 = max(vdot(a[: m + k], x_lam) for a, _ in lifted.ineqs[m:])
+    w_coords = x_lam + (pi2,)
     if not lifted.feasible(w_coords):
         raise RankGamesError("complementary lifted point is infeasible")
     gap = _section_gap(betas, v.coords, w_coords)
     if gap != 0:
         raise NonzeroOptimum(f"section objective is {gap}, expected 0")
-    return v, w_coords, system
+    return v, w_coords, rates
 
 
 def solve_lp_delta(family: GameFamily, delta) -> OptSet:
@@ -171,12 +171,13 @@ def solve_lp_delta(family: GameFamily, delta) -> OptSet:
     if not family.rank1:
         raise RankGamesError("section LP needs the rank-1 family (c = -a)")
     m, qp = family.m, family.qp
-    v, w_coords, system = _section(family.p, qp, (family.beta,), (frac(delta),))
+    v, w_coords, rates = _section(family.p, qp, (family.beta,), (frac(delta),))
     w_labels = qp.labels_at(w_coords)
     if len(w_labels) == m:
-        # Along the edge the m tight rows stay tight while lambda rises at rate 1.
-        rate = [Fraction(0), Fraction(1)] + [Fraction(0)] * m
-        direction = solve_linear_system(system, rate)
+        # Along the edge lambda rises at rate 1, x moves at -g_i on v's basis
+        # rows, and pi2 at beta . y (the rows of v's support stay tight).
+        dx = _on_rows(m, rates, lambda g, c: -g[0])
+        direction = dx + (Fraction(1), vdot(family.beta, v.coords[: family.n]))
         edge = oriented_edge(
             family, V_FIXED, v, qp.edge_through_point(w_labels, w_coords, direction)
         )
@@ -191,20 +192,16 @@ def solve_lp_delta(family: GameFamily, delta) -> OptSet:
     return OptSet(v.coords, w_coords, edge)
 
 
-def _h_linear(family: GameFamily, edge: PathEdge, h: Hyperplane) -> tuple[Rat, Rat]:
+def _h_linear(edge: PathEdge, h: Hyperplane) -> tuple[Rat, Rat]:
     """Coefficients (h0, dh) of the hyperplane value along the edge parameter."""
     if edge.kind == W_FIXED:
         return h.value_at(edge.fixed.coords), Fraction(0)
-    h0 = h.value_at(edge.moving.base.coords)
-    d = edge.moving.direction
-    m = family.m
-    dh = d[m] - vdot(h.gamma, d[:m])
-    return h0, dh
+    return h.value_at(edge.moving.base.coords), h.value_at(edge.moving.direction)
 
 
-def _analyze_edge(family: GameFamily, edge: PathEdge, h: Hyperplane):
+def _analyze_edge(edge: PathEdge, h: Hyperplane):
     """('none', side_sign) | ('point', Crossing) for the hit strictly inside."""
-    h0, dh = _h_linear(family, edge, h)
+    h0, dh = _h_linear(edge, h)
     t_max = edge.moving.t_max
     if dh == 0:
         if h0 == 0:
@@ -220,14 +217,9 @@ def _analyze_edge(family: GameFamily, edge: PathEdge, h: Hyperplane):
             "equilibrium at a vertex pair of the fully-labeled set (degenerate game)"
         )
     if not inside:
-        sign_at_zero = 1 if h0 > 0 else -1
-        return ("none", sign_at_zero)
-    if edge.kind == V_FIXED:
-        w_coords = edge.moving.point_at(t_star)
-        v_coords = edge.fixed.coords
-    else:
-        v_coords = edge.moving.point_at(t_star)
-        w_coords = edge.fixed.coords
+        return ("none", 1 if h0 > 0 else -1)
+    moving, fixed = edge.moving.point_at(t_star), edge.fixed.coords
+    v_coords, w_coords = (fixed, moving) if edge.kind == V_FIXED else (moving, fixed)
     return ("point", Crossing(edge, t_star, v_coords, w_coords, _orient_index(edge, dh)))
 
 
@@ -251,7 +243,7 @@ def crossing_records(
 ) -> list[FoundEquilibrium]:
     """Equilibria of the gamma game on one edge, with orientation indices."""
     gamma = vector(gamma)
-    kind, hit = _analyze_edge(family, edge, Hyperplane(gamma))
+    kind, hit = _analyze_edge(edge, Hyperplane(gamma))
     return [_verified(family, gamma, hit, provenance)] if kind == "point" else []
 
 
@@ -259,7 +251,7 @@ def is_ne(family: GameFamily, gamma: Sequence[Fraction], delta) -> IsNEOutcome:
     """Probe one lambda value: equilibrium on the containing edge, or its side."""
     gamma = vector(gamma)
     opt = solve_lp_delta(family, delta)
-    kind, hit = _analyze_edge(family, opt.edge, Hyperplane(gamma))
+    kind, hit = _analyze_edge(opt.edge, Hyperplane(gamma))
     if kind == "none":
         return IsNEOutcome("below" if hit < 0 else "above")
     found = _verified(family, gamma, hit, f"section-probe(delta={frac(delta)})")
@@ -286,9 +278,7 @@ def solve_lp_k(kfam: RankKFamily, delta: Sequence[Fraction]) -> KSectionOpt:
 
 
 def box_bounds(gammas: Sequence[Sequence[Fraction]]) -> tuple[Vec, Vec]:
-    lows = tuple(min(g) for g in gammas)
-    highs = tuple(max(g) for g in gammas)
-    return lows, highs
+    return tuple(min(g) for g in gammas), tuple(max(g) for g in gammas)
 
 
 def fixed_point_eval(kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]],
@@ -304,21 +294,19 @@ def fixed_point_eval(kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]],
     return tuple(vdot(g, x) for g in gammas)
 
 
-def piece_fixed_point(kfam: RankKFamily, gammas: Sequence[Vec], v: Vertex) -> Optional[Vec]:
-    """Fixed point of the affine piece of the box map on the cell of v.
+def piece_fixed_point(kfam: RankKFamily, gammas: Sequence[Vec], rates: Rates) -> Optional[Vec]:
+    """Fixed point of the affine piece of the box map on the cell of a vertex
+    v of P, given v's edge rates.
 
-    On that cell the lifted point solves v's complementary system with lambda
-    = delta, so the map is a -> Gamma x(a). Replacing each row lambda_l =
-    delta_l by lambda_l = gamma_l . x makes lambda its own image: one square
-    solve (the k x k system (I - Gamma X_v) a = Gamma x_0 before elimination).
-    None when that system is singular. The point may lie outside the cell.
+    On that cell the section's x(a) is c_B - G_B a on v's basis rows and zero
+    on the others, so the map is a -> Gamma x(a), and its fixed point solves
+    the k x k system (I + Gamma_B G_B) a = Gamma_B c_B. None when that system
+    is singular. The point may lie outside the cell.
     """
-    m, k = kfam.m, kfam.k
-    unit = Matrix.identity(m + k + 1)
-    lam_rows = [vsub(unit.row(m + l), tuple(g) + (0,) * (k + 1)) for l, g in enumerate(gammas)]
-    system, rhs = _complementary_system(kfam.qk, v.labels, lam_rows, [Fraction(0)] * k)
+    m, k, gam = kfam.m, kfam.k, Matrix(gammas)
+    g_x = Matrix([rates[i][0] if i in rates else (0,) * k for i in range(1, m + 1)])
     try:
-        w_coords = solve_linear_system(system, rhs)
+        return solve_linear_system(Matrix.identity(k) + gam @ g_x,
+                                   gam.mul_vec(_on_rows(m, rates, lambda g, c: c)))
     except Singular:
         return None
-    return w_coords[m: m + k]

@@ -224,14 +224,10 @@ class Polytope:
         col, scale = self.dim + relax - 1, -self.scales[relax]
         return tuple(Fraction(scale * row[col], tab.denom) for row in tab.rows[: self.dim])
 
-    def _min_ratio(self, steps: Iterable[tuple[int, int, int]],
-                   tight: frozenset[int]) -> tuple[Optional[Rat], Optional[int]]:
-        """Shortest step over (label, slack, rate) integer triples in ascending
-        label order: the least slack / rate over the positive rates, with its
-        label, or (None, None) when no rate is positive. The step is in the
-        caller's units. A zero step or a tie is degenerate; ``tight`` names the
-        edge in the message.
-        """
+    @staticmethod
+    def _least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[int]]:
+        """Least slack / rate, as (slack, rate), over the positive rates of
+        (label, slack, rate) integer triples, with every label reaching it."""
         best_s = best_r = 0
         hits: list[int] = []
         for lab, s, r in steps:
@@ -241,6 +237,16 @@ class Polytope:
                 best_s, best_r, hits = s, r, [lab]
             elif s * best_r == best_s * r:
                 hits.append(lab)
+        return best_s, best_r, hits
+
+    def _min_ratio(self, steps: Iterable[tuple[int, int, int]],
+                   tight: frozenset[int]) -> tuple[Optional[Rat], Optional[int]]:
+        """Shortest step over (label, slack, rate) integer triples in ascending
+        label order, with its label, or (None, None) when no rate is positive.
+        The step is in the caller's units. A zero step or a tie is degenerate;
+        ``tight`` names the edge in the message.
+        """
+        best_s, best_r, hits = self._least_ratios(steps)
         if not hits:
             return None, None
         if best_s == 0:
@@ -248,6 +254,12 @@ class Polytope:
         if len(hits) > 1:
             raise DegeneratePolytope(f"ratio tie between rows {hits} leaving {sorted(tight)}")
         return Fraction(best_s, best_r), hits[0]
+
+    def _ratio_rows(self, tab: Tableau, relax: int) -> list[tuple[int, int, int]]:
+        """(label, slack, rate) of every basic slack along relax's edge, in label order."""
+        d, col = self.dim, self.dim + relax - 1
+        slack_rows = zip(tab.basic[d:], tab.rows[d:])
+        return sorted((var - d + 1, row[-1], row[col]) for var, row in slack_rows)
 
     def _pivot_to(self, vertex: Vertex, tab: Tableau, relax: int, hit: int) -> Vertex:
         """One integer pivot on a copy of the tableau: relax leaves the basis, hit enters."""
@@ -264,12 +276,8 @@ class Polytope:
         if relax not in vertex.basis:
             raise ValueError(f"label {relax} not in basis {sorted(vertex.basis)}")
         tab = self.tableau(vertex)
-        d, col = self.dim, self.dim + relax - 1
         direction = self._direction(tab, relax)
-        slack_rows = zip(tab.basic[d:], tab.rows[d:])
-        step, hit = self._min_ratio(
-            sorted((var - d + 1, row[-1], row[col]) for var, row in slack_rows), vertex.basis
-        )
+        step, hit = self._min_ratio(self._ratio_rows(tab, relax), vertex.basis)
         if hit is None:
             return EdgeDescriptor(vertex, relax, direction, None, None)
         far = self._pivot_to(vertex, tab, relax, hit)
@@ -281,10 +289,9 @@ class Polytope:
         """The basis after relaxing ``relax`` with Bland's leaving rule: the
         lowest label of least ratio enters. Zero steps and extra tight rows are
         allowed; None when the edge is unbounded."""
-        tab, d, col = self.tableau(vertex), self.dim, self.dim + relax - 1
-        ratios = [(Fraction(row[-1], row[col]), var - d + 1)
-                  for var, row in zip(tab.basic[d:], tab.rows[d:]) if row[col] > 0]
-        return self._pivot_to(vertex, tab, relax, min(ratios)[1]) if ratios else None
+        tab = self.tableau(vertex)
+        _, _, hits = self._least_ratios(self._ratio_rows(tab, relax))
+        return self._pivot_to(vertex, tab, relax, hits[0]) if hits else None
 
     def edge_through_point(self, tight: Iterable[int], point: Sequence[Fraction],
                            direction: Vec) -> EdgeDescriptor:

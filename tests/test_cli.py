@@ -294,6 +294,20 @@ def test_constant_beta_override_is_usage_error(tmp_path, capsys):
     assert "embedding vector" in capsys.readouterr().err  # wrong length
 
 
+def test_beta_override_of_the_wrong_length_is_usage_error(tmp_path, capsys):
+    # A zero-sum game uses the override as its beta, a rank-1 game with a
+    # nonzero payoff sum its own factor; every verb that reads --beta
+    # rejects a length other than the column count alike.
+    games = {"zero-sum": BimatrixGame(EX1_A, EX1_A.scale(-1)), "rank-1": R1A.game()}
+    for name, game in games.items():
+        path = write_game(tmp_path, game, f"{name}.game")
+        for verb in ("solve", "enumerate", "index", "trace", "regions"):
+            assert main([verb, "--input", path, "--beta", "1,2"]) == EXIT_PARSE, (name, verb)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: embedding vector --beta has 2 entries for 3 columns\n"
+
+
 def test_trace_and_regions_need_two_columns(tmp_path, capsys):
     # A single column leaves beta constant whatever it is; the other verbs
     # solve the game directly.

@@ -1,6 +1,7 @@
-"""Every module-level import in the package is used, every function, class
-and method it defines is named somewhere else, and no module checks with an
-assert statement, which python -O strips (no linter ships here)."""
+"""Every module-level import in the package and its tests is used, every
+function, class and method the package defines is named somewhere else, and
+no module checks with an assert statement, which python -O strips (no linter
+ships here)."""
 import ast
 import re
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rankgames"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ROOT = SRC.parent.parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -6,8 +6,8 @@ import pytest
 
 from rankgames.errors import DegeneracyError, DegeneratePolytope, OutOfBox
 from rankgames.games import decompose_rank_k, verify_equilibrium
-from rankgames.labeledpath import trace_path
-from rankgames.linalg import Matrix, vdot, vscale
+from rankgames.labeledpath import V_FIXED, W_FIXED, trace_path
+from rankgames.linalg import Matrix, solve_linear_system, vdot, vscale
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
 from rankgames.paramlp import (
     Hyperplane,
@@ -269,24 +269,56 @@ def test_rank_k_sections_make_no_lp_call(k2, monkeypatch):
     assert len(lp_calls) == 6  # the cell walk's facet tests, all in the watch
 
 
+def test_solver_path_makes_no_linear_solve(k2, monkeypatch):
+    # A section's lifted point and its path edge come off P's edge rates, so
+    # the rank-1 verbs and the box map solve no linear system; the cell walk
+    # solves one k x k system per cell for the cell's fixed point.
+    import rankgames.paramlp as paramlp
+    from rankgames.algorithms import fixed_point_search
+
+    shapes = []
+    real = paramlp.solve_linear_system
+    monkeypatch.setattr(
+        paramlp, "solve_linear_system",
+        lambda system, rhs: shapes.append((system.rows, system.cols)) or real(system, rhs),
+    )
+    fam = GameFamily(R1A.a, R1A.a.scale(-1), R1A.beta)
+    kinds = set()
+    for node in trace_path(fam).nodes:
+        lam = fam.lambda_of(node.w)
+        kinds |= {solve_lp_delta(fam, lam).edge.kind, solve_lp_delta(fam, lam + 1).edge.kind}
+    assert kinds == {V_FIXED, W_FIXED}
+    d, kfam = k2
+    lows, highs = box_bounds(d.gammas)
+    mid = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
+    solve_lp_k(kfam, mid)
+    fixed_point_eval(kfam, d.gammas, mid)
+    assert shapes == []
+    fixed_point_search(kfam, d.gammas)
+    a, betas, gammas = random_rank_k(random.Random(3), 3, 4, 4)
+    fixed_point_search(RankKFamily(a, betas), gammas)
+    assert shapes and set(shapes) == {(2, 2), (3, 3)}
+
+
 def section_corpus():
-    """(P, lifted polytope, betas, delta) of seeded sections: wide-span rank-1
-    games at min gamma, max gamma and their midpoint; small-span rank-1 games
-    at the same three; rank-2 and rank-3 families at points of their box."""
+    """(family, P, lifted polytope, betas, delta) of seeded sections:
+    wide-span rank-1 games at min gamma, max gamma and their midpoint;
+    small-span rank-1 games at the same three; rank-2 and rank-3 families at
+    points of their box."""
     rng = random.Random(8)
     for size in (3, 4, 4, 5, 5, 6, 6, 7):
         d = random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
         fam = GameFamily(d.a, d.a.scale(-1), d.beta)
         lo, hi = min(d.gamma), max(d.gamma)
         for delta in (lo, hi, (lo + hi) / 2):
-            yield "wide", fam.p, fam.qp, (fam.beta,), (delta,)
+            yield "wide", fam, fam.p, fam.qp, (fam.beta,), (delta,)
     rng = random.Random(2024)
     for _ in range(40):
         d = random_rank1(rng, rng.randint(2, 5), rng.randint(2, 5))
         fam = GameFamily(d.a, d.a.scale(-1), d.beta)
         lo, hi = min(d.gamma), max(d.gamma)
         for delta in (lo, hi, (lo + hi) / 2):
-            yield "small", fam.p, fam.qp, (fam.beta,), (delta,)
+            yield "small", fam, fam.p, fam.qp, (fam.beta,), (delta,)
     rng = random.Random(4)
     for g in range(16):
         k = 2 + g % 2
@@ -298,7 +330,7 @@ def section_corpus():
             delta = tuple(
                 lo + (hi - lo) * Fraction(rng.randint(0, 8), 8) for lo, hi in zip(lows, highs)
             )
-            yield "rank-k", kfam.p, kfam.qk, kfam.betas, delta
+            yield "rank-k", kfam, kfam.p, kfam.qk, kfam.betas, delta
 
 
 def test_section_walk_matches_generic_lp_reference(monkeypatch):
@@ -307,7 +339,10 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
     # another optimum with a zero-rate edge (the optimum is not unique); w is
     # the lifted LP's point. Where the reference has more, the walk rejects it
     # too or finds an optimum of the same value. The walk rejects no section
-    # that the reference accepts.
+    # that the reference accepts. On the rank-1 sections whose lifted point
+    # lies inside an edge of the path, that edge runs along the direction of
+    # v's complementary square system: the equality row, lambda at rate 1 and
+    # the m lifted rows that v's labels lack.
     import rankgames.paramlp as paramlp
 
     pivots = Counter()
@@ -318,7 +353,8 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
 
         monkeypatch.setattr(Polytope, name, counted)
     counts = Counter()
-    for corpus, p, lifted, betas, delta in section_corpus():
+    rank1 = []
+    for corpus, family, p, lifted, betas, delta in section_corpus():
         objective = section_objective(betas, delta)
         ref = solve_lp(polytope_lp(p, objective))
         assert ref.optimal
@@ -333,6 +369,8 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
             counts[corpus, "accepted by the walk"] += 1
             continue
         assert w_coords == lifted_lp_point(lifted, delta)
+        if corpus != "rank-k":
+            rank1.append((family, delta[0], v))
         if v.coords == ref.point:
             counts[corpus, "matched"] += 1
         else:
@@ -352,6 +390,21 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
     # rejected sections take here; the generic LP takes 4,529 pivots on the
     # same sections.
     assert dict(pivots) == {"pivot": 350, "simplex_pivot": 52}
+    v_fixed = 0
+    for fam, delta, v in rank1:
+        try:
+            edge = solve_lp_delta(fam, delta).edge
+        except DegeneratePolytope:  # a degenerate lifted point or edge in Q'
+            continue
+        if edge.kind != V_FIXED:
+            continue
+        m, unit = fam.m, Matrix.identity(fam.m + 2)
+        lacks = [fam.qp.row(lab)[0] for lab in range(1, m + fam.n + 1) if lab not in v.labels]
+        system = Matrix([fam.qp.eq[0], unit.row(m), *lacks])
+        direction = solve_linear_system(system, [0, 1] + [0] * m)
+        assert edge.moving.direction in (direction, vscale(-1, direction))
+        v_fixed += 1
+    assert v_fixed == 109
 
 
 def test_section_walk_leaves_a_degenerate_start(monkeypatch):
