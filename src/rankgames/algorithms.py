@@ -42,6 +42,7 @@ from .lp import EQ, LE, LinearProgram, solve_lp
 from .paramlp import (
     Crossing,
     FoundEquilibrium,
+    Hyperplane,
     box_bounds,
     crossing_records,
     edge_rates,
@@ -85,6 +86,13 @@ def _instance_bits(d: Rank1Decomposition) -> int:
     return sum(abs(int(e)).bit_length() + 1 for e in entries)
 
 
+def _positive(game: BimatrixGame) -> BimatrixGame:
+    """``game``, checked to have strictly positive payoffs."""
+    if game.a.min_entry() <= 0 or game.b.min_entry() <= 0:
+        raise RankGamesError("index formula requires strictly positive payoffs")
+    return game
+
+
 def index_of(game_positive: BimatrixGame, rec: EquilibriumRecord, crossing: Crossing) -> int:
     """Equilibrium index; asserts the determinant and orientation routes agree.
 
@@ -92,8 +100,12 @@ def index_of(game_positive: BimatrixGame, rec: EquilibriumRecord, crossing: Cros
     strictly positive game; the orientation value comes from which side of the
     hyperplane the directed edge enters from.
     """
-    if game_positive.a.min_entry() <= 0 or game_positive.b.min_entry() <= 0:
-        raise RankGamesError("index formula requires strictly positive payoffs")
+    return _checked_index(_positive(game_positive), rec, crossing)
+
+
+def _checked_index(game_positive: BimatrixGame, rec: EquilibriumRecord,
+                   crossing: Crossing) -> int:
+    """``index_of`` on a game already known to be strictly positive."""
     big_i, big_j = rec.support
     if len(big_i) != len(big_j):
         raise DegeneratePolytope("unbalanced support at an equilibrium")
@@ -114,9 +126,10 @@ def index_of(game_positive: BimatrixGame, rec: EquilibriumRecord, crossing: Cros
 def _finalize(
     original: BimatrixGame, found: FoundEquilibrium, provenance: str, shifted: BimatrixGame
 ) -> EquilibriumRecord:
-    """Re-anchor a found equilibrium on the original game; index it on ``shifted``."""
+    """Re-anchor a found equilibrium on the original game; index it on
+    ``shifted``, which the caller checked with ``_positive``."""
     rec = make_record(original, found.record.profile, provenance)
-    return replace(rec, index=index_of(shifted, rec, found.crossing))
+    return replace(rec, index=_checked_index(shifted, rec, found.crossing))
 
 
 def rank1_family(d: Rank1Decomposition) -> tuple[Rank1Decomposition, GameFamily]:
@@ -149,7 +162,7 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     gamma = di.gamma
     g_min, g_max = min(gamma), max(gamma)
     bits = _instance_bits(di)
-    shifted = positivity_shift(family.game_at(gamma))[0]
+    shifted = _positive(positivity_shift(family.game_at(gamma))[0])
 
     def report_for(found: FoundEquilibrium, iters: int, bound: int, hist) -> BinSearchReport:
         if found.crossing.orient_index != 1:
@@ -220,12 +233,14 @@ def _path_equilibria(
 ) -> list[EquilibriumRecord]:
     """Hyperplane crossings of the edges, in path order, recorded on ``game``.
 
-    Indices are computed on the game the path ran on, ``family.game_at(gamma)``.
+    Crossings are verified, and indices computed, on the game the path ran on,
+    ``family.game_at(gamma)``, built once.
     """
-    founds = [fe for edge in edges for fe in crossing_records(family, gamma, edge, provenance)]
+    at_gamma, h = family.game_at(gamma), Hyperplane(gamma)
+    founds = [fe for edge in edges for fe in crossing_records(at_gamma, h, edge, provenance)]
     if not founds:
         raise RankGamesError("path walk found no equilibrium; theory guarantees one")
-    shifted = positivity_shift(family.game_at(gamma))[0]
+    shifted = _positive(positivity_shift(at_gamma)[0])
     return [_finalize(game, fe, provenance, shifted) for fe in founds]
 
 
@@ -323,12 +338,7 @@ def homeo_inverse(
         t_star = (target - g0) / dg
         if t_star < 0 or (edge.moving.t_max is not None and t_star > edge.moving.t_max):
             raise RankGamesError("located edge does not span the requested value")
-        if edge.kind == V_FIXED:
-            v_coords = edge.fixed.coords
-            w_coords = edge.moving.point_at(t_star)
-        else:
-            v_coords = edge.moving.point_at(t_star)
-            w_coords = edge.fixed.coords
+        v_coords, w_coords = edge.point_at(t_star)
 
     x = w_coords[: family.m]
     y = v_coords[: family.n]

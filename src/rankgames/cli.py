@@ -333,16 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--perturb", type=int, metavar="SEED", default=None,
                         help="retry once with a tiny seeded perturbation on degeneracy")
-    common.add_argument("--beta", default=None,
-                        help="override the embedding vector, e.g. '1,2,3'")
+    # Only the verbs that embed the game in a family read --beta.
+    embedding = argparse.ArgumentParser(add_help=False)
+    embedding.add_argument("--beta", default=None,
+                           help="override the embedding vector, e.g. '1,2,3'")
     parser = argparse.ArgumentParser(
         prog="rankgames",
         description="Exact bimatrix equilibrium solver on fully-labeled paths",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "enumerate", "index", "oracle", "rank", "regions"):
-        sub.add_parser(name, parents=[common])
-    trace_p = sub.add_parser("trace", parents=[common])
+        embeds = name not in ("oracle", "rank")
+        sub.add_parser(name, parents=[common, embedding] if embeds else [common])
+    trace_p = sub.add_parser("trace", parents=[common, embedding])
     trace_p.add_argument("--all-from", default=None, metavar="SEED",
                          help="trace the cycle through the node 'v1,v2,../w1,w2,..'")
     fp = sub.add_parser("fixedpoint", parents=[common])

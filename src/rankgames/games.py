@@ -206,13 +206,20 @@ def decompose_rank1(
     caller-supplied vector or the generic default (1, ..., n).
     """
     s = game.payoff_sum()
-    if s.is_zero():
+    rows = [s.row(i) for i in range(s.rows)]
+    pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
+    if pivot is None:
         beta = vector(beta_default) if beta_default is not None else default_beta(game.n)
         return Rank1Decomposition(game.a, vector([0] * game.m), beta)
-    gamma, beta, residue = _peel_rank1(s)
-    if not residue.is_zero():
-        raise RankTooHigh("payoff sum has rank >= 2")
-    return Rank1Decomposition(game.a, gamma, beta)
+    # Rank 1 iff every 2x2 minor through the first nonzero entry vanishes:
+    # s[i][j] * s[i0][j0] == s[i][j0] * s[i0][j]; the first that does not
+    # decides, before any term is peeled off.
+    i0, j0 = pivot
+    p, beta = rows[i0][j0], rows[i0]
+    for row in rows:
+        if any(x * p != row[j0] * b for x, b in zip(row, beta)):
+            raise RankTooHigh("payoff sum has rank >= 2")
+    return Rank1Decomposition(game.a, tuple(row[j0] / p for row in rows), beta)
 
 
 def decompose_rank_k(game: BimatrixGame) -> RankKDecomposition:

@@ -13,7 +13,7 @@ pivots, which is what makes "sign alternation violated" a real check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Iterator, Optional
 
@@ -25,7 +25,7 @@ from .errors import (
     SeedOnPath,
     StepBudgetExceeded,
 )
-from .linalg import Rat, integer_determinant, sign, vdot
+from .linalg import Rat, Vec, integer_determinant, sign, vdot
 from .polytope import EdgeDescriptor, GameFamily, Polytope, Vertex
 
 V_FIXED = "v_fixed"  # vertex of P fixed, edge moves in Q'
@@ -64,6 +64,13 @@ class PathEdge:
 
     def key(self) -> tuple[str, frozenset[int], frozenset[int]]:
         return (self.kind, self.fixed.basis, self.moving.tight_set)
+
+    def point_at(self, t: Rat) -> tuple[Vec, Vec]:
+        """(v_coords, w_coords) of the pair at edge parameter t."""
+        moving = self.moving.point_at(t)
+        if self.kind == V_FIXED:
+            return self.fixed.coords, moving
+        return moving, self.fixed.coords
 
 
 @dataclass(frozen=True)
@@ -183,6 +190,9 @@ def trace_path(family: GameFamily) -> ComponentTrace:
     bounding node and must end on the high ray, built independently.
     """
     v_s, ray_s = family.ray(high=False)
+    # The walk's first pivot in Q' is at the low ray's base and would build
+    # its tableau there; built now, the edges before it read it too.
+    ray_s = replace(ray_s, base=replace(ray_s.base, tableau=family.qp.tableau(ray_s.base)))
     v_e, ray_e = family.ray(high=True)
     low = oriented_edge(family, V_FIXED, v_s, ray_s)
     if low.head is None:

@@ -7,13 +7,19 @@ optimum are the dual optimum on the lifted polytope, a fully-labeled partner
 with combined objective exactly zero; the same rates give the path edge through
 that partner and the affine piece of the rank-k box map, so no square system
 is solved. Intersecting the containing edge with a game's selection
-hyperplane yields equilibria or a side classification.
+hyperplane yields equilibria or a side classification. On a path edge that
+``Polytope.pivot`` made, the hyperplane's value and its rate are integer dots
+of the hyperplane's integer row with the Q' tableau's rhs and relaxed column;
+only crossings, and edges and vertices built from ``Fraction`` points, use
+coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -24,7 +30,7 @@ from .errors import (
     RankGamesError,
     Singular,
 )
-from .games import EquilibriumRecord, MixedProfile, make_record, verify_equilibrium
+from .games import BimatrixGame, EquilibriumRecord, MixedProfile, make_record, verify_equilibrium
 from .labeledpath import (
     FORWARD,
     V_FIXED,
@@ -33,21 +39,40 @@ from .labeledpath import (
     make_node,
     oriented_edge,
 )
-from .linalg import Matrix, Rat, Vec, frac, solve_linear_system, vdot, vector
-from .polytope import GameFamily, Polytope, RankKFamily, Vertex
+from .linalg import Matrix, Rat, Vec, frac, scaled_integers, solve_linear_system, vdot, vector
+from .polytope import GameFamily, Polytope, RankKFamily, Tableau, Vertex
 
 Rates = dict[int, tuple[Vec, Rat]]  # (g_r, c_r) per basis label r: see edge_rates
 
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Selection hyperplane lambda = gamma . x over lifted coordinates."""
+    """Selection hyperplane lambda = gamma . x over lifted coordinates.
+
+    ``row`` is lambda - gamma . x over (x, lambda, pi2) times ``scale``, the
+    least positive integer that makes it integral. On a vector held as
+    integers over one denominator, such as a tableau column, the hyperplane's
+    value is then one integer dot (``over``).
+    """
 
     gamma: Vec
+    scale: int = field(init=False, compare=False, repr=False)
+    row: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        gamma = vector(self.gamma)
+        scale = lcm(*(g.denominator for g in gamma))
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "row", (*(-g for g in scaled_integers(gamma, scale)), scale, 0))
 
     def value_at(self, w_coords: Sequence[Fraction]) -> Rat:
         m = len(self.gamma)
         return w_coords[m] - vdot(self.gamma, w_coords[:m])
+
+    def over(self, numerators: Iterable[int], denom: int) -> Rat:
+        """The value at the vector ``numerators / denom``."""
+        return Fraction(sum(map(mul, self.row, numerators)), self.scale * denom)
 
 
 @dataclass(frozen=True)
@@ -192,11 +217,34 @@ def solve_lp_delta(family: GameFamily, delta) -> OptSet:
     return OptSet(v.coords, w_coords, edge)
 
 
+def _rhs(tab: Tableau) -> Iterator[int]:
+    """A tableau's rhs column. Its first d entries, the z rows, are the
+    vertex's point times ``tab.denom``; ``Hyperplane.over`` reads no more."""
+    return (row[-1] for row in tab.rows)
+
+
+def _h_at(h: Hyperplane, w: Vertex) -> Rat:
+    """The hyperplane value at a vertex of Q', off its tableau when it carries one."""
+    if w.tableau is None:
+        return h.value_at(w.coords)
+    return h.over(_rhs(w.tableau), w.tableau.denom)
+
+
 def _h_linear(edge: PathEdge, h: Hyperplane) -> tuple[Rat, Rat]:
-    """Coefficients (h0, dh) of the hyperplane value along the edge parameter."""
+    """Coefficients (h0, dh) of the hyperplane value along the edge parameter.
+
+    On an edge that ``Polytope.pivot`` made, both are integer dots with its
+    base's tableau: the rhs, and the relaxed column. An edge from
+    ``edge_through_point`` has its direction only in ``Fraction``s, which are
+    put over their common denominator.
+    """
     if edge.kind == W_FIXED:
-        return h.value_at(edge.fixed.coords), Fraction(0)
-    return h.value_at(edge.moving.base.coords), h.value_at(edge.moving.direction)
+        return _h_at(h, edge.fixed), Fraction(0)
+    ed = edge.moving
+    if ed.tableau is None:
+        q = lcm(*(x.denominator for x in ed.direction))
+        return _h_at(h, ed.base), h.over(scaled_integers(ed.direction, q), q)
+    return h.over(_rhs(ed.tableau), ed.tableau.denom), h.over(ed.column, ed.tableau.denom)
 
 
 def _analyze_edge(edge: PathEdge, h: Hyperplane):
@@ -218,8 +266,7 @@ def _analyze_edge(edge: PathEdge, h: Hyperplane):
         )
     if not inside:
         return ("none", 1 if h0 > 0 else -1)
-    moving, fixed = edge.moving.point_at(t_star), edge.fixed.coords
-    v_coords, w_coords = (fixed, moving) if edge.kind == V_FIXED else (moving, fixed)
+    v_coords, w_coords = edge.point_at(t_star)
     return ("point", Crossing(edge, t_star, v_coords, w_coords, _orient_index(edge, dh)))
 
 
@@ -228,33 +275,33 @@ def _orient_index(edge: PathEdge, dh: Rat) -> int:
     return 1 if rising else -1
 
 
-def _verified(family: GameFamily, gamma: Vec, crossing: Crossing,
-              provenance: str) -> FoundEquilibrium:
-    """The crossing as an exactly verified equilibrium of the gamma game."""
-    profile = MixedProfile(crossing.w_coords[: family.m], crossing.v_coords[: family.n])
-    game = family.game_at(gamma)
+def _verified(game: BimatrixGame, crossing: Crossing, provenance: str) -> FoundEquilibrium:
+    """The crossing as an exactly verified equilibrium of ``game``, the gamma game."""
+    profile = MixedProfile(crossing.w_coords[: game.m], crossing.v_coords[: game.n])
     if not verify_equilibrium(game, profile):
         raise NotEquilibrium("hyperplane crossing failed exact verification")
     return FoundEquilibrium(make_record(game, profile, provenance), crossing)
 
 
 def crossing_records(
-    family: GameFamily, gamma: Sequence[Fraction], edge: PathEdge, provenance: str
+    game: BimatrixGame, h: Hyperplane, edge: PathEdge, provenance: str
 ) -> list[FoundEquilibrium]:
-    """Equilibria of the gamma game on one edge, with orientation indices."""
-    gamma = vector(gamma)
-    kind, hit = _analyze_edge(edge, Hyperplane(gamma))
-    return [_verified(family, gamma, hit, provenance)] if kind == "point" else []
+    """Equilibria of ``game`` on one edge, with orientation indices.
+
+    ``game`` is the family's game at gamma, ``family.game_at(gamma)``, and
+    ``h`` is ``Hyperplane(gamma)``: a path builds both once for all its edges.
+    """
+    kind, hit = _analyze_edge(edge, h)
+    return [_verified(game, hit, provenance)] if kind == "point" else []
 
 
 def is_ne(family: GameFamily, gamma: Sequence[Fraction], delta) -> IsNEOutcome:
     """Probe one lambda value: equilibrium on the containing edge, or its side."""
-    gamma = vector(gamma)
-    opt = solve_lp_delta(family, delta)
-    kind, hit = _analyze_edge(opt.edge, Hyperplane(gamma))
+    h = Hyperplane(gamma)
+    kind, hit = _analyze_edge(solve_lp_delta(family, delta).edge, h)
     if kind == "none":
         return IsNEOutcome("below" if hit < 0 else "above")
-    found = _verified(family, gamma, hit, f"section-probe(delta={frac(delta)})")
+    found = _verified(family.game_at(h.gamma), hit, f"section-probe(delta={frac(delta)})")
     return IsNEOutcome("found", (found,))
 
 

@@ -11,7 +11,9 @@ vertex carries (integer pivoting as in lrsnash: Avis, Rosenberg, Savani & von
 Stengel, 2010). A pivot is one ``linalg.integer_pivot`` on a copy of the base
 vertex's tableau; the edge direction, the ratio test, the far vertex and its
 labels are read off that tableau, so the walk solves no system. Coordinates,
-directions and steps are still returned as ``Fraction``.
+directions and steps are still returned as ``Fraction``, but a pivot's far
+vertex and its edge are made without their coordinates and direction: those
+are read off the tableau when first used, which on most path edges is never.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     ConstantBeta,
@@ -61,16 +63,50 @@ class Tableau(NamedTuple):
     denom: int
     basic: tuple[int, ...]
 
+    def point(self) -> Vec:
+        """The vertex's coordinates: the rhs of the z rows over ``denom``.
+        There are d = (columns - rows) of them: d + L + 1 columns, L + 1 rows."""
+        d = len(self.rows[0]) - len(self.rows)
+        return tuple(Fraction(row[-1], self.denom) for row in self.rows[:d])
+
+
+class _ReadOff:
+    """A dataclass field that may be given as None: it is then computed by
+    ``read`` from the instance (off its tableau) on first use, and kept.
+
+    It has no default, so the field stays positional and required; equality,
+    hashing and ``dataclasses.replace`` see the computed value.
+    """
+
+    def __init__(self, read: Callable):
+        self.read = read
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # no class-level default
+        value = obj.__dict__[self.name]
+        if value is None:
+            value = obj.__dict__[self.name] = self.read(obj)
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
 
 @dataclass(frozen=True)
 class Vertex:
     """Basic feasible point keyed by its defining tight-row set.
 
     ``tableau`` is the polytope's tableau at this vertex, set by ``pivot`` and
-    ``try_vertex``; when it is None ``Polytope.tableau`` builds it.
+    ``try_vertex``; when it is None ``Polytope.tableau`` builds it. Those two
+    make the vertex with ``coords`` None, which are read off the tableau when
+    first used.
     """
 
-    coords: Vec
+    coords: Vec = _ReadOff(lambda v: v.tableau.point())
     basis: frozenset[int]
     labels: frozenset[int]
     tableau: Optional[Tableau] = field(default=None, compare=False, repr=False)
@@ -81,14 +117,20 @@ class EdgeDescriptor:
     """One-dimensional face reached by relaxing one inequality at a vertex.
 
     Points are ``base.coords + t * direction`` for t in [0, t_max], with
-    t_max None on unbounded edges.
+    t_max None on unbounded edges. An edge that ``pivot`` makes carries its
+    base's ``tableau`` and, as ``column``, its direction times
+    ``tableau.denom`` in integers (the relaxed slack's column); it is made
+    with ``direction`` None, which is read off them when first used. Edges
+    from ``edge_through_point`` carry neither.
     """
 
     base: Vertex
     relaxed: int
-    direction: Vec
+    direction: Vec = _ReadOff(lambda e: tuple(Fraction(k, e.tableau.denom) for k in e.column))
     t_max: Optional[Rat]
     far_end: Optional[Vertex]
+    tableau: Optional[Tableau] = field(default=None, compare=False, repr=False)
+    column: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def unbounded(self) -> bool:
@@ -208,21 +250,23 @@ class Polytope:
         )
 
     def _tableau_vertex(self, basis: frozenset[int], tab: Tableau) -> Vertex:
-        """The point of a tableau: coordinates off its z rows; labels the basis
-        and every basic slack at zero."""
+        """The vertex of a tableau: labels the basis and every basic slack at
+        zero; its coordinates are read off the z rows when first used."""
         d = self.dim
         zeros = {var - d + 1 for var, row in zip(tab.basic[d:], tab.rows[d:]) if not row[-1]}
-        coords = tuple(Fraction(row[-1], tab.denom) for row in tab.rows[:d])
-        return Vertex(coords, basis, basis | zeros, tab)
+        return Vertex(None, basis, basis | zeros, tab)
 
     def edge_direction(self, vertex: Vertex, relax: int) -> Vec:
         """Edge direction keeping the rest of the basis tight while the slack
         of ``relax`` grows at rate 1: the entering column on the z rows."""
-        return self._direction(self.tableau(vertex), relax)
+        tab = self.tableau(vertex)
+        return tuple(Fraction(k, tab.denom) for k in self._column(tab, relax))
 
-    def _direction(self, tab: Tableau, relax: int) -> Vec:
+    def _column(self, tab: Tableau, relax: int) -> tuple[int, ...]:
+        """Relax's edge direction times ``tab.denom``: the slack's column on
+        the z rows, times minus the row's scale."""
         col, scale = self.dim + relax - 1, -self.scales[relax]
-        return tuple(Fraction(scale * row[col], tab.denom) for row in tab.rows[: self.dim])
+        return tuple(scale * row[col] for row in tab.rows[: self.dim])
 
     @staticmethod
     def _least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[int]]:
@@ -276,14 +320,14 @@ class Polytope:
         if relax not in vertex.basis:
             raise ValueError(f"label {relax} not in basis {sorted(vertex.basis)}")
         tab = self.tableau(vertex)
-        direction = self._direction(tab, relax)
+        column = self._column(tab, relax)
         step, hit = self._min_ratio(self._ratio_rows(tab, relax), vertex.basis)
         if hit is None:
-            return EdgeDescriptor(vertex, relax, direction, None, None)
+            return EdgeDescriptor(vertex, relax, None, None, None, tab, column)
         far = self._pivot_to(vertex, tab, relax, hit)
         if (tight := len(far.labels)) > self.basis_size:
             raise DegeneratePolytope(f"vertex {sorted(far.basis)} has {tight} tight rows")
-        return EdgeDescriptor(vertex, relax, direction, step / self.scales[relax], far)
+        return EdgeDescriptor(vertex, relax, None, step / self.scales[relax], far, tab, column)
 
     def simplex_pivot(self, vertex: Vertex, relax: int) -> Optional[Vertex]:
         """The basis after relaxing ``relax`` with Bland's leaving rule: the

@@ -217,6 +217,63 @@ def test_no_lp_and_one_section_per_probe_and_per_enumeration(monkeypatch):
     assert lp_calls == []
 
 
+def test_a_path_builds_its_game_once_and_evaluates_no_hyperplane_per_edge(monkeypatch):
+    # The gamma game is built once per path. The hyperplane is read off the
+    # Q' tableaux, so its Fraction evaluation (Hyperplane.value_at) runs at
+    # most once per enumerate_general path and once per is_ne probe.
+    import rankgames.algorithms as algorithms
+    from rankgames.algorithms import rank1_family
+    from rankgames.paramlp import Hyperplane, is_ne
+    from rankgames.polytope import GameFamily
+
+    general = random_general_games(31, 12, min_mn=3, max_mn=6, span=30,
+                                   pipeline=enumerate_general)
+    rank1 = [R1A, R1B, R1C] + nondegenerate_rank1_fixtures(32, 9, pipeline=enumerate_rank1)
+    built, evaluated, paths = [], [], []
+    real_game_at, real_value_at = GameFamily.game_at, Hyperplane.value_at
+    real_paths = algorithms._path_equilibria
+    monkeypatch.setattr(GameFamily, "game_at",
+                        lambda fam, alpha: built.append(1) or real_game_at(fam, alpha))
+    monkeypatch.setattr(Hyperplane, "value_at",
+                        lambda h, w: evaluated.append(1) or real_value_at(h, w))
+    monkeypatch.setattr(algorithms, "_path_equilibria",
+                        lambda *args: paths.append(1) or real_paths(*args))
+    crossings = 0
+    for solve, inputs in ((enumerate_general, general), (enumerate_rank1, rank1)):
+        for x in inputs:
+            built.clear(), evaluated.clear(), paths.clear()
+            crossings += len(solve(x))
+            assert len(paths) == 1 and len(built) == 1
+            if solve is enumerate_general:
+                assert len(evaluated) <= 1
+    probes = 0
+    for d in rank1:
+        run, fam = rank1_family(d)
+        lo, hi = min(run.gamma), max(run.gamma)
+        for step in range(9):
+            evaluated.clear()
+            try:
+                is_ne(fam, run.gamma, lo + (hi - lo) * Fraction(step, 8))
+            except DegeneracyError:
+                continue
+            probes += 1
+            assert len(evaluated) <= 1
+    assert (crossings, probes) == (34, 108)
+
+
+def test_a_non_positive_shifted_game_is_still_refused(monkeypatch):
+    # Positivity is checked once per path and once per binary search, not
+    # per equilibrium: a shift that leaves an entry <= 0 still fails there.
+    import rankgames.algorithms as algorithms
+
+    monkeypatch.setattr(algorithms, "positivity_shift", lambda game: (game, 0, 0))
+    general = BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA))
+    for solve in (lambda: bin_search(R1A), lambda: enumerate_rank1(R1A),
+                  lambda: enumerate_general(general, beta=EX1_BETA)):
+        with pytest.raises(RankGamesError, match="strictly positive payoffs"):
+            solve()
+
+
 def test_enumerate_general_ex1_game_proper_subset_of_oracle():
     # The all-ones row weights sit in the family's cycle component, so the
     # path walk returns a strict (odd) subset of the oracle set.

@@ -308,6 +308,27 @@ def test_beta_override_of_the_wrong_length_is_usage_error(tmp_path, capsys):
             assert captured.err == "error: embedding vector --beta has 2 entries for 3 columns\n"
 
 
+def test_beta_is_an_option_only_of_the_embedding_verbs(tmp_path, capsys):
+    # oracle, rank and fixedpoint embed nothing: --beta, even of the wrong
+    # length, is an unknown option there, not a flag they ignore.
+    from fixtures import K2_GAME
+
+    path = write_game(tmp_path, K2_GAME)
+    beta = ["--beta", "1,2,3,4,5,6,7"]
+    for argv in (["oracle"], ["rank"], ["fixedpoint", "--search"]):
+        assert main(argv + ["--input", path] + beta) == EXIT_PARSE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --beta 1,2,3,4,5,6,7" in captured.err
+        assert main(argv + ["--input", path]) == EXIT_OK, argv
+        capsys.readouterr()
+    for verb in ("solve", "enumerate", "index", "trace", "regions"):
+        assert main([verb, "--input", path] + beta) == EXIT_PARSE, verb
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: embedding vector --beta has 7 entries for 3 columns\n"
+
+
 def test_trace_and_regions_need_two_columns(tmp_path, capsys):
     # A single column leaves beta constant whatever it is; the other verbs
     # solve the game directly.

@@ -111,6 +111,50 @@ def test_decompose_rank1_rejects_higher_rank():
         decompose_rank1(BimatrixGame(EX1_A, b))
 
 
+def test_decompose_rank1_checks_every_minor_through_the_first_entry():
+    # Every 2x2 minor through the first nonzero entry vanishes but the one
+    # with the last row and column.
+    s = Matrix([[2, 4, 6], [1, 2, 3], [3, 6, 10]])
+    with pytest.raises(RankTooHigh):
+        decompose_rank1(BimatrixGame(EX1_A, s - EX1_A))
+
+
+def test_decompose_rank1_factors_sums_with_zero_rows_and_columns():
+    # The first nonzero entry is (1, 1): its row is beta, its column over it
+    # is gamma, as in a rank-k peel of the same sum.
+    a = Matrix([[1, -2, 3, 0], [4, 0, -1, 2], [5, 1, 1, -3]])
+    s = Matrix.outer((0, 2, Fraction(-1, 2)), (0, 3, 0, -6))
+    game = BimatrixGame(a, s - a)
+    d = decompose_rank1(game)
+    assert d.gamma == (0, 1, Fraction(-1, 4))
+    assert d.beta == (0, 6, 0, -12)
+    assert d.game() == game
+    k = decompose_rank_k(game)
+    assert (k.gammas, k.betas) == ((d.gamma,), (d.beta,))
+
+
+def test_decompose_rank1_agrees_with_the_rank_k_peel():
+    rng = random.Random(7)
+    ranks = []
+    for _ in range(60):
+        m, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 2)
+        s = Matrix.zero(m, n)
+        for _ in range(k):
+            s = s + Matrix.outer([rng.choice((0, 0, 1, -2, 3)) for _ in range(m)],
+                                 [rng.choice((0, 1, -1, 2)) for _ in range(n)])
+        a = Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+        game = BimatrixGame(a, s - a)
+        peel = decompose_rank_k(game)
+        ranks.append(peel.k)
+        if peel.k >= 2:
+            with pytest.raises(RankTooHigh):
+                decompose_rank1(game)
+        elif peel.k == 1:
+            d = decompose_rank1(game)
+            assert (peel.gammas, peel.betas) == ((d.gamma,), (d.beta,))
+    assert min(ranks) == 0 and max(ranks) == 2
+
+
 def test_decompose_rank_k_zero_sum_is_empty():
     d = decompose_rank_k(BimatrixGame(EX1_A, -EX1_A))
     assert d.k == 0

@@ -135,7 +135,7 @@ def test_edge_intersection_midpoint(r1a_family):
     # Build the containing edge of the equilibrium lambda and check the hit.
     opt = solve_lp_delta(r1a_family, R1A_NE_LAMBDA)
     h = Hyperplane(R1A.gamma)
-    hits = crossing_records(r1a_family, R1A.gamma, opt.edge, "test")
+    hits = crossing_records(r1a_family.game_at(R1A.gamma), h, opt.edge, "test")
     assert len(hits) == 1
     point = hits[0].crossing.w_coords
     assert point[: r1a_family.m] == R1A_NE_X
@@ -144,7 +144,8 @@ def test_edge_intersection_midpoint(r1a_family):
 
 def test_edge_intersection_empty_off_hyperplane(r1a_family):
     opt = solve_lp_delta(r1a_family, min(R1A.gamma))
-    assert crossing_records(r1a_family, R1A.gamma, opt.edge, "test") == []
+    assert crossing_records(
+        r1a_family.game_at(R1A.gamma), Hyperplane(R1A.gamma), opt.edge, "test") == []
 
 
 def test_every_enumerated_equilibrium_is_a_unique_edge_hit(r1a_family):
@@ -154,7 +155,8 @@ def test_every_enumerated_equilibrium_is_a_unique_edge_hit(r1a_family):
     trace = trace_path(r1a_family)
     hits = []
     for edge in trace.edges:
-        hits.extend(crossing_records(r1a_family, R1A.gamma, edge, "test"))
+        hits.extend(crossing_records(
+            r1a_family.game_at(R1A.gamma), Hyperplane(R1A.gamma), edge, "test"))
     assert len(hits) == len(recs)
 
 
@@ -169,6 +171,71 @@ def lifted_lp_point(lifted: Polytope, delta):
     sol = solve_lp(LinearProgram.build(vscale(-1, unit.row(m + k)), rows, rels, rhs))
     assert sol.optimal
     return sol.point
+
+
+def _walked_edges():
+    """(gammas, edges) of 20 seeded general and 20 rank-1 games, 4x4
+    to 7x7, whose paths are nondegenerate: the edges of each one's path, and
+    for rank 1 also those that ``enumerate_rank1`` walks from its min-gamma
+    section. The gammas are the one the path runs on and one drawn from
+    -9..9."""
+    from rankgames.algorithms import _edges_until, general_embedding, rank1_family
+    from rankgames.games import BimatrixGame
+
+    rng = random.Random(2026)
+    walked = Counter()
+    while min(walked[kind] for kind in ("general", "rank-1")) < 20:
+        kind = ("general", "rank-1")[walked["general"] >= 20]
+        size = 4 + walked[kind] % 4
+        if kind == "rank-1":
+            run, fam = rank1_family(random_rank1(rng, size, size, span=99, gamma_span=20,
+                                                 beta_span=50))
+        else:
+            a, b = (Matrix([[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)])
+                    for _ in range(2))
+            run = general_embedding(BimatrixGame(a, b))
+            fam = GameFamily(run.a, run.c, run.beta)
+        gammas = (run.gamma, tuple(Fraction(rng.randint(-9, 9)) for _ in range(size)))
+        try:
+            edges = list(trace_path(fam).edges)
+            if kind == "rank-1":
+                start = solve_lp_delta(fam, min(run.gamma)).edge
+                edges += _edges_until(fam, start, max(run.gamma))
+        except DegeneracyError:
+            walked["skipped"] += 1
+            continue
+        walked[kind] += 1
+        yield gammas, edges
+    assert walked["skipped"] == 3  # tied extreme entries or ratio ties
+
+
+def test_tableau_hyperplane_values_match_fraction_values():
+    # The hyperplane value at each edge's base and its rate along the edge,
+    # as read off the Q' tableaux with integer dots, equal Hyperplane.value_at
+    # on the Fraction coordinates and direction, on every walked edge of both
+    # kinds. Edges from edge_through_point (the low ray, the section's edge)
+    # hold their direction only in Fractions, and fixed section vertices
+    # carry no tableau; they are compared too.
+    from rankgames.paramlp import _h_linear
+
+    kinds = Counter()
+    for gammas, edges in _walked_edges():
+        for gamma in gammas:
+            h = Hyperplane(gamma)
+            for edge in edges:
+                if edge.kind == W_FIXED:
+                    want = (h.value_at(edge.fixed.coords), 0)
+                    on_tableau = edge.fixed.tableau is not None
+                else:
+                    ed = edge.moving
+                    want = (h.value_at(ed.base.coords), h.value_at(ed.direction))
+                    on_tableau = ed.tableau is not None
+                assert _h_linear(edge, h) == want
+                kinds[edge.kind, on_tableau] += 1
+    # Per gamma: 60 edges from edge_through_point (40 low rays, 20 sections)
+    # and 20 fixed section vertices take the Fraction route.
+    assert kinds == {(V_FIXED, True): 852, (W_FIXED, True): 812,
+                     (V_FIXED, False): 120, (W_FIXED, False): 40}
 
 
 def test_solve_lp_k_specializes_to_rank1(r1a_family):
