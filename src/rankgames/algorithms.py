@@ -36,12 +36,11 @@ from .games import (
     reduce_constant_beta,
     verify_equilibrium,
 )
-from .labeledpath import V_FIXED, ComponentTrace, PathEdge, g_value, trace_path, walk
+from .labeledpath import V_FIXED, ComponentTrace, PathEdge, g_at, g_value, trace_path, walk
 from .linalg import Matrix, Rat, Vec, determinant, sign, vdot, vector, vscale
 from .lp import EQ, LE, LinearProgram, solve_lp
 from .paramlp import (
     Crossing,
-    FoundEquilibrium,
     Hyperplane,
     box_bounds,
     crossing_records,
@@ -124,12 +123,17 @@ def _checked_index(game_positive: BimatrixGame, rec: EquilibriumRecord,
 
 
 def _finalize(
-    original: BimatrixGame, found: FoundEquilibrium, provenance: str, shifted: BimatrixGame
+    game: BimatrixGame, crossing: Crossing, provenance: str, shifted: BimatrixGame
 ) -> EquilibriumRecord:
-    """Re-anchor a found equilibrium on the original game; index it on
-    ``shifted``, which the caller checked with ``_positive``."""
-    rec = make_record(original, found.record.profile, provenance)
-    return replace(rec, index=_checked_index(shifted, rec, found.crossing))
+    """A crossing as an answer: its profile, verified exactly on ``game``, the
+    caller's input game, and recorded there once. The index is cross-checked
+    on ``shifted``, the positive shift of the game the path ran on, which the
+    caller checked with ``_positive``."""
+    profile = MixedProfile(crossing.w_coords[: game.m], crossing.v_coords[: game.n])
+    if not verify_equilibrium(game, profile):
+        raise NotEquilibrium("hyperplane crossing failed exact verification")
+    rec = make_record(game, profile, provenance)
+    return replace(rec, index=_checked_index(shifted, rec, crossing))
 
 
 def rank1_family(d: Rank1Decomposition) -> tuple[Rank1Decomposition, GameFamily]:
@@ -164,17 +168,17 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     bits = _instance_bits(di)
     shifted = _positive(positivity_shift(family.game_at(gamma))[0])
 
-    def report_for(found: FoundEquilibrium, iters: int, bound: int, hist) -> BinSearchReport:
-        if found.crossing.orient_index != 1:
+    def report_for(crossing: Crossing, iters: int, bound: int, hist) -> BinSearchReport:
+        if crossing.orient_index != 1:
             raise IndexMismatch("binary search landed on a negatively indexed crossing")
-        rec = _finalize(game, found, "bin-search", shifted)
+        rec = _finalize(game, crossing, "bin-search", shifted)
         return BinSearchReport(rec, iters, bound, tuple(hist), bits)
 
     if g_min == g_max:
         out = is_ne(family, gamma, g_min)
         if out.kind != "found":
             raise RankGamesError("constant-gamma probe missed the forced equilibrium")
-        return report_for(out.found[0], 0, 0, ())
+        return report_for(out.crossing, 0, 0, ())
 
     b_max = max(di.a.max_abs(), max(abs(b) for b in di.beta), max(abs(g) for g in gamma))
     delta_bound = factorial(game.m + 2) * int(b_max) ** (game.m + 2)
@@ -182,12 +186,12 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
 
     low = is_ne(family, gamma, g_min)
     if low.kind == "found":
-        return report_for(low.found[0], 0, bound_k, ())
+        return report_for(low.crossing, 0, bound_k, ())
     if low.kind != "below":
         raise RankGamesError("low probe is not on the low side of the hyperplane")
     high = is_ne(family, gamma, g_max)
     if high.kind == "found":
-        return report_for(high.found[0], 0, bound_k, ())
+        return report_for(high.crossing, 0, bound_k, ())
     if high.kind != "above":
         raise RankGamesError("high probe is not on the high side of the hyperplane")
 
@@ -201,8 +205,8 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     for it in range(1, bound_k + 2):
         a = (a1 + a2) / 2
         out = is_ne(family, gamma, a)
-        if out.kind == "found" and out.found[0].crossing.orient_index == 1:
-            return report_for(out.found[0], it, bound_k, history)
+        if out.kind == "found" and out.crossing.orient_index == 1:
+            return report_for(out.crossing, it, bound_k, history)
         if out.kind == "below":
             a1 = a
         else:
@@ -231,17 +235,17 @@ def _path_equilibria(
     edges: Iterable[PathEdge],
     provenance: str,
 ) -> list[EquilibriumRecord]:
-    """Hyperplane crossings of the edges, in path order, recorded on ``game``.
+    """Hyperplane crossings of the edges, in path order, as answers on ``game``.
 
-    Crossings are verified, and indices computed, on the game the path ran on,
+    Indices are cross-checked on the game the path ran on,
     ``family.game_at(gamma)``, built once.
     """
-    at_gamma, h = family.game_at(gamma), Hyperplane(gamma)
-    founds = [fe for edge in edges for fe in crossing_records(at_gamma, h, edge, provenance)]
-    if not founds:
+    h = Hyperplane(gamma)
+    crossings = [hit for edge in edges for hit in crossing_records(h, edge)]
+    if not crossings:
         raise RankGamesError("path walk found no equilibrium; theory guarantees one")
-    shifted = _positive(positivity_shift(at_gamma)[0])
-    return [_finalize(game, fe, provenance, shifted) for fe in founds]
+    shifted = _positive(positivity_shift(family.game_at(gamma))[0])
+    return [_finalize(game, hit, provenance, shifted) for hit in crossings]
 
 
 def enumerate_rank1(d: Rank1Decomposition) -> list[EquilibriumRecord]:
@@ -296,17 +300,6 @@ def homeo_forward(family: GameFamily, alpha: Sequence[Fraction], profile: MixedP
     return (first,) + tuple(alpha[i] - alpha[0] for i in range(1, len(alpha)))
 
 
-def _edge_g_linear(family: GameFamily, edge: PathEdge) -> tuple[Rat, Rat]:
-    """(g0, dg) of the path coordinate along the edge parameter."""
-    m, n = family.m, family.n
-    d = edge.moving.direction
-    if edge.kind == V_FIXED:
-        g0 = vdot(family.beta, edge.fixed.coords[:n]) + edge.moving.base.coords[m]
-        return g0, d[m]
-    g0 = vdot(family.beta, edge.moving.base.coords[:n]) + edge.fixed.coords[m]
-    return g0, vdot(family.beta, d[:n])
-
-
 def homeo_inverse(
     family: GameFamily, alpha_prime: Sequence[Fraction], trace: Optional[ComponentTrace] = None
 ) -> tuple[Vec, MixedProfile]:
@@ -332,7 +325,8 @@ def homeo_inverse(
         v_coords, w_coords = node.v.coords, node.w.coords
     else:
         edge = trace.edges[pos]
-        g0, dg = _edge_g_linear(family, edge)
+        g0 = g_at(family, *edge.point_at(0))  # g is affine along the edge
+        dg = g_at(family, *edge.point_at(1)) - g0
         if dg == 0:
             raise RankGamesError("path coordinate is constant on a located edge")
         t_star = (target - g0) / dg

@@ -21,10 +21,6 @@ class MalformedLP(RankGamesError):
     """Linear program fields are dimensionally inconsistent."""
 
 
-class PivotLimitExceeded(RankGamesError):
-    """Simplex exceeded its pivot budget (internal guard)."""
-
-
 class RankTooHigh(RankGamesError):
     """Payoff-sum matrix has rank above the requested factorization."""
 

@@ -148,9 +148,6 @@ class Rank1Decomposition:
     def game(self) -> BimatrixGame:
         return BimatrixGame(self.a, -self.a + Matrix.outer(self.gamma, self.beta))
 
-    def game_at(self, alpha: Sequence[Fraction]) -> BimatrixGame:
-        return BimatrixGame(self.a, -self.a + Matrix.outer(alpha, self.beta))
-
 
 @dataclass(frozen=True)
 class GeneralDecomposition:

@@ -245,9 +245,14 @@ def oriented_edge(
     return PathEdge(kind, fixed, ed, far_node, base_node, BACKWARD)
 
 
+def g_at(family: GameFamily, v_coords: Vec, w_coords: Vec) -> Rat:
+    """Path coordinate beta . y + lambda of a (v, w) point."""
+    return vdot(family.beta, v_coords[: family.n]) + w_coords[family.m]
+
+
 def g_value(family: GameFamily, node: PathNode) -> Rat:
-    """Path coordinate: beta . y + lambda (strictly monotone on rank-1 paths)."""
-    return vdot(family.beta, family.y_of(node.v)) + family.lambda_of(node.w)
+    """Path coordinate of a node (strictly monotone on rank-1 paths)."""
+    return g_at(family, node.v.coords, node.w.coords)
 
 
 def _fmt_labels(labels: frozenset[int]) -> str:

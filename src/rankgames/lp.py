@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .errors import MalformedLP, PivotLimitExceeded
+from .errors import MalformedLP
 from .linalg import Rat, Vec, integer_pivot, scaled_integers, vdot, vector
 
 LE = "<="
@@ -71,10 +71,9 @@ class _Tableau:
     fraction-free: integer rows with one positive common denominator
     ``denom``, the true tableau being ``rows / denom``."""
 
-    def __init__(self, rows: list[list[int]], basis: list[int], max_pivots: Optional[int]):
+    def __init__(self, rows: list[list[int]], basis: list[int]):
         self.rows = rows
         self.basis = basis
-        self.max_pivots = max_pivots
         self.pivots = 0
         self.denom = 1
 
@@ -111,8 +110,6 @@ class _Tableau:
 
     def pivot(self, r: int, c: int, costrow: list[int]) -> None:
         self.pivots += 1
-        if self.max_pivots is not None and self.pivots > self.max_pivots:
-            raise PivotLimitExceeded(f"more than {self.max_pivots} pivots")
         every = self.rows + [costrow]
         self.denom = integer_pivot(every, self.rows[r], c, self.denom)
         if self.denom < 0:  # a negative pivot, met only in the artificial drive-out
@@ -122,7 +119,7 @@ class _Tableau:
         self.basis[r] = c
 
 
-def solve_lp(lp: LinearProgram, max_pivots: Optional[int] = None) -> LPSolution:
+def solve_lp(lp: LinearProgram) -> LPSolution:
     """Exact optimal basic solution of ``lp``, deterministic across runs.
 
     Every constraint row and the rhs are scaled by one common integer, and the
@@ -154,7 +151,7 @@ def solve_lp(lp: LinearProgram, max_pivots: Optional[int] = None) -> LPSolution:
         row[art_start + i] = 1
         rows.append(row)
 
-    tab = _Tableau(rows, [art_start + i for i in range(m)], max_pivots)
+    tab = _Tableau(rows, [art_start + i for i in range(m)])
     costrow = tab.price_out([0] * art_start + [-1] * m)
     tab.run(costrow)
     if costrow[-1] != 0:

@@ -7,7 +7,8 @@ optimum are the dual optimum on the lifted polytope, a fully-labeled partner
 with combined objective exactly zero; the same rates give the path edge through
 that partner and the affine piece of the rank-k box map, so no square system
 is solved. Intersecting the containing edge with a game's selection
-hyperplane yields equilibria or a side classification. On a path edge that
+hyperplane yields a crossing point or a side classification; the crossing is
+only geometry, which the caller verifies on its own game. On a path edge that
 ``Polytope.pivot`` made, the hyperplane's value and its rate are integer dots
 of the hyperplane's integer row with the Q' tableau's rhs and relaxed column;
 only crossings, and edges and vertices built from ``Fraction`` points, use
@@ -25,12 +26,10 @@ from .errors import (
     DegeneratePolytope,
     EdgeInHyperplane,
     NonzeroOptimum,
-    NotEquilibrium,
     OutOfBox,
     RankGamesError,
     Singular,
 )
-from .games import BimatrixGame, EquilibriumRecord, MixedProfile, make_record, verify_equilibrium
 from .labeledpath import (
     FORWARD,
     V_FIXED,
@@ -77,25 +76,17 @@ class Hyperplane:
 
 @dataclass(frozen=True)
 class Crossing:
-    """A hyperplane hit strictly inside an oriented edge."""
+    """A hyperplane hit strictly inside an oriented edge: the (v, w) point."""
 
-    edge: PathEdge
-    t: Rat
     v_coords: Vec
     w_coords: Vec
     orient_index: int  # +1 when the hyperplane value rises tail-to-head
 
 
 @dataclass(frozen=True)
-class FoundEquilibrium:
-    record: EquilibriumRecord
-    crossing: Crossing
-
-
-@dataclass(frozen=True)
 class IsNEOutcome:
     kind: str  # "found" | "below" | "above"
-    found: tuple[FoundEquilibrium, ...] = ()
+    crossing: Optional[Crossing] = None  # the hit, when found
 
 
 @dataclass(frozen=True)
@@ -266,8 +257,7 @@ def _analyze_edge(edge: PathEdge, h: Hyperplane):
         )
     if not inside:
         return ("none", 1 if h0 > 0 else -1)
-    v_coords, w_coords = edge.point_at(t_star)
-    return ("point", Crossing(edge, t_star, v_coords, w_coords, _orient_index(edge, dh)))
+    return ("point", Crossing(*edge.point_at(t_star), _orient_index(edge, dh)))
 
 
 def _orient_index(edge: PathEdge, dh: Rat) -> int:
@@ -275,34 +265,22 @@ def _orient_index(edge: PathEdge, dh: Rat) -> int:
     return 1 if rising else -1
 
 
-def _verified(game: BimatrixGame, crossing: Crossing, provenance: str) -> FoundEquilibrium:
-    """The crossing as an exactly verified equilibrium of ``game``, the gamma game."""
-    profile = MixedProfile(crossing.w_coords[: game.m], crossing.v_coords[: game.n])
-    if not verify_equilibrium(game, profile):
-        raise NotEquilibrium("hyperplane crossing failed exact verification")
-    return FoundEquilibrium(make_record(game, profile, provenance), crossing)
+def crossing_records(h: Hyperplane, edge: PathEdge) -> list[Crossing]:
+    """The hyperplane's crossing strictly inside one edge, if any.
 
-
-def crossing_records(
-    game: BimatrixGame, h: Hyperplane, edge: PathEdge, provenance: str
-) -> list[FoundEquilibrium]:
-    """Equilibria of ``game`` on one edge, with orientation indices.
-
-    ``game`` is the family's game at gamma, ``family.game_at(gamma)``, and
-    ``h`` is ``Hyperplane(gamma)``: a path builds both once for all its edges.
+    ``h`` is ``Hyperplane(gamma)``: a path builds it once for all its edges.
+    A crossing is only a point; the caller verifies it on its own game.
     """
     kind, hit = _analyze_edge(edge, h)
-    return [_verified(game, hit, provenance)] if kind == "point" else []
+    return [hit] if kind == "point" else []
 
 
 def is_ne(family: GameFamily, gamma: Sequence[Fraction], delta) -> IsNEOutcome:
-    """Probe one lambda value: equilibrium on the containing edge, or its side."""
-    h = Hyperplane(gamma)
-    kind, hit = _analyze_edge(solve_lp_delta(family, delta).edge, h)
+    """Probe one lambda value: the crossing on the containing edge, or its side."""
+    kind, hit = _analyze_edge(solve_lp_delta(family, delta).edge, Hyperplane(gamma))
     if kind == "none":
         return IsNEOutcome("below" if hit < 0 else "above")
-    found = _verified(family.game_at(h.gamma), hit, f"section-probe(delta={frac(delta)})")
-    return IsNEOutcome("found", (found,))
+    return IsNEOutcome("found", hit)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,21 @@ class EdgeDescriptor:
         return vadd(self.base.coords, vscale(t, self.direction))
 
 
+def _least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[int]]:
+    """Least slack / rate, as (slack, rate), over the positive rates of
+    (label, slack, rate) integer triples, with every label reaching it."""
+    best_s = best_r = 0
+    hits: list[int] = []
+    for lab, s, r in steps:
+        if r <= 0:
+            continue
+        if not hits or s * best_r < best_s * r:
+            best_s, best_r, hits = s, r, [lab]
+        elif s * best_r == best_s * r:
+            hits.append(lab)
+    return best_s, best_r, hits
+
+
 class Polytope:
     """Inequalities ``a . z <= b`` labeled 1..m+n plus one equality row."""
 
@@ -268,21 +283,6 @@ class Polytope:
         col, scale = self.dim + relax - 1, -self.scales[relax]
         return tuple(scale * row[col] for row in tab.rows[: self.dim])
 
-    @staticmethod
-    def _least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[int]]:
-        """Least slack / rate, as (slack, rate), over the positive rates of
-        (label, slack, rate) integer triples, with every label reaching it."""
-        best_s = best_r = 0
-        hits: list[int] = []
-        for lab, s, r in steps:
-            if r <= 0:
-                continue
-            if not hits or s * best_r < best_s * r:
-                best_s, best_r, hits = s, r, [lab]
-            elif s * best_r == best_s * r:
-                hits.append(lab)
-        return best_s, best_r, hits
-
     def _min_ratio(self, steps: Iterable[tuple[int, int, int]],
                    tight: frozenset[int]) -> tuple[Optional[Rat], Optional[int]]:
         """Shortest step over (label, slack, rate) integer triples in ascending
@@ -290,7 +290,7 @@ class Polytope:
         The step is in the caller's units. A zero step or a tie is degenerate;
         ``tight`` names the edge in the message.
         """
-        best_s, best_r, hits = self._least_ratios(steps)
+        best_s, best_r, hits = _least_ratios(steps)
         if not hits:
             return None, None
         if best_s == 0:
@@ -334,7 +334,7 @@ class Polytope:
         lowest label of least ratio enters. Zero steps and extra tight rows are
         allowed; None when the edge is unbounded."""
         tab = self.tableau(vertex)
-        _, _, hits = self._least_ratios(self._ratio_rows(tab, relax))
+        _, _, hits = _least_ratios(self._ratio_rows(tab, relax))
         return self._pivot_to(vertex, tab, relax, hits[0]) if hits else None
 
     def edge_through_point(self, tight: Iterable[int], point: Sequence[Fraction],
@@ -342,9 +342,10 @@ class Polytope:
         """Maximal edge through an interior point with the given tight rows.
 
         ``direction`` is a nonzero vector along the edge (it keeps the equality
-        and the ``tight`` rows). The bounded endpoint (lexicographically
-        smallest basis when both ends are bounded) becomes the base vertex of
-        the returned edge.
+        and the ``tight`` rows). The base vertex of the returned edge is the
+        end on the -direction side, and the edge runs along +direction; when
+        that side is unbounded, the base is the other end and the edge runs
+        along -direction.
         """
         tight = frozenset(tight)
         point, direction = vector(point), vector(direction)
@@ -376,11 +377,6 @@ class Polytope:
 
         pos_v = end_vertex(t_pos, lab_pos, direction) if t_pos is not None else None
         neg_v = end_vertex(t_neg, lab_neg, vscale(-1, direction)) if t_neg is not None else None
-        # Anchor at the negative-side endpoint so the stored direction is +direction.
-        if neg_v is not None and pos_v is not None and sorted(neg_v.basis) > sorted(pos_v.basis):
-            neg_v, pos_v = pos_v, neg_v
-            t_neg, t_pos = t_pos, t_neg
-            direction = vscale(-1, direction)
         if neg_v is None:
             neg_v, pos_v = pos_v, None
             t_neg, t_pos = t_pos, None
@@ -512,9 +508,6 @@ class GameFamily:
 
     def lambda_of(self, w: Vertex) -> Rat:
         return w.coords[self.m]
-
-    def y_of(self, v: Vertex) -> Vec:
-        return v.coords[: self.n]
 
 
 class RankKFamily:

@@ -32,6 +32,7 @@ from rankgames.games import (
     Rank1Decomposition,
     decompose_rank1,
     decompose_rank_k,
+    integerize,
     verify_equilibrium,
 )
 from rankgames.labeledpath import trace_path
@@ -259,6 +260,52 @@ def test_a_path_builds_its_game_once_and_evaluates_no_hyperplane_per_edge(monkey
             probes += 1
             assert len(evaluated) <= 1
     assert (crossings, probes) == (34, 108)
+
+
+def test_each_answer_is_verified_and_recorded_once_on_the_input_game(monkeypatch):
+    # A crossing is only a point: the solvers verify each answer once, on the
+    # game they were given rather than on the integerized or constant-beta
+    # reduced copy the path ran on, and record it once.
+    import sys
+
+    import rankgames.games as games
+
+    seen = {"verify": [], "record": []}
+
+    def count(kind, real):
+        def counted(game, *args, **kwargs):
+            seen[kind].append(game)
+            return real(game, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rankgames":
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, counted)
+
+    general = random_general_games(33, 6, min_mn=3, max_mn=5, pipeline=enumerate_general)
+    count("verify", games.verify_equilibrium)
+    count("record", games.make_record)
+    # Each fractional game is its fixture's game over 3; integerize scales it.
+    fractional = [
+        Rank1Decomposition(d.a.scale(Fraction(1, 3)), tuple(g * Fraction(2, 3) for g in d.gamma),
+                           tuple(b / 2 for b in d.beta))
+        for d in (R1A, R1B, R1C)
+    ]
+    constant = [Rank1Decomposition(Matrix([[3, -1], [-2, 2]]), (1, 2), (2, 2)),
+                Rank1Decomposition(Matrix([[1, 0], [0, 1]]), (1, 1), (1, 1))]
+    runs = [(d.game(), lambda d=d: [bin_search(d).equilibrium]) for d in fractional + constant]
+    runs += [(d.game(), lambda d=d: enumerate_rank1(d))
+             for d in [R1A, R1B, R1C] + fractional + constant]
+    runs += [(g, lambda g=g: enumerate_general(g)) for g in general + [MATCHING_PENNIES]]
+    for game, solve in runs:
+        seen["verify"].clear(), seen["record"].clear()
+        recs = solve()
+        assert recs and all(verify_equilibrium(game, rec.profile) for rec in recs)
+        assert len({rec.key() for rec in recs}) == len(recs)
+        assert seen["verify"] == [game] * len(recs)
+        assert seen["record"] == [game] * len(recs)
+    assert fractional[0].game() != integerize(fractional[0])[0].game()
 
 
 def test_a_non_positive_shifted_game_is_still_refused(monkeypatch):

@@ -112,7 +112,7 @@ def test_bland_terminates_on_classic_cycling_example():
         [LE] * 7,
         [0, 0, 1, 0, 0, 0, 0],
     )
-    sol = solve_lp(lp, max_pivots=500)
+    sol = solve_lp(lp)
     assert sol.optimal
     assert sol.value == brute_force_value(lp)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rankgames.errors import DegeneracyError, DegeneratePolytope, OutOfBox
-from rankgames.games import decompose_rank_k, verify_equilibrium
+from rankgames.games import MixedProfile, decompose_rank_k, verify_equilibrium
 from rankgames.labeledpath import V_FIXED, W_FIXED, trace_path
 from rankgames.linalg import Matrix, solve_linear_system, vdot, vscale
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
@@ -108,9 +108,9 @@ def test_objective_zero_certificate_strict_on_non_labeled_points(r1a_family):
 def test_is_ne_found_at_equilibrium_lambda(r1a_family):
     out = is_ne(r1a_family, R1A.gamma, R1A_NE_LAMBDA)
     assert out.kind == "found"
-    rec = out.found[0].record
-    assert rec.profile.x == R1A_NE_X
-    assert rec.profile.y == R1A_NE_Y
+    hit = out.crossing
+    assert hit.w_coords[: r1a_family.m] == R1A_NE_X
+    assert hit.v_coords[: r1a_family.n] == R1A_NE_Y
 
 
 def test_is_ne_below_at_gamma_min(r1a_family):
@@ -125,27 +125,27 @@ def test_is_ne_zero_gamma_finds_zero_sum_equilibrium(r1a_family):
     gamma0 = (Fraction(0),) * 3
     out = is_ne(r1a_family, gamma0, Fraction(0))
     assert out.kind == "found"
-    rec = out.found[0].record
+    hit = out.crossing
     zero_sum = r1a_family.game_at(gamma0)
-    assert verify_equilibrium(zero_sum, rec.profile)
-    assert out.found[0].crossing.w_coords[r1a_family.m] == 0
+    profile = MixedProfile(hit.w_coords[: r1a_family.m], hit.v_coords[: r1a_family.n])
+    assert verify_equilibrium(zero_sum, profile)
+    assert hit.w_coords[r1a_family.m] == 0
 
 
 def test_edge_intersection_midpoint(r1a_family):
     # Build the containing edge of the equilibrium lambda and check the hit.
     opt = solve_lp_delta(r1a_family, R1A_NE_LAMBDA)
     h = Hyperplane(R1A.gamma)
-    hits = crossing_records(r1a_family.game_at(R1A.gamma), h, opt.edge, "test")
+    hits = crossing_records(h, opt.edge)
     assert len(hits) == 1
-    point = hits[0].crossing.w_coords
+    point = hits[0].w_coords
     assert point[: r1a_family.m] == R1A_NE_X
     assert h.value_at(point) == 0
 
 
 def test_edge_intersection_empty_off_hyperplane(r1a_family):
     opt = solve_lp_delta(r1a_family, min(R1A.gamma))
-    assert crossing_records(
-        r1a_family.game_at(R1A.gamma), Hyperplane(R1A.gamma), opt.edge, "test") == []
+    assert crossing_records(Hyperplane(R1A.gamma), opt.edge) == []
 
 
 def test_every_enumerated_equilibrium_is_a_unique_edge_hit(r1a_family):
@@ -155,8 +155,7 @@ def test_every_enumerated_equilibrium_is_a_unique_edge_hit(r1a_family):
     trace = trace_path(r1a_family)
     hits = []
     for edge in trace.edges:
-        hits.extend(crossing_records(
-            r1a_family.game_at(R1A.gamma), Hyperplane(R1A.gamma), edge, "test"))
+        hits.extend(crossing_records(Hyperplane(R1A.gamma), edge))
     assert len(hits) == len(recs)
 
 
