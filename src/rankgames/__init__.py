@@ -8,6 +8,7 @@ from .algorithms import (
     enumerate_general,
     enumerate_rank1,
     fixed_point_search,
+    general_family,
     homeo_forward,
     homeo_inverse,
     homeo_k_forward,
@@ -33,6 +34,6 @@ from .linalg import Matrix, determinant, matrix_rank, solve_linear_system
 from .lp import LinearProgram, LPSolution, solve_lp
 from .oracle import fully_labeled_pairs, support_enumeration, zero_sum_solve
 from .paramlp import Hyperplane, fixed_point_eval, is_ne, solve_lp_delta, solve_lp_k
-from .polytope import GameFamily, RankKFamily, build_p, build_qprime, build_qprime_k
+from .polytope import GameFamily, RankKFamily, build_p, build_qprime
 
 __all__ = [name for name in dir() if not name.startswith("_")]

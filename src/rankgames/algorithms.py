@@ -26,7 +26,6 @@ from .errors import (
 from .games import (
     BimatrixGame,
     EquilibriumRecord,
-    GeneralDecomposition,
     MixedProfile,
     Rank1Decomposition,
     default_beta,
@@ -42,10 +41,12 @@ from .lp import EQ, LE, LinearProgram, solve_lp
 from .paramlp import (
     Crossing,
     Hyperplane,
+    Section,
     box_bounds,
     crossing_records,
     edge_rates,
     is_ne,
+    lifted_section,
     nondegenerate_far_end,
     piece_fixed_point,
     solve_lp_delta,
@@ -155,7 +156,8 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
 
     Works on the integerized copy (equilibria are scale-invariant); the
     iteration cap comes from the vertex-denominator bound. Constant beta is
-    reduced away first, constant gamma short-circuits to a single probe.
+    reduced away first; with constant gamma the bound is 0 and the low probe
+    must find the equilibrium.
     """
     game = d.game()
     if game.n == 1:
@@ -173,12 +175,6 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
             raise IndexMismatch("binary search landed on a negatively indexed crossing")
         rec = _finalize(game, crossing, "bin-search", shifted)
         return BinSearchReport(rec, iters, bound, tuple(hist), bits)
-
-    if g_min == g_max:
-        out = is_ne(family, gamma, g_min)
-        if out.kind != "found":
-            raise RankGamesError("constant-gamma probe missed the forced equilibrium")
-        return report_for(out.crossing, 0, 0, ())
 
     b_max = max(di.a.max_abs(), max(abs(b) for b in di.beta), max(abs(g) for g in gamma))
     delta_bound = factorial(game.m + 2) * int(b_max) ** (game.m + 2)
@@ -259,12 +255,9 @@ def enumerate_rank1(d: Rank1Decomposition) -> list[EquilibriumRecord]:
     return _path_equilibria(game, family, run.gamma, edges, "enumeration")
 
 
-def general_embedding(
-    game: BimatrixGame, beta: Optional[Sequence[Fraction]] = None
-) -> GeneralDecomposition:
-    """Embed an arbitrary game with c = b and zero row weights."""
-    beta_vec = vector(beta) if beta is not None else default_beta(game.n)
-    return GeneralDecomposition(game.a, game.b, vector([0] * game.m), beta_vec)
+def general_family(game: BimatrixGame, beta: Optional[Sequence[Fraction]] = None) -> GameFamily:
+    """The family that embeds an arbitrary game at zero row weights: c = b."""
+    return GameFamily(game.a, game.b, default_beta(game.n) if beta is None else beta)
 
 
 def enumerate_general(
@@ -277,9 +270,9 @@ def enumerate_general(
     """
     if game.n == 1:
         return [_trivial_single_column(game, "general-path")]
-    d = general_embedding(game, beta)
-    family = GameFamily(d.a, d.c, d.beta)
-    return _path_equilibria(game, family, d.gamma, trace_path(family).edges, "general-path")
+    family = general_family(game, beta)
+    gamma = vector([0] * game.m)
+    return _path_equilibria(game, family, gamma, trace_path(family).edges, "general-path")
 
 
 def solve_general(
@@ -289,15 +282,24 @@ def solve_general(
     return enumerate_general(game, beta)[0]
 
 
+def _forward(game: BimatrixGame, alphas: Sequence[Vec], betas: Sequence[Vec],
+             profile: MixedProfile) -> tuple[Vec, ...]:
+    """One game-space vector per scaling direction, for an equilibrium of
+    ``game``, the family's game at ``alphas``; verified first."""
+    if not verify_equilibrium(game, profile):
+        raise NotEquilibrium("profile is not an equilibrium of the alpha game")
+    return tuple(
+        (vdot(al, profile.x) + vdot(beta, profile.y), *(a - al[0] for a in al[1:]))
+        for al, beta in zip(alphas, betas)
+    )
+
+
 def homeo_forward(family: GameFamily, alpha: Sequence[Fraction], profile: MixedProfile) -> Vec:
     """Game-space image of a verified equilibrium point of the rank-1 family."""
     if not family.rank1:
         raise RankGamesError("homeomorphism maps are defined on rank-1 families")
     alpha = vector(alpha)
-    if not verify_equilibrium(family.game_at(alpha), profile):
-        raise NotEquilibrium("profile is not an equilibrium of the alpha game")
-    first = vdot(family.beta, profile.y) + vdot(alpha, profile.x)
-    return (first,) + tuple(alpha[i] - alpha[0] for i in range(1, len(alpha)))
+    return _forward(family.game_at(alpha), (alpha,), (family.beta,), profile)[0]
 
 
 def homeo_inverse(
@@ -353,23 +355,14 @@ def homeo_k_forward(
 ) -> tuple[Vec, ...]:
     """Rank-k forward map: one game-space vector per scaling direction."""
     alphas = tuple(vector(al) for al in alphas)
-    if not verify_equilibrium(kfam.game_at(alphas), profile):
-        raise NotEquilibrium("profile is not an equilibrium of the alpha game")
-    out = []
-    for al, beta in zip(alphas, kfam.betas):
-        lam = vdot(al, profile.x)
-        first = lam + vdot(beta, profile.y)
-        out.append((first,) + tuple(al[i] - al[0] for i in range(1, len(al))))
-    return tuple(out)
+    return _forward(kfam.game_at(alphas), alphas, kfam.betas, profile)
 
 
 def fixed_point_record(
-    kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]], a: Sequence[Fraction]
+    kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]], section: Section
 ) -> EquilibriumRecord:
-    """Convert an exact fixed point into a verified equilibrium record."""
-    gammas = tuple(vector(g) for g in gammas)
-    opt = solve_lp_k(kfam, vector(a))
-    profile = MixedProfile(opt.w_coords[: kfam.m], opt.v_coords[: kfam.n])
+    """The section at an exact fixed point as a verified equilibrium record."""
+    profile = MixedProfile(section.w_coords[: kfam.m], section.v_coords[: kfam.n])
     game = kfam.game_at(gammas)
     if not verify_equilibrium(game, profile):
         raise NotEquilibrium("exact fixed point failed equilibrium verification")
@@ -385,8 +378,8 @@ def fixed_point_search(
     box where v is the section optimum: there no edge of P at v raises the
     section objective, and the map is affine, read off v's edge rates
     (``piece_fixed_point``, one k x k solve). A cell's fixed point is
-    accepted when it lies in the box and in the cell and
-    ``fixed_point_record`` verifies it. The walk starts at the section optimum
+    accepted when it lies in the box and in the cell, and ``fixed_point_record``
+    verifies the cell's section there. The walk starts at the section optimum
     of the box centre and pivots across every edge whose zero-rate facet meets
     box and cell (a k-variable feasibility LP). Returns the point with its
     verified record; raises ``DegeneratePolytope`` when no cell reached holds
@@ -405,7 +398,8 @@ def fixed_point_search(
         rates = edge_rates(p, v, kfam.betas)  # the objective's rate on r's edge is g . a - c
         a = piece_fixed_point(kfam, gammas, rates)
         if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):
-            return a, fixed_point_record(kfam, gammas, a)
+            section = lifted_section(kfam.qp, kfam.betas, v, rates, a)
+            return a, fixed_point_record(kfam, gammas, section)
         for r, facet in rates.items():
             rest = [gc for s, gc in rates.items() if s != r] + box
             lp = LinearProgram.build(

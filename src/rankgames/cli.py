@@ -20,7 +20,7 @@ from .algorithms import (
     enumerate_general,
     enumerate_rank1,
     fixed_point_search,
-    general_embedding,
+    general_family,
     rank1_family,
     region_graph,
     solve_general,
@@ -156,11 +156,13 @@ def _beta_override(game: BimatrixGame, args) -> Optional[tuple]:
     return beta
 
 
-def _rank1_or_none(game: BimatrixGame, beta) -> Optional[Rank1Decomposition]:
+def _embedding(game: BimatrixGame, args) -> tuple[Optional[tuple], Optional[Rank1Decomposition]]:
+    """The --beta override, and the rank-1 factorization under it (None above rank 1)."""
+    beta = _beta_override(game, args)
     try:
-        return decompose_rank1(game, beta)
+        return beta, decompose_rank1(game, beta)
     except RankTooHigh:
-        return None
+        return beta, None
 
 
 def _family_for(game: BimatrixGame, args) -> GameFamily:
@@ -170,17 +172,12 @@ def _family_for(game: BimatrixGame, args) -> GameFamily:
     """
     if game.n < 2:
         raise ParseError(f"{args.command} needs at least 2 columns (game is {game.m}x{game.n})")
-    beta = _beta_override(game, args)
-    d1 = _rank1_or_none(game, beta)
-    if d1 is not None:
-        return rank1_family(d1)[1]
-    d = general_embedding(game, beta)
-    return GameFamily(d.a, d.c, d.beta)
+    beta, d1 = _embedding(game, args)
+    return general_family(game, beta) if d1 is None else rank1_family(d1)[1]
 
 
 def cmd_solve(game: BimatrixGame, args, out: dict) -> None:
-    beta = _beta_override(game, args)
-    d1 = _rank1_or_none(game, beta)
+    beta, d1 = _embedding(game, args)
     if d1 is not None:
         report = bin_search(d1)
         out["records"] = [report.equilibrium]
@@ -196,8 +193,7 @@ def cmd_solve(game: BimatrixGame, args, out: dict) -> None:
 
 
 def cmd_enumerate(game: BimatrixGame, args, out: dict) -> None:
-    beta = _beta_override(game, args)
-    d1 = _rank1_or_none(game, beta)
+    beta, d1 = _embedding(game, args)
     if d1 is not None:
         out["records"] = enumerate_rank1(d1)
     else:

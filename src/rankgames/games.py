@@ -137,6 +137,15 @@ def default_beta(n: int) -> Vec:
     return vector(range(1, n + 1))
 
 
+def family_game(a: Matrix, c: Matrix, alphas: Iterable[Sequence],
+                betas: Iterable[Sequence]) -> BimatrixGame:
+    """The game (a, c + sum_l alpha_l . beta_l^T) of a family at row weights alpha."""
+    b = c
+    for alpha, beta in zip(alphas, betas):
+        b = b + Matrix.outer(alpha, beta)
+    return BimatrixGame(a, b)
+
+
 @dataclass(frozen=True)
 class Rank1Decomposition:
     """Factorization b = -a + gamma . beta^T of a rank-1 payoff sum."""
@@ -146,20 +155,7 @@ class Rank1Decomposition:
     beta: Vec
 
     def game(self) -> BimatrixGame:
-        return BimatrixGame(self.a, -self.a + Matrix.outer(self.gamma, self.beta))
-
-
-@dataclass(frozen=True)
-class GeneralDecomposition:
-    """Embedding b = c + gamma . beta^T of an arbitrary game."""
-
-    a: Matrix
-    c: Matrix
-    gamma: Vec
-    beta: Vec
-
-    def game(self) -> BimatrixGame:
-        return BimatrixGame(self.a, self.c + Matrix.outer(self.gamma, self.beta))
+        return family_game(self.a, -self.a, (self.gamma,), (self.beta,))
 
 
 @dataclass(frozen=True)
@@ -175,10 +171,7 @@ class RankKDecomposition:
         return len(self.betas)
 
     def game(self) -> BimatrixGame:
-        b = -self.a
-        for g, bt in zip(self.gammas, self.betas):
-            b = b + Matrix.outer(g, bt)
-        return BimatrixGame(self.a, b)
+        return family_game(self.a, -self.a, self.gammas, self.betas)
 
 
 def _peel_rank1(m: Matrix) -> tuple[Vec, Vec, Matrix]:

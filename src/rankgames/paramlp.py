@@ -35,7 +35,6 @@ from .labeledpath import (
     V_FIXED,
     W_FIXED,
     PathEdge,
-    make_node,
     oriented_edge,
 )
 from .linalg import Matrix, Rat, Vec, frac, scaled_integers, solve_linear_system, vdot, vector
@@ -90,32 +89,37 @@ class IsNEOutcome:
 
 
 @dataclass(frozen=True)
-class OptSet:
-    """A point of the optimal section, with its containing edge."""
+class Section:
+    """Optimal section at lambda = delta: the optimum v of P, the lifted point
+    w that with v certifies both optima, and v's edge rates."""
 
-    v_coords: Vec
+    v: Vertex
     w_coords: Vec
+    rates: Rates = field(compare=False, repr=False)
+
+    @property
+    def v_coords(self) -> Vec:
+        return self.v.coords
+
+
+@dataclass(frozen=True)
+class OptSet(Section):
+    """A rank-1 section with the edge of the path containing it."""
+
     edge: PathEdge
 
 
-def _section_gap(betas: Sequence[Vec], v_coords: Sequence[Fraction],
-                 w_coords: Sequence[Fraction]) -> Rat:
+def section_gap(betas: Sequence[Vec], v_coords: Sequence[Fraction],
+                w_coords: Sequence[Fraction]) -> Rat:
     """sum_l lambda_l * (beta_l . y) - pi1 - pi2 for k betas over the lifted
-    coordinates (x, lambda_1..lambda_k, pi2); nonpositive, zero iff fully labeled."""
+    coordinates (x, lambda_1..lambda_k, pi2); nonpositive, zero iff fully labeled.
+
+    Valid on families with c = -a, where the two polytope systems sum to this bound.
+    """
     n, k = len(betas[0]), len(betas)
     lams = w_coords[-k - 1: -1]
     weighted = sum((lam * vdot(b, v_coords[:n]) for lam, b in zip(lams, betas)), Fraction(0))
     return weighted - v_coords[n] - w_coords[-1]
-
-
-def labeling_gap(family: GameFamily, v_coords: Sequence[Fraction],
-                 w_coords: Sequence[Fraction]) -> Rat:
-    """lambda * (beta . y) - pi1 - pi2; nonpositive, zero iff fully labeled.
-
-    Valid on rank-1 families (c = -a), where the two polytope systems sum to
-    this bound.
-    """
-    return _section_gap((family.beta,), v_coords, w_coords)
 
 
 def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> Rates:
@@ -140,22 +144,17 @@ def _on_rows(m: int, rates: Rates, value) -> Vec:
     return tuple(value(*rates[i]) if i in rates else Fraction(0) for i in range(1, m + 1))
 
 
-def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec],
-             delta: Vec) -> tuple[Vertex, Vec, Rates]:
-    """Optimal section at lambda = delta: a primal walk on P's tableau, whose
-    edge rates at the optimum are the dual in the lifted polytope.
+def _section_walk(p: Polytope, betas: Sequence[Vec], delta: Vec) -> tuple[Vertex, Rates]:
+    """The optimum of the section at lambda = delta over P, by a primal walk on
+    P's tableau, with its edge rates.
 
     The walk starts at the best pure vertex y = e_j, preferring columns with
     one best row. It relaxes the lowest basis label of positive rate whose
     pivot is nondegenerate (a strict gain), else takes the simplex pivot on
-    the lowest such label by Bland's rule, which cannot cycle. Its optimum v
-    must have exactly n tight rows. The multiplier of row i is then minus the
-    rate of its edge, x_i = c_i - g_i . delta on v's basis rows and zero on
-    the others; lambda = delta and pi2 is the least feasible. Returns v, the
-    lifted point w and v's edge rates; a feasible w with zero gap certifies
-    both optima.
+    the lowest such label by Bland's rule, which cannot cycle. Its optimum
+    must have exactly n tight rows.
     """
-    n, m, k = p.n, p.m, len(betas)
+    n, m = p.n, p.m
     weights = tuple(vdot(delta, col) for col in zip(*betas))
     cols = [[a[j] for a, _ in p.ineqs[:m]] for j in range(n)]
     starts = [j for j, col in enumerate(cols) if col.count(max(col)) == 1] or range(n)
@@ -169,17 +168,36 @@ def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec],
         rates = edge_rates(p, v, betas)
     if len(v.labels) != n:
         raise DegeneratePolytope(f"section optimum has {len(v.labels)} tight rows in P")
+    return v, rates
 
+
+def lifted_section(lifted: Polytope, betas: Sequence[Vec], v: Vertex, rates: Rates,
+                   delta: Vec) -> Section:
+    """The section at lambda = delta whose optimum over P is v, a vertex with n
+    tight rows and these edge rates, where no rate g . delta - c is positive.
+
+    The multiplier of row i is minus the rate of its edge, x_i = c_i - g_i .
+    delta on v's basis rows and zero on the others; lambda = delta and pi2 is
+    the least feasible. A feasible lifted point with zero gap certifies both
+    optima.
+    """
+    m, k = lifted.m, len(betas)
     x_lam = _on_rows(m, rates, lambda g, c: c - vdot(g, delta)) + delta
     # Column j's lifted row is (coefficients) . (x, lambda) - pi2 <= 0.
     pi2 = max(vdot(a[: m + k], x_lam) for a, _ in lifted.ineqs[m:])
     w_coords = x_lam + (pi2,)
     if not lifted.feasible(w_coords):
         raise RankGamesError("complementary lifted point is infeasible")
-    gap = _section_gap(betas, v.coords, w_coords)
+    gap = section_gap(betas, v.coords, w_coords)
     if gap != 0:
         raise NonzeroOptimum(f"section objective is {gap}, expected 0")
-    return v, w_coords, rates
+    return Section(v, w_coords, rates)
+
+
+def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec], delta: Vec) -> Section:
+    """Optimal section at lambda = delta: a primal walk on P's tableau, whose
+    edge rates at the optimum are the dual in the lifted polytope."""
+    return lifted_section(lifted, betas, *_section_walk(p, betas, delta), delta)
 
 
 def solve_lp_delta(family: GameFamily, delta) -> OptSet:
@@ -187,25 +205,27 @@ def solve_lp_delta(family: GameFamily, delta) -> OptSet:
     if not family.rank1:
         raise RankGamesError("section LP needs the rank-1 family (c = -a)")
     m, qp = family.m, family.qp
-    v, w_coords, rates = _section(family.p, qp, (family.beta,), (frac(delta),))
+    sec = _section(family.p, qp, (family.beta,), (frac(delta),))
+    v, w_coords = sec.v, sec.w_coords
     w_labels = qp.labels_at(w_coords)
     if len(w_labels) == m:
         # Along the edge lambda rises at rate 1, x moves at -g_i on v's basis
         # rows, and pi2 at beta . y (the rows of v's support stay tight).
-        dx = _on_rows(m, rates, lambda g, c: -g[0])
+        dx = _on_rows(m, sec.rates, lambda g, c: -g[0])
         direction = dx + (Fraction(1), vdot(family.beta, v.coords[: family.n]))
         edge = oriented_edge(
             family, V_FIXED, v, qp.edge_through_point(w_labels, w_coords, direction)
         )
     elif len(w_labels) == m + 1:
-        w = Vertex(w_coords, w_labels, w_labels)
-        ed = family.p.pivot(v, make_node(family, v, w).duplicate)
+        # The zero gap makes the pair fully labeled, so its n + m + 1 labels
+        # share exactly one: the duplicate.
+        ed = family.p.pivot(v, min(v.labels & w_labels))
         if ed.unbounded:
             raise RankGamesError("unexpected unbounded edge in the row polytope")
-        edge = oriented_edge(family, W_FIXED, w, ed)
+        edge = oriented_edge(family, W_FIXED, Vertex(w_coords, w_labels, w_labels), ed)
     else:
         raise DegeneratePolytope(f"section optimum has {len(w_labels)} tight rows in Q'")
-    return OptSet(v.coords, w_coords, edge)
+    return OptSet(v, w_coords, sec.rates, edge)
 
 
 def _rhs(tab: Tableau) -> Iterator[int]:
@@ -283,23 +303,12 @@ def is_ne(family: GameFamily, gamma: Sequence[Fraction], delta) -> IsNEOutcome:
     return IsNEOutcome("found", hit)
 
 
-@dataclass(frozen=True)
-class KSectionOpt:
-    v: Vertex
-    w_coords: Vec
-
-    @property
-    def v_coords(self) -> Vec:
-        return self.v.coords
-
-
-def solve_lp_k(kfam: RankKFamily, delta: Sequence[Fraction]) -> KSectionOpt:
+def solve_lp_k(kfam: RankKFamily, delta: Sequence[Fraction]) -> Section:
     """Optimal section of the rank-k system at a fixed lambda vector."""
     delta = vector(delta)
     if len(delta) != kfam.k:
         raise OutOfBox(f"delta has length {len(delta)}, expected {kfam.k}")
-    v, w_coords, _ = _section(kfam.p, kfam.qk, kfam.betas, delta)
-    return KSectionOpt(v, w_coords)
+    return _section(kfam.p, kfam.qp, kfam.betas, delta)
 
 
 def box_bounds(gammas: Sequence[Sequence[Fraction]]) -> tuple[Vec, Vec]:

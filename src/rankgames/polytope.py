@@ -1,10 +1,10 @@
 """Labeled polytopes for the path machinery: construction, vertices, pivoting.
 
-Three constraint systems share one representation: the row player's polytope
-over (y, pi1), the lifted column polytope over (x, lambda, pi2), and its
-rank-k generalization over (x, lambda_1..lambda_k, pi2). Inequalities carry
-the labels 1..m+n (rows of player 1 first, then columns of player 2); each
-polytope additionally has the single probability equality.
+Two constraint systems share one representation: the row player's polytope
+over (y, pi1), and the lifted column polytope over (x, lambda_1..lambda_k,
+pi2), with k = 1 on the path. Inequalities carry the labels 1..m+n (rows of
+player 1 first, then columns of player 2); each polytope additionally has the
+single probability equality.
 
 Pivoting runs on a fraction-free integer tableau of the polytope that each
 vertex carries (integer pivoting as in lrsnash: Avis, Rosenberg, Savani & von
@@ -33,6 +33,7 @@ from .errors import (
     TooLarge,
     ZeroBeta,
 )
+from .games import BimatrixGame, family_game
 from .linalg import (
     Matrix,
     Rat,
@@ -401,42 +402,27 @@ def build_p(a: Matrix) -> Polytope:
     return Polytope("P", n + 1, ineqs, eq, m, n)
 
 
-def build_qprime(c: Matrix, beta: Sequence[Fraction]) -> Polytope:
-    """Lifted column-player polytope over (x, lambda, pi2)."""
-    beta = vector(beta)
-    if all(b == 0 for b in beta):
-        raise ZeroBeta("beta must be nonzero")
-    m, n = c.rows, c.cols
-    if len(beta) != n:
-        raise DimensionMismatch("beta length differs from column count")
-    ineqs: list[tuple[Vec, Rat]] = []
-    for i in range(m):
-        row = [Fraction(0)] * (m + 2)
-        row[i] = Fraction(-1)
-        ineqs.append((tuple(row), Fraction(0)))
-    for j in range(n):
-        ineqs.append((tuple(c.col(j)) + (beta[j], Fraction(-1)), Fraction(0)))
-    eq = (vector([1] * m + [0, 0]), Fraction(1))
-    return Polytope("Qprime", m + 2, ineqs, eq, m, n)
-
-
-def build_qprime_k(a: Matrix, betas: Sequence[Sequence[Fraction]]) -> Polytope:
-    """Rank-k lifted polytope over (x, lambda_1..lambda_k, pi2)."""
+def build_qprime(c: Matrix, betas: Sequence[Sequence[Fraction]]) -> Polytope:
+    """Lifted column-player polytope over (x, lambda_1..lambda_k, pi2), one
+    lambda per beta; column j's row is c_j . x + sum_l beta_l[j] lambda_l <= pi2."""
     betas = tuple(vector(b) for b in betas)
-    k = len(betas)
+    if any(all(b == 0 for b in beta) for beta in betas):
+        raise ZeroBeta("beta must be nonzero")
+    m, n, k = c.rows, c.cols, len(betas)
+    if any(len(beta) != n for beta in betas):
+        raise DimensionMismatch("beta length differs from column count")
     if matrix_rank(Matrix(betas)) != k:
         raise DependentBetas("beta vectors are linearly dependent")
-    m, n = a.rows, a.cols
     ineqs: list[tuple[Vec, Rat]] = []
     for i in range(m):
         row = [Fraction(0)] * (m + k + 1)
         row[i] = Fraction(-1)
         ineqs.append((tuple(row), Fraction(0)))
     for j in range(n):
-        coeffs = [-x for x in a.col(j)] + [betas[l][j] for l in range(k)] + [Fraction(-1)]
-        ineqs.append((tuple(coeffs), Fraction(0)))
+        coeffs = (*c.col(j), *(beta[j] for beta in betas), Fraction(-1))
+        ineqs.append((coeffs, Fraction(0)))
     eq = (vector([1] * m + [0] * (k + 1)), Fraction(1))
-    return Polytope("QprimeK", m + k + 1, ineqs, eq, m, n)
+    return Polytope("Qprime", m + k + 1, ineqs, eq, m, n)
 
 
 def _unique_arg_extreme(values: Sequence[Fraction], want_max: bool) -> int:
@@ -473,13 +459,11 @@ class GameFamily:
         self.beta = vector(beta)
         self.m, self.n = a.rows, a.cols
         self.p = build_p(a)
-        self.qp = build_qprime(c, self.beta)
+        self.qp = build_qprime(c, (self.beta,))
         self.rank1 = c == a.scale(-1)
 
-    def game_at(self, alpha: Sequence[Fraction]):
-        from .games import BimatrixGame
-
-        return BimatrixGame(self.a, self.c + Matrix.outer(alpha, self.beta))
+    def game_at(self, alpha: Sequence[Fraction]) -> BimatrixGame:
+        return family_game(self.a, self.c, (alpha,), (self.beta,))
 
     def ray(self, high: bool) -> tuple[Vertex, EdgeDescriptor]:
         """Pure vertex of P and unbounded edge of Q' on one ray of the path.
@@ -511,7 +495,7 @@ class GameFamily:
 
 
 class RankKFamily:
-    """Rank-k analogue: fixed a and k independent betas over (x, lambdas, pi2)."""
+    """Rank-k analogue: fixed a, c = -a and k independent betas over (x, lambdas, pi2)."""
 
     def __init__(self, a: Matrix, betas: Sequence[Sequence[Fraction]]):
         self.a = a
@@ -519,15 +503,10 @@ class RankKFamily:
         self.k = len(self.betas)
         self.m, self.n = a.rows, a.cols
         self.p = build_p(a)
-        self.qk = build_qprime_k(a, self.betas)
+        self.qp = build_qprime(-a, self.betas)
 
-    def game_at(self, alphas: Sequence[Sequence[Fraction]]):
-        from .games import BimatrixGame
-
-        b = self.a.scale(-1)
-        for alpha, beta in zip(alphas, self.betas):
-            b = b + Matrix.outer(alpha, beta)
-        return BimatrixGame(self.a, b)
+    def game_at(self, alphas: Sequence[Sequence[Fraction]]) -> BimatrixGame:
+        return family_game(self.a, -self.a, alphas, self.betas)
 
 
 def basis_count(poly: Polytope) -> int:

@@ -35,7 +35,7 @@ from rankgames.oracle import fully_labeled_pairs, support_enumeration
 from rankgames.paramlp import (
     box_bounds,
     fixed_point_eval,
-    labeling_gap,
+    section_gap,
     solve_lp_delta,
 )
 from rankgames.polytope import GameFamily, RankKFamily, check_nondegenerate
@@ -260,7 +260,7 @@ def test_criterion_9_objective_zero_certificate(corpus30):
             for _ in range(10):
                 delta = Fraction(rng.randint(-500, 500), rng.randint(1, 50))
                 opt = solve_lp_delta(fam, delta)
-                assert labeling_gap(fam, opt.v_coords, opt.w_coords) == 0
+                assert section_gap((fam.beta,), opt.v_coords, opt.w_coords) == 0
                 assert opt.w_coords[fam.m] == delta
                 v_labels = fam.p.labels_at(opt.v_coords)
                 w_labels = fam.qp.labels_at(opt.w_coords)
@@ -277,7 +277,7 @@ def test_criterion_9_objective_zero_certificate(corpus30):
                     + fam.beta[j] * lam
                     for j in range(fam.n)
                 )
-                gap = labeling_gap(fam, tuple(y) + (pi1,), tuple(x) + (lam, pi2))
+                gap = section_gap((fam.beta,), tuple(y) + (pi1,), tuple(x) + (lam, pi2))
                 assert gap < 0
                 full_checks += 1
         assert full_checks == 50

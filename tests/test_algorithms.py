@@ -38,7 +38,7 @@ from rankgames.games import (
 from rankgames.labeledpath import trace_path
 from rankgames.linalg import Matrix, solve_linear_system, vdot
 from rankgames.oracle import support_enumeration, zero_sum_solve
-from rankgames.paramlp import box_bounds, fixed_point_eval
+from rankgames.paramlp import box_bounds, fixed_point_eval, solve_lp_k
 from rankgames.polytope import GameFamily, RankKFamily
 
 from fixtures import (
@@ -479,7 +479,7 @@ def test_fixed_point_search_rank1_matches_bin_search():
     kfam = RankKFamily(R1A.a, [R1A.beta])
     point, rec = fixed_point_search(kfam, [R1A.gamma])
     assert fixed_point_eval(kfam, [R1A.gamma], point) == point  # exact fixed point
-    assert rec == fixed_point_record(kfam, [R1A.gamma], point)
+    assert rec == fixed_point_record(kfam, [R1A.gamma], solve_lp_k(kfam, point))
     report = bin_search(R1A)
     assert rec.profile == report.equilibrium.profile
 
@@ -514,8 +514,8 @@ def basis_scan_fixed_points(kfam, gammas):
         v = kfam.p.try_vertex(basis)
         if v is None or len(v.labels) != n:
             continue
-        lacks = [kfam.qk.row(lab)[0] for lab in range(1, m + n + 1) if lab not in v.labels]
-        system = Matrix([kfam.qk.eq[0]] + [unit.row(m + l) for l in range(k)] + lacks)
+        lacks = [kfam.qp.row(lab)[0] for lab in range(1, m + n + 1) if lab not in v.labels]
+        system = Matrix([kfam.qp.eq[0]] + [unit.row(m + l) for l in range(k)] + lacks)
         try:
             x0 = solve_linear_system(system, [1] + [0] * (k + m))[:m]
             xs = [solve_linear_system(system, unit.row(1 + l))[:m] for l in range(k)]

@@ -152,7 +152,8 @@ def test_fixedpoint_eval_and_search(tmp_path, capsys):
 
 def test_fixedpoint_search_verifies_once(tmp_path, capsys, monkeypatch):
     # The CLI prints the record the search verified: it makes no section
-    # solve beyond the search's own.
+    # solve beyond the search's own, which is the one at the box centre; the
+    # answer is the lifted point of the cell the search accepted.
     from rankgames import algorithms
     from rankgames.games import decompose_rank_k
     from rankgames.polytope import RankKFamily
@@ -171,6 +172,7 @@ def test_fixedpoint_search_verifies_once(tmp_path, capsys, monkeypatch):
         d = decompose_rank_k(game)
         algorithms.fixed_point_search(RankKFamily(d.a, d.betas), d.gammas)
         direct = len(calls)
+        assert direct == 1
         calls.clear()
         assert main(["fixedpoint", "--input", write_game(tmp_path, game), "--search"]) == EXIT_OK
         capsys.readouterr()

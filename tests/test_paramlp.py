@@ -16,7 +16,7 @@ from rankgames.paramlp import (
     edge_rates,
     fixed_point_eval,
     is_ne,
-    labeling_gap,
+    section_gap,
     solve_lp_delta,
     solve_lp_k,
 )
@@ -50,7 +50,7 @@ def k2():
 
 def test_section_at_gamma_min_has_zero_objective(r1a_family):
     opt = solve_lp_delta(r1a_family, min(R1A.gamma))
-    assert labeling_gap(r1a_family, opt.v_coords, opt.w_coords) == 0
+    assert section_gap((r1a_family.beta,), opt.v_coords, opt.w_coords) == 0
     assert opt.w_coords[r1a_family.m] == min(R1A.gamma)
 
 
@@ -102,7 +102,7 @@ def test_objective_zero_certificate_strict_on_non_labeled_points(r1a_family):
         )
         v_coords = tuple(y) + (pi1,)
         w_coords = tuple(x) + (lam, pi2)
-        assert labeling_gap(fam, v_coords, w_coords) < 0
+        assert section_gap((fam.beta,), v_coords, w_coords) < 0
 
 
 def test_is_ne_found_at_equilibrium_lambda(r1a_family):
@@ -178,7 +178,7 @@ def _walked_edges():
     for rank 1 also those that ``enumerate_rank1`` walks from its min-gamma
     section. The gammas are the one the path runs on and one drawn from
     -9..9."""
-    from rankgames.algorithms import _edges_until, general_embedding, rank1_family
+    from rankgames.algorithms import _edges_until, general_family, rank1_family
     from rankgames.games import BimatrixGame
 
     rng = random.Random(2026)
@@ -189,12 +189,12 @@ def _walked_edges():
         if kind == "rank-1":
             run, fam = rank1_family(random_rank1(rng, size, size, span=99, gamma_span=20,
                                                  beta_span=50))
+            gamma = run.gamma
         else:
             a, b = (Matrix([[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)])
                     for _ in range(2))
-            run = general_embedding(BimatrixGame(a, b))
-            fam = GameFamily(run.a, run.c, run.beta)
-        gammas = (run.gamma, tuple(Fraction(rng.randint(-9, 9)) for _ in range(size)))
+            fam, gamma = general_family(BimatrixGame(a, b)), (Fraction(0),) * size
+        gammas = (gamma, tuple(Fraction(rng.randint(-9, 9)) for _ in range(size)))
         try:
             edges = list(trace_path(fam).edges)
             if kind == "rank-1":
@@ -294,7 +294,7 @@ def test_solve_lp_k_matches_lifted_lp_on_rank_k_corpus():
             delta = tuple(
                 lo + (hi - lo) * Fraction(rng.randint(0, 8), 8) for lo, hi in zip(lows, highs)
             )
-            w_ref = lifted_lp_point(kfam.qk, delta)
+            w_ref = lifted_lp_point(kfam.qp, delta)
             try:
                 opt = solve_lp_k(kfam, delta)
             except DegeneratePolytope:
@@ -396,7 +396,7 @@ def section_corpus():
             delta = tuple(
                 lo + (hi - lo) * Fraction(rng.randint(0, 8), 8) for lo, hi in zip(lows, highs)
             )
-            yield "rank-k", kfam, kfam.p, kfam.qk, kfam.betas, delta
+            yield "rank-k", kfam, kfam.p, kfam.qp, kfam.betas, delta
 
 
 def test_section_walk_matches_generic_lp_reference(monkeypatch):
@@ -426,10 +426,11 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
         assert ref.optimal
         ref_ok = len(p.labels_at(ref.point)) == p.n
         try:
-            v, w_coords, _ = paramlp._section(p, lifted, betas, delta)
+            sec = paramlp._section(p, lifted, betas, delta)
         except DegeneratePolytope:
             counts[corpus, "rejected by both" if not ref_ok else "rejected by the walk"] += 1
             continue
+        v, w_coords = sec.v, sec.w_coords
         assert vdot(objective, v.coords) == ref.value
         if not ref_ok:
             counts[corpus, "accepted by the walk"] += 1
@@ -487,7 +488,8 @@ def test_section_walk_leaves_a_degenerate_start(monkeypatch):
         Polytope, "simplex_pivot", lambda self, v, r: bland.append(r) or real(self, v, r)
     )
     for delta in (-1, 0, Fraction(3, 2)):
-        v, w_coords, _ = paramlp._section(fam.p, fam.qp, (fam.beta,), (Fraction(delta),))
+        sec = paramlp._section(fam.p, fam.qp, (fam.beta,), (Fraction(delta),))
+        v, w_coords = sec.v, sec.w_coords
         ref = solve_lp(polytope_lp(fam.p, section_objective((fam.beta,), (delta,))))
         assert v.coords == ref.point and v.coords[:2] == (Fraction(1, 2), Fraction(1, 2))
         assert v.labels == {2, 4}

@@ -20,7 +20,6 @@ from rankgames.polytope import (
     Vertex,
     build_p,
     build_qprime,
-    build_qprime_k,
     check_nondegenerate,
     enumerate_vertices,
 )
@@ -54,7 +53,7 @@ def test_build_p_enumerated_vertices_are_feasible():
 def test_build_qprime_single_strategy_ray():
     # With one row the lifted polytope has no vertex; the boundary line
     # pi2 = c + beta*lambda carries the single column label.
-    q = build_qprime(Matrix([[-7]]), (2,))
+    q = build_qprime(Matrix([[-7]]), [(2,)])
     assert enumerate_vertices(q) == []
     for lam in (Fraction(-3), Fraction(0), Fraction(5)):
         point = (Fraction(1), lam, -7 + 2 * lam)
@@ -64,7 +63,7 @@ def test_build_qprime_single_strategy_ray():
 
 def test_build_qprime_rejects_zero_beta():
     with pytest.raises(ZeroBeta):
-        build_qprime(Matrix([[1, 2]]), (0, 0))
+        build_qprime(Matrix([[1, 2]]), [(0, 0)])
 
 
 def test_build_qprime_start_vertex_exists():
@@ -200,7 +199,7 @@ def _reference_outcome(poly, vertex, relax):
 
 
 def _pivot_corpus():
-    """P and Q' of seeded rank-1 and general families, and Q'_k of rank-k
+    """P and Q' of seeded rank-1 and general families, and Q' of rank-k
     ones, with small spans so that degenerate vertices, ties and rays occur."""
     rng = random.Random(8)
     polys = []
@@ -214,7 +213,7 @@ def _pivot_corpus():
         polys += [fam.p, fam.qp]
     for k, size in ((2, 3), (2, 4), (3, 4)):
         a, betas, _ = random_rank_k(rng, k, size, size)
-        polys.append(build_qprime_k(a, betas))
+        polys.append(build_qprime(a.scale(-1), betas))
     return polys
 
 
@@ -389,23 +388,15 @@ def test_lambda_bounds_sign_convention_by_lp_probe():
     assert probe(lambda_s + Fraction(1, 7)) == "infeasible"
 
 
-def test_build_qprime_k_specializes_to_qprime():
-    a = EX1_A
-    qk = build_qprime_k(a, [(1, 2, 3)])
-    q1 = build_qprime(a.scale(-1), (1, 2, 3))
-    assert qk.ineqs == q1.ineqs
-    assert qk.eq == q1.eq
-
-
-def test_build_qprime_k_rejects_dependent_betas():
+def test_build_qprime_rejects_dependent_betas():
     with pytest.raises(DependentBetas):
-        build_qprime_k(EX1_A, [(1, 2, 3), (2, 4, 6)])
+        build_qprime(EX1_A.scale(-1), [(1, 2, 3), (2, 4, 6)])
 
 
-def test_build_qprime_k_wedge_vertices_match_enumeration():
+def test_build_qprime_wedge_vertices_match_enumeration():
     # k = 2, m = 1: three-dimensional wedge over (x1, l1, l2, pi2).
     a = Matrix([[1, 0, 2]])
-    qk = build_qprime_k(a, [(1, 0, 1), (0, 1, 2)])
+    qk = build_qprime(a.scale(-1), [(1, 0, 1), (0, 1, 2)])
     vertices = enumerate_vertices(qk)
     for v in vertices:
         assert qk.feasible(v.coords)
