@@ -11,7 +11,6 @@ from .algorithms import (
     general_family,
     homeo_forward,
     homeo_inverse,
-    homeo_k_forward,
     index_of,
     region_graph,
     solve_general,
@@ -34,6 +33,6 @@ from .linalg import Matrix, determinant, matrix_rank, solve_linear_system
 from .lp import LinearProgram, LPSolution, solve_lp
 from .oracle import fully_labeled_pairs, support_enumeration, zero_sum_solve
 from .paramlp import Hyperplane, fixed_point_eval, is_ne, solve_lp_delta, solve_lp_k
-from .polytope import GameFamily, RankKFamily, build_p, build_qprime
+from .polytope import GameFamily, build_p, build_qprime
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -52,7 +52,7 @@ from .paramlp import (
     solve_lp_delta,
     solve_lp_k,
 )
-from .polytope import GameFamily, RankKFamily, Vertex
+from .polytope import GameFamily, Vertex
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,7 @@ def rank1_family(d: Rank1Decomposition) -> tuple[Rank1Decomposition, GameFamily]
     equilibrium set.
     """
     if all(b == d.beta[0] for b in d.beta):
-        d = Rank1Decomposition(
-            reduce_constant_beta(d).a, vector([0] * len(d.gamma)), default_beta(len(d.beta))
-        )
+        d = reduce_constant_beta(d)
     return d, GameFamily(d.a, d.a.scale(-1), d.beta)
 
 
@@ -282,24 +280,19 @@ def solve_general(
     return enumerate_general(game, beta)[0]
 
 
-def _forward(game: BimatrixGame, alphas: Sequence[Vec], betas: Sequence[Vec],
-             profile: MixedProfile) -> tuple[Vec, ...]:
-    """One game-space vector per scaling direction, for an equilibrium of
-    ``game``, the family's game at ``alphas``; verified first."""
-    if not verify_equilibrium(game, profile):
+def homeo_forward(family: GameFamily, alphas: Sequence[Sequence[Fraction]],
+                  profile: MixedProfile) -> tuple[Vec, ...]:
+    """Game-space image of a verified equilibrium point of the family's game
+    at ``alphas``: one vector per beta."""
+    if not family.minus_a:
+        raise RankGamesError("homeomorphism maps are defined on families with c = -a")
+    alphas = tuple(vector(al) for al in alphas)
+    if not verify_equilibrium(family.game_at(*alphas), profile):
         raise NotEquilibrium("profile is not an equilibrium of the alpha game")
     return tuple(
         (vdot(al, profile.x) + vdot(beta, profile.y), *(a - al[0] for a in al[1:]))
-        for al, beta in zip(alphas, betas)
+        for al, beta in zip(alphas, family.betas)
     )
-
-
-def homeo_forward(family: GameFamily, alpha: Sequence[Fraction], profile: MixedProfile) -> Vec:
-    """Game-space image of a verified equilibrium point of the rank-1 family."""
-    if not family.rank1:
-        raise RankGamesError("homeomorphism maps are defined on rank-1 families")
-    alpha = vector(alpha)
-    return _forward(family.game_at(alpha), (alpha,), (family.beta,), profile)[0]
 
 
 def homeo_inverse(
@@ -311,8 +304,8 @@ def homeo_inverse(
     bisection over the strictly increasing node values, solves the remaining
     affine system for the row weights, and verifies the result exactly.
     """
-    if not family.rank1:
-        raise RankGamesError("homeomorphism maps are defined on rank-1 families")
+    if not family.minus_a:
+        raise RankGamesError("homeomorphism maps are defined on families with c = -a")
     alpha_prime = vector(alpha_prime)
     target = alpha_prime[0]
     if trace is None:
@@ -348,29 +341,19 @@ def homeo_inverse(
     return alpha, profile
 
 
-def homeo_k_forward(
-    kfam: RankKFamily,
-    alphas: Sequence[Sequence[Fraction]],
-    profile: MixedProfile,
-) -> tuple[Vec, ...]:
-    """Rank-k forward map: one game-space vector per scaling direction."""
-    alphas = tuple(vector(al) for al in alphas)
-    return _forward(kfam.game_at(alphas), alphas, kfam.betas, profile)
-
-
 def fixed_point_record(
-    kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]], section: Section
+    family: GameFamily, gammas: Sequence[Sequence[Fraction]], section: Section
 ) -> EquilibriumRecord:
     """The section at an exact fixed point as a verified equilibrium record."""
-    profile = MixedProfile(section.w_coords[: kfam.m], section.v_coords[: kfam.n])
-    game = kfam.game_at(gammas)
+    profile = MixedProfile(section.w_coords[: family.m], section.v_coords[: family.n])
+    game = family.game_at(*gammas)
     if not verify_equilibrium(game, profile):
         raise NotEquilibrium("exact fixed point failed equilibrium verification")
     return make_record(game, profile, "fixed-point")
 
 
 def fixed_point_search(
-    kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]]
+    family: GameFamily, gammas: Sequence[Sequence[Fraction]]
 ) -> tuple[Vec, EquilibriumRecord]:
     """Exact fixed point of the box map, by a breadth-first walk over its cells.
 
@@ -380,26 +363,28 @@ def fixed_point_search(
     (``piece_fixed_point``, one k x k solve). A cell's fixed point is
     accepted when it lies in the box and in the cell, and ``fixed_point_record``
     verifies the cell's section there. The walk starts at the section optimum
-    of the box centre and pivots across every edge whose zero-rate facet meets
-    box and cell (a k-variable feasibility LP). Returns the point with its
+    of the box centre, with the edge rates its section walk computed, and
+    pivots across every edge whose zero-rate facet meets box and cell (a
+    k-variable feasibility LP). Returns the point with its
     verified record; raises ``DegeneratePolytope`` when no cell reached holds
     one.
     """
     gammas = tuple(vector(g) for g in gammas)
     lows, highs = box_bounds(gammas)
-    p, k = kfam.p, kfam.k
+    p, k = family.p, family.k
     unit = Matrix.identity(k)
     box = [(unit.row(l), highs[l]) for l in range(k)]
     box += [(vscale(-1, unit.row(l)), -lows[l]) for l in range(k)]
-    start = solve_lp_k(kfam, tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))).v
-    seen, queue = {start.basis}, deque([start])
+    start = solve_lp_k(family, tuple((lo + hi) / 2 for lo, hi in zip(lows, highs)))
+    seen, queue = {start.v.basis}, deque([(start.v, start.rates)])
     while queue:
-        v = queue.popleft()
-        rates = edge_rates(p, v, kfam.betas)  # the objective's rate on r's edge is g . a - c
-        a = piece_fixed_point(kfam, gammas, rates)
+        v, rates = queue.popleft()
+        if rates is None:  # the objective's rate on r's edge is g . a - c
+            rates = edge_rates(p, v, family.betas)
+        a = piece_fixed_point(family, gammas, rates)
         if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):
-            section = lifted_section(kfam.qp, kfam.betas, v, rates, a)
-            return a, fixed_point_record(kfam, gammas, section)
+            section = lifted_section(family.qp, family.betas, v, rates, a)
+            return a, fixed_point_record(family, gammas, section)
         for r, facet in rates.items():
             rest = [gc for s, gc in rates.items() if s != r] + box
             lp = LinearProgram.build(
@@ -411,7 +396,7 @@ def fixed_point_search(
             far = nondegenerate_far_end(p, v, r)  # a degenerate neighbour has no cell
             if far is not None and far.basis not in seen:
                 seen.add(far.basis)
-                queue.append(far)
+                queue.append((far, None))
     raise DegeneratePolytope("no cell of the box map holds a verified fixed point")
 
 

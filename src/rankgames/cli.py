@@ -51,7 +51,7 @@ from .labeledpath import export_lines, make_node, trace_cycle, trace_path
 from .linalg import Matrix, matrix_rank
 from .oracle import support_enumeration
 from .paramlp import box_bounds, fixed_point_eval
-from .polytope import GameFamily, RankKFamily
+from .polytope import GameFamily
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -291,11 +291,11 @@ def cmd_fixedpoint(game: BimatrixGame, args, out: dict) -> None:
     d = decompose_rank_k(game)
     if d.k == 0:
         raise ParseError("zero-sum game: the fixed-point box is empty (k = 0)")
-    kfam = RankKFamily(d.a, d.betas)
+    family = GameFamily(d.a, -d.a, *d.betas)
     if args.k_eval is not None:
         a = tuple(parse_fraction(t) for t in args.k_eval.split(","))
         try:
-            fa = fixed_point_eval(kfam, d.gammas, a)
+            fa = fixed_point_eval(family, d.gammas, a)
         except OutOfBox as exc:
             lows, highs = box_bounds(d.gammas)
             raise ParseError(
@@ -305,7 +305,7 @@ def cmd_fixedpoint(game: BimatrixGame, args, out: dict) -> None:
         out["lines"] = [f"f{_vec_str(a)} = {_vec_str(fa)} (experimental)"]
         out["fixedpoint"] = {"a": [_rat_str(v) for v in a], "f": [_rat_str(v) for v in fa]}
         return
-    point, record = fixed_point_search(kfam, d.gammas)
+    point, record = fixed_point_search(family, d.gammas)
     out["records"] = [record]
     out["lines"] = [f"a = {_vec_str(point)}"]
     out["fixedpoint"] = {"a": [_rat_str(v) for v in point]}

@@ -65,6 +65,10 @@ class DependentBetas(RankGamesError):
     """Scaling vectors must be linearly independent."""
 
 
+class NoBetas(RankGamesError):
+    """A game family needs at least one scaling vector."""
+
+
 class TooLarge(RankGamesError):
     """Instance exceeds an exhaustive-enumeration guard; the CLI maps this to exit 4."""
 

@@ -241,8 +241,9 @@ def integerize(d: Rank1Decomposition) -> tuple[Rank1Decomposition, Rat]:
     return scaled, Fraction(c * c)
 
 
-def reduce_constant_beta(d: Rank1Decomposition) -> BimatrixGame:
-    """Collapse a constant-beta rank-1 game to the zero-sum game (a, -a).
+def reduce_constant_beta(d: Rank1Decomposition) -> Rank1Decomposition:
+    """Collapse a constant-beta rank-1 game to the zero-sum game (a, -a), as
+    a decomposition with zero gamma and the default beta.
 
     With beta = t*(1,...,1) the column player's payoffs differ from -a by the
     per-row constants t*gamma_i, which never change a column argmax, so the
@@ -250,7 +251,7 @@ def reduce_constant_beta(d: Rank1Decomposition) -> BimatrixGame:
     """
     if any(b != d.beta[0] for b in d.beta):
         raise NotConstantBeta(f"beta {d.beta} is not constant")
-    return BimatrixGame(d.a, -d.a)
+    return Rank1Decomposition(d.a, vector([0] * d.a.rows), default_beta(d.a.cols))
 
 
 def positivity_shift(game: BimatrixGame) -> tuple[BimatrixGame, Rat, Rat]:

@@ -38,7 +38,7 @@ from .labeledpath import (
     oriented_edge,
 )
 from .linalg import Matrix, Rat, Vec, frac, scaled_integers, solve_linear_system, vdot, vector
-from .polytope import GameFamily, Polytope, RankKFamily, Tableau, Vertex
+from .polytope import GameFamily, Polytope, Tableau, Vertex
 
 Rates = dict[int, tuple[Vec, Rat]]  # (g_r, c_r) per basis label r: see edge_rates
 
@@ -201,18 +201,18 @@ def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec], delta: Vec) ->
 
 
 def solve_lp_delta(family: GameFamily, delta) -> OptSet:
-    """Optimal section at lambda = delta, with the edge of the path containing it."""
-    if not family.rank1:
-        raise RankGamesError("section LP needs the rank-1 family (c = -a)")
+    """``solve_lp_k`` at lambda = delta, with the edge of the path containing
+    the section: the family has one beta."""
+    beta = family.beta
     m, qp = family.m, family.qp
-    sec = _section(family.p, qp, (family.beta,), (frac(delta),))
+    sec = solve_lp_k(family, (frac(delta),))
     v, w_coords = sec.v, sec.w_coords
     w_labels = qp.labels_at(w_coords)
     if len(w_labels) == m:
         # Along the edge lambda rises at rate 1, x moves at -g_i on v's basis
         # rows, and pi2 at beta . y (the rows of v's support stay tight).
         dx = _on_rows(m, sec.rates, lambda g, c: -g[0])
-        direction = dx + (Fraction(1), vdot(family.beta, v.coords[: family.n]))
+        direction = dx + (Fraction(1), vdot(beta, v.coords[: family.n]))
         edge = oriented_edge(
             family, V_FIXED, v, qp.edge_through_point(w_labels, w_coords, direction)
         )
@@ -303,19 +303,22 @@ def is_ne(family: GameFamily, gamma: Sequence[Fraction], delta) -> IsNEOutcome:
     return IsNEOutcome("found", hit)
 
 
-def solve_lp_k(kfam: RankKFamily, delta: Sequence[Fraction]) -> Section:
-    """Optimal section of the rank-k system at a fixed lambda vector."""
+def solve_lp_k(family: GameFamily, delta: Sequence[Fraction]) -> Section:
+    """Optimal section at a fixed lambda vector, one entry per beta, of a
+    family with c = -a."""
+    if not family.minus_a:
+        raise RankGamesError("section LP needs a family with c = -a")
     delta = vector(delta)
-    if len(delta) != kfam.k:
-        raise OutOfBox(f"delta has length {len(delta)}, expected {kfam.k}")
-    return _section(kfam.p, kfam.qp, kfam.betas, delta)
+    if len(delta) != family.k:
+        raise OutOfBox(f"delta has length {len(delta)}, expected {family.k}")
+    return _section(family.p, family.qp, family.betas, delta)
 
 
 def box_bounds(gammas: Sequence[Sequence[Fraction]]) -> tuple[Vec, Vec]:
     return tuple(min(g) for g in gammas), tuple(max(g) for g in gammas)
 
 
-def fixed_point_eval(kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]],
+def fixed_point_eval(family: GameFamily, gammas: Sequence[Sequence[Fraction]],
                      a: Sequence[Fraction]) -> Vec:
     """One evaluation of the piecewise-linear box self-map at a."""
     gammas = tuple(vector(g) for g in gammas)
@@ -323,12 +326,11 @@ def fixed_point_eval(kfam: RankKFamily, gammas: Sequence[Sequence[Fraction]],
     lows, highs = box_bounds(gammas)
     if any(not lo <= ai <= hi for ai, lo, hi in zip(a, lows, highs)):
         raise OutOfBox(f"{a} outside box {lows}..{highs}")
-    opt = solve_lp_k(kfam, a)
-    x = opt.w_coords[: kfam.m]
+    x = solve_lp_k(family, a).w_coords[: family.m]
     return tuple(vdot(g, x) for g in gammas)
 
 
-def piece_fixed_point(kfam: RankKFamily, gammas: Sequence[Vec], rates: Rates) -> Optional[Vec]:
+def piece_fixed_point(family: GameFamily, gammas: Sequence[Vec], rates: Rates) -> Optional[Vec]:
     """Fixed point of the affine piece of the box map on the cell of a vertex
     v of P, given v's edge rates.
 
@@ -337,7 +339,7 @@ def piece_fixed_point(kfam: RankKFamily, gammas: Sequence[Vec], rates: Rates) ->
     the k x k system (I + Gamma_B G_B) a = Gamma_B c_B. None when that system
     is singular. The point may lie outside the cell.
     """
-    m, k, gam = kfam.m, kfam.k, Matrix(gammas)
+    m, k, gam = family.m, family.k, Matrix(gammas)
     g_x = Matrix([rates[i][0] if i in rates else (0,) * k for i in range(1, m + 1)])
     try:
         return solve_linear_system(Matrix.identity(k) + gam @ g_x,

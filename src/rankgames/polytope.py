@@ -29,6 +29,7 @@ from .errors import (
     DegeneratePolytope,
     DependentBetas,
     DimensionMismatch,
+    NoBetas,
     Singular,
     TooLarge,
     ZeroBeta,
@@ -406,6 +407,8 @@ def build_qprime(c: Matrix, betas: Sequence[Sequence[Fraction]]) -> Polytope:
     """Lifted column-player polytope over (x, lambda_1..lambda_k, pi2), one
     lambda per beta; column j's row is c_j . x + sum_l beta_l[j] lambda_l <= pi2."""
     betas = tuple(vector(b) for b in betas)
+    if not betas:
+        raise NoBetas("the lifted polytope needs at least one beta")
     if any(all(b == 0 for b in beta) for beta in betas):
         raise ZeroBeta("beta must be nonzero")
     m, n, k = c.rows, c.cols, len(betas)
@@ -445,25 +448,37 @@ def _endpoint_indices(a: Matrix, beta: Vec) -> tuple[int, int, int, int]:
 
 
 class GameFamily:
-    """Shared-row-player game family: fixed a, c, beta with free row weights.
+    """Shared-row-player game family: fixed a, c and k betas with free row weights.
 
-    Bundles the two polytopes, and builds the path's two rays, for everything
-    downstream.
+    Bundles the two polytopes for everything downstream. With k = 1 it also
+    builds the path's two rays; with c = -a (``minus_a``) its sections are
+    the box map's, for every k.
     """
 
-    def __init__(self, a: Matrix, c: Matrix, beta: Sequence[Fraction]):
+    def __init__(self, a: Matrix, c: Matrix, *betas: Sequence[Fraction]):
         if (a.rows, a.cols) != (c.rows, c.cols):
             raise DimensionMismatch("a and c differ in shape")
         self.a = a
         self.c = c
-        self.beta = vector(beta)
+        self.betas = tuple(vector(b) for b in betas)
+        self.k = len(self.betas)
         self.m, self.n = a.rows, a.cols
         self.p = build_p(a)
-        self.qp = build_qprime(c, (self.beta,))
-        self.rank1 = c == a.scale(-1)
+        self.qp = build_qprime(c, self.betas)
+        self.minus_a = c == a.scale(-1)
 
-    def game_at(self, alpha: Sequence[Fraction]) -> BimatrixGame:
-        return family_game(self.a, self.c, (alpha,), (self.beta,))
+    @property
+    def beta(self) -> Vec:
+        """The single beta, which the path needs: one lambda to walk along."""
+        if self.k != 1:
+            raise DimensionMismatch(f"the path needs one beta, the family has {self.k}")
+        return self.betas[0]
+
+    def game_at(self, *alphas: Sequence[Fraction]) -> BimatrixGame:
+        """The family's game at row weights alpha_1..alpha_k, one per beta."""
+        if len(alphas) != self.k:
+            raise DimensionMismatch(f"{len(alphas)} row weights for {self.k} betas")
+        return family_game(self.a, self.c, alphas, self.betas)
 
     def ray(self, high: bool) -> tuple[Vertex, EdgeDescriptor]:
         """Pure vertex of P and unbounded edge of Q' on one ray of the path.
@@ -475,12 +490,13 @@ class GameFamily:
         there finds the ray's lambda bound and bounding column. The returned
         edge is based at that bound.
         """
-        i_s, j_s, i_e, j_e = _endpoint_indices(self.a, self.beta)
+        beta = self.beta
+        i_s, j_s, i_e, j_e = _endpoint_indices(self.a, beta)
         i, j = (i_e, j_e) if high else (i_s, j_s)
-        m, n, b_j = self.m, self.n, self.beta[j]
+        m, n, b_j = self.m, self.n, beta[j]
         y = tuple(Fraction(int(col == j)) for col in range(n)) + (self.a[i, j],)
         v_labels = self.p.labels_at(y)
-        gap = min(abs(b - b_j) for b in self.beta if b != b_j)
+        gap = min(abs(b - b_j) for b in beta if b != b_j)
         c_max = max(abs(x) for row in range(m) for x in self.c.row(row))
         delta = (2 * c_max / gap + 1) * (1 if high else -1)
         x = tuple(Fraction(int(row == i)) for row in range(m))
@@ -492,21 +508,6 @@ class GameFamily:
 
     def lambda_of(self, w: Vertex) -> Rat:
         return w.coords[self.m]
-
-
-class RankKFamily:
-    """Rank-k analogue: fixed a, c = -a and k independent betas over (x, lambdas, pi2)."""
-
-    def __init__(self, a: Matrix, betas: Sequence[Sequence[Fraction]]):
-        self.a = a
-        self.betas = tuple(vector(b) for b in betas)
-        self.k = len(self.betas)
-        self.m, self.n = a.rows, a.cols
-        self.p = build_p(a)
-        self.qp = build_qprime(-a, self.betas)
-
-    def game_at(self, alphas: Sequence[Sequence[Fraction]]) -> BimatrixGame:
-        return family_game(self.a, -self.a, alphas, self.betas)
 
 
 def basis_count(poly: Polytope) -> int:

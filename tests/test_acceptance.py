@@ -19,7 +19,6 @@ from rankgames.algorithms import (
     fixed_point_search,
     homeo_forward,
     homeo_inverse,
-    homeo_k_forward,
     solve_general,
 )
 from rankgames.errors import DegeneracyError
@@ -38,7 +37,7 @@ from rankgames.paramlp import (
     section_gap,
     solve_lp_delta,
 )
-from rankgames.polytope import GameFamily, RankKFamily, check_nondegenerate
+from rankgames.polytope import GameFamily, check_nondegenerate
 
 from fixtures import (
     EX1_CYCLE_P_DECIMALS,
@@ -217,19 +216,19 @@ def test_criterion_7_homeomorphism_round_trip(corpus30):
                     for _ in range(fam.m)
                 )
                 alpha, profile = homeo_inverse(fam, alpha_prime, trace)
-                assert homeo_forward(fam, alpha, profile) == alpha_prime
+                assert homeo_forward(fam, (alpha,), profile)[0] == alpha_prime
         # rank-2 analogue with leading-coordinate distinctness
         d2 = decompose_rank_k(K2_GAME)
-        kfam = RankKFamily(d2.a, d2.betas)
+        kfam = GameFamily(d2.a, -d2.a, *d2.betas)
         profile = MixedProfile((0, 1, 0), (Fraction(1, 2), 0, Fraction(1, 2)))
         assert verify_equilibrium(K2_GAME, profile)
-        image = homeo_k_forward(kfam, d2.gammas, profile)
+        image = homeo_forward(kfam, d2.gammas, profile)
         for l in range(d2.k):
             lam = vdot(d2.gammas[l], profile.x)
             assert image[l][0] == lam + vdot(d2.betas[l], profile.y)
         alphas2 = tuple(tuple(g + 1 for g in gamma) for gamma in d2.gammas)
-        rec2 = support_enumeration(kfam.game_at(alphas2)).equilibria[0]
-        image2 = homeo_k_forward(kfam, alphas2, rec2.profile)
+        rec2 = support_enumeration(kfam.game_at(*alphas2)).equilibria[0]
+        image2 = homeo_forward(kfam, alphas2, rec2.profile)
         assert tuple(i[0] for i in image) != tuple(i[0] for i in image2)
 
 
@@ -286,7 +285,7 @@ def test_criterion_9_objective_zero_certificate(corpus30):
 def test_criterion_10_rank_k_fixed_point():
     with report(10, "rank-2 box map; exact fixed points verify; k=1 agreement"):
         d = decompose_rank_k(K2_GAME)
-        kfam = RankKFamily(d.a, d.betas)
+        kfam = GameFamily(d.a, -d.a, *d.betas)
         lows, highs = box_bounds(d.gammas)
         rng = random.Random(1010)
         for _ in range(20):
@@ -300,7 +299,7 @@ def test_criterion_10_rank_k_fixed_point():
         assert fixed_point_eval(kfam, d.gammas, point) == point
         assert verify_equilibrium(K2_GAME, rec.profile)
         # k = 1: the exact fixed point reproduces the binary-search equilibrium.
-        kfam1 = RankKFamily(R1A.a, [R1A.beta])
+        kfam1 = GameFamily(R1A.a, -R1A.a, R1A.beta)
         point1, rec1 = fixed_point_search(kfam1, [R1A.gamma])
         assert fixed_point_eval(kfam1, [R1A.gamma], point1) == point1
         assert rec1.profile == bin_search(R1A).equilibrium.profile

@@ -15,13 +15,14 @@ from rankgames.algorithms import (
     fixed_point_search,
     homeo_forward,
     homeo_inverse,
-    homeo_k_forward,
     region_graph,
     solve_general,
 )
 from rankgames.errors import (
     DegeneracyError,
     DegeneratePolytope,
+    DimensionMismatch,
+    NoBetas,
     NotEquilibrium,
     RankGamesError,
     Singular,
@@ -38,8 +39,8 @@ from rankgames.games import (
 from rankgames.labeledpath import trace_path
 from rankgames.linalg import Matrix, solve_linear_system, vdot
 from rankgames.oracle import support_enumeration, zero_sum_solve
-from rankgames.paramlp import box_bounds, fixed_point_eval, solve_lp_k
-from rankgames.polytope import GameFamily, RankKFamily
+from rankgames.paramlp import box_bounds, fixed_point_eval, solve_lp_delta, solve_lp_k
+from rankgames.polytope import GameFamily
 
 from fixtures import (
     EX1_A,
@@ -402,7 +403,7 @@ def test_homeo_forward_single_row():
     alpha = (Fraction(5),)
     # G(5) pays the column player -a + 5*beta = (4, 7): pure second column.
     profile = MixedProfile((Fraction(1),), (Fraction(0), Fraction(1)))
-    out = homeo_forward(fam, alpha, profile)
+    out = homeo_forward(fam, (alpha,), profile)[0]
     assert out == (vdot(fam.beta, profile.y) + 5,)
     assert out == (Fraction(7),)
 
@@ -410,12 +411,12 @@ def test_homeo_forward_single_row():
 def test_homeo_forward_requires_equilibrium(r1a_family):
     bad = MixedProfile((1, 0, 0), (1, 0, 0))
     with pytest.raises(NotEquilibrium):
-        homeo_forward(r1a_family, R1A.gamma, bad)
+        homeo_forward(r1a_family, (R1A.gamma,), bad)
 
 
 def test_homeo_forward_direct_substitution(r1a_family):
     profile = MixedProfile(R1A_NE_X, R1A_NE_Y)
-    out = homeo_forward(r1a_family, R1A.gamma, profile)
+    out = homeo_forward(r1a_family, (R1A.gamma,), profile)[0]
     g1 = vdot(R1A.beta, R1A_NE_Y) + vdot(R1A.gamma, R1A_NE_X)
     assert out == (g1, R1A.gamma[1] - R1A.gamma[0], R1A.gamma[2] - R1A.gamma[0])
 
@@ -427,7 +428,7 @@ def test_homeo_round_trip_exact(r1a_family, r1a_trace):
             Fraction(rng.randint(-500, 500), rng.randint(1, 60)) for _ in range(3)
         )
         alpha, profile = homeo_inverse(r1a_family, alpha_prime, r1a_trace)
-        assert homeo_forward(r1a_family, alpha, profile) == alpha_prime
+        assert homeo_forward(r1a_family, (alpha,), profile)[0] == alpha_prime
 
 
 def test_homeo_inverse_low_values_sit_on_low_ray(r1a_family, r1a_trace):
@@ -437,15 +438,27 @@ def test_homeo_inverse_low_values_sit_on_low_ray(r1a_family, r1a_trace):
     expected_x = [Fraction(0)] * 3
     expected_x[sd.i_s - 1] = Fraction(1)
     assert list(profile.x) == expected_x
-    assert homeo_forward(r1a_family, alpha, profile) == alpha_prime
+    assert homeo_forward(r1a_family, (alpha,), profile)[0] == alpha_prime
 
 
-def test_homeo_k_forward_specializes_to_rank1(r1a_family):
-    kfam = RankKFamily(R1A.a, [R1A.beta])
-    profile = MixedProfile(R1A_NE_X, R1A_NE_Y)
-    single = homeo_forward(r1a_family, R1A.gamma, profile)
-    ktuple = homeo_k_forward(kfam, [R1A.gamma], profile)
-    assert ktuple == (single,)
+def test_family_preconditions():
+    # The path and its maps need one beta, a game needs one row weight per
+    # beta, a section needs c = -a, and a family needs at least one beta.
+    d = decompose_rank_k(K2_GAME)
+    family = GameFamily(d.a, -d.a, *d.betas)
+    for needs_one_beta in (
+        lambda: family.beta,
+        lambda: trace_path(family),
+        lambda: solve_lp_delta(family, 0),
+        lambda: homeo_inverse(family, (0,) * family.m),
+        lambda: family.game_at(d.gammas[0]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            needs_one_beta()
+    with pytest.raises(RankGamesError, match="c = -a"):
+        solve_lp_k(GameFamily(K2_GAME.a, K2_GAME.b, *d.betas), (0, 0))
+    with pytest.raises(NoBetas):
+        GameFamily(d.a, -d.a)
 
 
 def test_homeo_k_forward_on_k2_and_g_distinctness():
@@ -453,10 +466,10 @@ def test_homeo_k_forward_on_k2_and_g_distinctness():
     # so its equilibrium is verified directly rather than taken from the
     # equal-support oracle.
     d = decompose_rank_k(K2_GAME)
-    kfam = RankKFamily(d.a, d.betas)
+    kfam = GameFamily(d.a, -d.a, *d.betas)
     profile = MixedProfile((0, 1, 0), (Fraction(1, 2), 0, Fraction(1, 2)))
     assert verify_equilibrium(K2_GAME, profile)
-    out = homeo_k_forward(kfam, d.gammas, profile)
+    out = homeo_forward(kfam, d.gammas, profile)
     for l in range(d.k):
         lam = vdot(d.gammas[l], profile.x)
         assert out[l][0] == lam + vdot(d.betas[l], profile.y)
@@ -467,8 +480,8 @@ def test_homeo_k_forward_on_k2_and_g_distinctness():
     alphas2 = tuple(
         tuple(g + 1 for g in gamma) for gamma in d.gammas
     )
-    rec2 = support_enumeration(kfam.game_at(alphas2)).equilibria[0]
-    out2 = homeo_k_forward(kfam, alphas2, rec2.profile)
+    rec2 = support_enumeration(kfam.game_at(*alphas2)).equilibria[0]
+    out2 = homeo_forward(kfam, alphas2, rec2.profile)
     assert tuple(o[0] for o in out) != tuple(o2[0] for o2 in out2)
 
 
@@ -476,7 +489,7 @@ def test_homeo_k_forward_on_k2_and_g_distinctness():
 
 
 def test_fixed_point_search_rank1_matches_bin_search():
-    kfam = RankKFamily(R1A.a, [R1A.beta])
+    kfam = GameFamily(R1A.a, -R1A.a, R1A.beta)
     point, rec = fixed_point_search(kfam, [R1A.gamma])
     assert fixed_point_eval(kfam, [R1A.gamma], point) == point  # exact fixed point
     assert rec == fixed_point_record(kfam, [R1A.gamma], solve_lp_k(kfam, point))
@@ -485,13 +498,13 @@ def test_fixed_point_search_rank1_matches_bin_search():
 
 
 def test_fixed_point_search_accepts_given_fixed_point():
-    kfam = RankKFamily(R1A.a, [R1A.beta])
+    kfam = GameFamily(R1A.a, -R1A.a, R1A.beta)
     assert fixed_point_search(kfam, [R1A.gamma])[0] == (R1A_NE_LAMBDA,)
 
 
 def test_fixed_point_search_k2():
     d = decompose_rank_k(K2_GAME)
-    kfam = RankKFamily(d.a, d.betas)
+    kfam = GameFamily(d.a, -d.a, *d.betas)
     point, rec = fixed_point_search(kfam, d.gammas)
     assert fixed_point_eval(kfam, d.gammas, point) == point
     assert verify_equilibrium(K2_GAME, rec.profile)
@@ -546,7 +559,7 @@ def test_fixed_point_search_matches_basis_scan_on_rank_k_corpus():
         k = 2 + g % 2
         m = n = rng.randint(k + 1, 4)
         a, betas, gammas = random_rank_k(rng, k, m, n)
-        kfam = RankKFamily(a, betas)
+        kfam = GameFamily(a, -a, *betas)
         reference = basis_scan_fixed_points(kfam, gammas)
         scan_found += bool(reference)
         try:
@@ -555,7 +568,7 @@ def test_fixed_point_search_matches_basis_scan_on_rank_k_corpus():
             degenerate += 1
             continue
         assert point in reference
-        assert verify_equilibrium(kfam.game_at(gammas), rec.profile)
+        assert verify_equilibrium(kfam.game_at(*gammas), rec.profile)
         found += 1
     assert (found, degenerate, scan_found) == (21, 3, 22)
 

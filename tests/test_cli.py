@@ -153,31 +153,41 @@ def test_fixedpoint_eval_and_search(tmp_path, capsys):
 def test_fixedpoint_search_verifies_once(tmp_path, capsys, monkeypatch):
     # The CLI prints the record the search verified: it makes no section
     # solve beyond the search's own, which is the one at the box centre; the
-    # answer is the lifted point of the cell the search accepted.
-    from rankgames import algorithms
+    # answer is the lifted point of the cell the search accepted. The cell
+    # walk starts from that section's own edge rates, so the start basis is
+    # rated once, by the section walk.
+    from rankgames import algorithms, paramlp
     from rankgames.games import decompose_rank_k
-    from rankgames.polytope import RankKFamily
+    from rankgames.polytope import GameFamily
 
     from fixtures import K2_GAME
 
-    calls = []
+    starts, rated = [], []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return solve_lp_k(*args, **kwargs)
+        section = solve_lp_k(*args, **kwargs)
+        starts.append(section.v.basis)
+        return section
 
-    solve_lp_k = algorithms.solve_lp_k
+    def counted_rates(p, v, betas):
+        rated.append(v.basis)
+        return edge_rates(p, v, betas)
+
+    solve_lp_k, edge_rates = algorithms.solve_lp_k, paramlp.edge_rates
     monkeypatch.setattr(algorithms, "solve_lp_k", counted)
+    for module in (algorithms, paramlp):
+        monkeypatch.setattr(module, "edge_rates", counted_rates)
     for game in (R1A.game(), K2_GAME):
         d = decompose_rank_k(game)
-        algorithms.fixed_point_search(RankKFamily(d.a, d.betas), d.gammas)
-        direct = len(calls)
-        assert direct == 1
-        calls.clear()
+        algorithms.fixed_point_search(GameFamily(d.a, -d.a, *d.betas), d.gammas)
+        assert len(starts) == 1
+        assert rated.count(starts[0]) == 1
+        starts.clear(), rated.clear()
         assert main(["fixedpoint", "--input", write_game(tmp_path, game), "--search"]) == EXIT_OK
         capsys.readouterr()
-        assert len(calls) == direct
-        calls.clear()
+        assert len(starts) == 1
+        assert rated.count(starts[0]) == 1
+        starts.clear(), rated.clear()
 
 
 def test_k_eval_outside_the_box_is_parse_error(tmp_path, capsys):

@@ -210,14 +210,14 @@ def test_integerize_preserves_equilibria():
 
 def test_reduce_constant_beta_zero_vector():
     d = Rank1Decomposition(EX1_A, (1, 1, 1), (0, 0, 0))
-    reduced = reduce_constant_beta(d)
+    reduced = reduce_constant_beta(d).game()
     assert reduced.a == EX1_A
     assert reduced.b == -EX1_A
 
 
 def test_reduce_constant_beta_unique_equilibrium():
     d = Rank1Decomposition(Matrix([[1, 0], [0, 1]]), (1, 1), (1, 1))
-    reduced = reduce_constant_beta(d)
+    reduced = reduce_constant_beta(d).game()
     recs = support_enumeration(reduced).equilibria
     assert len(recs) == 1
     assert recs[0].profile.x == (HALF, HALF)
@@ -232,7 +232,7 @@ def test_reduce_constant_beta_preserves_equilibrium_set():
         c = rng.randint(-2, 2)
         d = Rank1Decomposition(a, gamma, (c, c, c))
         original = support_enumeration(d.game()).equilibria
-        reduced = support_enumeration(reduce_constant_beta(d)).equilibria
+        reduced = support_enumeration(reduce_constant_beta(d).game()).equilibria
         assert [(r.profile.x, r.profile.y) for r in original] == [
             (r.profile.x, r.profile.y) for r in reduced
         ]

@@ -1,8 +1,9 @@
 """Every module-level import in the package and its tests is used, every
-function, class and method the package defines is named somewhere else, and
-no module checks with an assert statement, which python -O strips (no linter
-ships here)."""
+function, class and method the package defines is named somewhere else, no
+module checks with an assert statement, which python -O strips, and every
+name README gives as a library entry point exists (no linter ships here)."""
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -110,3 +111,42 @@ def test_every_definition_is_named_elsewhere():
         if name not in mentioned
     ]
     assert unnamed == []
+
+
+def _prose(markdown: str, heading: str) -> str:
+    """The text under a ``##`` heading, up to the next one, without code blocks."""
+    body = markdown.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.sub(r"```.*?```", "", body, flags=re.S)
+
+
+def _unresolved(prose: str) -> list[str]:
+    """Backticked names and dotted names that are not in ``rankgames``, one
+    of its modules, or an exported class; ``Fraction`` aside."""
+    package = importlib.import_module("rankgames")
+    missing = []
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", prose):
+        head, *rest = name.split(".")
+        if head == "Fraction":
+            continue
+        if hasattr(package, head):
+            obj = getattr(package, head)
+        elif (SRC / f"{head}.py").exists():
+            obj = importlib.import_module(f"rankgames.{head}")
+        else:
+            missing.append(name)
+            continue
+        for attr in rest:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    return missing
+
+
+def test_finds_an_unresolved_readme_name():
+    prose = "`GameFamily.game_at`, `GameFamily.gone`, `games.family_game`, `Fraction`, `gone`"
+    assert _unresolved(prose) == ["GameFamily.gone", "gone"]
+
+
+def test_readme_entry_points_exist():
+    prose = _prose((ROOT / "README.md").read_text(), "Library entry points")
+    assert _unresolved(prose) == []

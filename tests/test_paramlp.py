@@ -20,7 +20,7 @@ from rankgames.paramlp import (
     solve_lp_delta,
     solve_lp_k,
 )
-from rankgames.polytope import GameFamily, Polytope, RankKFamily
+from rankgames.polytope import GameFamily, Polytope
 
 from fixtures import (
     K2_GAME,
@@ -45,7 +45,7 @@ def r1a_family():
 @pytest.fixture(scope="module")
 def k2():
     d = decompose_rank_k(K2_GAME)
-    return d, RankKFamily(d.a, d.betas)
+    return d, GameFamily(d.a, -d.a, *d.betas)
 
 
 def test_section_at_gamma_min_has_zero_objective(r1a_family):
@@ -240,7 +240,7 @@ def test_tableau_hyperplane_values_match_fraction_values():
 def test_solve_lp_k_specializes_to_rank1(r1a_family):
     # At k = 1, solve_lp_k and solve_lp_delta give the same section, and its
     # lifted point is the one an LP over Q' with lambda pinned finds.
-    kfam = RankKFamily(R1A.a, [R1A.beta])
+    kfam = GameFamily(R1A.a, -R1A.a, R1A.beta)
     rng = random.Random(10)
     for _ in range(5):
         delta = Fraction(rng.randint(-200, 200), 67)
@@ -257,7 +257,7 @@ def test_solve_lp_k_specializes_to_rank1(r1a_family):
         size = 4 + k % 2
         d = random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
         fam = GameFamily(d.a, d.a.scale(-1), d.beta)
-        kfam = RankKFamily(d.a, [d.beta])
+        kfam = GameFamily(d.a, -d.a, d.beta)
         lo, hi = min(d.gamma), max(d.gamma)
         deltas = [lo, hi, (lo + hi) / 2]
         try:
@@ -288,7 +288,7 @@ def test_solve_lp_k_matches_lifted_lp_on_rank_k_corpus():
         k = 2 + g % 2
         m = n = rng.randint(k + 1, 4)
         a, betas, gammas = random_rank_k(rng, k, m, n)
-        kfam = RankKFamily(a, betas)
+        kfam = GameFamily(a, -a, *betas)
         lows, highs = box_bounds(gammas)
         for _ in range(4):
             delta = tuple(
@@ -331,7 +331,7 @@ def test_rank_k_sections_make_no_lp_call(k2, monkeypatch):
     rng = random.Random(4)
     m = rng.randint(3, 4)
     a, betas, gammas = random_rank_k(rng, 2, m, m)
-    fixed_point_search(RankKFamily(a, betas), gammas)
+    fixed_point_search(GameFamily(a, -a, *betas), gammas)
     assert len(lp_calls) == 6  # the cell walk's facet tests, all in the watch
 
 
@@ -362,7 +362,7 @@ def test_solver_path_makes_no_linear_solve(k2, monkeypatch):
     assert shapes == []
     fixed_point_search(kfam, d.gammas)
     a, betas, gammas = random_rank_k(random.Random(3), 3, 4, 4)
-    fixed_point_search(RankKFamily(a, betas), gammas)
+    fixed_point_search(GameFamily(a, -a, *betas), gammas)
     assert shapes and set(shapes) == {(2, 2), (3, 3)}
 
 
@@ -390,7 +390,7 @@ def section_corpus():
         k = 2 + g % 2
         m = n = rng.randint(k + 1, 4)
         a, betas, gammas = random_rank_k(rng, k, m, n)
-        kfam = RankKFamily(a, betas)
+        kfam = GameFamily(a, -a, *betas)
         lows, highs = box_bounds(gammas)
         for _ in range(4):
             delta = tuple(
@@ -533,7 +533,7 @@ def test_solve_lp_k_unique_w_side_under_permutation(k2):
     perm = [1, 2, 0]
     a_perm = Matrix([kfam.a.row(i) for i in perm])
     betas = d.betas
-    kfam_perm = RankKFamily(a_perm, betas)
+    kfam_perm = GameFamily(a_perm, -a_perm, *betas)
     for _ in range(10):
         a = tuple(
             lo + (hi - lo) * Fraction(rng.randint(1, 99), 100)
@@ -561,7 +561,7 @@ def test_fixed_point_eval_maps_into_box(k2):
 
 
 def test_fixed_point_eval_fixed_at_equilibrium_lambda(r1a_family):
-    kfam = RankKFamily(R1A.a, [R1A.beta])
+    kfam = GameFamily(R1A.a, -R1A.a, R1A.beta)
     fa = fixed_point_eval(kfam, [R1A.gamma], (R1A_NE_LAMBDA,))
     assert fa == (R1A_NE_LAMBDA,)
 
