@@ -403,6 +403,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input} is not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
+        return EXIT_PARSE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -2,8 +2,10 @@
 
 The section LP at a parameter value is a primal walk on the row polytope's own
 tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot`` by Bland's rule
-where every improving pivot is degenerate). The walk's edge rates at its
-optimum are the dual optimum on the lifted polytope, a fully-labeled partner
+where every improving pivot is degenerate). The walk chooses its improving
+labels off P's integer tableau, by the sign of one integer dot per label, and
+builds the ``Fraction`` edge rates once, at its optimum. Those rates are the
+dual optimum on the lifted polytope, a fully-labeled partner
 with combined objective exactly zero; the same rates give the path edge through
 that partner and the affine piece of the rank-k box map, so no square system
 is solved. Intersecting the containing edge with a game's selection
@@ -43,6 +45,12 @@ from .polytope import GameFamily, Polytope, Tableau, Vertex
 Rates = dict[int, tuple[Vec, Rat]]  # (g_r, c_r) per basis label r: see edge_rates
 
 
+def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over q, their least common denominator."""
+    q = lcm(*(x.denominator for x in values))
+    return scaled_integers(values, q), q
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Selection hyperplane lambda = gamma . x over lifted coordinates.
@@ -59,10 +67,10 @@ class Hyperplane:
 
     def __post_init__(self):
         gamma = vector(self.gamma)
-        scale = lcm(*(g.denominator for g in gamma))
+        numerators, scale = _integers(gamma)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "row", (*(-g for g in scaled_integers(gamma, scale)), scale, 0))
+        object.__setattr__(self, "row", (*(-g for g in numerators), scale, 0))
 
     def value_at(self, w_coords: Sequence[Fraction]) -> Rat:
         m = len(self.gamma)
@@ -125,9 +133,32 @@ def section_gap(betas: Sequence[Vec], v_coords: Sequence[Fraction],
 def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> Rates:
     """(g_r, c_r) per basis label r of a vertex v of P, in label order: along r's
     edge direction d the section objective sum_l delta_l * (beta_l . y) - pi1
-    changes at rate g_r . delta - c_r, with g_r = (beta_l . d_y)_l, c_r = d_pi1."""
-    dirs = {r: p.edge_direction(v, r) for r in sorted(v.basis)}
-    return {r: (tuple(vdot(beta, d[: p.n]) for beta in betas), d[p.n]) for r, d in dirs.items()}
+    changes at rate g_r . delta - c_r, with g_r = (beta_l . d_y)_l, c_r = d_pi1.
+
+    Each is one integer dot with r's column on v's tableau, which is d times
+    ``denom``, over ``denom`` and the beta's own lcm.
+    """
+    tab = p.tableau(v)
+    scaled = [_integers(beta) for beta in betas]
+    rates = {}
+    for r in sorted(v.basis):
+        col = p._column(tab, r)
+        g = tuple(Fraction(sum(map(mul, b, col)), q * tab.denom) for b, q in scaled)
+        rates[r] = g, Fraction(col[p.n], tab.denom)
+    return rates
+
+
+def improving_labels(p: Polytope, v: Vertex, objective: Sequence[int]) -> list[int]:
+    """The basis labels of a vertex v of P whose edge raises the section
+    objective, in label order, decided on v's integer tableau alone.
+
+    ``objective`` is D * (w, -1) over (y, pi1) with w = sum_l delta_l * beta_l
+    and D > 0 the lcm of w's denominators. r's column is its edge direction
+    times ``denom`` > 0, so the objective's dot with it has the sign of r's
+    rate g_r . delta - c_r.
+    """
+    tab = p.tableau(v)
+    return [r for r in sorted(v.basis) if sum(map(mul, objective, p._column(tab, r))) > 0]
 
 
 def nondegenerate_far_end(p: Polytope, v: Vertex, r: int) -> Optional[Vertex]:
@@ -151,8 +182,10 @@ def _section_walk(p: Polytope, betas: Sequence[Vec], delta: Vec) -> tuple[Vertex
     The walk starts at the best pure vertex y = e_j, preferring columns with
     one best row. It relaxes the lowest basis label of positive rate whose
     pivot is nondegenerate (a strict gain), else takes the simplex pivot on
-    the lowest such label by Bland's rule, which cannot cycle. Its optimum
-    must have exactly n tight rows.
+    the lowest such label by Bland's rule, which cannot cycle. The signs of
+    the rates come off the integer tableau (``improving_labels``); the
+    ``Fraction`` rates are built once, at the optimum, which must have
+    exactly n tight rows.
     """
     n, m = p.n, p.m
     weights = tuple(vdot(delta, col) for col in zip(*betas))
@@ -161,14 +194,14 @@ def _section_walk(p: Polytope, betas: Sequence[Vec], delta: Vec) -> tuple[Vertex
     j = max(starts, key=lambda j: weights[j] - max(cols[j]))  # ties: the lowest column
     i = cols[j].index(max(cols[j]))
     v = p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
-    rates = edge_rates(p, v, betas)
-    while improving := [r for r, (g, c) in rates.items() if vdot(g, delta) > c]:
+    numerators, scale = _integers(weights)
+    objective = (*numerators, -scale)
+    while improving := improving_labels(p, v, objective):
         fars = (nondegenerate_far_end(p, v, r) for r in improving)
         v = next(filter(None, fars), None) or p.simplex_pivot(v, improving[0])
-        rates = edge_rates(p, v, betas)
     if len(v.labels) != n:
         raise DegeneratePolytope(f"section optimum has {len(v.labels)} tight rows in P")
-    return v, rates
+    return v, edge_rates(p, v, betas)
 
 
 def lifted_section(lifted: Polytope, betas: Sequence[Vec], v: Vertex, rates: Rates,
@@ -253,8 +286,7 @@ def _h_linear(edge: PathEdge, h: Hyperplane) -> tuple[Rat, Rat]:
         return _h_at(h, edge.fixed), Fraction(0)
     ed = edge.moving
     if ed.tableau is None:
-        q = lcm(*(x.denominator for x in ed.direction))
-        return _h_at(h, ed.base), h.over(scaled_integers(ed.direction, q), q)
+        return _h_at(h, ed.base), h.over(*_integers(ed.direction))
     return h.over(_rhs(ed.tableau), ed.tableau.denom), h.over(ed.column, ed.tableau.denom)
 
 

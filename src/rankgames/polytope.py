@@ -14,6 +14,9 @@ labels are read off that tableau, so the walk solves no system. Coordinates,
 directions and steps are still returned as ``Fraction``, but a pivot's far
 vertex and its edge are made without their coordinates and direction: those
 are read off the tableau when first used, which on most path edges is never.
+A section walk reads its edges off the tableau as integer columns
+(``_column``: the edge direction times ``denom``), so it builds no ``Fraction``
+direction at all.
 """
 from __future__ import annotations
 
@@ -272,12 +275,6 @@ class Polytope:
         d = self.dim
         zeros = {var - d + 1 for var, row in zip(tab.basic[d:], tab.rows[d:]) if not row[-1]}
         return Vertex(None, basis, basis | zeros, tab)
-
-    def edge_direction(self, vertex: Vertex, relax: int) -> Vec:
-        """Edge direction keeping the rest of the basis tight while the slack
-        of ``relax`` grows at rate 1: the entering column on the z rows."""
-        tab = self.tableau(vertex)
-        return tuple(Fraction(k, tab.denom) for k in self._column(tab, relax))
 
     def _column(self, tab: Tableau, relax: int) -> tuple[int, ...]:
         """Relax's edge direction times ``tab.denom``: the slack's column on

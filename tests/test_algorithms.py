@@ -169,6 +169,17 @@ def test_bin_search_matches_oracle_on_wide_spans():
     assert (enum_solved, enum_degenerate) == (20, 0)
 
 
+def test_bin_search_within_its_bound_at_12x12_and_16x16():
+    # Sizes past every seeded corpus, where a section walk takes many pivots;
+    # the answer is one of the path's equilibria.
+    rng = random.Random(11)
+    for size in (12, 12, 12, 16, 16, 16):
+        d = random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
+        report = bin_search(d)
+        assert report.iterations <= report.bound_k
+        assert report.equilibrium.key() in {r.key() for r in enumerate_rank1(d)}
+
+
 # --------------------------------------------------------------- enumeration
 
 

@@ -261,6 +261,15 @@ def test_malformed_file_is_parse_error(tmp_path, capsys):
     assert main(["solve", "--input", str(path)]) == EXIT_PARSE
 
 
+def test_file_that_is_not_utf8_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.game"
+    path.write_bytes(b"2 2\n1 2\n3 4\n\xff\xfe 1\n1 1\n")
+    assert main(["solve", "--input", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not UTF-8 text (invalid start byte at byte 12)\n"
+
+
 def test_degenerate_without_perturb_exits_3(tmp_path, capsys):
     game = BimatrixGame(Matrix([[1, 2], [1, 2]]), Matrix([[0, 1], [3, 1]]))
     path = write_game(tmp_path, game)

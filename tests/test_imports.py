@@ -1,10 +1,12 @@
-"""Every module-level import in the package and its tests is used, every
-function, class and method the package defines is named somewhere else, no
-module checks with an assert statement, which python -O strips, and every
-name README gives as a library entry point exists (no linter ships here)."""
+"""Every module-level import in the package and its tests is used, the
+package imports only the standard library and itself, every function, class
+and method the package defines is named somewhere else, no module checks with
+an assert statement, which python -O strips, and every name README gives as a
+library entry point exists (no linter ships here)."""
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,41 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _non_stdlib_imports(tree: ast.Module) -> list[str]:
+    """Absolute imports, at any depth, of a top-level module outside the
+    standard library; relative imports and ``__future__`` are in it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"{name} (line {node.lineno})" for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return found
+
+
+def test_finds_a_non_stdlib_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from . import linalg\n"
+        "from .errors import Singular\n"
+        "def f():\n"
+        "    from scipy.optimize import linprog\n"
+    )
+    assert _non_stdlib_imports(tree) == ["numpy (line 2)", "scipy.optimize (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    assert _non_stdlib_imports(ast.parse(path.read_text())) == []
 
 
 def _assert_lines(tree: ast.Module) -> list[int]:

@@ -474,6 +474,68 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
     assert v_fixed == 109
 
 
+def test_one_fraction_rate_build_per_section(monkeypatch):
+    # The walk picks its labels off P's integer tableau and builds the
+    # Fraction edge rates once, at the optimum it returns; a section it
+    # rejects builds them at most once.
+    import rankgames.paramlp as paramlp
+
+    rated = []
+    real = paramlp.edge_rates
+    monkeypatch.setattr(
+        paramlp, "edge_rates", lambda p, v, betas: rated.append(v) or real(p, v, betas)
+    )
+    counts = Counter()
+    for _, _, p, lifted, betas, delta in section_corpus():
+        rated.clear()
+        try:
+            sec = paramlp._section(p, lifted, betas, delta)
+        except DegeneratePolytope:
+            assert len(rated) <= 1
+            counts["rejected"] += 1
+            continue
+        assert rated == [sec.v]
+        counts["returned"] += 1
+    assert dict(counts) == {"returned": 179, "rejected": 29}
+
+
+def test_integer_improving_labels_match_the_fraction_rates(monkeypatch):
+    # At every vertex the walk visits, the labels that the integer sign test
+    # reads off P's tableau are exactly those of positive Fraction rate
+    # g . delta - c: on the section corpus, and on three wide-span 12x12
+    # rank-1 games at min gamma, max gamma and their midpoint.
+    import rankgames.paramlp as paramlp
+
+    visited = []
+    real = paramlp.improving_labels
+
+    def spy(p, v, objective):
+        labels = real(p, v, objective)
+        visited.append((v, labels))
+        return labels
+
+    monkeypatch.setattr(paramlp, "improving_labels", spy)
+    sections = [(p, lifted, betas, delta) for *_, p, lifted, betas, delta in section_corpus()]
+    rng = random.Random(12)
+    for _ in range(3):
+        d = random_rank1(rng, 12, 12, span=99, gamma_span=20, beta_span=50)
+        fam = GameFamily(d.a, d.a.scale(-1), d.beta)
+        lo, hi = min(d.gamma), max(d.gamma)
+        sections += [(fam.p, fam.qp, fam.betas, (delta,)) for delta in (lo, hi, (lo + hi) / 2)]
+    counts = Counter()
+    for p, lifted, betas, delta in sections:
+        visited.clear()
+        try:
+            paramlp._section(p, lifted, betas, delta)
+        except DegeneratePolytope:
+            pass
+        for v, labels in visited:
+            rates = edge_rates(p, v, betas)
+            assert labels == [r for r, (g, c) in rates.items() if vdot(g, delta) > c]
+            counts["improving" if labels else "optimal"] += 1
+    assert dict(counts) == {"improving": 378, "optimal": 217}
+
+
 def test_section_walk_leaves_a_degenerate_start(monkeypatch):
     # Every column of A has tied best rows, so every pure vertex of P is
     # degenerate. The walk starts on one and leaves it by Bland's rule; for
