@@ -45,6 +45,7 @@ from .paramlp import (
     box_bounds,
     crossing_records,
     edge_rates,
+    integer_objective,
     is_ne,
     lifted_section,
     nondegenerate_far_end,
@@ -68,16 +69,24 @@ def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n > 1 else 0
 
 
-def _trivial_single_column(game: BimatrixGame, provenance: str) -> EquilibriumRecord:
-    """n = 1: the column player is fixed; the row player picks the best row."""
-    col = game.a.col(0)
-    best = max(col)
-    rows = [i for i, v in enumerate(col) if v == best]
-    if len(rows) > 1:
-        raise DegeneratePolytope("tied best rows in a single-column game")
-    x = [Fraction(0)] * game.m
-    x[rows[0]] = Fraction(1)
-    profile = MixedProfile(tuple(x), (Fraction(1),))
+def _trivial_single_strategy(game: BimatrixGame, provenance: str) -> Optional[EquilibriumRecord]:
+    """A game where one player has a single strategy: the other plays its
+    unique best reply, an equilibrium of index +1. With n = 1 the row player
+    picks A's best row, with m = 1 the column player B's best column; a tie is
+    degenerate. None when both players have two or more strategies."""
+    if game.n == 1:
+        payoffs, kind = game.a.col(0), "rows in a single-column"
+    elif game.m == 1:
+        payoffs, kind = game.b.row(0), "columns in a single-row"
+    else:
+        return None
+    best = max(payoffs)
+    picks = [i for i, v in enumerate(payoffs) if v == best]
+    if len(picks) > 1:
+        raise DegeneratePolytope(f"tied best {kind} game")
+    pure = tuple(Fraction(int(i == picks[0])) for i in range(len(payoffs)))
+    one = (Fraction(1),)
+    profile = MixedProfile(pure, one) if game.n == 1 else MixedProfile(one, pure)
     return make_record(game, profile, provenance, index=1)
 
 
@@ -158,8 +167,7 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     must find the equilibrium.
     """
     game = d.game()
-    if game.n == 1:
-        rec = _trivial_single_column(game, "bin-search")
+    if (rec := _trivial_single_strategy(game, "bin-search")) is not None:
         return BinSearchReport(rec, 0, 0, (), _instance_bits(integerize(d)[0]))
 
     di, family = rank1_family(integerize(d)[0])
@@ -183,7 +191,7 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
         return report_for(low.crossing, 0, bound_k, ())
     if low.kind != "below":
         raise RankGamesError("low probe is not on the low side of the hyperplane")
-    high = is_ne(family, gamma, g_max)
+    high = is_ne(family, gamma, g_max, low.optimum)
     if high.kind == "found":
         return report_for(high.crossing, 0, bound_k, ())
     if high.kind != "above":
@@ -196,9 +204,10 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     # invariant is the one the bound's proof uses, so bound_k still holds.
     a1, a2 = g_min, g_max
     history: list[tuple[Rat, Rat]] = []
+    start = high.optimum
     for it in range(1, bound_k + 2):
         a = (a1 + a2) / 2
-        out = is_ne(family, gamma, a)
+        out = is_ne(family, gamma, a, start)
         if out.kind == "found" and out.crossing.orient_index == 1:
             return report_for(out.crossing, it, bound_k, history)
         if out.kind == "below":
@@ -206,6 +215,7 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
         else:
             a2 = a
         history.append((a1, a2))
+        start = out.optimum
     raise IterationCapExceeded(f"no equilibrium within {bound_k + 1} probes")
 
 
@@ -245,8 +255,8 @@ def _path_equilibria(
 def enumerate_rank1(d: Rank1Decomposition) -> list[EquilibriumRecord]:
     """All equilibria of a rank-1 game, in path order, with indices attached."""
     game = d.game()
-    if game.n == 1:
-        return [_trivial_single_column(game, "enumeration")]
+    if (rec := _trivial_single_strategy(game, "enumeration")) is not None:
+        return [rec]
     run, family = rank1_family(d)
     start = solve_lp_delta(family, min(run.gamma)).edge
     edges = _edges_until(family, start, max(run.gamma))
@@ -266,8 +276,8 @@ def enumerate_general(
     Complete for rank-1 inputs; for larger rank at least one equilibrium is
     guaranteed (equilibria on cycle components are not visited).
     """
-    if game.n == 1:
-        return [_trivial_single_column(game, "general-path")]
+    if (rec := _trivial_single_strategy(game, "general-path")) is not None:
+        return [rec]
     family = general_family(game, beta)
     gamma = vector([0] * game.m)
     return _path_equilibria(game, family, gamma, trace_path(family).edges, "general-path")
@@ -383,7 +393,8 @@ def fixed_point_search(
             rates = edge_rates(p, v, family.betas)
         a = piece_fixed_point(family, gammas, rates)
         if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):
-            section = lifted_section(family.qp, family.betas, v, rates, a)
+            objective = integer_objective(family.betas, a)
+            section = lifted_section(p, family.qp, v, rates, a, objective)
             return a, fixed_point_record(family, gammas, section)
         for r, facet in rates.items():
             rest = [gc for s, gc in rates.items() if s != r] + box

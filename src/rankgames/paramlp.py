@@ -2,12 +2,15 @@
 
 The section LP at a parameter value is a primal walk on the row polytope's own
 tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot`` by Bland's rule
-where every improving pivot is degenerate). The walk chooses its improving
-labels off P's integer tableau, by the sign of one integer dot per label, and
-builds the ``Fraction`` edge rates once, at its optimum. Those rates are the
-dual optimum on the lifted polytope, a fully-labeled partner
-with combined objective exactly zero; the same rates give the path edge through
-that partner and the affine piece of the rank-k box map, so no square system
+where every improving pivot is degenerate), from the best pure vertex or from
+a vertex the caller gives, such as the previous probe's optimum, which carries
+its tableau. The walk chooses its improving labels off P's integer tableau, by
+the sign of one integer dot per label, and builds the ``Fraction`` edge rates
+once, at its optimum. The same dots, negated, are the multipliers of the
+lifted point, a fully-labeled partner with combined objective exactly zero:
+its feasibility and zero gap are checked in integers, and only the point is
+built in ``Fraction``s. The edge rates give the path edge through that
+partner and the affine piece of the rank-k box map, so no square system
 is solved. Intersecting the containing edge with a game's selection
 hyperplane yields a crossing point or a side classification; the crossing is
 only geometry, which the caller verifies on its own game. On a path edge that
@@ -93,6 +96,7 @@ class Crossing:
 @dataclass(frozen=True)
 class IsNEOutcome:
     kind: str  # "found" | "below" | "above"
+    optimum: Vertex  # the section's optimum over P: a warm start for the next probe
     crossing: Optional[Crossing] = None  # the hit, when found
 
 
@@ -175,70 +179,99 @@ def _on_rows(m: int, rates: Rates, value) -> Vec:
     return tuple(value(*rates[i]) if i in rates else Fraction(0) for i in range(1, m + 1))
 
 
-def _section_walk(p: Polytope, betas: Sequence[Vec], delta: Vec) -> tuple[Vertex, Rates]:
-    """The optimum of the section at lambda = delta over P, by a primal walk on
-    P's tableau, with its edge rates.
+def integer_objective(betas: Sequence[Vec], delta: Vec) -> tuple[int, ...]:
+    """The section objective sum_l delta_l * (beta_l . y) - pi1 over (y, pi1)
+    in integers: D * (w, -1), with w = sum_l delta_l * beta_l and D > 0 the
+    lcm of w's denominators."""
+    numerators, scale = _integers(tuple(vdot(delta, col) for col in zip(*betas)))
+    return (*numerators, -scale)
 
-    The walk starts at the best pure vertex y = e_j, preferring columns with
-    one best row. It relaxes the lowest basis label of positive rate whose
-    pivot is nondegenerate (a strict gain), else takes the simplex pivot on
-    the lowest such label by Bland's rule, which cannot cycle. The signs of
-    the rates come off the integer tableau (``improving_labels``); the
-    ``Fraction`` rates are built once, at the optimum, which must have
-    exactly n tight rows.
-    """
-    n, m = p.n, p.m
-    weights = tuple(vdot(delta, col) for col in zip(*betas))
+
+def _best_pure_vertex(p: Polytope, objective: Sequence[int]) -> Vertex:
+    """The pure vertex y = e_j of P of best objective, preferring columns with
+    one best row; ties go to the lowest column."""
+    n, m, scale = p.n, p.m, -objective[-1]
     cols = [[a[j] for a, _ in p.ineqs[:m]] for j in range(n)]
     starts = [j for j, col in enumerate(cols) if col.count(max(col)) == 1] or range(n)
-    j = max(starts, key=lambda j: weights[j] - max(cols[j]))  # ties: the lowest column
+    j = max(starts, key=lambda j: objective[j] - scale * max(cols[j]))
     i = cols[j].index(max(cols[j]))
-    v = p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
-    numerators, scale = _integers(weights)
-    objective = (*numerators, -scale)
+    return p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
+
+
+def _section_walk(p: Polytope, betas: Sequence[Vec], objective: Sequence[int],
+                  start: Optional[Vertex]) -> tuple[Vertex, Rates]:
+    """The optimum over P of the section whose ``integer_objective`` is
+    ``objective``, by a primal walk on P's tableau, with its edge rates.
+
+    The walk starts at ``start``, a vertex of P such as the previous probe's
+    optimum, whose tableau it reuses; without one, at the best pure vertex. It
+    relaxes the lowest basis label of positive rate whose pivot is
+    nondegenerate (a strict gain), else takes the simplex pivot on the lowest
+    such label by Bland's rule, which cannot cycle, so it ends from any start.
+    The signs of the rates come off the integer tableau
+    (``improving_labels``); the ``Fraction`` rates are built once, at the
+    optimum, which must have exactly n tight rows.
+    """
+    v = _best_pure_vertex(p, objective) if start is None else start
     while improving := improving_labels(p, v, objective):
         fars = (nondegenerate_far_end(p, v, r) for r in improving)
         v = next(filter(None, fars), None) or p.simplex_pivot(v, improving[0])
-    if len(v.labels) != n:
+    if len(v.labels) != p.n:
         raise DegeneratePolytope(f"section optimum has {len(v.labels)} tight rows in P")
     return v, edge_rates(p, v, betas)
 
 
-def lifted_section(lifted: Polytope, betas: Sequence[Vec], v: Vertex, rates: Rates,
-                   delta: Vec) -> Section:
+def lifted_section(p: Polytope, lifted: Polytope, v: Vertex, rates: Rates, delta: Vec,
+                   objective: Sequence[int]) -> Section:
     """The section at lambda = delta whose optimum over P is v, a vertex with n
-    tight rows and these edge rates, where no rate g . delta - c is positive.
+    tight rows and these edge rates, where no edge raises the section
+    objective; ``objective`` is its ``integer_objective``.
 
     The multiplier of row i is minus the rate of its edge, x_i = c_i - g_i .
-    delta on v's basis rows and zero on the others; lambda = delta and pi2 is
-    the least feasible. A feasible lifted point with zero gap certifies both
-    optima.
+    delta, on v's basis rows and zero on the others: on v's tableau it is
+    -(objective . col_i) / (D * denom), minus the dot ``improving_labels``
+    takes. lambda = delta, and pi2 is the least feasible, the largest of the
+    lifted column rows c_j . x + w_j. The point is feasible when x >= 0 sums to
+    1, and with v it certifies both optima when pi2 equals the section value
+    w . y - pi1, which is objective . rhs over D * denom. Every check is on
+    integers; only the returned point is built in ``Fraction``s.
     """
-    m, k = lifted.m, len(betas)
-    x_lam = _on_rows(m, rates, lambda g, c: c - vdot(g, delta)) + delta
-    # Column j's lifted row is (coefficients) . (x, lambda) - pi2 <= 0.
-    pi2 = max(vdot(a[: m + k], x_lam) for a, _ in lifted.ineqs[m:])
-    w_coords = x_lam + (pi2,)
-    if not lifted.feasible(w_coords):
+    m, tab = p.m, p.tableau(v)
+    unit = -objective[-1] * tab.denom  # D * denom: x, pi2 and the value are over it
+    x = [-sum(map(mul, objective, p._column(tab, i))) if i in v.basis else 0
+         for i in range(1, m + 1)]
+    if sum(x) != unit or min(x) < 0:
         raise RankGamesError("complementary lifted point is infeasible")
-    gap = section_gap(betas, v.coords, w_coords)
-    if gap != 0:
+    value = sum(map(mul, objective, _rhs(tab)))
+    # pi2 - c_j . x - w_j with pi2 at the section value, over unit and times
+    # the scale s of column j's lifted row: the gap is their least over s * unit.
+    slacks = [
+        (s * (value - w * tab.denom) - sum(map(mul, row, x)), s)
+        for row, s, w in zip(lifted.int_rows[m + 1:], lifted.scales[m + 1:], objective)
+    ]
+    if min(slack for slack, _ in slacks) != 0:
+        gap = min(Fraction(slack, s * unit) for slack, s in slacks)
         raise NonzeroOptimum(f"section objective is {gap}, expected 0")
+    w_coords = (*(Fraction(xi, unit) for xi in x), *delta, Fraction(value, unit))
     return Section(v, w_coords, rates)
 
 
-def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec], delta: Vec) -> Section:
-    """Optimal section at lambda = delta: a primal walk on P's tableau, whose
-    edge rates at the optimum are the dual in the lifted polytope."""
-    return lifted_section(lifted, betas, *_section_walk(p, betas, delta), delta)
+def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec], delta: Vec,
+             start: Optional[Vertex] = None) -> Section:
+    """Optimal section at lambda = delta: a primal walk on P's tableau from
+    ``start`` (else the best pure vertex), whose integer dots at the optimum
+    give the dual in the lifted polytope."""
+    objective = integer_objective(betas, delta)
+    v, rates = _section_walk(p, betas, objective, start)
+    return lifted_section(p, lifted, v, rates, delta, objective)
 
 
-def solve_lp_delta(family: GameFamily, delta) -> OptSet:
-    """``solve_lp_k`` at lambda = delta, with the edge of the path containing
-    the section: the family has one beta."""
+def solve_lp_delta(family: GameFamily, delta, start: Optional[Vertex] = None) -> OptSet:
+    """``solve_lp_k`` at lambda = delta, from ``start`` when given, with the
+    edge of the path containing the section: the family has one beta."""
     beta = family.beta
     m, qp = family.m, family.qp
-    sec = solve_lp_k(family, (frac(delta),))
+    sec = solve_lp_k(family, (frac(delta),), start)
     v, w_coords = sec.v, sec.w_coords
     w_labels = qp.labels_at(w_coords)
     if len(w_labels) == m:
@@ -327,23 +360,29 @@ def crossing_records(h: Hyperplane, edge: PathEdge) -> list[Crossing]:
     return [hit] if kind == "point" else []
 
 
-def is_ne(family: GameFamily, gamma: Sequence[Fraction], delta) -> IsNEOutcome:
-    """Probe one lambda value: the crossing on the containing edge, or its side."""
-    kind, hit = _analyze_edge(solve_lp_delta(family, delta).edge, Hyperplane(gamma))
+def is_ne(family: GameFamily, gamma: Sequence[Fraction], delta,
+          start: Optional[Vertex] = None) -> IsNEOutcome:
+    """Probe one lambda value: the crossing on the containing edge, or its
+    side, with the section's optimum. The section walk starts at ``start``, a
+    vertex of the family's P such as the previous probe's optimum, when given."""
+    sec = solve_lp_delta(family, delta, start)
+    kind, hit = _analyze_edge(sec.edge, Hyperplane(gamma))
     if kind == "none":
-        return IsNEOutcome("below" if hit < 0 else "above")
-    return IsNEOutcome("found", hit)
+        return IsNEOutcome("below" if hit < 0 else "above", sec.v)
+    return IsNEOutcome("found", sec.v, hit)
 
 
-def solve_lp_k(family: GameFamily, delta: Sequence[Fraction]) -> Section:
+def solve_lp_k(family: GameFamily, delta: Sequence[Fraction],
+               start: Optional[Vertex] = None) -> Section:
     """Optimal section at a fixed lambda vector, one entry per beta, of a
-    family with c = -a."""
+    family with c = -a; the walk starts at ``start``, a vertex of the family's
+    P, when given."""
     if not family.minus_a:
         raise RankGamesError("section LP needs a family with c = -a")
     delta = vector(delta)
     if len(delta) != family.k:
         raise OutOfBox(f"delta has length {len(delta)}, expected {family.k}")
-    return _section(family.p, family.qp, family.betas, delta)
+    return _section(family.p, family.qp, family.betas, delta, start)
 
 
 def box_bounds(gammas: Sequence[Sequence[Fraction]]) -> tuple[Vec, Vec]:

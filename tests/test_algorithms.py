@@ -180,6 +180,30 @@ def test_bin_search_within_its_bound_at_12x12_and_16x16():
         assert report.equilibrium.key() in {r.key() for r in enumerate_rank1(d)}
 
 
+def test_bin_search_builds_one_start_tableau_per_game(monkeypatch):
+    # Only the low probe starts cold, at a pure vertex whose tableau it
+    # builds; every later probe starts at the previous probe's optimum, which
+    # carries its tableau.
+    from rankgames.polytope import Polytope
+
+    builds = []
+    real = Polytope._basis_tableau
+    monkeypatch.setattr(
+        Polytope, "_basis_tableau", lambda self, basis: builds.append(basis) or real(self, basis)
+    )
+    rng = random.Random(11)
+    games = [R1A, R1B, R1C] + [
+        random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
+        for size in (12, 12, 12, 16, 16, 16)
+    ]
+    probes = 0
+    for d in games:
+        builds.clear()
+        probes += bin_search(d).iterations
+        assert len(builds) == 1
+    assert probes > 0
+
+
 # --------------------------------------------------------------- enumeration
 
 

@@ -363,6 +363,22 @@ def test_trace_and_regions_need_two_columns(tmp_path, capsys):
         assert "x = (0, 1); y = (1)" in capsys.readouterr().out
 
 
+def test_single_row_game_is_the_column_players_best_reply(tmp_path, capsys):
+    # With one row the column player plays B's unique best column, as the
+    # oracle finds; a tied best column is degenerate.
+    for text, y in (("1 3\n1 2 3\n3 2 1\n", "(1, 0, 0)"), ("1 3\n0 0 0\n1 2 3\n", "(0, 0, 1)")):
+        path = tmp_path / "row.game"
+        path.write_text(text)
+        for verb in ("solve", "enumerate", "oracle"):
+            assert main([verb, "--input", str(path)]) == EXIT_OK, (text, verb)
+            assert capsys.readouterr().out.startswith(f"x = (1); y = {y}; index ")
+    path = tmp_path / "tie.game"
+    path.write_text("1 3\n1 2 3\n3 3 1\n")
+    for verb in ("solve", "enumerate"):
+        assert main([verb, "--input", str(path)]) == EXIT_DEGENERATE
+        assert "tied best columns in a single-row game" in capsys.readouterr().err
+
+
 def test_rank_json_contains_decomposition(tmp_path, capsys):
     from fixtures import K2_GAME
 

@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from rankgames.errors import DegeneracyError, DegeneratePolytope, OutOfBox
-from rankgames.games import MixedProfile, decompose_rank_k, verify_equilibrium
+from rankgames.errors import (
+    DegeneracyError,
+    DegeneratePolytope,
+    NonzeroOptimum,
+    OutOfBox,
+    RankGamesError,
+)
+from rankgames.games import MixedProfile, decompose_rank_k, family_game, verify_equilibrium
 from rankgames.labeledpath import V_FIXED, W_FIXED, trace_path
 from rankgames.linalg import Matrix, solve_linear_system, vdot, vscale
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
@@ -15,7 +21,9 @@ from rankgames.paramlp import (
     crossing_records,
     edge_rates,
     fixed_point_eval,
+    integer_objective,
     is_ne,
+    lifted_section,
     section_gap,
     solve_lp_delta,
     solve_lp_k,
@@ -534,6 +542,109 @@ def test_integer_improving_labels_match_the_fraction_rates(monkeypatch):
             assert labels == [r for r, (g, c) in rates.items() if vdot(g, delta) > c]
             counts["improving" if labels else "optimal"] += 1
     assert dict(counts) == {"improving": 378, "optimal": 217}
+
+
+def test_a_warm_section_ends_at_the_cold_optimum_where_it_is_unique():
+    # Each section of a family in the corpus starts at the optimum of the
+    # family's previous section, as bin_search's probes do. Where the cold
+    # section's optimum is unique (no edge of rate zero), the warm walk ends
+    # at the same vertex with the same lifted point; a rejected cold section
+    # is rejected warm too.
+    import rankgames.paramlp as paramlp
+
+    counts = Counter()
+    family = start = None
+    for _, fam, p, lifted, betas, delta in section_corpus():
+        if fam is not family:
+            family, start = fam, None
+        try:
+            cold = paramlp._section(p, lifted, betas, delta)
+        except DegeneratePolytope:
+            cold = None
+        if start is not None:
+            try:
+                warm = paramlp._section(p, lifted, betas, delta, start)
+            except DegeneratePolytope:
+                warm = None
+            if cold is None:
+                assert warm is None
+                counts["rejected"] += 1
+            elif all(vdot(g, delta) != c for g, c in cold.rates.values()):
+                assert (warm.v.basis, warm.w_coords) == (cold.v.basis, cold.w_coords)
+                counts["unique"] += 1
+            else:
+                counts["tied"] += 1
+        if cold is not None:
+            start = cold.v
+    assert dict(counts) == {"unique": 114, "tied": 7, "rejected": 6}
+
+
+def fraction_lifted_section(lifted, betas, v, rates, delta):
+    """The reference for ``paramlp.lifted_section``, in ``Fraction``s: row i's
+    multiplier is c_i - g_i . delta on v's basis rows, lambda = delta, and
+    pi2 the largest lifted column row; the point must be feasible and have
+    zero section gap."""
+    m, k = lifted.m, len(betas)
+    x = tuple(
+        rates[i][1] - vdot(rates[i][0], delta) if i in rates else Fraction(0)
+        for i in range(1, m + 1)
+    )
+    x_lam = x + tuple(delta)
+    pi2 = max(vdot(a[: m + k], x_lam) for a, _ in lifted.ineqs[m:])
+    w_coords = x_lam + (pi2,)
+    if not lifted.feasible(w_coords):
+        raise RankGamesError("complementary lifted point is infeasible")
+    gap = section_gap(betas, v.coords, w_coords)
+    if gap != 0:
+        raise NonzeroOptimum(f"section objective is {gap}, expected 0")
+    return w_coords
+
+
+def test_integer_lifted_section_matches_the_fraction_reference(monkeypatch):
+    # At every vertex a section walk visits, optimal or not, the integer
+    # lifted section returns the reference's point or raises its error with
+    # its message: on the section corpus, and on the 60 seeded rank-k draws
+    # decomposed as the CLI does (so betas may be fractions and the lifted
+    # rows carry scales), at the box centre and both corners.
+    import rankgames.paramlp as paramlp
+
+    visited = []
+    real = paramlp.improving_labels
+    monkeypatch.setattr(
+        paramlp, "improving_labels",
+        lambda p, v, objective: visited.append(v) or real(p, v, objective),
+    )
+    sections = [(p, lifted, betas, delta) for *_, p, lifted, betas, delta in section_corpus()]
+    rng = random.Random(11)
+    for g in range(60):
+        k, size = 2 + g % 2, 3 + (g // 2) % 3
+        a, betas, gammas = random_rank_k(rng, k, size, size)
+        d = decompose_rank_k(family_game(a, -a, gammas, betas))
+        fam = GameFamily(d.a, -d.a, *d.betas)
+        lows, highs = box_bounds(d.gammas)
+        for delta in (tuple((lo + hi) / 2 for lo, hi in zip(lows, highs)), lows, highs):
+            sections.append((fam.p, fam.qp, fam.betas, delta))
+
+    def outcome(lift):
+        try:
+            return lift()
+        except RankGamesError as exc:
+            return type(exc).__name__, str(exc)
+
+    counts = Counter()
+    for p, lifted, betas, delta in sections:
+        visited.clear()
+        try:
+            paramlp._section(p, lifted, betas, delta)
+        except DegeneracyError:
+            pass
+        objective = integer_objective(betas, delta)
+        for v in visited:
+            rates = edge_rates(p, v, betas)
+            ours = outcome(lambda: lifted_section(p, lifted, v, rates, delta, objective).w_coords)
+            assert ours == outcome(lambda: fraction_lifted_section(lifted, betas, v, rates, delta))
+            counts[ours[0] if isinstance(ours[0], str) else "point"] += 1
+    assert dict(counts) == {"point": 388, "NonzeroOptimum": 469, "RankGamesError": 91}
 
 
 def test_section_walk_leaves_a_degenerate_start(monkeypatch):
