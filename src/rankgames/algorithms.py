@@ -62,7 +62,6 @@ class BinSearchReport:
     iterations: int  # midpoint probes inside the loop
     bound_k: int  # proven iteration bound for the integerized instance
     history: tuple[tuple[Rat, Rat], ...]  # (a1, a2) after each loop step
-    bit_length: int  # total bit size of the integerized instance (diagnostic)
 
 
 def _ceil_log2(n: int) -> int:
@@ -88,11 +87,6 @@ def _trivial_single_strategy(game: BimatrixGame, provenance: str) -> Optional[Eq
     one = (Fraction(1),)
     profile = MixedProfile(pure, one) if game.n == 1 else MixedProfile(one, pure)
     return make_record(game, profile, provenance, index=1)
-
-
-def _instance_bits(d: Rank1Decomposition) -> int:
-    entries = list(d.a.entries()) + list(d.gamma) + list(d.beta)
-    return sum(abs(int(e)).bit_length() + 1 for e in entries)
 
 
 def _positive(game: BimatrixGame) -> BimatrixGame:
@@ -168,19 +162,18 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     """
     game = d.game()
     if (rec := _trivial_single_strategy(game, "bin-search")) is not None:
-        return BinSearchReport(rec, 0, 0, (), _instance_bits(integerize(d)[0]))
+        return BinSearchReport(rec, 0, 0, ())
 
     di, family = rank1_family(integerize(d)[0])
     gamma = di.gamma
     g_min, g_max = min(gamma), max(gamma)
-    bits = _instance_bits(di)
     shifted = _positive(positivity_shift(family.game_at(gamma))[0])
 
     def report_for(crossing: Crossing, iters: int, bound: int, hist) -> BinSearchReport:
         if crossing.orient_index != 1:
             raise IndexMismatch("binary search landed on a negatively indexed crossing")
         rec = _finalize(game, crossing, "bin-search", shifted)
-        return BinSearchReport(rec, iters, bound, tuple(hist), bits)
+        return BinSearchReport(rec, iters, bound, tuple(hist))
 
     b_max = max(di.a.max_abs(), max(abs(b) for b in di.beta), max(abs(g) for g in gamma))
     delta_bound = factorial(game.m + 2) * int(b_max) ** (game.m + 2)

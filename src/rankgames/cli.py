@@ -294,6 +294,8 @@ def cmd_fixedpoint(game: BimatrixGame, args, out: dict) -> None:
     family = GameFamily(d.a, -d.a, *d.betas)
     if args.k_eval is not None:
         a = tuple(parse_fraction(t) for t in args.k_eval.split(","))
+        if len(a) != d.k:
+            raise ParseError(f"--k-eval needs k = {d.k} entries, one per beta; got {len(a)}")
         try:
             fa = fixed_point_eval(family, d.gammas, a)
         except OutOfBox as exc:

@@ -1,15 +1,22 @@
 """Exact rational linear algebra: dense matrices, determinants, rank, solving.
 
 All scalars are ``fractions.Fraction``; every operation is exact. Vectors are
-plain tuples of Fractions, matrices are immutable row-major grids. The
-elimination kernels scale rows to integers and divide only exactly
-(fraction-free), so no intermediate Fraction is normalised.
+plain tuples of Fractions, matrices are immutable row-major grids.
+
+The package's one exact integer kernel lives here, as in the integer pivoting
+of lrsnash (Avis, Rosenberg, Savani & von Stengel, 2010): one integerizer
+(``integers``), one ratio test (``least_ratios``), one fraction-free pivot
+(``integer_pivot``) and one Gauss-Jordan loop over it (``gauss_jordan``),
+which solves, ranks and builds every polytope tableau. Each division is exact
+and every entry stays a subdeterminant of the integer input, so no
+intermediate Fraction is normalised. Determinants use Bareiss elimination
+(``integer_determinant``), which does about a third of Gauss-Jordan's row work.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NotSquare, Singular
 
@@ -166,9 +173,11 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def scaled_integers(values: Iterable[Fraction], scale: int) -> list[int]:
-    """``scale * x`` for each x, as ints; ``scale`` is a multiple of every denominator."""
-    return [x.numerator * (scale // x.denominator) for x in values]
+def integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over q, their least common
+    denominator; returns (numerators, q)."""
+    q = lcm(*(x.denominator for x in values))
+    return [x.numerator * (q // x.denominator) for x in values], q
 
 
 def _integer_rows(grid: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], Fraction]:
@@ -176,10 +185,26 @@ def _integer_rows(grid: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], 
     rows: list[list[int]] = []
     factor = Fraction(1)
     for row in grid:
-        mult = lcm(*(x.denominator for x in row))
+        ints, mult = integers(row)
         factor *= mult
-        rows.append(scaled_integers(row, mult))
+        rows.append(ints)
     return rows, factor
+
+
+def least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[int]]:
+    """The ratio test: the least slack / rate, as (slack, rate), over the
+    positive rates of (label, slack, rate) integer triples, with every label
+    reaching it in input order; no labels when no rate is positive."""
+    best_s = best_r = 0
+    hits: list[int] = []
+    for lab, s, r in steps:
+        if r <= 0:
+            continue
+        if not hits or s * best_r < best_s * r:
+            best_s, best_r, hits = s, r, [lab]
+        elif s * best_r == best_s * r:
+            hits.append(lab)
+    return best_s, best_r, hits
 
 
 def integer_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) -> int:
@@ -201,6 +226,29 @@ def integer_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) ->
         elif p != d:
             row[:] = [x * p // d for x in row]
     return p
+
+
+def gauss_jordan(rows: Sequence[list[int]], free: Iterable[int],
+                 cols: int) -> tuple[list[Optional[int]], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Columns 0..cols-1 are taken in turn; each is pivoted (``integer_pivot``)
+    on the first row in ``free``, row indices in the order given, with a
+    nonzero entry there, and that row leaves ``free``. Every row is updated,
+    free or not. Returns the pivot row of each column,
+    None where no free row has a nonzero entry, and the final common
+    denominator (of either sign): the true rows are ``rows / denom``.
+    """
+    free = list(free)
+    pivots: list[Optional[int]] = []
+    denom = 1
+    for col in range(cols):
+        r = next((r for r in free if rows[r][col]), None)
+        if r is not None:
+            free.remove(r)
+            denom = integer_pivot(rows, rows[r], col, denom)
+        pivots.append(r)
+    return pivots, denom
 
 
 def integer_determinant(a: list[list[int]]) -> int:
@@ -237,24 +285,11 @@ def determinant(m: Matrix) -> Fraction:
 
 
 def matrix_rank(m: Matrix) -> int:
-    """Exact rank over the rationals (fraction-free row echelon)."""
+    """Exact rank over the rationals: the columns that take a pivot in
+    fraction-free Gauss-Jordan elimination."""
     a, _ = _integer_rows(m._data)
-    rank = 0
-    row = 0
-    for col in range(m.cols):
-        pivot = next((r for r in range(row, m.rows) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        for r in range(row + 1, m.rows):
-            if a[r][col] != 0:
-                mult_r, mult_p = a[row][col], a[r][col]
-                a[r] = [mult_r * x - mult_p * y for x, y in zip(a[r], a[row])]
-        rank += 1
-        row += 1
-        if row == m.rows:
-            break
-    return rank
+    pivots, _ = gauss_jordan(a, range(m.rows), m.cols)
+    return sum(r is not None for r in pivots)
 
 
 def solve_linear_system(m: Matrix, rhs: Sequence[Fraction]) -> Vec:
@@ -266,11 +301,7 @@ def solve_linear_system(m: Matrix, rhs: Sequence[Fraction]) -> Vec:
     if len(rhs) != n:
         raise DimensionMismatch("rhs length mismatch")
     rows, _ = _integer_rows([*m.row(i), frac(rhs[i])] for i in range(n))
-    denom = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise Singular(f"zero pivot in column {col}")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        denom = integer_pivot(rows, rows[col], col, denom)
-    return tuple(Fraction(row[n], denom) for row in rows)
+    pivots, denom = gauss_jordan(rows, range(n), n)
+    if None in pivots:
+        raise Singular(f"zero pivot in column {pivots.index(None)}")
+    return tuple(Fraction(rows[r][n], denom) for r in pivots)

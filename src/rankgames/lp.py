@@ -4,20 +4,22 @@ Constraints are rows ``a . z <= b`` or ``a . z = b`` over unrestricted
 variables; nonnegativity must be stated as explicit rows. The solver converts
 to standard form (variable splitting, slacks, artificials), runs a two-phase
 simplex with Bland's smallest-index rule, and reports an exact basic optimum.
-The tableau is fraction-free: integer rows over one common denominator, each
-pivot a Bareiss-style exact-division update (``linalg.integer_pivot``), as in
-integer pivoting for equilibrium enumeration (Avis, Rosenberg, Savani & von
-Stengel, 2010). Points and values are still returned as ``Fraction``.
+It runs on ``linalg``'s exact kernel: the tableau is fraction-free, integer
+rows over one common denominator (``linalg.integers``), each pivot one
+exact-division update (``linalg.integer_pivot``), as in integer pivoting for
+equilibrium enumeration (Avis, Rosenberg, Savani & von Stengel, 2010), and the
+leaving row comes from the package's one ratio test (``linalg.least_ratios``),
+with Bland's tie-break on the least basic variable. Points and values are
+still returned as ``Fraction``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import MalformedLP
-from .linalg import Rat, Vec, integer_pivot, scaled_integers, vdot, vector
+from .linalg import Rat, Vec, integer_pivot, integers, least_ratios, vdot, vector
 
 LE = "<="
 EQ = "="
@@ -92,21 +94,12 @@ class _Tableau:
             enter = next((j for j, x in enumerate(costrow[:-1]) if x > 0), None)
             if enter is None:
                 return "optimal"
-            leave = None
-            for i, row in enumerate(self.rows):
-                coef = row[enter]
-                if coef > 0:
-                    if leave is None:
-                        leave = i
-                        continue
-                    # row[-1] / coef against the best ratio, by cross-multiplying
-                    best = self.rows[leave]
-                    lhs, rhs = row[-1] * best[enter], best[-1] * coef
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                        leave = i
-            if leave is None:
+            _, _, hits = least_ratios(
+                (b, row[-1], row[enter]) for b, row in zip(self.basis, self.rows)
+            )
+            if not hits:
                 return "unbounded"
-            self.pivot(leave, enter, costrow)
+            self.pivot(self.basis.index(min(hits)), enter, costrow)
 
     def pivot(self, r: int, c: int, costrow: list[int]) -> None:
         self.pivots += 1
@@ -132,14 +125,14 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     n_slack = sum(1 for rel in lp.relations if rel == LE)
     art_start = 2 * n + n_slack
     width = art_start + m  # p, q, slacks, artificials
-    scale = lcm(*(x.denominator for row in (*lp.rows, lp.rhs) for x in row))
-    rhs = scaled_integers(lp.rhs, scale)
+    scaled, _ = integers([x for row in (*lp.rows, lp.rhs) for x in row])
+    rhs = scaled[m * n:]
 
     rows: list[list[int]] = []
     slack_at = 0
     for i in range(m):
         row = [0] * (width + 1)
-        coefs = scaled_integers(lp.rows[i], scale)
+        coefs = scaled[i * n: (i + 1) * n]
         row[:n] = coefs
         row[n: 2 * n] = [-a for a in coefs]
         if lp.relations[i] == LE:
@@ -169,7 +162,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     for row in tab.rows:
         del row[art_start:width]
 
-    objective = scaled_integers(lp.objective, lcm(*(x.denominator for x in lp.objective)))
+    objective, _ = integers(lp.objective)
     costrow = tab.price_out(objective + [-x for x in objective] + [0] * n_slack)
     if tab.run(costrow) == "unbounded":
         return LPSolution("unbounded", None, None, tab.pivots)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -42,16 +41,10 @@ from .labeledpath import (
     PathEdge,
     oriented_edge,
 )
-from .linalg import Matrix, Rat, Vec, frac, scaled_integers, solve_linear_system, vdot, vector
+from .linalg import Matrix, Rat, Vec, frac, integers, solve_linear_system, vdot, vector
 from .polytope import GameFamily, Polytope, Tableau, Vertex
 
 Rates = dict[int, tuple[Vec, Rat]]  # (g_r, c_r) per basis label r: see edge_rates
-
-
-def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values as integer numerators over q, their least common denominator."""
-    q = lcm(*(x.denominator for x in values))
-    return scaled_integers(values, q), q
 
 
 @dataclass(frozen=True)
@@ -70,7 +63,7 @@ class Hyperplane:
 
     def __post_init__(self):
         gamma = vector(self.gamma)
-        numerators, scale = _integers(gamma)
+        numerators, scale = integers(gamma)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "row", (*(-g for g in numerators), scale, 0))
@@ -121,19 +114,6 @@ class OptSet(Section):
     edge: PathEdge
 
 
-def section_gap(betas: Sequence[Vec], v_coords: Sequence[Fraction],
-                w_coords: Sequence[Fraction]) -> Rat:
-    """sum_l lambda_l * (beta_l . y) - pi1 - pi2 for k betas over the lifted
-    coordinates (x, lambda_1..lambda_k, pi2); nonpositive, zero iff fully labeled.
-
-    Valid on families with c = -a, where the two polytope systems sum to this bound.
-    """
-    n, k = len(betas[0]), len(betas)
-    lams = w_coords[-k - 1: -1]
-    weighted = sum((lam * vdot(b, v_coords[:n]) for lam, b in zip(lams, betas)), Fraction(0))
-    return weighted - v_coords[n] - w_coords[-1]
-
-
 def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> Rates:
     """(g_r, c_r) per basis label r of a vertex v of P, in label order: along r's
     edge direction d the section objective sum_l delta_l * (beta_l . y) - pi1
@@ -143,7 +123,7 @@ def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> Rates:
     ``denom``, over ``denom`` and the beta's own lcm.
     """
     tab = p.tableau(v)
-    scaled = [_integers(beta) for beta in betas]
+    scaled = [integers(beta) for beta in betas]
     rates = {}
     for r in sorted(v.basis):
         col = p._column(tab, r)
@@ -183,7 +163,7 @@ def integer_objective(betas: Sequence[Vec], delta: Vec) -> tuple[int, ...]:
     """The section objective sum_l delta_l * (beta_l . y) - pi1 over (y, pi1)
     in integers: D * (w, -1), with w = sum_l delta_l * beta_l and D > 0 the
     lcm of w's denominators."""
-    numerators, scale = _integers(tuple(vdot(delta, col) for col in zip(*betas)))
+    numerators, scale = integers(tuple(vdot(delta, col) for col in zip(*betas)))
     return (*numerators, -scale)
 
 
@@ -319,7 +299,7 @@ def _h_linear(edge: PathEdge, h: Hyperplane) -> tuple[Rat, Rat]:
         return _h_at(h, edge.fixed), Fraction(0)
     ed = edge.moving
     if ed.tableau is None:
-        return _h_at(h, ed.base), h.over(*_integers(ed.direction))
+        return _h_at(h, ed.base), h.over(*integers(ed.direction))
     return h.over(_rhs(ed.tableau), ed.tableau.denom), h.over(ed.column, ed.tableau.denom)
 
 

@@ -8,8 +8,10 @@ single probability equality.
 
 Pivoting runs on a fraction-free integer tableau of the polytope that each
 vertex carries (integer pivoting as in lrsnash: Avis, Rosenberg, Savani & von
-Stengel, 2010). A pivot is one ``linalg.integer_pivot`` on a copy of the base
-vertex's tableau; the edge direction, the ratio test, the far vertex and its
+Stengel, 2010), on ``linalg``'s one exact kernel. A vertex given only by its
+basis gets its tableau from ``linalg.gauss_jordan``. A pivot is one
+``linalg.integer_pivot`` on a copy of the base vertex's tableau; the edge
+direction, the ratio test (``linalg.least_ratios``), the far vertex and its
 labels are read off that tableau, so the walk solves no system. Coordinates,
 directions and steps are still returned as ``Fraction``, but a pivot's far
 vertex and its edge are made without their coordinates and direction: those
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -43,11 +45,12 @@ from .linalg import (
     Rat,
     Vec,
     frac,
+    gauss_jordan,
     integer_pivot,
+    integers,
+    least_ratios,
     matrix_rank,
-    scaled_integers,
     vadd,
-    vdot,
     vector,
     vscale,
 )
@@ -149,21 +152,6 @@ class EdgeDescriptor:
         return vadd(self.base.coords, vscale(t, self.direction))
 
 
-def _least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[int]]:
-    """Least slack / rate, as (slack, rate), over the positive rates of
-    (label, slack, rate) integer triples, with every label reaching it."""
-    best_s = best_r = 0
-    hits: list[int] = []
-    for lab, s, r in steps:
-        if r <= 0:
-            continue
-        if not hits or s * best_r < best_s * r:
-            best_s, best_r, hits = s, r, [lab]
-        elif s * best_r == best_s * r:
-            hits.append(lab)
-    return best_s, best_r, hits
-
-
 class Polytope:
     """Inequalities ``a . z <= b`` labeled 1..m+n plus one equality row."""
 
@@ -177,13 +165,9 @@ class Polytope:
         self.n = n
         # Each row a . z <= b (the equality at index 0, inequality l at index
         # l) as integers (a, b) times its own positive scale.
-        self.scales = tuple(
-            lcm(*(x.denominator for x in (*a, b))) for a, b in (self.eq, *self.ineqs)
-        )
-        self.int_rows = tuple(
-            tuple(scaled_integers((*a, b), scale))
-            for (a, b), scale in zip((self.eq, *self.ineqs), self.scales)
-        )
+        scaled = [integers((*a, b)) for a, b in (self.eq, *self.ineqs)]
+        self.int_rows = tuple(tuple(row) for row, _ in scaled)
+        self.scales = tuple(scale for _, scale in scaled)
 
     @property
     def n_labels(self) -> int:
@@ -201,8 +185,7 @@ class Polytope:
     def _dots(self, v: Sequence[Fraction]) -> tuple[list[int], int]:
         """``a . v`` of every inequality, times its row scale and q, the least
         common denominator of ``v``; returns those integers and q."""
-        q = lcm(*(x.denominator for x in v))
-        z = scaled_integers(v, q)
+        z, q = integers(v)
         return [sum(map(mul, row, z)) for row in self.int_rows[1:]], q
 
     def _slacks(self, point: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -214,10 +197,6 @@ class Polytope:
     def labels_at(self, point: Sequence[Fraction]) -> frozenset[int]:
         slacks, _ = self._slacks(point)
         return frozenset(lab for lab, s in enumerate(slacks, 1) if s == 0)
-
-    def feasible(self, point: Sequence[Fraction]) -> bool:
-        ea, eb = self.eq
-        return vdot(ea, point) == eb and min(self._slacks(point)[0]) >= 0
 
     def try_vertex(self, basis: Iterable[int]) -> Optional[Vertex]:
         """Vertex for a basis, with its tableau, or None when singular or infeasible."""
@@ -241,8 +220,9 @@ class Polytope:
         return self._basis_tableau(vertex.basis) if vertex.tableau is None else vertex.tableau
 
     def _basis_tableau(self, basis: frozenset[int]) -> Tableau:
-        """The tableau of a basis, built with d integer pivots, each bringing
-        one z into the equality row or a basis row."""
+        """The tableau of a basis, built with d integer pivots
+        (``gauss_jordan``), each bringing one z into the equality row or a
+        basis row."""
         if len(basis) != self.basis_size:
             raise DimensionMismatch(
                 f"basis size {len(basis)} != {self.basis_size} for {self.which}"
@@ -252,14 +232,10 @@ class Polytope:
         basic = [-1] + list(range(d, d + n_labels))  # the equality has no slack
         for lab in range(1, n_labels + 1):
             rows[lab][d + lab - 1] = 1
-        free = [0, *sorted(basis)]
-        denom = 1
-        for col in range(d):
-            r = next((r for r in free if rows[r][col]), None)
-            if r is None:
-                raise Singular(f"basis {sorted(basis)} is singular in {self.which}")
-            free.remove(r)
-            denom = integer_pivot(rows, rows[r], col, denom)
+        pivots, denom = gauss_jordan(rows, [0, *sorted(basis)], d)
+        if None in pivots:
+            raise Singular(f"basis {sorted(basis)} is singular in {self.which}")
+        for col, r in enumerate(pivots):
             basic[r] = col
         order = sorted(range(len(rows)), key=basic.__getitem__)
         sign = 1 if denom > 0 else -1
@@ -289,7 +265,7 @@ class Polytope:
         The step is in the caller's units. A zero step or a tie is degenerate;
         ``tight`` names the edge in the message.
         """
-        best_s, best_r, hits = _least_ratios(steps)
+        best_s, best_r, hits = least_ratios(steps)
         if not hits:
             return None, None
         if best_s == 0:
@@ -333,7 +309,7 @@ class Polytope:
         lowest label of least ratio enters. Zero steps and extra tight rows are
         allowed; None when the edge is unbounded."""
         tab = self.tableau(vertex)
-        _, _, hits = _least_ratios(self._ratio_rows(tab, relax))
+        _, _, hits = least_ratios(self._ratio_rows(tab, relax))
         return self._pivot_to(vertex, tab, relax, hits[0]) if hits else None
 
     def edge_through_point(self, tight: Iterable[int], point: Sequence[Fraction],

@@ -6,7 +6,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from rankgames.errors import DegeneracyError
+from rankgames.errors import DegeneracyError, NonzeroOptimum, RankGamesError
 from rankgames.games import BimatrixGame, Rank1Decomposition
 from rankgames.linalg import Matrix, matrix_rank, vdot
 from rankgames.lp import EQ, LE, LinearProgram
@@ -65,6 +65,46 @@ def section_objective(betas, delta) -> tuple:
     """The section LP's objective on P at lambda = delta: max sum_l delta_l
     * (beta_l . y) - pi1."""
     return tuple(vdot(delta, col) for col in zip(*betas)) + (Fraction(-1),)
+
+
+def feasible(poly: Polytope, point) -> bool:
+    """The point meets the polytope's equality and every inequality, each
+    slack taken exactly in the polytope's integer rows."""
+    ea, eb = poly.eq
+    return vdot(ea, point) == eb and min(poly._slacks(point)[0]) >= 0
+
+
+def section_gap(betas, v_coords, w_coords) -> Fraction:
+    """sum_l lambda_l * (beta_l . y) - pi1 - pi2 for k betas over the lifted
+    coordinates (x, lambda_1..lambda_k, pi2); nonpositive, zero iff fully labeled.
+
+    Valid on families with c = -a, where the two polytope systems sum to this bound.
+    """
+    n, k = len(betas[0]), len(betas)
+    lams = w_coords[-k - 1: -1]
+    weighted = sum((lam * vdot(b, v_coords[:n]) for lam, b in zip(lams, betas)), Fraction(0))
+    return weighted - v_coords[n] - w_coords[-1]
+
+
+def fraction_lifted_section(lifted, betas, v, rates, delta):
+    """The reference for ``paramlp.lifted_section``, in ``Fraction``s: row i's
+    multiplier is c_i - g_i . delta on v's basis rows, lambda = delta, and
+    pi2 the largest lifted column row; the point must be feasible and have
+    zero section gap."""
+    m, k = lifted.m, len(betas)
+    x = tuple(
+        rates[i][1] - vdot(rates[i][0], delta) if i in rates else Fraction(0)
+        for i in range(1, m + 1)
+    )
+    x_lam = x + tuple(delta)
+    pi2 = max(vdot(a[: m + k], x_lam) for a, _ in lifted.ineqs[m:])
+    w_coords = x_lam + (pi2,)
+    if not feasible(lifted, w_coords):
+        raise RankGamesError("complementary lifted point is infeasible")
+    gap = section_gap(betas, v.coords, w_coords)
+    if gap != 0:
+        raise NonzeroOptimum(f"section objective is {gap}, expected 0")
+    return w_coords
 
 
 def ex1_family() -> GameFamily:

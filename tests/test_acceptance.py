@@ -34,7 +34,6 @@ from rankgames.oracle import fully_labeled_pairs, support_enumeration
 from rankgames.paramlp import (
     box_bounds,
     fixed_point_eval,
-    section_gap,
     solve_lp_delta,
 )
 from rankgames.polytope import GameFamily, check_nondegenerate
@@ -48,6 +47,7 @@ from fixtures import (
     ex1_family,
     random_general_games,
     random_rank1,
+    section_gap,
 )
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -130,6 +131,19 @@ def test_rank_command(tmp_path, capsys):
     assert "gamma_2" in out
 
 
+def test_rank_command_on_a_large_general_game(tmp_path, capsys):
+    # A 24x24 general game with entries in [-99, 99]: its payoff sum has full
+    # rank, found by fraction-free Gauss-Jordan elimination.
+    rng = random.Random(24)
+    a, b = (Matrix([[rng.randint(-99, 99) for _ in range(24)] for _ in range(24)])
+            for _ in range(2))
+    path = write_game(tmp_path, BimatrixGame(a, b))
+    assert main(["rank", "--input", path]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "rank(A+B) = 24"
+    assert [line.split()[0] for line in lines[1:]] == [f"gamma_{l}" for l in range(1, 25)]
+
+
 def test_regions_command(tmp_path, capsys):
     path = write_game(tmp_path, R1A.game())
     assert main(["regions", "--input", path]) == EXIT_OK
@@ -194,7 +208,7 @@ def test_k_eval_outside_the_box_is_parse_error(tmp_path, capsys):
     from fixtures import K2_GAME
 
     path = write_game(tmp_path, K2_GAME, "k2.game")
-    for point in ("100,100", "1", "1,1,1"):
+    for point in ("100,100", "6,1", "0,-1"):
         assert main(["fixedpoint", "--input", path, "--k-eval", point]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -202,6 +216,26 @@ def test_k_eval_outside_the_box_is_parse_error(tmp_path, capsys):
         assert captured.err == (
             f"error: --k-eval point {shown} lies outside the box (0, 0)..(5, 1)\n"
         )
+
+
+def test_k_eval_with_the_wrong_number_of_entries_is_parse_error(tmp_path, capsys):
+    # The count is checked before the box, so a point of the wrong length is
+    # not reported as lying outside it.
+    from fixtures import K2_GAME
+
+    k3_game = BimatrixGame(
+        EX1_A,
+        -EX1_A + Matrix.outer((1, 0, 0), (1, 2, 3)) + Matrix.outer((0, 1, 0), (5, 1, 4))
+        + Matrix.outer((0, 0, 1), (0, 0, 1)),
+    )
+    cases = [(K2_GAME, 2, "1"), (K2_GAME, 2, "1,1,1"), (k3_game, 3, "1"), (k3_game, 3, "1,2,3,4")]
+    for game, k, point in cases:
+        path = write_game(tmp_path, game)
+        assert main(["fixedpoint", "--input", path, "--k-eval", point]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        count = point.count(",") + 1
+        assert captured.err == f"error: --k-eval needs k = {k} entries, one per beta; got {count}\n"
 
 
 def test_values_that_start_with_a_minus_sign(tmp_path, capsys):

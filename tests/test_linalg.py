@@ -5,7 +5,15 @@ from itertools import permutations
 import pytest
 
 from rankgames.errors import DimensionMismatch, NotSquare, Singular
-from rankgames.linalg import Matrix, determinant, matrix_rank, solve_linear_system
+from rankgames.linalg import (
+    Matrix,
+    determinant,
+    gauss_jordan,
+    integers,
+    least_ratios,
+    matrix_rank,
+    solve_linear_system,
+)
 
 from fixtures import EX1_A, EX1_C
 
@@ -110,6 +118,49 @@ def test_rank_outer_product():
 
 def test_rank_of_dense_sum():
     assert matrix_rank(EX1_A + EX1_C) == 3
+
+
+def test_rank_of_wide_products_of_known_rank():
+    # U (24 x r) times V (r x 24) has rank at most r, and at least r where
+    # its leading r x r minor, det U_r * det V_r, is nonzero. Elimination
+    # that never divides doubles the entries' bit length at every column and
+    # takes minutes here; fraction-free Gauss-Jordan keeps them subdeterminants.
+    rng = random.Random(24)
+    for r in (5, 12, 24):
+        u = Matrix([[rng.randint(-10**6, 10**6) for _ in range(r)] for _ in range(24)])
+        v = Matrix([[rng.randint(-10**6, 10**6) for _ in range(24)] for _ in range(r)])
+        product = u @ v
+        assert determinant(product.submatrix(range(r), range(r))) != 0
+        assert matrix_rank(product) == r
+        assert matrix_rank(product.scale(Fraction(1, 7))) == r
+
+
+def test_least_ratios_takes_the_least_positive_rate_ratio_exactly():
+    assert least_ratios([]) == (0, 0, [])
+    # Rates at or below zero never bound the step, however small the ratio.
+    assert least_ratios([(1, 0, 0), (2, 5, -1)]) == (0, 0, [])
+    assert least_ratios([(1, 0, -3), (2, 6, 3), (3, 1, 0), (4, 9, 2)]) == (6, 3, [2])
+    # (big + 1) / big and big / (big - 1) are equal as floats, not as ratios.
+    big = 10**40
+    assert least_ratios([(7, big, big - 1), (8, big + 1, big)]) == (big + 1, big, [8])
+    # Every tied label, in input order; the first hit's (slack, rate) is kept.
+    assert least_ratios([(5, 2, 4), (3, 1, 2), (6, 5, 1), (9, 3, 6)]) == (2, 4, [5, 3, 9])
+    assert least_ratios(iter([(2, 0, 1), (1, 0, 5)])) == (0, 1, [2, 1])
+
+
+def test_gauss_jordan_pivots_each_column_on_its_first_free_nonzero_row():
+    rows = [[1, 2, 3], [2, 4, 5]]
+    assert gauss_jordan(rows, [0, 1], 3) == ([0, None, 1], -1)
+    assert rows == [[-1, -2, 0], [0, 0, -1]]  # rows / -1: the reduced echelon form
+    # Free rows are tried in the order given; a dependent row is left zero.
+    rows = [[0, 1], [3, 4], [6, 7]]
+    assert gauss_jordan(rows, [2, 1, 0], 2) == ([2, 1], 3)
+    assert rows == [[0, 0], [0, 3], [3, 0]]
+
+
+def test_integers_are_numerators_over_the_least_common_denominator():
+    assert integers((Fraction(1, 2), Fraction(-2, 3), Fraction(4))) == ([3, -4, 24], 6)
+    assert integers(()) == ([], 1)
 
 
 def test_matrix_access_is_bounds_checked():

@@ -7,7 +7,6 @@ import pytest
 from rankgames.errors import (
     DegeneracyError,
     DegeneratePolytope,
-    NonzeroOptimum,
     OutOfBox,
     RankGamesError,
 )
@@ -24,7 +23,6 @@ from rankgames.paramlp import (
     integer_objective,
     is_ne,
     lifted_section,
-    section_gap,
     solve_lp_delta,
     solve_lp_k,
 )
@@ -36,10 +34,12 @@ from fixtures import (
     R1A_NE_LAMBDA,
     R1A_NE_X,
     R1A_NE_Y,
+    fraction_lifted_section,
     polytope_lp,
     random_rank1,
     random_rank_k,
     ray_anchors,
+    section_gap,
     section_objective,
     watch_solve_lp,
 )
@@ -577,27 +577,6 @@ def test_a_warm_section_ends_at_the_cold_optimum_where_it_is_unique():
         if cold is not None:
             start = cold.v
     assert dict(counts) == {"unique": 114, "tied": 7, "rejected": 6}
-
-
-def fraction_lifted_section(lifted, betas, v, rates, delta):
-    """The reference for ``paramlp.lifted_section``, in ``Fraction``s: row i's
-    multiplier is c_i - g_i . delta on v's basis rows, lambda = delta, and
-    pi2 the largest lifted column row; the point must be feasible and have
-    zero section gap."""
-    m, k = lifted.m, len(betas)
-    x = tuple(
-        rates[i][1] - vdot(rates[i][0], delta) if i in rates else Fraction(0)
-        for i in range(1, m + 1)
-    )
-    x_lam = x + tuple(delta)
-    pi2 = max(vdot(a[: m + k], x_lam) for a, _ in lifted.ineqs[m:])
-    w_coords = x_lam + (pi2,)
-    if not lifted.feasible(w_coords):
-        raise RankGamesError("complementary lifted point is infeasible")
-    gap = section_gap(betas, v.coords, w_coords)
-    if gap != 0:
-        raise NonzeroOptimum(f"section objective is {gap}, expected 0")
-    return w_coords
 
 
 def test_integer_lifted_section_matches_the_fraction_reference(monkeypatch):

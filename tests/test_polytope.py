@@ -24,7 +24,15 @@ from rankgames.polytope import (
     enumerate_vertices,
 )
 
-from fixtures import EX1_A, EX1_C, ex1_family, random_rank1, random_rank_k, ray_anchors
+from fixtures import (
+    EX1_A,
+    EX1_C,
+    ex1_family,
+    feasible,
+    random_rank1,
+    random_rank_k,
+    ray_anchors,
+)
 
 
 def test_build_p_single_strategy_vertex():
@@ -46,7 +54,7 @@ def test_build_p_enumerated_vertices_are_feasible():
         a = Matrix([[rng.randint(-5, 5) for _ in range(3)] for _ in range(4)])
         p = build_p(a)
         for v in enumerate_vertices(p):
-            assert p.feasible(v.coords)
+            assert feasible(p, v.coords)
             assert p.labels_at(v.coords) == v.labels
 
 
@@ -57,7 +65,7 @@ def test_build_qprime_single_strategy_ray():
     assert enumerate_vertices(q) == []
     for lam in (Fraction(-3), Fraction(0), Fraction(5)):
         point = (Fraction(1), lam, -7 + 2 * lam)
-        assert q.feasible(point)
+        assert feasible(q, point)
         assert q.labels_at(point) == frozenset({2})
 
 
@@ -279,12 +287,12 @@ def test_integer_labels_and_feasibility_match_fraction_slacks():
                     points += [ed.point_at(ed.t_max * t) for t in (Fraction(1, 3), 1, 2)]
             for point in points:
                 assert poly.labels_at(point) == fraction_labels(poly, point)
-                feasible = all(
+                expected = all(
                     fraction_slack(poly, lab, point) >= 0 for lab in range(1, poly.n_labels + 1)
                 )
-                assert poly.feasible(point) == feasible
+                assert feasible(poly, point) == expected
                 checked += 1
-                infeasible += not feasible
+                infeasible += not expected
     assert (checked, infeasible) == (1108, 328)
 
 
@@ -315,7 +323,7 @@ def test_start_vertices_random_feasible():
         except DegeneratePolytope:
             continue
         for v in (v_s, v_e):
-            assert fam.p.feasible(v.coords)
+            assert feasible(fam.p, v.coords)
             assert len(v.labels) == fam.p.basis_size
         done += 1
 
@@ -343,8 +351,8 @@ def test_lambda_bounds_infeasible_beyond():
     w0 = fam.ray(high=False)[1].base
     ray = fam.qp.pivot(w0, fam.m + ray_anchors(EX1_A, EX1_C, fam.beta).jstar_s)
     probe = ray.point_at(Fraction(-1))  # one unit against the ray: lambda > lambda_s
-    assert not fam.qp.feasible(probe)
-    assert fam.qp.feasible(ray.point_at(Fraction(1)))
+    assert not feasible(fam.qp, probe)
+    assert feasible(fam.qp, ray.point_at(Fraction(1)))
 
 
 def test_lambda_bounds_sign_convention_by_lp_probe():
@@ -399,7 +407,7 @@ def test_build_qprime_wedge_vertices_match_enumeration():
     qk = build_qprime(a.scale(-1), [(1, 0, 1), (0, 1, 2)])
     vertices = enumerate_vertices(qk)
     for v in vertices:
-        assert qk.feasible(v.coords)
+        assert feasible(qk, v.coords)
         assert len(v.labels) == qk.basis_size
     combos = 0
     for c in combinations(range(1, qk.n_labels + 1), qk.basis_size):
