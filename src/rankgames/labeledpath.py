@@ -8,8 +8,11 @@ determinants of the two tight-constraint systems and orient the traversal.
 
 A step is one ``Polytope.pivot``, an integer pivot on the moving vertex's
 tableau, so the walk solves no linear system. Each node sign is taken afresh
-from the polytopes' integer rows by Bareiss elimination, independently of the
-pivots, which is what makes "sign alternation violated" a real check.
+from the polytopes' integer rows, independently of the pivots, which is what
+makes "sign alternation violated" a real check: the sign rows (one -1 each)
+are expanded by Laplace into a sign parity, and Bareiss elimination runs on
+the bordered support block that is left, of order |supp y| + 1 in P and
+|supp x| + 2 in Q'.
 """
 from __future__ import annotations
 
@@ -95,32 +98,34 @@ def _tight_determinant(poly: Polytope, labels: list[int], order: list[int]) -> i
 def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
     """Sign of the pair from the two tight-system determinants.
 
-    Blocks are ordered: shared strategy sets ascending, the duplicate's unit
-    row or column in its own slot between the payoff block and the identity
-    block. Determinant signs are invariant under the orderings that move rows
-    and columns of both systems together, so this choice is canonical; the
-    positive scale of each integer row leaves them unchanged too.
+    The full systems, of order n + 1 in P and m + 2 in Q', order their blocks:
+    shared strategy sets ascending, the duplicate's unit row or column in its
+    own slot between the payoff block and the identity block. Determinant
+    signs are invariant under the orderings that move rows and columns of
+    both systems together, so this choice is canonical; the positive scale of
+    each integer row leaves them unchanged too.
+
+    Each sign row (y_j >= 0 in P, x_i >= 0 in Q', the duplicate's included)
+    has one entry, -1, and is expanded away by Laplace. Bareiss runs on the
+    bordered support matrix that is left, taken afresh from the polytope's
+    integer rows: the equality and v's tight payoff rows over (y_supp, pi1)
+    in P, the equality and w's tight column rows over (lambda, x_supp, pi2)
+    in Q'. Each identity-block row sits one place below its column, so its
+    cofactor sign cancels its -1. The duplicate's row comes right after the
+    payoff block, so its cofactor sign and its -1 give (-1)^later, where
+    ``later`` counts the labels of its block (X or Y) past the duplicate.
     """
     m, n = family.m, family.n
     big_x = sorted(lab for lab in v.labels if lab <= m)
-    big_y = sorted(lab - m for lab in w.labels if lab > m)
-    minus_x = sorted(set(range(1, m + 1)) - set(big_x))
-    minus_y = sorted(set(range(1, n + 1)) - set(big_y))
-    dup_is_row = duplicate <= m
-
-    # Row player system over columns (y_Y, y_-Y, pi1).
+    big_y = sorted(lab for lab in w.labels if lab > m)
     det_v = _tight_determinant(
-        family.p,
-        big_x + ([] if dup_is_row else [duplicate]) + [m + j for j in minus_y],
-        [j - 1 for j in big_y + minus_y] + [n],
+        family.p, big_x, [lab - m - 1 for lab in big_y if lab != duplicate] + [n]
     )
-    # Column player system over columns (lambda, x_X, x_-X, pi2).
     det_w = _tight_determinant(
-        family.qp,
-        [m + j for j in big_y] + ([duplicate] if dup_is_row else []) + minus_x,
-        [m] + [i - 1 for i in big_x + minus_x] + [m + 1],
+        family.qp, big_y, [m] + [lab - 1 for lab in big_x if lab != duplicate] + [m + 1]
     )
-    s = sign(det_v * det_w)
+    later = sum(lab > duplicate for lab in (big_x if duplicate <= m else big_y))
+    s = sign(det_v * det_w) * (-1) ** later
     if s == 0:
         raise DegeneratePolytope("singular tight system at a fully-labeled pair")
     return s

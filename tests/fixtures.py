@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from rankgames.errors import DegeneracyError, NonzeroOptimum, RankGamesError
 from rankgames.games import BimatrixGame, Rank1Decomposition
-from rankgames.linalg import Matrix, matrix_rank, vdot
+from rankgames.linalg import Matrix, integer_determinant, matrix_rank, sign, vdot
 from rankgames.lp import EQ, LE, LinearProgram
 from rankgames.polytope import GameFamily, Polytope
 
@@ -84,6 +84,40 @@ def section_gap(betas, v_coords, w_coords) -> Fraction:
     lams = w_coords[-k - 1: -1]
     weighted = sum((lam * vdot(b, v_coords[:n]) for lam, b in zip(lams, betas)), Fraction(0))
     return weighted - v_coords[n] - w_coords[-1]
+
+
+def full_node_sign(family: GameFamily, v, w, duplicate: int) -> int:
+    """The reference for ``labeledpath.node_sign``: the sign of the two full
+    tight systems, of order n + 1 in P and m + 2 in Q', sign rows included.
+
+    P's rows are the equality, v's tight payoff rows, the duplicate if it is
+    a column label and y_j >= 0 off w's tight columns, over (y_Y, y_-Y, pi1);
+    Q''s are the equality, w's tight column rows, the duplicate if it is a row
+    label and x_i >= 0 off v's tight rows, over (lambda, x_X, x_-X, pi2).
+    Returns 0 where either system is singular.
+    """
+    m, n = family.m, family.n
+    big_x = sorted(lab for lab in v.labels if lab <= m)
+    big_y = sorted(lab - m for lab in w.labels if lab > m)
+    minus_x = sorted(set(range(1, m + 1)) - set(big_x))
+    minus_y = sorted(set(range(1, n + 1)) - set(big_y))
+    dup_is_row = duplicate <= m
+
+    def det(poly: Polytope, labels, order) -> int:
+        rows = [poly.int_rows[0], *(poly.int_rows[lab] for lab in labels)]
+        return integer_determinant([[row[col] for col in order] for row in rows])
+
+    det_v = det(
+        family.p,
+        big_x + ([] if dup_is_row else [duplicate]) + [m + j for j in minus_y],
+        [j - 1 for j in big_y + minus_y] + [n],
+    )
+    det_w = det(
+        family.qp,
+        [m + j for j in big_y] + ([duplicate] if dup_is_row else []) + minus_x,
+        [m] + [i - 1 for i in big_x + minus_x] + [m + 1],
+    )
+    return sign(det_v * det_w)
 
 
 def fraction_lifted_section(lifted, betas, v, rates, delta):

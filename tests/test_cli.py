@@ -311,6 +311,26 @@ def test_degenerate_without_perturb_exits_3(tmp_path, capsys):
     assert "--perturb" in capsys.readouterr().err
 
 
+def test_singular_tight_system_is_degenerate(tmp_path, capsys):
+    # Game 4 of the small-entry rank-1 yardstick reaches a fully-labeled pair
+    # whose tight system is singular: no node sign exists there.
+    from fixtures import random_rank1
+    from rankgames.algorithms import bin_search, enumerate_rank1
+    from rankgames.errors import DegeneratePolytope
+
+    rng = random.Random(77)
+    d = [random_rank1(rng, s, s, span=2, gamma_span=1, beta_span=3) for s in (3, 4, 5, 3, 4)][4]
+    message = "singular tight system at a fully-labeled pair"
+    for run in (enumerate_rank1, bin_search):
+        with pytest.raises(DegeneratePolytope, match=message):
+            run(d)
+    path = write_game(tmp_path, d.game())
+    assert main(["solve", "--input", path, "--json"]) == EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: degenerate instance ({message}); rerun with --perturb SEED\n"
+
+
 def test_degenerate_with_perturb_recovers(tmp_path, capsys):
     game = BimatrixGame(Matrix([[1, 2], [1, 2]]), Matrix([[0, 1], [3, 1]]))
     path = write_game(tmp_path, game)

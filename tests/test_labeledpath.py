@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import rankgames.labeledpath
 import rankgames.linalg
 
+from rankgames.algorithms import enumerate_rank1, general_family
 from rankgames.errors import ConstantBeta, DegeneracyError, NotFullyLabeled, RankGamesError, SeedOnPath
 from rankgames.labeledpath import (
     V_FIXED,
@@ -19,6 +21,7 @@ from rankgames.labeledpath import (
     trace_cycle,
     trace_path,
 )
+from rankgames.games import BimatrixGame
 from rankgames.linalg import Matrix, determinant, sign
 from rankgames.oracle import fully_labeled_pairs
 from rankgames.polytope import GameFamily, Polytope
@@ -30,8 +33,10 @@ from fixtures import (
     EX1_CYCLE_P_VERTICES,
     EX1_PATH_P_VERTICES,
     ex1_family,
+    full_node_sign,
     nondegenerate_rank1_fixtures,
     ray_anchors,
+    random_rank1,
 )
 
 
@@ -399,6 +404,64 @@ def test_node_sign_matches_fraction_reference_on_traces_and_cycles():
             assert reference_node_sign(fam, u.v, u.w, u.duplicate) == u.sign
             checked += 1
     assert (checked, cycles) == (220, 4)
+
+
+def _wide_general_family(rng, size):
+    """The general embedding of the next size x size game with entries in
+    [-99, 99] drawn from ``rng`` whose path traces, and that path."""
+    while True:
+        a, b = (Matrix([[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)])
+                for _ in range(2))
+        fam = general_family(BimatrixGame(a, b))
+        try:
+            return fam, trace_path(fam)
+        except DegeneracyError:
+            continue
+
+
+def test_node_sign_matches_the_full_systems_past_the_seed_sizes(monkeypatch):
+    # Every node made while tracing wide-entry general paths at 8x8 to 14x14
+    # and walking the rank-1 paths of six 12x12 and 16x16 games: supports are
+    # far smaller than n there, so the support block is much smaller than
+    # the full systems.
+    real, signs = node_sign, []
+
+    def checked(family, v, w, duplicate):
+        signs.append(real(family, v, w, duplicate))
+        assert signs[-1] == full_node_sign(family, v, w, duplicate)
+        return signs[-1]
+
+    monkeypatch.setattr(rankgames.labeledpath, "node_sign", checked)
+    rng = random.Random(18)
+    for size in (8, 10, 12, 14):
+        _wide_general_family(rng, size)
+    rng = random.Random(11)
+    for size in (12, 12, 12, 16, 16, 16):
+        enumerate_rank1(random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50))
+    assert len(signs) == 631 and set(signs) == {-1, 1}
+
+
+def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch):
+    # The sign rows are expanded away: P's determinant has order |supp y| + 1
+    # and Q''s |supp x| + 2, where the full systems have n + 1 and m + 2.
+    real_det, real_sign = rankgames.labeledpath.integer_determinant, node_sign
+    orders, expected = [], []
+
+    def sized(rows):
+        orders.append(len(rows))
+        return real_det(rows)
+
+    def supports(family, v, w, duplicate):
+        y, x = v.coords[: family.n], w.coords[: family.m]
+        expected.extend([sum(map(bool, y)) + 1, sum(map(bool, x)) + 2])
+        return real_sign(family, v, w, duplicate)
+
+    fam, _ = _wide_general_family(random.Random(12), 12)
+    monkeypatch.setattr(rankgames.labeledpath, "integer_determinant", sized)
+    monkeypatch.setattr(rankgames.labeledpath, "node_sign", supports)
+    path = trace_path(fam)
+    assert orders == expected
+    assert len(orders) == 2 * len(path.nodes) and max(orders) < 13
 
 
 def _count_calls(monkeypatch, counts):
