@@ -329,8 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="game file path")
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--perturb", type=int, metavar="SEED", default=None,
-                        help="retry once with a tiny seeded perturbation on degeneracy")
+    # Only the verbs that can meet a degenerate instance retry on --perturb.
+    retry = argparse.ArgumentParser(add_help=False)
+    retry.add_argument("--perturb", type=int, metavar="SEED", default=None,
+                       help="retry once with a tiny seeded perturbation on degeneracy")
     # Only the verbs that embed the game in a family read --beta.
     embedding = argparse.ArgumentParser(add_help=False)
     embedding.add_argument("--beta", default=None,
@@ -342,11 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "enumerate", "index", "oracle", "rank", "regions"):
         embeds = name not in ("oracle", "rank")
-        sub.add_parser(name, parents=[common, embedding] if embeds else [common])
-    trace_p = sub.add_parser("trace", parents=[common, embedding])
+        sub.add_parser(name, parents=[common, retry, embedding] if embeds else [common])
+    trace_p = sub.add_parser("trace", parents=[common, retry, embedding])
     trace_p.add_argument("--all-from", default=None, metavar="SEED",
                          help="trace the cycle through the node 'v1,v2,../w1,w2,..'")
-    fp = sub.add_parser("fixedpoint", parents=[common])
+    fp = sub.add_parser("fixedpoint", parents=[common, retry])
     group = fp.add_mutually_exclusive_group(required=True)
     group.add_argument("--k-eval", default=None, metavar="A1,..,AK")
     group.add_argument("--search", action="store_true")
@@ -420,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             command(game, args, out)
         except DegeneracyError as exc:
-            if args.perturb is None:
+            if getattr(args, "perturb", None) is None:  # oracle and rank take none
                 print(
                     f"error: degenerate instance ({exc}); rerun with --perturb SEED",
                     file=sys.stderr,

@@ -4,10 +4,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NotConstantBeta, RankTooHigh
-from .linalg import Matrix, Rat, Vec, vector
+from .linalg import Matrix, Rat, Vec, integers, vector
 
 
 @dataclass(frozen=True)
@@ -82,31 +83,18 @@ def _check_shape(game: BimatrixGame, p: MixedProfile) -> None:
         raise DimensionMismatch("profile does not match game shape")
 
 
-def _payoff_rows(mat: Matrix, rows: Iterable[int], y: Vec) -> list[Rat]:
-    """``mat @ y`` on ``rows``, summed over the support of y only (zero terms
-    add 0)."""
-    support = [(j, yj) for j, yj in enumerate(y) if yj]
-    return [sum((mat.row(i)[j] * yj for j, yj in support), Fraction(0)) for i in rows]
-
-
-def _col_payoffs(mat: Matrix, x: Vec) -> list[Rat]:
-    """``x @ mat``, reading mat by rows of the support of x, without a transpose."""
-    totals = [Fraction(0)] * mat.cols
-    for i, xi in enumerate(x):
-        if xi:
-            totals = [t + xi * e for t, e in zip(totals, mat.row(i))]
-    return totals
-
-
 def payoffs(game: BimatrixGame, p: MixedProfile) -> tuple[Rat, Rat]:
-    """``x . A y`` and ``x . B y``, summed over both supports only."""
+    """``x . A y`` and ``x . B y``: integer dots on the matrices' integer
+    rows, with x and y each over its least common denominator, and one
+    ``Fraction`` per payoff."""
     _check_shape(game, p)
-    rows = [i for i, xi in enumerate(p.x) if xi]
-    p1, p2 = (
-        sum((p.x[i] * v for i, v in zip(rows, _payoff_rows(mat, rows, p.y))), Fraction(0))
+    (x, qx), (y, qy) = integers(p.x), integers(p.y)
+    rows = [(i, xi) for i, xi in enumerate(x) if xi]
+    return tuple(
+        Fraction(sum(xi * sum(map(mul, mat.int_rows[i], y)) for i, xi in rows),
+                 qx * qy * mat.denom)
         for mat in (game.a, game.b)
     )
-    return p1, p2
 
 
 def make_record(
@@ -119,17 +107,19 @@ def make_record(
 def verify_equilibrium(game: BimatrixGame, p: MixedProfile) -> bool:
     """Exact best-response check: every played pure strategy attains the max.
 
-    Every row and column payoff is computed, each summed over the other
-    player's support only.
+    Every row and column payoff is an integer dot on the matrices' integer
+    rows, with x and y each over its least common denominator: one positive
+    scale per player, which changes no comparison.
     """
     _check_shape(game, p)
-    row_payoffs = _payoff_rows(game.a, range(game.m), p.y)
+    (x, _), (y, _) = integers(p.x), integers(p.y)
+    row_payoffs = [sum(map(mul, row, y)) for row in game.a.int_rows]
     best1 = max(row_payoffs)
-    if any(xi > 0 and row_payoffs[i] != best1 for i, xi in enumerate(p.x)):
+    if any(xi > 0 and v != best1 for xi, v in zip(x, row_payoffs)):
         return False
-    col_payoffs = _col_payoffs(game.b, p.x)
+    col_payoffs = [sum(map(mul, col, x)) for col in zip(*game.b.int_rows)]
     best2 = max(col_payoffs)
-    return not any(yj > 0 and col_payoffs[j] != best2 for j, yj in enumerate(p.y))
+    return not any(yj > 0 and v != best2 for yj, v in zip(y, col_payoffs))
 
 
 def default_beta(n: int) -> Vec:
@@ -176,14 +166,13 @@ class RankKDecomposition:
 
 def _peel_rank1(m: Matrix) -> tuple[Vec, Vec, Matrix]:
     """Split off one rank-1 term at the first nonzero entry (row-major)."""
-    pivot = next(
-        ((i, j) for i in range(m.rows) for j in range(m.cols) if m[i, j] != 0), None
-    )
+    rows = m.int_rows
+    pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
     if pivot is None:
         raise ValueError("zero matrix has no rank-1 term")
     i0, j0 = pivot
-    beta = m.row(i0)
-    gamma = tuple(m[i, j0] / m[i0, j0] for i in range(m.rows))
+    beta = tuple(Fraction(x, m.denom) for x in rows[i0])
+    gamma = tuple(Fraction(row[j0], rows[i0][j0]) for row in rows)
     return gamma, beta, m - Matrix.outer(gamma, beta)
 
 
@@ -196,20 +185,22 @@ def decompose_rank1(
     caller-supplied vector or the generic default (1, ..., n).
     """
     s = game.payoff_sum()
-    rows = [s.row(i) for i in range(s.rows)]
+    rows = s.int_rows
     pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
     if pivot is None:
         beta = vector(beta_default) if beta_default is not None else default_beta(game.n)
         return Rank1Decomposition(game.a, vector([0] * game.m), beta)
     # Rank 1 iff every 2x2 minor through the first nonzero entry vanishes:
     # s[i][j] * s[i0][j0] == s[i][j0] * s[i0][j]; the first that does not
-    # decides, before any term is peeled off.
+    # decides, before any term is peeled off. The integer rows are s times
+    # its denominator, which scales every minor alike.
     i0, j0 = pivot
-    p, beta = rows[i0][j0], rows[i0]
+    p, top = rows[i0][j0], rows[i0]
     for row in rows:
-        if any(x * p != row[j0] * b for x, b in zip(row, beta)):
+        if any(x * p != row[j0] * b for x, b in zip(row, top)):
             raise RankTooHigh("payoff sum has rank >= 2")
-    return Rank1Decomposition(game.a, tuple(row[j0] / p for row in rows), beta)
+    beta = tuple(Fraction(b, s.denom) for b in top)
+    return Rank1Decomposition(game.a, tuple(Fraction(row[j0], p) for row in rows), beta)
 
 
 def decompose_rank_k(game: BimatrixGame) -> RankKDecomposition:
@@ -230,9 +221,7 @@ def integerize(d: Rank1Decomposition) -> tuple[Rank1Decomposition, Rat]:
     Scales both payoff matrices by c^2, which leaves the equilibrium set
     untouched; returns the scale c^2.
     """
-    denoms = [x.denominator for x in d.a.entries()]
-    denoms += [x.denominator for x in d.gamma] + [x.denominator for x in d.beta]
-    c = lcm(*denoms)
+    c = lcm(d.a.denom, *(x.denominator for x in d.gamma), *(x.denominator for x in d.beta))
     scaled = Rank1Decomposition(
         d.a.scale(c * c),
         tuple(g * c for g in d.gamma),

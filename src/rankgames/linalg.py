@@ -1,7 +1,9 @@
 """Exact rational linear algebra: dense matrices, determinants, rank, solving.
 
 All scalars are ``fractions.Fraction``; every operation is exact. Vectors are
-plain tuples of Fractions, matrices are immutable row-major grids.
+plain tuples of Fractions. Matrices are immutable row-major grids in two
+forms, integer rows over one least common denominator and ``Fraction`` rows,
+each built on first use (see ``Matrix``).
 
 The package's one exact integer kernel lives here, as in the integer pivoting
 of lrsnash (Avis, Rosenberg, Savani & von Stengel, 2010): one integerizer
@@ -15,7 +17,9 @@ intermediate Fraction is normalised. Determinants use Bareiss elimination
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NotSquare, Singular
@@ -48,29 +52,51 @@ def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"sub of lengths {len(u)} and {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(s, u: Sequence[Fraction]) -> Vec:
     s = frac(s)
     return tuple(s * a for a in u)
 
 
-class Matrix:
-    """Immutable dense matrix of Fractions with bounds-checked access."""
+IntRows = tuple[tuple[int, ...], ...]
 
-    __slots__ = ("rows", "cols", "_data")
+
+class Matrix:
+    """Immutable dense matrix of Fractions with bounds-checked access.
+
+    Two forms hold the same values: the ``Fraction`` grid, and integer rows
+    (``int_rows``) over one least positive common denominator (``denom``),
+    as a polytope tableau holds rows / denom. Each form is built on first use
+    and kept; ``Matrix(data)`` builds only the grid, and whole-matrix
+    arithmetic builds only the integer rows, normalised by one gcd, so equal
+    matrices compare and hash equal however they were made.
+    """
+
+    __slots__ = ("rows", "cols", "_grid", "_ints")
 
     def __init__(self, data: Iterable[Iterable]):
         grid = tuple(tuple(frac(x) for x in row) for row in data)
         if grid and any(len(r) != len(grid[0]) for r in grid):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "_data", grid)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_ints", None)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
+
+    @classmethod
+    def _of_ints(cls, rows: Iterable[Sequence[int]], denom: int) -> "Matrix":
+        """The matrix ``rows / denom`` (``denom > 0``), reduced by the gcd of
+        ``denom`` and every entry; its grid is left to be built on first use."""
+        rows = tuple(map(tuple, rows))
+        g = gcd(denom, *chain.from_iterable(rows))
+        if g != 1:
+            rows = tuple(tuple(x // g for x in row) for row in rows)
+            denom //= g
+        m = object.__new__(cls)
+        object.__setattr__(m, "_grid", None)
+        object.__setattr__(m, "_ints", (rows, denom))
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
+        return m
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
@@ -78,6 +104,39 @@ class Matrix:
     def __reduce__(self):
         # Rebuild through __init__: the default protocol would set slots via setattr.
         return (Matrix, (self._data,))
+
+    @property
+    def _data(self) -> tuple[Vec, ...]:
+        """The ``Fraction`` grid, built from the integer rows on first use."""
+        grid = self._grid
+        if grid is None:
+            rows, q = self._ints
+            if q == 1:
+                grid = tuple(tuple(map(Fraction, row)) for row in rows)
+            else:
+                grid = tuple(tuple(Fraction(x, q) for x in row) for row in rows)
+            object.__setattr__(self, "_grid", grid)
+        return grid
+
+    def _integer_form(self) -> tuple[IntRows, int]:
+        """(int_rows, denom), built from the grid on first use."""
+        form = self._ints
+        if form is None:
+            q = lcm(*(x.denominator for row in self._grid for x in row))
+            form = (tuple(tuple(x.numerator * (q // x.denominator) for x in row)
+                          for row in self._grid), q)
+            object.__setattr__(self, "_ints", form)
+        return form
+
+    @property
+    def int_rows(self) -> IntRows:
+        """The entries as integer numerators over ``denom``."""
+        return self._integer_form()[0]
+
+    @property
+    def denom(self) -> int:
+        """The least positive common denominator of the entries."""
+        return self._integer_form()[1]
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -89,8 +148,8 @@ class Matrix:
 
     @classmethod
     def outer(cls, u: Sequence, v: Sequence) -> "Matrix":
-        u, v = vector(u), vector(v)
-        return cls([[a * b for b in v] for a in u])
+        (nu, qu), (nv, qv) = integers(vector(u)), integers(vector(v))
+        return cls._of_ints([[a * b for b in nv] for a in nu], qu * qv)
 
     def _check(self, i: int, j: int) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -110,63 +169,78 @@ class Matrix:
         return tuple(r[j] for r in self._data)
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self._data)) if self.rows else Matrix([])
+        rows, q = self._integer_form()
+        return Matrix._of_ints(zip(*rows), q)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix([[self[i, j] for j in col_idx] for i in row_idx])
+        if row_idx and col_idx:  # the least and the greatest index bound the rest
+            self._check(min(row_idx), min(col_idx))
+            self._check(max(row_idx), max(col_idx))
+        rows, q = self._integer_form()
+        return Matrix._of_ints([[rows[i][j] for j in col_idx] for i in row_idx], q)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """``self + sign * other`` over the lcm of the two denominators."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(f"matrix {'add' if sign > 0 else 'sub'} shape mismatch")
+        (ra, qa), (rb, qb) = self._integer_form(), other._integer_form()
+        q = lcm(qa, qb)
+        fa, fb = q // qa, sign * (q // qb)
+        return Matrix._of_ints(
+            [[x * fa + y * fb for x, y in zip(a, b)] for a, b in zip(ra, rb)], q)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix add shape mismatch")
-        return Matrix(vadd(a, b) for a, b in zip(self._data, other._data))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix sub shape mismatch")
-        return Matrix(vsub(a, b) for a, b in zip(self._data, other._data))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, s) -> "Matrix":
         s = frac(s)
-        return Matrix(tuple(s * x for x in row) for row in self._data)
+        rows, q = self._integer_form()
+        p = s.numerator
+        return Matrix._of_ints([[x * p for x in row] for row in rows], q * s.denominator)
 
     def shift(self, s) -> "Matrix":
         """Add a constant to every entry."""
         s = frac(s)
-        return Matrix(tuple(x + s for x in row) for row in self._data)
+        rows, q = self._integer_form()
+        d, add = s.denominator, s.numerator * q
+        return Matrix._of_ints([[x * d + add for x in row] for row in rows], q * d)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matmul shape mismatch")
-        cols = other.transpose()._data
-        return Matrix([[vdot(r, c) for c in cols] for r in self._data])
+        (ra, qa), (rb, qb) = self._integer_form(), other._integer_form()
+        cols = list(zip(*rb))
+        return Matrix._of_ints(
+            [[sum(map(mul, r, c)) for c in cols] for r in ra], qa * qb)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vec:
         return tuple(vdot(r, v) for r in self._data)
 
-    def entries(self) -> Iterable[Fraction]:
-        for row in self._data:
-            yield from row
-
     def min_entry(self) -> Fraction:
-        return min(self.entries())
+        rows, q = self._integer_form()
+        return Fraction(min(chain.from_iterable(rows)), q)
 
     def max_abs(self) -> Fraction:
-        return max((abs(x) for x in self.entries()), default=Fraction(0))
+        rows, q = self._integer_form()
+        return Fraction(max(map(abs, chain.from_iterable(rows)), default=0), q)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries())
+        return not any(map(any, self.int_rows))
 
     def tolists(self) -> list[list[Fraction]]:
         return [list(r) for r in self._data]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._data == other._data
+        return isinstance(other, Matrix) and self._integer_form() == other._integer_form()
 
     def __hash__(self) -> int:
-        return hash(self._data)
+        return hash(self._integer_form())
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._data)
@@ -178,17 +252,6 @@ def integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     denominator; returns (numerators, q)."""
     q = lcm(*(x.denominator for x in values))
     return [x.numerator * (q // x.denominator) for x in values], q
-
-
-def _integer_rows(grid: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], Fraction]:
-    """Scale each row to integers; return rows and the product of scale factors."""
-    rows: list[list[int]] = []
-    factor = Fraction(1)
-    for row in grid:
-        ints, mult = integers(row)
-        factor *= mult
-        rows.append(ints)
-    return rows, factor
 
 
 def least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[int]]:
@@ -277,18 +340,17 @@ def integer_determinant(a: list[list[int]]) -> int:
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant: the Bareiss core on rows scaled to integers."""
+    """Exact determinant: the Bareiss core on the integer rows, over
+    ``denom`` to the order."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    a, factor = _integer_rows(m._data)
-    return Fraction(integer_determinant(a)) / factor
+    return Fraction(integer_determinant([list(r) for r in m.int_rows]), m.denom ** m.rows)
 
 
 def matrix_rank(m: Matrix) -> int:
     """Exact rank over the rationals: the columns that take a pivot in
-    fraction-free Gauss-Jordan elimination."""
-    a, _ = _integer_rows(m._data)
-    pivots, _ = gauss_jordan(a, range(m.rows), m.cols)
+    fraction-free Gauss-Jordan elimination of the integer rows."""
+    pivots, _ = gauss_jordan([list(r) for r in m.int_rows], range(m.rows), m.cols)
     return sum(r is not None for r in pivots)
 
 
@@ -300,8 +362,10 @@ def solve_linear_system(m: Matrix, rhs: Sequence[Fraction]) -> Vec:
     n = m.rows
     if len(rhs) != n:
         raise DimensionMismatch("rhs length mismatch")
-    rows, _ = _integer_rows([*m.row(i), frac(rhs[i])] for i in range(n))
-    pivots, denom = gauss_jordan(rows, range(n), n)
+    # (rows / q) z = b / qb, times q * qb: integer rows [rows * qb | b * q].
+    b, qb = integers(vector(rhs))
+    aug = [[x * qb for x in row] + [bi * m.denom] for row, bi in zip(m.int_rows, b)]
+    pivots, denom = gauss_jordan(aug, range(n), n)
     if None in pivots:
         raise Singular(f"zero pivot in column {pivots.index(None)}")
-    return tuple(Fraction(rows[r][n], denom) for r in pivots)
+    return tuple(Fraction(aug[r][n], denom) for r in pivots)

@@ -5,9 +5,10 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from rankgames.errors import DegeneracyError, NonzeroOptimum, RankGamesError
-from rankgames.games import BimatrixGame, Rank1Decomposition
+from rankgames.games import BimatrixGame, MixedProfile, Rank1Decomposition
 from rankgames.linalg import Matrix, integer_determinant, matrix_rank, sign, vdot
 from rankgames.lp import EQ, LE, LinearProgram
 from rankgames.polytope import GameFamily, Polytope
@@ -118,6 +119,57 @@ def full_node_sign(family: GameFamily, v, w, duplicate: int) -> int:
         [m] + [i - 1 for i in big_x + minus_x] + [m + 1],
     )
     return sign(det_v * det_w)
+
+
+def fraction_payoff_rows(mat: Matrix, rows, y) -> list:
+    """``mat @ y`` on ``rows`` in ``Fraction``s, summed over the support of y."""
+    support = [(j, yj) for j, yj in enumerate(y) if yj]
+    return [sum((mat.row(i)[j] * yj for j, yj in support), Fraction(0)) for i in rows]
+
+
+def fraction_payoffs(game: BimatrixGame, p: MixedProfile) -> tuple:
+    """The reference for ``games.payoffs``: ``x . A y`` and ``x . B y`` in
+    ``Fraction``s, summed over both supports."""
+    rows = [i for i, xi in enumerate(p.x) if xi]
+    return tuple(
+        sum((p.x[i] * v for i, v in zip(rows, fraction_payoff_rows(mat, rows, p.y))),
+            Fraction(0))
+        for mat in (game.a, game.b)
+    )
+
+
+def fraction_verify_equilibrium(game: BimatrixGame, p: MixedProfile) -> bool:
+    """The reference for ``games.verify_equilibrium``: every row payoff
+    ``A y`` and column payoff ``x B`` in ``Fraction``s, each summed over the
+    other player's support, and every played strategy at the max."""
+    row_payoffs = fraction_payoff_rows(game.a, range(game.m), p.y)
+    best1 = max(row_payoffs)
+    if any(xi > 0 and row_payoffs[i] != best1 for i, xi in enumerate(p.x)):
+        return False
+    col_payoffs = [Fraction(0)] * game.n
+    for i, xi in enumerate(p.x):
+        if xi:
+            col_payoffs = [t + xi * e for t, e in zip(col_payoffs, game.b.row(i))]
+    best2 = max(col_payoffs)
+    return not any(yj > 0 and col_payoffs[j] != best2 for j, yj in enumerate(p.y))
+
+
+def naive_determinant(m: Matrix) -> Fraction:
+    """Independent O(n!) Leibniz-expansion determinant, on the ``Fraction``
+    entries."""
+    n = m.rows
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):  # parity by counting inversions
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Fraction(1)
+        for i in range(n):
+            term *= m[i, perm[i]]
+        total += sign * term
+    return total
 
 
 def fraction_lifted_section(lifted, betas, v, rates, delta):

@@ -340,6 +340,21 @@ def test_degenerate_with_perturb_recovers(tmp_path, capsys):
     assert "x = " in captured.out
 
 
+def test_perturb_is_an_option_only_of_the_verbs_that_retry(tmp_path, capsys):
+    # oracle and rank cannot meet a degenerate instance: --perturb is an
+    # unknown option there, not a flag they ignore.
+    path = write_game(tmp_path, R1A.game())
+    for verb in ("oracle", "rank"):
+        assert main([verb, "--input", path, "--perturb", "5", "--json"]) == EXIT_PARSE, verb
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --perturb 5" in captured.err
+    for argv in (["solve"], ["enumerate"], ["index"], ["trace"], ["regions"],
+                 ["fixedpoint", "--search"]):
+        assert main(argv + ["--input", path, "--perturb", "5", "--json"]) == EXIT_OK, argv
+        assert json.loads(capsys.readouterr().out)["perturbed_seed"] is None, argv
+
+
 def test_guard_exceeded_exits_4(tmp_path, capsys):
     big = BimatrixGame(Matrix.zero(7, 7).shift(1), Matrix.zero(7, 7).shift(2))
     path = write_game(tmp_path, big)

@@ -16,10 +16,20 @@ from rankgames.games import (
     reduce_constant_beta,
     verify_equilibrium,
 )
-from rankgames.linalg import Matrix, vdot
+from rankgames.linalg import Matrix, determinant, sign, vdot
 from rankgames.oracle import support_enumeration
 
-from fixtures import EX1_A, EX1_BETA, EX1_C, K2_GAME, MATCHING_PENNIES, rank1_game
+from fixtures import (
+    EX1_A,
+    EX1_BETA,
+    EX1_C,
+    K2_GAME,
+    MATCHING_PENNIES,
+    fraction_payoffs,
+    fraction_verify_equilibrium,
+    naive_determinant,
+    rank1_game,
+)
 
 HALF = Fraction(1, 2)
 
@@ -88,6 +98,52 @@ def test_support_sums_match_dense_products():
             checked += 1
             equilibria += dense
     assert (checked, equilibria) == (195, 81)
+
+
+def test_per_answer_checks_match_the_fraction_references():
+    # Games with fractional payoffs over coprime denominators; every answer
+    # of support_enumeration, and near misses that move half of one support
+    # entry's weight onto another of the same player's, which must fail.
+    rng = random.Random(33)
+
+    def grid(m, n):
+        return [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)]
+                for _ in range(m)]
+
+    answers = near_misses = 0
+    for _ in range(40):
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        a, b = grid(m, n), grid(m, n)
+        game = BimatrixGame(Matrix(a), Matrix(b))
+        shifted, s1, s2 = positivity_shift(game)
+        a_pos = [[x + s1 for x in row] for row in a]
+        b_pos = [[x + s2 for x in row] for row in b]
+        for rec in support_enumeration(game).equilibria:
+            p = rec.profile
+            assert verify_equilibrium(game, p) and fraction_verify_equilibrium(game, p)
+            assert payoffs(game, p) == fraction_payoffs(game, p) == (rec.payoff1, rec.payoff2)
+            # The index (-1)^(|I|+1) * sign(det A_I^J * det B_I^J) on the
+            # shifted game, as algorithms._checked_index takes it.
+            rows, cols = ([k - 1 for k in side] for side in rec.support)
+            checked = determinant(shifted.a.submatrix(rows, cols)) * determinant(
+                shifted.b.submatrix(rows, cols))
+            reference = [naive_determinant(Matrix([[mat[i][j] for j in cols] for i in rows]))
+                         for mat in (a_pos, b_pos)]
+            assert sign(checked) == sign(reference[0] * reference[1]) != 0
+            answers += 1
+            for side in (0, 1):
+                vec = list((p.x, p.y)[side])
+                support = [k for k, w in enumerate(vec) if w]
+                if len(support) < 2:
+                    continue
+                i, j = rng.sample(support, 2)
+                vec[i], vec[j] = vec[i] / 2, vec[j] + vec[i] / 2
+                miss = MixedProfile(*((vec, p.y) if side == 0 else (p.x, vec)))
+                assert not verify_equilibrium(game, miss)
+                assert not fraction_verify_equilibrium(game, miss)
+                assert payoffs(game, miss) == fraction_payoffs(game, miss)
+                near_misses += 1
+    assert (answers, near_misses) == (67, 42)
 
 
 def test_decompose_rank1_zero_sum_defaults():

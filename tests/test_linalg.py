@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from math import lcm
 
 import pytest
 
@@ -15,25 +15,7 @@ from rankgames.linalg import (
     solve_linear_system,
 )
 
-from fixtures import EX1_A, EX1_C
-
-
-def naive_determinant(m: Matrix) -> Fraction:
-    """Independent O(n!) Leibniz-expansion oracle."""
-    n = m.rows
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):  # parity by counting inversions
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = Fraction(1)
-        for i in range(n):
-            term *= m[i, perm[i]]
-        total += sign * term
-    return total
+from fixtures import EX1_A, EX1_C, naive_determinant
 
 
 def test_determinant_identity():
@@ -232,3 +214,95 @@ def test_singular_message_names_the_first_column_without_a_pivot():
         messages.append(str(err.value))
     pinned = (0, 2, 1, 0, 1, 1, 0, 0, 2, 1, 0, 1, 2, 1, 0, 1, 0, 1, 3, 1, 2, 0, 0, 1)
     assert messages == [f"zero pivot in column {c}" for c in pinned]
+
+
+DENOMS = (1, 1, 2, 3, 7)  # integers and coprime denominators
+
+
+def mixed_grid(rng, rows, cols):
+    """Negative, zero and fractional entries, as lists of Fractions."""
+    return [[Fraction(rng.randint(-9, 9), rng.choice(DENOMS)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def assert_holds(m, grid):
+    """``m`` holds ``grid`` entry by entry in both forms, its integer rows
+    are over the least common denominator, and it equals and hashes as
+    ``Matrix(grid)``."""
+    q = lcm(*(x.denominator for row in grid for x in row))
+    assert (m.rows, m.cols) == (len(grid), len(grid[0]) if grid else 0)
+    assert m.denom == q
+    assert [[Fraction(x, q) for x in row] for row in m.int_rows] == grid
+    assert m.tolists() == grid
+    assert m == Matrix(grid) and hash(m) == hash(Matrix(grid))
+
+
+def test_integer_matrix_matches_the_fraction_grid():
+    # Each operation on the integer rows against the same computation on the
+    # Fraction grid, on a matrix built from the grid and on one built by
+    # arithmetic, whose grid is read off its integer rows.
+    rng = random.Random(19)
+    shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(40)]
+    grids = [mixed_grid(rng, r, c) for r, c in shapes + [(1, 5), (5, 1), (1, 1)]]
+    grids += [[[Fraction(0)] * 3 for _ in range(2)], []]
+    for grid in grids:
+        rows, cols = len(grid), len(grid[0]) if grid else 0
+        s = Fraction(rng.randint(-9, 9), rng.choice(DENOMS))
+        other = mixed_grid(rng, rows, cols)
+        right = mixed_grid(rng, cols, rng.randint(1, 3)) if cols else []
+        row_idx = rng.sample(range(rows), rng.randint(1, rows)) if rows else []
+        col_idx = rng.sample(range(cols), rng.randint(1, cols)) if cols else []
+        u, v = (mixed_grid(rng, 1, k)[0] if k else [] for k in (rows, cols))
+        assert_holds(Matrix.outer(u, v), [[a * b for b in v] for a in u])
+        entries = [x for row in grid for x in row]
+        for m in (Matrix(grid), Matrix(grid).scale(1)):
+            assert_holds(m, grid)
+            assert_holds(m.scale(s), [[s * x for x in row] for row in grid])
+            assert_holds(m.shift(s), [[x + s for x in row] for row in grid])
+            assert_holds(m + Matrix(other), [[x + y for x, y in zip(r, o)]
+                                             for r, o in zip(grid, other)])
+            assert_holds(m - Matrix(other), [[x - y for x, y in zip(r, o)]
+                                             for r, o in zip(grid, other)])
+            assert_holds(-m, [[-x for x in row] for row in grid])
+            assert_holds(m.transpose(), [list(c) for c in zip(*grid)])
+            assert_holds(m.submatrix(row_idx, col_idx),
+                         [[grid[i][j] for j in col_idx] for i in row_idx])
+            assert_holds(m @ Matrix(right), [
+                [sum((r[k] * right[k][j] for k in range(cols)), Fraction(0))
+                 for j in range(len(right[0]) if right else 0)] for r in grid])
+            if entries:
+                assert m.min_entry() == min(entries)
+            assert m.max_abs() == max(map(abs, entries), default=Fraction(0))
+            assert m.is_zero() == all(x == 0 for x in entries)
+            if rows == cols:
+                assert determinant(m) == naive_determinant(Matrix(grid))
+
+
+def test_equal_matrices_compare_and_hash_equal_however_built():
+    half = Matrix([[Fraction(1, 2), 1]])
+    for built in (
+        Matrix([[1, 2]]).scale(Fraction(1, 2)),
+        Matrix([[Fraction(1, 4), Fraction(1, 2)]]) + Matrix([[Fraction(1, 4), Fraction(1, 2)]]),
+        Matrix([[Fraction(3, 2), 2]]).shift(-1),
+        Matrix.outer((Fraction(1, 3),), (Fraction(3, 2), 3)),
+        Matrix([[Fraction(1, 2)], [1]]).transpose(),
+        Matrix([[7, Fraction(1, 2), 1]]).submatrix([0], [1, 2]),
+    ):
+        assert built == half and hash(built) == hash(half)
+        assert (built.int_rows, built.denom) == (((1, 2),), 2)
+    assert Matrix([[1, 2]]) != Matrix([[1], [2]])
+    assert Matrix([]) != Matrix([[]])
+    assert Matrix([[1, 2]]).scale(0) == Matrix.zero(1, 2)
+    assert Matrix.zero(1, 2).denom == 1
+
+
+def test_integer_built_matrix_pickles_and_stays_immutable():
+    import pickle
+
+    m = Matrix([[Fraction(1, 3), -2], [0, Fraction(7, 5)]]).scale(Fraction(5, 2))
+    clone = pickle.loads(pickle.dumps(m))
+    assert clone == m and hash(clone) == hash(m)
+    assert clone.tolists() == [[Fraction(5, 6), -5], [0, Fraction(7, 2)]]
+    for attr in ("rows", "int_rows", "denom"):
+        with pytest.raises(AttributeError):
+            setattr(m, attr, 1)
