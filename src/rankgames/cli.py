@@ -64,7 +64,17 @@ class ParseError(RankGamesError):
     """Game file or argument syntax error (exit code 2)."""
 
 
+def _plain_integer(token: str) -> bool:
+    """An ASCII token of an optional sign and decimal digits only, which
+    ``int`` reads as ``Fraction`` does; underscores and non-ASCII digits,
+    which ``str.isdigit`` or ``int`` accept too, are left to ``Fraction``."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    return token.isascii() and digits.isdigit()
+
+
 def parse_fraction(token: str) -> Fraction:
+    if _plain_integer(token):
+        return Fraction(int(token))
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

@@ -8,11 +8,13 @@ each built on first use (see ``Matrix``).
 The package's one exact integer kernel lives here, as in the integer pivoting
 of lrsnash (Avis, Rosenberg, Savani & von Stengel, 2010): one integerizer
 (``integers``), one ratio test (``least_ratios``), one fraction-free pivot
-(``integer_pivot``) and one Gauss-Jordan loop over it (``gauss_jordan``),
-which solves, ranks and builds every polytope tableau. Each division is exact
-and every entry stays a subdeterminant of the integer input, so no
-intermediate Fraction is normalised. Determinants use Bareiss elimination
-(``integer_determinant``), which does about a third of Gauss-Jordan's row work.
+on a dictionary, which keeps only the nonbasic columns (``exchange_pivot``),
+with its form on a full tableau (``integer_pivot``), and one Gauss-Jordan
+loop of exchanges (``gauss_jordan``), which solves, ranks and builds every
+polytope tableau. Each division is exact and every entry stays a
+subdeterminant of the integer input, so no intermediate Fraction is
+normalised. Determinants use Bareiss elimination (``integer_determinant``),
+which does about a third of Gauss-Jordan's row work.
 """
 from __future__ import annotations
 
@@ -270,14 +272,20 @@ def least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[
     return best_s, best_r, hits
 
 
-def integer_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) -> int:
-    """Fraction-free pivot at column ``c`` of ``prow`` on integer rows whose
-    true values are ``row / d``; returns the new common denominator ``prow[c]``.
+def exchange_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) -> int:
+    """Fraction-free pivot of a dictionary at column ``c`` of ``prow``, in
+    place, on integer rows whose true values are ``row / d``: the variable of
+    column ``c`` enters at ``prow``, and the variable basic there leaves and
+    takes column ``c``. Returns the new common denominator ``p = prow[c]``.
 
-    The pivot row is kept and every other row becomes
-    ``(row * p - row[c] * prow) / d`` in place, with ``p = prow[c]``. Each
-    division is exact: every entry stays a subdeterminant of the starting
-    integer rows (Edmonds' integer-preserving elimination, as in Bareiss).
+    The rows hold only the nonbasic columns; each basic variable's column,
+    ``d`` on its own row and zero elsewhere, is left implicit. The pivot row
+    is kept and every other row becomes ``(row * p - f * prow) / d`` in
+    place, with ``f = row[c]``; then the leaving variable's column is written
+    into column ``c``: ``-f`` on every other row and ``d`` on the pivot row.
+    Each division is exact: every entry stays a subdeterminant of the
+    starting integer rows (Edmonds' integer-preserving elimination, as in
+    Bareiss), and is the one the full tableau holds in that column.
     """
     p = prow[c]
     for row in rows:
@@ -286,21 +294,38 @@ def integer_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) ->
         f = row[c]
         if f:
             row[:] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+            row[c] = -f
         elif p != d:
             row[:] = [x * p // d for x in row]
+    prow[c] = d
+    return p
+
+
+def integer_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) -> int:
+    """``exchange_pivot`` on a full tableau, which keeps every column: column
+    ``c`` becomes basic, ``p = prow[c]`` on the pivot row and zero on every
+    other row. Returns the new common denominator ``p``."""
+    p = exchange_pivot(rows, prow, c, d)
+    for row in rows:
+        row[c] = 0
+    prow[c] = p
     return p
 
 
 def gauss_jordan(rows: Sequence[list[int]], free: Iterable[int],
                  cols: int) -> tuple[list[Optional[int]], int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place, by
+    exchanges (``exchange_pivot``).
 
-    Columns 0..cols-1 are taken in turn; each is pivoted (``integer_pivot``)
-    on the first row in ``free``, row indices in the order given, with a
-    nonzero entry there, and that row leaves ``free``. Every row is updated,
-    free or not. Returns the pivot row of each column,
-    None where no free row has a nonzero entry, and the final common
-    denominator (of either sign): the true rows are ``rows / denom``.
+    Each row r carries an implicit basic variable of its own, its slack:
+    ``rows`` is a dictionary with those basic. Columns 0..cols-1 are taken in
+    turn; each is pivoted on the first row in ``free``, row indices in the
+    order given, with a nonzero entry there, and that row leaves ``free`` and
+    its slack takes the column. Every row is updated, free or not. Returns the
+    pivot row of each column, None where no free row has a nonzero entry, and
+    the final common denominator (of either sign): the true dictionary is
+    ``rows / denom``, and each column without a pivot, such as those past
+    ``cols``, is the reduced echelon form's.
     """
     free = list(free)
     pivots: list[Optional[int]] = []
@@ -309,7 +334,7 @@ def gauss_jordan(rows: Sequence[list[int]], free: Iterable[int],
         r = next((r for r in free if rows[r][col]), None)
         if r is not None:
             free.remove(r)
-            denom = integer_pivot(rows, rows[r], col, denom)
+            denom = exchange_pivot(rows, rows[r], col, denom)
         pivots.append(r)
     return pivots, denom
 

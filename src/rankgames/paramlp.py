@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -171,9 +172,12 @@ def _best_pure_vertex(p: Polytope, objective: Sequence[int]) -> Vertex:
     """The pure vertex y = e_j of P of best objective, preferring columns with
     one best row; ties go to the lowest column."""
     n, m, scale = p.n, p.m, -objective[-1]
-    cols = [[a[j] for a, _ in p.ineqs[:m]] for j in range(n)]
+    # Column j of a over the payoff rows' common scale, read off P's integer rows.
+    rows, scales = p.int_rows[1: m + 1], p.scales[1: m + 1]
+    common = lcm(*scales)
+    cols = [[row[j] * (common // s) for row, s in zip(rows, scales)] for j in range(n)]
     starts = [j for j, col in enumerate(cols) if col.count(max(col)) == 1] or range(n)
-    j = max(starts, key=lambda j: objective[j] - scale * max(cols[j]))
+    j = max(starts, key=lambda j: objective[j] * common - scale * max(cols[j]))
     i = cols[j].index(max(cols[j]))
     return p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
 

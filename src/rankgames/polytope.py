@@ -6,11 +6,16 @@ pi2), with k = 1 on the path. Inequalities carry the labels 1..m+n (rows of
 player 1 first, then columns of player 2); each polytope additionally has the
 single probability equality.
 
-Pivoting runs on a fraction-free integer tableau of the polytope that each
-vertex carries (integer pivoting as in lrsnash: Avis, Rosenberg, Savani & von
-Stengel, 2010), on ``linalg``'s one exact kernel. A vertex given only by its
-basis gets its tableau from ``linalg.gauss_jordan``. A pivot is one
-``linalg.integer_pivot`` on a copy of the base vertex's tableau; the edge
+Each polytope holds its rows as integers, each row times its own least
+positive scale (``Polytope.int_rows``, ``Polytope.scales``), built straight
+from the matrices' integer rows; the ``Fraction`` rows are built only when
+read. Pivoting runs on a fraction-free integer tableau of the polytope that
+each vertex carries (integer pivoting as in lrsnash: Avis, Rosenberg, Savani
+& von Stengel, 2010), on ``linalg``'s one exact kernel. The tableau is a
+dictionary: it keeps only the d - 1 nonbasic slack columns and the rhs, in
+label order. A vertex given only by its basis gets its tableau from
+``linalg.gauss_jordan`` on the integer rows. A pivot is one
+``linalg.exchange_pivot`` on a copy of the base vertex's tableau; the edge
 direction, the ratio test (``linalg.least_ratios``), the far vertex and its
 labels are read off that tableau, so the walk solves no system. Coordinates,
 directions and steps are still returned as ``Fraction``, but a pivot's far
@@ -22,11 +27,12 @@ direction at all.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from operator import mul
+from math import comb, gcd, lcm
+from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -44,9 +50,8 @@ from .linalg import (
     Matrix,
     Rat,
     Vec,
-    frac,
+    exchange_pivot,
     gauss_jordan,
-    integer_pivot,
     integers,
     least_ratios,
     matrix_rank,
@@ -57,24 +62,29 @@ from .linalg import (
 
 
 class Tableau(NamedTuple):
-    """Fraction-free tableau of a polytope at one vertex.
+    """Fraction-free dictionary of a polytope at one vertex.
 
-    One row per row of ``Polytope.int_rows``, over the columns z_0..z_{d-1},
-    the slacks of labels 1..L and the right-hand side; the true tableau is
-    ``rows / denom`` with ``denom > 0``. Row r's basic variable is the column
-    ``basic[r]``: z_r in the first d rows, then one slack per row, the slacks
-    outside the basis. The slack of label l is measured in ``int_rows[l]``,
-    so it is the true slack times ``Polytope.scales[l]``.
+    One row per row of ``Polytope.int_rows``, over the nonbasic columns only:
+    the slacks of the basis labels ``cols``, ascending, then the right-hand
+    side; the true dictionary is ``rows / denom`` with ``denom > 0``. Every
+    entry is the one the full tableau over z_0..z_{d-1}, the slacks of labels
+    1..L and the rhs holds in that column; its basic columns, ``denom`` on
+    their row and zero elsewhere, are left out. Row r's basic variable is the
+    full tableau's column ``basic[r]``: z_r in the first d rows, then one
+    slack per row, the slacks outside the basis (label l's is column
+    d + l - 1). The slack of label l is measured in ``int_rows[l]``, so it is
+    the true slack times ``Polytope.scales[l]``.
     """
 
     rows: tuple[tuple[int, ...], ...]
     denom: int
     basic: tuple[int, ...]
+    cols: tuple[int, ...]
 
     def point(self) -> Vec:
         """The vertex's coordinates: the rhs of the z rows over ``denom``.
-        There are d = (columns - rows) of them: d + L + 1 columns, L + 1 rows."""
-        d = len(self.rows[0]) - len(self.rows)
+        There are d of them: d - 1 slack columns and the rhs."""
+        d = len(self.rows[0])
         return tuple(Fraction(row[-1], self.denom) for row in self.rows[:d])
 
 
@@ -127,9 +137,10 @@ class EdgeDescriptor:
     Points are ``base.coords + t * direction`` for t in [0, t_max], with
     t_max None on unbounded edges. An edge that ``pivot`` makes carries its
     base's ``tableau`` and, as ``column``, its direction times
-    ``tableau.denom`` in integers (the relaxed slack's column); it is made
-    with ``direction`` None, which is read off them when first used. Edges
-    from ``edge_through_point`` carry neither.
+    ``tableau.denom`` in integers (the relaxed slack's nonbasic column on the
+    z rows, times minus the row's scale); it is made with ``direction`` None,
+    which is read off them when first used. Edges from ``edge_through_point``
+    carry neither.
     """
 
     base: Vertex
@@ -153,25 +164,38 @@ class EdgeDescriptor:
 
 
 class Polytope:
-    """Inequalities ``a . z <= b`` labeled 1..m+n plus one equality row."""
+    """Inequalities ``a . z <= b`` labeled 1..m+n plus one equality row.
 
-    def __init__(self, which: str, dim: int, ineqs: Sequence[tuple[Vec, Rat]],
-                 eq: tuple[Vec, Rat], m: int, n: int):
+    ``int_rows[l]`` is row l's (a, b) in integers, times its least positive
+    scale ``scales[l]``: the equality at index 0, inequality l at index l.
+    """
+
+    def __init__(self, which: str, dim: int, int_rows: Sequence[Sequence[int]],
+                 scales: Sequence[int], m: int, n: int):
         self.which = which
         self.dim = dim
-        self.ineqs = tuple((vector(a), frac(b)) for a, b in ineqs)
-        self.eq = (vector(eq[0]), frac(eq[1]))
+        self.int_rows = tuple(map(tuple, int_rows))
+        self.scales = tuple(scales)
         self.m = m
         self.n = n
-        # Each row a . z <= b (the equality at index 0, inequality l at index
-        # l) as integers (a, b) times its own positive scale.
-        scaled = [integers((*a, b)) for a, b in (self.eq, *self.ineqs)]
-        self.int_rows = tuple(tuple(row) for row, _ in scaled)
-        self.scales = tuple(scale for _, scale in scaled)
+
+    def _fraction_row(self, index: int) -> tuple[Vec, Rat]:
+        row, scale = self.int_rows[index], self.scales[index]
+        return tuple(Fraction(x, scale) for x in row[:-1]), Fraction(row[-1], scale)
+
+    @property
+    def ineqs(self) -> tuple[tuple[Vec, Rat], ...]:
+        """Every inequality (a, b) in ``Fraction``s, label order."""
+        return tuple(self._fraction_row(lab) for lab in range(1, len(self.int_rows)))
+
+    @property
+    def eq(self) -> tuple[Vec, Rat]:
+        """The probability equality (a, b) in ``Fraction``s."""
+        return self._fraction_row(0)
 
     @property
     def n_labels(self) -> int:
-        return len(self.ineqs)
+        return len(self.int_rows) - 1
 
     @property
     def basis_size(self) -> int:
@@ -180,7 +204,7 @@ class Polytope:
     def row(self, label: int) -> tuple[Vec, Rat]:
         if not 1 <= label <= self.n_labels:
             raise IndexError(f"label {label} out of 1..{self.n_labels}")
-        return self.ineqs[label - 1]
+        return self._fraction_row(label)
 
     def _dots(self, v: Sequence[Fraction]) -> tuple[list[int], int]:
         """``a . v`` of every inequality, times its row scale and q, the least
@@ -220,29 +244,33 @@ class Polytope:
         return self._basis_tableau(vertex.basis) if vertex.tableau is None else vertex.tableau
 
     def _basis_tableau(self, basis: frozenset[int]) -> Tableau:
-        """The tableau of a basis, built with d integer pivots
-        (``gauss_jordan``), each bringing one z into the equality row or a
-        basis row."""
+        """The tableau of a basis, built with d exchanges (``gauss_jordan``)
+        on the integer rows [z | rhs], each bringing one z into the equality
+        row or a basis row; the equality's column, which has no slack, is
+        dropped and the basis slacks' columns are put in label order."""
         if len(basis) != self.basis_size:
             raise DimensionMismatch(
                 f"basis size {len(basis)} != {self.basis_size} for {self.which}"
             )
-        d, n_labels = self.dim, self.n_labels
-        rows = [[*row[:d], *([0] * n_labels), row[d]] for row in self.int_rows]
-        basic = [-1] + list(range(d, d + n_labels))  # the equality has no slack
-        for lab in range(1, n_labels + 1):
-            rows[lab][d + lab - 1] = 1
+        d = self.dim
+        rows = [list(row) for row in self.int_rows]
         pivots, denom = gauss_jordan(rows, [0, *sorted(basis)], d)
         if None in pivots:
             raise Singular(f"basis {sorted(basis)} is singular in {self.which}")
+        basic = [-1, *range(d, d + self.n_labels)]  # the equality has no slack
         for col, r in enumerate(pivots):
             basic[r] = col
         order = sorted(range(len(rows)), key=basic.__getitem__)
-        sign = 1 if denom > 0 else -1
+        # Column j now holds the slack of row pivots[j], which is its label.
+        keep = sorted((r, j) for j, r in enumerate(pivots) if r)
+        if denom < 0:
+            rows, denom = [[-x for x in row] for row in rows], -denom
+        pick = itemgetter(*(j for _, j in keep), d)
         return Tableau(
-            tuple(tuple(sign * x for x in rows[r]) for r in order),
-            sign * denom,
+            tuple(pick(rows[r]) for r in order),
+            denom,
             tuple(basic[r] for r in order),
+            tuple(lab for lab, _ in keep),
         )
 
     def _tableau_vertex(self, basis: frozenset[int], tab: Tableau) -> Vertex:
@@ -255,7 +283,7 @@ class Polytope:
     def _column(self, tab: Tableau, relax: int) -> tuple[int, ...]:
         """Relax's edge direction times ``tab.denom``: the slack's column on
         the z rows, times minus the row's scale."""
-        col, scale = self.dim + relax - 1, -self.scales[relax]
+        col, scale = tab.cols.index(relax), -self.scales[relax]
         return tuple(scale * row[col] for row in tab.rows[: self.dim])
 
     def _min_ratio(self, steps: Iterable[tuple[int, int, int]],
@@ -276,17 +304,25 @@ class Polytope:
 
     def _ratio_rows(self, tab: Tableau, relax: int) -> list[tuple[int, int, int]]:
         """(label, slack, rate) of every basic slack along relax's edge, in label order."""
-        d, col = self.dim, self.dim + relax - 1
+        d, col = self.dim, tab.cols.index(relax)
         slack_rows = zip(tab.basic[d:], tab.rows[d:])
         return sorted((var - d + 1, row[-1], row[col]) for var, row in slack_rows)
 
     def _pivot_to(self, vertex: Vertex, tab: Tableau, relax: int, hit: int) -> Vertex:
-        """One integer pivot on a copy of the tableau: relax leaves the basis, hit enters."""
-        d, col = self.dim, self.dim + relax - 1
+        """One exchange on a copy of the tableau: relax leaves the basis, hit
+        enters, and hit's slack column moves to its place in label order."""
+        d, c = self.dim, tab.cols.index(relax)
         r = tab.basic.index(d + hit - 1)
         rows = [list(row) for row in tab.rows]
-        denom = integer_pivot(rows, rows[r], col, tab.denom)
-        tab = Tableau(tuple(map(tuple, rows)), denom, tab.basic[:r] + (col,) + tab.basic[r + 1:])
+        denom = exchange_pivot(rows, rows[r], c, tab.denom)
+        cols = [*tab.cols[:c], *tab.cols[c + 1:]]
+        k = bisect(cols, hit)
+        cols.insert(k, hit)
+        if k != c:
+            for row in rows:
+                row.insert(k, row.pop(c))
+        basic = tab.basic[:r] + (d + relax - 1,) + tab.basic[r + 1:]
+        tab = Tableau(tuple(map(tuple, rows)), denom, basic, tuple(cols))
         return self._tableau_vertex(vertex.basis - {relax} | {hit}, tab)
 
     def pivot(self, vertex: Vertex, relax: int) -> EdgeDescriptor:
@@ -362,23 +398,34 @@ class Polytope:
         return EdgeDescriptor(base, relaxed, direction, t_total, pos_v)
 
 
+def _integer_row(nums: Sequence[int], q: int, tail: Sequence[Rat]) -> tuple[tuple[int, ...], int]:
+    """The row (nums / q, *tail) in integers, times its least positive scale,
+    and that scale; ``tail`` holds ints or Fractions."""
+    scale = lcm(q // gcd(q, *nums), *(t.denominator for t in tail))
+    return (*(x * scale // q for x in nums),
+            *(t.numerator * (scale // t.denominator) for t in tail)), scale
+
+
+def _sign_row(i: int, width: int) -> tuple[tuple[int, ...], int]:
+    """z_i >= 0 as -z_i <= 0, over ``width`` columns with the rhs."""
+    return tuple(-1 if col == i else 0 for col in range(width)), 1
+
+
 def build_p(a: Matrix) -> Polytope:
-    """Best-response polytope of the row player over (y, pi1)."""
+    """Best-response polytope of the row player over (y, pi1), from the
+    integer rows of ``a``."""
     m, n = a.rows, a.cols
-    ineqs: list[tuple[Vec, Rat]] = []
-    for i in range(m):
-        ineqs.append((tuple(a.row(i)) + (Fraction(-1),), Fraction(0)))
-    for j in range(n):
-        row = [Fraction(0)] * (n + 1)
-        row[j] = Fraction(-1)
-        ineqs.append((tuple(row), Fraction(0)))
-    eq = (vector([1] * n + [0]), Fraction(1))
-    return Polytope("P", n + 1, ineqs, eq, m, n)
+    rows = [((*[1] * n, 0, 1), 1)]
+    rows += [_integer_row(row, a.denom, (-1, 0)) for row in a.int_rows]
+    rows += [_sign_row(j, n + 2) for j in range(n)]
+    int_rows, scales = zip(*rows)
+    return Polytope("P", n + 1, int_rows, scales, m, n)
 
 
 def build_qprime(c: Matrix, betas: Sequence[Sequence[Fraction]]) -> Polytope:
     """Lifted column-player polytope over (x, lambda_1..lambda_k, pi2), one
-    lambda per beta; column j's row is c_j . x + sum_l beta_l[j] lambda_l <= pi2."""
+    lambda per beta; column j's row is c_j . x + sum_l beta_l[j] lambda_l <= pi2,
+    built from the integer rows of ``c``."""
     betas = tuple(vector(b) for b in betas)
     if not betas:
         raise NoBetas("the lifted polytope needs at least one beta")
@@ -389,16 +436,12 @@ def build_qprime(c: Matrix, betas: Sequence[Sequence[Fraction]]) -> Polytope:
         raise DimensionMismatch("beta length differs from column count")
     if matrix_rank(Matrix(betas)) != k:
         raise DependentBetas("beta vectors are linearly dependent")
-    ineqs: list[tuple[Vec, Rat]] = []
-    for i in range(m):
-        row = [Fraction(0)] * (m + k + 1)
-        row[i] = Fraction(-1)
-        ineqs.append((tuple(row), Fraction(0)))
-    for j in range(n):
-        coeffs = (*c.col(j), *(beta[j] for beta in betas), Fraction(-1))
-        ineqs.append((coeffs, Fraction(0)))
-    eq = (vector([1] * m + [0] * (k + 1)), Fraction(1))
-    return Polytope("Qprime", m + k + 1, ineqs, eq, m, n)
+    rows = [((*[1] * m, *[0] * (k + 1), 1), 1)]
+    rows += [_sign_row(i, m + k + 2) for i in range(m)]
+    rows += [_integer_row(col, c.denom, (*(beta[j] for beta in betas), -1, 0))
+             for j, col in enumerate(zip(*c.int_rows))]
+    int_rows, scales = zip(*rows)
+    return Polytope("Qprime", m + k + 1, int_rows, scales, m, n)
 
 
 def _unique_arg_extreme(values: Sequence[Fraction], want_max: bool) -> int:

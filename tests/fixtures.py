@@ -6,12 +6,21 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
-from rankgames.errors import DegeneracyError, NonzeroOptimum, RankGamesError
+from rankgames.errors import DegeneracyError, NonzeroOptimum, RankGamesError, Singular
 from rankgames.games import BimatrixGame, MixedProfile, Rank1Decomposition
-from rankgames.linalg import Matrix, integer_determinant, matrix_rank, sign, vdot
+from rankgames.linalg import (
+    Matrix,
+    integer_determinant,
+    integer_pivot,
+    integers,
+    matrix_rank,
+    sign,
+    vdot,
+)
 from rankgames.lp import EQ, LE, LinearProgram
-from rankgames.polytope import GameFamily, Polytope
+from rankgames.polytope import GameFamily, Polytope, Tableau
 
 # Worked example: a game family whose fully-labeled set is a path plus one
 # 3-cycle. Derived path vertices (exact): ((0,1,0),9) -> ((2/11,9/11,0),81/11)
@@ -41,6 +50,79 @@ def polytope_lp(poly: Polytope, objective) -> LinearProgram:
     rows = [a for a, _ in poly.ineqs] + [poly.eq[0]]
     rhs = [b for _, b in poly.ineqs] + [poly.eq[1]]
     return LinearProgram.build(objective, rows, [LE] * len(poly.ineqs) + [EQ], rhs)
+
+
+def fraction_polytope_rows(a: Matrix, c: Matrix, betas) -> tuple:
+    """The reference for ``build_p`` and ``build_qprime``'s integer rows:
+    each polytope's rows built in ``Fraction``s, the equality first, and
+    each made integer by ``linalg.integers``. Returns (int_rows, scales) of
+    P over (y, pi1) and of Q' over (x, lambda_1..lambda_k, pi2)."""
+    m, n, k = a.rows, a.cols, len(betas)
+
+    def unit(i: int, width: int) -> tuple:
+        return tuple(Fraction(-1 if col == i else 0) for col in range(width)) + (Fraction(0),)
+
+    p_rows = [(*[Fraction(1)] * n, Fraction(0), Fraction(1))]
+    p_rows += [(*a.row(i), Fraction(-1), Fraction(0)) for i in range(m)]
+    p_rows += [unit(j, n + 1) for j in range(n)]
+    q_rows = [(*[Fraction(1)] * m, *[Fraction(0)] * (k + 1), Fraction(1))]
+    q_rows += [unit(i, m + k + 1) for i in range(m)]
+    q_rows += [(*c.col(j), *(Fraction(b[j]) for b in betas), Fraction(-1), Fraction(0))
+               for j in range(n)]
+    return tuple(
+        (tuple(tuple(integers(row)[0]) for row in rows), tuple(integers(row)[1] for row in rows))
+        for rows in (p_rows, q_rows))
+
+
+class FullTableau(NamedTuple):
+    """A polytope tableau over every column: z_0..z_{d-1}, the slacks of
+    labels 1..L and the rhs, over ``denom``; ``basic`` as in ``Tableau``."""
+
+    rows: tuple
+    denom: int
+    basic: tuple
+
+
+def full_basis_tableau(poly: Polytope, basis) -> FullTableau:
+    """The reference for ``Polytope._basis_tableau``: Gauss-Jordan with
+    ``linalg.integer_pivot`` on the full-width tableau, each row's slack
+    column an explicit unit column."""
+    d, n_labels = poly.dim, poly.n_labels
+    rows = [[*row[:d], *([0] * n_labels), row[d]] for row in poly.int_rows]
+    basic = [-1] + list(range(d, d + n_labels))
+    for lab in range(1, n_labels + 1):
+        rows[lab][d + lab - 1] = 1
+    free, denom = [0, *sorted(basis)], 1
+    for col in range(d):
+        r = next((r for r in free if rows[r][col]), None)
+        if r is None:
+            raise Singular(f"basis {sorted(basis)} is singular in {poly.which}")
+        free.remove(r)
+        denom = integer_pivot(rows, rows[r], col, denom)
+        basic[r] = col
+    order = sorted(range(len(rows)), key=basic.__getitem__)
+    sign = 1 if denom > 0 else -1
+    return FullTableau(tuple(tuple(sign * x for x in rows[r]) for r in order),
+                       sign * denom, tuple(basic[r] for r in order))
+
+
+def full_pivot(poly: Polytope, tab: FullTableau, relax: int, hit: int) -> FullTableau:
+    """The reference for ``Polytope._pivot_to``: one ``integer_pivot`` on a
+    copy of the full-width tableau, relax's slack entering at hit's row."""
+    d, col = poly.dim, poly.dim + relax - 1
+    r = tab.basic.index(d + hit - 1)
+    rows = [list(row) for row in tab.rows]
+    denom = integer_pivot(rows, rows[r], col, tab.denom)
+    return FullTableau(tuple(map(tuple, rows)), denom,
+                       tab.basic[:r] + (col,) + tab.basic[r + 1:])
+
+
+def nonbasic_columns(poly: Polytope, tab: FullTableau) -> Tableau:
+    """A full-width tableau's nonbasic slack columns, in label order, and its rhs."""
+    d = poly.dim
+    labels = tuple(lab for lab in range(1, poly.n_labels + 1) if d + lab - 1 not in tab.basic)
+    rows = tuple((*(row[d + lab - 1] for lab in labels), row[-1]) for row in tab.rows)
+    return Tableau(rows, tab.denom, tab.basic, labels)
 
 
 def watch_solve_lp(monkeypatch) -> list:

@@ -14,6 +14,7 @@ from rankgames.cli import (
     EXIT_OK,
     EXIT_PARSE,
     main,
+    parse_fraction,
     parse_game_file,
     render_game,
 )
@@ -60,6 +61,38 @@ def test_parse_errors():
         parse_game_file("2 2\n1 2 3\n")
     with pytest.raises(Exception):
         parse_game_file("1 1\nx\ny\n")
+
+
+def test_plain_integer_tokens_parse_exactly_as_fraction_does():
+    # The fast path takes only ASCII tokens of an optional sign and digits,
+    # and gives Fraction(token) on each; every other token goes through
+    # Fraction, and a bad one raises the same ParseError message as before.
+    # isdigit accepts the superscript, which int rejects; int and Fraction
+    # accept underscores and non-ASCII digits, which the fast path leaves.
+    tokens = ["0", "-0", "+0", "7", "-7", "+7", "007", "-00012", str(10**40), f"-{10**40}",
+              "1_0", "-1_000", "\u00b2", "-\u00b2", "\u0661\u0662", "-\u0661", "\u0663/\u0664",
+              "1/2", "-3/4", "1.5", "1e3", "-2E-2", "+-5", "--5", "-", "+", "", "x", "1/0",
+              "0x10", "nan", "inf"]
+    rng = random.Random(19)
+    alphabet = "0123456789+-/_.e\u00b2\u0661x"
+    tokens += ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4))) for _ in range(3000)]
+    taken = 0
+    for token in tokens:
+        try:
+            want = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        if cli._plain_integer(token):
+            taken += 1
+            got = parse_fraction(token)
+            assert type(got) is Fraction and got == want
+        if want is None:
+            with pytest.raises(cli.ParseError) as exc:
+                parse_fraction(token)
+            assert str(exc.value) == f"bad rational token {token!r}"
+        else:
+            assert parse_fraction(token) == want
+    assert taken == 885
 
 
 def test_solve_matching_pennies(tmp_path, capsys):

@@ -8,7 +8,9 @@ from rankgames.errors import DimensionMismatch, NotSquare, Singular
 from rankgames.linalg import (
     Matrix,
     determinant,
+    exchange_pivot,
     gauss_jordan,
+    integer_pivot,
     integers,
     least_ratios,
     matrix_rank,
@@ -131,13 +133,28 @@ def test_least_ratios_takes_the_least_positive_rate_ratio_exactly():
 
 
 def test_gauss_jordan_pivots_each_column_on_its_first_free_nonzero_row():
+    # Row r's slack s_r is basic and left implicit; each pivot column ends
+    # holding the slack column of its pivot row, and an unpivoted column is
+    # the reduced echelon form's: rows / -1 is over (s_0, z_1, s_1), and
+    # [[1, 3], [2, 5]]^-1 is -[[5, -3], [-2, 1]].
     rows = [[1, 2, 3], [2, 4, 5]]
     assert gauss_jordan(rows, [0, 1], 3) == ([0, None, 1], -1)
-    assert rows == [[-1, -2, 0], [0, 0, -1]]  # rows / -1: the reduced echelon form
-    # Free rows are tried in the order given; a dependent row is left zero.
+    assert rows == [[5, -2, -3], [-2, 0, 1]]
+    # Free rows are tried in the order given; a dependent row keeps its slack
+    # basic: rows / 3 is over (s_2, s_1), and row 0 reads s_0 = 2 s_1 - s_2.
     rows = [[0, 1], [3, 4], [6, 7]]
     assert gauss_jordan(rows, [2, 1, 0], 2) == ([2, 1], 3)
-    assert rows == [[0, 0], [0, 3], [3, 0]]
+    assert rows == [[3, -6], [-3, 6], [4, -7]]
+
+
+def test_exchange_pivot_keeps_the_full_pivots_nonbasic_columns():
+    # The full tableau over (z_0, z_1, s_0, s_1 | rhs) with s_0, s_1 basic,
+    # and its dictionary over (z_0, z_1 | rhs): z_1 enters at row 1. The
+    # dictionary's columns become (z_0, s_1), each the full pivot's column.
+    full = [[2, 1, 1, 0, 4], [1, 3, 0, 1, 6]]
+    narrow = [[2, 1, 4], [1, 3, 6]]
+    assert integer_pivot(full, full[1], 1, 1) == exchange_pivot(narrow, narrow[1], 1, 1) == 3
+    assert narrow == [[row[0], row[3], row[4]] for row in full] == [[5, -1, 6], [1, 1, 6]]
 
 
 def test_integers_are_numerators_over_the_least_common_denominator():

@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -10,13 +11,17 @@ from rankgames.errors import (
     ConstantBeta,
     DegeneratePolytope,
     DependentBetas,
+    RankGamesError,
+    Singular,
     TooLarge,
     ZeroBeta,
 )
 from rankgames.linalg import Matrix, solve_linear_system, vadd, vdot, vscale
+from rankgames.paramlp import _section
 from rankgames.polytope import (
     EdgeDescriptor,
     GameFamily,
+    Polytope,
     Vertex,
     build_p,
     build_qprime,
@@ -29,6 +34,10 @@ from fixtures import (
     EX1_C,
     ex1_family,
     feasible,
+    fraction_polytope_rows,
+    full_basis_tableau,
+    full_pivot,
+    nonbasic_columns,
     random_rank1,
     random_rank_k,
     ray_anchors,
@@ -269,6 +278,79 @@ def test_tableau_pivot_matches_fraction_reference_on_every_edge():
                             want2.far_end.coords, want2.far_end.labels)
                 assert far.tableau == snapshot
     assert (compared, messages, rays) == (2163, 312, 125)
+
+
+def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
+    # Every tableau that a build or a pivot makes equals the full-width
+    # reference's nonbasic columns and rhs, row for row, with the same basic
+    # variables and denominator; the reference pivots its own full-width
+    # tableau alongside. Builds come from every vertex of the pivot corpus,
+    # pivots from every edge of each vertex and of its far end (Bland's rule
+    # takes the degenerate ones too), and both from every section walk.
+    from test_paramlp import section_corpus
+
+    reference = {}  # id of a narrow tableau -> (that tableau, its full-width reference)
+    counts = Counter()
+    build, pivot_to = Polytope._basis_tableau, Polytope._pivot_to
+
+    def checked_build(self, basis):
+        try:
+            full = full_basis_tableau(self, basis)
+        except Singular:
+            counts["singular"] += 1
+            with pytest.raises(Singular):
+                build(self, basis)
+            raise
+        tab = build(self, basis)
+        assert tab == nonbasic_columns(self, full)
+        reference[id(tab)] = tab, full
+        counts["build"] += 1
+        return tab
+
+    def checked_pivot(self, vertex, tab, relax, hit):
+        far = pivot_to(self, vertex, tab, relax, hit)
+        full = full_pivot(self, reference[id(tab)][1], relax, hit)
+        assert far.tableau == nonbasic_columns(self, full)
+        reference[id(far.tableau)] = far.tableau, full
+        counts["pivot"] += 1
+        return far
+
+    monkeypatch.setattr(Polytope, "_basis_tableau", checked_build)
+    monkeypatch.setattr(Polytope, "_pivot_to", checked_pivot)
+    for poly in _pivot_corpus():
+        for v in enumerate_vertices(poly):
+            for relax in sorted(v.basis):
+                far = poly.simplex_pivot(v, relax)
+                for again in sorted(far.basis) if far is not None else ():
+                    poly.simplex_pivot(far, again)
+    for _, _, p, lifted, betas, delta in section_corpus():
+        try:
+            _section(p, lifted, betas, delta)
+        except RankGamesError:
+            counts["rejected"] += 1
+    assert counts == {"build": 851, "singular": 148, "pivot": 2523, "rejected": 29}
+
+
+def test_polytope_rows_equal_the_fraction_rows_made_integer():
+    # build_p and build_qprime read the matrices' integer rows; on integer
+    # and fractional matrices alike, each row and scale is the one that
+    # linalg.integers makes of the Fraction row.
+    rng = random.Random(20)
+    for q in (1, 1, 2, 3, 6, 7):
+        m, n = rng.randint(1, 4), rng.randint(2, 4)
+        a, c = (Matrix([[Fraction(rng.randint(-9, 9), q) for _ in range(n)] for _ in range(m)])
+                for _ in range(2))
+        betas = [tuple(Fraction(rng.randint(1, 6), rng.choice((1, q))) for _ in range(n))]
+        if rng.random() < 0.5 and n > 2:
+            betas.append(tuple(Fraction(rng.randint(-6, 6)) for _ in range(n)))
+        try:
+            qp = build_qprime(c, betas)
+        except DependentBetas:
+            continue
+        p = build_p(a)
+        assert ((p.int_rows, p.scales), (qp.int_rows, qp.scales)) == fraction_polytope_rows(
+            a, c, betas)
+        assert p.ineqs[0] == (tuple(a.row(0)) + (-1,), 0)
 
 
 def test_integer_labels_and_feasibility_match_fraction_slacks():
