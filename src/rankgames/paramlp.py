@@ -4,20 +4,21 @@ The section LP at a parameter value is a primal walk on the row polytope's own
 tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot`` by Bland's rule
 where every improving pivot is degenerate), from the best pure vertex or from
 a vertex the caller gives, such as the previous probe's optimum, which carries
-its tableau. The walk chooses its improving labels off P's integer tableau, by
-the sign of one integer dot per label, and builds the ``Fraction`` edge rates
-once, at its optimum. The same dots, negated, are the multipliers of the
-lifted point, a fully-labeled partner with combined objective exactly zero:
-its feasibility and zero gap are checked in integers, and only the point is
-built in ``Fraction``s. The edge rates give the path edge through that
-partner and the affine piece of the rank-k box map, so no square system
-is solved. Intersecting the containing edge with a game's selection
-hyperplane yields a crossing point or a side classification; the crossing is
-only geometry, which the caller verifies on its own game. On a path edge that
+its tableau. The walk chooses its improving labels off P's integer tableau, a
+dictionary of the basis labels' slack columns (``polytope.Tableau``), by the
+sign of one integer dot with each label's column, and builds the ``Fraction``
+edge rates once, at its optimum. The same dots, negated, are the multipliers
+of the lifted point, a fully-labeled partner with combined objective exactly
+zero: its feasibility and zero gap are checked in integers, and only the point
+is built in ``Fraction``s. The edge rates give the path edge through that
+partner and the affine piece of the rank-k box map, so no square system is
+solved. Intersecting the containing edge with a game's selection hyperplane
+yields a crossing point or a side classification; the crossing is only
+geometry, which the caller verifies on its own game. On a path edge that
 ``Polytope.pivot`` made, the hyperplane's value and its rate are integer dots
-of the hyperplane's integer row with the Q' tableau's rhs and relaxed column;
-only crossings, and edges and vertices built from ``Fraction`` points, use
-coordinates.
+of the hyperplane's integer row with the Q' tableau's rhs and the relaxed
+slack's column; only crossings, and edges and vertices built from ``Fraction``
+points, use coordinates.
 """
 from __future__ import annotations
 
@@ -120,8 +121,9 @@ def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> Rates:
     edge direction d the section objective sum_l delta_l * (beta_l . y) - pi1
     changes at rate g_r . delta - c_r, with g_r = (beta_l . d_y)_l, c_r = d_pi1.
 
-    Each is one integer dot with r's column on v's tableau, which is d times
-    ``denom``, over ``denom`` and the beta's own lcm.
+    Each is one integer dot with r's column on v's tableau (``Polytope._column``:
+    r's nonbasic column on the z rows, which is d times ``denom``), over
+    ``denom`` and the beta's own lcm.
     """
     tab = p.tableau(v)
     scaled = [integers(beta) for beta in betas]

@@ -69,9 +69,11 @@ def fraction_polytope_rows(a: Matrix, c: Matrix, betas) -> tuple:
     q_rows += [unit(i, m + k + 1) for i in range(m)]
     q_rows += [(*c.col(j), *(Fraction(b[j]) for b in betas), Fraction(-1), Fraction(0))
                for j in range(n)]
-    return tuple(
-        (tuple(tuple(integers(row)[0]) for row in rows), tuple(integers(row)[1] for row in rows))
-        for rows in (p_rows, q_rows))
+    def integer_form(rows) -> tuple:
+        scaled = [integers(row) for row in rows]
+        return tuple(tuple(r) for r, _ in scaled), tuple(scale for _, scale in scaled)
+
+    return integer_form(p_rows), integer_form(q_rows)
 
 
 class FullTableau(NamedTuple):

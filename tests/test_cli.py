@@ -75,7 +75,8 @@ def test_plain_integer_tokens_parse_exactly_as_fraction_does():
               "0x10", "nan", "inf"]
     rng = random.Random(19)
     alphabet = "0123456789+-/_.e\u00b2\u0661x"
-    tokens += ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4))) for _ in range(3000)]
+    tokens += ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+               for _ in range(3000)]
     taken = 0
     for token in tokens:
         try:
