@@ -1,5 +1,6 @@
 """Golden CLI output: exit code and stdout of ``solve --json``, ``enumerate
---json`` and ``trace --json`` on a dozen seeded games, byte for byte.
+--json``, ``trace --json`` and ``regions --json`` on a dozen seeded games,
+byte for byte.
 
 The fixture ``golden_cli.json`` holds each game's text with the recorded
 outputs, so a change to it is a visible change of the CLI's output. Rebuild it
@@ -25,7 +26,7 @@ from rankgames.linalg import Matrix
 from fixtures import random_rank1
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
-VERBS = ("solve", "enumerate", "trace")
+VERBS = ("solve", "enumerate", "trace", "regions")
 
 
 def golden_games() -> dict[str, str]:
