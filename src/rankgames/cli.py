@@ -112,12 +112,8 @@ def render_game(game: BimatrixGame) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _vec_str(v: Sequence[Fraction]) -> str:
-    return "(" + ", ".join(_rat_str(x) for x in v) + ")"
+    return "(" + ", ".join(str(x) for x in v) + ")"
 
 
 def record_line(rec: EquilibriumRecord) -> str:
@@ -127,10 +123,10 @@ def record_line(rec: EquilibriumRecord) -> str:
 
 def record_json(rec: EquilibriumRecord) -> dict:
     return {
-        "x": [_rat_str(v) for v in rec.profile.x],
-        "y": [_rat_str(v) for v in rec.profile.y],
-        "payoff1": _rat_str(rec.payoff1),
-        "payoff2": _rat_str(rec.payoff2),
+        "x": [str(v) for v in rec.profile.x],
+        "y": [str(v) for v in rec.profile.y],
+        "payoff1": str(rec.payoff1),
+        "payoff2": str(rec.payoff2),
         "support": [list(rec.support[0]), list(rec.support[1])],
         "index": rec.index,
         "provenance": rec.provenance,
@@ -219,8 +215,8 @@ def cmd_rank(game: BimatrixGame, args, out: dict) -> None:
     d = decompose_rank_k(game)
     out["rank"] = matrix_rank(s)
     out["decomposition"] = {
-        "gammas": [[_rat_str(v) for v in g] for g in d.gammas],
-        "betas": [[_rat_str(v) for v in b] for b in d.betas],
+        "gammas": [[str(v) for v in g] for g in d.gammas],
+        "betas": [[str(v) for v in b] for b in d.betas],
     }
     out["lines"] = [f"rank(A+B) = {out['rank']}"]
     for l, (g, b) in enumerate(zip(d.gammas, d.betas), start=1):
@@ -262,7 +258,7 @@ def cmd_trace(game: BimatrixGame, args, out: dict) -> None:
                 "w_basis": sorted(u.w.basis),
                 "duplicate": u.duplicate,
                 "sign": u.sign,
-                "lambda": _rat_str(family.lambda_of(u.w)),
+                "lambda": str(family.lambda_of(u.w)),
             }
             for u in trace.nodes
         ],
@@ -276,7 +272,7 @@ def cmd_regions(game: BimatrixGame, args, out: dict) -> None:
     regions_json = []
     for idx, reg in enumerate(graph.regions):
         planes = "; ".join(
-            f"{_vec_str(h.coeffs)}.alpha = {_rat_str(h.offset)}" for h in reg.hyperplanes
+            f"{_vec_str(h.coeffs)}.alpha = {h.offset}" for h in reg.hyperplanes
         )
         lines.append(
             f"region {idx}: v={','.join(str(x) for x in sorted(reg.vertex.basis))} "
@@ -288,7 +284,7 @@ def cmd_regions(game: BimatrixGame, args, out: dict) -> None:
                 "kind": reg.kind,
                 "support_size": reg.support_size,
                 "hyperplanes": [
-                    {"coeffs": [_rat_str(c) for c in h.coeffs], "offset": _rat_str(h.offset)}
+                    {"coeffs": [str(c) for c in h.coeffs], "offset": str(h.offset)}
                     for h in reg.hyperplanes
                 ],
             }
@@ -315,12 +311,12 @@ def cmd_fixedpoint(game: BimatrixGame, args, out: dict) -> None:
                 f"{_vec_str(lows)}..{_vec_str(highs)}"
             ) from exc
         out["lines"] = [f"f{_vec_str(a)} = {_vec_str(fa)} (experimental)"]
-        out["fixedpoint"] = {"a": [_rat_str(v) for v in a], "f": [_rat_str(v) for v in fa]}
+        out["fixedpoint"] = {"a": [str(v) for v in a], "f": [str(v) for v in fa]}
         return
     point, record = fixed_point_search(family, d.gammas)
     out["records"] = [record]
     out["lines"] = [f"a = {_vec_str(point)}"]
-    out["fixedpoint"] = {"a": [_rat_str(v) for v in point]}
+    out["fixedpoint"] = {"a": [str(v) for v in point]}
 
 
 COMMANDS = {

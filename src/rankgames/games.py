@@ -164,10 +164,15 @@ class RankKDecomposition:
         return family_game(self.a, -self.a, self.gammas, self.betas)
 
 
+def _first_nonzero(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
+    """(i, j) of the first nonzero entry, row-major; None when every entry is zero."""
+    return next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
+
+
 def _peel_rank1(m: Matrix) -> tuple[Vec, Vec, Matrix]:
     """Split off one rank-1 term at the first nonzero entry (row-major)."""
     rows = m.int_rows
-    pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
+    pivot = _first_nonzero(rows)
     if pivot is None:
         raise ValueError("zero matrix has no rank-1 term")
     i0, j0 = pivot
@@ -186,7 +191,7 @@ def decompose_rank1(
     """
     s = game.payoff_sum()
     rows = s.int_rows
-    pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
+    pivot = _first_nonzero(rows)
     if pivot is None:
         beta = vector(beta_default) if beta_default is not None else default_beta(game.n)
         return Rank1Decomposition(game.a, vector([0] * game.m), beta)

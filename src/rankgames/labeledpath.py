@@ -16,7 +16,7 @@ the bordered support block that is left, of order |supp y| + 1 in P and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
 
@@ -191,23 +191,20 @@ def walk(family: GameFamily, first: PathNode) -> Iterator[PathEdge]:
 def trace_path(family: GameFamily) -> ComponentTrace:
     """The unique path, oriented from the low ray to the high ray.
 
-    Both rays come from ``GameFamily.ray``; the walk starts at the low ray's
-    bounding node and must end on the high ray, built independently.
+    The walk starts at the low ray's bounding node (``GameFamily.ray``); its
+    last edge must be the high ray, checked against ``GameFamily.ray_bases``.
     """
     v_s, ray_s = family.ray(high=False)
-    # The walk's first pivot in Q' is at the low ray's base and would build
-    # its tableau there; built now, the edges before it read it too.
-    ray_s = replace(ray_s, base=replace(ray_s.base, tableau=family.qp.tableau(ray_s.base)))
-    v_e, ray_e = family.ray(high=True)
+    v_e, w_e, _ = family.ray_bases(high=True)
     low = oriented_edge(family, V_FIXED, v_s, ray_s)
     if low.head is None:
         raise RankGamesError("start node sign is not +1; orientation broken")
     edges = [low, *walk(family, low.head)]
     if edges[-1].head is not None:
         raise RankGamesError("path returned to its start node; traversal is broken")
-    if edges[-1].fixed.basis != v_e.basis:
+    if edges[-1].fixed.basis != v_e:
         raise RankGamesError("path did not terminate at the high-ray vertex")
-    if edges[-1].moving.base.basis != ray_e.base.basis:
+    if edges[-1].moving.base.basis != w_e:
         raise RankGamesError("high ray does not start at its lambda bound")
     nodes = tuple(edge.head for edge in edges[:-1])
     return ComponentTrace("path", nodes, tuple(edges))

@@ -17,8 +17,8 @@ yields a crossing point or a side classification; the crossing is only
 geometry, which the caller verifies on its own game. On a path edge that
 ``Polytope.pivot`` made, the hyperplane's value and its rate are integer dots
 of the hyperplane's integer row with the Q' tableau's rhs and the relaxed
-slack's column; only crossings, and edges and vertices built from ``Fraction``
-points, use coordinates.
+slack's column; only crossings and the section's edge and vertex, built from
+``Fraction`` points in ``solve_lp_delta``, use coordinates.
 """
 from __future__ import annotations
 
@@ -297,8 +297,8 @@ def _h_linear(edge: PathEdge, h: Hyperplane) -> tuple[Rat, Rat]:
     """Coefficients (h0, dh) of the hyperplane value along the edge parameter.
 
     On an edge that ``Polytope.pivot`` made, both are integer dots with its
-    base's tableau: the rhs, and the relaxed column. An edge from
-    ``edge_through_point`` has its direction only in ``Fraction``s, which are
+    base's tableau: the rhs, and the relaxed column. Only the section edge
+    (``edge_through_point``) has its direction in ``Fraction``s, which are
     put over their common denominator.
     """
     if edge.kind == W_FIXED:

@@ -140,7 +140,7 @@ class EdgeDescriptor:
     ``tableau.denom`` in integers (the relaxed slack's nonbasic column on the
     z rows, times minus the row's scale); it is made with ``direction`` None,
     which is read off them when first used. Edges from ``edge_through_point``
-    carry neither.
+    (only the section edge of ``paramlp.solve_lp_delta``) carry neither.
     """
 
     base: Vertex
@@ -444,7 +444,7 @@ def build_qprime(c: Matrix, betas: Sequence[Sequence[Fraction]]) -> Polytope:
     return Polytope("Qprime", m + k + 1, int_rows, scales, m, n)
 
 
-def _unique_arg_extreme(values: Sequence[Fraction], want_max: bool) -> int:
+def _unique_arg_extreme(values: Sequence[int], want_max: bool) -> int:
     best = max(values) if want_max else min(values)
     idxs = [i for i, v in enumerate(values) if v == best]
     if len(idxs) > 1:
@@ -452,23 +452,12 @@ def _unique_arg_extreme(values: Sequence[Fraction], want_max: bool) -> int:
     return idxs[0]
 
 
-def _endpoint_indices(a: Matrix, beta: Vec) -> tuple[int, int, int, int]:
-    """0-based (i_s, j_s, i_e, j_e): best rows of the min- and max-beta columns."""
-    if all(b == beta[0] for b in beta):
-        raise ConstantBeta("beta is constant; no distinct path endpoints")
-    j_s = _unique_arg_extreme(beta, want_max=False)
-    j_e = _unique_arg_extreme(beta, want_max=True)
-    i_s = _unique_arg_extreme(a.col(j_s), want_max=True)
-    i_e = _unique_arg_extreme(a.col(j_e), want_max=True)
-    return i_s, j_s, i_e, j_e
-
-
 class GameFamily:
     """Shared-row-player game family: fixed a, c and k betas with free row weights.
 
     Bundles the two polytopes for everything downstream. With k = 1 it also
-    builds the path's two rays; with c = -a (``minus_a``) its sections are
-    the box map's, for every k.
+    builds the path's two rays from their bases, in integers; with c = -a
+    (``minus_a``) its sections are the box map's, for every k.
     """
 
     def __init__(self, a: Matrix, c: Matrix, *betas: Sequence[Fraction]):
@@ -496,31 +485,42 @@ class GameFamily:
             raise DimensionMismatch(f"{len(alphas)} row weights for {self.k} betas")
         return family_game(self.a, self.c, alphas, self.betas)
 
-    def ray(self, high: bool) -> tuple[Vertex, EdgeDescriptor]:
-        """Pure vertex of P and unbounded edge of Q' on one ray of the path.
+    def ray_bases(self, high: bool) -> tuple[frozenset[int], frozenset[int], int]:
+        """Bases of one ray of the path, found in integers: P's pure vertex,
+        Q''s bound vertex, and the label that the ray edge relaxes there.
 
         Column j has the least beta on the low ray (lambda -> -inf) and the
-        greatest on the high ray; i is its best row. At x = e_i the column-j
-        row stays tight along (0, .., 0, 1, beta_j). Past every column ratio,
-        at lambda = delta, that line is inside the ray, so the ratio test from
-        there finds the ray's lambda bound and bounding column. The returned
-        edge is based at that bound.
+        greatest on the high ray; i is its best row. Along x = e_i with column
+        j's row tight, column k's slack is (c_ij - c_ik) + (beta_j - beta_k)
+        lambda, so the bounding column k has the least ratio of c_ij - c_ik
+        over beta_k - beta_j (low ray) or beta_j - beta_k (high ray): positive
+        rates, slacks of either sign.
         """
-        beta = self.beta
-        i_s, j_s, i_e, j_e = _endpoint_indices(self.a, beta)
-        i, j = (i_e, j_e) if high else (i_s, j_s)
-        m, n, b_j = self.m, self.n, beta[j]
-        y = tuple(Fraction(int(col == j)) for col in range(n)) + (self.a[i, j],)
-        v_labels = self.p.labels_at(y)
-        gap = min(abs(b - b_j) for b in beta if b != b_j)
-        c_max = max(abs(x) for row in range(m) for x in self.c.row(row))
-        delta = (2 * c_max / gap + 1) * (1 if high else -1)
-        x = tuple(Fraction(int(row == i)) for row in range(m))
+        m, n = self.m, self.n
+        beta, _ = integers(self.beta)
+        if all(b == beta[0] for b in beta):
+            raise ConstantBeta("beta is constant; no distinct path endpoints")
+        # Both rays' columns, then both rows, are unique before either bound.
+        cols = [_unique_arg_extreme(beta, want_max) for want_max in (False, True)]
+        rows = [_unique_arg_extreme([row[j] for row in self.a.int_rows], True) for j in cols]
+        i, j = rows[high], cols[high]
         tight = frozenset(row + 1 for row in range(m) if row != i) | {m + j + 1}
-        point = x + (delta, self.c[i, j] + b_j * delta)
-        direction = (Fraction(0),) * m + (Fraction(1), b_j)
-        ed = self.qp.edge_through_point(tight, point, direction)
-        return Vertex(y, v_labels, v_labels), ed
+        c, side = self.c.int_rows[i], -1 if high else 1
+        _, _, hits = least_ratios(
+            (m + k + 1, c[j] - c[k], side * (beta[k] - beta[j])) for k in range(n) if k != j
+        )
+        if len(hits) > 1:
+            raise DegeneratePolytope(f"ratio tie between rows {hits} leaving {sorted(tight)}")
+        v_basis = frozenset(m + col + 1 for col in range(n) if col != j) | {i + 1}
+        return v_basis, tight | {hits[0]}, hits[0]
+
+    def ray(self, high: bool) -> tuple[Vertex, EdgeDescriptor]:
+        """Pure vertex of P and unbounded edge of Q' on one ray of the path,
+        built from ``ray_bases``: both vertices carry their tableaux, and the
+        edge is the one ``Polytope.pivot`` makes at the lambda bound."""
+        v_basis, w_basis, relax = self.ray_bases(high)
+        w = self.qp.vertex_from_basis(w_basis)
+        return self.p.vertex_from_basis(v_basis), self.qp.pivot(w, relax)
 
     def lambda_of(self, w: Vertex) -> Rat:
         return w.coords[self.m]

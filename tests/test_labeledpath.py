@@ -8,7 +8,7 @@ import pytest
 import rankgames.labeledpath
 import rankgames.linalg
 
-from rankgames.algorithms import enumerate_rank1, general_family
+from rankgames.algorithms import enumerate_general, enumerate_rank1, general_family
 from rankgames.errors import ConstantBeta, DegeneracyError, NotFullyLabeled, RankGamesError, SeedOnPath
 from rankgames.labeledpath import (
     V_FIXED,
@@ -231,7 +231,8 @@ def test_rank1_paths_cover_all_fully_labeled_pairs():
 def test_rays_match_closed_form_anchors():
     # Both rays, and the traced path's first and last edges, against the
     # column-ratio reference on rank-1 and general families whose extremes
-    # and lambda bounds are unique.
+    # and lambda bounds are unique: the rays' bases, and tableaux on both
+    # vertices and the edge, as every walked edge carries them.
     games = [(d.a, d.a.scale(-1), d.beta) for d in nondegenerate_rank1_fixtures(
         seed=5, count=10, min_mn=2, max_mn=5,
         pipeline=lambda d: trace_path(GameFamily(d.a, d.a.scale(-1), d.beta)),
@@ -253,6 +254,12 @@ def test_rays_match_closed_form_anchors():
                 (True, sd.lambda_e, sd.jstar_e, path.edges[-1])]
         for high, lam, jstar, edge in ends:
             v, ray = fam.ray(high)
+            i, j = (sd.i_e, sd.j_e) if high else (sd.i_s, sd.j_s)
+            assert v.basis == {i} | {fam.m + col for col in range(1, fam.n + 1) if col != j}
+            tight = {row for row in range(1, fam.m + 1) if row != i} | {fam.m + j}
+            assert ray.base.basis == tight | {fam.m + jstar}
+            assert fam.ray_bases(high) == (v.basis, ray.base.basis, ray.relaxed)
+            assert None not in (v.tableau, ray.base.tableau, ray.tableau, ray.column)
             assert v.coords == sd.pure_vertex(fam.n, a, high)
             assert ray.unbounded and edge.moving.unbounded
             assert fam.lambda_of(ray.base) == lam
@@ -465,8 +472,8 @@ def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch):
 
 
 def _count_calls(monkeypatch, counts):
-    """Count calls of the linear solver, the determinant and the labeling,
-    wherever a module holds them."""
+    """Count calls of the linear solver, the determinant, the labeling and
+    the edge through a point, wherever a module holds them."""
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -480,7 +487,8 @@ def _count_calls(monkeypatch, counts):
         for module in modules:
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, wrapper)
-    monkeypatch.setattr(Polytope, "labels_at", counted("labels_at", Polytope.labels_at))
+    for name in ("labels_at", "edge_through_point"):
+        monkeypatch.setattr(Polytope, name, counted(name, getattr(Polytope, name)))
 
 
 def test_walk_makes_no_solve_labeling_or_determinant_call(monkeypatch):
@@ -498,3 +506,85 @@ def test_walk_makes_no_solve_labeling_or_determinant_call(monkeypatch):
     path = trace_path(fam)
     assert counts == ray_counts
     assert len(path.nodes) == 34
+
+
+def test_paths_build_no_edge_or_labels_from_points(monkeypatch):
+    # Both rays are built from their bases: enumerate_general and trace_path
+    # make no Polytope.edge_through_point and no Polytope.labels_at call.
+    counts = Counter()
+    _count_calls(monkeypatch, counts)
+    rng = random.Random(5)
+    solved = 0
+    for size in (3, 4, 5, 6) * 3:
+        a, b = (Matrix([[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)])
+                for _ in range(2))
+        try:
+            enumerate_general(BimatrixGame(a, b))
+        except DegeneracyError:
+            continue
+        solved += 1
+    nondegenerate_rank1_fixtures(
+        seed=5, count=6, pipeline=lambda d: trace_path(GameFamily(d.a, d.a.scale(-1), d.beta)),
+    )
+    assert solved == 9
+    assert counts["edge_through_point"] == counts["labels_at"] == 0
+
+
+def ray_degeneracies(a: Matrix, c: Matrix, beta) -> list[tuple[str, str]]:
+    """Every degeneracy of the two rays' anchors, as (kind, message), in the
+    order the path checks them: constant beta; a tied least, then greatest
+    beta; a tied best row of the low, then the high ray's column; a tied
+    lambda bound of the low, then the high ray. A bound is looked at only
+    where its column and row are unique."""
+    m, n = a.rows, a.cols
+    beta = [Fraction(b) for b in beta]
+    if len(set(beta)) == 1:
+        return [("constant beta", "beta is constant; no distinct path endpoints")]
+    found, ends, rows = [], [], []
+    for kind, extreme in (("least beta", min), ("greatest beta", max)):
+        hits = [k for k, b in enumerate(beta) if b == extreme(beta)]
+        found += [(kind, f"tied extreme entries at positions {hits}")] * (len(hits) > 1)
+        ends.append(hits[0] if len(hits) == 1 else None)
+    for kind, j in zip(("low best row", "high best row"), ends):
+        col = [] if j is None else a.col(j)
+        hits = [i for i, x in enumerate(col) if x == max(col)]
+        found += [(kind, f"tied extreme entries at positions {hits}")] * (len(hits) > 1)
+        rows.append(hits[0] if len(hits) == 1 else None)
+    for kind, i, j, extreme in zip(("low bound", "high bound"), rows, ends, (min, max)):
+        if i is None:
+            continue
+        bounds = {m + k + 1: (c[i, j] - c[i, k]) / (beta[k] - beta[j]) for k in range(n) if k != j}
+        hits = [lab for lab, b in bounds.items() if b == extreme(bounds.values())]
+        tight = sorted({r + 1 for r in range(m) if r != i} | {m + j + 1})
+        found += [(kind, f"ratio tie between rows {hits} leaving {tight}")] * (len(hits) > 1)
+    return found
+
+
+def test_ray_degeneracy_messages_come_in_check_order():
+    # On small-entry families that tie often, trace_path raises the first ray
+    # degeneracy of the reference, with its class and message: a tied high
+    # extreme is reported before a tied low bound, and the low bound before
+    # the high one. Families without one build both rays.
+    rng = random.Random(21)
+    seen = Counter()
+    for g in range(200):
+        size = 3 + g % 2
+        a, c = (Matrix([[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)])
+                for _ in range(2))
+        beta = tuple(rng.randint(1, 3) for _ in range(size))
+        fam = GameFamily(a, c, beta)
+        found = ray_degeneracies(a, c, beta)
+        seen[tuple(kind for kind, _ in found)] += 1
+        if not found:
+            fam.ray(high=False)
+            fam.ray(high=True)
+            continue
+        kind, message = found[0]
+        with pytest.raises(ConstantBeta if kind == "constant beta" else DegeneracyError) as exc:
+            trace_path(fam)
+        assert str(exc.value) == message
+    for pair in [("least beta", "greatest beta"), ("low best row", "high best row"),
+                 ("greatest beta", "low bound"), ("high best row", "low bound"),
+                 ("low bound", "high bound")]:
+        assert seen[pair] > 0
+    assert seen[("high bound",)] > 0 and seen[()] > 0

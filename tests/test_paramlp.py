@@ -220,9 +220,9 @@ def test_tableau_hyperplane_values_match_fraction_values():
     # The hyperplane value at each edge's base and its rate along the edge,
     # as read off the Q' tableaux with integer dots, equal Hyperplane.value_at
     # on the Fraction coordinates and direction, on every walked edge of both
-    # kinds. Edges from edge_through_point (the low ray, the section's edge)
-    # hold their direction only in Fractions, and fixed section vertices
-    # carry no tableau; they are compared too.
+    # kinds. Edges from edge_through_point (only the section's edge) hold
+    # their direction only in Fractions, and fixed section vertices carry no
+    # tableau; they are compared too.
     from rankgames.paramlp import _h_linear
 
     kinds = Counter()
@@ -239,10 +239,10 @@ def test_tableau_hyperplane_values_match_fraction_values():
                     on_tableau = ed.tableau is not None
                 assert _h_linear(edge, h) == want
                 kinds[edge.kind, on_tableau] += 1
-    # Per gamma: 60 edges from edge_through_point (40 low rays, 20 sections)
-    # and 20 fixed section vertices take the Fraction route.
-    assert kinds == {(V_FIXED, True): 852, (W_FIXED, True): 812,
-                     (V_FIXED, False): 120, (W_FIXED, False): 40}
+    # Per gamma: 20 section edges from edge_through_point and 20 fixed
+    # section vertices take the Fraction route; both rays carry tableaux.
+    assert kinds == {(V_FIXED, True): 932, (W_FIXED, True): 812,
+                     (V_FIXED, False): 40, (W_FIXED, False): 40}
 
 
 def test_solve_lp_k_specializes_to_rank1(r1a_family):
