@@ -42,6 +42,7 @@ from .paramlp import (
     Crossing,
     Hyperplane,
     Section,
+    basis_columns,
     box_bounds,
     crossing_records,
     edge_rates,
@@ -366,9 +367,8 @@ def fixed_point_search(
     (``piece_fixed_point``, one k x k solve). A cell's fixed point is
     accepted when it lies in the box and in the cell, and ``fixed_point_record``
     verifies the cell's section there. The walk starts at the section optimum
-    of the box centre, with the edge rates its section walk computed, and
-    pivots across every edge whose zero-rate facet meets box and cell (a
-    k-variable feasibility LP). Returns the point with its
+    of the box centre and pivots across every edge whose zero-rate facet
+    meets box and cell (a k-variable feasibility LP). Returns the point with its
     verified record; raises ``DegeneratePolytope`` when no cell reached holds
     one.
     """
@@ -379,15 +379,14 @@ def fixed_point_search(
     box = [(unit.row(l), highs[l]) for l in range(k)]
     box += [(vscale(-1, unit.row(l)), -lows[l]) for l in range(k)]
     start = solve_lp_k(family, tuple((lo + hi) / 2 for lo, hi in zip(lows, highs)))
-    seen, queue = {start.v.basis}, deque([(start.v, start.rates)])
+    seen, queue = {start.v.basis}, deque([start.v])
     while queue:
-        v, rates = queue.popleft()
-        if rates is None:  # the objective's rate on r's edge is g . a - c
-            rates = edge_rates(p, v, family.betas)
+        v = queue.popleft()
+        rates = edge_rates(p, v, family.betas)  # the objective's rate on r's edge is g . a - c
         a = piece_fixed_point(family, gammas, rates)
         if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):
             objective = integer_objective(family.betas, a)
-            section = lifted_section(p, family.qp, v, rates, a, objective)
+            section = lifted_section(p, family.qp, v, basis_columns(p, v), a, objective)
             return a, fixed_point_record(family, gammas, section)
         for r, facet in rates.items():
             rest = [gc for s, gc in rates.items() if s != r] + box
@@ -400,7 +399,7 @@ def fixed_point_search(
             far = nondegenerate_far_end(p, v, r)  # a degenerate neighbour has no cell
             if far is not None and far.basis not in seen:
                 seen.add(far.basis)
-                queue.append((far, None))
+                queue.append(far)
     raise DegeneratePolytope("no cell of the box map holds a verified fixed point")
 
 

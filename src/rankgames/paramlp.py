@@ -4,21 +4,21 @@ The section LP at a parameter value is a primal walk on the row polytope's own
 tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot`` by Bland's rule
 where every improving pivot is degenerate), from the best pure vertex or from
 a vertex the caller gives, such as the previous probe's optimum, which carries
-its tableau. The walk chooses its improving labels off P's integer tableau, a
-dictionary of the basis labels' slack columns (``polytope.Tableau``), by the
-sign of one integer dot with each label's column, and builds the ``Fraction``
-edge rates once, at its optimum. The same dots, negated, are the multipliers
+its tableau. The walk takes each vertex's basis columns once off P's integer
+tableau (``polytope.Tableau``) and chooses its improving labels by the sign of
+one integer dot with each column. The same dots, negated, are the multipliers
 of the lifted point, a fully-labeled partner with combined objective exactly
-zero: its feasibility and zero gap are checked in integers, and only the point
-is built in ``Fraction``s. The edge rates give the path edge through that
-partner and the affine piece of the rank-k box map, so no square system is
-solved. Intersecting the containing edge with a game's selection hyperplane
-yields a crossing point or a side classification; the crossing is only
-geometry, which the caller verifies on its own game. On a path edge that
-``Polytope.pivot`` made, the hyperplane's value and its rate are integer dots
-of the hyperplane's integer row with the Q' tableau's rhs and the relaxed
-slack's column; only crossings and the section's edge and vertex, built from
-``Fraction`` points in ``solve_lp_delta``, use coordinates.
+zero: its feasibility and zero gap are checked in integers, which leaves its
+slack of every label, and only the point is built in ``Fraction``s. On a
+rank-1 section the path edge through that point is read off the same columns
+(``section_edge``): one integer ratio test per side gives its ends, and no Q'
+tableau is built. The ``Fraction`` edge rates (``edge_rates``) are built only
+by the rank-k cell walk, for the affine pieces of the box map. Intersecting
+the containing edge with a game's selection hyperplane yields a crossing point
+or a side classification; the crossing is only geometry, which the caller
+verifies on its own game. Every moving path edge holds its base point and
+direction as integers over one denominator, so the hyperplane's value and its
+rate are integer dots with the hyperplane's integer row.
 """
 from __future__ import annotations
 
@@ -44,9 +44,10 @@ from .labeledpath import (
     oriented_edge,
 )
 from .linalg import Matrix, Rat, Vec, frac, integers, solve_linear_system, vdot, vector
-from .polytope import GameFamily, Polytope, Tableau, Vertex
+from .polytope import EdgeDescriptor, GameFamily, Polytope, Tableau, Vertex, min_ratio
 
 Rates = dict[int, tuple[Vec, Rat]]  # (g_r, c_r) per basis label r: see edge_rates
+Columns = dict[int, tuple[int, ...]]  # each basis label's column on P's tableau: see basis_columns
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,19 @@ class IsNEOutcome:
 
 @dataclass(frozen=True)
 class Section:
-    """Optimal section at lambda = delta: the optimum v of P, the lifted point
-    w that with v certifies both optima, and v's edge rates."""
+    """Optimal section at lambda = delta: the optimum v of P and the lifted
+    point w that with v certifies both optima.
+
+    ``columns`` are v's basis columns on P's tableau (``basis_columns``).
+    ``slacks`` holds the slack at w of every label of the lifted polytope,
+    in label order, as integers over one positive unit, each times its
+    row's scale: w's tight labels are its zero slacks.
+    """
 
     v: Vertex
     w_coords: Vec
-    rates: Rates = field(compare=False, repr=False)
+    columns: Columns = field(compare=False, repr=False)
+    slacks: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def v_coords(self) -> Vec:
@@ -116,36 +124,41 @@ class OptSet(Section):
     edge: PathEdge
 
 
+def basis_columns(p: Polytope, v: Vertex) -> Columns:
+    """Each basis label r of a vertex v of P, in label order, with its column
+    on v's tableau (``Polytope._column``: r's nonbasic column on the z rows,
+    which is r's edge direction d times ``denom``)."""
+    tab = p.tableau(v)
+    return {r: p._column(tab, r) for r in sorted(v.basis)}
+
+
 def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> Rates:
     """(g_r, c_r) per basis label r of a vertex v of P, in label order: along r's
     edge direction d the section objective sum_l delta_l * (beta_l . y) - pi1
     changes at rate g_r . delta - c_r, with g_r = (beta_l . d_y)_l, c_r = d_pi1.
 
-    Each is one integer dot with r's column on v's tableau (``Polytope._column``:
-    r's nonbasic column on the z rows, which is d times ``denom``), over
-    ``denom`` and the beta's own lcm.
+    Each is one integer dot with r's column (``basis_columns``), over
+    ``denom`` and the beta's own lcm. Only the rank-k cell walk reads them.
     """
-    tab = p.tableau(v)
+    denom = p.tableau(v).denom
     scaled = [integers(beta) for beta in betas]
-    rates = {}
-    for r in sorted(v.basis):
-        col = p._column(tab, r)
-        g = tuple(Fraction(sum(map(mul, b, col)), q * tab.denom) for b, q in scaled)
-        rates[r] = g, Fraction(col[p.n], tab.denom)
-    return rates
+    return {
+        r: (tuple(Fraction(sum(map(mul, b, col)), q * denom) for b, q in scaled),
+            Fraction(col[p.n], denom))
+        for r, col in basis_columns(p, v).items()
+    }
 
 
-def improving_labels(p: Polytope, v: Vertex, objective: Sequence[int]) -> list[int]:
-    """The basis labels of a vertex v of P whose edge raises the section
-    objective, in label order, decided on v's integer tableau alone.
+def improving_labels(columns: Columns, objective: Sequence[int]) -> list[int]:
+    """The basis labels of a vertex of P whose edge raises the section
+    objective, in label order, decided on its basis columns alone.
 
     ``objective`` is D * (w, -1) over (y, pi1) with w = sum_l delta_l * beta_l
     and D > 0 the lcm of w's denominators. r's column is its edge direction
     times ``denom`` > 0, so the objective's dot with it has the sign of r's
     rate g_r . delta - c_r.
     """
-    tab = p.tableau(v)
-    return [r for r in sorted(v.basis) if sum(map(mul, objective, p._column(tab, r))) > 0]
+    return [r for r, col in columns.items() if sum(map(mul, objective, col)) > 0]
 
 
 def nondegenerate_far_end(p: Polytope, v: Vertex, r: int) -> Optional[Vertex]:
@@ -184,33 +197,34 @@ def _best_pure_vertex(p: Polytope, objective: Sequence[int]) -> Vertex:
     return p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
 
 
-def _section_walk(p: Polytope, betas: Sequence[Vec], objective: Sequence[int],
-                  start: Optional[Vertex]) -> tuple[Vertex, Rates]:
+def _section_walk(p: Polytope, objective: Sequence[int],
+                  start: Optional[Vertex]) -> tuple[Vertex, Columns]:
     """The optimum over P of the section whose ``integer_objective`` is
-    ``objective``, by a primal walk on P's tableau, with its edge rates.
+    ``objective``, by a primal walk on P's tableau, with its basis columns.
 
     The walk starts at ``start``, a vertex of P such as the previous probe's
     optimum, whose tableau it reuses; without one, at the best pure vertex. It
     relaxes the lowest basis label of positive rate whose pivot is
     nondegenerate (a strict gain), else takes the simplex pivot on the lowest
     such label by Bland's rule, which cannot cycle, so it ends from any start.
-    The signs of the rates come off the integer tableau
-    (``improving_labels``); the ``Fraction`` rates are built once, at the
-    optimum, which must have exactly n tight rows.
+    The signs of the rates come off the integer columns, taken once at each
+    vertex (``improving_labels``); the optimum must have exactly n tight rows.
     """
     v = _best_pure_vertex(p, objective) if start is None else start
-    while improving := improving_labels(p, v, objective):
+    columns = basis_columns(p, v)
+    while improving := improving_labels(columns, objective):
         fars = (nondegenerate_far_end(p, v, r) for r in improving)
         v = next(filter(None, fars), None) or p.simplex_pivot(v, improving[0])
+        columns = basis_columns(p, v)
     if len(v.labels) != p.n:
         raise DegeneratePolytope(f"section optimum has {len(v.labels)} tight rows in P")
-    return v, edge_rates(p, v, betas)
+    return v, columns
 
 
-def lifted_section(p: Polytope, lifted: Polytope, v: Vertex, rates: Rates, delta: Vec,
+def lifted_section(p: Polytope, lifted: Polytope, v: Vertex, columns: Columns, delta: Vec,
                    objective: Sequence[int]) -> Section:
     """The section at lambda = delta whose optimum over P is v, a vertex with n
-    tight rows and these edge rates, where no edge raises the section
+    tight rows and these basis columns, where no edge raises the section
     objective; ``objective`` is its ``integer_objective``.
 
     The multiplier of row i is minus the rate of its edge, x_i = c_i - g_i .
@@ -220,11 +234,13 @@ def lifted_section(p: Polytope, lifted: Polytope, v: Vertex, rates: Rates, delta
     lifted column rows c_j . x + w_j. The point is feasible when x >= 0 sums to
     1, and with v it certifies both optima when pi2 equals the section value
     w . y - pi1, which is objective . rhs over D * denom. Every check is on
-    integers; only the returned point is built in ``Fraction``s.
+    integers; only the returned point is built in ``Fraction``s. The slacks
+    at w that the checks compute are kept: x on the row labels, and the
+    lifted column rows' slacks.
     """
     m, tab = p.m, p.tableau(v)
     unit = -objective[-1] * tab.denom  # D * denom: x, pi2 and the value are over it
-    x = [-sum(map(mul, objective, p._column(tab, i))) if i in v.basis else 0
+    x = [-sum(map(mul, objective, columns[i])) if i in columns else 0
          for i in range(1, m + 1)]
     if sum(x) != unit or min(x) < 0:
         raise RankGamesError("complementary lifted point is infeasible")
@@ -239,7 +255,7 @@ def lifted_section(p: Polytope, lifted: Polytope, v: Vertex, rates: Rates, delta
         gap = min(Fraction(slack, s * unit) for slack, s in slacks)
         raise NonzeroOptimum(f"section objective is {gap}, expected 0")
     w_coords = (*(Fraction(xi, unit) for xi in x), *delta, Fraction(value, unit))
-    return Section(v, w_coords, rates)
+    return Section(v, w_coords, columns, (*x, *(slack for slack, _ in slacks)))
 
 
 def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec], delta: Vec,
@@ -248,26 +264,82 @@ def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec], delta: Vec,
     ``start`` (else the best pure vertex), whose integer dots at the optimum
     give the dual in the lifted polytope."""
     objective = integer_objective(betas, delta)
-    v, rates = _section_walk(p, betas, objective, start)
-    return lifted_section(p, lifted, v, rates, delta, objective)
+    v, columns = _section_walk(p, objective, start)
+    return lifted_section(p, lifted, v, columns, delta, objective)
+
+
+def section_edge(family: GameFamily, beta: tuple[list[int], int], sec: Section,
+                 tight: frozenset[int]) -> EdgeDescriptor:
+    """The edge of Q' through the lifted point w of a rank-1 section, whose m
+    tight labels in Q' are ``tight``, read off P's tableau at the optimum v;
+    ``beta`` is ``integers`` of the family's beta.
+
+    Along the edge v stays optimal. Each of v's basis labels r has slack
+    c_r - g_r * lambda (``edge_rates``), ``sec.slacks`` at w, with g_r
+    beta's dot with r's column over q * denom; w's tight labels stay at
+    zero. One ratio test per side (``min_ratio``, rising lambda first) gives
+    each end's entering label r, at lambda = c_r / g_r. Base, far end and
+    direction are those of ``Polytope.edge_through_point``, its reference in
+    the tests. On the edge x_i = c_i - g_i * lambda on v's basis rows, and
+    pi2 = lambda * beta . y - pi1.
+    """
+    p, qp, m, n = family.p, family.qp, family.m, family.n
+    columns, tab = sec.columns, p.tableau(sec.v)
+    b, q = beta
+    g = {r: sum(map(mul, b, col)) for r, col in columns.items()}  # g_r * q * denom
+    steps = [(r, sec.slacks[r - 1], qp.scales[r] * g[r]) for r in columns]
+    *_, high = min_ratio(steps, tight)
+    *_, low = min_ratio(((r, s, -rate) for r, s, rate in steps), tight)
+    if high is None and low is None:
+        raise DegeneratePolytope("edge is a full line; polytope not pointed")
+    u = q * tab.denom
+    rhs = [row[-1] for row in tab.rows[: n + 1]]  # (y, pi1) times denom
+    beta_y, pi1 = sum(map(mul, b, rhs)), rhs[n]  # beta . y over u, pi1 over denom
+
+    def end(r: int) -> tuple[int, int]:
+        """lambda = c_r / g_r, where r's slack reaches zero, as (num, den > 0)."""
+        num, den = q * columns[r][n], g[r]
+        return (num, den) if den > 0 else (-num, -den)
+
+    def point(num: int, den: int) -> tuple[int, ...]:
+        """The point at lambda = num / den, times u * den."""
+        xs = (q * den * columns[i][n] - num * g[i] if i in columns else 0
+              for i in range(1, m + 1))
+        return (*xs, num * u, num * beta_y - q * den * pi1)
+
+    def vertex(r: int, ints: tuple[int, ...], den: int) -> Vertex:
+        basis = tight | {r}
+        return Vertex(tuple(Fraction(k, den) for k in ints), basis, basis)
+
+    relaxed = high if low is None else low
+    num, den = end(relaxed)
+    origin = point(num, den)
+    base, far, t_max = vertex(relaxed, origin, u * den), None, None
+    if low is not None and high is not None:
+        far_num, far_den = end(high)
+        far = vertex(high, point(far_num, far_den), u * far_den)
+        t_max = Fraction(far_num * den - num * far_den, far_den * den)
+    # Rising lambda from the lower end, else falling from the upper, over u * den.
+    scale = -den if low is None else den
+    direction = (*(-g[i] if i in columns else 0 for i in range(1, m + 1)), u, beta_y)
+    return EdgeDescriptor(base, relaxed, None, t_max, far, None,
+                          tuple(scale * k for k in direction), origin, u * den)
 
 
 def solve_lp_delta(family: GameFamily, delta, start: Optional[Vertex] = None) -> OptSet:
     """``solve_lp_k`` at lambda = delta, from ``start`` when given, with the
-    edge of the path containing the section: the family has one beta."""
-    beta = family.beta
-    m, qp = family.m, family.qp
+    edge of the path containing the section: the family has one beta.
+
+    w's tight labels in Q' are its zero slacks. With m of them w lies inside
+    an edge of Q' (``section_edge``); with m + 1 it is a vertex of Q', and
+    the edge moves in P.
+    """
+    m, beta = family.m, integers(family.beta)
     sec = solve_lp_k(family, (frac(delta),), start)
     v, w_coords = sec.v, sec.w_coords
-    w_labels = qp.labels_at(w_coords)
+    w_labels = frozenset(lab for lab, slack in enumerate(sec.slacks, 1) if not slack)
     if len(w_labels) == m:
-        # Along the edge lambda rises at rate 1, x moves at -g_i on v's basis
-        # rows, and pi2 at beta . y (the rows of v's support stay tight).
-        dx = _on_rows(m, sec.rates, lambda g, c: -g[0])
-        direction = dx + (Fraction(1), vdot(beta, v.coords[: family.n]))
-        edge = oriented_edge(
-            family, V_FIXED, v, qp.edge_through_point(w_labels, w_coords, direction)
-        )
+        edge = oriented_edge(family, V_FIXED, v, section_edge(family, beta, sec, w_labels))
     elif len(w_labels) == m + 1:
         # The zero gap makes the pair fully labeled, so its n + m + 1 labels
         # share exactly one: the duplicate.
@@ -277,7 +349,7 @@ def solve_lp_delta(family: GameFamily, delta, start: Optional[Vertex] = None) ->
         edge = oriented_edge(family, W_FIXED, Vertex(w_coords, w_labels, w_labels), ed)
     else:
         raise DegeneratePolytope(f"section optimum has {len(w_labels)} tight rows in Q'")
-    return OptSet(v, w_coords, sec.rates, edge)
+    return OptSet(v, w_coords, sec.columns, sec.slacks, edge)
 
 
 def _rhs(tab: Tableau) -> Iterator[int]:
@@ -296,17 +368,15 @@ def _h_at(h: Hyperplane, w: Vertex) -> Rat:
 def _h_linear(edge: PathEdge, h: Hyperplane) -> tuple[Rat, Rat]:
     """Coefficients (h0, dh) of the hyperplane value along the edge parameter.
 
-    On an edge that ``Polytope.pivot`` made, both are integer dots with its
-    base's tableau: the rhs, and the relaxed column. Only the section edge
-    (``edge_through_point``) has its direction in ``Fraction``s, which are
-    put over their common denominator.
+    On a moving edge both are integer dots with the edge's integer base
+    point and direction (``EdgeDescriptor.origin`` and ``column``), whether
+    ``Polytope.pivot`` or ``section_edge`` made it. A fixed vertex of Q' is
+    read off its tableau when it carries one.
     """
     if edge.kind == W_FIXED:
         return _h_at(h, edge.fixed), Fraction(0)
     ed = edge.moving
-    if ed.tableau is None:
-        return _h_at(h, ed.base), h.over(*integers(ed.direction))
-    return h.over(_rhs(ed.tableau), ed.tableau.denom), h.over(ed.column, ed.tableau.denom)
+    return h.over(ed.origin, ed.denom), h.over(ed.column, ed.denom)
 
 
 def _analyze_edge(edge: PathEdge, h: Hyperplane):

@@ -21,9 +21,10 @@ labels are read off that tableau, so the walk solves no system. Coordinates,
 directions and steps are still returned as ``Fraction``, but a pivot's far
 vertex and its edge are made without their coordinates and direction: those
 are read off the tableau when first used, which on most path edges is never.
-A section walk reads its edges off the tableau as integer columns
-(``_column``: the edge direction times ``denom``), so it builds no ``Fraction``
-direction at all.
+Each edge keeps its base point and direction as integers over one
+denominator. A section walk reads its edges off the tableau as integer
+columns (``_column``: the edge direction times ``denom``), so it builds no
+``Fraction`` direction at all.
 """
 from __future__ import annotations
 
@@ -135,21 +136,26 @@ class EdgeDescriptor:
     """One-dimensional face reached by relaxing one inequality at a vertex.
 
     Points are ``base.coords + t * direction`` for t in [0, t_max], with
-    t_max None on unbounded edges. An edge that ``pivot`` makes carries its
-    base's ``tableau`` and, as ``column``, its direction times
-    ``tableau.denom`` in integers (the relaxed slack's nonbasic column on the
-    z rows, times minus the row's scale); it is made with ``direction`` None,
-    which is read off them when first used. Edges from ``edge_through_point``
-    (only the section edge of ``paramlp.solve_lp_delta``) carry neither.
+    t_max None on unbounded edges. Every edge the package makes holds its
+    base point as ``origin`` and its direction as ``column``, integers over
+    one positive ``denom``; ``point_at`` reads them, and ``direction`` is
+    read off them when first used. An edge that ``pivot`` makes carries its
+    base's ``tableau`` too: ``origin`` is its rhs on the z rows and
+    ``column`` the relaxed slack's nonbasic column there, times minus the
+    row's scale. The section edge of ``paramlp.solve_lp_delta`` is read off
+    P's tableau at the section optimum (``paramlp.section_edge``) and
+    carries no tableau.
     """
 
     base: Vertex
     relaxed: int
-    direction: Vec = _ReadOff(lambda e: tuple(Fraction(k, e.tableau.denom) for k in e.column))
+    direction: Vec = _ReadOff(lambda e: tuple(Fraction(k, e.denom) for k in e.column))
     t_max: Optional[Rat]
     far_end: Optional[Vertex]
     tableau: Optional[Tableau] = field(default=None, compare=False, repr=False)
     column: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    origin: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    denom: int = field(default=1, compare=False, repr=False)
 
     @property
     def unbounded(self) -> bool:
@@ -160,7 +166,27 @@ class EdgeDescriptor:
         return self.base.basis - {self.relaxed}
 
     def point_at(self, t: Rat) -> Vec:
-        return vadd(self.base.coords, vscale(t, self.direction))
+        """The point at edge parameter t, one ``Fraction`` per coordinate."""
+        p, q = t.numerator, t.denominator
+        return tuple(Fraction(o * q + p * c, self.denom * q)
+                     for o, c in zip(self.origin, self.column))
+
+
+def min_ratio(steps: Iterable[tuple[int, int, int]],
+              tight: frozenset[int]) -> tuple[int, int, Optional[int]]:
+    """The shortest step over (label, slack, rate) integer triples in
+    ascending label order, as (slack, rate), with its label; the label is
+    None when no rate is positive. A zero step or a tie is degenerate;
+    ``tight`` names the edge in the message.
+    """
+    best_s, best_r, hits = least_ratios(steps)
+    if not hits:
+        return 0, 0, None
+    if best_s == 0:
+        raise DegeneratePolytope(f"extra tight row {hits[0]} leaving {sorted(tight)}")
+    if len(hits) > 1:
+        raise DegeneratePolytope(f"ratio tie between rows {hits} leaving {sorted(tight)}")
+    return best_s, best_r, hits[0]
 
 
 class Polytope:
@@ -286,22 +312,6 @@ class Polytope:
         col, scale = tab.cols.index(relax), -self.scales[relax]
         return tuple(scale * row[col] for row in tab.rows[: self.dim])
 
-    def _min_ratio(self, steps: Iterable[tuple[int, int, int]],
-                   tight: frozenset[int]) -> tuple[Optional[Rat], Optional[int]]:
-        """Shortest step over (label, slack, rate) integer triples in ascending
-        label order, with its label, or (None, None) when no rate is positive.
-        The step is in the caller's units. A zero step or a tie is degenerate;
-        ``tight`` names the edge in the message.
-        """
-        best_s, best_r, hits = least_ratios(steps)
-        if not hits:
-            return None, None
-        if best_s == 0:
-            raise DegeneratePolytope(f"extra tight row {hits[0]} leaving {sorted(tight)}")
-        if len(hits) > 1:
-            raise DegeneratePolytope(f"ratio tie between rows {hits} leaving {sorted(tight)}")
-        return Fraction(best_s, best_r), hits[0]
-
     def _ratio_rows(self, tab: Tableau, relax: int) -> list[tuple[int, int, int]]:
         """(label, slack, rate) of every basic slack along relax's edge, in label order."""
         d, col = self.dim, tab.cols.index(relax)
@@ -332,13 +342,15 @@ class Polytope:
             raise ValueError(f"label {relax} not in basis {sorted(vertex.basis)}")
         tab = self.tableau(vertex)
         column = self._column(tab, relax)
-        step, hit = self._min_ratio(self._ratio_rows(tab, relax), vertex.basis)
+        origin = tuple(row[-1] for row in tab.rows[: self.dim])
+        slack, rate, hit = min_ratio(self._ratio_rows(tab, relax), vertex.basis)
         if hit is None:
-            return EdgeDescriptor(vertex, relax, None, None, None, tab, column)
+            return EdgeDescriptor(vertex, relax, None, None, None, tab, column, origin, tab.denom)
         far = self._pivot_to(vertex, tab, relax, hit)
         if (tight := len(far.labels)) > self.basis_size:
             raise DegeneratePolytope(f"vertex {sorted(far.basis)} has {tight} tight rows")
-        return EdgeDescriptor(vertex, relax, None, step / self.scales[relax], far, tab, column)
+        step = Fraction(slack, rate * self.scales[relax])
+        return EdgeDescriptor(vertex, relax, None, step, far, tab, column, origin, tab.denom)
 
     def simplex_pivot(self, vertex: Vertex, relax: int) -> Optional[Vertex]:
         """The basis after relaxing ``relax`` with Bland's leaving rule: the
@@ -356,7 +368,9 @@ class Polytope:
         and the ``tight`` rows). The base vertex of the returned edge is the
         end on the -direction side, and the edge runs along +direction; when
         that side is unbounded, the base is the other end and the edge runs
-        along -direction.
+        along -direction. The package does not call it: it is the ``Fraction``
+        reference that the tests hold ``paramlp.section_edge`` to, and its
+        edge carries no integer base point or column.
         """
         tight = frozenset(tight)
         point, direction = vector(point), vector(direction)
@@ -366,12 +380,12 @@ class Polytope:
         unit = Fraction(d_scale, p_scale)
 
         def ratio(sign: int) -> tuple[Optional[Rat], Optional[int]]:
-            step, lab = self._min_ratio(
+            s, r, lab = min_ratio(
                 ((lab, s, sign * r) for lab, (s, r) in enumerate(zip(slacks, rates), 1)
                  if lab not in tight),
                 tight,
             )
-            return (None, None) if step is None else (step * unit, lab)
+            return (None, None) if lab is None else (Fraction(s, r) * unit, lab)
 
         t_pos, lab_pos = ratio(1)
         t_neg, lab_neg = ratio(-1)

@@ -20,6 +20,7 @@ from rankgames.linalg import (
     vdot,
 )
 from rankgames.lp import EQ, LE, LinearProgram
+from rankgames.paramlp import edge_rates
 from rankgames.polytope import GameFamily, Polytope, Tableau
 
 # Worked example: a game family whose fully-labeled set is a path plus one
@@ -275,6 +276,20 @@ def fraction_lifted_section(lifted, betas, v, rates, delta):
     if gap != 0:
         raise NonzeroOptimum(f"section objective is {gap}, expected 0")
     return w_coords
+
+
+def reference_section_edge(family: GameFamily, sec):
+    """The reference for ``paramlp.section_edge``: the edge of Q' through
+    the section's lifted point w that ``Polytope.edge_through_point`` finds
+    in ``Fraction``s, through w's labels from its slacks (``labels_at``),
+    along v's edge rates: lambda at rate 1, x at -g_i on v's basis rows and
+    pi2 at beta . y."""
+    m, v = family.m, sec.v
+    rates = edge_rates(family.p, v, family.betas)
+    dx = tuple(-rates[i][0][0] if i in rates else Fraction(0) for i in range(1, m + 1))
+    direction = (*dx, Fraction(1), vdot(family.beta, v.coords[: family.n]))
+    tight = family.qp.labels_at(sec.w_coords)
+    return family.qp.edge_through_point(tight, sec.w_coords, direction)
 
 
 def ex1_family() -> GameFamily:

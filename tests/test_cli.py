@@ -201,9 +201,9 @@ def test_fixedpoint_eval_and_search(tmp_path, capsys):
 def test_fixedpoint_search_verifies_once(tmp_path, capsys, monkeypatch):
     # The CLI prints the record the search verified: it makes no section
     # solve beyond the search's own, which is the one at the box centre; the
-    # answer is the lifted point of the cell the search accepted. The cell
-    # walk starts from that section's own edge rates, so the start basis is
-    # rated once, by the section walk.
+    # answer is the lifted point of the cell the search accepted. The
+    # section builds no edge rates, so the start basis is rated once, by the
+    # cell walk.
     from rankgames import algorithms, paramlp
     from rankgames.games import decompose_rank_k
     from rankgames.polytope import GameFamily

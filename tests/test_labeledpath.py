@@ -7,8 +7,9 @@ import pytest
 
 import rankgames.labeledpath
 import rankgames.linalg
+import rankgames.paramlp
 
-from rankgames.algorithms import enumerate_general, enumerate_rank1, general_family
+from rankgames.algorithms import bin_search, enumerate_general, enumerate_rank1, general_family
 from rankgames.errors import ConstantBeta, DegeneracyError, NotFullyLabeled, RankGamesError, SeedOnPath
 from rankgames.labeledpath import (
     V_FIXED,
@@ -472,8 +473,9 @@ def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch):
 
 
 def _count_calls(monkeypatch, counts):
-    """Count calls of the linear solver, the determinant, the labeling and
-    the edge through a point, wherever a module holds them."""
+    """Count calls of the linear solver, the determinant, the Fraction edge
+    rates, the labeling and the edge through a point, wherever a module
+    holds them."""
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -481,8 +483,9 @@ def _count_calls(monkeypatch, counts):
         return wrapper
 
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "rankgames"]
-    for name in ("solve_linear_system", "determinant"):
-        fn = getattr(rankgames.linalg, name)
+    for owner, name in ((rankgames.linalg, "solve_linear_system"),
+                        (rankgames.linalg, "determinant"), (rankgames.paramlp, "edge_rates")):
+        fn = getattr(owner, name)
         wrapper = counted(name, fn)
         for module in modules:
             if getattr(module, name, None) is fn:
@@ -509,8 +512,10 @@ def test_walk_makes_no_solve_labeling_or_determinant_call(monkeypatch):
 
 
 def test_paths_build_no_edge_or_labels_from_points(monkeypatch):
-    # Both rays are built from their bases: enumerate_general and trace_path
-    # make no Polytope.edge_through_point and no Polytope.labels_at call.
+    # Both rays are built from their bases, and each section's edge is read
+    # off P's tableau: enumerate_general, trace_path, bin_search and
+    # enumerate_rank1 make no Polytope.edge_through_point, no
+    # Polytope.labels_at and no paramlp.edge_rates call.
     counts = Counter()
     _count_calls(monkeypatch, counts)
     rng = random.Random(5)
@@ -527,7 +532,9 @@ def test_paths_build_no_edge_or_labels_from_points(monkeypatch):
         seed=5, count=6, pipeline=lambda d: trace_path(GameFamily(d.a, d.a.scale(-1), d.beta)),
     )
     assert solved == 9
-    assert counts["edge_through_point"] == counts["labels_at"] == 0
+    for pipeline in (bin_search, enumerate_rank1):
+        assert len(nondegenerate_rank1_fixtures(seed=6, count=12, pipeline=pipeline)) == 12
+    assert counts["edge_through_point"] == counts["labels_at"] == counts["edge_rates"] == 0
 
 
 def ray_degeneracies(a: Matrix, c: Matrix, beta) -> list[tuple[str, str]]:

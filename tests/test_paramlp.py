@@ -12,7 +12,7 @@ from rankgames.errors import (
 )
 from rankgames.games import MixedProfile, decompose_rank_k, family_game, verify_equilibrium
 from rankgames.labeledpath import V_FIXED, W_FIXED, trace_path
-from rankgames.linalg import Matrix, solve_linear_system, vdot, vscale
+from rankgames.linalg import Matrix, integers, solve_linear_system, vdot, vscale
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
 from rankgames.paramlp import (
     Hyperplane,
@@ -39,6 +39,7 @@ from fixtures import (
     random_rank1,
     random_rank_k,
     ray_anchors,
+    reference_section_edge,
     section_gap,
     section_objective,
     watch_solve_lp,
@@ -218,11 +219,12 @@ def _walked_edges():
 
 def test_tableau_hyperplane_values_match_fraction_values():
     # The hyperplane value at each edge's base and its rate along the edge,
-    # as read off the Q' tableaux with integer dots, equal Hyperplane.value_at
-    # on the Fraction coordinates and direction, on every walked edge of both
-    # kinds. Edges from edge_through_point (only the section's edge) hold
-    # their direction only in Fractions, and fixed section vertices carry no
-    # tableau; they are compared too.
+    # as integer dots with the edge's integer base point and direction, equal
+    # Hyperplane.value_at on the Fraction coordinates and direction, on every
+    # walked edge of both kinds. Section edges, read off P's tableau, carry
+    # their integers but no Q' tableau, and fixed section vertices carry no
+    # tableau (their value is read off their Fraction coordinates); they are
+    # compared too.
     from rankgames.paramlp import _h_linear
 
     kinds = Counter()
@@ -239,8 +241,9 @@ def test_tableau_hyperplane_values_match_fraction_values():
                     on_tableau = ed.tableau is not None
                 assert _h_linear(edge, h) == want
                 kinds[edge.kind, on_tableau] += 1
-    # Per gamma: 20 section edges from edge_through_point and 20 fixed
-    # section vertices take the Fraction route; both rays carry tableaux.
+    # Per gamma: 20 section edges without a tableau (recounted: still 20)
+    # and 20 fixed section vertices, which take the Fraction route; both
+    # rays carry tableaux.
     assert kinds == {(V_FIXED, True): 932, (W_FIXED, True): 812,
                      (V_FIXED, False): 40, (W_FIXED, False): 40}
 
@@ -482,28 +485,166 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
     assert v_fixed == 109
 
 
-def test_one_fraction_rate_build_per_section(monkeypatch):
-    # The walk picks its labels off P's integer tableau and builds the
-    # Fraction edge rates once, at the optimum it returns; a section it
-    # rejects builds them at most once.
+def _section_edge_cases():
+    """(corpus, family, delta) of rank-1 sections: the rank-1 sections of
+    section_corpus(); the families of the rank-1 bench corpora (wide spans,
+    random.Random(1), and the 14x14 reproducer) and of the small-entry
+    yardstick at a sweep of delta over the gamma range in eighths, one step
+    past each end; and constant-beta families, whose section edges are full
+    lines."""
+    for corpus, fam, *_, delta in section_corpus():
+        if corpus != "rank-k":
+            yield corpus, fam, delta[0]
+    wide = dict(span=99, gamma_span=20, beta_span=50)
+    draws = []
+    for sizes, rounds in (((4, 4, 5), 20), ((4, 5, 4, 7, 5, 4, 5, 4, 7, 8), 3)):
+        rng = random.Random(1)
+        draws += [("bench", random_rank1(rng, s, s, **wide)) for s in sizes * rounds]
+    draws.append(("bench", random_rank1(random.Random(14), 14, 14, **wide)))
+    rng = random.Random(77)
+    draws += [("yardstick", random_rank1(rng, s, s, span=2, gamma_span=1, beta_span=3))
+              for s in (3, 4, 5) * 66 + (3, 4)]
+    for corpus, d in draws:
+        fam = GameFamily(d.a, d.a.scale(-1), d.beta)
+        lo, hi = min(d.gamma), max(d.gamma)
+        step = (hi - lo) / 8 or Fraction(1)
+        for i in range(-1, 10):
+            yield corpus, fam, lo + i * step
+    rng = random.Random(3)
+    for g in range(20):
+        a = Matrix([[rng.randint(-9, 9) for _ in range(3 + g % 2)] for _ in range(3 + g % 2)])
+        yield "constant beta", GameFamily(a, a.scale(-1), (2,) * a.cols), Fraction(1)
+
+
+def test_section_edge_matches_edge_through_point():
+    # The section edge read off P's tableau in integers equals the edge that
+    # Polytope.edge_through_point finds through the lifted point w in
+    # Fractions: end bases, labels and coordinates, t_max, relaxed and
+    # direction. w's tight labels, its zero slacks, are labels_at's. Where
+    # the reference raises (ratio ties, mostly on the small-entry yardstick,
+    # and full lines), the section edge raises the same class and message.
+    from rankgames.paramlp import section_edge
+
+    def outcome(build):
+        try:
+            return build()
+        except RankGamesError as exc:
+            return type(exc).__name__, str(exc)
+
+    counts = Counter()
+    for corpus, fam, delta in _section_edge_cases():
+        try:
+            sec = solve_lp_k(fam, (delta,))
+        except DegeneracyError:
+            counts[corpus, "no section"] += 1
+            continue
+        tight = frozenset(lab for lab, slack in enumerate(sec.slacks, 1) if not slack)
+        assert tight == fam.qp.labels_at(sec.w_coords)
+        if len(tight) != fam.m:
+            counts[corpus, "w is a vertex" if len(tight) == fam.m + 1 else "more tight"] += 1
+            continue
+        ours = outcome(lambda: section_edge(fam, integers(fam.beta), sec, tight))
+        assert ours == outcome(lambda: reference_section_edge(fam, sec))
+        if isinstance(ours, tuple):
+            counts[corpus, ours[1].split(" between")[0]] += 1
+            continue
+        assert ours.point_at(Fraction(0)) == ours.base.coords
+        if ours.far_end is not None:
+            assert ours.point_at(ours.t_max) == ours.far_end.coords
+        counts[corpus, "edge" if ours.far_end else "ray"] += 1
+    full_line = "edge is a full line; polytope not pointed"
+    assert dict(counts) == {
+        ("wide", "edge"): 11, ("wide", "ray"): 13,
+        ("small", "edge"): 56, ("small", "ray"): 29, ("small", "ratio tie"): 6,
+        ("small", "w is a vertex"): 8, ("small", "more tight"): 2, ("small", "no section"): 19,
+        ("bench", "edge"): 575, ("bench", "ray"): 419, ("bench", "no section"): 7,
+        ("yardstick", "edge"): 573, ("yardstick", "ray"): 376, ("yardstick", "ratio tie"): 313,
+        ("yardstick", "w is a vertex"): 265, ("yardstick", "more tight"): 69,
+        ("yardstick", "no section"): 604,
+        ("constant beta", full_line): 17, ("constant beta", "no section"): 3,
+    }
+
+
+def _section_breakpoints(fam) -> list[Fraction]:
+    """Every lambda at which a section edge of the family ends, ascending:
+    probe below, between and above the breakpoints found so far, from
+    lambda = 0, until no probe reports a new one."""
+    found, probed, todo = set(), set(), [Fraction(0)]
+    while todo:
+        probed.update(todo)
+        for delta in todo:
+            edge = solve_lp_delta(fam, delta).edge
+            if edge.kind == V_FIXED:
+                found |= {fam.lambda_of(u.w) for u in (edge.tail, edge.head) if u is not None}
+            else:
+                found.add(fam.lambda_of(edge.fixed))
+        pts = sorted(found)
+        sweep = [pts[0] - 1, pts[-1] + 1, *((lo + hi) / 2 for lo, hi in zip(pts, pts[1:]))]
+        todo = [delta for delta in sweep if delta not in probed]
+    return sorted(found)
+
+
+def test_section_optima_are_the_path_vertices_of_p():
+    # The shadow view: on GameFamily(A, -A, beta) the section at lambda =
+    # delta maximizes delta * beta . y - pi1 over P, and the path's vertices
+    # of P are its optima. The section edges' lambda breakpoints are the
+    # path's node lambdas, and over a sweep of delta through every
+    # breakpoint, every midpoint between two, one point below the first and
+    # one above the last, the distinct section optima are the distinct P
+    # vertices along trace_path.
+    rng = random.Random(5)
+    counts = Counter()
+    for g in range(24):
+        size = 3 + g % 4
+        a = Matrix([[rng.randint(-99, 99) for _ in range(size)] for _ in range(size)])
+        fam = GameFamily(a, a.scale(-1), tuple(rng.sample(range(1, 200), size)))
+        try:
+            path = trace_path(fam)
+            breaks = _section_breakpoints(fam)
+            sweep = [breaks[0] - 1, breaks[-1] + 1, *breaks,
+                     *((lo + hi) / 2 for lo, hi in zip(breaks, breaks[1:]))]
+            optima = {solve_lp_delta(fam, delta).v.basis for delta in sweep}
+        except DegeneracyError:
+            counts["degenerate"] += 1
+            continue
+        assert breaks == sorted({fam.lambda_of(node.w) for node in path.nodes})
+        assert optima == {node.v.basis for node in path.nodes}
+        counts["vertices"] += len(optima)
+    assert dict(counts) == {"vertices": 155, "degenerate": 2}
+
+
+def test_sections_take_each_column_once_and_build_no_fraction_rates(monkeypatch):
+    # The walk picks its labels off P's integer tableau: it takes each
+    # visited vertex's basis columns once, the optimum's included, and the
+    # lifted section keeps the optimum's. No section builds Fraction edge
+    # rates, whether it returns or rejects.
     import rankgames.paramlp as paramlp
 
-    rated = []
-    real = paramlp.edge_rates
+    rated, taken = [], []
+    real_rates, real_columns = paramlp.edge_rates, paramlp.basis_columns
+
+    def columns_spy(p, v):
+        taken.append((v.basis, real_columns(p, v)))
+        return taken[-1][1]
+
     monkeypatch.setattr(
-        paramlp, "edge_rates", lambda p, v, betas: rated.append(v) or real(p, v, betas)
+        paramlp, "edge_rates", lambda p, v, betas: rated.append(v) or real_rates(p, v, betas)
     )
+    monkeypatch.setattr(paramlp, "basis_columns", columns_spy)
     counts = Counter()
     for _, _, p, lifted, betas, delta in section_corpus():
-        rated.clear()
+        taken.clear()
         try:
             sec = paramlp._section(p, lifted, betas, delta)
         except DegeneratePolytope:
-            assert len(rated) <= 1
             counts["rejected"] += 1
             continue
-        assert rated == [sec.v]
+        finally:
+            bases = [basis for basis, _ in taken]
+            assert len(set(bases)) == len(bases)
+        assert bases[-1] == sec.v.basis and sec.columns is taken[-1][1]
         counts["returned"] += 1
+    assert rated == []
     assert dict(counts) == {"returned": 179, "rejected": 29}
 
 
@@ -515,14 +656,8 @@ def test_integer_improving_labels_match_the_fraction_rates(monkeypatch):
     import rankgames.paramlp as paramlp
 
     visited = []
-    real = paramlp.improving_labels
-
-    def spy(p, v, objective):
-        labels = real(p, v, objective)
-        visited.append((v, labels))
-        return labels
-
-    monkeypatch.setattr(paramlp, "improving_labels", spy)
+    real = paramlp.basis_columns
+    monkeypatch.setattr(paramlp, "basis_columns", lambda p, v: visited.append(v) or real(p, v))
     sections = [(p, lifted, betas, delta) for *_, p, lifted, betas, delta in section_corpus()]
     rng = random.Random(12)
     for _ in range(3):
@@ -537,7 +672,9 @@ def test_integer_improving_labels_match_the_fraction_rates(monkeypatch):
             paramlp._section(p, lifted, betas, delta)
         except DegeneratePolytope:
             pass
-        for v, labels in visited:
+        objective = integer_objective(betas, delta)
+        for v in list(visited):  # edge_rates takes columns too
+            labels = paramlp.improving_labels(real(p, v), objective)
             rates = edge_rates(p, v, betas)
             assert labels == [r for r, (g, c) in rates.items() if vdot(g, delta) > c]
             counts["improving" if labels else "optimal"] += 1
@@ -569,7 +706,7 @@ def test_a_warm_section_ends_at_the_cold_optimum_where_it_is_unique():
             if cold is None:
                 assert warm is None
                 counts["rejected"] += 1
-            elif all(vdot(g, delta) != c for g, c in cold.rates.values()):
+            elif all(vdot(g, delta) != c for g, c in edge_rates(p, cold.v, betas).values()):
                 assert (warm.v.basis, warm.w_coords) == (cold.v.basis, cold.w_coords)
                 counts["unique"] += 1
             else:
@@ -588,11 +725,8 @@ def test_integer_lifted_section_matches_the_fraction_reference(monkeypatch):
     import rankgames.paramlp as paramlp
 
     visited = []
-    real = paramlp.improving_labels
-    monkeypatch.setattr(
-        paramlp, "improving_labels",
-        lambda p, v, objective: visited.append(v) or real(p, v, objective),
-    )
+    real = paramlp.basis_columns
+    monkeypatch.setattr(paramlp, "basis_columns", lambda p, v: visited.append(v) or real(p, v))
     sections = [(p, lifted, betas, delta) for *_, p, lifted, betas, delta in section_corpus()]
     rng = random.Random(11)
     for g in range(60):
@@ -618,9 +752,10 @@ def test_integer_lifted_section_matches_the_fraction_reference(monkeypatch):
         except DegeneracyError:
             pass
         objective = integer_objective(betas, delta)
-        for v in visited:
+        for v in list(visited):  # edge_rates takes columns too
             rates = edge_rates(p, v, betas)
-            ours = outcome(lambda: lifted_section(p, lifted, v, rates, delta, objective).w_coords)
+            columns = real(p, v)
+            ours = outcome(lambda: lifted_section(p, lifted, v, columns, delta, objective).w_coords)
             assert ours == outcome(lambda: fraction_lifted_section(lifted, betas, v, rates, delta))
             counts[ours[0] if isinstance(ours[0], str) else "point"] += 1
     assert dict(counts) == {"point": 388, "NonzeroOptimum": 469, "RankGamesError": 91}
