@@ -54,7 +54,8 @@ class MixedProfile:
         object.__setattr__(self, "x", vector(self.x))
         object.__setattr__(self, "y", vector(self.y))
         for side in (self.x, self.y):
-            if any(p < 0 for p in side) or sum(side) != 1:
+            numerators, q = integers(side)  # the side over its least common denominator
+            if min(numerators, default=0) < 0 or sum(numerators) != q:
                 raise DimensionMismatch(f"not a probability vector: {side}")
 
     def support(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -11,10 +11,12 @@ of lrsnash (Avis, Rosenberg, Savani & von Stengel, 2010): one integerizer
 on a dictionary, which keeps only the nonbasic columns (``exchange_pivot``),
 with its form on a full tableau (``integer_pivot``), and one Gauss-Jordan
 loop of exchanges (``gauss_jordan``), which solves, ranks and builds every
-polytope tableau. Each division is exact and every entry stays a
-subdeterminant of the integer input, so no intermediate Fraction is
-normalised. Determinants use Bareiss elimination (``integer_determinant``),
-which does about a third of Gauss-Jordan's row work.
+polytope tableau; a build takes the columns of its sign rows (-z_c <= 0) as
+already pivoted and exchanges only the rest. Each division is exact and
+every entry stays a subdeterminant of the integer input, so no intermediate
+Fraction is normalised. Determinants use Bareiss elimination
+(``integer_determinant``), which does about a third of Gauss-Jordan's row
+work.
 """
 from __future__ import annotations
 
@@ -312,8 +314,9 @@ def integer_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) ->
     return p
 
 
-def gauss_jordan(rows: Sequence[list[int]], free: Iterable[int],
-                 cols: int) -> tuple[list[Optional[int]], int]:
+def gauss_jordan(rows: Sequence[list[int]], free: Iterable[int], cols: int,
+                 pivots: Optional[Sequence[Optional[int]]] = None,
+                 ) -> tuple[list[Optional[int]], int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place, by
     exchanges (``exchange_pivot``).
 
@@ -326,16 +329,23 @@ def gauss_jordan(rows: Sequence[list[int]], free: Iterable[int],
     the final common denominator (of either sign): the true dictionary is
     ``rows / denom``, and each column without a pivot, such as those past
     ``cols``, is the reduced echelon form's.
+
+    ``pivots``, when given, holds a row for each column already pivoted and
+    None for the rest; those columns are skipped. Column c may be taken as
+    pivoted on row r when r reads -z_c + s_r = 0, one -1 and zeros elsewhere,
+    rhs included: z_c = s_r, so the exchange there changes no true entry of
+    any row, and at denominator 1 the dictionary stays the rows as given.
     """
     free = list(free)
-    pivots: list[Optional[int]] = []
+    pivots = [None] * cols if pivots is None else list(pivots)
     denom = 1
-    for col in range(cols):
-        r = next((r for r in free if rows[r][col]), None)
-        if r is not None:
-            free.remove(r)
-            denom = exchange_pivot(rows, rows[r], col, denom)
-        pivots.append(r)
+    for col, done in enumerate(pivots):
+        if done is None:
+            r = next((r for r in free if rows[r][col]), None)
+            if r is not None:
+                free.remove(r)
+                denom = exchange_pivot(rows, rows[r], col, denom)
+            pivots[col] = r
     return pivots, denom
 
 

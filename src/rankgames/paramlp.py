@@ -75,9 +75,14 @@ class Hyperplane:
         m = len(self.gamma)
         return w_coords[m] - vdot(self.gamma, w_coords[:m])
 
+    def dot(self, numerators: Iterable[int]) -> int:
+        """The value at a vector held as integers over one positive
+        denominator, times that denominator and ``scale``."""
+        return sum(map(mul, self.row, numerators))
+
     def over(self, numerators: Iterable[int], denom: int) -> Rat:
         """The value at the vector ``numerators / denom``."""
-        return Fraction(sum(map(mul, self.row, numerators)), self.scale * denom)
+        return Fraction(self.dot(numerators), self.scale * denom)
 
 
 @dataclass(frozen=True)
@@ -365,43 +370,43 @@ def _h_at(h: Hyperplane, w: Vertex) -> Rat:
     return h.over(_rhs(w.tableau), w.tableau.denom)
 
 
-def _h_linear(edge: PathEdge, h: Hyperplane) -> tuple[Rat, Rat]:
-    """Coefficients (h0, dh) of the hyperplane value along the edge parameter.
+def _analyze_edge(edge: PathEdge, h: Hyperplane):
+    """('none', side_sign) | ('point', Crossing) for the hit strictly inside.
 
-    On a moving edge both are integer dots with the edge's integer base
-    point and direction (``EdgeDescriptor.origin`` and ``column``), whether
-    ``Polytope.pivot`` or ``section_edge`` made it. A fixed vertex of Q' is
-    read off its tableau when it carries one.
+    On a moving edge the hyperplane's value at the base, h0, and its rate,
+    dh, are integer dots with the edge's integer base point and direction
+    (``EdgeDescriptor.origin`` and ``column``), over one positive unit,
+    whether ``Polytope.pivot`` or ``section_edge`` made it. The hit t* =
+    -h0 / dh is placed against 0 and ``t_max`` by cross-multiplication, and
+    its ``Fraction`` is built only when it lies strictly inside. A fixed
+    vertex of Q' is read off its tableau when it carries one.
     """
     if edge.kind == W_FIXED:
-        return _h_at(h, edge.fixed), Fraction(0)
-    ed = edge.moving
-    return h.over(ed.origin, ed.denom), h.over(ed.column, ed.denom)
-
-
-def _analyze_edge(edge: PathEdge, h: Hyperplane):
-    """('none', side_sign) | ('point', Crossing) for the hit strictly inside."""
-    h0, dh = _h_linear(edge, h)
-    t_max = edge.moving.t_max
+        h0, dh = _h_at(h, edge.fixed), 0
+    else:
+        ed = edge.moving
+        h0, dh = h.dot(ed.origin), h.dot(ed.column)
     if dh == 0:
         if h0 == 0:
             raise EdgeInHyperplane(
                 "edge lies inside the selection hyperplane (degenerate game)"
             )
         return ("none", 1 if h0 > 0 else -1)
-    t_star = -h0 / dh
-    inside = t_star > 0 and (t_max is None or t_star < t_max)
-    boundary = t_star == 0 or (t_max is not None and t_star == t_max)
-    if boundary:
+    num, den = (-h0, dh) if dh > 0 else (h0, -dh)  # t* = num / den, den > 0
+    t_max = edge.moving.t_max
+    # t* - t_max over den times t_max's denominator; negative on a ray.
+    past = -1 if t_max is None else num * t_max.denominator - t_max.numerator * den
+    if num == 0 or past == 0:
         raise DegeneratePolytope(
             "equilibrium at a vertex pair of the fully-labeled set (degenerate game)"
         )
-    if not inside:
+    if num < 0 or past > 0:
         return ("none", 1 if h0 > 0 else -1)
+    t_star = Fraction(num, den)
     return ("point", Crossing(*edge.point_at(t_star), _orient_index(edge, dh)))
 
 
-def _orient_index(edge: PathEdge, dh: Rat) -> int:
+def _orient_index(edge: PathEdge, dh: int) -> int:
     rising = dh > 0 if edge.direction == FORWARD else dh < 0
     return 1 if rising else -1
 

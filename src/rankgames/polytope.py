@@ -14,8 +14,10 @@ each vertex carries (integer pivoting as in lrsnash: Avis, Rosenberg, Savani
 & von Stengel, 2010), on ``linalg``'s one exact kernel. The tableau is a
 dictionary: it keeps only the d - 1 nonbasic slack columns and the rhs, in
 label order. A vertex given only by its basis gets its tableau from
-``linalg.gauss_jordan`` on the integer rows. A pivot is one
-``linalg.exchange_pivot`` on a copy of the base vertex's tableau; the edge
+``linalg.gauss_jordan`` on the integer rows, with the columns of its sign
+rows (y_j >= 0, x_i >= 0) taken as already pivoted: one exchange for the
+equality and one per other basis row, 2 for a pure vertex of P. A pivot is
+one ``linalg.exchange_pivot`` on a copy of the base vertex's tableau; the edge
 direction, the ratio test (``linalg.least_ratios``), the far vertex and its
 labels are read off that tableau, so the walk solves no system. Coordinates,
 directions and steps are still returned as ``Fraction``, but a pivot's far
@@ -204,6 +206,9 @@ class Polytope:
         self.scales = tuple(scales)
         self.m = m
         self.n = n
+        # Label -> c of each sign row -z_c <= 0: one -1, zeros elsewhere.
+        self._sign_cols = {lab: row.index(-1) for lab, row in enumerate(self.int_rows[1:], 1)
+                           if not row[-1] and row.count(0) == len(row) - 1 and -1 in row}
 
     def _fraction_row(self, index: int) -> tuple[Vec, Rat]:
         row, scale = self.int_rows[index], self.scales[index]
@@ -270,17 +275,29 @@ class Polytope:
         return self._basis_tableau(vertex.basis) if vertex.tableau is None else vertex.tableau
 
     def _basis_tableau(self, basis: frozenset[int]) -> Tableau:
-        """The tableau of a basis, built with d exchanges (``gauss_jordan``)
-        on the integer rows [z | rhs], each bringing one z into the equality
-        row or a basis row; the equality's column, which has no slack, is
-        dropped and the basis slacks' columns are put in label order."""
+        """The tableau of a basis, built by ``gauss_jordan`` on the integer
+        rows [z | rhs]. A basis sign row -z_c <= 0 sets z_c equal to its
+        slack, so its column is taken as already pivoted; one exchange each
+        brings the other z's into the equality row and the other basis rows.
+        The dictionary is unique, over |det| of the basis rows. The
+        equality's column, which has no slack, is dropped and the basis
+        slacks' columns are put in label order."""
         if len(basis) != self.basis_size:
             raise DimensionMismatch(
                 f"basis size {len(basis)} != {self.basis_size} for {self.which}"
             )
         d = self.dim
+        # Two sign rows of one column make the basis singular: the first
+        # is overwritten, and one column is left without a free row.
+        pivots, free = [None] * d, [0]
+        for lab in sorted(basis):
+            c = self._sign_cols.get(lab)
+            if c is None:
+                free.append(lab)
+            else:
+                pivots[c] = lab
         rows = [list(row) for row in self.int_rows]
-        pivots, denom = gauss_jordan(rows, [0, *sorted(basis)], d)
+        pivots, denom = gauss_jordan(rows, free, d, pivots)
         if None in pivots:
             raise Singular(f"basis {sorted(basis)} is singular in {self.which}")
         basic = [-1, *range(d, d + self.n_labels)]  # the equality has no slack

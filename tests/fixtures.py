@@ -8,7 +8,14 @@ from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
-from rankgames.errors import DegeneracyError, NonzeroOptimum, RankGamesError, Singular
+from rankgames.errors import (
+    DegeneracyError,
+    DegeneratePolytope,
+    EdgeInHyperplane,
+    NonzeroOptimum,
+    RankGamesError,
+    Singular,
+)
 from rankgames.games import BimatrixGame, MixedProfile, Rank1Decomposition
 from rankgames.linalg import (
     Matrix,
@@ -20,7 +27,8 @@ from rankgames.linalg import (
     vdot,
 )
 from rankgames.lp import EQ, LE, LinearProgram
-from rankgames.paramlp import edge_rates
+from rankgames.labeledpath import FORWARD, W_FIXED
+from rankgames.paramlp import Crossing, _h_at, edge_rates
 from rankgames.polytope import GameFamily, Polytope, Tableau
 
 # Worked example: a game family whose fully-labeled set is a path plus one
@@ -290,6 +298,41 @@ def reference_section_edge(family: GameFamily, sec):
     direction = (*dx, Fraction(1), vdot(family.beta, v.coords[: family.n]))
     tight = family.qp.labels_at(sec.w_coords)
     return family.qp.edge_through_point(tight, sec.w_coords, direction)
+
+
+def h_linear(edge, h) -> tuple:
+    """(h0, dh), the hyperplane's value at a path edge's base and its rate
+    along the edge parameter, in ``Fraction``s: integer dots with a moving
+    edge's integer base point and direction over their unit, and on a fixed
+    vertex of Q' ``paramlp._h_at`` with rate zero."""
+    if edge.kind == W_FIXED:
+        return _h_at(h, edge.fixed), Fraction(0)
+    ed = edge.moving
+    return h.over(ed.origin, ed.denom), h.over(ed.column, ed.denom)
+
+
+def reference_analyze_edge(edge, h):
+    """The reference for ``paramlp._analyze_edge``, in ``Fraction``s: t* =
+    -h0 / dh against 0 and the edge's ``t_max``."""
+    h0, dh = h_linear(edge, h)
+    t_max = edge.moving.t_max
+    if dh == 0:
+        if h0 == 0:
+            raise EdgeInHyperplane(
+                "edge lies inside the selection hyperplane (degenerate game)"
+            )
+        return ("none", 1 if h0 > 0 else -1)
+    t_star = -h0 / dh
+    inside = t_star > 0 and (t_max is None or t_star < t_max)
+    boundary = t_star == 0 or (t_max is not None and t_star == t_max)
+    if boundary:
+        raise DegeneratePolytope(
+            "equilibrium at a vertex pair of the fully-labeled set (degenerate game)"
+        )
+    if not inside:
+        return ("none", 1 if h0 > 0 else -1)
+    rising = dh > 0 if edge.direction == FORWARD else dh < 0
+    return ("point", Crossing(*edge.point_at(t_star), 1 if rising else -1))
 
 
 def ex1_family() -> GameFamily:

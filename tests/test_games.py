@@ -50,10 +50,17 @@ def test_verify_shape_mismatch():
 
 
 def test_profile_validation():
-    with pytest.raises(DimensionMismatch):
+    # A side that does not sum to 1, one with a negative entry, and an empty one.
+    with pytest.raises(DimensionMismatch) as exc:
         MixedProfile((HALF, HALF, HALF), (1, 0))
-    with pytest.raises(DimensionMismatch):
+    assert str(exc.value) == (
+        "not a probability vector: (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))")
+    with pytest.raises(DimensionMismatch) as exc:
         MixedProfile((Fraction(3, 2), Fraction(-1, 2)), (1, 0))
+    assert str(exc.value) == "not a probability vector: (Fraction(3, 2), Fraction(-1, 2))"
+    with pytest.raises(DimensionMismatch) as exc:
+        MixedProfile((), (1,))
+    assert str(exc.value) == "not a probability vector: ()"
 
 
 def test_verify_scaling_invariance():

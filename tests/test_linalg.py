@@ -145,6 +145,12 @@ def test_gauss_jordan_pivots_each_column_on_its_first_free_nonzero_row():
     rows = [[0, 1], [3, 4], [6, 7]]
     assert gauss_jordan(rows, [2, 1, 0], 2) == ([2, 1], 3)
     assert rows == [[3, -6], [-3, 6], [4, -7]]
+    # A column given as pivoted is skipped: row 1 reads -z_0 + s_1 = 0, so
+    # z_0 = s_1 as the rows stand, and one exchange brings z_1 into row 0.
+    # rows / 2 is over (s_1, s_0): z_1 = 3/2 - s_1/2 - s_0/2, z_0 = s_1.
+    rows = [[1, 2, 3], [-1, 0, 0], [2, 5, 4]]
+    assert gauss_jordan(rows, [0], 2, [1, None]) == ([1, 0], 2)
+    assert rows == [[1, 1, 3], [-2, 0, 0], [-1, -5, -7]]
 
 
 def test_exchange_pivot_keeps_the_full_pivots_nonbasic_columns():

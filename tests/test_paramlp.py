@@ -35,10 +35,12 @@ from fixtures import (
     R1A_NE_X,
     R1A_NE_Y,
     fraction_lifted_section,
+    h_linear,
     polytope_lp,
     random_rank1,
     random_rank_k,
     ray_anchors,
+    reference_analyze_edge,
     reference_section_edge,
     section_gap,
     section_objective,
@@ -225,8 +227,6 @@ def test_tableau_hyperplane_values_match_fraction_values():
     # their integers but no Q' tableau, and fixed section vertices carry no
     # tableau (their value is read off their Fraction coordinates); they are
     # compared too.
-    from rankgames.paramlp import _h_linear
-
     kinds = Counter()
     for gammas, edges in _walked_edges():
         for gamma in gammas:
@@ -239,13 +239,85 @@ def test_tableau_hyperplane_values_match_fraction_values():
                     ed = edge.moving
                     want = (h.value_at(ed.base.coords), h.value_at(ed.direction))
                     on_tableau = ed.tableau is not None
-                assert _h_linear(edge, h) == want
+                assert h_linear(edge, h) == want
                 kinds[edge.kind, on_tableau] += 1
     # Per gamma: 20 section edges without a tableau (recounted: still 20)
     # and 20 fixed section vertices, which take the Fraction route; both
     # rays carry tableaux.
     assert kinds == {(V_FIXED, True): 932, (W_FIXED, True): 812,
                      (V_FIXED, False): 40, (W_FIXED, False): 40}
+
+
+def _yardstick_walks():
+    """(gammas, edges) of the small-entry yardstick: 200 rank-1 games from
+    random.Random(77), s cycling 3, 4, 5, with the edges of each path and of
+    ``enumerate_rank1``'s walk, and 200 general games from random.Random(78)
+    with entries in -2..2, with their paths' edges. A path that meets a
+    degeneracy is left out; an enumeration walk keeps the edges it reached
+    before one. The gammas are as in ``_walked_edges``, the
+    second drawn from -1..1."""
+    from rankgames.algorithms import _edges_until, general_family, rank1_family
+    from rankgames.games import BimatrixGame
+
+    def walked(fam, run=None):
+        edges = []
+        for walk in ("path", "enumeration") if run else ("path",):
+            try:
+                if walk == "path":
+                    edges += trace_path(fam).edges
+                else:
+                    start = solve_lp_delta(fam, min(run.gamma)).edge
+                    edges += _edges_until(fam, start, max(run.gamma))
+            except DegeneracyError:
+                pass
+        return edges
+
+    rng = random.Random(77)
+    for s in (3, 4, 5) * 66 + (3, 4):
+        run, fam = rank1_family(random_rank1(rng, s, s, span=2, gamma_span=1, beta_span=3))
+        yield (run.gamma, tuple(Fraction(rng.randint(-1, 1)) for _ in range(s))), walked(fam, run)
+    rng = random.Random(78)
+    for g in range(200):
+        s = 3 + g % 3
+        a, b = (Matrix([[rng.randint(-2, 2) for _ in range(s)] for _ in range(s)])
+                for _ in range(2))
+        gammas = ((Fraction(0),) * s, tuple(Fraction(rng.randint(-1, 1)) for _ in range(s)))
+        yield gammas, walked(general_family(BimatrixGame(a, b)))
+
+
+def test_integer_edge_analysis_matches_the_fraction_reference():
+    # On every walked edge of both corpora, under each gamma, the crossing
+    # decided by integer cross-multiplication equals the Fraction reference's:
+    # the side, the crossing point and its index, or the error class and
+    # message. Every outcome occurs, and hits occur with the value rising
+    # along the edge parameter (forward, +1) and falling (forward -1 and
+    # backward +1), so t* = -h0 / dh is taken with dh of either sign.
+    from itertools import chain
+
+    from rankgames.paramlp import _analyze_edge
+
+    def outcome(analyze, edge, h):
+        try:
+            return analyze(edge, h)
+        except RankGamesError as exc:
+            return type(exc).__name__, str(exc)
+
+    counts = Counter()
+    for gammas, edges in chain(_walked_edges(), _yardstick_walks()):
+        for gamma in gammas:
+            h = Hyperplane(gamma)
+            for edge in edges:
+                ours = outcome(_analyze_edge, edge, h)
+                assert ours == outcome(reference_analyze_edge, edge, h)
+                if ours[0] == "point":
+                    counts["point", edge.direction, ours[1].orient_index] += 1
+                else:
+                    counts[ours[0]] += 1
+    assert counts == {
+        "none": 2460, "DegeneratePolytope": 133, "EdgeInHyperplane": 72,
+        ("point", "forward", 1): 287, ("point", "backward", 1): 78,
+        ("point", "forward", -1): 50,
+    }
 
 
 def test_solve_lp_k_specializes_to_rank1(r1a_family):

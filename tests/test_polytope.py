@@ -296,10 +296,11 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
     def checked_build(self, basis):
         try:
             full = full_basis_tableau(self, basis)
-        except Singular:
+        except Singular as want:
             counts["singular"] += 1
-            with pytest.raises(Singular):
+            with pytest.raises(Singular) as got:
                 build(self, basis)
+            assert str(got.value) == str(want)
             raise
         tab = build(self, basis)
         assert tab == nonbasic_columns(self, full)
@@ -329,6 +330,65 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
         except RankGamesError:
             counts["rejected"] += 1
     assert counts == {"build": 851, "singular": 148, "pivot": 2523, "rejected": 29}
+
+
+def test_start_builds_exchange_only_the_rows_that_are_not_sign_rows(monkeypatch):
+    # A basis sign row (y_j >= 0 in P, x_i >= 0 in Q') sets its variable
+    # equal to its slack, so its column is taken as already pivoted: a build
+    # makes one exchange for the equality and one per other basis label, on
+    # every nonsingular basis of the pivot corpus. So a pure vertex of P
+    # takes 2 and Q''s vertex on a ray 3, whatever the dimension d.
+    import rankgames.linalg as linalg
+
+    calls = []
+    real = linalg.exchange_pivot
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "exchange_pivot", counted)
+
+    def exchanges(poly, basis) -> int:
+        calls.clear()
+        poly._basis_tableau(frozenset(basis))
+        return len(calls)
+
+    counts = Counter()
+    for poly in _pivot_corpus():
+        m, n = poly.m, poly.n
+        signs = set(range(m + 1, m + n + 1) if poly.which == "P" else range(1, m + 1))
+        for basis in combinations(range(1, poly.n_labels + 1), poly.basis_size):
+            try:
+                got = exchanges(poly, basis)
+            except Singular:
+                counts["singular"] += 1
+                continue
+            assert got == 1 + len(set(basis) - signs)
+            counts["built", got] += 1
+    assert counts == {"singular": 148, ("built", 2): 100, ("built", 3): 273,
+                      ("built", 4): 218, ("built", 5): 51, ("built", 6): 1}
+    rng = random.Random(1)
+    fams = [ex1_family()]
+    for s in (4, 6, 8):
+        a = Matrix([[rng.randint(-99, 99) for _ in range(s + 1)] for _ in range(s)])
+        fams.append(GameFamily(a, a.scale(-1), rng.sample(range(1, 200), s + 1)))
+    for fam in fams:
+        for high in (False, True):
+            v_basis, w_basis, _ = fam.ray_bases(high)
+            assert (exchanges(fam.p, v_basis), exchanges(fam.qp, w_basis)) == (2, 3)
+    # A zero payoff row reads -pi1 <= 0, a sign row of pi1's column: with
+    # y_1 >= 0 beside it a build takes one exchange, and a second such row
+    # makes the basis singular, as in the reference.
+    p = build_p(Matrix([[0, 0], [0, 0], [1, 2]]))
+    assert exchanges(p, {1, 4}) == 1
+    assert p._basis_tableau(frozenset({1, 4})) == nonbasic_columns(
+        p, full_basis_tableau(p, {1, 4}))
+    with pytest.raises(Singular) as want:
+        full_basis_tableau(p, {1, 2})
+    with pytest.raises(Singular) as got:
+        p._basis_tableau(frozenset({1, 2}))
+    assert str(got.value) == str(want.value)
 
 
 def test_polytope_rows_equal_the_fraction_rows_made_integer():
