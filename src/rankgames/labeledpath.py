@@ -7,12 +7,14 @@ incident edges, so the pairs form paths and cycles. Node signs come from the
 determinants of the two tight-constraint systems and orient the traversal.
 
 A step is one ``Polytope.pivot``, an integer pivot on the moving vertex's
-tableau, so the walk solves no linear system. Each node sign is taken afresh
-from the polytopes' integer rows, independently of the pivots, which is what
-makes "sign alternation violated" a real check: the sign rows (one -1 each)
-are expanded by Laplace into a sign parity, and Bareiss elimination runs on
-the bordered support block that is left, of order |supp y| + 1 in P and
-|supp x| + 2 in Q'.
+tableau, so the walk solves no linear system. Each node sign is taken from
+the polytopes' integer rows, independently of the pivots, which is what makes
+"sign alternation violated" a real check: the sign rows (one -1 each) are
+expanded by Laplace into a sign parity, and Bareiss elimination runs on the
+bordered support block that is left, of order |supp y| + 1 in P and
+|supp x| + 2 in Q'. A step keeps the fixed side's block, the same rows over
+the same columns, so its determinant is reused (``_block_determinant``) and
+each node after the first takes one fresh determinant, the moving side's.
 """
 from __future__ import annotations
 
@@ -95,6 +97,19 @@ def _tight_determinant(poly: Polytope, labels: list[int], order: list[int]) -> i
     return integer_determinant([[row[col] for col in order] for row in rows])
 
 
+def _block_determinant(poly: Polytope, labels: list[int], order: list[int]) -> int:
+    """``_tight_determinant``, reused when the block, its row labels and its
+    column order, is the polytope's last one (``Polytope.last_block``), so a
+    hit is the same integer matrix. A step that moves the other polytope
+    keeps this one's block."""
+    last = poly.last_block
+    if last is not None and last[0] == labels and last[1] == order:
+        return last[2]
+    det = _tight_determinant(poly, labels, order)
+    poly.last_block = (labels, order, det)
+    return det
+
+
 def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
     """Sign of the pair from the two tight-system determinants.
 
@@ -107,10 +122,11 @@ def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
 
     Each sign row (y_j >= 0 in P, x_i >= 0 in Q', the duplicate's included)
     has one entry, -1, and is expanded away by Laplace. Bareiss runs on the
-    bordered support matrix that is left, taken afresh from the polytope's
-    integer rows: the equality and v's tight payoff rows over (y_supp, pi1)
-    in P, the equality and w's tight column rows over (lambda, x_supp, pi2)
-    in Q'. Each identity-block row sits one place below its column, so its
+    bordered support matrix that is left, taken from the polytope's integer
+    rows unless the last node took the same one (``_block_determinant``):
+    the equality and v's tight payoff rows over (y_supp, pi1) in P, the
+    equality and w's tight column rows over (lambda, x_supp, pi2) in Q'.
+    Each identity-block row sits one place below its column, so its
     cofactor sign cancels its -1. The duplicate's row comes right after the
     payoff block, so its cofactor sign and its -1 give (-1)^later, where
     ``later`` counts the labels of its block (X or Y) past the duplicate.
@@ -118,10 +134,10 @@ def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
     m, n = family.m, family.n
     big_x = sorted(lab for lab in v.labels if lab <= m)
     big_y = sorted(lab for lab in w.labels if lab > m)
-    det_v = _tight_determinant(
+    det_v = _block_determinant(
         family.p, big_x, [lab - m - 1 for lab in big_y if lab != duplicate] + [n]
     )
-    det_w = _tight_determinant(
+    det_w = _block_determinant(
         family.qp, big_y, [m] + [lab - 1 for lab in big_x if lab != duplicate] + [m + 1]
     )
     later = sum(lab > duplicate for lab in (big_x if duplicate <= m else big_y))

@@ -335,6 +335,8 @@ def gauss_jordan(rows: Sequence[list[int]], free: Iterable[int], cols: int,
     pivoted on row r when r reads -z_c + s_r = 0, one -1 and zeros elsewhere,
     rhs included: z_c = s_r, so the exchange there changes no true entry of
     any row, and at denominator 1 the dictionary stays the rows as given.
+    Such a row may be left out of ``rows`` and marked by an index outside
+    them, such as -1.
     """
     free = list(free)
     pivots = [None] * cols if pivots is None else list(pivots)

@@ -17,8 +17,13 @@ by the rank-k cell walk, for the affine pieces of the box map. Intersecting
 the containing edge with a game's selection hyperplane yields a crossing point
 or a side classification; the crossing is only geometry, which the caller
 verifies on its own game. Every moving path edge holds its base point and
-direction as integers over one denominator, so the hyperplane's value and its
-rate are integer dots with the hyperplane's integer row.
+direction as integers over one denominator, and a bounded one its length as
+an integer ratio, so the hyperplane's value and its rate are integer dots with
+the hyperplane's integer row and the hit is placed by cross-multiplication. A
+fixed vertex of Q' gives only a side: the sign of one integer dot with its
+point's numerators. Every point is read off a tableau through
+``Tableau.z_column``: a tableau holds no row for a sign-constrained
+coordinate.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -298,7 +303,7 @@ def section_edge(family: GameFamily, beta: tuple[list[int], int], sec: Section,
     if high is None and low is None:
         raise DegeneratePolytope("edge is a full line; polytope not pointed")
     u = q * tab.denom
-    rhs = [row[-1] for row in tab.rows[: n + 1]]  # (y, pi1) times denom
+    rhs = _rhs(tab)  # (y, pi1) times denom
     beta_y, pi1 = sum(map(mul, b, rhs)), rhs[n]  # beta . y over u, pi1 over denom
 
     def end(r: int) -> tuple[int, int]:
@@ -319,16 +324,16 @@ def section_edge(family: GameFamily, beta: tuple[list[int], int], sec: Section,
     relaxed = high if low is None else low
     num, den = end(relaxed)
     origin = point(num, den)
-    base, far, t_max = vertex(relaxed, origin, u * den), None, None
+    base, far, step = vertex(relaxed, origin, u * den), None, None
     if low is not None and high is not None:
         far_num, far_den = end(high)
         far = vertex(high, point(far_num, far_den), u * far_den)
-        t_max = Fraction(far_num * den - num * far_den, far_den * den)
+        step = (far_num * den - num * far_den, far_den * den)
     # Rising lambda from the lower end, else falling from the upper, over u * den.
     scale = -den if low is None else den
     direction = (*(-g[i] if i in columns else 0 for i in range(1, m + 1)), u, beta_y)
-    return EdgeDescriptor(base, relaxed, None, t_max, far, None,
-                          tuple(scale * k for k in direction), origin, u * den)
+    return EdgeDescriptor(base, relaxed, None, None, far, None,
+                          tuple(scale * k for k in direction), origin, u * den, step)
 
 
 def solve_lp_delta(family: GameFamily, delta, start: Optional[Vertex] = None) -> OptSet:
@@ -357,17 +362,18 @@ def solve_lp_delta(family: GameFamily, delta, start: Optional[Vertex] = None) ->
     return OptSet(v, w_coords, sec.columns, sec.slacks, edge)
 
 
-def _rhs(tab: Tableau) -> Iterator[int]:
-    """A tableau's rhs column. Its first d entries, the z rows, are the
-    vertex's point times ``tab.denom``; ``Hyperplane.over`` reads no more."""
-    return (row[-1] for row in tab.rows)
+def _rhs(tab: Tableau) -> list[int]:
+    """The vertex's point times ``tab.denom``: the rhs of its z rows."""
+    return tab.z_column(-1)
 
 
-def _h_at(h: Hyperplane, w: Vertex) -> Rat:
-    """The hyperplane value at a vertex of Q', off its tableau when it carries one."""
+def _h_at(h: Hyperplane, w: Vertex):
+    """A number with the sign of the hyperplane's value at a vertex of Q':
+    an integer dot with its point's numerators when it carries a tableau,
+    else the value off its coordinates."""
     if w.tableau is None:
         return h.value_at(w.coords)
-    return h.over(_rhs(w.tableau), w.tableau.denom)
+    return h.dot(_rhs(w.tableau))
 
 
 def _analyze_edge(edge: PathEdge, h: Hyperplane):
@@ -378,8 +384,9 @@ def _analyze_edge(edge: PathEdge, h: Hyperplane):
     (``EdgeDescriptor.origin`` and ``column``), over one positive unit,
     whether ``Polytope.pivot`` or ``section_edge`` made it. The hit t* =
     -h0 / dh is placed against 0 and ``t_max`` by cross-multiplication, and
-    its ``Fraction`` is built only when it lies strictly inside. A fixed
-    vertex of Q' is read off its tableau when it carries one.
+    its ``Fraction`` is built only when it lies strictly inside; a bounded
+    edge's t_max is read as its integer ``step``. A fixed vertex of Q' gives
+    only a side, read off its tableau when it carries one.
     """
     if edge.kind == W_FIXED:
         h0, dh = _h_at(h, edge.fixed), 0
@@ -393,9 +400,9 @@ def _analyze_edge(edge: PathEdge, h: Hyperplane):
             )
         return ("none", 1 if h0 > 0 else -1)
     num, den = (-h0, dh) if dh > 0 else (h0, -dh)  # t* = num / den, den > 0
-    t_max = edge.moving.t_max
-    # t* - t_max over den times t_max's denominator; negative on a ray.
-    past = -1 if t_max is None else num * t_max.denominator - t_max.numerator * den
+    step = edge.moving.step
+    # t* - t_max over den times the step's positive denominator; negative on a ray.
+    past = -1 if step is None else num * step[1] - step[0] * den
     if num == 0 or past == 0:
         raise DegeneratePolytope(
             "equilibrium at a vertex pair of the fully-labeled set (degenerate game)"

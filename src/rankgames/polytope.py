@@ -13,20 +13,24 @@ read. Pivoting runs on a fraction-free integer tableau of the polytope that
 each vertex carries (integer pivoting as in lrsnash: Avis, Rosenberg, Savani
 & von Stengel, 2010), on ``linalg``'s one exact kernel. The tableau is a
 dictionary: it keeps only the d - 1 nonbasic slack columns and the rhs, in
-label order. A vertex given only by its basis gets its tableau from
-``linalg.gauss_jordan`` on the integer rows, with the columns of its sign
-rows (y_j >= 0, x_i >= 0) taken as already pivoted: one exchange for the
-equality and one per other basis row, 2 for a pure vertex of P. A pivot is
-one ``linalg.exchange_pivot`` on a copy of the base vertex's tableau; the edge
-direction, the ratio test (``linalg.least_ratios``), the far vertex and its
-labels are read off that tableau, so the walk solves no system. Coordinates,
-directions and steps are still returned as ``Fraction``, but a pivot's far
-vertex and its edge are made without their coordinates and direction: those
-are read off the tableau when first used, which on most path edges is never.
-Each edge keeps its base point and direction as integers over one
-denominator. A section walk reads its edges off the tableau as integer
-columns (``_column``: the edge direction times ``denom``), so it builds no
-``Fraction`` direction at all.
+label order, and as lrsnash's dictionary it keeps rows only for the slacks
+and the free coordinates (pi1 in P, lambda and pi2 in Q'). A sign-constrained
+coordinate (y_j in P, x_i in Q') equals its sign row's slack, and every
+reader of coordinates reads it off that slack's row through one accessor,
+``Tableau.z_column``. A vertex given only by its basis gets its tableau from
+``linalg.gauss_jordan`` on the integer rows but the sign rows, with the
+columns of its sign rows (y_j >= 0, x_i >= 0) taken as already pivoted: one
+exchange for the equality and one per other basis row, 2 for a pure vertex of
+P. A pivot is one ``linalg.exchange_pivot`` on a copy of the base vertex's
+tableau; the edge direction, the ratio test (``linalg.least_ratios``), the
+far vertex and its labels are read off that tableau, so the walk solves no
+system. Coordinates, directions and steps are still returned as ``Fraction``,
+but a pivot's far vertex and its edge are made without their coordinates,
+direction and step: those are read off the tableau, or the step's integers,
+when first used, which on most path edges is never. Each edge keeps its base
+point and direction as integers over one denominator. A section walk reads
+its edges off the tableau as integer columns (``_column``: the edge direction
+times ``denom``), so it builds no ``Fraction`` direction at all.
 """
 from __future__ import annotations
 
@@ -67,28 +71,44 @@ from .linalg import (
 class Tableau(NamedTuple):
     """Fraction-free dictionary of a polytope at one vertex.
 
-    One row per row of ``Polytope.int_rows``, over the nonbasic columns only:
-    the slacks of the basis labels ``cols``, ascending, then the right-hand
-    side; the true dictionary is ``rows / denom`` with ``denom > 0``. Every
-    entry is the one the full tableau over z_0..z_{d-1}, the slacks of labels
-    1..L and the rhs holds in that column; its basic columns, ``denom`` on
-    their row and zero elsewhere, are left out. Row r's basic variable is the
-    full tableau's column ``basic[r]``: z_r in the first d rows, then one
-    slack per row, the slacks outside the basis (label l's is column
-    d + l - 1). The slack of label l is measured in ``int_rows[l]``, so it is
-    the true slack times ``Polytope.scales[l]``.
+    Rows over the nonbasic columns only: the slacks of the basis labels
+    ``cols``, ascending, then the right-hand side; the true dictionary is
+    ``rows / denom`` with ``denom > 0``. Every entry is the one the full
+    tableau over z_0..z_{d-1}, the slacks of labels 1..L and the rhs holds
+    in that column; its basic columns, ``denom`` on their row and zero
+    elsewhere, are left out. Row r's basic variable is the full tableau's
+    column ``basic[r]``: first the z_c of each free coordinate (pi1 in P,
+    lambda and pi2 in Q'), then one slack per row, the slacks outside the
+    basis (label l's is column d + l - 1). The slack of label l is measured
+    in ``int_rows[l]``, so it is the true slack times ``Polytope.scales[l]``.
+
+    A sign-constrained coordinate (y_j in P, x_i in Q') has no row of its
+    own: its sign row -z_c <= 0 (label l) makes z_c equal to that row's
+    slack, so its row in the full tableau is a copy of the slack's row, or
+    ``-denom`` in the slack's column, zero elsewhere, when l is in the
+    basis. ``z_at[c]`` is the index of the row that z_c reads, its own or
+    its sign slack's, or -l for that unit row; ``z_column`` reads them.
     """
 
     rows: tuple[tuple[int, ...], ...]
     denom: int
     basic: tuple[int, ...]
     cols: tuple[int, ...]
+    z_at: tuple[int, ...]
+
+    def z_column(self, j: int) -> list[int]:
+        """Column j of the full tableau's rows of z_0..z_{d-1}: the
+        nonbasic column j, or the rhs for j = -1. The one reader of the
+        vertex's coordinates and of its edges' directions."""
+        rows = self.rows
+        if j == -1:
+            return [rows[r][-1] if r >= 0 else 0 for r in self.z_at]
+        unit, lab = -self.denom, -self.cols[j]
+        return [rows[r][j] if r >= 0 else unit if r == lab else 0 for r in self.z_at]
 
     def point(self) -> Vec:
-        """The vertex's coordinates: the rhs of the z rows over ``denom``.
-        There are d of them: d - 1 slack columns and the rhs."""
-        d = len(self.rows[0])
-        return tuple(Fraction(row[-1], self.denom) for row in self.rows[:d])
+        """The vertex's coordinates: the rhs of the z rows over ``denom``."""
+        return tuple(Fraction(x, self.denom) for x in self.z_column(-1))
 
 
 class _ReadOff:
@@ -138,11 +158,13 @@ class EdgeDescriptor:
     """One-dimensional face reached by relaxing one inequality at a vertex.
 
     Points are ``base.coords + t * direction`` for t in [0, t_max], with
-    t_max None on unbounded edges. Every edge the package makes holds its
-    base point as ``origin`` and its direction as ``column``, integers over
-    one positive ``denom``; ``point_at`` reads them, and ``direction`` is
-    read off them when first used. An edge that ``pivot`` makes carries its
-    base's ``tableau`` too: ``origin`` is its rhs on the z rows and
+    t_max None on unbounded edges, which have no far end. Every edge the
+    package makes holds its base point as ``origin`` and its direction as
+    ``column``, integers over one positive ``denom``; ``point_at`` reads
+    them, and ``direction`` is read off them when first used. A bounded one
+    holds t_max as ``step``, integers (num, den > 0), and ``t_max`` is read
+    off it when first used. An edge that ``pivot`` makes carries its base's
+    ``tableau`` too: ``origin`` is its point's rhs (``Tableau.z_column``) and
     ``column`` the relaxed slack's nonbasic column there, times minus the
     row's scale. The section edge of ``paramlp.solve_lp_delta`` is read off
     P's tableau at the section optimum (``paramlp.section_edge``) and
@@ -152,16 +174,17 @@ class EdgeDescriptor:
     base: Vertex
     relaxed: int
     direction: Vec = _ReadOff(lambda e: tuple(Fraction(k, e.denom) for k in e.column))
-    t_max: Optional[Rat]
+    t_max: Optional[Rat] = _ReadOff(lambda e: None if e.step is None else Fraction(*e.step))
     far_end: Optional[Vertex]
     tableau: Optional[Tableau] = field(default=None, compare=False, repr=False)
     column: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
     origin: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
     denom: int = field(default=1, compare=False, repr=False)
+    step: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
     @property
     def unbounded(self) -> bool:
-        return self.t_max is None
+        return self.far_end is None
 
     @property
     def tight_set(self) -> frozenset[int]:
@@ -196,10 +219,12 @@ class Polytope:
 
     ``int_rows[l]`` is row l's (a, b) in integers, times its least positive
     scale ``scales[l]``: the equality at index 0, inequality l at index l.
+    ``signs[c]`` is the label of coordinate c's sign row -z_c <= 0, 0 for a
+    free coordinate; a tableau keeps no row for the others (``Tableau``).
     """
 
     def __init__(self, which: str, dim: int, int_rows: Sequence[Sequence[int]],
-                 scales: Sequence[int], m: int, n: int):
+                 scales: Sequence[int], m: int, n: int, signs: Sequence[int]):
         self.which = which
         self.dim = dim
         self.int_rows = tuple(map(tuple, int_rows))
@@ -209,6 +234,19 @@ class Polytope:
         # Label -> c of each sign row -z_c <= 0: one -1, zeros elsewhere.
         self._sign_cols = {lab: row.index(-1) for lab, row in enumerate(self.int_rows[1:], 1)
                            if not row[-1] and row.count(0) == len(row) - 1 and -1 in row}
+        self.signs = tuple(signs)
+        self._free = self.signs.count(0)  # a tableau's first rows: the free z's
+        self._sign_coord = {lab: c for c, lab in enumerate(self.signs) if lab}
+        # The variable whose row coordinate c reads: z_c, or its sign slack.
+        self._z_vars = tuple(dim + lab - 1 if lab else c for c, lab in enumerate(self.signs))
+        # The rows a build eliminates: every row but the coordinates' sign rows.
+        dropped = set(self.signs) - {0}
+        self._kept = tuple(i for i in range(len(self.int_rows)) if i not in dropped)
+        self._position = {i: r for r, i in enumerate(self._kept)}
+        # (labels, columns, determinant) of the last tight block that a node
+        # sign took on this polytope (``labeledpath``); the next node reuses
+        # it when its block is the same.
+        self.last_block: Optional[tuple[list[int], list[int], int]] = None
 
     def _fraction_row(self, index: int) -> tuple[Vec, Rat]:
         row, scale = self.int_rows[index], self.scales[index]
@@ -260,7 +298,7 @@ class Polytope:
             tab = self._basis_tableau(basis)
         except Singular:
             return None
-        if any(row[-1] < 0 for row in tab.rows[self.dim:]):
+        if any(row[-1] < 0 for row in tab.rows[self._free:]):
             return None
         return self._tableau_vertex(basis, tab)
 
@@ -276,63 +314,73 @@ class Polytope:
 
     def _basis_tableau(self, basis: frozenset[int]) -> Tableau:
         """The tableau of a basis, built by ``gauss_jordan`` on the integer
-        rows [z | rhs]. A basis sign row -z_c <= 0 sets z_c equal to its
-        slack, so its column is taken as already pivoted; one exchange each
-        brings the other z's into the equality row and the other basis rows.
-        The dictionary is unique, over |det| of the basis rows. The
+        rows [z | rhs] that are no coordinate's sign row. A basis sign row
+        -z_c <= 0 sets z_c equal to its slack, so its column is taken as
+        already pivoted; one exchange each brings the other z's into the
+        equality row and the other basis rows. The row that z_c of a sign
+        coordinate takes equals its sign slack's row, and it is kept as that
+        slack's. The dictionary is unique, over |det| of the basis rows. The
         equality's column, which has no slack, is dropped and the basis
         slacks' columns are put in label order."""
         if len(basis) != self.basis_size:
             raise DimensionMismatch(
                 f"basis size {len(basis)} != {self.basis_size} for {self.which}"
             )
-        d = self.dim
+        d, kept, at, signs = self.dim, self._kept, self._position, self.signs
         # Two sign rows of one column make the basis singular: the first
         # is overwritten, and one column is left without a free row.
-        pivots, free = [None] * d, [0]
+        labels, free = [None] * d, [0]
         for lab in sorted(basis):
             c = self._sign_cols.get(lab)
             if c is None:
-                free.append(lab)
+                free.append(at[lab])
             else:
-                pivots[c] = lab
-        rows = [list(row) for row in self.int_rows]
+                labels[c] = lab
+        rows = [list(self.int_rows[i]) for i in kept]
+        # A sign coordinate's own sign row is not eliminated: -1 marks it pivoted.
+        pivots = [None if lab is None else at.get(lab, -1) for lab in labels]
         pivots, denom = gauss_jordan(rows, free, d, pivots)
         if None in pivots:
             raise Singular(f"basis {sorted(basis)} is singular in {self.which}")
-        basic = [-1, *range(d, d + self.n_labels)]  # the equality has no slack
+        basic = [-1, *(d + i - 1 for i in kept[1:])]  # the equality has no slack
         for col, r in enumerate(pivots):
-            basic[r] = col
+            if r >= 0:
+                basic[r] = d + signs[col] - 1 if signs[col] else col
+                labels[col] = kept[r]
         order = sorted(range(len(rows)), key=basic.__getitem__)
-        # Column j now holds the slack of row pivots[j], which is its label.
-        keep = sorted((r, j) for j, r in enumerate(pivots) if r)
+        basic = tuple(basic[r] for r in order)
+        # Column j now holds the slack of labels[j]; the equality's is dropped.
+        keep = sorted((lab, j) for j, lab in enumerate(labels) if lab)
         if denom < 0:
             rows, denom = [[-x for x in row] for row in rows], -denom
         pick = itemgetter(*(j for _, j in keep), d)
+        row_of = {var: r for r, var in enumerate(basic)}
         return Tableau(
             tuple(pick(rows[r]) for r in order),
             denom,
-            tuple(basic[r] for r in order),
+            basic,
             tuple(lab for lab, _ in keep),
+            tuple(row_of.get(var, -lab) for var, lab in zip(self._z_vars, signs)),
         )
 
     def _tableau_vertex(self, basis: frozenset[int], tab: Tableau) -> Vertex:
         """The vertex of a tableau: labels the basis and every basic slack at
         zero; its coordinates are read off the z rows when first used."""
-        d = self.dim
-        zeros = {var - d + 1 for var, row in zip(tab.basic[d:], tab.rows[d:]) if not row[-1]}
+        d, free = self.dim, self._free
+        zeros = {var - d + 1 for var, row in zip(tab.basic[free:], tab.rows[free:])
+                 if not row[-1]}
         return Vertex(None, basis, basis | zeros, tab)
 
     def _column(self, tab: Tableau, relax: int) -> tuple[int, ...]:
         """Relax's edge direction times ``tab.denom``: the slack's column on
-        the z rows, times minus the row's scale."""
-        col, scale = tab.cols.index(relax), -self.scales[relax]
-        return tuple(scale * row[col] for row in tab.rows[: self.dim])
+        the z rows (``Tableau.z_column``), times minus the row's scale."""
+        scale = -self.scales[relax]
+        return tuple(scale * x for x in tab.z_column(tab.cols.index(relax)))
 
     def _ratio_rows(self, tab: Tableau, relax: int) -> list[tuple[int, int, int]]:
         """(label, slack, rate) of every basic slack along relax's edge, in label order."""
-        d, col = self.dim, tab.cols.index(relax)
-        slack_rows = zip(tab.basic[d:], tab.rows[d:])
+        d, col, free = self.dim, tab.cols.index(relax), self._free
+        slack_rows = zip(tab.basic[free:], tab.rows[free:])
         return sorted((var - d + 1, row[-1], row[col]) for var, row in slack_rows)
 
     def _pivot_to(self, vertex: Vertex, tab: Tableau, relax: int, hit: int) -> Vertex:
@@ -349,7 +397,17 @@ class Polytope:
             for row in rows:
                 row.insert(k, row.pop(c))
         basic = tab.basic[:r] + (d + relax - 1,) + tab.basic[r + 1:]
-        tab = Tableau(tuple(map(tuple, rows)), denom, basic, tuple(cols))
+        # Row r was hit's slack's and is relax's: a sign coordinate that read
+        # it reads its unit row now, and one that read relax's reads it.
+        z_at, coord = tab.z_at, self._sign_coord
+        if hit in coord or relax in coord:
+            z_at = list(z_at)
+            if hit in coord:
+                z_at[coord[hit]] = -hit
+            if relax in coord:
+                z_at[coord[relax]] = r
+            z_at = tuple(z_at)
+        tab = Tableau(tuple(map(tuple, rows)), denom, basic, tuple(cols), z_at)
         return self._tableau_vertex(vertex.basis - {relax} | {hit}, tab)
 
     def pivot(self, vertex: Vertex, relax: int) -> EdgeDescriptor:
@@ -359,15 +417,15 @@ class Polytope:
             raise ValueError(f"label {relax} not in basis {sorted(vertex.basis)}")
         tab = self.tableau(vertex)
         column = self._column(tab, relax)
-        origin = tuple(row[-1] for row in tab.rows[: self.dim])
+        origin = tuple(tab.z_column(-1))
         slack, rate, hit = min_ratio(self._ratio_rows(tab, relax), vertex.basis)
         if hit is None:
             return EdgeDescriptor(vertex, relax, None, None, None, tab, column, origin, tab.denom)
         far = self._pivot_to(vertex, tab, relax, hit)
         if (tight := len(far.labels)) > self.basis_size:
             raise DegeneratePolytope(f"vertex {sorted(far.basis)} has {tight} tight rows")
-        step = Fraction(slack, rate * self.scales[relax])
-        return EdgeDescriptor(vertex, relax, None, step, far, tab, column, origin, tab.denom)
+        return EdgeDescriptor(vertex, relax, None, None, far, tab, column, origin, tab.denom,
+                              (slack, rate * self.scales[relax]))
 
     def simplex_pivot(self, vertex: Vertex, relax: int) -> Optional[Vertex]:
         """The basis after relaxing ``relax`` with Bland's leaving rule: the
@@ -450,7 +508,7 @@ def build_p(a: Matrix) -> Polytope:
     rows += [_integer_row(row, a.denom, (-1, 0)) for row in a.int_rows]
     rows += [_sign_row(j, n + 2) for j in range(n)]
     int_rows, scales = zip(*rows)
-    return Polytope("P", n + 1, int_rows, scales, m, n)
+    return Polytope("P", n + 1, int_rows, scales, m, n, (*range(m + 1, m + n + 1), 0))
 
 
 def build_qprime(c: Matrix, betas: Sequence[Sequence[Fraction]]) -> Polytope:
@@ -472,7 +530,8 @@ def build_qprime(c: Matrix, betas: Sequence[Sequence[Fraction]]) -> Polytope:
     rows += [_integer_row(col, c.denom, (*(beta[j] for beta in betas), -1, 0))
              for j, col in enumerate(zip(*c.int_rows))]
     int_rows, scales = zip(*rows)
-    return Polytope("Qprime", m + k + 1, int_rows, scales, m, n)
+    return Polytope("Qprime", m + k + 1, int_rows, scales, m, n,
+                    (*range(1, m + 1), *[0] * (k + 1)))
 
 
 def _unique_arg_extreme(values: Sequence[int], want_max: bool) -> int:

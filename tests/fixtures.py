@@ -28,7 +28,7 @@ from rankgames.linalg import (
 )
 from rankgames.lp import EQ, LE, LinearProgram
 from rankgames.labeledpath import FORWARD, W_FIXED
-from rankgames.paramlp import Crossing, _h_at, edge_rates
+from rankgames.paramlp import Crossing, edge_rates
 from rankgames.polytope import GameFamily, Polytope, Tableau
 
 # Worked example: a game family whose fully-labeled set is a path plus one
@@ -128,12 +128,34 @@ def full_pivot(poly: Polytope, tab: FullTableau, relax: int, hit: int) -> FullTa
                        tab.basic[:r] + (col,) + tab.basic[r + 1:])
 
 
-def nonbasic_columns(poly: Polytope, tab: FullTableau) -> Tableau:
-    """A full-width tableau's nonbasic slack columns, in label order, and its rhs."""
+def _narrow(poly: Polytope, tab: FullTableau) -> tuple[tuple, list]:
+    """The basis labels of a full-width tableau, and a map of its rows onto
+    their nonbasic slack columns, in label order, and the rhs."""
     d = poly.dim
     labels = tuple(lab for lab in range(1, poly.n_labels + 1) if d + lab - 1 not in tab.basic)
-    rows = tuple((*(row[d + lab - 1] for lab in labels), row[-1]) for row in tab.rows)
-    return Tableau(rows, tab.denom, tab.basic, labels)
+    return labels, [(*(row[d + lab - 1] for lab in labels), row[-1]) for row in tab.rows]
+
+
+def nonbasic_columns(poly: Polytope, tab: FullTableau) -> Tableau:
+    """A full-width tableau's nonbasic slack columns, in label order, and its
+    rhs, on every row but the z rows of the sign-constrained coordinates
+    (``Polytope.signs``), whose variables a ``Tableau`` reads off their sign
+    slacks."""
+    d = poly.dim
+    labels, rows = _narrow(poly, tab)
+    kept = [r for r, var in enumerate(tab.basic) if var >= d or not poly.signs[var]]
+    basic = tuple(tab.basic[r] for r in kept)
+    z_at = tuple(basic.index(d + lab - 1 if lab else c) if lab not in labels else -lab
+                 for c, lab in enumerate(poly.signs))
+    return Tableau(tuple(rows[r] for r in kept), tab.denom, basic, labels, z_at)
+
+
+def reference_z_rows(poly: Polytope, tab: FullTableau) -> list:
+    """A full-width tableau's rows of z_0..z_{d-1}, on its nonbasic slack
+    columns and the rhs: the reference for ``Tableau.z_column``."""
+    _, rows = _narrow(poly, tab)
+    return [row for _, row in sorted((var, row) for var, row in zip(tab.basic, rows)
+                                     if var < poly.dim)]
 
 
 def watch_solve_lp(monkeypatch) -> list:
@@ -304,9 +326,9 @@ def h_linear(edge, h) -> tuple:
     """(h0, dh), the hyperplane's value at a path edge's base and its rate
     along the edge parameter, in ``Fraction``s: integer dots with a moving
     edge's integer base point and direction over their unit, and on a fixed
-    vertex of Q' ``paramlp._h_at`` with rate zero."""
+    vertex of Q' its value off its coordinates, with rate zero."""
     if edge.kind == W_FIXED:
-        return _h_at(h, edge.fixed), Fraction(0)
+        return h.value_at(edge.fixed.coords), Fraction(0)
     ed = edge.moving
     return h.over(ed.origin, ed.denom), h.over(ed.column, ed.denom)
 

@@ -2,6 +2,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -14,6 +15,7 @@ from rankgames.errors import ConstantBeta, DegeneracyError, NotFullyLabeled, Ran
 from rankgames.labeledpath import (
     V_FIXED,
     W_FIXED,
+    _tight_determinant,
     export_lines,
     g_value,
     make_node,
@@ -452,8 +454,10 @@ def test_node_sign_matches_the_full_systems_past_the_seed_sizes(monkeypatch):
 def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch):
     # The sign rows are expanded away: P's determinant has order |supp y| + 1
     # and Q''s |supp x| + 2, where the full systems have n + 1 and m + 2.
+    # The first node takes both; each later node moved one side, and takes
+    # that side's only: the fixed side's block is the last node's.
     real_det, real_sign = rankgames.labeledpath.integer_determinant, node_sign
-    orders, expected = [], []
+    orders, expected, pairs = [], [], []
 
     def sized(rows):
         orders.append(len(rows))
@@ -461,7 +465,11 @@ def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch):
 
     def supports(family, v, w, duplicate):
         y, x = v.coords[: family.n], w.coords[: family.m]
-        expected.extend([sum(map(bool, y)) + 1, sum(map(bool, x)) + 2])
+        moved = [True, True] if not pairs else [v.basis != pairs[-1][0], w.basis != pairs[-1][1]]
+        assert sum(moved) == 2 - bool(pairs)
+        pairs.append((v.basis, w.basis))
+        sizes = (sum(map(bool, y)) + 1, sum(map(bool, x)) + 2)
+        expected.extend(size for size, fresh in zip(sizes, moved) if fresh)
         return real_sign(family, v, w, duplicate)
 
     fam, _ = _wide_general_family(random.Random(12), 12)
@@ -469,7 +477,47 @@ def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch):
     monkeypatch.setattr(rankgames.labeledpath, "node_sign", supports)
     path = trace_path(fam)
     assert orders == expected
-    assert len(orders) == 2 * len(path.nodes) and max(orders) < 13
+    assert len(orders) == len(path.nodes) + 1 and max(orders) < 13
+
+
+def test_reused_node_determinants_equal_fresh_ones(monkeypatch):
+    # Every determinant that node_sign takes on the walks of the bench-like
+    # and the small-entry corpora of test_paramlp, reused or not, equals a
+    # fresh _tight_determinant. Inside a step the far node reuses the fixed
+    # side's and takes one fresh, but for one first step of a walk from a
+    # section edge's head, whose last node made was the edge's other end;
+    # elsewhere a node takes one or two.
+    from test_paramlp import _walked_edges, _yardstick_walks
+
+    real_block, real_step = rankgames.labeledpath._block_determinant, step
+    fresh, in_step, per_node = [], [], Counter()
+
+    def checked(poly, labels, order):
+        last = poly.last_block
+        fresh.append(last is None or (last[0], last[1]) != (labels, order))
+        det = real_block(poly, labels, order)
+        assert det == _tight_determinant(poly, labels, order)
+        return det
+
+    def counted_sign(family, v, w, duplicate):
+        fresh.clear()
+        result = node_sign(family, v, w, duplicate)
+        per_node["step" if in_step else "other", sum(fresh)] += 1
+        return result
+
+    def counted_step(*args):
+        in_step.append(True)
+        try:
+            return real_step(*args)
+        finally:
+            in_step.pop()
+
+    monkeypatch.setattr(rankgames.labeledpath, "_block_determinant", checked)
+    monkeypatch.setattr(rankgames.labeledpath, "node_sign", counted_sign)
+    monkeypatch.setattr(rankgames.labeledpath, "step", counted_step)
+    for _ in chain(_walked_edges(), _yardstick_walks()):
+        pass
+    assert per_node == {("step", 1): 1292, ("step", 2): 1, ("other", 1): 67, ("other", 2): 234}
 
 
 def _count_calls(monkeypatch, counts):

@@ -12,10 +12,11 @@ from rankgames.errors import (
 )
 from rankgames.games import MixedProfile, decompose_rank_k, family_game, verify_equilibrium
 from rankgames.labeledpath import V_FIXED, W_FIXED, trace_path
-from rankgames.linalg import Matrix, integers, solve_linear_system, vdot, vscale
+from rankgames.linalg import Matrix, integers, sign, solve_linear_system, vdot, vscale
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
 from rankgames.paramlp import (
     Hyperplane,
+    _h_at,
     box_bounds,
     crossing_records,
     edge_rates,
@@ -220,26 +221,28 @@ def _walked_edges():
 
 
 def test_tableau_hyperplane_values_match_fraction_values():
-    # The hyperplane value at each edge's base and its rate along the edge,
-    # as integer dots with the edge's integer base point and direction, equal
-    # Hyperplane.value_at on the Fraction coordinates and direction, on every
-    # walked edge of both kinds. Section edges, read off P's tableau, carry
-    # their integers but no Q' tableau, and fixed section vertices carry no
-    # tableau (their value is read off their Fraction coordinates); they are
-    # compared too.
+    # The hyperplane value at each moving edge's base and its rate along the
+    # edge, as integer dots with the edge's integer base point and direction,
+    # equal Hyperplane.value_at on the Fraction coordinates and direction, on
+    # every walked edge. At each fixed vertex of Q' the number _h_at reads,
+    # an integer dot off its tableau, has the value's sign. Section edges,
+    # read off P's tableau, carry their integers but no Q' tableau, and fixed
+    # section vertices carry no tableau (their value is read off their
+    # Fraction coordinates); they are compared too.
     kinds = Counter()
     for gammas, edges in _walked_edges():
         for gamma in gammas:
             h = Hyperplane(gamma)
             for edge in edges:
                 if edge.kind == W_FIXED:
-                    want = (h.value_at(edge.fixed.coords), 0)
+                    want = h.value_at(edge.fixed.coords)
+                    assert sign(_h_at(h, edge.fixed)) == sign(want)
                     on_tableau = edge.fixed.tableau is not None
                 else:
                     ed = edge.moving
                     want = (h.value_at(ed.base.coords), h.value_at(ed.direction))
+                    assert h_linear(edge, h) == want
                     on_tableau = ed.tableau is not None
-                assert h_linear(edge, h) == want
                 kinds[edge.kind, on_tableau] += 1
     # Per gamma: 20 section edges without a tableau (recounted: still 20)
     # and 20 fixed section vertices, which take the Fraction route; both

@@ -38,6 +38,7 @@ from fixtures import (
     full_basis_tableau,
     full_pivot,
     nonbasic_columns,
+    reference_z_rows,
     random_rank1,
     random_rank_k,
     ray_anchors,
@@ -282,7 +283,8 @@ def test_tableau_pivot_matches_fraction_reference_on_every_edge():
 
 def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
     # Every tableau that a build or a pivot makes equals the full-width
-    # reference's nonbasic columns and rhs, row for row, with the same basic
+    # reference's nonbasic columns and rhs, row for row, on every row but
+    # the z rows of the sign-constrained coordinates, with the same basic
     # variables and denominator; the reference pivots its own full-width
     # tableau alongside. Builds come from every vertex of the pivot corpus,
     # pivots from every edge of each vertex and of its far end (Bland's rule
@@ -330,6 +332,62 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
         except RankGamesError:
             counts["rejected"] += 1
     assert counts == {"build": 851, "singular": 148, "pivot": 2523, "rejected": 29}
+
+
+def test_compact_tableaux_read_the_reference_z_rows(monkeypatch):
+    # A tableau keeps no row for y_j in P or x_i in Q': each is a copy of its
+    # sign slack's row, or -denom in that slack's column. On every basis of
+    # the pivot corpus, and at every pivot of test_paramlp's walked edges,
+    # the rows kept equal the full-width reference's rows of the same basic
+    # variables, entry for entry; the coordinates, every basis label's
+    # column (_column) and a pivot's base point (origin), all read through
+    # Tableau.z_column, equal the reference's z rows.
+    from test_paramlp import _walked_edges
+
+    counts = Counter()
+
+    def check(poly, tab, full) -> list:
+        want = nonbasic_columns(poly, full)
+        assert (tab.denom, tab.cols) == (want.denom, want.cols)
+        assert dict(zip(tab.basic, tab.rows)) == dict(zip(want.basic, want.rows))
+        signed = poly.n if poly.which == "P" else poly.m  # y_j in P, x_i in Q'
+        assert len(tab.rows) == len(want.rows) == len(full.rows) - signed
+        z_rows = reference_z_rows(poly, full)
+        assert [tab.z_column(j) for j in range(-1, len(tab.cols))] == [
+            [row[j] for row in z_rows] for j in range(-1, len(tab.cols))]
+        assert tab.point() == tuple(Fraction(row[-1], tab.denom) for row in z_rows)
+        for k, lab in enumerate(tab.cols):
+            assert poly._column(tab, lab) == tuple(-poly.scales[lab] * row[k] for row in z_rows)
+        return z_rows
+
+    for poly in _pivot_corpus():
+        for basis in combinations(range(1, poly.n_labels + 1), poly.basis_size):
+            try:
+                full = full_basis_tableau(poly, basis)
+            except Singular:
+                continue
+            check(poly, poly._basis_tableau(frozenset(basis)), full)
+            counts["basis"] += 1
+
+    real_pivot = Polytope.pivot
+
+    def checked_pivot(self, vertex, relax):
+        ed = real_pivot(self, vertex, relax)
+        full = full_basis_tableau(self, vertex.basis)
+        z_rows = check(self, ed.tableau, full)
+        col = ed.tableau.cols.index(relax)
+        assert ed.origin == tuple(row[-1] for row in z_rows)
+        assert ed.column == tuple(-self.scales[relax] * row[col] for row in z_rows)
+        if ed.far_end is not None:
+            (hit,) = ed.far_end.basis - vertex.basis
+            check(self, ed.far_end.tableau, full_pivot(self, full, relax, hit))
+        counts["pivot", self.which] += 1
+        return ed
+
+    monkeypatch.setattr(Polytope, "pivot", checked_pivot)
+    for _ in _walked_edges():
+        pass
+    assert counts == {"basis": 643, ("pivot", "P"): 439, ("pivot", "Qprime"): 466}
 
 
 def test_start_builds_exchange_only_the_rows_that_are_not_sign_rows(monkeypatch):
