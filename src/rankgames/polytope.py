@@ -374,8 +374,7 @@ class Polytope:
     def _column(self, tab: Tableau, relax: int) -> tuple[int, ...]:
         """Relax's edge direction times ``tab.denom``: the slack's column on
         the z rows (``Tableau.z_column``), times minus the row's scale."""
-        scale = -self.scales[relax]
-        return tuple(scale * x for x in tab.z_column(tab.cols.index(relax)))
+        return tuple(map((-self.scales[relax]).__mul__, tab.z_column(tab.cols.index(relax))))
 
     def _ratio_rows(self, tab: Tableau, relax: int) -> list[tuple[int, int, int]]:
         """(label, slack, rate) of every basic slack along relax's edge, in label order."""
