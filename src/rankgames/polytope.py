@@ -235,14 +235,13 @@ class Polytope:
         self._sign_cols = {lab: row.index(-1) for lab, row in enumerate(self.int_rows[1:], 1)
                            if not row[-1] and row.count(0) == len(row) - 1 and -1 in row}
         self.signs = tuple(signs)
-        self._free = self.signs.count(0)  # a tableau's first rows: the free z's
+        # A tableau's slack rows follow the z rows of the free coordinates.
+        self._slacks_from = self.signs.count(0)
         self._sign_coord = {lab: c for c, lab in enumerate(self.signs) if lab}
         # The variable whose row coordinate c reads: z_c, or its sign slack.
         self._z_vars = tuple(dim + lab - 1 if lab else c for c, lab in enumerate(self.signs))
         # The rows a build eliminates: every row but the coordinates' sign rows.
-        dropped = set(self.signs) - {0}
-        self._kept = tuple(i for i in range(len(self.int_rows)) if i not in dropped)
-        self._position = {i: r for r, i in enumerate(self._kept)}
+        self._kept = tuple(i for i in range(len(self.int_rows)) if i not in self._sign_coord)
         # (labels, columns, determinant) of the last tight block that a node
         # sign took on this polytope (``labeledpath``); the next node reuses
         # it when its block is the same.
@@ -298,7 +297,7 @@ class Polytope:
             tab = self._basis_tableau(basis)
         except Singular:
             return None
-        if any(row[-1] < 0 for row in tab.rows[self._free:]):
+        if any(row[-1] < 0 for row in tab.rows[self._slacks_from:]):
             return None
         return self._tableau_vertex(basis, tab)
 
@@ -326,7 +325,8 @@ class Polytope:
             raise DimensionMismatch(
                 f"basis size {len(basis)} != {self.basis_size} for {self.which}"
             )
-        d, kept, at, signs = self.dim, self._kept, self._position, self.signs
+        d, kept, signs = self.dim, self._kept, self.signs
+        at = {i: r for r, i in enumerate(kept)}
         # Two sign rows of one column make the basis singular: the first
         # is overwritten, and one column is left without a free row.
         labels, free = [None] * d, [0]
@@ -366,8 +366,8 @@ class Polytope:
     def _tableau_vertex(self, basis: frozenset[int], tab: Tableau) -> Vertex:
         """The vertex of a tableau: labels the basis and every basic slack at
         zero; its coordinates are read off the z rows when first used."""
-        d, free = self.dim, self._free
-        zeros = {var - d + 1 for var, row in zip(tab.basic[free:], tab.rows[free:])
+        d, start = self.dim, self._slacks_from
+        zeros = {var - d + 1 for var, row in zip(tab.basic[start:], tab.rows[start:])
                  if not row[-1]}
         return Vertex(None, basis, basis | zeros, tab)
 
@@ -378,8 +378,8 @@ class Polytope:
 
     def _ratio_rows(self, tab: Tableau, relax: int) -> list[tuple[int, int, int]]:
         """(label, slack, rate) of every basic slack along relax's edge, in label order."""
-        d, col, free = self.dim, tab.cols.index(relax), self._free
-        slack_rows = zip(tab.basic[free:], tab.rows[free:])
+        d, col, start = self.dim, tab.cols.index(relax), self._slacks_from
+        slack_rows = zip(tab.basic[start:], tab.rows[start:])
         return sorted((var - d + 1, row[-1], row[col]) for var, row in slack_rows)
 
     def _pivot_to(self, vertex: Vertex, tab: Tableau, relax: int, hit: int) -> Vertex:
