@@ -1,10 +1,11 @@
 """Golden CLI output: exit code and stdout of ``solve --json``, ``enumerate
 --json``, ``trace --json`` and ``regions --json`` on a dozen seeded games,
-byte for byte.
+and exit code, stdout and stderr of ``fixedpoint --search --json`` on the
+first six draws of the rank-k corpus, byte for byte.
 
-The fixture ``golden_cli.json`` holds each game's text with the recorded
-outputs, so a change to it is a visible change of the CLI's output. Rebuild it
-only on purpose, from the repository root:
+The fixtures ``golden_cli.json`` and ``golden_fixedpoint.json`` hold each
+game's text with the recorded outputs, so a change to them is a visible change
+of the CLI's output. Rebuild them only on purpose, from the repository root:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -20,12 +21,13 @@ from pathlib import Path
 import pytest
 
 from rankgames.cli import main, render_game
-from rankgames.games import BimatrixGame
+from rankgames.games import BimatrixGame, family_game
 from rankgames.linalg import Matrix
 
-from fixtures import random_rank1
+from fixtures import random_rank1, random_rank_k
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+GOLDEN_FIXEDPOINT = Path(__file__).with_name("golden_fixedpoint.json")
 VERBS = ("solve", "enumerate", "trace", "regions")
 
 
@@ -50,11 +52,31 @@ def golden_games() -> dict[str, str]:
     return {name: render_game(game) for name, game in games.items()}
 
 
+def rank_k_games(count: int = 6) -> dict[str, str]:
+    """The first ``count`` draws of the rank-k corpus by name, as game-file
+    text: ``random_rank_k(random.Random(11), 2 + g % 2, s, s)`` with s = 3 +
+    (g // 2) % 3, each the game of its family at its gammas. Draw 0 has a
+    degenerate section at its box centre and exits 3."""
+    rng, games = random.Random(11), {}
+    for g in range(count):
+        k, size = 2 + g % 2, 3 + (g // 2) % 3
+        a, betas, gammas = random_rank_k(rng, k, size, size)
+        games[f"rank{k}-{size}x{size}-draw{g}"] = render_game(family_game(a, -a, gammas, betas))
+    return games
+
+
 def run_verb(verb: str, path: Path) -> dict:
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = main([verb, "--input", str(path), "--json"])
     return {"code": code, "stdout": out.getvalue()}
+
+
+def run_fixedpoint_search(path: Path) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["fixedpoint", "--input", str(path), "--search", "--json"])
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def _cases() -> list[tuple[str, str]]:
@@ -79,6 +101,27 @@ def test_golden_games_cover_both_kinds_a_fraction_and_a_degenerate_exit():
     assert [name for name, g in games.items() if g["solve"]["code"] == 3] == ["degenerate-3x3"]
 
 
+def _fixedpoint_cases() -> list[str]:
+    if not GOLDEN_FIXEDPOINT.exists():  # being rebuilt; the coverage test below fails without it
+        return []
+    return list(json.loads(GOLDEN_FIXEDPOINT.read_text())["games"])
+
+
+@pytest.mark.parametrize("name", _fixedpoint_cases())
+def test_fixedpoint_search_output_is_the_recorded_golden_output(name, tmp_path):
+    entry = json.loads(GOLDEN_FIXEDPOINT.read_text())["games"][name]
+    path = tmp_path / "game.txt"
+    path.write_text(entry["text"])
+    assert run_fixedpoint_search(path) == entry["fixedpoint --search"]
+
+
+def test_fixedpoint_golden_games_are_the_rank_k_draws_and_draw_0_exits_3():
+    games = json.loads(GOLDEN_FIXEDPOINT.read_text())["games"]
+    assert {name: g["text"] for name, g in games.items()} == rank_k_games()
+    codes = [g["fixedpoint --search"]["code"] for g in games.values()]
+    assert codes == [3, 0, 0, 0, 0, 0]
+
+
 def regenerate(tmp: Path) -> None:
     games = {}
     for name, text in golden_games().items():
@@ -86,6 +129,12 @@ def regenerate(tmp: Path) -> None:
         path.write_text(text)
         games[name] = {"text": text, **{verb: run_verb(verb, path) for verb in VERBS}}
     GOLDEN.write_text(json.dumps({"games": games}, indent=1) + "\n")
+    games = {}
+    for name, text in rank_k_games().items():
+        path = tmp / f"{name}.txt"
+        path.write_text(text)
+        games[name] = {"text": text, "fixedpoint --search": run_fixedpoint_search(path)}
+    GOLDEN_FIXEDPOINT.write_text(json.dumps({"games": games}, indent=1) + "\n")
 
 
 if __name__ == "__main__":
