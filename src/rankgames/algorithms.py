@@ -42,7 +42,6 @@ from .paramlp import (
     Crossing,
     Hyperplane,
     Section,
-    basis_columns,
     box_bounds,
     crossing_records,
     edge_rates,
@@ -51,6 +50,7 @@ from .paramlp import (
     lifted_section,
     nondegenerate_far_end,
     piece_fixed_point,
+    section_rows,
     solve_lp_delta,
     solve_lp_k,
 )
@@ -180,12 +180,13 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     delta_bound = factorial(game.m + 2) * int(b_max) ** (game.m + 2)
     bound_k = _ceil_log2(delta_bound * delta_bound * int(g_max - g_min))
 
-    low = is_ne(family, gamma, g_min)
+    h = Hyperplane(gamma)
+    low = is_ne(family, h, g_min)
     if low.kind == "found":
         return report_for(low.crossing, 0, bound_k, ())
     if low.kind != "below":
         raise RankGamesError("low probe is not on the low side of the hyperplane")
-    high = is_ne(family, gamma, g_max, low.optimum)
+    high = is_ne(family, h, g_max, low.optimum)
     if high.kind == "found":
         return report_for(high.crossing, 0, bound_k, ())
     if high.kind != "above":
@@ -201,7 +202,7 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     start = high.optimum
     for it in range(1, bound_k + 2):
         a = (a1 + a2) / 2
-        out = is_ne(family, gamma, a, start)
+        out = is_ne(family, h, a, start)
         if out.kind == "found" and out.crossing.orient_index == 1:
             return report_for(out.crossing, it, bound_k, history)
         if out.kind == "below":
@@ -385,8 +386,9 @@ def fixed_point_search(
         rates = edge_rates(p, v, family.betas)  # the objective's rate on r's edge is g . a - c
         a = piece_fixed_point(family, gammas, rates)
         if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):
-            objective = integer_objective(family.betas, a)
-            section = lifted_section(p, family.qp, v, basis_columns(p, v), a, objective)
+            objective = integer_objective(family.int_betas, a)
+            rows = section_rows(p, v, family.int_betas)
+            section = lifted_section(p, family.qp, v, rows, a, objective)
             return a, fixed_point_record(family, gammas, section)
         for r, facet in rates.items():
             rest = [gc for s, gc in rates.items() if s != r] + box

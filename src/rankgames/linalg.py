@@ -258,6 +258,12 @@ def integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (q // x.denominator) for x in values], q
 
 
+def rationals(numerators: Iterable[int], denom: int) -> Vec:
+    """The values ``numerators / denom``, one ``Fraction`` each: the inverse
+    of ``integers``."""
+    return tuple(Fraction(x, denom) for x in numerators)
+
+
 def least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[int]]:
     """The ratio test: the least slack / rate, as (slack, rate), over the
     positive rates of (label, slack, rate) integer triples, with every label

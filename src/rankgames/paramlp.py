@@ -4,26 +4,30 @@ The section LP at a parameter value is a primal walk on the row polytope's own
 tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot`` by Bland's rule
 where every improving pivot is degenerate), from the best pure vertex or from
 a vertex the caller gives, such as the previous probe's optimum, which carries
-its tableau. The walk takes each vertex's basis columns once off P's integer
-tableau (``polytope.Tableau``) and chooses its improving labels by the sign of
-one integer dot with each column. The same dots, negated, are the multipliers
-of the lifted point, a fully-labeled partner with combined objective exactly
-zero: its feasibility and zero gap are checked in integers, which leaves its
-slack of every label, and only the point is built in ``Fraction``s. On a
-rank-1 section the path edge through that point is read off the same columns
-(``section_edge``): one integer ratio test per side gives its ends, and no Q'
-tableau is built. The ``Fraction`` edge rates (``edge_rates``) are built only
-by the rank-k cell walk, for the affine pieces of the box map. Intersecting
-the containing edge with a game's selection hyperplane yields a crossing point
-or a side classification; the crossing is only geometry, which the caller
-verifies on its own game. Every moving path edge holds its base point and
-direction as integers over one denominator, and a bounded one its length as
-an integer ratio, so the hyperplane's value and its rate are integer dots with
-the hyperplane's integer row and the hit is placed by cross-multiplication. A
-fixed vertex of Q' gives only a side: the sign of one integer dot with its
-point's numerators. Every point is read off a tableau through
-``Tableau.z_column``: a tableau holds no row for a sign-constrained
-coordinate.
+its tableau. At each vertex the walk reads two kinds of row off P's integer
+tableau (``polytope.Tableau``), as lrsnash keeps its cost row: beta_l . y for
+each beta, and pi1's own z row (``section_rows``). Their entries in the
+column of a basis label are that label's edge rates, and their rhs entries
+beta_l . y and pi1 at the vertex. The objective's row, one weighted sum of
+them, gives the improving labels by its signs, and, at the optimum, the
+multipliers of the lifted point, a fully-labeled partner with combined
+objective exactly zero: its feasibility and zero gap are checked in integers,
+which leaves its slack of every label, and the point is kept as integers
+until read. On a rank-1 section the path edge through that point is read
+off the same rows (``section_edge``): one integer ratio test per side gives
+its ends, and no Q' tableau is built. The ``Fraction`` edge rates
+(``edge_rates``) are built only by the rank-k cell walk, for the affine
+pieces of the box map. Intersecting the containing edge with a game's
+selection hyperplane yields a crossing point or a side classification; the
+crossing is only geometry, which the caller verifies on its own game. Every
+moving path edge holds its base point and direction as integers over one
+denominator, and a bounded one its length as an integer ratio, so the
+hyperplane's value and its rate are integer dots with the hyperplane's
+integer row and the hit is placed by cross-multiplication. A fixed vertex of
+Q' gives only a side: the sign of one integer dot with its point's
+numerators (``Vertex.numerators``). Every point is read off a tableau through
+``Tableau.z_column``, or kept as integers where no tableau is built: a
+tableau holds no row for a sign-constrained coordinate.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -48,11 +52,21 @@ from .labeledpath import (
     PathEdge,
     oriented_edge,
 )
-from .linalg import Matrix, Rat, Vec, frac, integers, solve_linear_system, vdot, vector
-from .polytope import EdgeDescriptor, GameFamily, Polytope, Tableau, Vertex, min_ratio
+from .linalg import (
+    Matrix,
+    Rat,
+    Vec,
+    frac,
+    integers,
+    rationals,
+    solve_linear_system,
+    vdot,
+    vector,
+)
+from .polytope import EdgeDescriptor, GameFamily, Polytope, ReadOff, Tableau, Vertex, min_ratio
 
 Rates = dict[int, tuple[Vec, Rat]]  # (g_r, c_r) per basis label r: see edge_rates
-Columns = dict[int, tuple[int, ...]]  # each basis label's column on P's tableau: see basis_columns
+IntBetas = Sequence[tuple[Sequence[int], int]]  # each beta as (b, q): see GameFamily.int_betas
 
 
 @dataclass(frozen=True)
@@ -106,21 +120,58 @@ class IsNEOutcome:
     crossing: Optional[Crossing] = None  # the hit, when found
 
 
+class SectionRows(NamedTuple):
+    """The section's integers at a vertex v of P: rows of v's tableau
+    ``tab`` over its nonbasic columns (``tab.cols``), then the rhs.
+
+    ``betas[l]`` is the row of b_l . y, for each beta as integers b_l over
+    q_l (``GameFamily.int_betas``): the sum of b_l[c] times the row that
+    ``z_at[c]`` names, with -b_l[c] * denom in a basis sign slack's column
+    (``Tableau.z_row``). ``pi1`` is pi1's own z row. Column j is the slack
+    of the basis label r = cols[j], whose edge runs along -scales[r] times
+    the z rows' column j over denom (``Polytope.pivot``). So along r's edge
+    g = -scales[r] * betas[l][j] is the rate of b_l . y and c =
+    -scales[r] * pi1[j] that of pi1, each times denom. The rhs entries are
+    b_l . y and pi1 at v, times denom.
+    """
+
+    tab: Tableau
+    betas: tuple[list[int], ...]
+    pi1: Sequence[int]
+
+    def objective(self, weights: Sequence[int]) -> list[int]:
+        """The row of the objective whose ``Objective.weights`` are
+        ``weights``: their sum with the betas' rows and pi1's."""
+        return [sum(map(mul, weights, col)) for col in zip(*self.betas, self.pi1)]
+
+
+class Objective(NamedTuple):
+    """The section objective sum_l delta_l * (beta_l . y) - pi1 in integers,
+    times D > 0: ``weights`` (N_1..N_k, -D) on (b_l . y, pi1), with N_l / D =
+    delta_l / q_l, and ``row``, D * (w, -1) over (y, pi1) with w = sum_l
+    delta_l * beta_l."""
+
+    weights: tuple[int, ...]
+    row: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Section:
     """Optimal section at lambda = delta: the optimum v of P and the lifted
     point w that with v certifies both optima.
 
-    ``columns`` are v's basis columns on P's tableau (``basis_columns``).
-    ``slacks`` holds the slack at w of every label of the lifted polytope,
-    in label order, as integers over one positive unit, each times its
-    row's scale: w's tight labels are its zero slacks.
+    ``rows`` are v's ``section_rows``. ``slacks`` holds the slack at w of
+    every label of the lifted polytope, in label order, as integers over one
+    positive unit, each times its row's scale: w's tight labels are its zero
+    slacks. ``w_point`` is w as integers over one positive denominator, and
+    ``w_coords`` is read off it when first used.
     """
 
     v: Vertex
-    w_coords: Vec
-    columns: Columns = field(compare=False, repr=False)
+    w_coords: Vec = ReadOff(lambda sec: rationals(*sec.w_point))
+    rows: SectionRows = field(compare=False, repr=False)
     slacks: tuple[int, ...] = field(compare=False, repr=False)
+    w_point: tuple[tuple[int, ...], int] = field(compare=False, repr=False)
 
     @property
     def v_coords(self) -> Vec:
@@ -134,12 +185,10 @@ class OptSet(Section):
     edge: PathEdge
 
 
-def basis_columns(p: Polytope, v: Vertex) -> Columns:
-    """Each basis label r of a vertex v of P, in label order, with its column
-    on v's tableau (``Polytope._column``: r's nonbasic column on the z rows,
-    which is r's edge direction d times ``denom``)."""
+def section_rows(p: Polytope, v: Vertex, betas: IntBetas) -> SectionRows:
+    """The ``SectionRows`` of a vertex v of P, read off its tableau."""
     tab = p.tableau(v)
-    return {r: p._column(tab, r) for r in sorted(v.basis)}
+    return SectionRows(tab, tuple(tab.z_row(b) for b, _ in betas), tab.rows[tab.z_at[p.n]])
 
 
 def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> Rates:
@@ -147,28 +196,30 @@ def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> Rates:
     edge direction d the section objective sum_l delta_l * (beta_l . y) - pi1
     changes at rate g_r . delta - c_r, with g_r = (beta_l . d_y)_l, c_r = d_pi1.
 
-    Each is one integer dot with r's column (``basis_columns``), over
-    ``denom`` and the beta's own lcm. Only the rank-k cell walk reads them.
+    The ``Fraction`` view of v's ``section_rows``: each is one entry of a
+    row, over ``denom`` and the beta's own lcm. Only the rank-k cell walk
+    reads them.
     """
-    denom = p.tableau(v).denom
     scaled = [integers(beta) for beta in betas]
+    rows = section_rows(p, v, scaled)
+    denom, scales = rows.tab.denom, p.scales
     return {
-        r: (tuple(Fraction(sum(map(mul, b, col)), q * denom) for b, q in scaled),
-            Fraction(col[p.n], denom))
-        for r, col in basis_columns(p, v).items()
+        r: (tuple(Fraction(-scales[r] * row[j], q * denom)
+                  for row, (_, q) in zip(rows.betas, scaled)),
+            Fraction(-scales[r] * rows.pi1[j], denom))
+        for j, r in enumerate(rows.tab.cols)
     }
 
 
-def improving_labels(columns: Columns, objective: Sequence[int]) -> list[int]:
+def improving_labels(rows: SectionRows, weights: Sequence[int]) -> list[int]:
     """The basis labels of a vertex of P whose edge raises the section
-    objective, in label order, decided on its basis columns alone.
+    objective, in label order, decided on its rows alone.
 
-    ``objective`` is D * (w, -1) over (y, pi1) with w = sum_l delta_l * beta_l
-    and D > 0 the lcm of w's denominators. r's column is its edge direction
-    times ``denom`` > 0, so the objective's dot with it has the sign of r's
-    rate g_r . delta - c_r.
+    ``weights`` are the objective's (``Objective.weights``). The objective's
+    rate along r's edge is -scales[r] times its row's entry in r's column,
+    over D * denom > 0, so r improves where that entry is negative.
     """
-    return [r for r, col in columns.items() if sum(map(mul, objective, col)) > 0]
+    return [r for r, o in zip(rows.tab.cols, rows.objective(weights)) if o < 0]
 
 
 def nondegenerate_far_end(p: Polytope, v: Vertex, r: int) -> Optional[Vertex]:
@@ -185,12 +236,12 @@ def _on_rows(m: int, rates: Rates, value) -> Vec:
     return tuple(value(*rates[i]) if i in rates else Fraction(0) for i in range(1, m + 1))
 
 
-def integer_objective(betas: Sequence[Vec], delta: Vec) -> tuple[int, ...]:
-    """The section objective sum_l delta_l * (beta_l . y) - pi1 over (y, pi1)
-    in integers: D * (w, -1), with w = sum_l delta_l * beta_l and D > 0 the
-    lcm of w's denominators."""
-    numerators, scale = integers(tuple(vdot(delta, col) for col in zip(*betas)))
-    return (*numerators, -scale)
+def integer_objective(betas: IntBetas, delta: Vec) -> Objective:
+    """The section objective at lambda = delta of the integer betas, with D
+    the least common denominator of the delta_l / q_l."""
+    weights, scale = integers([d / q for d, (_, q) in zip(delta, betas)])
+    row = (sum(map(mul, weights, col)) for col in zip(*(b for b, _ in betas)))
+    return Objective((*weights, -scale), (*row, -scale))
 
 
 def _best_pure_vertex(p: Polytope, objective: Sequence[int]) -> Vertex:
@@ -207,119 +258,126 @@ def _best_pure_vertex(p: Polytope, objective: Sequence[int]) -> Vertex:
     return p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
 
 
-def _section_walk(p: Polytope, objective: Sequence[int],
-                  start: Optional[Vertex]) -> tuple[Vertex, Columns]:
-    """The optimum over P of the section whose ``integer_objective`` is
-    ``objective``, by a primal walk on P's tableau, with its basis columns.
+def _section_walk(p: Polytope, betas: IntBetas, objective: Objective,
+                  start: Optional[Vertex]) -> tuple[Vertex, SectionRows]:
+    """The optimum over P of the section of the integer betas whose
+    ``integer_objective`` is ``objective``, by a primal walk on P's tableau,
+    with its rows.
 
     The walk starts at ``start``, a vertex of P such as the previous probe's
     optimum, whose tableau it reuses; without one, at the best pure vertex. It
     relaxes the lowest basis label of positive rate whose pivot is
     nondegenerate (a strict gain), else takes the simplex pivot on the lowest
     such label by Bland's rule, which cannot cycle, so it ends from any start.
-    The signs of the rates come off the integer columns, taken once at each
+    The signs of the rates come off the vertex's rows, read once at each
     vertex (``improving_labels``); the optimum must have exactly n tight rows.
     """
-    v = _best_pure_vertex(p, objective) if start is None else start
-    columns = basis_columns(p, v)
-    while improving := improving_labels(columns, objective):
+    v = _best_pure_vertex(p, objective.row) if start is None else start
+    rows = section_rows(p, v, betas)
+    while improving := improving_labels(rows, objective.weights):
         fars = (nondegenerate_far_end(p, v, r) for r in improving)
         v = next(filter(None, fars), None) or p.simplex_pivot(v, improving[0])
-        columns = basis_columns(p, v)
+        rows = section_rows(p, v, betas)
     if len(v.labels) != p.n:
         raise DegeneratePolytope(f"section optimum has {len(v.labels)} tight rows in P")
-    return v, columns
+    return v, rows
 
 
-def lifted_section(p: Polytope, lifted: Polytope, v: Vertex, columns: Columns, delta: Vec,
-                   objective: Sequence[int]) -> Section:
+def lifted_section(p: Polytope, lifted: Polytope, v: Vertex, rows: SectionRows, delta: Vec,
+                   objective: Objective) -> Section:
     """The section at lambda = delta whose optimum over P is v, a vertex with n
-    tight rows and these basis columns, where no edge raises the section
+    tight rows and these ``section_rows``, where no edge raises the section
     objective; ``objective`` is its ``integer_objective``.
 
     The multiplier of row i is minus the rate of its edge, x_i = c_i - g_i .
-    delta, on v's basis rows and zero on the others: on v's tableau it is
-    -(objective . col_i) / (D * denom), minus the dot ``improving_labels``
-    takes. lambda = delta, and pi2 is the least feasible, the largest of the
-    lifted column rows c_j . x + w_j. The point is feasible when x >= 0 sums to
-    1, and with v it certifies both optima when pi2 equals the section value
-    w . y - pi1, which is objective . rhs over D * denom. Every check is on
-    integers; only the returned point is built in ``Fraction``s. The slacks
-    at w that the checks compute are kept: x on the row labels, and the
-    lifted column rows' slacks.
+    delta, on v's basis rows and zero on the others: over D * denom it is
+    scales[i] times the objective row's entry in i's column, the entry whose
+    sign ``improving_labels`` reads. lambda = delta, and pi2 is the least
+    feasible, the largest of the lifted column rows c_j . x + w_j. The point
+    is feasible when x >= 0 sums to 1, and with v it certifies both optima
+    when pi2 equals the section value w . y - pi1, the objective row's rhs
+    over D * denom. Every check is on integers, and the point is kept as
+    integers (``Section.w_point``). The slacks at w that the checks compute
+    are kept: x on the row labels, and the lifted column rows' slacks.
     """
-    m, tab = p.m, p.tableau(v)
-    unit = -objective[-1] * tab.denom  # D * denom: x, pi2 and the value are over it
-    x = [-sum(map(mul, objective, columns[i])) if i in columns else 0
-         for i in range(1, m + 1)]
+    m, tab, scales = p.m, rows.tab, p.scales
+    unit = -objective.weights[-1] * tab.denom  # D * denom: x, pi2 and the value are over it
+    *cost, value = rows.objective(objective.weights)
+    x = [0] * m
+    for r, entry in zip(tab.cols, cost):
+        if r > m:
+            break
+        x[r - 1] = scales[r] * entry
     if sum(x) != unit or min(x) < 0:
         raise RankGamesError("complementary lifted point is infeasible")
-    value = sum(map(mul, objective, _rhs(tab)))
     # pi2 - c_j . x - w_j with pi2 at the section value, over unit and times
     # the scale s of column j's lifted row: the gap is their least over s * unit.
     slacks = [
         (s * (value - w * tab.denom) - sum(map(mul, row, x)), s)
-        for row, s, w in zip(lifted.int_rows[m + 1:], lifted.scales[m + 1:], objective)
+        for row, s, w in zip(lifted.int_rows[m + 1:], lifted.scales[m + 1:], objective.row)
     ]
     if min(slack for slack, _ in slacks) != 0:
         gap = min(Fraction(slack, s * unit) for slack, s in slacks)
         raise NonzeroOptimum(f"section objective is {gap}, expected 0")
-    w_coords = (*(Fraction(xi, unit) for xi in x), *delta, Fraction(value, unit))
-    return Section(v, w_coords, columns, (*x, *(slack for slack, _ in slacks)))
+    den = lcm(*(d.denominator for d in delta))  # w = (x, delta, pi2) over unit * den
+    lams = (d.numerator * (den // d.denominator) * unit for d in delta)
+    point = (*(xi * den for xi in x), *lams, value * den)
+    return Section(v, None, rows, (*x, *(slack for slack, _ in slacks)), (point, unit * den))
 
 
-def _section(p: Polytope, lifted: Polytope, betas: Sequence[Vec], delta: Vec,
-             start: Optional[Vertex] = None) -> Section:
+def _section(family: GameFamily, delta: Vec, start: Optional[Vertex] = None) -> Section:
     """Optimal section at lambda = delta: a primal walk on P's tableau from
-    ``start`` (else the best pure vertex), whose integer dots at the optimum
-    give the dual in the lifted polytope."""
-    objective = integer_objective(betas, delta)
-    v, columns = _section_walk(p, objective, start)
-    return lifted_section(p, lifted, v, columns, delta, objective)
+    ``start`` (else the best pure vertex), whose rows at the optimum give the
+    dual in the lifted polytope."""
+    objective = integer_objective(family.int_betas, delta)
+    v, rows = _section_walk(family.p, family.int_betas, objective, start)
+    return lifted_section(family.p, family.qp, v, rows, delta, objective)
 
 
 def section_edge(family: GameFamily, beta: tuple[list[int], int], sec: Section,
                  tight: frozenset[int]) -> EdgeDescriptor:
     """The edge of Q' through the lifted point w of a rank-1 section, whose m
-    tight labels in Q' are ``tight``, read off P's tableau at the optimum v;
-    ``beta`` is ``integers`` of the family's beta.
+    tight labels in Q' are ``tight``, read off the rows of P's tableau at
+    the optimum v (``sec.rows``); ``beta`` is ``integers`` of the family's
+    beta, whose q it reads.
 
     Along the edge v stays optimal. Each of v's basis labels r has slack
-    c_r - g_r * lambda (``edge_rates``), ``sec.slacks`` at w, with g_r
-    beta's dot with r's column over q * denom; w's tight labels stay at
-    zero. One ratio test per side (``min_ratio``, rising lambda first) gives
-    each end's entering label r, at lambda = c_r / g_r. Base, far end and
+    c_r - g_r * lambda (``edge_rates``), ``sec.slacks`` at w, with g_r and
+    c_r the beta row's and pi1's entries in r's column, each times
+    -scales[r] and over q * denom and denom; w's tight labels stay at zero.
+    One ratio test per side (``min_ratio``, rising lambda first) gives each
+    end's entering label r, at lambda = c_r / g_r. Base, far end and
     direction are those of ``Polytope.edge_through_point``, its reference in
     the tests. On the edge x_i = c_i - g_i * lambda on v's basis rows, and
-    pi2 = lambda * beta . y - pi1.
+    pi2 = lambda * beta . y - pi1. The ends keep their points as integers.
     """
-    p, qp, m, n = family.p, family.qp, family.m, family.n
-    columns, tab = sec.columns, p.tableau(sec.v)
-    b, q = beta
-    g = {r: sum(map(mul, b, col)) for r, col in columns.items()}  # g_r * q * denom
-    steps = [(r, sec.slacks[r - 1], qp.scales[r] * g[r]) for r in columns]
+    p, qp, m = family.p, family.qp, family.m
+    rows, scales = sec.rows, p.scales
+    tab, (beta_row,) = rows.tab, rows.betas
+    _, q = beta
+    g = {r: -scales[r] * k for r, k in zip(tab.cols, beta_row)}  # g_r * q * denom
+    c = {r: -scales[r] * k for r, k in zip(tab.cols, rows.pi1)}  # c_r * denom
+    steps = [(r, sec.slacks[r - 1], qp.scales[r] * g[r]) for r in tab.cols]
     *_, high = min_ratio(steps, tight)
     *_, low = min_ratio(((r, s, -rate) for r, s, rate in steps), tight)
     if high is None and low is None:
         raise DegeneratePolytope("edge is a full line; polytope not pointed")
     u = q * tab.denom
-    rhs = _rhs(tab)  # (y, pi1) times denom
-    beta_y, pi1 = sum(map(mul, b, rhs)), rhs[n]  # beta . y over u, pi1 over denom
+    beta_y, pi1 = beta_row[-1], rows.pi1[-1]  # beta . y over u, pi1 over denom
 
     def end(r: int) -> tuple[int, int]:
         """lambda = c_r / g_r, where r's slack reaches zero, as (num, den > 0)."""
-        num, den = q * columns[r][n], g[r]
+        num, den = q * c[r], g[r]
         return (num, den) if den > 0 else (-num, -den)
 
     def point(num: int, den: int) -> tuple[int, ...]:
         """The point at lambda = num / den, times u * den."""
-        xs = (q * den * columns[i][n] - num * g[i] if i in columns else 0
-              for i in range(1, m + 1))
+        xs = (q * den * c[i] - num * g[i] if i in c else 0 for i in range(1, m + 1))
         return (*xs, num * u, num * beta_y - q * den * pi1)
 
     def vertex(r: int, ints: tuple[int, ...], den: int) -> Vertex:
         basis = tight | {r}
-        return Vertex(tuple(Fraction(k, den) for k in ints), basis, basis)
+        return Vertex(None, basis, basis, None, (ints, den))
 
     relaxed = high if low is None else low
     num, den = end(relaxed)
@@ -331,7 +389,7 @@ def section_edge(family: GameFamily, beta: tuple[list[int], int], sec: Section,
         step = (far_num * den - num * far_den, far_den * den)
     # Rising lambda from the lower end, else falling from the upper, over u * den.
     scale = -den if low is None else den
-    direction = (*(-g[i] if i in columns else 0 for i in range(1, m + 1)), u, beta_y)
+    direction = (*(-g[i] if i in g else 0 for i in range(1, m + 1)), u, beta_y)
     return EdgeDescriptor(base, relaxed, None, None, far, None,
                           tuple(scale * k for k in direction), origin, u * den, step)
 
@@ -344,9 +402,9 @@ def solve_lp_delta(family: GameFamily, delta, start: Optional[Vertex] = None) ->
     an edge of Q' (``section_edge``); with m + 1 it is a vertex of Q', and
     the edge moves in P.
     """
-    m, beta = family.m, integers(family.beta)
+    m, beta = family.m, family.int_beta
     sec = solve_lp_k(family, (frac(delta),), start)
-    v, w_coords = sec.v, sec.w_coords
+    v = sec.v
     w_labels = frozenset(lab for lab, slack in enumerate(sec.slacks, 1) if not slack)
     if len(w_labels) == m:
         edge = oriented_edge(family, V_FIXED, v, section_edge(family, beta, sec, w_labels))
@@ -356,24 +414,17 @@ def solve_lp_delta(family: GameFamily, delta, start: Optional[Vertex] = None) ->
         ed = family.p.pivot(v, min(v.labels & w_labels))
         if ed.unbounded:
             raise RankGamesError("unexpected unbounded edge in the row polytope")
-        edge = oriented_edge(family, W_FIXED, Vertex(w_coords, w_labels, w_labels), ed)
+        w = Vertex(None, w_labels, w_labels, None, sec.w_point)
+        edge = oriented_edge(family, W_FIXED, w, ed)
     else:
         raise DegeneratePolytope(f"section optimum has {len(w_labels)} tight rows in Q'")
-    return OptSet(v, w_coords, sec.columns, sec.slacks, edge)
+    return OptSet(v, None, sec.rows, sec.slacks, sec.w_point, edge)
 
 
-def _rhs(tab: Tableau) -> list[int]:
-    """The vertex's point times ``tab.denom``: the rhs of its z rows."""
-    return tab.z_column(-1)
-
-
-def _h_at(h: Hyperplane, w: Vertex):
+def _h_at(h: Hyperplane, w: Vertex) -> int:
     """A number with the sign of the hyperplane's value at a vertex of Q':
-    an integer dot with its point's numerators when it carries a tableau,
-    else the value off its coordinates."""
-    if w.tableau is None:
-        return h.value_at(w.coords)
-    return h.dot(_rhs(w.tableau))
+    an integer dot with its point's numerators (``Vertex.numerators``)."""
+    return h.dot(w.numerators()[0])
 
 
 def _analyze_edge(edge: PathEdge, h: Hyperplane):
@@ -386,7 +437,7 @@ def _analyze_edge(edge: PathEdge, h: Hyperplane):
     -h0 / dh is placed against 0 and ``t_max`` by cross-multiplication, and
     its ``Fraction`` is built only when it lies strictly inside; a bounded
     edge's t_max is read as its integer ``step``. A fixed vertex of Q' gives
-    only a side, read off its tableau when it carries one.
+    only a side, read off its point's numerators.
     """
     if edge.kind == W_FIXED:
         h0, dh = _h_at(h, edge.fixed), 0
@@ -428,13 +479,15 @@ def crossing_records(h: Hyperplane, edge: PathEdge) -> list[Crossing]:
     return [hit] if kind == "point" else []
 
 
-def is_ne(family: GameFamily, gamma: Sequence[Fraction], delta,
+def is_ne(family: GameFamily, h: Hyperplane, delta,
           start: Optional[Vertex] = None) -> IsNEOutcome:
-    """Probe one lambda value: the crossing on the containing edge, or its
-    side, with the section's optimum. The section walk starts at ``start``, a
-    vertex of the family's P such as the previous probe's optimum, when given."""
+    """Probe one lambda value against the selection hyperplane ``h``
+    (``Hyperplane(gamma)``, built once per search): the crossing on the
+    containing edge, or its side, with the section's optimum. The section
+    walk starts at ``start``, a vertex of the family's P such as the previous
+    probe's optimum, when given."""
     sec = solve_lp_delta(family, delta, start)
-    kind, hit = _analyze_edge(sec.edge, Hyperplane(gamma))
+    kind, hit = _analyze_edge(sec.edge, h)
     if kind == "none":
         return IsNEOutcome("below" if hit < 0 else "above", sec.v)
     return IsNEOutcome("found", sec.v, hit)
@@ -450,7 +503,7 @@ def solve_lp_k(family: GameFamily, delta: Sequence[Fraction],
     delta = vector(delta)
     if len(delta) != family.k:
         raise OutOfBox(f"delta has length {len(delta)}, expected {family.k}")
-    return _section(family.p, family.qp, family.betas, delta, start)
+    return _section(family, delta, start)
 
 
 def box_bounds(gammas: Sequence[Sequence[Fraction]]) -> tuple[Vec, Vec]:

@@ -27,10 +27,12 @@ far vertex and its labels are read off that tableau, so the walk solves no
 system. Coordinates, directions and steps are still returned as ``Fraction``,
 but a pivot's far vertex and its edge are made without their coordinates,
 direction and step: those are read off the tableau, or the step's integers,
-when first used, which on most path edges is never. Each edge keeps its base
-point and direction as integers over one denominator. A section walk reads
-its edges off the tableau as integer columns (``_column``: the edge direction
-times ``denom``), so it builds no ``Fraction`` direction at all.
+when first used, which on most path edges is never. Each edge holds its base
+point and direction as integers over one denominator, and a pivot's edge
+reads even those off its tableau on first use (``EdgeDescriptor.origin`` and
+``column``). A section walk reads two rows of each vertex's tableau
+(``Tableau.z_row``) and only the far end of each pivot, so it builds no edge
+column, base point or ``Fraction`` direction at all.
 """
 from __future__ import annotations
 
@@ -62,6 +64,7 @@ from .linalg import (
     integers,
     least_ratios,
     matrix_rank,
+    rationals,
     vadd,
     vector,
     vscale,
@@ -108,15 +111,37 @@ class Tableau(NamedTuple):
 
     def point(self) -> Vec:
         """The vertex's coordinates: the rhs of the z rows over ``denom``."""
-        return tuple(Fraction(x, self.denom) for x in self.z_column(-1))
+        return rationals(self.z_column(-1), self.denom)
+
+    def z_row(self, coeffs: Sequence[int]) -> list[int]:
+        """The row of sum_c coeffs[c] * z_c over the nonbasic columns and the
+        rhs: its entry j is the dot of ``coeffs`` with ``z_column(j)``, for
+        every column at once. A coordinate with a row of its own adds that
+        row; one whose sign slack is in the basis adds -denom in the
+        slack's column."""
+        rows, picked, units = self.rows, [], []
+        for x, r in zip(coeffs, self.z_at):
+            if x:
+                (picked if r >= 0 else units).append((x, r))
+        if picked:
+            xs, rs = zip(*picked)
+            row = [sum(map(mul, xs, col)) for col in zip(*(rows[r] for r in rs))]
+        else:
+            row = [0] * len(rows[0])
+        for x, r in units:
+            row[self.cols.index(-r)] -= x * self.denom
+        return row
 
 
-class _ReadOff:
+class ReadOff:
     """A dataclass field that may be given as None: it is then computed by
     ``read`` from the instance (off its tableau) on first use, and kept.
 
-    It has no default, so the field stays positional and required; equality,
-    hashing and ``dataclasses.replace`` see the computed value.
+    Set as the class attribute, it has no default, so the field stays
+    positional and required. Given as a field's default
+    (``field(default=ReadOff(...))``), it is its own default, which reads as
+    None: the field is then optional. Equality, hashing and
+    ``dataclasses.replace`` see the computed value.
     """
 
     def __init__(self, read: Callable):
@@ -134,7 +159,7 @@ class _ReadOff:
         return value
 
     def __set__(self, obj, value) -> None:
-        obj.__dict__[self.name] = value
+        obj.__dict__[self.name] = None if value is self else value
 
 
 @dataclass(frozen=True)
@@ -144,13 +169,24 @@ class Vertex:
     ``tableau`` is the polytope's tableau at this vertex, set by ``pivot`` and
     ``try_vertex``; when it is None ``Polytope.tableau`` builds it. Those two
     make the vertex with ``coords`` None, which are read off the tableau when
-    first used.
+    first used. A vertex made in integers without a tableau (the ends of
+    ``paramlp.section_edge``, a section's lifted point) holds its point as
+    ``integer_point``, integers over one positive denominator, and its
+    ``coords`` are read off those.
     """
 
-    coords: Vec = _ReadOff(lambda v: v.tableau.point())
+    coords: Vec = ReadOff(lambda v: rationals(*v.numerators()))
     basis: frozenset[int]
     labels: frozenset[int]
     tableau: Optional[Tableau] = field(default=None, compare=False, repr=False)
+    integer_point: Optional[tuple[Sequence[int], int]] = field(
+        default=None, compare=False, repr=False)
+
+    def numerators(self) -> tuple[Sequence[int], int]:
+        """The point as integers over one positive denominator: the rhs of
+        its tableau's z rows over ``denom``, else ``integer_point``."""
+        tab = self.tableau
+        return self.integer_point if tab is None else (tab.z_column(-1), tab.denom)
 
 
 @dataclass(frozen=True)
@@ -164,23 +200,30 @@ class EdgeDescriptor:
     them, and ``direction`` is read off them when first used. A bounded one
     holds t_max as ``step``, integers (num, den > 0), and ``t_max`` is read
     off it when first used. An edge that ``pivot`` makes carries its base's
-    ``tableau`` too: ``origin`` is its point's rhs (``Tableau.z_column``) and
-    ``column`` the relaxed slack's nonbasic column there, times minus the
-    row's scale. The section edge of ``paramlp.solve_lp_delta`` is read off
-    P's tableau at the section optimum (``paramlp.section_edge``) and
-    carries no tableau.
+    ``tableau`` and the relaxed row's ``scale`` instead, and ``origin`` and
+    ``column`` are read off them on first use: ``origin`` is its point's rhs
+    (``Tableau.z_column``) and ``column`` the relaxed slack's nonbasic
+    column there, times minus the scale. A section walk reads only the far
+    end, so it builds neither. The section edge of
+    ``paramlp.solve_lp_delta`` is read off P's tableau at the section
+    optimum (``paramlp.section_edge``) and carries no tableau.
     """
 
     base: Vertex
     relaxed: int
-    direction: Vec = _ReadOff(lambda e: tuple(Fraction(k, e.denom) for k in e.column))
-    t_max: Optional[Rat] = _ReadOff(lambda e: None if e.step is None else Fraction(*e.step))
+    direction: Vec = ReadOff(lambda e: rationals(e.column, e.denom))
+    t_max: Optional[Rat] = ReadOff(lambda e: None if e.step is None else Fraction(*e.step))
     far_end: Optional[Vertex]
     tableau: Optional[Tableau] = field(default=None, compare=False, repr=False)
-    column: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
-    origin: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    column: Optional[tuple[int, ...]] = field(
+        default=ReadOff(lambda e: _edge_column(e.tableau, e.relaxed, e.scale)),
+        compare=False, repr=False)
+    origin: Optional[tuple[int, ...]] = field(
+        default=ReadOff(lambda e: None if e.tableau is None else tuple(e.tableau.z_column(-1))),
+        compare=False, repr=False)
     denom: int = field(default=1, compare=False, repr=False)
     step: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+    scale: int = field(default=1, compare=False, repr=False)
 
     @property
     def unbounded(self) -> bool:
@@ -195,6 +238,15 @@ class EdgeDescriptor:
         p, q = t.numerator, t.denominator
         return tuple(Fraction(o * q + p * c, self.denom * q)
                      for o, c in zip(self.origin, self.column))
+
+
+def _edge_column(tab: Optional[Tableau], relax: int, scale: int) -> Optional[tuple[int, ...]]:
+    """Relax's edge direction times ``tab.denom``: the slack's column on the
+    z rows (``Tableau.z_column``), times minus ``scale``, the relaxed row's;
+    None without a tableau."""
+    if tab is None:
+        return None
+    return tuple(map((-scale).__mul__, tab.z_column(tab.cols.index(relax))))
 
 
 def min_ratio(steps: Iterable[tuple[int, int, int]],
@@ -372,9 +424,9 @@ class Polytope:
         return Vertex(None, basis, basis | zeros, tab)
 
     def _column(self, tab: Tableau, relax: int) -> tuple[int, ...]:
-        """Relax's edge direction times ``tab.denom``: the slack's column on
-        the z rows (``Tableau.z_column``), times minus the row's scale."""
-        return tuple(map((-self.scales[relax]).__mul__, tab.z_column(tab.cols.index(relax))))
+        """Relax's edge direction times ``tab.denom``, as ``pivot``'s edge
+        reads it (``EdgeDescriptor.column``)."""
+        return _edge_column(tab, relax, self.scales[relax])
 
     def _ratio_rows(self, tab: Tableau, relax: int) -> list[tuple[int, int, int]]:
         """(label, slack, rate) of every basic slack along relax's edge, in label order."""
@@ -411,20 +463,21 @@ class Polytope:
 
     def pivot(self, vertex: Vertex, relax: int) -> EdgeDescriptor:
         """Exact ratio test along the edge obtained by relaxing one basis row,
-        and one integer pivot on a copy of the vertex's tableau to its far end."""
+        and one integer pivot on a copy of the vertex's tableau to its far end.
+        The edge's base point and direction are read off the tableau when
+        first used."""
         if relax not in vertex.basis:
             raise ValueError(f"label {relax} not in basis {sorted(vertex.basis)}")
-        tab = self.tableau(vertex)
-        column = self._column(tab, relax)
-        origin = tuple(tab.z_column(-1))
+        tab, scale = self.tableau(vertex), self.scales[relax]
         slack, rate, hit = min_ratio(self._ratio_rows(tab, relax), vertex.basis)
         if hit is None:
-            return EdgeDescriptor(vertex, relax, None, None, None, tab, column, origin, tab.denom)
+            return EdgeDescriptor(vertex, relax, None, None, None, tab, denom=tab.denom,
+                                  scale=scale)
         far = self._pivot_to(vertex, tab, relax, hit)
         if (tight := len(far.labels)) > self.basis_size:
             raise DegeneratePolytope(f"vertex {sorted(far.basis)} has {tight} tight rows")
-        return EdgeDescriptor(vertex, relax, None, None, far, tab, column, origin, tab.denom,
-                              (slack, rate * self.scales[relax]))
+        return EdgeDescriptor(vertex, relax, None, None, far, tab, denom=tab.denom,
+                              step=(slack, rate * scale), scale=scale)
 
     def simplex_pivot(self, vertex: Vertex, relax: int) -> Optional[Vertex]:
         """The basis after relaxing ``relax`` with Bland's leaving rule: the
@@ -557,6 +610,7 @@ class GameFamily:
         self.betas = tuple(vector(b) for b in betas)
         self.k = len(self.betas)
         self.m, self.n = a.rows, a.cols
+        self.int_betas = tuple(integers(b) for b in self.betas)
         self.p = build_p(a)
         self.qp = build_qprime(c, self.betas)
         self.minus_a = c == a.scale(-1)
@@ -564,9 +618,18 @@ class GameFamily:
     @property
     def beta(self) -> Vec:
         """The single beta, which the path needs: one lambda to walk along."""
+        return self.betas[self._one_beta()]
+
+    @property
+    def int_beta(self) -> tuple[list[int], int]:
+        """The single beta as integers over its least common denominator:
+        ``linalg.integers`` of ``beta``, taken once (``int_betas``)."""
+        return self.int_betas[self._one_beta()]
+
+    def _one_beta(self) -> int:
         if self.k != 1:
             raise DimensionMismatch(f"the path needs one beta, the family has {self.k}")
-        return self.betas[0]
+        return 0
 
     def game_at(self, *alphas: Sequence[Fraction]) -> BimatrixGame:
         """The family's game at row weights alpha_1..alpha_k, one per beta."""
@@ -586,7 +649,7 @@ class GameFamily:
         rates, slacks of either sign.
         """
         m, n = self.m, self.n
-        beta, _ = integers(self.beta)
+        beta, _ = self.int_beta
         if all(b == beta[0] for b in beta):
             raise ConstantBeta("beta is constant; no distinct path endpoints")
         # Both rays' columns, then both rows, are unique before either bound.

@@ -6,6 +6,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 from typing import NamedTuple
 
 from rankgames.errors import (
@@ -28,7 +29,7 @@ from rankgames.linalg import (
 )
 from rankgames.lp import EQ, LE, LinearProgram
 from rankgames.labeledpath import FORWARD, W_FIXED
-from rankgames.paramlp import Crossing, edge_rates
+from rankgames.paramlp import Crossing
 from rankgames.polytope import GameFamily, Polytope, Tableau
 
 # Worked example: a game family whose fully-labeled set is a path plus one
@@ -156,6 +157,34 @@ def reference_z_rows(poly: Polytope, tab: FullTableau) -> list:
     _, rows = _narrow(poly, tab)
     return [row for _, row in sorted((var, row) for var, row in zip(tab.basic, rows)
                                      if var < poly.dim)]
+
+
+def column_dots(p: Polytope, v, betas) -> tuple[dict, tuple]:
+    """The reference for ``paramlp.section_rows``: integer dots with each
+    basis label's column on v's tableau (``Polytope._column``) and with its
+    rhs (``Tableau.z_column(-1)``), for integer betas (b_l, q_l). Returns
+    ((b_l . col_r)_l, col_r's pi1) per basis label r, in label order, which
+    are g_r and c_r times denom (and q_l), and ((b_l . rhs)_l, rhs's pi1),
+    which are beta_l . y and pi1 at v times denom (and q_l)."""
+    tab = p.tableau(v)
+
+    def dots(vec) -> tuple:
+        return tuple(sum(map(mul, b, vec)) for b, _ in betas), vec[p.n]
+
+    return {r: dots(p._column(tab, r)) for r in tab.cols}, dots(tab.z_column(-1))
+
+
+def reference_edge_rates(p: Polytope, v, betas) -> dict:
+    """The reference for ``paramlp.edge_rates``: (g_r, c_r) per basis label
+    r in ``Fraction``s, off the ``column_dots`` of the betas, over q_l *
+    denom and denom."""
+    scaled = [integers(beta) for beta in betas]
+    denom = p.tableau(v).denom
+    columns, _ = column_dots(p, v, scaled)
+    return {
+        r: (tuple(Fraction(g, q * denom) for g, (_, q) in zip(gs, scaled)), Fraction(c, denom))
+        for r, (gs, c) in columns.items()
+    }
 
 
 def watch_solve_lp(monkeypatch) -> list:
@@ -312,10 +341,10 @@ def reference_section_edge(family: GameFamily, sec):
     """The reference for ``paramlp.section_edge``: the edge of Q' through
     the section's lifted point w that ``Polytope.edge_through_point`` finds
     in ``Fraction``s, through w's labels from its slacks (``labels_at``),
-    along v's edge rates: lambda at rate 1, x at -g_i on v's basis rows and
-    pi2 at beta . y."""
+    along v's edge rates (``reference_edge_rates``): lambda at rate 1, x at
+    -g_i on v's basis rows and pi2 at beta . y."""
     m, v = family.m, sec.v
-    rates = edge_rates(family.p, v, family.betas)
+    rates = reference_edge_rates(family.p, v, family.betas)
     dx = tuple(-rates[i][0][0] if i in rates else Fraction(0) for i in range(1, m + 1))
     direction = (*dx, Fraction(1), vdot(family.beta, v.coords[: family.n]))
     tight = family.qp.labels_at(sec.w_coords)

@@ -290,7 +290,7 @@ def test_a_path_builds_its_game_once_and_evaluates_no_hyperplane_per_edge(monkey
         for step in range(9):
             evaluated.clear()
             try:
-                is_ne(fam, run.gamma, lo + (hi - lo) * Fraction(step, 8))
+                is_ne(fam, Hyperplane(run.gamma), lo + (hi - lo) * Fraction(step, 8))
             except DegeneracyError:
                 continue
             probes += 1

@@ -35,14 +35,19 @@ from fixtures import (
     R1A_NE_LAMBDA,
     R1A_NE_X,
     R1A_NE_Y,
+    R1C,
+    column_dots,
     fraction_lifted_section,
+    full_basis_tableau,
     h_linear,
     polytope_lp,
     random_rank1,
     random_rank_k,
     ray_anchors,
     reference_analyze_edge,
+    reference_edge_rates,
     reference_section_edge,
+    reference_z_rows,
     section_gap,
     section_objective,
     watch_solve_lp,
@@ -118,7 +123,7 @@ def test_objective_zero_certificate_strict_on_non_labeled_points(r1a_family):
 
 
 def test_is_ne_found_at_equilibrium_lambda(r1a_family):
-    out = is_ne(r1a_family, R1A.gamma, R1A_NE_LAMBDA)
+    out = is_ne(r1a_family, Hyperplane(R1A.gamma), R1A_NE_LAMBDA)
     assert out.kind == "found"
     hit = out.crossing
     assert hit.w_coords[: r1a_family.m] == R1A_NE_X
@@ -126,16 +131,16 @@ def test_is_ne_found_at_equilibrium_lambda(r1a_family):
 
 
 def test_is_ne_below_at_gamma_min(r1a_family):
-    assert is_ne(r1a_family, R1A.gamma, min(R1A.gamma)).kind == "below"
+    assert is_ne(r1a_family, Hyperplane(R1A.gamma), min(R1A.gamma)).kind == "below"
 
 
 def test_is_ne_above_at_gamma_max(r1a_family):
-    assert is_ne(r1a_family, R1A.gamma, max(R1A.gamma)).kind == "above"
+    assert is_ne(r1a_family, Hyperplane(R1A.gamma), max(R1A.gamma)).kind == "above"
 
 
 def test_is_ne_zero_gamma_finds_zero_sum_equilibrium(r1a_family):
     gamma0 = (Fraction(0),) * 3
-    out = is_ne(r1a_family, gamma0, Fraction(0))
+    out = is_ne(r1a_family, Hyperplane(gamma0), Fraction(0))
     assert out.kind == "found"
     hit = out.crossing
     zero_sum = r1a_family.game_at(gamma0)
@@ -228,7 +233,7 @@ def test_tableau_hyperplane_values_match_fraction_values():
     # an integer dot off its tableau, has the value's sign. Section edges,
     # read off P's tableau, carry their integers but no Q' tableau, and fixed
     # section vertices carry no tableau (their value is read off their
-    # Fraction coordinates); they are compared too.
+    # integer point); they are compared too.
     kinds = Counter()
     for gammas, edges in _walked_edges():
         for gamma in gammas:
@@ -245,8 +250,8 @@ def test_tableau_hyperplane_values_match_fraction_values():
                     on_tableau = ed.tableau is not None
                 kinds[edge.kind, on_tableau] += 1
     # Per gamma: 20 section edges without a tableau (recounted: still 20)
-    # and 20 fixed section vertices, which take the Fraction route; both
-    # rays carry tableaux.
+    # and 20 fixed section vertices, which are read off their integer point;
+    # both rays carry tableaux.
     assert kinds == {(V_FIXED, True): 932, (W_FIXED, True): 812,
                      (V_FIXED, False): 40, (W_FIXED, False): 40}
 
@@ -512,7 +517,7 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
         assert ref.optimal
         ref_ok = len(p.labels_at(ref.point)) == p.n
         try:
-            sec = paramlp._section(p, lifted, betas, delta)
+            sec = paramlp._section(family, delta)
         except DegeneratePolytope:
             counts[corpus, "rejected by both" if not ref_ok else "rejected by the walk"] += 1
             continue
@@ -640,6 +645,74 @@ def test_section_edge_matches_edge_through_point():
     }
 
 
+def test_probes_below_or_above_build_no_edge_data_and_no_fraction_point(monkeypatch):
+    # bin_search on the rank1-solve bench corpus (60 wide-span rank-1 games,
+    # random.Random(1), sizes 4, 4, 5) and the 4x5 reproducer. A probe that
+    # reports below or above builds neither base point nor direction of any
+    # walk pivot: the walk reads only far ends. Its lifted point and the
+    # ends of its section edge are still integers: no Fraction point is
+    # built. Once read, they are the reference's: the walk pivots' origin
+    # and column are the full-width tableau's, the lifted point is the
+    # lifted LP's, and the section edge is edge_through_point's through it
+    # (test_section_edge_matches_edge_through_point).
+    import rankgames.algorithms as algorithms
+    import rankgames.paramlp as paramlp
+    from rankgames.algorithms import bin_search
+
+    edges, lifts, sections, counts = [], [], [], Counter()
+    real_pivot, real_delta, real_is_ne = Polytope.pivot, paramlp.solve_lp_delta, algorithms.is_ne
+    real_lift = paramlp.lifted_section
+
+    def pivot_spy(self, v, relax):
+        edges.append((self, real_pivot(self, v, relax)))
+        return edges[-1][1]
+
+    def delta_spy(*args):
+        sections.append(real_delta(*args))
+        return sections[-1]
+
+    def lift_spy(*args):
+        lifts.append(real_lift(*args))
+        return lifts[-1]
+
+    def checked_is_ne(family, h, delta, start=None):
+        edges.clear(), lifts.clear(), sections.clear()
+        out = real_is_ne(family, h, delta, start)
+        if out.kind == "found":
+            return out
+        (sec,) = sections
+        edge = sec.edge
+        walk = [(poly, ed) for poly, ed in edges if ed is not edge.moving]
+        assert all(ed.__dict__["column"] is ed.__dict__["origin"] is None for _, ed in walk)
+        ends = [edge.moving.base, edge.moving.far_end] if edge.kind == V_FIXED else [edge.fixed]
+        assert all(lift.__dict__["w_coords"] is None for lift in (*lifts, sec))
+        assert all(u.__dict__["coords"] is None for u in ends if u is not None)
+        for poly, ed in walk:
+            z_rows = reference_z_rows(poly, full_basis_tableau(poly, ed.base.basis))
+            col = ed.tableau.cols.index(ed.relaxed)
+            assert ed.origin == tuple(row[-1] for row in z_rows)
+            assert ed.column == tuple(-poly.scales[ed.relaxed] * row[col] for row in z_rows)
+        assert sec.w_coords == lifted_lp_point(family.qp, (delta,))
+        if edge.kind == V_FIXED:
+            assert edge.moving == reference_section_edge(family, sec)
+        else:
+            assert edge.fixed.coords == sec.w_coords
+        counts[out.kind, edge.kind] += 1
+        counts["walk pivots"] += len(walk)
+        return out
+
+    monkeypatch.setattr(Polytope, "pivot", pivot_spy)
+    monkeypatch.setattr(paramlp, "solve_lp_delta", delta_spy)
+    monkeypatch.setattr(paramlp, "lifted_section", lift_spy)
+    monkeypatch.setattr(algorithms, "is_ne", checked_is_ne)
+    rng = random.Random(1)
+    for size in (4, 4, 5) * 20:
+        bin_search(random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50))
+    bin_search(R1C)
+    assert dict(counts) == {("below", V_FIXED): 45, ("above", V_FIXED): 33,
+                            ("below", W_FIXED): 1, "walk pivots": 177}
+
+
 def _section_breakpoints(fam) -> list[Fraction]:
     """Every lambda at which a section edge of the family ends, ascending:
     probe below, between and above the breakpoints found so far, from
@@ -689,35 +762,36 @@ def test_section_optima_are_the_path_vertices_of_p():
 
 
 def test_sections_take_each_column_once_and_build_no_fraction_rates(monkeypatch):
-    # The walk picks its labels off P's integer tableau: it takes each
-    # visited vertex's basis columns once, the optimum's included, and the
-    # lifted section keeps the optimum's. No section builds Fraction edge
-    # rates, whether it returns or rejects.
+    # The walk picks its labels off P's integer tableau: it reads each
+    # visited vertex's rows (section_rows, whose entries are the dots with
+    # its basis columns) once, the optimum's included, and the lifted
+    # section keeps the optimum's. No section builds Fraction edge rates,
+    # whether it returns or rejects.
     import rankgames.paramlp as paramlp
 
     rated, taken = [], []
-    real_rates, real_columns = paramlp.edge_rates, paramlp.basis_columns
+    real_rates, real_rows = paramlp.edge_rates, paramlp.section_rows
 
-    def columns_spy(p, v):
-        taken.append((v.basis, real_columns(p, v)))
+    def rows_spy(p, v, betas):
+        taken.append((v.basis, real_rows(p, v, betas)))
         return taken[-1][1]
 
     monkeypatch.setattr(
         paramlp, "edge_rates", lambda p, v, betas: rated.append(v) or real_rates(p, v, betas)
     )
-    monkeypatch.setattr(paramlp, "basis_columns", columns_spy)
+    monkeypatch.setattr(paramlp, "section_rows", rows_spy)
     counts = Counter()
-    for _, _, p, lifted, betas, delta in section_corpus():
+    for _, fam, *_, delta in section_corpus():
         taken.clear()
         try:
-            sec = paramlp._section(p, lifted, betas, delta)
+            sec = paramlp._section(fam, delta)
         except DegeneratePolytope:
             counts["rejected"] += 1
             continue
         finally:
             bases = [basis for basis, _ in taken]
             assert len(set(bases)) == len(bases)
-        assert bases[-1] == sec.v.basis and sec.columns is taken[-1][1]
+        assert bases[-1] == sec.v.basis and sec.rows is taken[-1][1]
         counts["returned"] += 1
     assert rated == []
     assert dict(counts) == {"returned": 179, "rejected": 29}
@@ -727,30 +801,26 @@ def test_integer_improving_labels_match_the_fraction_rates(monkeypatch):
     # At every vertex the walk visits, the labels that the integer sign test
     # reads off P's tableau are exactly those of positive Fraction rate
     # g . delta - c: on the section corpus, and on three wide-span 12x12
-    # rank-1 games at min gamma, max gamma and their midpoint.
+    # rank-1 games at min gamma, max gamma and their midpoint. The Fraction
+    # rates are the reference's, off the dots with each basis column.
     import rankgames.paramlp as paramlp
 
     visited = []
-    real = paramlp.basis_columns
-    monkeypatch.setattr(paramlp, "basis_columns", lambda p, v: visited.append(v) or real(p, v))
-    sections = [(p, lifted, betas, delta) for *_, p, lifted, betas, delta in section_corpus()]
-    rng = random.Random(12)
-    for _ in range(3):
-        d = random_rank1(rng, 12, 12, span=99, gamma_span=20, beta_span=50)
-        fam = GameFamily(d.a, d.a.scale(-1), d.beta)
-        lo, hi = min(d.gamma), max(d.gamma)
-        sections += [(fam.p, fam.qp, fam.betas, (delta,)) for delta in (lo, hi, (lo + hi) / 2)]
+    real = paramlp.section_rows
+    monkeypatch.setattr(
+        paramlp, "section_rows", lambda p, v, betas: visited.append(v) or real(p, v, betas)
+    )
     counts = Counter()
-    for p, lifted, betas, delta in sections:
+    for fam, delta in _rows_sections():
         visited.clear()
         try:
-            paramlp._section(p, lifted, betas, delta)
+            paramlp._section(fam, delta)
         except DegeneratePolytope:
             pass
-        objective = integer_objective(betas, delta)
-        for v in list(visited):  # edge_rates takes columns too
-            labels = paramlp.improving_labels(real(p, v), objective)
-            rates = edge_rates(p, v, betas)
+        objective = integer_objective(fam.int_betas, delta)
+        for v in visited:
+            labels = paramlp.improving_labels(real(fam.p, v, fam.int_betas), objective.weights)
+            rates = reference_edge_rates(fam.p, v, fam.betas)
             assert labels == [r for r, (g, c) in rates.items() if vdot(g, delta) > c]
             counts["improving" if labels else "optimal"] += 1
     assert dict(counts) == {"improving": 378, "optimal": 217}
@@ -770,12 +840,12 @@ def test_a_warm_section_ends_at_the_cold_optimum_where_it_is_unique():
         if fam is not family:
             family, start = fam, None
         try:
-            cold = paramlp._section(p, lifted, betas, delta)
+            cold = paramlp._section(fam, delta)
         except DegeneratePolytope:
             cold = None
         if start is not None:
             try:
-                warm = paramlp._section(p, lifted, betas, delta, start)
+                warm = paramlp._section(fam, delta, start)
             except DegeneratePolytope:
                 warm = None
             if cold is None:
@@ -796,22 +866,15 @@ def test_integer_lifted_section_matches_the_fraction_reference(monkeypatch):
     # lifted section returns the reference's point or raises its error with
     # its message: on the section corpus, and on the 60 seeded rank-k draws
     # decomposed as the CLI does (so betas may be fractions and the lifted
-    # rows carry scales), at the box centre and both corners.
+    # rows carry scales), at the box centre and both corners. The Fraction
+    # rates are the reference's, off the dots with each basis column.
     import rankgames.paramlp as paramlp
 
     visited = []
-    real = paramlp.basis_columns
-    monkeypatch.setattr(paramlp, "basis_columns", lambda p, v: visited.append(v) or real(p, v))
-    sections = [(p, lifted, betas, delta) for *_, p, lifted, betas, delta in section_corpus()]
-    rng = random.Random(11)
-    for g in range(60):
-        k, size = 2 + g % 2, 3 + (g // 2) % 3
-        a, betas, gammas = random_rank_k(rng, k, size, size)
-        d = decompose_rank_k(family_game(a, -a, gammas, betas))
-        fam = GameFamily(d.a, -d.a, *d.betas)
-        lows, highs = box_bounds(d.gammas)
-        for delta in (tuple((lo + hi) / 2 for lo, hi in zip(lows, highs)), lows, highs):
-            sections.append((fam.p, fam.qp, fam.betas, delta))
+    real = paramlp.section_rows
+    monkeypatch.setattr(
+        paramlp, "section_rows", lambda p, v, betas: visited.append(v) or real(p, v, betas)
+    )
 
     def outcome(lift):
         try:
@@ -820,20 +883,96 @@ def test_integer_lifted_section_matches_the_fraction_reference(monkeypatch):
             return type(exc).__name__, str(exc)
 
     counts = Counter()
-    for p, lifted, betas, delta in sections:
+    for fam, delta in _sections_and_rank_k_corpus():
         visited.clear()
         try:
-            paramlp._section(p, lifted, betas, delta)
+            paramlp._section(fam, delta)
         except DegeneracyError:
             pass
-        objective = integer_objective(betas, delta)
-        for v in list(visited):  # edge_rates takes columns too
-            rates = edge_rates(p, v, betas)
-            columns = real(p, v)
-            ours = outcome(lambda: lifted_section(p, lifted, v, columns, delta, objective).w_coords)
+        p, lifted, betas = fam.p, fam.qp, fam.betas
+        objective = integer_objective(fam.int_betas, delta)
+        for v in visited:
+            rates = reference_edge_rates(p, v, betas)
+            rows = real(p, v, fam.int_betas)
+            ours = outcome(lambda: lifted_section(p, lifted, v, rows, delta, objective).w_coords)
             assert ours == outcome(lambda: fraction_lifted_section(lifted, betas, v, rates, delta))
             counts[ours[0] if isinstance(ours[0], str) else "point"] += 1
     assert dict(counts) == {"point": 388, "NonzeroOptimum": 469, "RankGamesError": 91}
+
+
+def _rank_k_corpus_sections():
+    """(family, delta) of the rank-k corpus: the 60 draws of
+    random.Random(11) decomposed as the CLI does, at the box centre and both
+    corners."""
+    rng = random.Random(11)
+    for g in range(60):
+        k, size = 2 + g % 2, 3 + (g // 2) % 3
+        a, betas, gammas = random_rank_k(rng, k, size, size)
+        d = decompose_rank_k(family_game(a, -a, gammas, betas))
+        fam = GameFamily(d.a, -d.a, *d.betas)
+        lows, highs = box_bounds(d.gammas)
+        for delta in (tuple((lo + hi) / 2 for lo, hi in zip(lows, highs)), lows, highs):
+            yield fam, delta
+
+
+def _wide_12x12_sections():
+    """(family, (delta,)) of three wide-span 12x12 rank-1 games at min
+    gamma, max gamma and their midpoint."""
+    rng = random.Random(12)
+    for _ in range(3):
+        d = random_rank1(rng, 12, 12, span=99, gamma_span=20, beta_span=50)
+        fam = GameFamily(d.a, d.a.scale(-1), d.beta)
+        lo, hi = min(d.gamma), max(d.gamma)
+        for delta in (lo, hi, (lo + hi) / 2):
+            yield fam, (delta,)
+
+
+def _rows_sections():
+    """The section corpus, then the three wide 12x12 games' sections."""
+    yield from ((fam, delta) for _, fam, *_, delta in section_corpus())
+    yield from _wide_12x12_sections()
+
+
+def _sections_and_rank_k_corpus():
+    """The section corpus, then the rank-k corpus's sections."""
+    yield from ((fam, delta) for _, fam, *_, delta in section_corpus())
+    yield from _rank_k_corpus_sections()
+
+
+def test_section_rows_equal_the_dots_with_each_basis_column(monkeypatch):
+    # At every vertex that a section walks, on the section corpus, the
+    # rank-k corpus (centre and both corners) and three wide 12x12 rank-1
+    # games, the rows read off P's tableau give each basis label's g_r and
+    # c_r, and beta . y and pi1 at the vertex, equal to the integer dots
+    # with its column on the tableau and with the tableau's rhs
+    # (fixtures.column_dots).
+    import rankgames.paramlp as paramlp
+
+    visited = []
+    real = paramlp.section_rows
+    monkeypatch.setattr(
+        paramlp, "section_rows", lambda p, v, betas: visited.append(v) or real(p, v, betas)
+    )
+    sections = [*_sections_and_rank_k_corpus(), *_wide_12x12_sections()]
+    counts = Counter()
+    for fam, delta in sections:
+        visited.clear()
+        try:
+            paramlp._section(fam, delta)
+        except DegeneracyError:
+            pass
+        p, betas = fam.p, fam.int_betas
+        for v in visited:
+            rows = real(p, v, betas)
+            columns, (beta_y, pi1) = column_dots(p, v, betas)
+            cols = rows.tab.cols
+            assert list(columns) == list(cols)
+            for j, r in enumerate(cols):
+                g = tuple(-p.scales[r] * row[j] for row in rows.betas)
+                assert (g, -p.scales[r] * rows.pi1[j]) == columns[r]
+            assert (tuple(row[-1] for row in rows.betas), rows.pi1[-1]) == (beta_y, pi1)
+            counts["rank-k" if fam.k > 1 else "rank-1"] += 1
+    assert dict(counts) == {"rank-1": 428, "rank-k": 584}
 
 
 def test_section_walk_leaves_a_degenerate_start(monkeypatch):
@@ -850,7 +989,7 @@ def test_section_walk_leaves_a_degenerate_start(monkeypatch):
         Polytope, "simplex_pivot", lambda self, v, r: bland.append(r) or real(self, v, r)
     )
     for delta in (-1, 0, Fraction(3, 2)):
-        sec = paramlp._section(fam.p, fam.qp, (fam.beta,), (Fraction(delta),))
+        sec = paramlp._section(fam, (Fraction(delta),))
         v, w_coords = sec.v, sec.w_coords
         ref = solve_lp(polytope_lp(fam.p, section_objective((fam.beta,), (delta,))))
         assert v.coords == ref.point and v.coords[:2] == (Fraction(1, 2), Fraction(1, 2))

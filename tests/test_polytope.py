@@ -326,9 +326,9 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
                 far = poly.simplex_pivot(v, relax)
                 for again in sorted(far.basis) if far is not None else ():
                     poly.simplex_pivot(far, again)
-    for _, _, p, lifted, betas, delta in section_corpus():
+    for _, fam, *_, delta in section_corpus():
         try:
-            _section(p, lifted, betas, delta)
+            _section(fam, delta)
         except RankGamesError:
             counts["rejected"] += 1
     assert counts == {"build": 851, "singular": 148, "pivot": 2523, "rejected": 29}
