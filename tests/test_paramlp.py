@@ -811,7 +811,7 @@ def test_integer_improving_labels_match_the_fraction_rates(monkeypatch):
         paramlp, "section_rows", lambda p, v, betas: visited.append(v) or real(p, v, betas)
     )
     counts = Counter()
-    for fam, delta in _rows_sections():
+    for fam, delta in [*_corpus_sections(), *_wide_12x12_sections()]:
         visited.clear()
         try:
             paramlp._section(fam, delta)
@@ -883,7 +883,7 @@ def test_integer_lifted_section_matches_the_fraction_reference(monkeypatch):
             return type(exc).__name__, str(exc)
 
     counts = Counter()
-    for fam, delta in _sections_and_rank_k_corpus():
+    for fam, delta in [*_corpus_sections(), *_rank_k_corpus_sections()]:
         visited.clear()
         try:
             paramlp._section(fam, delta)
@@ -927,16 +927,9 @@ def _wide_12x12_sections():
             yield fam, (delta,)
 
 
-def _rows_sections():
-    """The section corpus, then the three wide 12x12 games' sections."""
-    yield from ((fam, delta) for _, fam, *_, delta in section_corpus())
-    yield from _wide_12x12_sections()
-
-
-def _sections_and_rank_k_corpus():
-    """The section corpus, then the rank-k corpus's sections."""
-    yield from ((fam, delta) for _, fam, *_, delta in section_corpus())
-    yield from _rank_k_corpus_sections()
+def _corpus_sections():
+    """(family, delta) of the section corpus."""
+    return [(fam, delta) for _, fam, *_, delta in section_corpus()]
 
 
 def test_section_rows_equal_the_dots_with_each_basis_column(monkeypatch):
@@ -953,7 +946,7 @@ def test_section_rows_equal_the_dots_with_each_basis_column(monkeypatch):
     monkeypatch.setattr(
         paramlp, "section_rows", lambda p, v, betas: visited.append(v) or real(p, v, betas)
     )
-    sections = [*_sections_and_rank_k_corpus(), *_wide_12x12_sections()]
+    sections = [*_corpus_sections(), *_rank_k_corpus_sections(), *_wide_12x12_sections()]
     counts = Counter()
     for fam, delta in sections:
         visited.clear()
