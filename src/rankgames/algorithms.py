@@ -43,8 +43,9 @@ from .paramlp import (
     Hyperplane,
     Section,
     box_bounds,
+    cell_rows,
     crossing_records,
-    edge_rates,
+    improving_labels,
     integer_objective,
     is_ne,
     lifted_section,
@@ -364,37 +365,39 @@ def fixed_point_search(
 
     A cell is a vertex v of P with exactly n tight rows, over the part of the
     box where v is the section optimum: there no edge of P at v raises the
-    section objective, and the map is affine, read off v's edge rates
-    (``piece_fixed_point``, one k x k solve). A cell's fixed point is
-    accepted when it lies in the box and in the cell, and ``fixed_point_record``
-    verifies the cell's section there. The walk starts at the section optimum
-    of the box centre and pivots across every edge whose zero-rate facet
-    meets box and cell (a k-variable feasibility LP). Returns the point with its
-    verified record; raises ``DegeneratePolytope`` when no cell reached holds
-    one.
+    section objective, and the map is affine, read off v's ``section_rows``
+    (``piece_fixed_point``, one k x k solve), once per vertex: the start's
+    are its section's. A cell's fixed point is accepted when it lies in the
+    box and in the cell, where the section walk finds no improving label, and
+    ``fixed_point_record`` verifies the cell's section there. The walk starts
+    at the section optimum of the box centre and pivots across every edge
+    whose zero-rate facet meets box and cell (a k-variable feasibility LP on
+    the ``cell_rows``). Returns the point with its verified record; raises
+    ``DegeneratePolytope`` when no cell reached holds one.
     """
     gammas = tuple(vector(g) for g in gammas)
     lows, highs = box_bounds(gammas)
+    start = solve_lp_k(family, tuple((lo + hi) / 2 for lo, hi in zip(lows, highs)))
     p, k = family.p, family.k
     unit = Matrix.identity(k)
     box = [(unit.row(l), highs[l]) for l in range(k)]
     box += [(vscale(-1, unit.row(l)), -lows[l]) for l in range(k)]
-    start = solve_lp_k(family, tuple((lo + hi) / 2 for lo, hi in zip(lows, highs)))
     seen, queue = {start.v.basis}, deque([start.v])
     while queue:
         v = queue.popleft()
-        rates = edge_rates(p, v, family.betas)  # the objective's rate on r's edge is g . a - c
-        a = piece_fixed_point(family, gammas, rates)
-        if a is not None and all(vdot(g, a) <= c for g, c in chain(rates.values(), box)):
+        rows = start.rows if v is start.v else section_rows(p, v, family.int_betas)
+        a = piece_fixed_point(family, gammas, rows)
+        if a is not None and all(lo <= ai <= hi for ai, lo, hi in zip(a, lows, highs)):
             objective = integer_objective(family.int_betas, a)
-            rows = section_rows(p, v, family.int_betas)
-            section = lifted_section(p, family.qp, v, rows, a, objective)
-            return a, fixed_point_record(family, gammas, section)
-        for r, facet in rates.items():
-            rest = [gc for s, gc in rates.items() if s != r] + box
+            if not improving_labels(rows, objective.weights):
+                section = lifted_section(p, family.qp, v, rows, a, objective)
+                return a, fixed_point_record(family, gammas, section)
+        _, cell = cell_rows(family, rows)  # the objective's rate on r's edge is h . a - e
+        for r, facet in cell.items():
+            rest = [he for s, he in cell.items() if s != r] + box
             lp = LinearProgram.build(
-                [0] * k, [facet[0]] + [g for g, _ in rest],
-                [EQ] + [LE] * len(rest), [facet[1]] + [c for _, c in rest],
+                [0] * k, [facet[0]] + [h for h, _ in rest],
+                [EQ] + [LE] * len(rest), [facet[1]] + [e for _, e in rest],
             )
             if solve_lp(lp).status == "infeasible":
                 continue

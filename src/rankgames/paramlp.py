@@ -15,9 +15,9 @@ objective exactly zero: its feasibility and zero gap are checked in integers,
 which leaves its slack of every label, and the point is kept as integers
 until read. On a rank-1 section the path edge through that point is read
 off the same rows (``section_edge``): one integer ratio test per side gives
-its ends, and no Q' tableau is built. The ``Fraction`` edge rates
-(``edge_rates``) are built only by the rank-k cell walk, for the affine
-pieces of the box map. Intersecting the containing edge with a game's
+its ends, and no Q' tableau is built. The rank-k cell walk reads a vertex's
+cell of the box map off the same rows (``cell_rows``), with the fixed point
+of its affine piece. Intersecting the containing edge with a game's
 selection hyperplane yields a crossing point or a side classification; the
 crossing is only geometry, which the caller verifies on its own game. Every
 moving path edge holds its base point and direction as integers over one
@@ -39,6 +39,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegeneratePolytope,
+    DimensionMismatch,
     EdgeInHyperplane,
     NonzeroOptimum,
     OutOfBox,
@@ -65,8 +66,8 @@ from .linalg import (
 )
 from .polytope import EdgeDescriptor, GameFamily, Polytope, ReadOff, Tableau, Vertex, min_ratio
 
-Rates = dict[int, tuple[Vec, Rat]]  # (g_r, c_r) per basis label r: see edge_rates
 IntBetas = Sequence[tuple[Sequence[int], int]]  # each beta as (b, q): see GameFamily.int_betas
+Cell = dict[int, tuple[tuple[int, ...], int]]  # (h_r, e_r) per basis label r: see cell_rows
 
 
 @dataclass(frozen=True)
@@ -191,22 +192,18 @@ def section_rows(p: Polytope, v: Vertex, betas: IntBetas) -> SectionRows:
     return SectionRows(tab, tuple(tab.z_row(b) for b, _ in betas), tab.rows[tab.z_at[p.n]])
 
 
-def edge_rates(p: Polytope, v: Vertex, betas: Sequence[Vec]) -> Rates:
-    """(g_r, c_r) per basis label r of a vertex v of P, in label order: along r's
-    edge direction d the section objective sum_l delta_l * (beta_l . y) - pi1
-    changes at rate g_r . delta - c_r, with g_r = (beta_l . d_y)_l, c_r = d_pi1.
-
-    The ``Fraction`` view of v's ``section_rows``: each is one entry of a
-    row, over ``denom`` and the beta's own lcm. Only the rank-k cell walk
-    reads them.
-    """
-    scaled = [integers(beta) for beta in betas]
-    rows = section_rows(p, v, scaled)
-    denom, scales = rows.tab.denom, p.scales
-    return {
-        r: (tuple(Fraction(-scales[r] * row[j], q * denom)
-                  for row, (_, q) in zip(rows.betas, scaled)),
-            Fraction(-scales[r] * rows.pi1[j], denom))
+def cell_rows(family: GameFamily, rows: SectionRows) -> tuple[int, Cell]:
+    """The cell of a vertex v of P with these ``section_rows``, the a where no
+    edge at v raises the section objective: one integer half-space h_r . a <=
+    e_r per basis label r, in label order, with its ``unit`` Q * denom, Q =
+    lcm(q_l). Along r's edge the objective's rate is g_r . a - c_r, and (h_r,
+    e_r) is (g_r, c_r) times ``unit``: h_r's entry l is -scales[r] * Q / q_l
+    times beta row l's entry in r's column, e_r -scales[r] * Q times pi1's."""
+    scales, betas = family.p.scales, family.int_betas
+    big_q = lcm(*(q for _, q in betas))
+    return big_q * rows.tab.denom, {
+        r: (tuple(-scales[r] * row[j] * (big_q // q) for row, (_, q) in zip(rows.betas, betas)),
+            -scales[r] * big_q * rows.pi1[j])
         for j, r in enumerate(rows.tab.cols)
     }
 
@@ -228,12 +225,6 @@ def nondegenerate_far_end(p: Polytope, v: Vertex, r: int) -> Optional[Vertex]:
         return p.pivot(v, r).far_end
     except DegeneratePolytope:
         return None
-
-
-def _on_rows(m: int, rates: Rates, value) -> Vec:
-    """value(g_i, c_i) for each row label i <= m of the rates' basis, zero on
-    the other rows."""
-    return tuple(value(*rates[i]) if i in rates else Fraction(0) for i in range(1, m + 1))
 
 
 def integer_objective(betas: IntBetas, delta: Vec) -> Objective:
@@ -342,7 +333,7 @@ def section_edge(family: GameFamily, beta: tuple[list[int], int], sec: Section,
     beta, whose q it reads.
 
     Along the edge v stays optimal. Each of v's basis labels r has slack
-    c_r - g_r * lambda (``edge_rates``), ``sec.slacks`` at w, with g_r and
+    c_r - g_r * lambda (``cell_rows``), ``sec.slacks`` at w, with g_r and
     c_r the beta row's and pi1's entries in r's column, each times
     -scales[r] and over q * denom and denom; w's tight labels stay at zero.
     One ratio test per side (``min_ratio``, rising lambda first) gives each
@@ -502,7 +493,7 @@ def solve_lp_k(family: GameFamily, delta: Sequence[Fraction],
         raise RankGamesError("section LP needs a family with c = -a")
     delta = vector(delta)
     if len(delta) != family.k:
-        raise OutOfBox(f"delta has length {len(delta)}, expected {family.k}")
+        raise DimensionMismatch(f"delta has length {len(delta)}, expected {family.k}")
     return _section(family, delta, start)
 
 
@@ -515,6 +506,8 @@ def fixed_point_eval(family: GameFamily, gammas: Sequence[Sequence[Fraction]],
     """One evaluation of the piecewise-linear box self-map at a."""
     gammas = tuple(vector(g) for g in gammas)
     a = vector(a)
+    if not len(a) == len(gammas) == family.k:
+        raise DimensionMismatch(f"{len(a)} lambdas and {len(gammas)} gammas for {family.k} betas")
     lows, highs = box_bounds(gammas)
     if any(not lo <= ai <= hi for ai, lo, hi in zip(a, lows, highs)):
         raise OutOfBox(f"{a} outside box {lows}..{highs}")
@@ -522,19 +515,22 @@ def fixed_point_eval(family: GameFamily, gammas: Sequence[Sequence[Fraction]],
     return tuple(vdot(g, x) for g in gammas)
 
 
-def piece_fixed_point(family: GameFamily, gammas: Sequence[Vec], rates: Rates) -> Optional[Vec]:
+def piece_fixed_point(family: GameFamily, gammas: Sequence[Vec],
+                      rows: SectionRows) -> Optional[Vec]:
     """Fixed point of the affine piece of the box map on the cell of a vertex
-    v of P, given v's edge rates.
+    v of P, given v's ``section_rows``.
 
     On that cell the section's x(a) is c_B - G_B a on v's basis rows and zero
     on the others, so the map is a -> Gamma x(a), and its fixed point solves
-    the k x k system (I + Gamma_B G_B) a = Gamma_B c_B. None when that system
-    is singular. The point may lie outside the cell.
+    (I + Gamma_B G_B) a = Gamma_B c_B, here times the ``unit`` of v's
+    ``cell_rows`` (h_i, e_i). None when that system is singular. The point
+    may lie outside the cell.
     """
     m, k, gam = family.m, family.k, Matrix(gammas)
-    g_x = Matrix([rates[i][0] if i in rates else (0,) * k for i in range(1, m + 1)])
+    unit, cell = cell_rows(family, rows)
+    h_x = Matrix([cell[i][0] if i in cell else (0,) * k for i in range(1, m + 1)])
+    e_x = [cell[i][1] if i in cell else 0 for i in range(1, m + 1)]
     try:
-        return solve_linear_system(Matrix.identity(k) + gam @ g_x,
-                                   gam.mul_vec(_on_rows(m, rates, lambda g, c: c)))
+        return solve_linear_system(Matrix.identity(k).scale(unit) + gam @ h_x, gam.mul_vec(e_x))
     except Singular:
         return None

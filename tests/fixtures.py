@@ -25,6 +25,7 @@ from rankgames.linalg import (
     integers,
     matrix_rank,
     sign,
+    solve_linear_system,
     vdot,
 )
 from rankgames.lp import EQ, LE, LinearProgram
@@ -175,9 +176,10 @@ def column_dots(p: Polytope, v, betas) -> tuple[dict, tuple]:
 
 
 def reference_edge_rates(p: Polytope, v, betas) -> dict:
-    """The reference for ``paramlp.edge_rates``: (g_r, c_r) per basis label
-    r in ``Fraction``s, off the ``column_dots`` of the betas, over q_l *
-    denom and denom."""
+    """(g_r, c_r) per basis label r of a vertex v of P, in ``Fraction``s, off
+    the ``column_dots`` of the betas, over q_l * denom and denom: along r's
+    edge the section objective sum_l delta_l * (beta_l . y) - pi1 changes at
+    rate g_r . delta - c_r. The reference for ``paramlp.cell_rows``."""
     scaled = [integers(beta) for beta in betas]
     denom = p.tableau(v).denom
     columns, _ = column_dots(p, v, scaled)
@@ -185,6 +187,20 @@ def reference_edge_rates(p: Polytope, v, betas) -> dict:
         r: (tuple(Fraction(g, q * denom) for g, (_, q) in zip(gs, scaled)), Fraction(c, denom))
         for r, (gs, c) in columns.items()
     }
+
+
+def reference_piece_fixed_point(family: GameFamily, gammas, rates: dict):
+    """The reference for ``paramlp.piece_fixed_point``: the ``Fraction``
+    solve of (I + Gamma G_B) a = Gamma c_B, with G_B's row i and c_B's entry
+    i the ``reference_edge_rates`` (g_i, c_i) on the vertex's basis rows and
+    zero on the others; None when the system is singular."""
+    m, k, gam = family.m, family.k, Matrix(gammas)
+    g_b = Matrix([rates[i][0] if i in rates else (0,) * k for i in range(1, m + 1)])
+    c_b = [rates[i][1] if i in rates else 0 for i in range(1, m + 1)]
+    try:
+        return solve_linear_system(Matrix.identity(k) + gam @ g_b, gam.mul_vec(c_b))
+    except Singular:
+        return None
 
 
 def watch_solve_lp(monkeypatch) -> list:

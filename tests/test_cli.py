@@ -201,41 +201,57 @@ def test_fixedpoint_eval_and_search(tmp_path, capsys):
 def test_fixedpoint_search_verifies_once(tmp_path, capsys, monkeypatch):
     # The CLI prints the record the search verified: it makes no section
     # solve beyond the search's own, which is the one at the box centre; the
-    # answer is the lifted point of the cell the search accepted. The
-    # section builds no edge rates, so the start basis is rated once, by the
-    # cell walk.
-    from rankgames import algorithms, paramlp
+    # answer is the lifted point of the cell the search accepted. The cell
+    # walk reads each visited vertex's rows once: the start's are its
+    # section's and are not read again, the others' are read when the walk
+    # reaches them, and the accepted cell's go on to its lifted section.
+    from rankgames import algorithms
     from rankgames.games import decompose_rank_k
     from rankgames.polytope import GameFamily
 
     from fixtures import K2_GAME
 
-    starts, rated = [], []
+    real = {name: getattr(algorithms, name)
+            for name in ("solve_lp_k", "section_rows", "piece_fixed_point", "lifted_section")}
+    starts, read, visited, lifted = [], [], [], []
 
-    def counted(*args, **kwargs):
-        section = solve_lp_k(*args, **kwargs)
-        starts.append(section.v.basis)
-        return section
+    def counted_start(*args):
+        starts.append(real["solve_lp_k"](*args))
+        return starts[-1]
 
-    def counted_rates(p, v, betas):
-        rated.append(v.basis)
-        return edge_rates(p, v, betas)
+    def counted_rows(p, v, betas):
+        read.append((v.basis, real["section_rows"](p, v, betas)))
+        return read[-1][1]
 
-    solve_lp_k, edge_rates = algorithms.solve_lp_k, paramlp.edge_rates
-    monkeypatch.setattr(algorithms, "solve_lp_k", counted)
-    for module in (algorithms, paramlp):
-        monkeypatch.setattr(module, "edge_rates", counted_rates)
+    def counted_piece(family, gammas, rows):
+        visited.append(rows)
+        return real["piece_fixed_point"](family, gammas, rows)
+
+    def counted_lift(p, lifted_p, v, rows, *rest):
+        lifted.append(rows)
+        return real["lifted_section"](p, lifted_p, v, rows, *rest)
+
+    monkeypatch.setattr(algorithms, "solve_lp_k", counted_start)
+    monkeypatch.setattr(algorithms, "section_rows", counted_rows)
+    monkeypatch.setattr(algorithms, "piece_fixed_point", counted_piece)
+    monkeypatch.setattr(algorithms, "lifted_section", counted_lift)
+
+    def check_and_clear():
+        (start,) = starts
+        assert [id(rows) for rows in visited] == [id(start.rows), *(id(rows) for _, rows in read)]
+        bases = [start.v.basis, *(basis for basis, _ in read)]
+        assert len(set(bases)) == len(bases)
+        assert [id(rows) for rows in lifted] == [id(visited[-1])]
+        for calls in (starts, read, visited, lifted):
+            calls.clear()
+
     for game in (R1A.game(), K2_GAME):
         d = decompose_rank_k(game)
         algorithms.fixed_point_search(GameFamily(d.a, -d.a, *d.betas), d.gammas)
-        assert len(starts) == 1
-        assert rated.count(starts[0]) == 1
-        starts.clear(), rated.clear()
+        check_and_clear()
         assert main(["fixedpoint", "--input", write_game(tmp_path, game), "--search"]) == EXIT_OK
         capsys.readouterr()
-        assert len(starts) == 1
-        assert rated.count(starts[0]) == 1
-        starts.clear(), rated.clear()
+        check_and_clear()
 
 
 def test_k_eval_outside_the_box_is_parse_error(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Every module-level import in the package and its tests is used, the
 package imports only the standard library and itself, every function, class
-and method the package defines is named somewhere else, no module checks with
-an assert statement, which python -O strips, and every name README gives as a
+and method the package defines is named somewhere else, and in the package
+itself but for a pinned list of test-only ones, no module checks with an
+assert statement, which python -O strips, and every name README gives as a
 library entry point exists (no linter ships here)."""
 import ast
 import importlib
 import re
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -134,20 +136,57 @@ def test_finds_an_unnamed_definition():
     assert [name for name in _definitions(tree) if name not in mentioned] == ["x_of", "f"]
 
 
+def _unnamed(definers: dict[str, ast.Module], trees: Iterable[ast.Module]) -> list[str]:
+    """The definitions of the ``definers``, by file name, that no tree names."""
+    mentioned = set().union(*map(_mentions, trees))
+    return [f"{name}: {d}" for name, tree in definers.items()
+            for d in _definitions(tree) if d not in mentioned]
+
+
+def _package() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
 def test_every_definition_is_named_elsewhere():
-    # This file is left out: the detector test's source strings name x_of.
+    # This file is left out: the detector tests' source strings name x_of.
     files = [
         p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))
         if p != Path(__file__).resolve()
     ]
-    mentioned = set().union(*(_mentions(ast.parse(p.read_text())) for p in files))
-    unnamed = [
-        f"{path.name}: {name}"
-        for path in sorted(SRC.glob("*.py"))
-        for name in _definitions(ast.parse(path.read_text()))
-        if name not in mentioned
+    assert _unnamed(_package(), (ast.parse(p.read_text()) for p in files)) == []
+
+
+# Package definitions that only tests and the bench name. Each must still
+# exist with no mention in the package, so the tuple can only shrink: one
+# that the package starts to use, or that moves to tests/fixtures.py, leaves.
+TEST_ONLY = ("degree", "render_game", "from_lists", "tolists", "value_at", "over",
+             "ineqs", "eq", "_column", "edge_through_point", "check_nondegenerate")
+
+
+def _off_the_pins(unnamed: list[str], pinned: Sequence[str]) -> list[str]:
+    """Unnamed definitions that ``pinned`` lacks, then pinned names that are
+    named or no longer defined."""
+    names = {entry.split(": ")[1] for entry in unnamed}
+    return ([f"unpinned {entry}" for entry in unnamed if entry.split(": ")[1] not in pinned]
+            + [f"stale {name}" for name in pinned if name not in names])
+
+
+def test_finds_an_unpinned_and_a_stale_test_only_definition():
+    package = {
+        "a.py": ast.parse("def run():\n    return helper()\ndef helper():\n    pass\n"
+                          "def for_tests():\n    pass\ndef new():\n    pass\n"),
+        "__init__.py": ast.parse("from .a import run\n__all__ = ['run']\n"),
+    }
+    unnamed = _unnamed(package, package.values())
+    assert unnamed == ["a.py: for_tests", "a.py: new"]
+    assert _off_the_pins(unnamed, ("for_tests", "helper", "gone")) == [
+        "unpinned a.py: new", "stale helper", "stale gone",
     ]
-    assert unnamed == []
+
+
+def test_package_definitions_are_named_in_the_package_but_the_pinned_test_only_ones():
+    package = _package()
+    assert _off_the_pins(_unnamed(package, package.values()), TEST_ONLY) == []
 
 
 def _prose(markdown: str, heading: str) -> str:

@@ -8,7 +8,7 @@ import pytest
 
 import rankgames.labeledpath
 import rankgames.linalg
-import rankgames.paramlp
+import rankgames.lp
 
 from rankgames.algorithms import bin_search, enumerate_general, enumerate_rank1, general_family
 from rankgames.errors import ConstantBeta, DegeneracyError, NotFullyLabeled, RankGamesError, SeedOnPath
@@ -521,9 +521,8 @@ def test_reused_node_determinants_equal_fresh_ones(monkeypatch):
 
 
 def _count_calls(monkeypatch, counts):
-    """Count calls of the linear solver, the determinant, the Fraction edge
-    rates, the labeling and the edge through a point, wherever a module
-    holds them."""
+    """Count calls of the linear solver, the determinant, the generic LP, the
+    labeling and the edge through a point, wherever a module holds them."""
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -532,7 +531,7 @@ def _count_calls(monkeypatch, counts):
 
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "rankgames"]
     for owner, name in ((rankgames.linalg, "solve_linear_system"),
-                        (rankgames.linalg, "determinant"), (rankgames.paramlp, "edge_rates")):
+                        (rankgames.linalg, "determinant"), (rankgames.lp, "solve_lp")):
         fn = getattr(owner, name)
         wrapper = counted(name, fn)
         for module in modules:
@@ -563,7 +562,8 @@ def test_paths_build_no_edge_or_labels_from_points(monkeypatch):
     # Both rays are built from their bases, and each section's edge is read
     # off P's tableau: enumerate_general, trace_path, bin_search and
     # enumerate_rank1 make no Polytope.edge_through_point, no
-    # Polytope.labels_at and no paramlp.edge_rates call.
+    # Polytope.labels_at and no lp.solve_lp call: only the rank-k cell walk
+    # solves a generic LP.
     counts = Counter()
     _count_calls(monkeypatch, counts)
     rng = random.Random(5)
@@ -582,7 +582,7 @@ def test_paths_build_no_edge_or_labels_from_points(monkeypatch):
     assert solved == 9
     for pipeline in (bin_search, enumerate_rank1):
         assert len(nondegenerate_rank1_fixtures(seed=6, count=12, pipeline=pipeline)) == 12
-    assert counts["edge_through_point"] == counts["labels_at"] == counts["edge_rates"] == 0
+    assert counts["edge_through_point"] == counts["labels_at"] == counts["solve_lp"] == 0
 
 
 def ray_degeneracies(a: Matrix, c: Matrix, beta) -> list[tuple[str, str]]:

@@ -7,6 +7,7 @@ import pytest
 from rankgames.errors import (
     DegeneracyError,
     DegeneratePolytope,
+    DimensionMismatch,
     OutOfBox,
     RankGamesError,
 )
@@ -18,12 +19,14 @@ from rankgames.paramlp import (
     Hyperplane,
     _h_at,
     box_bounds,
+    cell_rows,
     crossing_records,
-    edge_rates,
     fixed_point_eval,
+    improving_labels,
     integer_objective,
     is_ne,
     lifted_section,
+    piece_fixed_point,
     solve_lp_delta,
     solve_lp_k,
 )
@@ -46,6 +49,7 @@ from fixtures import (
     ray_anchors,
     reference_analyze_edge,
     reference_edge_rates,
+    reference_piece_fixed_point,
     reference_section_edge,
     reference_z_rows,
     section_gap,
@@ -532,7 +536,7 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
         if v.coords == ref.point:
             counts[corpus, "matched"] += 1
         else:
-            rates = edge_rates(p, v, betas).values()
+            rates = reference_edge_rates(p, v, betas).values()
             assert any(vdot(g, delta) == c for g, c in rates)
             counts[corpus, "another optimum"] += 1
     assert not any(kind == "rejected by the walk" for _, kind in counts)
@@ -764,21 +768,17 @@ def test_section_optima_are_the_path_vertices_of_p():
 def test_sections_take_each_column_once_and_build_no_fraction_rates(monkeypatch):
     # The walk picks its labels off P's integer tableau: it reads each
     # visited vertex's rows (section_rows, whose entries are the dots with
-    # its basis columns) once, the optimum's included, and the lifted
-    # section keeps the optimum's. No section builds Fraction edge rates,
-    # whether it returns or rejects.
+    # its basis columns) once, the optimum's included, whether it returns
+    # or rejects, and the lifted section keeps the optimum's.
     import rankgames.paramlp as paramlp
 
-    rated, taken = [], []
-    real_rates, real_rows = paramlp.edge_rates, paramlp.section_rows
+    taken = []
+    real_rows = paramlp.section_rows
 
     def rows_spy(p, v, betas):
         taken.append((v.basis, real_rows(p, v, betas)))
         return taken[-1][1]
 
-    monkeypatch.setattr(
-        paramlp, "edge_rates", lambda p, v, betas: rated.append(v) or real_rates(p, v, betas)
-    )
     monkeypatch.setattr(paramlp, "section_rows", rows_spy)
     counts = Counter()
     for _, fam, *_, delta in section_corpus():
@@ -793,7 +793,6 @@ def test_sections_take_each_column_once_and_build_no_fraction_rates(monkeypatch)
             assert len(set(bases)) == len(bases)
         assert bases[-1] == sec.v.basis and sec.rows is taken[-1][1]
         counts["returned"] += 1
-    assert rated == []
     assert dict(counts) == {"returned": 179, "rejected": 29}
 
 
@@ -851,7 +850,8 @@ def test_a_warm_section_ends_at_the_cold_optimum_where_it_is_unique():
             if cold is None:
                 assert warm is None
                 counts["rejected"] += 1
-            elif all(vdot(g, delta) != c for g, c in edge_rates(p, cold.v, betas).values()):
+            elif all(vdot(g, delta) != c
+                     for g, c in reference_edge_rates(p, cold.v, betas).values()):
                 assert (warm.v.basis, warm.w_coords) == (cold.v.basis, cold.w_coords)
                 counts["unique"] += 1
             else:
@@ -900,18 +900,28 @@ def test_integer_lifted_section_matches_the_fraction_reference(monkeypatch):
     assert dict(counts) == {"point": 388, "NonzeroOptimum": 469, "RankGamesError": 91}
 
 
-def _rank_k_corpus_sections():
-    """(family, delta) of the rank-k corpus: the 60 draws of
-    random.Random(11) decomposed as the CLI does, at the box centre and both
-    corners."""
+def _rank_k_corpus():
+    """(family, gammas) of the rank-k corpus: the 60 draws of
+    random.Random(11) decomposed as the CLI does."""
     rng = random.Random(11)
     for g in range(60):
         k, size = 2 + g % 2, 3 + (g // 2) % 3
         a, betas, gammas = random_rank_k(rng, k, size, size)
         d = decompose_rank_k(family_game(a, -a, gammas, betas))
-        fam = GameFamily(d.a, -d.a, *d.betas)
-        lows, highs = box_bounds(d.gammas)
-        for delta in (tuple((lo + hi) / 2 for lo, hi in zip(lows, highs)), lows, highs):
+        yield GameFamily(d.a, -d.a, *d.betas), d.gammas
+
+
+def _box_points(gammas):
+    """The box centre and both corners."""
+    lows, highs = box_bounds(gammas)
+    return tuple((lo + hi) / 2 for lo, hi in zip(lows, highs)), lows, highs
+
+
+def _rank_k_corpus_sections():
+    """(family, delta) of the rank-k corpus at the box centre and both
+    corners."""
+    for fam, gammas in _rank_k_corpus():
+        for delta in _box_points(gammas):
             yield fam, delta
 
 
@@ -966,6 +976,88 @@ def test_section_rows_equal_the_dots_with_each_basis_column(monkeypatch):
             assert (tuple(row[-1] for row in rows.betas), rows.pi1[-1]) == (beta_y, pi1)
             counts["rank-k" if fam.k > 1 else "rank-1"] += 1
     assert dict(counts) == {"rank-1": 428, "rank-k": 584}
+
+
+def test_cell_rows_and_pieces_match_the_fraction_rates(monkeypatch):
+    # At every vertex that the cell walk or a section walk (box centre and
+    # both corners) visits on the rank-k corpus, and on each draw's family
+    # with a / 7, whose rows of P carry a scale of 7, each integer cell row is
+    # the reference's half-space g_r . a <= c_r times the positive unit
+    # Q * denom, the piece's fixed point is the Fraction solve of
+    # (I + Gamma_B G_B) a = Gamma_B c_B on the reference rates, and there the
+    # section walk's sign test finds no improving label exactly where no
+    # reference rate is positive. The cell walk reads each vertex's rows
+    # once, when it reaches it: the start's are its section's.
+    import rankgames.algorithms as algorithms
+    import rankgames.paramlp as paramlp
+
+    real = {name: getattr(algorithms, name)
+            for name in ("solve_lp_k", "section_rows", "piece_fixed_point")}
+    real_rows = paramlp.section_rows
+    starts, read, walked, visited = [], [], [], {}
+
+    def start_spy(*args):
+        starts.append(real["solve_lp_k"](*args))
+        return starts[-1]
+
+    def read_spy(p, v, betas):
+        read.append((v, real["section_rows"](p, v, betas)))
+        return read[-1][1]
+
+    def section_spy(p, v, betas):
+        visited.setdefault(v.basis, v)
+        return real_rows(p, v, betas)
+
+    monkeypatch.setattr(algorithms, "solve_lp_k", start_spy)
+    monkeypatch.setattr(algorithms, "section_rows", read_spy)
+    monkeypatch.setattr(algorithms, "piece_fixed_point", lambda fam, gammas, rows: (
+        walked.append(rows) or real["piece_fixed_point"](fam, gammas, rows)))
+    monkeypatch.setattr(paramlp, "section_rows", section_spy)
+    counts = Counter()
+    sevenths = [(GameFamily(fam.a.scale(Fraction(1, 7)), fam.a.scale(Fraction(-1, 7)), *fam.betas),
+                 gammas) for fam, gammas in _rank_k_corpus()]
+    for fam, gammas in [*_rank_k_corpus(), *sevenths]:
+        kind = "a" if set(fam.p.scales) == {1} else "a / 7"
+        for calls in (starts, read, walked, visited):
+            calls.clear()
+        for delta in _box_points(gammas):
+            try:
+                paramlp._section(fam, delta)
+            except DegeneracyError:
+                pass
+        try:
+            algorithms.fixed_point_search(fam, gammas)
+        except DegeneracyError:
+            counts[kind, "search gave up"] += 1
+        cell_walk = [(s.v, s.rows) for s in starts] + read
+        assert [id(rows) for rows in walked] == [id(rows) for _, rows in cell_walk]
+        assert len({v.basis for v, _ in cell_walk}) == len(cell_walk)
+        counts[kind, "cell walk"] += len(cell_walk)
+        visited.update((v.basis, v) for v, _ in cell_walk)
+        p, betas = fam.p, fam.betas
+        for v in visited.values():
+            rows, rates = real_rows(p, v, fam.int_betas), reference_edge_rates(p, v, betas)
+            unit, cell = cell_rows(fam, rows)
+            assert unit > 0 and list(cell) == list(rates)
+            for r, (h, e) in cell.items():
+                g, c = rates[r]
+                assert (h, e) == (tuple(unit * x for x in g), unit * c)
+            a = piece_fixed_point(fam, gammas, rows)
+            assert a == reference_piece_fixed_point(fam, gammas, rates)
+            if a is None:
+                counts[kind, "singular"] += 1
+                continue
+            in_cell = not improving_labels(rows, integer_objective(fam.int_betas, a).weights)
+            assert in_cell == all(vdot(g, a) <= c for g, c in rates.values())
+            counts[kind, "in its cell" if in_cell else "outside its cell"] += 1
+    # On the corpus itself the cell walk takes 54 starts and reaches 68
+    # more vertices; 335 vertices are checked there, and 256 with a / 7.
+    assert dict(counts) == {
+        ("a", "search gave up"): 7, ("a", "cell walk"): 122, ("a", "singular"): 2,
+        ("a", "in its cell"): 66, ("a", "outside its cell"): 267,
+        ("a / 7", "search gave up"): 11, ("a / 7", "cell walk"): 125, ("a / 7", "singular"): 2,
+        ("a / 7", "in its cell"): 72, ("a / 7", "outside its cell"): 182,
+    }
 
 
 def test_section_walk_leaves_a_degenerate_start(monkeypatch):
@@ -1065,6 +1157,27 @@ def test_fixed_point_eval_out_of_box(k2):
     _, highs = box_bounds(d.gammas)
     with pytest.raises(OutOfBox):
         fixed_point_eval(kfam, d.gammas, tuple(h + 1 for h in highs))
+
+
+def test_a_lambda_of_the_wrong_length_is_a_dimension_mismatch(k2):
+    # The section, the box map and the cell walk check the shapes before
+    # anything else: a too-long a whose first k entries lie in the box is a
+    # shape error, not a point outside the box, as is a too-short one, and
+    # so is a gamma too many or too few.
+    from rankgames.algorithms import fixed_point_search
+
+    d, kfam = k2
+    centre, _, _ = _box_points(d.gammas)
+    for wrong in ((), centre[:1], (*centre, centre[0])):
+        with pytest.raises(DimensionMismatch, match=f"delta has length {len(wrong)}, expected 2"):
+            solve_lp_k(kfam, wrong)
+        with pytest.raises(DimensionMismatch, match=f"{len(wrong)} lambdas and 2 gammas for 2"):
+            fixed_point_eval(kfam, d.gammas, wrong)
+    for gammas in (d.gammas[:1], (*d.gammas, d.gammas[0])):
+        with pytest.raises(DimensionMismatch, match=f"2 lambdas and {len(gammas)} gammas for 2"):
+            fixed_point_eval(kfam, gammas, centre)
+        with pytest.raises(DimensionMismatch, match=f"delta has length {len(gammas)}"):
+            fixed_point_search(kfam, gammas)
 
 
 def test_fixed_point_eval_piecewise_linear_probe(k2):
