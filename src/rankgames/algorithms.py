@@ -392,7 +392,7 @@ def fixed_point_search(
             if not improving_labels(rows, objective.weights):
                 section = lifted_section(p, family.qp, v, rows, a, objective)
                 return a, fixed_point_record(family, gammas, section)
-        _, cell = cell_rows(family, rows)  # the objective's rate on r's edge is h . a - e
+        _, cell = cell_rows(family, rows)  # h . a - e is r's edge's objective rate, times unit
         for r, facet in cell.items():
             rest = [he for s, he in cell.items() if s != r] + box
             lp = LinearProgram.build(

@@ -1014,10 +1014,10 @@ def test_cell_rows_and_pieces_match_the_fraction_rates(monkeypatch):
         walked.append(rows) or real["piece_fixed_point"](fam, gammas, rows)))
     monkeypatch.setattr(paramlp, "section_rows", section_spy)
     counts = Counter()
+    draws = list(_rank_k_corpus())
     sevenths = [(GameFamily(fam.a.scale(Fraction(1, 7)), fam.a.scale(Fraction(-1, 7)), *fam.betas),
-                 gammas) for fam, gammas in _rank_k_corpus()]
-    for fam, gammas in [*_rank_k_corpus(), *sevenths]:
-        kind = "a" if set(fam.p.scales) == {1} else "a / 7"
+                 gammas) for fam, gammas in draws]
+    for kind, fam, gammas in [*(("a", *d) for d in draws), *(("a / 7", *d) for d in sevenths)]:
         for calls in (starts, read, walked, visited):
             calls.clear()
         for delta in _box_points(gammas):
