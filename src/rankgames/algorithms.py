@@ -36,7 +36,7 @@ from .games import (
     verify_equilibrium,
 )
 from .labeledpath import V_FIXED, ComponentTrace, PathEdge, g_at, g_value, trace_path, walk
-from .linalg import Matrix, Rat, Vec, determinant, sign, vdot, vector, vscale
+from .linalg import Matrix, Rat, Vec, integer_determinant, sign, vdot, vector, vscale
 from .lp import EQ, LE, LinearProgram, solve_lp
 from .paramlp import (
     Crossing,
@@ -114,10 +114,12 @@ def _checked_index(game_positive: BimatrixGame, rec: EquilibriumRecord,
     big_i, big_j = rec.support
     if len(big_i) != len(big_j):
         raise DegeneratePolytope("unbalanced support at an equilibrium")
-    rows = [i - 1 for i in big_i]
-    cols = [j - 1 for j in big_j]
-    det_a = determinant(game_positive.a.submatrix(rows, cols))
-    det_b = determinant(game_positive.b.submatrix(rows, cols))
+    # The support blocks' determinants, on the integer rows: a positive
+    # denominator to the order changes no sign.
+    det_a, det_b = (
+        integer_determinant([[rows[i - 1][j - 1] for j in big_j] for i in big_i])
+        for rows in (game_positive.a.int_rows, game_positive.b.int_rows)
+    )
     det_index = (-1) ** (len(big_i) + 1) * sign(det_a * det_b)
     if det_index == 0:
         raise DegeneratePolytope("singular support submatrix")
@@ -365,15 +367,17 @@ def fixed_point_search(
 
     A cell is a vertex v of P with exactly n tight rows, over the part of the
     box where v is the section optimum: there no edge of P at v raises the
-    section objective, and the map is affine, read off v's ``section_rows``
-    (``piece_fixed_point``, one k x k solve), once per vertex: the start's
-    are its section's. A cell's fixed point is accepted when it lies in the
-    box and in the cell, where the section walk finds no improving label, and
-    ``fixed_point_record`` verifies the cell's section there. The walk starts
-    at the section optimum of the box centre and pivots across every edge
-    whose zero-rate facet meets box and cell (a k-variable feasibility LP on
-    the ``cell_rows``). Returns the point with its verified record; raises
-    ``DegeneratePolytope`` when no cell reached holds one.
+    section objective, and the map is affine. Each vertex's ``section_rows``
+    are read once (the start's are its section's) and its ``cell_rows`` are
+    built once from them; the piece's fixed point (``piece_fixed_point``, one
+    k x k solve) and the facet LPs both read that cell. A cell's fixed point
+    is accepted when it lies in the box and in the cell, where the section
+    walk finds no improving label, and ``fixed_point_record`` verifies the
+    cell's section there. The walk starts at the section optimum of the box
+    centre and pivots across every edge whose zero-rate facet meets box and
+    cell (a k-variable feasibility LP on the cell's rows). Returns the point
+    with its verified record; raises ``DegeneratePolytope`` when no cell
+    reached holds one.
     """
     gammas = tuple(vector(g) for g in gammas)
     lows, highs = box_bounds(gammas)
@@ -386,13 +390,13 @@ def fixed_point_search(
     while queue:
         v = queue.popleft()
         rows = start.rows if v is start.v else section_rows(p, v, family.int_betas)
-        a = piece_fixed_point(family, gammas, rows)
+        unit, cell = cell_rows(family, rows)  # h . a - e is r's edge's objective rate, times unit
+        a = piece_fixed_point(family, gammas, unit, cell)
         if a is not None and all(lo <= ai <= hi for ai, lo, hi in zip(a, lows, highs)):
             objective = integer_objective(family.int_betas, a)
             if not improving_labels(rows, objective.weights):
                 section = lifted_section(p, family.qp, v, rows, a, objective)
                 return a, fixed_point_record(family, gammas, section)
-        _, cell = cell_rows(family, rows)  # h . a - e is r's edge's objective rate, times unit
         for r, facet in cell.items():
             rest = [he for s, he in cell.items() if s != r] + box
             lp = LinearProgram.build(

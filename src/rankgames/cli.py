@@ -2,8 +2,10 @@
 
 Game file format: optional '#' comment lines, a header ``m n``, then m rows
 of n tokens for the first payoff matrix and m more for the second. Tokens are
-integers or fractions like ``-3/4``. All output stays exact; JSON renders
-every rational as a string.
+integers or fractions like ``-3/4``. A plain integer token is read as an
+``int`` and any other token as a ``Fraction``, so an integer game file builds
+its matrices' integer rows with no ``Fraction`` in between (``linalg.Matrix``).
+All output stays exact; JSON renders every rational as a string.
 """
 from __future__ import annotations
 
@@ -98,7 +100,7 @@ def parse_game_file(text: str) -> BimatrixGame:
     need = 2 + 2 * m * n
     if len(tokens) != need:
         raise ParseError(f"expected {need} tokens, found {len(tokens)}")
-    values = [parse_fraction(t) for t in tokens[2:]]
+    values = [int(t) if _plain_integer(t) else parse_fraction(t) for t in tokens[2:]]
     rows_a = [values[i * n: (i + 1) * n] for i in range(m)]
     rows_b = [values[m * n + i * n: m * n + (i + 1) * n] for i in range(m)]
     return BimatrixGame(Matrix(rows_a), Matrix(rows_b))

@@ -1,7 +1,7 @@
 """Bimatrix games, payoff-sum factorizations, and exact equilibrium checks."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, lcm
 from operator import mul
@@ -45,25 +45,33 @@ class BimatrixGame:
 
 @dataclass(frozen=True)
 class MixedProfile:
-    """Exact mixed strategies of both players (simplex membership enforced)."""
+    """Exact mixed strategies of both players (simplex membership enforced).
+
+    ``int_x`` and ``int_y`` hold x and y as integers over their least common
+    denominators, ``(numerators, q)``, which the simplex check computes; the
+    answer checks (``verify_equilibrium``, ``payoffs``, ``support``) read
+    them, so a profile is integerized once. Neither takes part in equality,
+    hashing or repr.
+    """
 
     x: Vec
     y: Vec
+    int_x: tuple[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
+    int_y: tuple[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", vector(self.x))
         object.__setattr__(self, "y", vector(self.y))
-        for side in (self.x, self.y):
+        for name, side in (("int_x", self.x), ("int_y", self.y)):
             numerators, q = integers(side)  # the side over its least common denominator
             if min(numerators, default=0) < 0 or sum(numerators) != q:
                 raise DimensionMismatch(f"not a probability vector: {side}")
+            object.__setattr__(self, name, (tuple(numerators), q))
 
     def support(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """1-based supports (I, J)."""
-        return (
-            tuple(i + 1 for i, p in enumerate(self.x) if p > 0),
-            tuple(j + 1 for j, p in enumerate(self.y) if p > 0),
-        )
+        return tuple(tuple(i + 1 for i, p in enumerate(side[0]) if p > 0)
+                     for side in (self.int_x, self.int_y))
 
 
 @dataclass(frozen=True)
@@ -86,10 +94,10 @@ def _check_shape(game: BimatrixGame, p: MixedProfile) -> None:
 
 def payoffs(game: BimatrixGame, p: MixedProfile) -> tuple[Rat, Rat]:
     """``x . A y`` and ``x . B y``: integer dots on the matrices' integer
-    rows, with x and y each over its least common denominator, and one
-    ``Fraction`` per payoff."""
+    rows, with the profile's x and y over their least common denominators
+    (``MixedProfile.int_x``, ``int_y``), and one ``Fraction`` per payoff."""
     _check_shape(game, p)
-    (x, qx), (y, qy) = integers(p.x), integers(p.y)
+    (x, qx), (y, qy) = p.int_x, p.int_y
     rows = [(i, xi) for i, xi in enumerate(x) if xi]
     return tuple(
         Fraction(sum(xi * sum(map(mul, mat.int_rows[i], y)) for i, xi in rows),
@@ -109,11 +117,12 @@ def verify_equilibrium(game: BimatrixGame, p: MixedProfile) -> bool:
     """Exact best-response check: every played pure strategy attains the max.
 
     Every row and column payoff is an integer dot on the matrices' integer
-    rows, with x and y each over its least common denominator: one positive
-    scale per player, which changes no comparison.
+    rows, with the profile's x and y over their least common denominators
+    (``MixedProfile.int_x``, ``int_y``): one positive scale per player, which
+    changes no comparison.
     """
     _check_shape(game, p)
-    (x, _), (y, _) = integers(p.x), integers(p.y)
+    (x, _), (y, _) = p.int_x, p.int_y
     row_payoffs = [sum(map(mul, row, y)) for row in game.a.int_rows]
     best1 = max(row_payoffs)
     if any(xi > 0 and v != best1 for xi, v in zip(x, row_payoffs)):

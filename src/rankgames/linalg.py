@@ -1,9 +1,9 @@
 """Exact rational linear algebra: dense matrices, determinants, rank, solving.
 
 All scalars are ``fractions.Fraction``; every operation is exact. Vectors are
-plain tuples of Fractions. Matrices are immutable row-major grids in two
-forms, integer rows over one least common denominator and ``Fraction`` rows,
-each built on first use (see ``Matrix``).
+plain tuples of Fractions. Matrices are immutable and row-major: each stores
+integer rows over one least common denominator, and builds its ``Fraction``
+rows only when an entry, row or column is read (see ``Matrix``).
 
 The package's one exact integer kernel lives here, as in the integer pivoting
 of lrsnash (Avis, Rosenberg, Savani & von Stengel, 2010): one integerizer
@@ -67,51 +67,61 @@ IntRows = tuple[tuple[int, ...], ...]
 class Matrix:
     """Immutable dense matrix of Fractions with bounds-checked access.
 
-    Two forms hold the same values: the ``Fraction`` grid, and integer rows
-    (``int_rows``) over one least positive common denominator (``denom``),
-    as a polytope tableau holds rows / denom. Each form is built on first use
-    and kept; ``Matrix(data)`` builds only the grid, and whole-matrix
-    arithmetic builds only the integer rows, normalised by one gcd, so equal
-    matrices compare and hash equal however they were made.
+    A matrix stores one form: integer rows (``int_rows``) over the least
+    positive common denominator of its entries (``denom``), as a polytope
+    tableau holds rows / denom. ``Matrix(data)`` takes any values that
+    ``Fraction`` accepts, and keeps plain ``int`` entries as they are, so an
+    integer matrix builds no ``Fraction``; whole-matrix arithmetic works on
+    the integer rows alone. The ``Fraction`` grid is a view, built from the
+    integer rows when an entry, row or column is first read, and kept. The
+    integer form is the same however a matrix was made, so equal matrices
+    compare and hash equal.
     """
 
     __slots__ = ("rows", "cols", "_grid", "_ints")
 
     def __init__(self, data: Iterable[Iterable]):
-        grid = tuple(tuple(frac(x) for x in row) for row in data)
-        if grid and any(len(r) != len(grid[0]) for r in grid):
+        rows = tuple(map(tuple, data))
+        q = 1
+        if not all(type(x) is int for row in rows for x in row):
+            values = [[x if type(x) is int else frac(x) for x in row] for row in rows]
+            q = lcm(*(x.denominator for row in values for x in row))
+            rows = tuple(tuple(x.numerator * (q // x.denominator) for x in row)
+                         for row in values)
+        if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_ints", None)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
+        self._store(rows, q)
 
     @classmethod
     def _of_ints(cls, rows: Iterable[Sequence[int]], denom: int) -> "Matrix":
         """The matrix ``rows / denom`` (``denom > 0``), reduced by the gcd of
-        ``denom`` and every entry; its grid is left to be built on first use."""
+        ``denom`` and every entry."""
         rows = tuple(map(tuple, rows))
         g = gcd(denom, *chain.from_iterable(rows))
         if g != 1:
             rows = tuple(tuple(x // g for x in row) for row in rows)
             denom //= g
         m = object.__new__(cls)
-        object.__setattr__(m, "_grid", None)
-        object.__setattr__(m, "_ints", (rows, denom))
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
+        m._store(rows, denom)
         return m
+
+    def _store(self, rows: IntRows, denom: int) -> None:
+        """Set the integer form; the grid is left to be built on first read."""
+        object.__setattr__(self, "_grid", None)
+        object.__setattr__(self, "_ints", (rows, denom))
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
     def __reduce__(self):
-        # Rebuild through __init__: the default protocol would set slots via setattr.
-        return (Matrix, (self._data,))
+        # Rebuild from the integer form: the default protocol would set slots via setattr.
+        return (Matrix._of_ints, self._ints)
 
     @property
     def _data(self) -> tuple[Vec, ...]:
-        """The ``Fraction`` grid, built from the integer rows on first use."""
+        """The ``Fraction`` grid, built from the integer rows on first read."""
         grid = self._grid
         if grid is None:
             rows, q = self._ints
@@ -122,25 +132,15 @@ class Matrix:
             object.__setattr__(self, "_grid", grid)
         return grid
 
-    def _integer_form(self) -> tuple[IntRows, int]:
-        """(int_rows, denom), built from the grid on first use."""
-        form = self._ints
-        if form is None:
-            q = lcm(*(x.denominator for row in self._grid for x in row))
-            form = (tuple(tuple(x.numerator * (q // x.denominator) for x in row)
-                          for row in self._grid), q)
-            object.__setattr__(self, "_ints", form)
-        return form
-
     @property
     def int_rows(self) -> IntRows:
         """The entries as integer numerators over ``denom``."""
-        return self._integer_form()[0]
+        return self._ints[0]
 
     @property
     def denom(self) -> int:
         """The least positive common denominator of the entries."""
-        return self._integer_form()[1]
+        return self._ints[1]
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -173,21 +173,21 @@ class Matrix:
         return tuple(r[j] for r in self._data)
 
     def transpose(self) -> "Matrix":
-        rows, q = self._integer_form()
+        rows, q = self._ints
         return Matrix._of_ints(zip(*rows), q)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         if row_idx and col_idx:  # the least and the greatest index bound the rest
             self._check(min(row_idx), min(col_idx))
             self._check(max(row_idx), max(col_idx))
-        rows, q = self._integer_form()
+        rows, q = self._ints
         return Matrix._of_ints([[rows[i][j] for j in col_idx] for i in row_idx], q)
 
     def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         """``self + sign * other`` over the lcm of the two denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(f"matrix {'add' if sign > 0 else 'sub'} shape mismatch")
-        (ra, qa), (rb, qb) = self._integer_form(), other._integer_form()
+        (ra, qa), (rb, qb) = self._ints, other._ints
         q = lcm(qa, qb)
         fa, fb = q // qa, sign * (q // qb)
         return Matrix._of_ints(
@@ -204,21 +204,21 @@ class Matrix:
 
     def scale(self, s) -> "Matrix":
         s = frac(s)
-        rows, q = self._integer_form()
+        rows, q = self._ints
         p = s.numerator
         return Matrix._of_ints([[x * p for x in row] for row in rows], q * s.denominator)
 
     def shift(self, s) -> "Matrix":
         """Add a constant to every entry."""
         s = frac(s)
-        rows, q = self._integer_form()
+        rows, q = self._ints
         d, add = s.denominator, s.numerator * q
         return Matrix._of_ints([[x * d + add for x in row] for row in rows], q * d)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matmul shape mismatch")
-        (ra, qa), (rb, qb) = self._integer_form(), other._integer_form()
+        (ra, qa), (rb, qb) = self._ints, other._ints
         cols = list(zip(*rb))
         return Matrix._of_ints(
             [[sum(map(mul, r, c)) for c in cols] for r in ra], qa * qb)
@@ -227,11 +227,11 @@ class Matrix:
         return tuple(vdot(r, v) for r in self._data)
 
     def min_entry(self) -> Fraction:
-        rows, q = self._integer_form()
+        rows, q = self._ints
         return Fraction(min(chain.from_iterable(rows)), q)
 
     def max_abs(self) -> Fraction:
-        rows, q = self._integer_form()
+        rows, q = self._ints
         return Fraction(max(map(abs, chain.from_iterable(rows)), default=0), q)
 
     def is_zero(self) -> bool:
@@ -241,10 +241,10 @@ class Matrix:
         return [list(r) for r in self._data]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._integer_form() == other._integer_form()
+        return isinstance(other, Matrix) and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash(self._integer_form())
+        return hash(self._ints)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._data)

@@ -16,8 +16,8 @@ which leaves its slack of every label, and the point is kept as integers
 until read. On a rank-1 section the path edge through that point is read
 off the same rows (``section_edge``): one integer ratio test per side gives
 its ends, and no Q' tableau is built. The rank-k cell walk reads a vertex's
-cell of the box map off the same rows (``cell_rows``), with the fixed point
-of its affine piece. Intersecting the containing edge with a game's
+cell of the box map off the same rows once (``cell_rows``), and the fixed
+point of its affine piece off that cell (``piece_fixed_point``). Intersecting the containing edge with a game's
 selection hyperplane yields a crossing point or a side classification; the
 crossing is only geometry, which the caller verifies on its own game. Every
 moving path edge holds its base point and direction as integers over one
@@ -90,10 +90,6 @@ class Hyperplane:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "row", (*(-g for g in numerators), scale, 0))
-
-    def value_at(self, w_coords: Sequence[Fraction]) -> Rat:
-        m = len(self.gamma)
-        return w_coords[m] - vdot(self.gamma, w_coords[:m])
 
     def dot(self, numerators: Iterable[int]) -> int:
         """The value at a vector held as integers over one positive
@@ -515,19 +511,18 @@ def fixed_point_eval(family: GameFamily, gammas: Sequence[Sequence[Fraction]],
     return tuple(vdot(g, x) for g in gammas)
 
 
-def piece_fixed_point(family: GameFamily, gammas: Sequence[Vec],
-                      rows: SectionRows) -> Optional[Vec]:
+def piece_fixed_point(family: GameFamily, gammas: Sequence[Vec], unit: int,
+                      cell: Cell) -> Optional[Vec]:
     """Fixed point of the affine piece of the box map on the cell of a vertex
-    v of P, given v's ``section_rows``.
+    v of P, given v's ``cell_rows``, ``unit`` and ``cell``.
 
     On that cell the section's x(a) is c_B - G_B a on v's basis rows and zero
     on the others, so the map is a -> Gamma x(a), and its fixed point solves
-    (I + Gamma_B G_B) a = Gamma_B c_B, here times the ``unit`` of v's
-    ``cell_rows`` (h_i, e_i). None when that system is singular. The point
-    may lie outside the cell.
+    (I + Gamma_B G_B) a = Gamma_B c_B, here times ``unit``: the cell's
+    (h_i, e_i) are (G_i, c_i) times ``unit``. None when that system is
+    singular. The point may lie outside the cell.
     """
     m, k, gam = family.m, family.k, Matrix(gammas)
-    unit, cell = cell_rows(family, rows)
     h_x = Matrix([cell[i][0] if i in cell else (0,) * k for i in range(1, m + 1)])
     e_x = [cell[i][1] if i in cell else 0 for i in range(1, m + 1)]
     try:

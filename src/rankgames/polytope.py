@@ -109,10 +109,6 @@ class Tableau(NamedTuple):
         unit, lab = -self.denom, -self.cols[j]
         return [rows[r][j] if r >= 0 else unit if r == lab else 0 for r in self.z_at]
 
-    def point(self) -> Vec:
-        """The vertex's coordinates: the rhs of the z rows over ``denom``."""
-        return rationals(self.z_column(-1), self.denom)
-
     def z_row(self, coeffs: Sequence[int]) -> list[int]:
         """The row of sum_c coeffs[c] * z_c over the nonbasic columns and the
         rhs: its entry j is the dot of ``coeffs`` with ``z_column(j)``, for
@@ -423,11 +419,6 @@ class Polytope:
                  if not row[-1]}
         return Vertex(None, basis, basis | zeros, tab)
 
-    def _column(self, tab: Tableau, relax: int) -> tuple[int, ...]:
-        """Relax's edge direction times ``tab.denom``, as ``pivot``'s edge
-        reads it (``EdgeDescriptor.column``)."""
-        return _edge_column(tab, relax, self.scales[relax])
-
     def _ratio_rows(self, tab: Tableau, relax: int) -> list[tuple[int, int, int]]:
         """(label, slack, rate) of every basic slack along relax's edge, in label order."""
         d, col, start = self.dim, tab.cols.index(relax), self._slacks_from
@@ -549,7 +540,9 @@ def _integer_row(nums: Sequence[int], q: int, tail: Sequence[Rat]) -> tuple[tupl
 
 def _sign_row(i: int, width: int) -> tuple[tuple[int, ...], int]:
     """z_i >= 0 as -z_i <= 0, over ``width`` columns with the rhs."""
-    return tuple(-1 if col == i else 0 for col in range(width)), 1
+    row = [0] * width
+    row[i] = -1
+    return tuple(row), 1
 
 
 def build_p(a: Matrix) -> Polytope:
@@ -575,7 +568,8 @@ def build_qprime(c: Matrix, betas: Sequence[Sequence[Fraction]]) -> Polytope:
     m, n, k = c.rows, c.cols, len(betas)
     if any(len(beta) != n for beta in betas):
         raise DimensionMismatch("beta length differs from column count")
-    if matrix_rank(Matrix(betas)) != k:
+    # One nonzero beta has rank 1: only k >= 2 betas take a rank.
+    if k > 1 and matrix_rank(Matrix(betas)) != k:
         raise DependentBetas("beta vectors are linearly dependent")
     rows = [((*[1] * m, *[0] * (k + 1), 1), 1)]
     rows += [_sign_row(i, m + k + 2) for i in range(m)]
@@ -613,7 +607,10 @@ class GameFamily:
         self.int_betas = tuple(integers(b) for b in self.betas)
         self.p = build_p(a)
         self.qp = build_qprime(c, self.betas)
-        self.minus_a = c == a.scale(-1)
+        # Both integer forms are over their least common denominators.
+        self.minus_a = c.denom == a.denom and all(
+            x == -y for c_row, a_row in zip(c.int_rows, a.int_rows)
+            for x, y in zip(c_row, a_row))
 
     @property
     def beta(self) -> Vec:
@@ -692,8 +689,3 @@ def enumerate_vertices(poly: Polytope, guard: int = 10**6) -> list[Vertex]:
         if v is not None and v.coords not in seen:
             seen[v.coords] = v
     return list(seen.values())
-
-
-def check_nondegenerate(poly: Polytope, guard: int = 10**6) -> bool:
-    """True when no basic feasible point has extra tight rows (exhaustive, guarded)."""
-    return all(len(v.labels) == poly.basis_size for v in enumerate_vertices(poly, guard))

@@ -24,14 +24,15 @@ from rankgames.linalg import (
     integer_pivot,
     integers,
     matrix_rank,
+    rationals,
     sign,
     solve_linear_system,
     vdot,
 )
 from rankgames.lp import EQ, LE, LinearProgram
 from rankgames.labeledpath import FORWARD, W_FIXED
-from rankgames.paramlp import Crossing
-from rankgames.polytope import GameFamily, Polytope, Tableau
+from rankgames.paramlp import Crossing, Hyperplane
+from rankgames.polytope import GameFamily, Polytope, Tableau, _edge_column, enumerate_vertices
 
 # Worked example: a game family whose fully-labeled set is a path plus one
 # 3-cycle. Derived path vertices (exact): ((0,1,0),9) -> ((2/11,9/11,0),81/11)
@@ -160,9 +161,26 @@ def reference_z_rows(poly: Polytope, tab: FullTableau) -> list:
                                      if var < poly.dim)]
 
 
+def tableau_point(tab: Tableau) -> tuple:
+    """A tableau's vertex in ``Fraction``s: the rhs of its z rows over
+    ``denom`` (``Tableau.z_column``)."""
+    return rationals(tab.z_column(-1), tab.denom)
+
+
+def edge_column(poly: Polytope, tab: Tableau, relax: int) -> tuple:
+    """Relax's edge direction times ``tab.denom``, as the edge that
+    ``Polytope.pivot`` makes reads it (``EdgeDescriptor.column``)."""
+    return _edge_column(tab, relax, poly.scales[relax])
+
+
+def check_nondegenerate(poly: Polytope, guard: int = 10**6) -> bool:
+    """True when no basic feasible point has extra tight rows (exhaustive, guarded)."""
+    return all(len(v.labels) == poly.basis_size for v in enumerate_vertices(poly, guard))
+
+
 def column_dots(p: Polytope, v, betas) -> tuple[dict, tuple]:
     """The reference for ``paramlp.section_rows``: integer dots with each
-    basis label's column on v's tableau (``Polytope._column``) and with its
+    basis label's column on v's tableau (``edge_column``) and with its
     rhs (``Tableau.z_column(-1)``), for integer betas (b_l, q_l). Returns
     ((b_l . col_r)_l, col_r's pi1) per basis label r, in label order, which
     are g_r and c_r times denom (and q_l), and ((b_l . rhs)_l, rhs's pi1),
@@ -172,7 +190,7 @@ def column_dots(p: Polytope, v, betas) -> tuple[dict, tuple]:
     def dots(vec) -> tuple:
         return tuple(sum(map(mul, b, vec)) for b, _ in betas), vec[p.n]
 
-    return {r: dots(p._column(tab, r)) for r in tab.cols}, dots(tab.z_column(-1))
+    return {r: dots(edge_column(p, tab, r)) for r in tab.cols}, dots(tab.z_column(-1))
 
 
 def reference_edge_rates(p: Polytope, v, betas) -> dict:
@@ -314,6 +332,54 @@ def fraction_verify_equilibrium(game: BimatrixGame, p: MixedProfile) -> bool:
     return not any(yj > 0 and col_payoffs[j] != best2 for j, yj in enumerate(p.y))
 
 
+def _exact(num: int, den: int) -> int:
+    """num // den, checked to divide exactly."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"inexact division: {num} // {den} leaves {rem}")
+    return quo
+
+
+def checked_exchange_pivot(rows, prow: list, c: int, d: int) -> int:
+    """``linalg.exchange_pivot`` with every ``//`` checked to divide exactly."""
+    p = prow[c]
+    for row in rows:
+        if row is prow:
+            continue
+        f = row[c]
+        if f:
+            row[:] = [_exact(x * p - f * y, d) for x, y in zip(row, prow)]
+            row[c] = -f
+        elif p != d:
+            row[:] = [_exact(x * p, d) for x in row]
+    prow[c] = d
+    return p
+
+
+def checked_integer_determinant(a: list) -> int:
+    """``linalg.integer_determinant``'s Bareiss loop with every ``//``
+    checked to divide exactly; the rows of ``a`` are overwritten."""
+    n = len(a)
+    if n == 0:
+        return 1
+    sign_, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign_ = -sign_
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = _exact(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign_ * a[n - 1][n - 1]
+
+
 def naive_determinant(m: Matrix) -> Fraction:
     """Independent O(n!) Leibniz-expansion determinant, on the ``Fraction``
     entries."""
@@ -367,13 +433,20 @@ def reference_section_edge(family: GameFamily, sec):
     return family.qp.edge_through_point(tight, sec.w_coords, direction)
 
 
+def hyperplane_value(h: Hyperplane, w_coords) -> Fraction:
+    """lambda - gamma . x at a point of Q' in ``Fraction``s: the reference
+    for the hyperplane's integer dots (``Hyperplane.dot``)."""
+    m = len(h.gamma)
+    return w_coords[m] - vdot(h.gamma, w_coords[:m])
+
+
 def h_linear(edge, h) -> tuple:
     """(h0, dh), the hyperplane's value at a path edge's base and its rate
     along the edge parameter, in ``Fraction``s: integer dots with a moving
     edge's integer base point and direction over their unit, and on a fixed
     vertex of Q' its value off its coordinates, with rate zero."""
     if edge.kind == W_FIXED:
-        return h.value_at(edge.fixed.coords), Fraction(0)
+        return hyperplane_value(h, edge.fixed.coords), Fraction(0)
     ed = edge.moving
     return h.over(ed.origin, ed.denom), h.over(ed.column, ed.denom)
 

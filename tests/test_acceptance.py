@@ -36,7 +36,7 @@ from rankgames.paramlp import (
     fixed_point_eval,
     solve_lp_delta,
 )
-from rankgames.polytope import GameFamily, check_nondegenerate
+from rankgames.polytope import GameFamily
 
 from fixtures import (
     EX1_CYCLE_P_DECIMALS,
@@ -44,6 +44,7 @@ from fixtures import (
     EX1_PATH_P_VERTICES,
     K2_GAME,
     R1A,
+    check_nondegenerate,
     ex1_family,
     random_general_games,
     random_rank1,

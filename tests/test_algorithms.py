@@ -254,10 +254,45 @@ def test_no_lp_and_one_section_per_probe_and_per_enumeration(monkeypatch):
     assert lp_calls == []
 
 
+def test_each_answer_is_integerized_once(monkeypatch):
+    # An answer's profile integerizes x and y once, in its simplex check, and
+    # the equilibrium check, the payoffs, the support and the index check
+    # read those integers: linalg.integers runs twice inside _finalize, on
+    # every answer of the three solvers.
+    import sys
+
+    import rankgames.algorithms as algorithms
+    import rankgames.linalg as linalg
+
+    general = random_general_games(27, 6, min_mn=3, max_mn=6, span=30,
+                                   pipeline=enumerate_general)
+    real_integers, real_finalize = linalg.integers, algorithms._finalize
+    calls, per_answer = [], []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rankgames" and vars(module).get("integers") is real_integers:
+            monkeypatch.setattr(module, "integers",
+                                lambda values: calls.append(1) or real_integers(values))
+
+    def counted_finalize(*args):
+        calls.clear()
+        rec = real_finalize(*args)
+        per_answer.append(len(calls))
+        return rec
+
+    monkeypatch.setattr(algorithms, "_finalize", counted_finalize)
+    answers = 0
+    for d in (R1A, R1B, R1C):
+        answers += 1 + len(enumerate_rank1(d))
+        bin_search(d)
+    for game in general:
+        answers += len(enumerate_general(game))
+    assert per_answer == [2] * answers
+
+
 def test_a_path_builds_its_game_once_and_evaluates_no_hyperplane_per_edge(monkeypatch):
     # The gamma game is built once per path. The hyperplane is read off the
-    # Q' tableaux, so its Fraction evaluation (Hyperplane.value_at) runs at
-    # most once per enumerate_general path and once per is_ne probe.
+    # Q' tableaux, so its Fraction evaluation (Hyperplane.over) runs at most
+    # once per enumerate_general path and once per is_ne probe.
     import rankgames.algorithms as algorithms
     from rankgames.algorithms import rank1_family
     from rankgames.paramlp import Hyperplane, is_ne
@@ -267,12 +302,12 @@ def test_a_path_builds_its_game_once_and_evaluates_no_hyperplane_per_edge(monkey
                                    pipeline=enumerate_general)
     rank1 = [R1A, R1B, R1C] + nondegenerate_rank1_fixtures(32, 9, pipeline=enumerate_rank1)
     built, evaluated, paths = [], [], []
-    real_game_at, real_value_at = GameFamily.game_at, Hyperplane.value_at
+    real_game_at, real_over = GameFamily.game_at, Hyperplane.over
     real_paths = algorithms._path_equilibria
     monkeypatch.setattr(GameFamily, "game_at",
                         lambda fam, alpha: built.append(1) or real_game_at(fam, alpha))
-    monkeypatch.setattr(Hyperplane, "value_at",
-                        lambda h, w: evaluated.append(1) or real_value_at(h, w))
+    monkeypatch.setattr(Hyperplane, "over",
+                        lambda h, *args: evaluated.append(1) or real_over(h, *args))
     monkeypatch.setattr(algorithms, "_path_equilibria",
                         lambda *args: paths.append(1) or real_paths(*args))
     crossings = 0

@@ -54,6 +54,26 @@ def test_parse_fraction_tokens():
     assert game.b[0, 1] == Fraction(-1)
 
 
+def test_an_integer_game_file_builds_no_fraction(monkeypatch):
+    # Plain integer tokens are read as ints, so parsing an integer game file
+    # constructs no Fraction: its matrices hold their integer rows over
+    # denominator 1, and each builds its Fraction grid only when read.
+    real_new, made = Fraction.__new__, []
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    game = parse_game_file(MP_TEXT)
+    assert made == []
+    for mat, want in ((game.a, ((1, -1), (-1, 1))), (game.b, ((-1, 1), (1, -1)))):
+        assert (mat.int_rows, mat.denom) == (want, 1)
+        assert mat._grid is None
+    assert game.a[0, 1] == -1 and made
+    assert game.a._grid is not None and game.b._grid is None
+
+
 def test_parse_errors():
     with pytest.raises(Exception):
         parse_game_file("")
@@ -212,7 +232,7 @@ def test_fixedpoint_search_verifies_once(tmp_path, capsys, monkeypatch):
     from fixtures import K2_GAME
 
     real = {name: getattr(algorithms, name)
-            for name in ("solve_lp_k", "section_rows", "piece_fixed_point", "lifted_section")}
+            for name in ("solve_lp_k", "section_rows", "cell_rows", "lifted_section")}
     starts, read, visited, lifted = [], [], [], []
 
     def counted_start(*args):
@@ -223,9 +243,9 @@ def test_fixedpoint_search_verifies_once(tmp_path, capsys, monkeypatch):
         read.append((v.basis, real["section_rows"](p, v, betas)))
         return read[-1][1]
 
-    def counted_piece(family, gammas, rows):
+    def counted_cell(family, rows):
         visited.append(rows)
-        return real["piece_fixed_point"](family, gammas, rows)
+        return real["cell_rows"](family, rows)
 
     def counted_lift(p, lifted_p, v, rows, *rest):
         lifted.append(rows)
@@ -233,7 +253,7 @@ def test_fixedpoint_search_verifies_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(algorithms, "solve_lp_k", counted_start)
     monkeypatch.setattr(algorithms, "section_rows", counted_rows)
-    monkeypatch.setattr(algorithms, "piece_fixed_point", counted_piece)
+    monkeypatch.setattr(algorithms, "cell_rows", counted_cell)
     monkeypatch.setattr(algorithms, "lifted_section", counted_lift)
 
     def check_and_clear():

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -99,6 +102,27 @@ def test_golden_games_cover_both_kinds_a_fraction_and_a_degenerate_exit():
     assert len(games) == 12
     assert any("/" in g["text"] for g in games.values())
     assert [name for name, g in games.items() if g["solve"]["code"] == 3] == ["degenerate-3x3"]
+
+
+def test_the_module_entry_point_exits_with_the_golden_code_and_output(tmp_path):
+    # ``python -m rankgames.cli`` in a fresh interpreter runs
+    # ``raise SystemExit(main())``: its exit code and stdout are the golden
+    # ones byte for byte, and a missing --input file exits 2.
+    entry = json.loads(GOLDEN.read_text())["games"]["rank1-fractional-5x5"]
+    path = tmp_path / "game.txt"
+    path.write_text(entry["text"])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "rankgames.cli", *args],
+                              capture_output=True, env=env, cwd=tmp_path, timeout=60)
+
+    done = run("solve", "--input", str(path), "--json")
+    assert done.returncode == entry["solve"]["code"]
+    assert done.stdout == entry["solve"]["stdout"].encode()
+    missing = run("solve", "--input", str(tmp_path / "missing.txt"), "--json")
+    assert (missing.returncode, missing.stdout) == (2, b"")
+    assert missing.stderr.startswith(b"error: ")
 
 
 def _fixedpoint_cases() -> list[str]:

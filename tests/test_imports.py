@@ -159,8 +159,8 @@ def test_every_definition_is_named_elsewhere():
 # Package definitions that only tests and the bench name. Each must still
 # exist with no mention in the package, so the tuple can only shrink: one
 # that the package starts to use, or that moves to tests/fixtures.py, leaves.
-TEST_ONLY = ("degree", "render_game", "from_lists", "tolists", "value_at", "over",
-             "ineqs", "eq", "_column", "edge_through_point", "check_nondegenerate")
+TEST_ONLY = ("degree", "render_game", "from_lists", "tolists", "over", "ineqs", "eq",
+             "edge_through_point")
 
 
 def _off_the_pins(unnamed: list[str], pinned: Sequence[str]) -> list[str]:

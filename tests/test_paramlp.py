@@ -39,10 +39,13 @@ from fixtures import (
     R1A_NE_X,
     R1A_NE_Y,
     R1C,
+    checked_exchange_pivot,
+    checked_integer_determinant,
     column_dots,
     fraction_lifted_section,
     full_basis_tableau,
     h_linear,
+    hyperplane_value,
     polytope_lp,
     random_rank1,
     random_rank_k,
@@ -161,7 +164,7 @@ def test_edge_intersection_midpoint(r1a_family):
     assert len(hits) == 1
     point = hits[0].w_coords
     assert point[: r1a_family.m] == R1A_NE_X
-    assert h.value_at(point) == 0
+    assert hyperplane_value(h, point) == 0
 
 
 def test_edge_intersection_empty_off_hyperplane(r1a_family):
@@ -232,8 +235,8 @@ def _walked_edges():
 def test_tableau_hyperplane_values_match_fraction_values():
     # The hyperplane value at each moving edge's base and its rate along the
     # edge, as integer dots with the edge's integer base point and direction,
-    # equal Hyperplane.value_at on the Fraction coordinates and direction, on
-    # every walked edge. At each fixed vertex of Q' the number _h_at reads,
+    # equal its Fraction value (hyperplane_value) at the coordinates and the
+    # direction, on every walked edge. At each fixed vertex of Q' the number _h_at reads,
     # an integer dot off its tableau, has the value's sign. Section edges,
     # read off P's tableau, carry their integers but no Q' tableau, and fixed
     # section vertices carry no tableau (their value is read off their
@@ -244,12 +247,13 @@ def test_tableau_hyperplane_values_match_fraction_values():
             h = Hyperplane(gamma)
             for edge in edges:
                 if edge.kind == W_FIXED:
-                    want = h.value_at(edge.fixed.coords)
+                    want = hyperplane_value(h, edge.fixed.coords)
                     assert sign(_h_at(h, edge.fixed)) == sign(want)
                     on_tableau = edge.fixed.tableau is not None
                 else:
                     ed = edge.moving
-                    want = (h.value_at(ed.base.coords), h.value_at(ed.direction))
+                    want = (hyperplane_value(h, ed.base.coords),
+                            hyperplane_value(h, ed.direction))
                     assert h_linear(edge, h) == want
                     on_tableau = ed.tableau is not None
                 kinds[edge.kind, on_tableau] += 1
@@ -992,7 +996,7 @@ def test_cell_rows_and_pieces_match_the_fraction_rates(monkeypatch):
     import rankgames.paramlp as paramlp
 
     real = {name: getattr(algorithms, name)
-            for name in ("solve_lp_k", "section_rows", "piece_fixed_point")}
+            for name in ("solve_lp_k", "section_rows", "cell_rows")}
     real_rows = paramlp.section_rows
     starts, read, walked, visited = [], [], [], {}
 
@@ -1010,8 +1014,8 @@ def test_cell_rows_and_pieces_match_the_fraction_rates(monkeypatch):
 
     monkeypatch.setattr(algorithms, "solve_lp_k", start_spy)
     monkeypatch.setattr(algorithms, "section_rows", read_spy)
-    monkeypatch.setattr(algorithms, "piece_fixed_point", lambda fam, gammas, rows: (
-        walked.append(rows) or real["piece_fixed_point"](fam, gammas, rows)))
+    monkeypatch.setattr(algorithms, "cell_rows", lambda fam, rows: (
+        walked.append(rows) or real["cell_rows"](fam, rows)))
     monkeypatch.setattr(paramlp, "section_rows", section_spy)
     counts = Counter()
     draws = list(_rank_k_corpus())
@@ -1042,7 +1046,7 @@ def test_cell_rows_and_pieces_match_the_fraction_rates(monkeypatch):
             for r, (h, e) in cell.items():
                 g, c = rates[r]
                 assert (h, e) == (tuple(unit * x for x in g), unit * c)
-            a = piece_fixed_point(fam, gammas, rows)
+            a = piece_fixed_point(fam, gammas, unit, cell)
             assert a == reference_piece_fixed_point(fam, gammas, rates)
             if a is None:
                 counts[kind, "singular"] += 1
@@ -1058,6 +1062,45 @@ def test_cell_rows_and_pieces_match_the_fraction_rates(monkeypatch):
         ("a / 7", "search gave up"): 11, ("a / 7", "cell walk"): 125, ("a / 7", "singular"): 2,
         ("a / 7", "in its cell"): 72, ("a / 7", "outside its cell"): 182,
     }
+
+
+def test_the_cell_walk_builds_one_cell_per_vertex_it_checks(monkeypatch):
+    # Over the 60 rank-k draws, fixed_point_search builds the cell_rows of
+    # each vertex it checks once, on that vertex's rows: the start's, whose
+    # rows are its section's, and each vertex whose rows it reads. The
+    # piece's fixed point and the facet LPs both read that one cell.
+    import rankgames.algorithms as algorithms
+    import rankgames.paramlp as paramlp
+
+    real = {name: getattr(algorithms, name)
+            for name in ("solve_lp_k", "section_rows", "cell_rows")}
+    checked, built = [], []
+
+    def start_spy(*args):
+        start = real["solve_lp_k"](*args)
+        checked.append(id(start.rows))
+        return start
+
+    def read_spy(*args):
+        rows = real["section_rows"](*args)
+        checked.append(id(rows))
+        return rows
+
+    monkeypatch.setattr(algorithms, "solve_lp_k", start_spy)
+    monkeypatch.setattr(algorithms, "section_rows", read_spy)
+    for module in (algorithms, paramlp):
+        monkeypatch.setattr(module, "cell_rows", lambda fam, rows: (
+            built.append(id(rows)) or real["cell_rows"](fam, rows)))
+    vertices = 0
+    for fam, gammas in _rank_k_corpus():
+        checked.clear(), built.clear()
+        try:
+            algorithms.fixed_point_search(fam, gammas)
+        except DegeneracyError:
+            pass
+        assert built == checked
+        vertices += len(checked)
+    assert vertices == 122
 
 
 def test_section_walk_leaves_a_degenerate_start(monkeypatch):
@@ -1202,3 +1245,58 @@ def test_fixed_point_eval_piecewise_linear_probe(k2):
         if vals[1] == mid_expected:
             seen_affine += 1
     assert seen_affine >= 8  # tiny steps stay within one piece almost always
+
+
+def test_every_kernel_division_is_exact(monkeypatch):
+    # Every entry of a fraction-free pivot and of a Bareiss determinant is a
+    # subdeterminant of the starting integer rows, so each // divides
+    # exactly. Checked copies of linalg.exchange_pivot and of
+    # integer_determinant's Bareiss loop assert it, patched in wherever the
+    # package binds them, over the section corpus, the 60 rank-k draws'
+    # cell walks and the small-entry yardstick's walks. Each call also runs
+    # the kernel on a copy of its rows, and both must give the same rows.
+    import sys
+
+    import rankgames.algorithms as algorithms
+    import rankgames.linalg as linalg
+    import rankgames.paramlp as paramlp
+
+    real = {"exchange_pivot": linalg.exchange_pivot,
+            "integer_determinant": linalg.integer_determinant}
+    calls = Counter()
+
+    def pivot_spy(rows, prow, c, d):
+        copies = [list(row) for row in rows]
+        at = next(i for i, row in enumerate(rows) if row is prow)
+        want = real["exchange_pivot"](copies, copies[at], c, d)
+        assert checked_exchange_pivot(rows, prow, c, d) == want
+        assert list(map(list, rows)) == copies
+        calls["exchange_pivot"] += 1
+        return want
+
+    def determinant_spy(a):
+        want = real["integer_determinant"]([list(row) for row in a])
+        assert checked_integer_determinant(a) == want
+        calls["integer_determinant"] += 1
+        return want
+
+    spies = {"exchange_pivot": pivot_spy, "integer_determinant": determinant_spy}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rankgames":
+            for attr, spy in spies.items():
+                if vars(module).get(attr) is real[attr]:
+                    monkeypatch.setattr(module, attr, spy)
+    for _, fam, *_, delta in section_corpus():
+        try:
+            paramlp._section(fam, delta)
+        except DegeneracyError:
+            pass
+    for fam, gammas in _rank_k_corpus():
+        try:
+            algorithms.fixed_point_search(fam, gammas)
+        except DegeneracyError:
+            pass
+    for _ in _yardstick_walks():
+        pass
+    # The three corpora take 7,872 pivots and 919 determinants.
+    assert calls["exchange_pivot"] > 5000 and calls["integer_determinant"] > 500

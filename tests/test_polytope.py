@@ -25,13 +25,14 @@ from rankgames.polytope import (
     Vertex,
     build_p,
     build_qprime,
-    check_nondegenerate,
     enumerate_vertices,
 )
 
 from fixtures import (
     EX1_A,
     EX1_C,
+    check_nondegenerate,
+    edge_column,
     ex1_family,
     feasible,
     fraction_polytope_rows,
@@ -42,6 +43,7 @@ from fixtures import (
     random_rank1,
     random_rank_k,
     ray_anchors,
+    tableau_point,
 )
 
 
@@ -340,7 +342,7 @@ def test_compact_tableaux_read_the_reference_z_rows(monkeypatch):
     # the pivot corpus, and at every pivot of test_paramlp's walked edges,
     # the rows kept equal the full-width reference's rows of the same basic
     # variables, entry for entry; the coordinates, every basis label's
-    # column (_column) and a pivot's base point (origin), all read through
+    # column (edge_column) and a pivot's base point (origin), all read through
     # Tableau.z_column, equal the reference's z rows.
     from test_paramlp import _walked_edges
 
@@ -355,9 +357,10 @@ def test_compact_tableaux_read_the_reference_z_rows(monkeypatch):
         z_rows = reference_z_rows(poly, full)
         assert [tab.z_column(j) for j in range(-1, len(tab.cols))] == [
             [row[j] for row in z_rows] for j in range(-1, len(tab.cols))]
-        assert tab.point() == tuple(Fraction(row[-1], tab.denom) for row in z_rows)
+        assert tableau_point(tab) == tuple(Fraction(row[-1], tab.denom) for row in z_rows)
         for k, lab in enumerate(tab.cols):
-            assert poly._column(tab, lab) == tuple(-poly.scales[lab] * row[k] for row in z_rows)
+            want_column = tuple(-poly.scales[lab] * row[k] for row in z_rows)
+            assert edge_column(poly, tab, lab) == want_column
         return z_rows
 
     for poly in _pivot_corpus():
@@ -632,6 +635,31 @@ def test_simplex_pivot_steps_through_a_degenerate_vertex():
     assert tab.denom == built.denom
     assert sorted(zip(tab.basic, tab.rows)) == sorted(zip(built.basic, built.rows))
     assert p.simplex_pivot(v, 1) is None
+
+
+def test_a_family_decides_minus_a_without_building_a_matrix(monkeypatch):
+    # GameFamily decides c = -a on the integer rows: a family builds no
+    # Matrix at k = 1, where one nonzero beta needs no rank either, and only
+    # the betas' matrix for its rank at k >= 2.
+    real_init, real_of_ints = Matrix.__init__, Matrix._of_ints.__func__
+    made = []
+    monkeypatch.setattr(Matrix, "__init__",
+                        lambda self, data: made.append("init") or real_init(self, data))
+    monkeypatch.setattr(Matrix, "_of_ints", classmethod(
+        lambda cls, rows, denom: made.append("ints") or real_of_ints(cls, rows, denom)))
+    rng = random.Random(43)
+    a = Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+                for _ in range(3)])
+    a2, betas, _ = random_rank_k(rng, 2, 3, 4)
+    cases = [(a, -a, [(1, 2, 3, 5)], True), (a, a, [(1, 2, 3, 5)], False),
+             (a, (-a).shift(1), [(Fraction(1, 2), 2, 3, 5)], False),
+             (a, Matrix((-a).tolists()), [(1, 2, 3, 5)], True),
+             (EX1_A, EX1_C, [(9, 7, 8)], False), (a2, -a2, betas, True), (a2, a2, betas, False)]
+    for a, c, betas, minus_a in cases:
+        made.clear()
+        fam = GameFamily(a, c, *betas)
+        assert fam.minus_a is minus_a
+        assert made == ([] if len(betas) == 1 else ["init"])
 
 
 def test_check_nondegenerate_worked_example():
