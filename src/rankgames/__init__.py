@@ -31,7 +31,7 @@ from .games import (
 from .labeledpath import ComponentTrace, PathEdge, PathNode, trace_cycle, trace_path
 from .linalg import Matrix, determinant, matrix_rank, solve_linear_system
 from .lp import LinearProgram, LPSolution, solve_lp
-from .oracle import fully_labeled_pairs, support_enumeration, zero_sum_solve
+from .oracle import fully_labeled_pairs, support_enumeration
 from .paramlp import Hyperplane, fixed_point_eval, is_ne, solve_lp_delta, solve_lp_k
 from .polytope import GameFamily, build_p, build_qprime
 

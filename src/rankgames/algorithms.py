@@ -8,7 +8,6 @@ region extraction.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .errors import (
     IterationCapExceeded,
     NotEquilibrium,
     RankGamesError,
+    StepBudgetExceeded,
 )
 from .games import (
     BimatrixGame,
@@ -31,11 +31,10 @@ from .games import (
     default_beta,
     integerize,
     make_record,
-    positivity_shift,
     reduce_constant_beta,
     verify_equilibrium,
 )
-from .labeledpath import V_FIXED, ComponentTrace, PathEdge, g_at, g_value, trace_path, walk
+from .labeledpath import V_FIXED, ComponentTrace, PathEdge, g_at, step_budget, trace_path, walk
 from .linalg import Matrix, Rat, Vec, integer_determinant, sign, vdot, vector, vscale
 from .lp import EQ, LE, LinearProgram, solve_lp
 from .paramlp import (
@@ -91,34 +90,26 @@ def _trivial_single_strategy(game: BimatrixGame, provenance: str) -> Optional[Eq
     return make_record(game, profile, provenance, index=1)
 
 
-def _positive(game: BimatrixGame) -> BimatrixGame:
-    """``game``, checked to have strictly positive payoffs."""
-    if game.a.min_entry() <= 0 or game.b.min_entry() <= 0:
-        raise RankGamesError("index formula requires strictly positive payoffs")
-    return game
-
-
-def index_of(game_positive: BimatrixGame, rec: EquilibriumRecord, crossing: Crossing) -> int:
+def index_of(game: BimatrixGame, rec: EquilibriumRecord, crossing: Crossing) -> int:
     """Equilibrium index; asserts the determinant and orientation routes agree.
 
-    The determinant formula (-1)^(|I|+1) * sign(det A_I^J * det B_I^J) needs a
-    strictly positive game; the orientation value comes from which side of the
-    hyperplane the directed edge enters from.
+    The determinant route is (-1)^(|I|+1) * sign(det A_I^J * det B_I^J) on a
+    strictly positive shift of the game, taken here on the game itself: each
+    support block bordered by ones, [[A_I^J, 1], [1^T, 0]], keeps its
+    determinant when constants are added to rows or columns and its sign
+    under a positive scale, and on a positive game its sign is -sign(det
+    A_I^J) at an equilibrium. The orientation value comes from which side of
+    the hyperplane the directed edge enters from.
     """
-    return _checked_index(_positive(game_positive), rec, crossing)
-
-
-def _checked_index(game_positive: BimatrixGame, rec: EquilibriumRecord,
-                   crossing: Crossing) -> int:
-    """``index_of`` on a game already known to be strictly positive."""
     big_i, big_j = rec.support
     if len(big_i) != len(big_j):
         raise DegeneratePolytope("unbalanced support at an equilibrium")
-    # The support blocks' determinants, on the integer rows: a positive
-    # denominator to the order changes no sign.
+    # The bordered blocks on the integer rows: a positive denominator
+    # changes no sign.
     det_a, det_b = (
-        integer_determinant([[rows[i - 1][j - 1] for j in big_j] for i in big_i])
-        for rows in (game_positive.a.int_rows, game_positive.b.int_rows)
+        integer_determinant([*([rows[i - 1][j - 1] for j in big_j] + [1] for i in big_i),
+                             [1] * len(big_j) + [0]])
+        for rows in (game.a.int_rows, game.b.int_rows)
     )
     det_index = (-1) ** (len(big_i) + 1) * sign(det_a * det_b)
     if det_index == 0:
@@ -130,18 +121,15 @@ def _checked_index(game_positive: BimatrixGame, rec: EquilibriumRecord,
     return det_index
 
 
-def _finalize(
-    game: BimatrixGame, crossing: Crossing, provenance: str, shifted: BimatrixGame
-) -> EquilibriumRecord:
+def _finalize(game: BimatrixGame, crossing: Crossing, provenance: str) -> EquilibriumRecord:
     """A crossing as an answer: its profile, verified exactly on ``game``, the
-    caller's input game, and recorded there once. The index is cross-checked
-    on ``shifted``, the positive shift of the game the path ran on, which the
-    caller checked with ``_positive``."""
+    caller's input game, and recorded there once with its cross-checked
+    index."""
     profile = MixedProfile(crossing.w_coords[: game.m], crossing.v_coords[: game.n])
     if not verify_equilibrium(game, profile):
         raise NotEquilibrium("hyperplane crossing failed exact verification")
     rec = make_record(game, profile, provenance)
-    return replace(rec, index=_checked_index(shifted, rec, crossing))
+    return replace(rec, index=index_of(game, rec, crossing))
 
 
 def rank1_family(d: Rank1Decomposition) -> tuple[Rank1Decomposition, GameFamily]:
@@ -171,12 +159,11 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     di, family = rank1_family(integerize(d)[0])
     gamma = di.gamma
     g_min, g_max = min(gamma), max(gamma)
-    shifted = _positive(positivity_shift(family.game_at(gamma))[0])
 
     def report_for(crossing: Crossing, iters: int, bound: int, hist) -> BinSearchReport:
         if crossing.orient_index != 1:
             raise IndexMismatch("binary search landed on a negatively indexed crossing")
-        rec = _finalize(game, crossing, "bin-search", shifted)
+        rec = _finalize(game, crossing, "bin-search")
         return BinSearchReport(rec, iters, bound, tuple(hist))
 
     b_max = max(di.a.max_abs(), max(abs(b) for b in di.beta), max(abs(g) for g in gamma))
@@ -231,23 +218,14 @@ def _edges_until(family: GameFamily, start: PathEdge, lam_max: Rat) -> Iterator[
 
 
 def _path_equilibria(
-    game: BimatrixGame,
-    family: GameFamily,
-    gamma: Sequence[Fraction],
-    edges: Iterable[PathEdge],
-    provenance: str,
+    game: BimatrixGame, gamma: Sequence[Fraction], edges: Iterable[PathEdge], provenance: str
 ) -> list[EquilibriumRecord]:
-    """Hyperplane crossings of the edges, in path order, as answers on ``game``.
-
-    Indices are cross-checked on the game the path ran on,
-    ``family.game_at(gamma)``, built once.
-    """
+    """Hyperplane crossings of the edges, in path order, as answers on ``game``."""
     h = Hyperplane(gamma)
     crossings = [hit for edge in edges for hit in crossing_records(h, edge)]
     if not crossings:
         raise RankGamesError("path walk found no equilibrium; theory guarantees one")
-    shifted = _positive(positivity_shift(family.game_at(gamma))[0])
-    return [_finalize(game, hit, provenance, shifted) for hit in crossings]
+    return [_finalize(game, hit, provenance) for hit in crossings]
 
 
 def enumerate_rank1(d: Rank1Decomposition) -> list[EquilibriumRecord]:
@@ -258,7 +236,7 @@ def enumerate_rank1(d: Rank1Decomposition) -> list[EquilibriumRecord]:
     run, family = rank1_family(d)
     start = solve_lp_delta(family, min(run.gamma)).edge
     edges = _edges_until(family, start, max(run.gamma))
-    return _path_equilibria(game, family, run.gamma, edges, "enumeration")
+    return _path_equilibria(game, run.gamma, edges, "enumeration")
 
 
 def general_family(game: BimatrixGame, beta: Optional[Sequence[Fraction]] = None) -> GameFamily:
@@ -278,7 +256,7 @@ def enumerate_general(
         return [rec]
     family = general_family(game, beta)
     gamma = vector([0] * game.m)
-    return _path_equilibria(game, family, gamma, trace_path(family).edges, "general-path")
+    return _path_equilibria(game, gamma, trace_path(family).edges, "general-path")
 
 
 def solve_general(
@@ -303,46 +281,52 @@ def homeo_forward(family: GameFamily, alphas: Sequence[Sequence[Fraction]],
     )
 
 
-def homeo_inverse(
-    family: GameFamily, alpha_prime: Sequence[Fraction], trace: Optional[ComponentTrace] = None
-) -> tuple[Vec, MixedProfile]:
+def homeo_inverse(family: GameFamily, alpha_prime: Sequence[Fraction]) -> tuple[Vec, MixedProfile]:
     """Unique equilibrium point mapping to the given game-space vector.
 
-    Locates the path point whose coordinate matches the first component by
-    bisection over the strictly increasing node values, solves the remaining
-    affine system for the row weights, and verifies the result exactly.
+    The point is where the path coordinate g = beta . y + lambda, strictly
+    increasing along the path, equals the first component g*. As y lies in
+    the simplex, its lambda lies in [g* - max beta, g* - min beta], and
+    section probes (``solve_lp_delta``, each from the last optimum) bisect
+    that bracket. On a probe's path edge g and lambda are affine in the edge
+    parameter: the point is solved there when the edge spans g*, and else
+    the bracket end on g*'s side moves to the edge's end nearest g*. So a
+    g* on an edge of constant lambda (moving in P) is probed where the two
+    ends meet. The row weights solve the remaining affine system, and the
+    answer is verified exactly.
     """
     if not family.minus_a:
         raise RankGamesError("homeomorphism maps are defined on families with c = -a")
     alpha_prime = vector(alpha_prime)
-    target = alpha_prime[0]
-    if trace is None:
-        trace = trace_path(family)
-    gs = [g_value(family, u) for u in trace.nodes]
-    if any(b <= a for a, b in zip(gs, gs[1:])):
-        raise RankGamesError("path coordinate is not strictly increasing")
-
-    pos = bisect_left(gs, target)
-    if pos < len(gs) and gs[pos] == target:
-        node = trace.nodes[pos]
-        v_coords, w_coords = node.v.coords, node.w.coords
-    else:
-        edge = trace.edges[pos]
+    target, m = alpha_prime[0], family.m
+    lo, hi = target - max(family.beta), target - min(family.beta)
+    start, budget = None, step_budget(m, family.n)
+    for _ in range(budget):  # each probe lands on a path edge not seen before
+        sec = solve_lp_delta(family, (lo + hi) / 2, start)
+        edge, start = sec.edge, sec.v
         g0 = g_at(family, *edge.point_at(0))  # g is affine along the edge
         dg = g_at(family, *edge.point_at(1)) - g0
         if dg == 0:
-            raise RankGamesError("path coordinate is constant on a located edge")
+            raise RankGamesError("path coordinate is constant on a probed edge")
         t_star = (target - g0) / dg
-        if t_star < 0 or (edge.moving.t_max is not None and t_star > edge.moving.t_max):
-            raise RankGamesError("located edge does not span the requested value")
-        v_coords, w_coords = edge.point_at(t_star)
+        t_max = edge.moving.t_max
+        t_end = max(t_star, 0) if t_max is None else min(max(t_star, 0), t_max)
+        v_coords, w_coords = edge.point_at(t_end)
+        if t_end == t_star:
+            break
+        if target < g0 + dg * t_end:
+            hi = w_coords[m]
+        else:
+            lo = w_coords[m]
+    else:
+        raise StepBudgetExceeded(f"no path point at g = {target} within {budget} probes")
 
-    x = w_coords[: family.m]
+    x = w_coords[:m]
     y = v_coords[: family.n]
     a1 = target - vdot(family.beta, y) - sum(
-        (x[i] * alpha_prime[i] for i in range(1, family.m)), Fraction(0)
+        (x[i] * alpha_prime[i] for i in range(1, m)), Fraction(0)
     )
-    alpha = (a1,) + tuple(alpha_prime[i] + a1 for i in range(1, family.m))
+    alpha = (a1,) + tuple(alpha_prime[i] + a1 for i in range(1, m))
     profile = MixedProfile(x, y)
     if not verify_equilibrium(family.game_at(alpha), profile):
         raise NotEquilibrium("inverse map produced a non-equilibrium (degenerate input?)")

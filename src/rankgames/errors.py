@@ -74,7 +74,7 @@ class TooLarge(RankGamesError):
 
 
 class StepBudgetExceeded(RankGamesError):
-    """Path traversal exceeded the vertex-pair bound (signals a bug, not size)."""
+    """A path walk or probe search exceeded the vertex-pair bound (signals a bug, not size)."""
 
 
 class NonzeroOptimum(RankGamesError):

@@ -268,11 +268,6 @@ def g_at(family: GameFamily, v_coords: Vec, w_coords: Vec) -> Rat:
     return vdot(family.beta, v_coords[: family.n]) + w_coords[family.m]
 
 
-def g_value(family: GameFamily, node: PathNode) -> Rat:
-    """Path coordinate of a node (strictly monotone on rank-1 paths)."""
-    return g_at(family, node.v.coords, node.w.coords)
-
-
 def _fmt_labels(labels: frozenset[int]) -> str:
     return ",".join(str(x) for x in sorted(labels))
 

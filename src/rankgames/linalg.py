@@ -143,10 +143,6 @@ class Matrix:
         return self._ints[1]
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -175,13 +171,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         rows, q = self._ints
         return Matrix._of_ints(zip(*rows), q)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        if row_idx and col_idx:  # the least and the greatest index bound the rest
-            self._check(min(row_idx), min(col_idx))
-            self._check(max(row_idx), max(col_idx))
-        rows, q = self._ints
-        return Matrix._of_ints([[rows[i][j] for j in col_idx] for i in row_idx], q)
 
     def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         """``self + sign * other`` over the lcm of the two denominators."""

@@ -1,7 +1,7 @@
 """Independent ground truth at desk scale.
 
-Brute-force support enumeration, exhaustive fully-labeled vertex-pair search,
-and a minimax LP solver. Guards are hard errors: a silently truncated oracle
+Brute-force support enumeration and exhaustive fully-labeled vertex-pair
+search. Guards are hard errors: a silently truncated oracle
 is worse than none.
 """
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import NotEquilibrium, Singular, TooLarge
+from .errors import Singular, TooLarge
 from .games import (
     BimatrixGame,
     EquilibriumRecord,
@@ -19,7 +19,6 @@ from .games import (
     verify_equilibrium,
 )
 from .linalg import Matrix, Vec, solve_linear_system
-from .lp import EQ, LE, LinearProgram, solve_lp
 from .polytope import GameFamily, Vertex, enumerate_vertices
 
 
@@ -98,55 +97,3 @@ def fully_labeled_pairs(family: GameFamily, guard: int = 4) -> list[tuple[Vertex
     ]
     pairs.sort(key=lambda vw: (sorted(vw[0].basis), sorted(vw[1].basis)))
     return pairs
-
-
-def zero_sum_solve(a: Matrix) -> EquilibriumRecord:
-    """Exact minimax strategies and value of the game (a, -a)."""
-    m, n = a.rows, a.cols
-    # Row player: maximize v subject to v <= x . a_col_j, x in the simplex.
-    rows = []
-    rhs = []
-    rels = []
-    for j in range(n):
-        rows.append(tuple(-e for e in a.col(j)) + (Fraction(1),))
-        rhs.append(Fraction(0))
-        rels.append(LE)
-    for i in range(m):
-        unit = [Fraction(0)] * (m + 1)
-        unit[i] = Fraction(-1)
-        rows.append(tuple(unit))
-        rhs.append(Fraction(0))
-        rels.append(LE)
-    rows.append(tuple([Fraction(1)] * m + [Fraction(0)]))
-    rhs.append(Fraction(1))
-    rels.append(EQ)
-    objective = [Fraction(0)] * m + [Fraction(1)]
-    row_sol = solve_lp(LinearProgram.build(objective, rows, rels, rhs))
-    x = row_sol.point[:m]
-
-    # Column player: minimize u subject to a_row_i . y <= u, y in the simplex.
-    rows2 = []
-    rhs2 = []
-    rels2 = []
-    for i in range(m):
-        rows2.append(tuple(a.row(i)) + (Fraction(-1),))
-        rhs2.append(Fraction(0))
-        rels2.append(LE)
-    for j in range(n):
-        unit = [Fraction(0)] * (n + 1)
-        unit[j] = Fraction(-1)
-        rows2.append(tuple(unit))
-        rhs2.append(Fraction(0))
-        rels2.append(LE)
-    rows2.append(tuple([Fraction(1)] * n + [Fraction(0)]))
-    rhs2.append(Fraction(1))
-    rels2.append(EQ)
-    objective2 = [Fraction(0)] * n + [Fraction(-1)]
-    col_sol = solve_lp(LinearProgram.build(objective2, rows2, rels2, rhs2))
-    y = col_sol.point[:n]
-
-    game = BimatrixGame(a, a.scale(-1))
-    profile = MixedProfile(x, y)
-    if not verify_equilibrium(game, profile):
-        raise NotEquilibrium("minimax strategies failed verification")
-    return make_record(game, profile, "zero-sum-lp")

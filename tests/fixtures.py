@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -14,10 +15,17 @@ from rankgames.errors import (
     DegeneratePolytope,
     EdgeInHyperplane,
     NonzeroOptimum,
+    NotEquilibrium,
     RankGamesError,
     Singular,
 )
-from rankgames.games import BimatrixGame, MixedProfile, Rank1Decomposition
+from rankgames.games import (
+    BimatrixGame,
+    MixedProfile,
+    Rank1Decomposition,
+    make_record,
+    verify_equilibrium,
+)
 from rankgames.linalg import (
     Matrix,
     integer_determinant,
@@ -28,9 +36,10 @@ from rankgames.linalg import (
     sign,
     solve_linear_system,
     vdot,
+    vector,
 )
-from rankgames.lp import EQ, LE, LinearProgram
-from rankgames.labeledpath import FORWARD, W_FIXED
+from rankgames.lp import EQ, LE, LinearProgram, solve_lp
+from rankgames.labeledpath import FORWARD, W_FIXED, g_at, trace_path
 from rankgames.paramlp import Crossing, Hyperplane
 from rankgames.polytope import GameFamily, Polytope, Tableau, _edge_column, enumerate_vertices
 
@@ -55,6 +64,17 @@ EX1_CYCLE_P_VERTICES = (
 # Paper prints the same vertices rounded to two decimals.
 EX1_PATH_P_DECIMALS = (((0.0, 1.0, 0.0), 9.0), ((0.18, 0.82, 0.0), 7.36), ((1.0, 0.0, 0.0), 9.0))
 EX1_CYCLE_P_DECIMALS = (((0.5, 0.0, 0.5), 5.5), ((0.38, 0.18, 0.44), 5.56), ((0.4, 0.0, 0.6), 5.4))
+
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)])
+
+
+def submatrix(mat: Matrix, row_idx, col_idx) -> Matrix:
+    """The rows ``row_idx`` and the columns ``col_idx`` of ``mat``, taken
+    from its integer rows over its denominator."""
+    rows = mat.int_rows
+    return Matrix._of_ints([[rows[i][j] for j in col_idx] for i in row_idx], mat.denom)
 
 
 def polytope_lp(poly: Polytope, objective) -> LinearProgram:
@@ -655,3 +675,102 @@ def random_general_games(seed: int, count: int, min_mn=2, max_mn=4, span=9,
 MATCHING_PENNIES = BimatrixGame(
     Matrix([[1, -1], [-1, 1]]), Matrix([[-1, 1], [1, -1]])
 )
+
+
+def zero_sum_solve(a: Matrix):
+    """Exact minimax strategies and value of the game (a, -a), by two
+    ``lp.solve_lp`` calls; the answer is verified on that game."""
+    m, n = a.rows, a.cols
+    # Row player: maximize v subject to v <= x . a_col_j, x in the simplex.
+    rows = []
+    rhs = []
+    rels = []
+    for j in range(n):
+        rows.append(tuple(-e for e in a.col(j)) + (Fraction(1),))
+        rhs.append(Fraction(0))
+        rels.append(LE)
+    for i in range(m):
+        unit = [Fraction(0)] * (m + 1)
+        unit[i] = Fraction(-1)
+        rows.append(tuple(unit))
+        rhs.append(Fraction(0))
+        rels.append(LE)
+    rows.append(tuple([Fraction(1)] * m + [Fraction(0)]))
+    rhs.append(Fraction(1))
+    rels.append(EQ)
+    objective = [Fraction(0)] * m + [Fraction(1)]
+    row_sol = solve_lp(LinearProgram.build(objective, rows, rels, rhs))
+    x = row_sol.point[:m]
+
+    # Column player: minimize u subject to a_row_i . y <= u, y in the simplex.
+    rows2 = []
+    rhs2 = []
+    rels2 = []
+    for i in range(m):
+        rows2.append(tuple(a.row(i)) + (Fraction(-1),))
+        rhs2.append(Fraction(0))
+        rels2.append(LE)
+    for j in range(n):
+        unit = [Fraction(0)] * (n + 1)
+        unit[j] = Fraction(-1)
+        rows2.append(tuple(unit))
+        rhs2.append(Fraction(0))
+        rels2.append(LE)
+    rows2.append(tuple([Fraction(1)] * n + [Fraction(0)]))
+    rhs2.append(Fraction(1))
+    rels2.append(EQ)
+    objective2 = [Fraction(0)] * n + [Fraction(-1)]
+    col_sol = solve_lp(LinearProgram.build(objective2, rows2, rels2, rhs2))
+    y = col_sol.point[:n]
+
+    game = BimatrixGame(a, a.scale(-1))
+    profile = MixedProfile(x, y)
+    if not verify_equilibrium(game, profile):
+        raise NotEquilibrium("minimax strategies failed verification")
+    return make_record(game, profile, "zero-sum-lp")
+
+
+def g_value(family: GameFamily, node) -> Fraction:
+    """Path coordinate beta . y + lambda of a node (strictly monotone on rank-1 paths)."""
+    return g_at(family, node.v.coords, node.w.coords)
+
+
+def reference_homeo_inverse(family: GameFamily, alpha_prime, trace=None):
+    """The reference for ``algorithms.homeo_inverse``: the whole path
+    (``trace``, else ``trace_path``), bisected over the strictly increasing
+    path coordinates of its nodes (``g_value``), the point solved on the
+    located node or edge, the row weights from the remaining affine system,
+    and the result verified exactly. The rays' anchors need unique extreme
+    beta entries, so it raises on ties where the probes need none."""
+    if not family.minus_a:
+        raise RankGamesError("homeomorphism maps are defined on families with c = -a")
+    alpha_prime = vector(alpha_prime)
+    target = alpha_prime[0]
+    if trace is None:
+        trace = trace_path(family)
+    gs = [g_value(family, u) for u in trace.nodes]
+    if any(b <= a for a, b in zip(gs, gs[1:])):
+        raise RankGamesError("path coordinate is not strictly increasing")
+    pos = bisect_left(gs, target)
+    if pos < len(gs) and gs[pos] == target:
+        node = trace.nodes[pos]
+        v_coords, w_coords = node.v.coords, node.w.coords
+    else:
+        edge = trace.edges[pos]
+        g0 = g_at(family, *edge.point_at(0))  # g is affine along the edge
+        dg = g_at(family, *edge.point_at(1)) - g0
+        if dg == 0:
+            raise RankGamesError("path coordinate is constant on a located edge")
+        t_star = (target - g0) / dg
+        if t_star < 0 or (edge.moving.t_max is not None and t_star > edge.moving.t_max):
+            raise RankGamesError("located edge does not span the requested value")
+        v_coords, w_coords = edge.point_at(t_star)
+    x, y = w_coords[: family.m], v_coords[: family.n]
+    a1 = target - vdot(family.beta, y) - sum(
+        (x[i] * alpha_prime[i] for i in range(1, family.m)), Fraction(0)
+    )
+    alpha = (a1,) + tuple(alpha_prime[i] + a1 for i in range(1, family.m))
+    profile = MixedProfile(x, y)
+    if not verify_equilibrium(family.game_at(alpha), profile):
+        raise NotEquilibrium("inverse map produced a non-equilibrium (degenerate input?)")
+    return alpha, profile

@@ -28,7 +28,7 @@ from rankgames.games import (
     decompose_rank_k,
     verify_equilibrium,
 )
-from rankgames.labeledpath import g_value, trace_path
+from rankgames.labeledpath import W_FIXED, trace_path
 from rankgames.linalg import vdot
 from rankgames.oracle import fully_labeled_pairs, support_enumeration
 from rankgames.paramlp import (
@@ -46,8 +46,10 @@ from fixtures import (
     R1A,
     check_nondegenerate,
     ex1_family,
+    g_value,
     random_general_games,
     random_rank1,
+    reference_homeo_inverse,
     section_gap,
 )
 
@@ -216,8 +218,26 @@ def test_criterion_7_homeomorphism_round_trip(corpus30):
                     Fraction(rng.randint(-900, 900), rng.randint(1, 90))
                     for _ in range(fam.m)
                 )
-                alpha, profile = homeo_inverse(fam, alpha_prime, trace)
+                alpha, profile = homeo_inverse(fam, alpha_prime)
+                assert (alpha, profile) == reference_homeo_inverse(fam, alpha_prime, trace)
                 assert homeo_forward(fam, (alpha,), profile)[0] == alpha_prime
+        # Targets at every node, and in the middle of every edge of constant
+        # lambda (moving in P), which the probes reach only where the
+        # bracket's two ends meet.
+        at_nodes = on_constant_lambda = 0
+        for d in corpus30:
+            fam = _family(d)
+            trace = trace_path(fam)
+            targets = [g_value(fam, u) for u in trace.nodes]
+            middles = [(g_value(fam, e.tail) + g_value(fam, e.head)) / 2
+                       for e in trace.edges if e.kind == W_FIXED]
+            for g in targets + middles:
+                alpha_prime = (g, *(Fraction(rng.randint(-9, 9)) for _ in range(fam.m - 1)))
+                alpha, profile = homeo_inverse(fam, alpha_prime)
+                assert (alpha, profile) == reference_homeo_inverse(fam, alpha_prime, trace)
+            at_nodes += len(targets)
+            on_constant_lambda += len(middles)
+        assert (at_nodes, on_constant_lambda) == (132, 66)
         # rank-2 analogue with leading-coordinate distinctness
         d2 = decompose_rank_k(K2_GAME)
         kfam = GameFamily(d2.a, -d2.a, *d2.betas)

@@ -36,9 +36,9 @@ from rankgames.games import (
     integerize,
     verify_equilibrium,
 )
-from rankgames.labeledpath import trace_path
+from rankgames.labeledpath import step_budget, trace_path
 from rankgames.linalg import Matrix, solve_linear_system, vdot
-from rankgames.oracle import support_enumeration, zero_sum_solve
+from rankgames.oracle import support_enumeration
 from rankgames.paramlp import box_bounds, fixed_point_eval, solve_lp_delta, solve_lp_k
 from rankgames.polytope import GameFamily
 
@@ -61,7 +61,9 @@ from fixtures import (
     random_rank1,
     random_rank_k,
     ray_anchors,
+    reference_homeo_inverse,
     watch_solve_lp,
+    zero_sum_solve,
 )
 
 
@@ -290,9 +292,10 @@ def test_each_answer_is_integerized_once(monkeypatch):
 
 
 def test_a_path_builds_its_game_once_and_evaluates_no_hyperplane_per_edge(monkeypatch):
-    # The gamma game is built once per path. The hyperplane is read off the
-    # Q' tableaux, so its Fraction evaluation (Hyperplane.over) runs at most
-    # once per enumerate_general path and once per is_ne probe.
+    # A path builds no gamma game: the index check reads the input game. The
+    # hyperplane is read off the Q' tableaux, so its Fraction evaluation
+    # (Hyperplane.over) runs at most once per enumerate_general path and
+    # once per is_ne probe.
     import rankgames.algorithms as algorithms
     from rankgames.algorithms import rank1_family
     from rankgames.paramlp import Hyperplane, is_ne
@@ -315,7 +318,7 @@ def test_a_path_builds_its_game_once_and_evaluates_no_hyperplane_per_edge(monkey
         for x in inputs:
             built.clear(), evaluated.clear(), paths.clear()
             crossings += len(solve(x))
-            assert len(paths) == 1 and len(built) == 1
+            assert len(paths) == 1 and len(built) == 0
             if solve is enumerate_general:
                 assert len(evaluated) <= 1
     probes = 0
@@ -377,19 +380,6 @@ def test_each_answer_is_verified_and_recorded_once_on_the_input_game(monkeypatch
         assert seen["verify"] == [game] * len(recs)
         assert seen["record"] == [game] * len(recs)
     assert fractional[0].game() != integerize(fractional[0])[0].game()
-
-
-def test_a_non_positive_shifted_game_is_still_refused(monkeypatch):
-    # Positivity is checked once per path and once per binary search, not
-    # per equilibrium: a shift that leaves an entry <= 0 still fails there.
-    import rankgames.algorithms as algorithms
-
-    monkeypatch.setattr(algorithms, "positivity_shift", lambda game: (game, 0, 0))
-    general = BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA))
-    for solve in (lambda: bin_search(R1A), lambda: enumerate_rank1(R1A),
-                  lambda: enumerate_general(general, beta=EX1_BETA)):
-        with pytest.raises(RankGamesError, match="strictly positive payoffs"):
-            solve()
 
 
 def test_enumerate_general_ex1_game_proper_subset_of_oracle():
@@ -497,18 +487,69 @@ def test_homeo_round_trip_exact(r1a_family, r1a_trace):
         alpha_prime = tuple(
             Fraction(rng.randint(-500, 500), rng.randint(1, 60)) for _ in range(3)
         )
-        alpha, profile = homeo_inverse(r1a_family, alpha_prime, r1a_trace)
+        alpha, profile = homeo_inverse(r1a_family, alpha_prime)
+        assert (alpha, profile) == reference_homeo_inverse(r1a_family, alpha_prime, r1a_trace)
         assert homeo_forward(r1a_family, (alpha,), profile)[0] == alpha_prime
 
 
 def test_homeo_inverse_low_values_sit_on_low_ray(r1a_family, r1a_trace):
     sd = ray_anchors(R1A.a, R1A.a.scale(-1), R1A.beta)
     alpha_prime = (Fraction(-1000), Fraction(0), Fraction(0))
-    alpha, profile = homeo_inverse(r1a_family, alpha_prime, r1a_trace)
+    alpha, profile = homeo_inverse(r1a_family, alpha_prime)
+    assert (alpha, profile) == reference_homeo_inverse(r1a_family, alpha_prime, r1a_trace)
     expected_x = [Fraction(0)] * 3
     expected_x[sd.i_s - 1] = Fraction(1)
     assert list(profile.x) == expected_x
     assert homeo_forward(r1a_family, (alpha,), profile)[0] == alpha_prime
+
+
+def test_homeo_inverse_probes_sections_and_never_walks_the_path(monkeypatch, r1a_family):
+    # The inverse bisects lambda with section probes, one solve_lp_delta call
+    # each and at most step_budget of them: spies on trace_path and walk,
+    # wherever the package binds them, see no call.
+    import sys
+
+    import rankgames.algorithms as algorithms
+    import rankgames.labeledpath as labeledpath
+
+    walks, probes = [], []
+    for attr in ("trace_path", "walk"):
+        real = getattr(labeledpath, attr)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rankgames" and vars(module).get(attr) is real:
+                monkeypatch.setattr(module, attr,
+                                    lambda *args, real=real: walks.append(1) or real(*args))
+    real_probe = algorithms.solve_lp_delta
+    monkeypatch.setattr(algorithms, "solve_lp_delta",
+                        lambda *args: probes.append(1) or real_probe(*args))
+    rng = random.Random(29)
+    targets = [(Fraction(g1), Fraction(0), Fraction(0)) for g1 in (-1000, 1000)]
+    targets.append(tuple(Fraction(rng.randint(-500, 500), rng.randint(1, 60)) for _ in range(3)))
+    for alpha_prime in targets:
+        probes.clear()
+        alpha, profile = homeo_inverse(r1a_family, alpha_prime)
+        assert homeo_forward(r1a_family, (alpha,), profile)[0] == alpha_prime
+        assert 1 <= len(probes) <= step_budget(3, 3)
+    assert walks == []
+
+
+def test_homeo_inverse_round_trips_bin_search_where_beta_has_tied_ends():
+    # The first three 16x16 large rank-1 draws: the inverse maps the image of
+    # bin_search's answer back to it exactly. On draws 1 and 2 beta's least
+    # or greatest entry is tied, so the path's rays, and with them the
+    # trace-based reference, are refused there.
+    rng = random.Random(11)
+    for draw in range(3):
+        d = random_rank1(rng, 16, 16, span=99, gamma_span=20, beta_span=50)
+        fam = GameFamily(d.a, d.a.scale(-1), d.beta)
+        profile = bin_search(d).equilibrium.profile
+        target = homeo_forward(fam, (d.gamma,), profile)[0]
+        assert homeo_inverse(fam, target) == (d.gamma, profile)
+        if draw < 2:
+            with pytest.raises(DegeneratePolytope, match="tied extreme entries"):
+                reference_homeo_inverse(fam, target)
+        else:
+            assert reference_homeo_inverse(fam, target) == (d.gamma, profile)
 
 
 def test_family_preconditions():

@@ -22,7 +22,7 @@ from rankgames.errors import NotEquilibrium
 from rankgames.games import BimatrixGame
 from rankgames.linalg import Matrix
 
-from fixtures import EX1_A, EX1_BETA, EX1_C, MATCHING_PENNIES, R1A, R1B, R1C
+from fixtures import EX1_A, EX1_BETA, EX1_C, MATCHING_PENNIES, R1A, R1B, R1C, zero_matrix
 
 
 def write_game(tmp_path, game, name="g.game"):
@@ -426,7 +426,7 @@ def test_perturb_is_an_option_only_of_the_verbs_that_retry(tmp_path, capsys):
 
 
 def test_guard_exceeded_exits_4(tmp_path, capsys):
-    big = BimatrixGame(Matrix.zero(7, 7).shift(1), Matrix.zero(7, 7).shift(2))
+    big = BimatrixGame(zero_matrix(7, 7).shift(1), zero_matrix(7, 7).shift(2))
     path = write_game(tmp_path, big)
     assert main(["oracle", "--input", path]) == EXIT_GUARD
 
@@ -630,7 +630,7 @@ def test_perturb_keeps_the_rank_of_a_rank2_game():
 
     rng = random.Random(9)
     a = Matrix([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
-    c = Matrix.zero(3, 3)
+    c = zero_matrix(3, 3)
     for _ in range(2):
         c = c + Matrix.outer([rng.randint(-3, 3) for _ in range(3)],
                              [rng.randint(1, 6) for _ in range(3)])

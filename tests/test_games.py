@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankgames.algorithms import index_of
 from rankgames.errors import DimensionMismatch, NotConstantBeta, RankTooHigh
 from rankgames.games import (
     BimatrixGame,
@@ -18,6 +19,7 @@ from rankgames.games import (
 )
 from rankgames.linalg import Matrix, determinant, sign, vdot
 from rankgames.oracle import support_enumeration
+from rankgames.paramlp import Crossing
 
 from fixtures import (
     EX1_A,
@@ -29,6 +31,8 @@ from fixtures import (
     fraction_verify_equilibrium,
     naive_determinant,
     rank1_game,
+    submatrix,
+    zero_matrix,
 )
 
 HALF = Fraction(1, 2)
@@ -130,13 +134,16 @@ def test_per_answer_checks_match_the_fraction_references():
             assert verify_equilibrium(game, p) and fraction_verify_equilibrium(game, p)
             assert payoffs(game, p) == fraction_payoffs(game, p) == (rec.payoff1, rec.payoff2)
             # The index (-1)^(|I|+1) * sign(det A_I^J * det B_I^J) on the
-            # shifted game, as algorithms._checked_index takes it.
+            # positive shift; index_of, on the input game's bordered support
+            # blocks, must agree with it.
             rows, cols = ([k - 1 for k in side] for side in rec.support)
-            checked = determinant(shifted.a.submatrix(rows, cols)) * determinant(
-                shifted.b.submatrix(rows, cols))
+            checked = determinant(submatrix(shifted.a, rows, cols)) * determinant(
+                submatrix(shifted.b, rows, cols))
             reference = [naive_determinant(Matrix([[mat[i][j] for j in cols] for i in rows]))
                          for mat in (a_pos, b_pos)]
             assert sign(checked) == sign(reference[0] * reference[1]) != 0
+            classic = (-1) ** (len(rows) + 1) * sign(checked)
+            assert index_of(game, rec, Crossing((), (), classic)) == classic
             answers += 1
             for side in (0, 1):
                 vec = list((p.x, p.y)[side])
@@ -201,7 +208,7 @@ def test_decompose_rank1_agrees_with_the_rank_k_peel():
     ranks = []
     for _ in range(60):
         m, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 2)
-        s = Matrix.zero(m, n)
+        s = zero_matrix(m, n)
         for _ in range(k):
             s = s + Matrix.outer([rng.choice((0, 0, 1, -2, 3)) for _ in range(m)],
                                  [rng.choice((0, 1, -1, 2)) for _ in range(n)])

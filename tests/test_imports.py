@@ -2,8 +2,9 @@
 package imports only the standard library and itself, every function, class
 and method the package defines is named somewhere else, and in the package
 itself but for a pinned list of test-only ones, no module checks with an
-assert statement, which python -O strips, and every name README gives as a
-library entry point exists (no linter ships here)."""
+assert statement, which python -O strips, every name README gives as a
+library entry point exists, and its entry-point example runs and prints
+what it shows (no linter ships here)."""
 import ast
 import importlib
 import re
@@ -103,8 +104,9 @@ def _definitions(tree: ast.Module) -> list[str]:
 
 
 def _mentions(tree: ast.Module) -> set[str]:
-    """Names, attributes, imported names and the words of every string but a
-    docstring."""
+    """Names, attributes, imported names, and the parts of every string but a
+    docstring that is one name or a dotted path, as getattr and the bench
+    tracer's targets spell them; the words of a prose string are no use."""
     docstrings = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
     found = set()
     for node in ast.walk(tree):
@@ -115,8 +117,8 @@ def _mentions(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.alias):
             found.update(re.findall(r"\w+", node.name))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if id(node) not in docstrings:
-                found.update(re.findall(r"\w+", node.value))
+            if id(node) not in docstrings and re.fullmatch(r"[\w.]+", node.value):
+                found.update(node.value.split("."))
     return found
 
 
@@ -126,14 +128,20 @@ def test_finds_an_unnamed_definition():
         "    def used(self):\n"
         "        return getattr(self, 'by_string')\n"
         "    def by_string(self):\n"
-        "        pass\n"
+        "        raise ValueError('in_prose in an error text is no use')\n"
         "    def x_of(self):\n"
         "        'x_of in a docstring is no use'\n"
+        "    def in_prose(self):\n"
+        "        pass\n"
+        "    def traced(self):\n"
+        "        pass\n"
         "def f():\n"
-        "    return A().used\n"
+        "    return A().used, 'mod.A.traced'\n"
     )
     mentioned = _mentions(tree)
-    assert [name for name in _definitions(tree) if name not in mentioned] == ["x_of", "f"]
+    assert [name for name in _definitions(tree) if name not in mentioned] == [
+        "x_of", "in_prose", "f",
+    ]
 
 
 def _unnamed(definers: dict[str, ast.Module], trees: Iterable[ast.Module]) -> list[str]:
@@ -226,3 +234,15 @@ def test_finds_an_unresolved_readme_name():
 def test_readme_entry_points_exist():
     prose = _prose((ROOT / "README.md").read_text(), "Library entry points")
     assert _unresolved(prose) == []
+
+
+def test_readme_entry_points_example_runs_and_prints_what_it_shows(capsys):
+    # The block's trailing comment lines are the output it shows.
+    body = (ROOT / "README.md").read_text().split("\n## Library entry points\n", 1)[1]
+    (block,) = re.findall(r"```python\n(.*?)```", body.split("\n## ", 1)[0], flags=re.S)
+    code, shown = block.rstrip("\n"), []
+    while code.splitlines()[-1].startswith("# "):
+        code, last = code.rsplit("\n", 1)
+        shown.insert(0, last[2:])
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown != []

@@ -17,7 +17,6 @@ from rankgames.labeledpath import (
     W_FIXED,
     _tight_determinant,
     export_lines,
-    g_value,
     make_node,
     node_sign,
     step,
@@ -37,6 +36,7 @@ from fixtures import (
     EX1_PATH_P_VERTICES,
     ex1_family,
     full_node_sign,
+    g_value,
     nondegenerate_rank1_fixtures,
     ray_anchors,
     random_rank1,

@@ -6,10 +6,16 @@ import pytest
 from rankgames.errors import NotEquilibrium, TooLarge
 from rankgames.games import BimatrixGame, verify_equilibrium
 from rankgames.linalg import Matrix
-from rankgames.oracle import fully_labeled_pairs, support_enumeration, zero_sum_solve
+from rankgames.oracle import fully_labeled_pairs, support_enumeration
 from rankgames.polytope import GameFamily
 
-from fixtures import MATCHING_PENNIES, R1B, nondegenerate_rank1_fixtures
+from fixtures import (
+    MATCHING_PENNIES,
+    R1B,
+    nondegenerate_rank1_fixtures,
+    zero_matrix,
+    zero_sum_solve,
+)
 
 
 def test_matching_pennies_unique_mixed():
@@ -48,7 +54,7 @@ def test_all_outputs_verify_and_counts_are_odd():
 
 
 def test_size_guard():
-    big = BimatrixGame(Matrix.zero(7, 3).shift(1), Matrix.zero(7, 3).shift(2))
+    big = BimatrixGame(zero_matrix(7, 3).shift(1), zero_matrix(7, 3).shift(2))
     with pytest.raises(TooLarge):
         support_enumeration(big)
 
@@ -71,7 +77,7 @@ def test_fully_labeled_pairs_1x1_has_no_vertex_pairs():
 
 
 def test_fully_labeled_pairs_guard():
-    a = Matrix.zero(5, 5).shift(1)
+    a = zero_matrix(5, 5).shift(1)
     with pytest.raises(TooLarge):
         fully_labeled_pairs(GameFamily(a, a.scale(-1), (1, 2, 3, 4, 5)))
 
@@ -109,8 +115,8 @@ def test_zero_sum_duality_on_random_matrices():
 
 def test_zero_sum_solve_raises_when_verification_fails(monkeypatch):
     # The check is a raise, not an assert, so it also holds under python -O.
-    import rankgames.oracle as oracle
+    import fixtures
 
-    monkeypatch.setattr(oracle, "verify_equilibrium", lambda game, profile: False)
+    monkeypatch.setattr(fixtures, "verify_equilibrium", lambda game, profile: False)
     with pytest.raises(NotEquilibrium):
         zero_sum_solve(Matrix([[1, -1], [-1, 1]]))

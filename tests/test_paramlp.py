@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -1247,19 +1248,50 @@ def test_fixed_point_eval_piecewise_linear_probe(k2):
     assert seen_affine >= 8  # tiny steps stay within one piece almost always
 
 
+def _large_rank1_draws():
+    """The first large rank-1 draw at 16x16 and at 32x32: ``random_rank1``
+    of a fresh random.Random(11) with entries in -99..99, gamma in -20..20
+    and beta in 1..50."""
+    for s in (16, 32):
+        yield random_rank1(random.Random(11), s, s, span=99, gamma_span=20, beta_span=50)
+
+
+def _run_kernel_corpora():
+    """Every section of the section corpus, the 60 rank-k draws' cell walks,
+    the small-entry yardstick's walks, and ``bin_search`` and
+    ``enumerate_rank1`` on the large draws; a degeneracy is passed over."""
+    import rankgames.algorithms as algorithms
+    import rankgames.paramlp as paramlp
+
+    for _, fam, *_, delta in section_corpus():
+        try:
+            paramlp._section(fam, delta)
+        except DegeneracyError:
+            pass
+    for fam, gammas in _rank_k_corpus():
+        try:
+            algorithms.fixed_point_search(fam, gammas)
+        except DegeneracyError:
+            pass
+    for _ in _yardstick_walks():
+        pass
+    for d in _large_rank1_draws():
+        algorithms.bin_search(d)
+        algorithms.enumerate_rank1(d)
+
+
 def test_every_kernel_division_is_exact(monkeypatch):
     # Every entry of a fraction-free pivot and of a Bareiss determinant is a
     # subdeterminant of the starting integer rows, so each // divides
     # exactly. Checked copies of linalg.exchange_pivot and of
     # integer_determinant's Bareiss loop assert it, patched in wherever the
     # package binds them, over the section corpus, the 60 rank-k draws'
-    # cell walks and the small-entry yardstick's walks. Each call also runs
-    # the kernel on a copy of its rows, and both must give the same rows.
+    # cell walks, the small-entry yardstick's walks and the large draws'
+    # solves. Each call also runs the kernel on a copy of its rows, and both
+    # must give the same rows.
     import sys
 
-    import rankgames.algorithms as algorithms
     import rankgames.linalg as linalg
-    import rankgames.paramlp as paramlp
 
     real = {"exchange_pivot": linalg.exchange_pivot,
             "integer_determinant": linalg.integer_determinant}
@@ -1286,17 +1318,40 @@ def test_every_kernel_division_is_exact(monkeypatch):
             for attr, spy in spies.items():
                 if vars(module).get(attr) is real[attr]:
                     monkeypatch.setattr(module, attr, spy)
-    for _, fam, *_, delta in section_corpus():
-        try:
-            paramlp._section(fam, delta)
-        except DegeneracyError:
-            pass
-    for fam, gammas in _rank_k_corpus():
-        try:
-            algorithms.fixed_point_search(fam, gammas)
-        except DegeneracyError:
-            pass
-    for _ in _yardstick_walks():
-        pass
-    # The three corpora take 7,872 pivots and 919 determinants.
+    _run_kernel_corpora()
+    # The three small corpora take 7,872 pivots and 919 determinants.
     assert calls["exchange_pivot"] > 5000 and calls["integer_determinant"] > 500
+
+
+def test_every_tableau_denominator_is_within_the_hadamard_bound(monkeypatch):
+    # A tableau's denominator is |det| of its basis rows over the z columns:
+    # d of the polytope's integer rows. So Hadamard's inequality bounds its
+    # square by the product of the d largest squared norms of those rows
+    # over the z columns, the polynomial size of a vertex that the paper's
+    # bound rests on. Every tableau that a build or a pivot makes is
+    # compared with it in integers, over the corpora of the exact-division
+    # test.
+    bounds, bits = {}, []
+
+    def check(poly, tab):
+        if poly not in bounds:
+            norms = sorted((sum(x * x for x in row[: poly.dim]) for row in poly.int_rows),
+                           reverse=True)
+            bounds[poly] = prod(norms[: poly.dim])
+        assert tab.denom ** 2 <= bounds[poly]
+        bits.append(tab.denom.bit_length())
+        return tab
+
+    real_build, real_pivot = Polytope._basis_tableau, Polytope._pivot_to
+    monkeypatch.setattr(Polytope, "_basis_tableau",
+                        lambda self, basis: check(self, real_build(self, basis)))
+
+    def pivot_to(self, *args):
+        vertex = real_pivot(self, *args)
+        check(self, vertex.tableau)
+        return vertex
+
+    monkeypatch.setattr(Polytope, "_pivot_to", pivot_to)
+    _run_kernel_corpora()
+    # 2,769 tableaux; the largest denominator has 145 bits, on the 32x32 draw.
+    assert len(bits) > 2000 and max(bits) > 100
