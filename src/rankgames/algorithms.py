@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from math import factorial
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -29,7 +30,7 @@ from .games import (
     MixedProfile,
     Rank1Decomposition,
     default_beta,
-    integerize,
+    integer_scale,
     make_record,
     reduce_constant_beta,
     verify_equilibrium,
@@ -61,8 +62,8 @@ from .polytope import GameFamily, Vertex
 class BinSearchReport:
     equilibrium: EquilibriumRecord
     iterations: int  # midpoint probes inside the loop
-    bound_k: int  # proven iteration bound for the integerized instance
-    history: tuple[tuple[Rat, Rat], ...]  # (a1, a2) after each loop step
+    bound_k: int  # proven iteration bound, from the integerized instance's integers
+    history: tuple[tuple[Rat, Rat], ...]  # (a1, a2) in the input's lambda after each loop step
 
 
 def _ceil_log2(n: int) -> int:
@@ -144,20 +145,34 @@ def rank1_family(d: Rank1Decomposition) -> tuple[Rank1Decomposition, GameFamily]
     return d, GameFamily(d.a, d.a.scale(-1), d.beta)
 
 
+def _better_start(family: GameFamily, delta: Rat, low: Vertex, high: Vertex) -> Vertex:
+    """Of the optima of the bracket ends, the one whose section objective at
+    lambda = delta is larger; a tie goes to ``low``. At a vertex of P the
+    objective is one integer dot of its ``integer_objective`` row with the
+    vertex's numerators (``Vertex.numerators``), over D times their
+    denominator, so the two are compared by cross-multiplication."""
+    row = integer_objective(family.int_betas, (delta,)).row
+    (lo, lo_den), (hi, hi_den) = low.numerators(), high.numerators()
+    return high if sum(map(mul, row, hi)) * lo_den > sum(map(mul, row, lo)) * hi_den else low
+
+
 def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     """Binary search on the path's lambda coordinate for one equilibrium.
 
-    Works on the integerized copy (equilibria are scale-invariant); the
-    iteration cap comes from the vertex-denominator bound. Constant beta is
-    reduced away first; with constant gamma the bound is 0 and the low probe
-    must find the equilibrium.
+    Probes d's own family. The iteration cap comes from the
+    vertex-denominator bound of the integerized copy (a c^2, gamma c, beta
+    c), read off c alone: that copy maps each section onto a scaled one, so
+    it has the same optima and crossings. Each midpoint probe starts at the
+    optimum of the bracket end with the larger section objective there.
+    Constant beta is reduced away first; with constant gamma the bound is 0
+    and the low probe must find the equilibrium.
     """
     game = d.game()
     if (rec := _trivial_single_strategy(game, "bin-search")) is not None:
         return BinSearchReport(rec, 0, 0, ())
 
-    di, family = rank1_family(integerize(d)[0])
-    gamma = di.gamma
+    run, family = rank1_family(d)
+    gamma = run.gamma
     g_min, g_max = min(gamma), max(gamma)
 
     def report_for(crossing: Crossing, iters: int, bound: int, hist) -> BinSearchReport:
@@ -166,9 +181,10 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
         rec = _finalize(game, crossing, "bin-search")
         return BinSearchReport(rec, iters, bound, tuple(hist))
 
-    b_max = max(di.a.max_abs(), max(abs(b) for b in di.beta), max(abs(g) for g in gamma))
+    c = integer_scale(d)
+    b_max = max(run.a.max_abs() * c * c, max(map(abs, run.beta)) * c, max(map(abs, gamma)) * c)
     delta_bound = factorial(game.m + 2) * int(b_max) ** (game.m + 2)
-    bound_k = _ceil_log2(delta_bound * delta_bound * int(g_max - g_min))
+    bound_k = _ceil_log2(delta_bound * delta_bound * int((g_max - g_min) * c))
 
     h = Hyperplane(gamma)
     low = is_ne(family, h, g_min)
@@ -188,19 +204,18 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     # probe that hits one is above just before its lambda and becomes a2. The
     # invariant is the one the bound's proof uses, so bound_k still holds.
     a1, a2 = g_min, g_max
+    v1, v2 = low.optimum, high.optimum  # the section optima at a1 and a2
     history: list[tuple[Rat, Rat]] = []
-    start = high.optimum
     for it in range(1, bound_k + 2):
         a = (a1 + a2) / 2
-        out = is_ne(family, h, a, start)
+        out = is_ne(family, h, a, _better_start(family, a, v1, v2))
         if out.kind == "found" and out.crossing.orient_index == 1:
             return report_for(out.crossing, it, bound_k, history)
         if out.kind == "below":
-            a1 = a
+            a1, v1 = a, out.optimum
         else:
-            a2 = a
+            a2, v2 = a, out.optimum
         history.append((a1, a2))
-        start = out.optimum
     raise IterationCapExceeded(f"no equilibrium within {bound_k + 1} probes")
 
 
@@ -292,18 +307,24 @@ def homeo_inverse(family: GameFamily, alpha_prime: Sequence[Fraction]) -> tuple[
     parameter: the point is solved there when the edge spans g*, and else
     the bracket end on g*'s side moves to the edge's end nearest g*. So a
     g* on an edge of constant lambda (moving in P) is probed where the two
-    ends meet. The row weights solve the remaining affine system, and the
-    answer is verified exactly.
+    ends meet. Each unanswered probe thus moves the bracket past its edge,
+    and a probe that lands on an edge probed before raises. The row weights
+    solve the remaining affine system, and the answer is verified exactly.
     """
     if not family.minus_a:
         raise RankGamesError("homeomorphism maps are defined on families with c = -a")
     alpha_prime = vector(alpha_prime)
     target, m = alpha_prime[0], family.m
     lo, hi = target - max(family.beta), target - min(family.beta)
-    start, budget = None, step_budget(m, family.n)
+    start, budget, probed = None, step_budget(m, family.n), set()
     for _ in range(budget):  # each probe lands on a path edge not seen before
-        sec = solve_lp_delta(family, (lo + hi) / 2, start)
+        mid = (lo + hi) / 2
+        sec = solve_lp_delta(family, mid, start)
         edge, start = sec.edge, sec.v
+        if edge.key() in probed:
+            raise RankGamesError(f"probe at lambda = {mid} repeats a path edge: "
+                                 "the bracket did not shrink")
+        probed.add(edge.key())
         g0 = g_at(family, *edge.point_at(0))  # g is affine along the edge
         dg = g_at(family, *edge.point_at(1)) - g0
         if dg == 0:

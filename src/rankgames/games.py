@@ -155,7 +155,15 @@ class Rank1Decomposition:
     beta: Vec
 
     def game(self) -> BimatrixGame:
-        return family_game(self.a, -self.a, (self.gamma,), (self.beta,))
+        """The game (a, -a + gamma . beta^T), built in one pass over a's
+        integer rows and the integers of gamma and beta."""
+        (gs, gq), (bs, bq) = integers(self.gamma), integers(self.beta)
+        rows, qa = self.a.int_rows, self.a.denom
+        q = lcm(qa, gq * bq)
+        fa, fg = q // qa, q // (gq * bq)
+        gs = [g * fg for g in gs]
+        b = [[g * y - fa * x for x, y in zip(row, bs)] for row, g in zip(rows, gs)]
+        return BimatrixGame(self.a, Matrix._of_ints(b, q))
 
 
 @dataclass(frozen=True)
@@ -230,13 +238,20 @@ def decompose_rank_k(game: BimatrixGame) -> RankKDecomposition:
     return RankKDecomposition(game.a, tuple(gammas), tuple(betas))
 
 
+def integer_scale(d: Rank1Decomposition) -> int:
+    """The c that ``integerize`` scales by: the lcm of a's denominator and
+    every denominator of gamma and beta, so a*c^2, gamma*c and beta*c are
+    integers."""
+    return lcm(d.a.denom, *(x.denominator for x in d.gamma), *(x.denominator for x in d.beta))
+
+
 def integerize(d: Rank1Decomposition) -> tuple[Rank1Decomposition, Rat]:
-    """Clear denominators: a*c^2, gamma*c, beta*c with c the global LCM.
+    """Clear denominators: a*c^2, gamma*c, beta*c with c = ``integer_scale(d)``.
 
     Scales both payoff matrices by c^2, which leaves the equilibrium set
     untouched; returns the scale c^2.
     """
-    c = lcm(d.a.denom, *(x.denominator for x in d.gamma), *(x.denominator for x in d.beta))
+    c = integer_scale(d)
     scaled = Rank1Decomposition(
         d.a.scale(c * c),
         tuple(g * c for g in d.gamma),

@@ -3,7 +3,7 @@
 The section LP at a parameter value is a primal walk on the row polytope's own
 tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot`` by Bland's rule
 where every improving pivot is degenerate), from the best pure vertex or from
-a vertex the caller gives, such as the previous probe's optimum, which carries
+a vertex the caller gives, such as an earlier probe's optimum, which carries
 its tableau. At each vertex the walk reads two kinds of row off P's integer
 tableau (``polytope.Tableau``), as lrsnash keeps its cost row: beta_l . y for
 each beta, and pi1's own z row (``section_rows``). Their entries in the
@@ -251,7 +251,7 @@ def _section_walk(p: Polytope, betas: IntBetas, objective: Objective,
     ``integer_objective`` is ``objective``, by a primal walk on P's tableau,
     with its rows.
 
-    The walk starts at ``start``, a vertex of P such as the previous probe's
+    The walk starts at ``start``, a vertex of P such as an earlier probe's
     optimum, whose tableau it reuses; without one, at the best pure vertex. It
     relaxes the lowest basis label of positive rate whose pivot is
     nondegenerate (a strict gain), else takes the simplex pivot on the lowest
@@ -471,7 +471,7 @@ def is_ne(family: GameFamily, h: Hyperplane, delta,
     """Probe one lambda value against the selection hyperplane ``h``
     (``Hyperplane(gamma)``, built once per search): the crossing on the
     containing edge, or its side, with the section's optimum. The section
-    walk starts at ``start``, a vertex of the family's P such as the previous
+    walk starts at ``start``, a vertex of the family's P such as an earlier
     probe's optimum, when given."""
     sec = solve_lp_delta(family, delta, start)
     kind, hit = _analyze_edge(sec.edge, h)

@@ -23,6 +23,7 @@ from rankgames.games import (
     BimatrixGame,
     MixedProfile,
     Rank1Decomposition,
+    decompose_rank1,
     make_record,
     verify_equilibrium,
 )
@@ -615,6 +616,30 @@ def random_rank1(rng: random.Random, m: int, n: int, span: int = 9,
         if len(set(beta)) == 1:
             continue
         return Rank1Decomposition(a, gamma, beta)
+
+
+WIDE_SPANS = dict(span=99, gamma_span=20, beta_span=50)
+
+
+def cli_rank1_draws(*tags: str) -> list[tuple[str, Rank1Decomposition]]:
+    """(tag, decomposition) of rank-1 draws as the CLI decomposes them,
+    ``decompose_rank1`` of the game, which makes gamma fractional. The tags:
+    "yardstick", the 200 small-entry games random_rank1(random.Random(77),
+    s, s, span=2, gamma_span=1, beta_span=3) with s cycling 3, 4, 5;
+    "wide", 60 draws of random.Random(2024) with the wide spans and s
+    cycling 4, 4, 5; "large", the first draw at 16x16 and at 32x32, each of
+    a fresh random.Random(11) with the wide spans."""
+    draws = []
+    if "yardstick" in tags:
+        rng = random.Random(77)
+        draws += [("yardstick", random_rank1(rng, s, s, span=2, gamma_span=1, beta_span=3))
+                  for s in (3, 4, 5) * 66 + (3, 4)]
+    if "wide" in tags:
+        rng = random.Random(2024)
+        draws += [("wide", random_rank1(rng, s, s, **WIDE_SPANS)) for s in (4, 4, 5) * 20]
+    if "large" in tags:
+        draws += [("large", random_rank1(random.Random(11), s, s, **WIDE_SPANS)) for s in (16, 32)]
+    return [(tag, decompose_rank1(d.game())) for tag, d in draws]
 
 
 def random_rank_k(rng: random.Random, k: int, m: int, n: int):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,6 +56,7 @@ from fixtures import (
     R1B,
     R1B_NE_KEYS,
     R1C,
+    cli_rank1_draws,
     ex1_family,
     nondegenerate_rank1_fixtures,
     random_general_games,
@@ -184,7 +186,7 @@ def test_bin_search_within_its_bound_at_12x12_and_16x16():
 
 def test_bin_search_builds_one_start_tableau_per_game(monkeypatch):
     # Only the low probe starts cold, at a pure vertex whose tableau it
-    # builds; every later probe starts at the previous probe's optimum, which
+    # builds; every later probe starts at an earlier probe's optimum, which
     # carries its tableau.
     from rankgames.polytope import Polytope
 
@@ -204,6 +206,104 @@ def test_bin_search_builds_one_start_tableau_per_game(monkeypatch):
         probes += bin_search(d).iterations
         assert len(builds) == 1
     assert probes > 0
+
+
+def _bin_search_outcome(d):
+    """bin_search's report on d, or its error's class and message."""
+    try:
+        return bin_search(d)
+    except RankGamesError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _integerized_bound_k(d) -> int:
+    """bound_k as read off the integerized copy (a c^2, gamma c, beta c)."""
+    from math import factorial
+
+    from rankgames.algorithms import _ceil_log2, rank1_family
+
+    di, _ = rank1_family(integerize(d)[0])
+    b_max = max(di.a.max_abs(), max(map(abs, di.beta)), max(map(abs, di.gamma)))
+    delta_bound = factorial(di.a.rows + 2) * int(b_max) ** (di.a.rows + 2)
+    return _ceil_log2(delta_bound * delta_bound * int(max(di.gamma) - min(di.gamma)))
+
+
+def test_bin_search_probes_the_input_family_and_builds_no_integerized_copy(monkeypatch):
+    # On the yardstick, the wide draws and the large draws, as the CLI
+    # decomposes them, bin_search builds one family, on d's own a and beta,
+    # and no integerized copy, though on the wide and large draws gamma is
+    # fractional, so the integerizing scale c exceeds 1. Its bound_k, read
+    # off c alone, equals the integerized copy's, and its history is in d's
+    # own lambda: the last bracket holds gamma . x of the answer.
+    import sys
+
+    import rankgames.algorithms as algorithms
+    import rankgames.games as games
+
+    built, integerized = [], []
+    real_family, real_integerize = algorithms.GameFamily, games.integerize
+    monkeypatch.setattr(algorithms, "GameFamily",
+                        lambda *args: built.append(real_family(*args)) or built[-1])
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rankgames" and vars(module).get("integerize") is real_integerize:
+            monkeypatch.setattr(module, "integerize",
+                                lambda d: integerized.append(d) or real_integerize(d))
+    solved, scaled, brackets = Counter(), 0, 0
+    for tag, d in cli_rank1_draws("yardstick", "wide", "large"):
+        built.clear()
+        report = _bin_search_outcome(d)
+        (family,) = built
+        assert family.a == d.a and family.beta == d.beta
+        if isinstance(report, tuple):
+            continue
+        assert report.bound_k == _integerized_bound_k(d)
+        solved[tag] += 1
+        scaled += integerize(d)[1] > 1
+        if report.history:
+            a1, a2 = report.history[-1]
+            assert a1 <= vdot(d.gamma, report.equilibrium.profile.x) <= a2
+            brackets += 1
+    assert integerized == []
+    assert solved == {"yardstick": 62, "wide": 60, "large": 2}
+    assert scaled == 61 and brackets == 20
+
+
+def test_bin_search_better_end_starts_change_no_report(monkeypatch):
+    # The reference starts every probe after the low one at the previous
+    # probe's optimum. bin_search starts each midpoint probe at the bracket
+    # end with the larger section objective instead. The reports, or the
+    # errors, are equal on the yardstick, the wide draws and the large draws,
+    # as the CLI decomposes them; the starts differ on some probes, and the
+    # section walks take fewer pivots in all.
+    import rankgames.algorithms as algorithms
+    from rankgames.polytope import Polytope
+
+    real_is_ne, real_pivot = algorithms.is_ne, Polytope.pivot
+    previous, moved, pivots = [], [0], [0]
+
+    def previous_optimum_is_ne(family, h, delta, start=None):
+        if start is None:
+            previous.clear()
+        else:
+            moved[0] += start is not previous[-1]
+            start = previous[-1]
+        out = real_is_ne(family, h, delta, start)
+        previous.append(out.optimum)
+        return out
+
+    def counted_pivot(self, v, relax):
+        pivots[0] += 1
+        return real_pivot(self, v, relax)
+
+    monkeypatch.setattr(Polytope, "pivot", counted_pivot)
+    draws = cli_rank1_draws("yardstick", "wide", "large")
+    ours = [_bin_search_outcome(d) for _, d in draws]
+    our_pivots, pivots[0] = pivots[0], 0
+    monkeypatch.setattr(algorithms, "is_ne", previous_optimum_is_ne)
+    reference = [_bin_search_outcome(d) for _, d in draws]
+    assert ours == reference
+    assert moved[0] > 0 and our_pivots < pivots[0]
+    assert sum(not isinstance(out, tuple) for out in ours) > 100
 
 
 # --------------------------------------------------------------- enumeration
@@ -531,6 +631,49 @@ def test_homeo_inverse_probes_sections_and_never_walks_the_path(monkeypatch, r1a
         assert homeo_forward(r1a_family, (alpha,), profile)[0] == alpha_prime
         assert 1 <= len(probes) <= step_budget(3, 3)
     assert walks == []
+
+
+def test_homeo_inverse_raises_at_the_first_probe_that_repeats_an_edge(r1a_family, r1a_trace):
+    # A mutant of the inverse whose bracket end moves only to the probe
+    # point, not to the probed edge's lambda end, never reaches a target on
+    # an edge of constant lambda: it probes the edges beside it in turn, and
+    # without the check it probes on to step_budget (700 at 3x3). The
+    # inverse raises at the first probe that lands on an edge probed before.
+    # Targets: the middles of the path's bounded edges of constant lambda.
+    import inspect
+    import textwrap
+
+    import rankgames.algorithms as algorithms
+    from rankgames.labeledpath import W_FIXED, g_at
+
+    source = textwrap.dedent(inspect.getsource(algorithms.homeo_inverse))
+    assert source.count("hi = w_coords[m]") == source.count("lo = w_coords[m]") == 1
+    mutant_source = source.replace("hi = w_coords[m]", "hi = mid").replace(
+        "lo = w_coords[m]", "lo = mid")
+    keys = []
+
+    def probe(*args):
+        sec = algorithms.solve_lp_delta(*args)
+        keys.append(sec.edge.key())
+        return sec
+
+    namespace = {**vars(algorithms), "solve_lp_delta": probe}
+    exec(mutant_source, namespace)
+    mutant = namespace["homeo_inverse"]
+    targets = []
+    for edge in r1a_trace.edges:
+        if edge.kind == W_FIXED and edge.moving.t_max is not None:
+            ends = (g_at(r1a_family, *edge.point_at(t)) for t in (0, edge.moving.t_max))
+            targets.append((sum(ends) / 2, Fraction(0), Fraction(0)))
+    assert len(targets) == 3
+    for alpha_prime in targets:
+        alpha, profile = homeo_inverse(r1a_family, alpha_prime)
+        assert homeo_forward(r1a_family, (alpha,), profile)[0] == alpha_prime
+        keys.clear()
+        with pytest.raises(RankGamesError, match="repeats a path edge"):
+            mutant(r1a_family, alpha_prime)
+        assert keys[-1] in keys[:-1] and len(set(keys)) == len(keys) - 1
+        assert len(keys) < 20
 
 
 def test_homeo_inverse_round_trips_bin_search_where_beta_has_tied_ends():

@@ -42,6 +42,7 @@ from fixtures import (
     R1C,
     checked_exchange_pivot,
     checked_integer_determinant,
+    cli_rank1_draws,
     column_dots,
     fraction_lifted_section,
     full_basis_tableau,
@@ -719,7 +720,7 @@ def test_probes_below_or_above_build_no_edge_data_and_no_fraction_point(monkeypa
         bin_search(random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50))
     bin_search(R1C)
     assert dict(counts) == {("below", V_FIXED): 45, ("above", V_FIXED): 33,
-                            ("below", W_FIXED): 1, "walk pivots": 177}
+                            ("below", W_FIXED): 1, "walk pivots": 149}
 
 
 def _section_breakpoints(fam) -> list[Fraction]:
@@ -1259,7 +1260,9 @@ def _large_rank1_draws():
 def _run_kernel_corpora():
     """Every section of the section corpus, the 60 rank-k draws' cell walks,
     the small-entry yardstick's walks, and ``bin_search`` and
-    ``enumerate_rank1`` on the large draws; a degeneracy is passed over."""
+    ``enumerate_rank1`` on the large draws, and on the large draws and the
+    yardstick's rank-1 games as the CLI decomposes them (``cli_rank1_draws``:
+    gamma is fractional on the large ones); a degeneracy is passed over."""
     import rankgames.algorithms as algorithms
     import rankgames.paramlp as paramlp
 
@@ -1278,6 +1281,12 @@ def _run_kernel_corpora():
     for d in _large_rank1_draws():
         algorithms.bin_search(d)
         algorithms.enumerate_rank1(d)
+    for _, d in cli_rank1_draws("large", "yardstick"):
+        for run in (algorithms.bin_search, algorithms.enumerate_rank1):
+            try:
+                run(d)
+            except DegeneracyError:
+                pass
 
 
 def test_every_kernel_division_is_exact(monkeypatch):
@@ -1286,8 +1295,9 @@ def test_every_kernel_division_is_exact(monkeypatch):
     # exactly. Checked copies of linalg.exchange_pivot and of
     # integer_determinant's Bareiss loop assert it, patched in wherever the
     # package binds them, over the section corpus, the 60 rank-k draws'
-    # cell walks, the small-entry yardstick's walks and the large draws'
-    # solves. Each call also runs the kernel on a copy of its rows, and both
+    # cell walks, the small-entry yardstick's walks and the solves of the
+    # large draws and the yardstick, as generated and as the CLI decomposes
+    # them. Each call also runs the kernel on a copy of its rows, and both
     # must give the same rows.
     import sys
 
@@ -1353,5 +1363,5 @@ def test_every_tableau_denominator_is_within_the_hadamard_bound(monkeypatch):
 
     monkeypatch.setattr(Polytope, "_pivot_to", pivot_to)
     _run_kernel_corpora()
-    # 2,769 tableaux; the largest denominator has 145 bits, on the 32x32 draw.
+    # 4,489 tableaux; the largest denominator has 148 bits.
     assert len(bits) > 2000 and max(bits) > 100
