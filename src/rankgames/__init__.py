@@ -23,7 +23,6 @@ from .games import (
     RankKDecomposition,
     decompose_rank1,
     decompose_rank_k,
-    integerize,
     positivity_shift,
     reduce_constant_beta,
     verify_equilibrium,

@@ -4,7 +4,10 @@ Binary search and full enumeration for rank-1 games, a path-following solver
 for arbitrary bimatrix games, equilibrium indices with a built-in cross-check,
 the forward/inverse homeomorphism maps, the exact rank-k fixed-point search
 (a breadth-first walk over the affine cells of the box map), and game-space
-region extraction.
+region extraction. A path walk reads each node's lifted point once, as
+integers: enumeration's lambda checks compare by cross-multiplication, and
+the crossing test (``paramlp.path_crossings``) takes the hyperplane's value
+there, so no node builds ``Fraction`` coordinates; only an answer does.
 """
 from __future__ import annotations
 
@@ -35,7 +38,16 @@ from .games import (
     reduce_constant_beta,
     verify_equilibrium,
 )
-from .labeledpath import V_FIXED, ComponentTrace, PathEdge, g_at, step_budget, trace_path, walk
+from .labeledpath import (
+    V_FIXED,
+    ComponentTrace,
+    PathEdge,
+    PathNode,
+    g_at,
+    step_budget,
+    trace_path,
+    walk,
+)
 from .linalg import Matrix, Rat, Vec, integer_determinant, sign, vdot, vector, vscale
 from .lp import EQ, LE, LinearProgram, solve_lp
 from .paramlp import (
@@ -44,12 +56,12 @@ from .paramlp import (
     Section,
     box_bounds,
     cell_rows,
-    crossing_records,
     improving_labels,
     integer_objective,
     is_ne,
     lifted_section,
     nondegenerate_far_end,
+    path_crossings,
     piece_fixed_point,
     section_rows,
     solve_lp_delta,
@@ -222,13 +234,21 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
 def _edges_until(family: GameFamily, start: PathEdge, lam_max: Rat) -> Iterator[PathEdge]:
     """The oriented path from ``start`` through the first edge whose head lambda
     exceeds ``lam_max``: lambda never decreases along the path, and every
-    equilibrium has lambda = gamma . x <= max gamma."""
+    equilibrium has lambda = gamma . x <= max gamma. Each node's lambda is
+    read off its lifted point's numerators (``Vertex.numerators``), and both
+    checks compare by cross-multiplication."""
+    m, top, top_den = family.m, lam_max.numerator, lam_max.denominator
+
+    def lam(node: PathNode) -> tuple[int, int]:
+        nums, den = node.w.numerators()
+        return nums[m], den
+
     for edge in chain([start], walk(family, start.head) if start.head is not None else ()):
-        ends = [family.lambda_of(u.w) for u in (edge.tail, edge.head) if u is not None]
-        if ends != sorted(ends):
+        ends = [lam(u) for u in (edge.tail, edge.head) if u is not None]
+        if len(ends) == 2 and ends[0][0] * ends[1][1] > ends[1][0] * ends[0][1]:
             raise RankGamesError("lambda decreases along the path")
         yield edge
-        if edge.head is not None and ends[-1] > lam_max:
+        if edge.head is not None and ends[-1][0] * top_den > top * ends[-1][1]:
             return
 
 
@@ -236,8 +256,7 @@ def _path_equilibria(
     game: BimatrixGame, gamma: Sequence[Fraction], edges: Iterable[PathEdge], provenance: str
 ) -> list[EquilibriumRecord]:
     """Hyperplane crossings of the edges, in path order, as answers on ``game``."""
-    h = Hyperplane(gamma)
-    crossings = [hit for edge in edges for hit in crossing_records(h, edge)]
+    crossings = list(path_crossings(Hyperplane(gamma), edges))
     if not crossings:
         raise RankGamesError("path walk found no equilibrium; theory guarantees one")
     return [_finalize(game, hit, provenance) for hit in crossings]

@@ -239,25 +239,10 @@ def decompose_rank_k(game: BimatrixGame) -> RankKDecomposition:
 
 
 def integer_scale(d: Rank1Decomposition) -> int:
-    """The c that ``integerize`` scales by: the lcm of a's denominator and
-    every denominator of gamma and beta, so a*c^2, gamma*c and beta*c are
-    integers."""
+    """The lcm of a's denominator and every denominator of gamma and beta:
+    the c for which a*c^2, gamma*c and beta*c are integers, as in the
+    integerized copy that ``algorithms.bin_search`` reads its bound off."""
     return lcm(d.a.denom, *(x.denominator for x in d.gamma), *(x.denominator for x in d.beta))
-
-
-def integerize(d: Rank1Decomposition) -> tuple[Rank1Decomposition, Rat]:
-    """Clear denominators: a*c^2, gamma*c, beta*c with c = ``integer_scale(d)``.
-
-    Scales both payoff matrices by c^2, which leaves the equilibrium set
-    untouched; returns the scale c^2.
-    """
-    c = integer_scale(d)
-    scaled = Rank1Decomposition(
-        d.a.scale(c * c),
-        tuple(g * c for g in d.gamma),
-        tuple(b * c for b in d.beta),
-    )
-    return scaled, Fraction(c * c)
 
 
 def reduce_constant_beta(d: Rank1Decomposition) -> Rank1Decomposition:

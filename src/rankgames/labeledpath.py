@@ -149,10 +149,10 @@ def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
 
 def make_node(family: GameFamily, v: Vertex, w: Vertex) -> PathNode:
     """Validate full labeling, find the duplicate, and attach the sign."""
-    union = v.labels | w.labels
-    full = frozenset(range(1, family.m + family.n + 1))
-    if union != full:
-        raise NotFullyLabeled(f"missing labels {sorted(full - union)}")
+    union, size = v.labels | w.labels, family.m + family.n
+    if len(union) != size:  # every label is one of 1..m+n
+        missing = [lab for lab in range(1, size + 1) if lab not in union]
+        raise NotFullyLabeled(f"missing labels {missing}")
     shared = v.labels & w.labels
     if len(shared) != 1:
         raise MultipleDuplicates(f"shared labels {sorted(shared)}")
@@ -242,16 +242,17 @@ def oriented_edge(
 
     Moving edges of type (v, E_v) point at their +1 node, edges of type
     (E_w, w) at their -1 node; rays put the infinite end opposite the single
-    bounding node.
+    bounding node. The polytopes' last blocks (``_block_determinant``) are
+    left as the head's, so the walk's first step from it takes one fresh
+    determinant.
     """
-    if kind == V_FIXED:
-        base_node = make_node(family, fixed, ed.base)
-        far_node = make_node(family, fixed, ed.far_end) if ed.far_end else None
-        head_sign = 1
-    else:
-        base_node = make_node(family, ed.base, fixed)
-        far_node = make_node(family, ed.far_end, fixed) if ed.far_end else None
-        head_sign = -1
+    def node(u: Vertex) -> PathNode:
+        return make_node(family, fixed, u) if kind == V_FIXED else make_node(family, u, fixed)
+
+    head_sign = 1 if kind == V_FIXED else -1
+    base_node = node(ed.base)
+    base_blocks = family.p.last_block, family.qp.last_block
+    far_node = node(ed.far_end) if ed.far_end else None
     if far_node is None:
         if base_node.sign == head_sign:
             return PathEdge(kind, fixed, ed, None, base_node, BACKWARD)
@@ -260,6 +261,7 @@ def oriented_edge(
         raise RankGamesError("edge endpoints share a sign; orientation broken")
     if far_node.sign == head_sign:
         return PathEdge(kind, fixed, ed, base_node, far_node, FORWARD)
+    family.p.last_block, family.qp.last_block = base_blocks
     return PathEdge(kind, fixed, ed, far_node, base_node, BACKWARD)
 
 

@@ -25,9 +25,13 @@ denominator, and a bounded one its length as an integer ratio, so the
 hyperplane's value and its rate are integer dots with the hyperplane's
 integer row and the hit is placed by cross-multiplication. A fixed vertex of
 Q' gives only a side: the sign of one integer dot with its point's
-numerators (``Vertex.numerators``). Every point is read off a tableau through
-``Tableau.z_column``, or kept as integers where no tableau is built: a
-tableau holds no row for a sign-constrained coordinate.
+numerators (``Vertex.numerators``). Along a path (``path_crossings``) that
+dot is taken once per node, and an edge whose two end values share one
+strict sign is skipped unread: only an edge with a zero or a sign change at
+its ends, or a ray, has its base point and direction read. Every point is
+read off a tableau through ``Tableau.z_column``, or kept as integers where
+no tableau is built: a tableau holds no row for a sign-constrained
+coordinate.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -464,6 +468,36 @@ def crossing_records(h: Hyperplane, edge: PathEdge) -> list[Crossing]:
     """
     kind, hit = _analyze_edge(edge, h)
     return [hit] if kind == "point" else []
+
+
+def path_crossings(h: Hyperplane, edges: Iterable[PathEdge]) -> Iterator[Crossing]:
+    """The hyperplane's crossings strictly inside the edges, in their order.
+
+    The hyperplane's value is taken once at each node (``_h_at`` on its
+    lifted point): an edge's head is the next edge's tail, and a W-fixed
+    edge's two nodes share its fixed w. The value is affine along an edge,
+    so where it has one strict sign at both ends the edge has no hit and
+    ``_analyze_edge`` would raise nothing; such an edge is skipped, and
+    neither its base point nor its direction is read. An edge with a zero
+    or a sign change at its ends, and a ray, goes through
+    ``crossing_records``, so every crossing, index and error is its.
+    """
+    seen = (None, 0)  # the last node valued, and its value
+    for edge in edges:
+        ends = []
+        for node in (edge.tail, edge.head):
+            if node is None:
+                continue
+            if node is seen[0]:
+                value = seen[1]
+            elif ends and edge.kind == W_FIXED:
+                value = ends[0]
+            else:
+                value = _h_at(h, node.w)
+            ends.append(value)
+            seen = (node, value)
+        if len(ends) < 2 or ends[0] * ends[1] <= 0:
+            yield from crossing_records(h, edge)
 
 
 def is_ne(family: GameFamily, h: Hyperplane, delta,

@@ -168,7 +168,9 @@ class Vertex:
     first used. A vertex made in integers without a tableau (the ends of
     ``paramlp.section_edge``, a section's lifted point) holds its point as
     ``integer_point``, integers over one positive denominator, and its
-    ``coords`` are read off those.
+    ``coords`` are read off those. A vertex with a tableau reads its
+    ``integer_point`` off it when first used: the rhs of its z rows over
+    ``denom``.
     """
 
     coords: Vec = ReadOff(lambda v: rationals(*v.numerators()))
@@ -176,13 +178,14 @@ class Vertex:
     labels: frozenset[int]
     tableau: Optional[Tableau] = field(default=None, compare=False, repr=False)
     integer_point: Optional[tuple[Sequence[int], int]] = field(
-        default=None, compare=False, repr=False)
+        default=ReadOff(lambda v: None if v.tableau is None
+                        else (v.tableau.z_column(-1), v.tableau.denom)),
+        compare=False, repr=False)
 
     def numerators(self) -> tuple[Sequence[int], int]:
-        """The point as integers over one positive denominator: the rhs of
-        its tableau's z rows over ``denom``, else ``integer_point``."""
-        tab = self.tableau
-        return self.integer_point if tab is None else (tab.z_column(-1), tab.denom)
+        """The point as integers over one positive denominator
+        (``integer_point``), read once."""
+        return self.integer_point
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,14 @@ from rankgames.errors import (
     NotEquilibrium,
     RankGamesError,
     Singular,
+    TooLarge,
 )
 from rankgames.games import (
     BimatrixGame,
     MixedProfile,
     Rank1Decomposition,
     decompose_rank1,
+    integer_scale,
     make_record,
     verify_equilibrium,
 )
@@ -42,7 +44,14 @@ from rankgames.linalg import (
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
 from rankgames.labeledpath import FORWARD, W_FIXED, g_at, trace_path
 from rankgames.paramlp import Crossing, Hyperplane
-from rankgames.polytope import GameFamily, Polytope, Tableau, _edge_column, enumerate_vertices
+from rankgames.polytope import (
+    GameFamily,
+    Polytope,
+    Tableau,
+    _edge_column,
+    build_p,
+    enumerate_vertices,
+)
 
 # Worked example: a game family whose fully-labeled set is a path plus one
 # 3-cycle. Derived path vertices (exact): ((0,1,0),9) -> ((2/11,9/11,0),81/11)
@@ -621,6 +630,23 @@ def random_rank1(rng: random.Random, m: int, n: int, span: int = 9,
 WIDE_SPANS = dict(span=99, gamma_span=20, beta_span=50)
 
 
+def integerize(d: Rank1Decomposition) -> tuple[Rank1Decomposition, Fraction]:
+    """Clear denominators: a*c^2, gamma*c, beta*c with c =
+    ``games.integer_scale(d)``, the copy whose integers ``bin_search``'s
+    bound is proved on.
+
+    Scales both payoff matrices by c^2, which leaves the equilibrium set
+    untouched; returns the scale c^2.
+    """
+    c = integer_scale(d)
+    scaled = Rank1Decomposition(
+        d.a.scale(c * c),
+        tuple(g * c for g in d.gamma),
+        tuple(b * c for b in d.beta),
+    )
+    return scaled, Fraction(c * c)
+
+
 def cli_rank1_draws(*tags: str) -> list[tuple[str, Rank1Decomposition]]:
     """(tag, decomposition) of rank-1 draws as the CLI decomposes them,
     ``decompose_rank1`` of the game, which makes gamma fractional. The tags:
@@ -753,6 +779,34 @@ def zero_sum_solve(a: Matrix):
     if not verify_equilibrium(game, profile):
         raise NotEquilibrium("minimax strategies failed verification")
     return make_record(game, profile, "zero-sum-lp")
+
+
+def extreme_equilibria(game: BimatrixGame, guard: int = 6) -> list:
+    """Every extreme equilibrium of the game, as verified records in (x, y)
+    order: the completely labeled pairs of a vertex of ``build_p(A)``, over
+    (y, pi1), and one of ``build_p(B^T)``, over (x, pi2), as lrsnash lists
+    them (von Stengel 2002; Avis, Rosenberg, Savani and von Stengel 2010).
+    The second's labels 1..n, its columns' best-response rows, are m+1..m+n
+    in the first's numbering, and its sign labels n+1..n+m, x_i = 0, are
+    1..m. On a degenerate game these are more than ``support_enumeration``
+    finds. A game with more than ``guard`` strategies a side raises
+    ``TooLarge``.
+    """
+    m, n = game.m, game.n
+    if m > guard or n > guard:
+        raise TooLarge(f"{m}x{n} exceeds the extreme-equilibrium guard {guard}")
+    full = frozenset(range(1, m + n + 1))
+    xs = [(w, frozenset(m + lab if lab <= n else lab - n for lab in w.labels))
+          for w in enumerate_vertices(build_p(game.b.transpose()))]
+    records = []
+    for v in enumerate_vertices(build_p(game.a)):
+        for w, labels in xs:
+            if v.labels | labels == full:
+                profile = MixedProfile(w.coords[:m], v.coords[:n])
+                if not verify_equilibrium(game, profile):
+                    raise NotEquilibrium("a completely labeled pair failed exact verification")
+                records.append(make_record(game, profile, "extreme-equilibria"))
+    return sorted(records, key=lambda r: (r.profile.x, r.profile.y))
 
 
 def g_value(family: GameFamily, node) -> Fraction:

@@ -34,7 +34,6 @@ from rankgames.games import (
     Rank1Decomposition,
     decompose_rank1,
     decompose_rank_k,
-    integerize,
     verify_equilibrium,
 )
 from rankgames.labeledpath import step_budget, trace_path
@@ -58,6 +57,8 @@ from fixtures import (
     R1C,
     cli_rank1_draws,
     ex1_family,
+    hyperplane_value,
+    integerize,
     nondegenerate_rank1_fixtures,
     random_general_games,
     random_rank1,
@@ -234,18 +235,21 @@ def test_bin_search_probes_the_input_family_and_builds_no_integerized_copy(monke
     # and no integerized copy, though on the wide and large draws gamma is
     # fractional, so the integerizing scale c exceeds 1. Its bound_k, read
     # off c alone, equals the integerized copy's, and its history is in d's
-    # own lambda: the last bracket holds gamma . x of the answer.
+    # own lambda: the last bracket holds gamma . x of the answer. The
+    # integerizer is a test reference: no package module holds it.
     import sys
 
     import rankgames.algorithms as algorithms
-    import rankgames.games as games
 
+    package = [module for name, module in sys.modules.items() if name.split(".")[0] == "rankgames"]
+    assert len(package) > 1
+    assert [module for module in package if hasattr(module, "integerize")] == []
     built, integerized = [], []
-    real_family, real_integerize = algorithms.GameFamily, games.integerize
+    real_family, real_integerize = algorithms.GameFamily, integerize
     monkeypatch.setattr(algorithms, "GameFamily",
                         lambda *args: built.append(real_family(*args)) or built[-1])
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rankgames" and vars(module).get("integerize") is real_integerize:
+    for module in package:
+        if vars(module).get("integerize") is real_integerize:
             monkeypatch.setattr(module, "integerize",
                                 lambda d: integerized.append(d) or real_integerize(d))
     solved, scaled, brackets = Counter(), 0, 0
@@ -434,6 +438,121 @@ def test_a_path_builds_its_game_once_and_evaluates_no_hyperplane_per_edge(monkey
             probes += 1
             assert len(evaluated) <= 1
     assert (crossings, probes) == (34, 108)
+
+
+def _lambda_walk(monkeypatch, family, lams):
+    """Path edges whose nodes' lifted points have these lambdas, each
+    (num, den) kept over its own denominator: the start edge, then the
+    edges that ``walk`` yields from its head, patched in."""
+    import rankgames.algorithms as algorithms
+    from rankgames.labeledpath import FORWARD, V_FIXED, PathEdge, PathNode
+    from rankgames.polytope import Vertex
+
+    m, v = family.m, Vertex((), frozenset(), frozenset())
+
+    def node(num, den):
+        point = (*[0] * m, num, 0)
+        return PathNode(v, Vertex(None, frozenset(), frozenset(), None, (point, den)), 1, 1)
+
+    nodes = [node(*lam) for lam in lams]
+    edges = [PathEdge(V_FIXED, v, None, tail, head, FORWARD) for tail, head in zip(nodes, nodes[1:])]
+    monkeypatch.setattr(algorithms, "walk", lambda fam, first: iter(edges[1:]))
+    return edges
+
+
+def test_edges_until_raises_on_a_falling_lambda_by_value_not_numerator(monkeypatch):
+    # lambda 3/5 -> 2/3 rises though its numerator falls; 2/3 -> 4/7 falls
+    # though its numerator rises. The walk yields the first edge and raises
+    # at the second.
+    from rankgames.algorithms import _edges_until
+
+    fam = GameFamily(R1A.a, R1A.a.scale(-1), R1A.beta)
+    edges = _lambda_walk(monkeypatch, fam, [(3, 5), (2, 3), (4, 7), (5, 7)])
+    walked = []
+    with pytest.raises(RankGamesError, match="^lambda decreases along the path$"):
+        for edge in _edges_until(fam, edges[0], Fraction(10)):
+            walked.append(edge)
+    assert walked == edges[:1]
+
+
+def test_edges_until_stops_past_max_gamma_but_not_at_it(monkeypatch):
+    # With max gamma 2/3, a head at 4/6 = 2/3 does not stop the walk, and the
+    # first head past it, 5/7, ends it after its edge; a numerator compare
+    # would stop at 4/6, and >= would too.
+    from rankgames.algorithms import _edges_until
+
+    fam = GameFamily(R1A.a, R1A.a.scale(-1), R1A.beta)
+    edges = _lambda_walk(monkeypatch, fam, [(1, 2), (4, 6), (5, 7), (6, 7)])
+    assert list(_edges_until(fam, edges[0], Fraction(2, 3))) == edges[:2]
+    assert list(_edges_until(fam, edges[0], Fraction(5, 7))) == edges
+    assert list(_edges_until(fam, edges[0], Fraction(1, 3))) == edges[:1]
+
+
+def test_enumeration_reads_points_only_for_answers_and_edge_data_only_where_analyzed(monkeypatch):
+    # On the rank1-enumerate bench corpus (random.Random(1), sizes 4, 5, 4,
+    # 7, 5, 4, 5, 4, 7, 8 three times, the wide spans, decomposed as the CLI
+    # does), enumerate_rank1 reads each node's lambda and hyperplane value off
+    # its integers. It builds a vertex's Fraction coords only for the fixed
+    # vertex of an answer's edge, and reads an edge's integer base point and
+    # direction (EdgeDescriptor.origin and column) only where path_crossings
+    # analyzes it: a ray, or an edge whose two end values do not share one
+    # strict sign.
+    import rankgames.algorithms as algorithms
+    import rankgames.paramlp as paramlp
+    from rankgames.algorithms import rank1_family
+    from rankgames.games import decompose_rank1
+    from rankgames.paramlp import Hyperplane
+    from rankgames.polytope import EdgeDescriptor, Vertex
+
+    reads = {"coords": [], "origin": [], "column": []}
+    for owner, name in ((Vertex, "coords"), (EdgeDescriptor, "origin"), (EdgeDescriptor, "column")):
+        slot = owner.__dict__[name]
+        monkeypatch.setattr(slot, "read", lambda obj, name=name, read=slot.read:
+                            reads[name].append(obj) or read(obj))
+    walked, analyzed = [], []
+    real_until, real_records = algorithms._edges_until, paramlp.crossing_records
+
+    def until(*args):
+        for edge in real_until(*args):
+            walked.append(edge)
+            yield edge
+
+    monkeypatch.setattr(algorithms, "_edges_until", until)
+    monkeypatch.setattr(paramlp, "crossing_records",
+                        lambda h, edge: analyzed.append((h, edge)) or real_records(h, edge))
+    rng, runs = random.Random(1), []
+    for s in (4, 5, 4, 7, 5, 4, 5, 4, 7, 8) * 3:
+        d = decompose_rank1(random_rank1(rng, s, s, span=99, gamma_span=20, beta_span=50).game())
+        for name in reads:
+            reads[name].clear()
+        walked.clear(), analyzed.clear()
+        try:
+            answers = len(enumerate_rank1(d))
+        except DegeneracyError:
+            answers = None
+        runs.append((d, answers, list(walked), list(analyzed),
+                     {name: list(objs) for name, objs in reads.items()}))
+    counts = Counter()
+    for d, answers, edges, crossed, built in runs:
+        h = Hyperplane(rank1_family(d)[0].gamma)
+        hits = [edge for _, edge in crossed if real_records(h, edge)]
+        assert [id(v) for v in built["coords"]] == [id(edge.fixed) for edge in hits]
+        assert {id(e) for e in built["origin"] + built["column"]} <= {
+            id(edge.moving) for _, edge in crossed}
+        for edge in edges:
+            ends = [hyperplane_value(h, u.w.coords) for u in (edge.tail, edge.head) if u]
+            analyze = len(ends) < 2 or ends[0] * ends[1] <= 0
+            assert analyze == any(edge is e for _, e in crossed)
+            counts["ray" if len(ends) < 2 else "edge", "analyzed" if analyze else "skipped"] += 1
+        counts["answers"] += answers or 0
+        counts["failed"] += answers is None
+        for name, objs in built.items():
+            counts[name] += len(objs)
+    # Section edges carry their integers, so only pivots' edges read them.
+    assert counts == {
+        ("edge", "skipped"): 323, ("edge", "analyzed"): 32, ("ray", "analyzed"): 37,
+        "answers": 44, "failed": 0, "coords": 44, "origin": 48, "column": 48,
+    }
 
 
 def test_each_answer_is_verified_and_recorded_once_on_the_input_game(monkeypatch):

@@ -11,7 +11,6 @@ from rankgames.games import (
     Rank1Decomposition,
     decompose_rank1,
     decompose_rank_k,
-    integerize,
     payoffs,
     positivity_shift,
     reduce_constant_beta,
@@ -29,6 +28,7 @@ from fixtures import (
     MATCHING_PENNIES,
     fraction_payoffs,
     fraction_verify_equilibrium,
+    integerize,
     naive_determinant,
     rank1_game,
     submatrix,

@@ -484,8 +484,8 @@ def test_reused_node_determinants_equal_fresh_ones(monkeypatch):
     # Every determinant that node_sign takes on the walks of the bench-like
     # and the small-entry corpora of test_paramlp, reused or not, equals a
     # fresh _tight_determinant. Inside a step the far node reuses the fixed
-    # side's and takes one fresh, but for one first step of a walk from a
-    # section edge's head, whose last node made was the edge's other end;
+    # side's and takes one fresh, also on the first step of a walk from a
+    # section edge oriented backward, whose head oriented_edge made first;
     # elsewhere a node takes one or two.
     from test_paramlp import _walked_edges, _yardstick_walks
 
@@ -517,7 +517,7 @@ def test_reused_node_determinants_equal_fresh_ones(monkeypatch):
     monkeypatch.setattr(rankgames.labeledpath, "step", counted_step)
     for _ in chain(_walked_edges(), _yardstick_walks()):
         pass
-    assert per_node == {("step", 1): 1292, ("step", 2): 1, ("other", 1): 67, ("other", 2): 234}
+    assert per_node == {("step", 1): 1293, ("other", 1): 67, ("other", 2): 234}
 
 
 def _count_calls(monkeypatch, counts):

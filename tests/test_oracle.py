@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,18 @@ from rankgames.errors import NotEquilibrium, TooLarge
 from rankgames.games import BimatrixGame, verify_equilibrium
 from rankgames.linalg import Matrix
 from rankgames.oracle import fully_labeled_pairs, support_enumeration
-from rankgames.polytope import GameFamily
+from rankgames.polytope import GameFamily, build_p
 
 from fixtures import (
     MATCHING_PENNIES,
+    R1A,
     R1B,
+    R1C,
+    check_nondegenerate,
+    extreme_equilibria,
+    fraction_verify_equilibrium,
     nondegenerate_rank1_fixtures,
+    random_general_games,
     zero_matrix,
     zero_sum_solve,
 )
@@ -89,6 +96,46 @@ def test_fully_labeled_pairs_match_components_on_r1b():
     pairs = fully_labeled_pairs(fam)
     trace = trace_path(fam)
     assert {(v.basis, w.basis) for v, w in pairs} == {u.key() for u in trace.nodes}
+
+
+def test_extreme_equilibria_contain_support_enumeration_and_equal_it_when_nondegenerate():
+    # The completely labeled vertex pairs of build_p(A) and build_p(B^T) are
+    # the extreme equilibria. On a nondegenerate game, where both polytopes
+    # are simple, they are exactly support_enumeration's equilibria; on a
+    # degenerate one they contain them, and on some hold more. Every pair
+    # verifies exactly, by the Fraction reference too.
+    games = [("fixture", MATCHING_PENNIES), *(("fixture", d.game()) for d in (R1A, R1B, R1C))]
+    games += [("small", g) for g in random_general_games(42, 20, min_mn=2, max_mn=4, span=2)]
+    games += [("wide", g) for g in random_general_games(60, 20, min_mn=2, max_mn=4, span=30)]
+    counts = Counter()
+    for corpus, game in games:
+        extreme = extreme_equilibria(game)
+        for rec in extreme:
+            assert verify_equilibrium(game, rec.profile)
+            assert fraction_verify_equilibrium(game, rec.profile)
+        keys = [(r.profile.x, r.profile.y) for r in extreme]
+        support = [(r.profile.x, r.profile.y) for r in support_enumeration(game).equilibria]
+        assert len(set(keys)) == len(keys) and set(support) <= set(keys)
+        simple = check_nondegenerate(build_p(game.a)) and check_nondegenerate(
+            build_p(game.b.transpose()))
+        if simple:
+            assert keys == support
+        counts[corpus, "nondegenerate" if simple else "degenerate",
+               "equal" if keys == support else "more"] += 1
+    assert counts == {
+        ("fixture", "nondegenerate", "equal"): 3, ("fixture", "degenerate", "equal"): 1,
+        ("small", "nondegenerate", "equal"): 2, ("small", "degenerate", "equal"): 11,
+        ("small", "degenerate", "more"): 7,
+        ("wide", "nondegenerate", "equal"): 18, ("wide", "degenerate", "equal"): 1,
+        ("wide", "degenerate", "more"): 1,
+    }
+
+
+def test_extreme_equilibria_guard():
+    with pytest.raises(TooLarge):
+        extreme_equilibria(BimatrixGame(zero_matrix(7, 7), zero_matrix(7, 7)))
+    with pytest.raises(TooLarge):
+        extreme_equilibria(MATCHING_PENNIES, guard=1)
 
 
 def test_zero_sum_matching_pennies():

@@ -338,6 +338,95 @@ def test_integer_edge_analysis_matches_the_fraction_reference():
     }
 
 
+def _reached(walk) -> list:
+    """The edges a walk yields before it meets a degeneracy, if it does."""
+    edges = []
+    try:
+        for edge in walk():
+            edges.append(edge)
+    except DegeneracyError:
+        pass
+    return edges
+
+
+def _rank1_walks():
+    """(gammas, edges) of the rank-1 families of section_corpus(), each with
+    its path's edges and ``enumerate_rank1``'s walk from each of its
+    sections to the largest section lambda, under two gammas drawn from
+    -20..20 and -3..3; then the 60 wide draws as the CLI decomposes them
+    (``cli_rank1_draws("wide")``), with ``enumerate_rank1``'s walk under the
+    gamma it runs on."""
+    from rankgames.algorithms import _edges_until, rank1_family
+
+    families = {}
+    for corpus, fam, *_, delta in section_corpus():
+        if corpus != "rank-k":
+            families.setdefault(fam, []).append(delta[0])
+    rng = random.Random(30)
+    for fam, deltas in families.items():
+        edges = _reached(lambda: trace_path(fam).edges)
+        for delta in deltas:
+            edges += _reached(lambda: _edges_until(fam, solve_lp_delta(fam, delta).edge,
+                                                   max(deltas)))
+        yield tuple(tuple(Fraction(rng.randint(-span, span)) for _ in range(fam.m))
+                    for span in (20, 3)), edges
+    for _, d in cli_rank1_draws("wide"):
+        run, fam = rank1_family(d)
+        yield (run.gamma,), _reached(
+            lambda: _edges_until(fam, solve_lp_delta(fam, min(run.gamma)).edge, max(run.gamma)))
+
+
+def test_per_node_crossing_test_matches_the_edge_analysis(monkeypatch):
+    # path_crossings takes the hyperplane's value once per node and skips an
+    # edge whose two end values share one strict sign; the other edges go
+    # through _analyze_edge. Over each whole walk, whose consecutive edges
+    # share their nodes, and on every edge alone, it gives what _analyze_edge
+    # gives edge by edge: the crossings with their orientation indices, or
+    # the first error's class and message. The walks are those of the
+    # section corpus's rank-1 families, the wide draws (_rank1_walks and
+    # _walked_edges) and the yardstick, each under its gammas.
+    from itertools import chain
+
+    import rankgames.paramlp as paramlp
+    from rankgames.paramlp import _analyze_edge, path_crossings
+
+    def outcome(run):
+        try:
+            return run()
+        except RankGamesError as exc:
+            return type(exc).__name__, str(exc)
+
+    def edge_by_edge(h, edges):
+        return [hit for edge in edges for kind, hit in [_analyze_edge(edge, h)] if kind == "point"]
+
+    analyzed, real = [], paramlp.crossing_records
+    monkeypatch.setattr(paramlp, "crossing_records",
+                        lambda h, edge: analyzed.append(edge) or real(h, edge))
+    counts = Counter()
+    for gammas, edges in chain(_rank1_walks(), _walked_edges(), _yardstick_walks()):
+        for gamma in gammas:
+            h = Hyperplane(gamma)
+            ours = outcome(lambda: list(path_crossings(h, edges)))
+            assert ours == outcome(lambda: edge_by_edge(h, edges))
+            counts["walk", "error" if isinstance(ours, tuple) else "crossings"] += 1
+            for edge in edges:
+                analyzed.clear()
+                alone = outcome(lambda: list(path_crossings(h, [edge])))
+                assert alone == outcome(lambda: edge_by_edge(h, [edge]))
+                if isinstance(alone, tuple) or alone:
+                    assert analyzed == [edge]
+                kind = "error" if isinstance(alone, tuple) else "hit" if alone else "none"
+                ray = edge.tail is None or edge.head is None
+                counts[kind, "ray" if ray else "edge", "analyzed" if analyzed else "skipped"] += 1
+    # Every bounded edge with neither hit nor error is skipped.
+    assert counts == {
+        ("walk", "crossings"): 974, ("walk", "error"): 62,
+        ("none", "edge", "skipped"): 3330, ("none", "ray", "analyzed"): 532,
+        ("hit", "edge", "analyzed"): 470, ("hit", "ray", "analyzed"): 229,
+        ("error", "edge", "analyzed"): 155, ("error", "ray", "analyzed"): 50,
+    }
+
+
 def test_solve_lp_k_specializes_to_rank1(r1a_family):
     # At k = 1, solve_lp_k and solve_lp_delta give the same section, and its
     # lifted point is the one an LP over Q' with lambda pinned finds.
