@@ -283,8 +283,11 @@ def enumerate_general(
 ) -> list[EquilibriumRecord]:
     """Equilibria found on the full path of the general embedding.
 
-    Complete for rank-1 inputs; for larger rank at least one equilibrium is
-    guaranteed (equilibria on cycle components are not visited).
+    Complete for a rank-1 input B = -A + gamma beta^T when ``beta`` is its own
+    beta: the embedding is then a rank-1 family, whose fully-labeled set is
+    one path. With any other beta, the default included, and for larger rank,
+    at least one equilibrium is guaranteed (equilibria on cycle components
+    are not visited).
     """
     if (rec := _trivial_single_strategy(game, "general-path")) is not None:
         return [rec]

@@ -3,18 +3,15 @@
 A node pairs a vertex of the row polytope with a vertex of the lifted column
 polytope so that together they carry every label 1..m+n; exactly one label is
 shared (the duplicate). Relaxing the duplicate on either side yields the two
-incident edges, so the pairs form paths and cycles. Node signs come from the
-determinants of the two tight-constraint systems and orient the traversal.
+incident edges, so the pairs form paths and cycles. Node signs orient the
+traversal, and they alternate along every path and cycle (Shapley 1974).
 
 A step is one ``Polytope.pivot``, an integer pivot on the moving vertex's
-tableau, so the walk solves no linear system. Each node sign is taken from
-the polytopes' integer rows, independently of the pivots, which is what makes
-"sign alternation violated" a real check: the sign rows (one -1 each) are
-expanded by Laplace into a sign parity, and Bareiss elimination runs on the
-bordered support block that is left, of order |supp y| + 1 in P and
-|supp x| + 2 in Q'. A step keeps the fixed side's block, the same rows over
-the same columns, so its determinant is reused (``_block_determinant``) and
-each node after the first takes one fresh determinant, the moving side's.
+tableau, so the walk solves no linear system and takes no determinant: the
+far node takes the sign opposite to its near node's. Only a walk's start
+takes its sign from the determinants of the two tight-constraint systems
+(``node_sign``): the low ray's node, a section edge's two nodes
+(``oriented_edge``) and a cycle's seed.
 """
 from __future__ import annotations
 
@@ -97,21 +94,11 @@ def _tight_determinant(poly: Polytope, labels: list[int], order: list[int]) -> i
     return integer_determinant([[row[col] for col in order] for row in rows])
 
 
-def _block_determinant(poly: Polytope, labels: list[int], order: list[int]) -> int:
-    """``_tight_determinant``, reused when the block, its row labels and its
-    column order, is the polytope's last one (``Polytope.last_block``), so a
-    hit is the same integer matrix. A step that moves the other polytope
-    keeps this one's block."""
-    last = poly.last_block
-    if last is not None and last[0] == labels and last[1] == order:
-        return last[2]
-    det = _tight_determinant(poly, labels, order)
-    poly.last_block = (labels, order, det)
-    return det
-
-
 def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
     """Sign of the pair from the two tight-system determinants.
+
+    Only a walk's start node takes it (``make_node``); a step gives its far
+    node the opposite of its near node's sign.
 
     The full systems, of order n + 1 in P and m + 2 in Q', order their blocks:
     shared strategy sets ascending, the duplicate's unit row or column in its
@@ -123,8 +110,7 @@ def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
     Each sign row (y_j >= 0 in P, x_i >= 0 in Q', the duplicate's included)
     has one entry, -1, and is expanded away by Laplace. Bareiss runs on the
     bordered support matrix that is left, taken from the polytope's integer
-    rows unless the last node took the same one (``_block_determinant``):
-    the equality and v's tight payoff rows over (y_supp, pi1) in P, the
+    rows: the equality and v's tight payoff rows over (y_supp, pi1) in P, the
     equality and w's tight column rows over (lambda, x_supp, pi2) in Q'.
     Each identity-block row sits one place below its column, so its
     cofactor sign cancels its -1. The duplicate's row comes right after the
@@ -134,10 +120,10 @@ def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
     m, n = family.m, family.n
     big_x = sorted(lab for lab in v.labels if lab <= m)
     big_y = sorted(lab for lab in w.labels if lab > m)
-    det_v = _block_determinant(
+    det_v = _tight_determinant(
         family.p, big_x, [lab - m - 1 for lab in big_y if lab != duplicate] + [n]
     )
-    det_w = _block_determinant(
+    det_w = _tight_determinant(
         family.qp, big_y, [m] + [lab - 1 for lab in big_x if lab != duplicate] + [m + 1]
     )
     later = sum(lab > duplicate for lab in (big_x if duplicate <= m else big_y))
@@ -147,8 +133,8 @@ def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
     return s
 
 
-def make_node(family: GameFamily, v: Vertex, w: Vertex) -> PathNode:
-    """Validate full labeling, find the duplicate, and attach the sign."""
+def _duplicate(family: GameFamily, v: Vertex, w: Vertex) -> int:
+    """Validate full labeling and return the one shared label."""
     union, size = v.labels | w.labels, family.m + family.n
     if len(union) != size:  # every label is one of 1..m+n
         missing = [lab for lab in range(1, size + 1) if lab not in union]
@@ -156,7 +142,12 @@ def make_node(family: GameFamily, v: Vertex, w: Vertex) -> PathNode:
     shared = v.labels & w.labels
     if len(shared) != 1:
         raise MultipleDuplicates(f"shared labels {sorted(shared)}")
-    dup = next(iter(shared))
+    return next(iter(shared))
+
+
+def make_node(family: GameFamily, v: Vertex, w: Vertex) -> PathNode:
+    """Validate full labeling, find the duplicate, and attach the sign."""
+    dup = _duplicate(family, v, w)
     return PathNode(v, w, dup, node_sign(family, v, w, dup))
 
 
@@ -165,27 +156,22 @@ def step(family: GameFamily, node: PathNode, side: str) -> tuple[PathEdge, Optio
 
     side 'P' pivots the row polytope (edge type (E_w, w)); side 'Q' pivots the
     lifted polytope (type (v, E_v)). A None far node marks an unbounded edge,
-    which only occurs on the two path rays.
+    which only occurs on the two path rays. The far node's sign is -node.sign.
     """
     if side == "P":
         ed = family.p.pivot(node.v, node.duplicate)
         if ed.unbounded:
             raise RankGamesError("unexpected unbounded edge in the row polytope")
-        far = make_node(family, ed.far_end, node.w)
-        edge = PathEdge(W_FIXED, node.w, ed, node, far, FORWARD)
+        kind, fixed, v, w = W_FIXED, node.w, ed.far_end, node.w
     elif side == "Q":
         ed = family.qp.pivot(node.w, node.duplicate)
         if ed.unbounded:
             return PathEdge(V_FIXED, node.v, ed, node, None, FORWARD), None
-        far = make_node(family, node.v, ed.far_end)
-        edge = PathEdge(V_FIXED, node.v, ed, node, far, FORWARD)
+        kind, fixed, v, w = V_FIXED, node.v, node.v, ed.far_end
     else:
         raise ValueError(f"side must be 'P' or 'Q', got {side!r}")
-    if far.sign != -node.sign:
-        raise RankGamesError(
-            f"sign alternation violated: {node.sign} -> {far.sign} at {sorted(far.v.basis)}"
-        )
-    return edge, far
+    far = PathNode(v, w, _duplicate(family, v, w), -node.sign)
+    return PathEdge(kind, fixed, ed, node, far, FORWARD), far
 
 
 def walk(family: GameFamily, first: PathNode) -> Iterator[PathEdge]:
@@ -242,16 +228,14 @@ def oriented_edge(
 
     Moving edges of type (v, E_v) point at their +1 node, edges of type
     (E_w, w) at their -1 node; rays put the infinite end opposite the single
-    bounding node. The polytopes' last blocks (``_block_determinant``) are
-    left as the head's, so the walk's first step from it takes one fresh
-    determinant.
+    bounding node. Both nodes take their signs from ``node_sign``, so a walk
+    from the head starts from a sign found in the polytopes' rows.
     """
     def node(u: Vertex) -> PathNode:
         return make_node(family, fixed, u) if kind == V_FIXED else make_node(family, u, fixed)
 
     head_sign = 1 if kind == V_FIXED else -1
     base_node = node(ed.base)
-    base_blocks = family.p.last_block, family.qp.last_block
     far_node = node(ed.far_end) if ed.far_end else None
     if far_node is None:
         if base_node.sign == head_sign:
@@ -261,7 +245,6 @@ def oriented_edge(
         raise RankGamesError("edge endpoints share a sign; orientation broken")
     if far_node.sign == head_sign:
         return PathEdge(kind, fixed, ed, base_node, far_node, FORWARD)
-    family.p.last_block, family.qp.last_block = base_blocks
     return PathEdge(kind, fixed, ed, far_node, base_node, BACKWARD)
 
 

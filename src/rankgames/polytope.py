@@ -293,10 +293,6 @@ class Polytope:
         self._z_vars = tuple(dim + lab - 1 if lab else c for c, lab in enumerate(self.signs))
         # The rows a build eliminates: every row but the coordinates' sign rows.
         self._kept = tuple(i for i in range(len(self.int_rows)) if i not in self._sign_coord)
-        # (labels, columns, determinant) of the last tight block that a node
-        # sign took on this polytope (``labeledpath``); the next node reuses
-        # it when its block is the same.
-        self.last_block: Optional[tuple[list[int], list[int], int]] = None
 
     def _fraction_row(self, index: int) -> tuple[Vec, Rat]:
         row, scale = self.int_rows[index], self.scales[index]

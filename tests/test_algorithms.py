@@ -622,6 +622,76 @@ def test_enumerate_general_ex1_unit_gamma_is_degenerate():
         enumerate_general(game, beta=EX1_BETA)
 
 
+@pytest.fixture(scope="module")
+def large_rank1_answers():
+    """(draw, enumerate_rank1's records) of four wide-span rank-1 draws at
+    each of 8x8, 12x12, 16x16 and 24x24: ``random_rank1`` of a fresh
+    random.Random(23) for each size. No oracle reaches these sizes, and
+    every draw is nondegenerate."""
+    answers = []
+    for size in (8, 12, 16, 24):
+        rng = random.Random(23)
+        for _ in range(4):
+            d = random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
+            answers.append((d, enumerate_rank1(d)))
+    return answers
+
+
+def indexed(records) -> set:
+    return {(r.profile.x, r.profile.y, r.index) for r in records}
+
+
+def test_large_rank1_answer_sets_are_odd_with_index_sum_one(large_rank1_answers):
+    # The index theorem on every answer set.
+    for _, recs in large_rank1_answers:
+        assert len(recs) % 2 == 1 and sum(r.index for r in recs) == 1
+    assert sum(len(recs) for _, recs in large_rank1_answers) == 44
+
+
+def test_bin_search_answer_is_in_the_large_rank1_enumeration(large_rank1_answers):
+    for d, recs in large_rank1_answers:
+        assert indexed([bin_search(d).equilibrium]) <= indexed(recs)
+
+
+def test_permuting_strategies_permutes_the_large_rank1_enumeration(large_rank1_answers):
+    # Rows permuted with gamma and columns with beta: the answer set is
+    # permuted the same way and keeps its indices.
+    rng = random.Random(6)
+    for d, recs in large_rank1_answers:
+        m, n = d.a.rows, d.a.cols
+        rows, cols = rng.sample(range(m), m), rng.sample(range(n), n)
+        permuted = Rank1Decomposition(
+            Matrix([[d.a[i, j] for j in cols] for i in rows]),
+            tuple(d.gamma[i] for i in rows), tuple(d.beta[j] for j in cols),
+        )
+        moved = {(tuple(x[i] for i in rows), tuple(y[j] for j in cols), index)
+                 for x, y, index in indexed(recs)}
+        assert indexed(enumerate_rank1(permuted)) == moved
+
+
+def test_enumerate_general_with_the_games_own_beta_equals_enumerate_rank1(large_rank1_answers):
+    # With the game's own beta the general embedding is the rank-1 family:
+    # wherever it answers, the same equilibria with the same indices. The
+    # rest raise "tied extreme entries".
+    compared = 0
+    for d, recs in large_rank1_answers[:12]:  # 8x8 to 16x16
+        try:
+            general = enumerate_general(d.game(), d.beta)
+        except DegeneracyError:
+            continue
+        assert indexed(general) == indexed(recs)
+        compared += 1
+    assert compared == 10
+
+
+def test_enumerate_general_default_beta_misses_equilibria_of_a_rank1_game(large_rank1_answers):
+    # The first 16x16 draw: the default beta's path crosses 3 of its 7.
+    d, recs = large_rank1_answers[8]
+    general = enumerate_general(d.game())
+    assert (len(general), len(recs)) == (3, 7)
+    assert indexed(general) < indexed(recs)
+
+
 def test_solve_general_matching_pennies():
     rec = solve_general(MATCHING_PENNIES)
     assert rec.profile.x == (Fraction(1, 2), Fraction(1, 2))

@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 
@@ -15,13 +16,13 @@ from rankgames.errors import ConstantBeta, DegeneracyError, NotFullyLabeled, Ran
 from rankgames.labeledpath import (
     V_FIXED,
     W_FIXED,
-    _tight_determinant,
     export_lines,
     make_node,
     node_sign,
     step,
     trace_cycle,
     trace_path,
+    walk,
 )
 from rankgames.games import BimatrixGame
 from rankgames.linalg import Matrix, determinant, sign
@@ -429,35 +430,57 @@ def _wide_general_family(rng, size):
             continue
 
 
+def _spy_node_signs(monkeypatch) -> dict[str, list[int]]:
+    """Check the sign of every node that a walk starts from or steps to, in
+    ``labeledpath``, through which every walk calls ``node_sign`` and
+    ``step``: each equals the sign of the full systems (``full_node_sign``),
+    and each step's far node has the opposite of its near node's sign.
+    Returns the checked signs by the function that gave them."""
+    real_sign, real_step = rankgames.labeledpath.node_sign, rankgames.labeledpath.step
+    signs = {"node_sign": [], "step": []}
+
+    def checked_sign(family, v, w, duplicate):
+        signs["node_sign"].append(real_sign(family, v, w, duplicate))
+        assert signs["node_sign"][-1] == full_node_sign(family, v, w, duplicate)
+        return signs["node_sign"][-1]
+
+    def checked_step(family, node, side):
+        edge, far = real_step(family, node, side)
+        if far is not None:
+            assert far.sign == -node.sign
+            assert far.sign == full_node_sign(family, far.v, far.w, far.duplicate)
+            signs["step"].append(far.sign)
+        return edge, far
+
+    monkeypatch.setattr(rankgames.labeledpath, "node_sign", checked_sign)
+    monkeypatch.setattr(rankgames.labeledpath, "step", checked_step)
+    return signs
+
+
 def test_node_sign_matches_the_full_systems_past_the_seed_sizes(monkeypatch):
     # Every node made while tracing wide-entry general paths at 8x8 to 14x14
-    # and walking the rank-1 paths of six 12x12 and 16x16 games: supports are
-    # far smaller than n there, so the support block is much smaller than
-    # the full systems.
-    real, signs = node_sign, []
-
-    def checked(family, v, w, duplicate):
-        signs.append(real(family, v, w, duplicate))
-        assert signs[-1] == full_node_sign(family, v, w, duplicate)
-        return signs[-1]
-
-    monkeypatch.setattr(rankgames.labeledpath, "node_sign", checked)
+    # and walking the rank-1 paths of six 12x12 and 16x16 games, whether its
+    # sign came from node_sign or from a step: supports are far smaller than
+    # n there, so the support block is much smaller than the full systems.
+    signs = _spy_node_signs(monkeypatch)
     rng = random.Random(18)
     for size in (8, 10, 12, 14):
         _wide_general_family(rng, size)
     rng = random.Random(11)
     for size in (12, 12, 12, 16, 16, 16):
         enumerate_rank1(random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50))
-    assert len(signs) == 631 and set(signs) == {-1, 1}
+    walked = signs["node_sign"] + signs["step"]
+    assert len(walked) == 631 and set(walked) == {-1, 1}
 
 
 def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch):
     # The sign rows are expanded away: P's determinant has order |supp y| + 1
     # and Q''s |supp x| + 2, where the full systems have n + 1 and m + 2.
-    # The first node takes both; each later node moved one side, and takes
-    # that side's only: the fixed side's block is the last node's.
+    # Only a walk's start takes them, both at once: the low ray's node of a
+    # traced path, and both nodes of the section edge that enumerate_rank1
+    # walks from, of a 16x16 draw. A step takes none.
     real_det, real_sign = rankgames.labeledpath.integer_determinant, node_sign
-    orders, expected, pairs = [], [], []
+    orders, expected = [], []
 
     def sized(rows):
         orders.append(len(rows))
@@ -465,59 +488,101 @@ def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch):
 
     def supports(family, v, w, duplicate):
         y, x = v.coords[: family.n], w.coords[: family.m]
-        moved = [True, True] if not pairs else [v.basis != pairs[-1][0], w.basis != pairs[-1][1]]
-        assert sum(moved) == 2 - bool(pairs)
-        pairs.append((v.basis, w.basis))
-        sizes = (sum(map(bool, y)) + 1, sum(map(bool, x)) + 2)
-        expected.extend(size for size, fresh in zip(sizes, moved) if fresh)
+        expected.extend((sum(map(bool, y)) + 1, sum(map(bool, x)) + 2))
         return real_sign(family, v, w, duplicate)
 
     fam, _ = _wide_general_family(random.Random(12), 12)
+    d = random_rank1(random.Random(11), 16, 16, span=99, gamma_span=20, beta_span=50)
     monkeypatch.setattr(rankgames.labeledpath, "integer_determinant", sized)
     monkeypatch.setattr(rankgames.labeledpath, "node_sign", supports)
     path = trace_path(fam)
-    assert orders == expected
-    assert len(orders) == len(path.nodes) + 1 and max(orders) < 13
+    assert orders == expected and len(orders) == 2 and max(orders) < 13
+    assert len(path.nodes) == 114
+    orders.clear(), expected.clear()
+    assert len(enumerate_rank1(d)) == 1
+    assert orders == expected and len(orders) == 4 and max(orders) < 17
 
 
-def test_reused_node_determinants_equal_fresh_ones(monkeypatch):
-    # Every determinant that node_sign takes on the walks of the bench-like
-    # and the small-entry corpora of test_paramlp, reused or not, equals a
-    # fresh _tight_determinant. Inside a step the far node reuses the fixed
-    # side's and takes one fresh, also on the first step of a walk from a
-    # section edge oriented backward, whose head oriented_edge made first;
-    # elsewhere a node takes one or two.
-    from test_paramlp import _walked_edges, _yardstick_walks
+def _walk_corpus(name):
+    """Run the walks of one named corpus; a walk that meets a degeneracy is
+    left where it stops. "sections": the rank-1 families of
+    section_corpus(), each family's path and the walk from each section's
+    edge to the high ray. "walks": the walks of _walked_edges() and
+    _yardstick_walks(). "bench": enumerate_rank1 on the rank1-enumerate
+    bench corpus (random.Random(1), sizes 4, 5, 4, 7, 5, 4, 5, 4, 7, 8 three
+    times, the wide spans, decomposed as the CLI does). "large-16" and
+    "large-32": enumerate_rank1 on the large draw at that size."""
+    from test_paramlp import _large_rank1_draws, _walked_edges, _yardstick_walks, section_corpus
 
-    real_block, real_step = rankgames.labeledpath._block_determinant, step
-    fresh, in_step, per_node = [], [], Counter()
+    from rankgames.games import decompose_rank1
+    from rankgames.paramlp import solve_lp_delta
 
-    def checked(poly, labels, order):
-        last = poly.last_block
-        fresh.append(last is None or (last[0], last[1]) != (labels, order))
-        det = real_block(poly, labels, order)
-        assert det == _tight_determinant(poly, labels, order)
-        return det
+    if name == "sections":
+        traced = None
+        for kind, fam, *_, delta in section_corpus():
+            if kind == "rank-k":
+                continue
+            try:
+                if fam is not traced:  # a family's sections come together
+                    traced = fam
+                    trace_path(fam)
+                edge = solve_lp_delta(fam, delta[0]).edge
+                for _ in walk(fam, edge.head) if edge.head is not None else ():
+                    pass
+            except DegeneracyError:
+                pass
+    elif name == "walks":
+        for _ in chain(_walked_edges(), _yardstick_walks()):
+            pass
+    elif name == "bench":
+        rng = random.Random(1)
+        for s in (4, 5, 4, 7, 5, 4, 5, 4, 7, 8) * 3:
+            d = decompose_rank1(random_rank1(rng, s, s, span=99, gamma_span=20,
+                                             beta_span=50).game())
+            try:
+                enumerate_rank1(d)
+            except DegeneracyError:
+                pass
+    else:
+        size = int(name.split("-")[1])
+        enumerate_rank1(next(d for d in _large_rank1_draws() if d.a.rows == size))
 
-    def counted_sign(family, v, w, duplicate):
-        fresh.clear()
-        result = node_sign(family, v, w, duplicate)
-        per_node["step" if in_step else "other", sum(fresh)] += 1
-        return result
 
-    def counted_step(*args):
-        in_step.append(True)
-        try:
-            return real_step(*args)
-        finally:
-            in_step.pop()
+@pytest.mark.parametrize("corpus", ["sections", "walks", "bench", "large-16", "large-32"])
+def test_every_walked_node_takes_the_full_systems_sign_and_alternates(monkeypatch, corpus):
+    # A step gives its far node the opposite of its near node's sign and
+    # takes no determinant; only walk starts take node_sign. The spy checks
+    # both against the full systems at every node, and the alternation at
+    # every step. The counts are (node_sign nodes, stepped nodes).
+    counts = {"sections": (178, 467), "walks": (301, 1293), "bench": (43, 342),
+              "large-16": (2, 64), "large-32": (2, 180)}
+    signs = _spy_node_signs(monkeypatch)
+    _walk_corpus(corpus)
+    assert (len(signs["node_sign"]), len(signs["step"])) == counts[corpus]
 
-    monkeypatch.setattr(rankgames.labeledpath, "_block_determinant", checked)
-    monkeypatch.setattr(rankgames.labeledpath, "node_sign", counted_sign)
-    monkeypatch.setattr(rankgames.labeledpath, "step", counted_step)
-    for _ in chain(_walked_edges(), _yardstick_walks()):
-        pass
-    assert per_node == {("step", 1): 1293, ("other", 1): 67, ("other", 2): 234}
+
+def test_a_step_that_keeps_its_sign_fails_the_spy(monkeypatch, ex1):
+    # The mutant gives one far node its near node's sign, at each step of the
+    # worked example's path in turn; the spy must fail at every one.
+    steps = len(trace_path(ex1).nodes) - 1
+    real = step
+    for wrong in range(steps):
+        calls = []
+
+        def mutant(family, node, side):
+            edge, far = real(family, node, side)
+            calls.append(far)
+            if far is not None and len(calls) == wrong + 1:
+                far = replace(far, sign=node.sign)
+                edge = replace(edge, head=far)
+            return edge, far
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rankgames.labeledpath, "step", mutant)
+            _spy_node_signs(patch)
+            with pytest.raises(AssertionError):
+                trace_path(ex1)
+            assert len(calls) == wrong + 1
 
 
 def _count_calls(monkeypatch, counts):

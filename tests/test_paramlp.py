@@ -1418,7 +1418,8 @@ def test_every_kernel_division_is_exact(monkeypatch):
                 if vars(module).get(attr) is real[attr]:
                     monkeypatch.setattr(module, attr, spy)
     _run_kernel_corpora()
-    # The three small corpora take 7,872 pivots and 919 determinants.
+    # The three small corpora take 7,872 pivots and 482 determinants; path
+    # steps take none.
     assert calls["exchange_pivot"] > 5000 and calls["integer_determinant"] > 500
 
 
