@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -257,13 +257,3 @@ def reduce_constant_beta(d: Rank1Decomposition) -> Rank1Decomposition:
         raise NotConstantBeta(f"beta {d.beta} is not constant")
     return Rank1Decomposition(d.a, vector([0] * d.a.rows), default_beta(d.a.cols))
 
-
-def positivity_shift(game: BimatrixGame) -> tuple[BimatrixGame, Rat, Rat]:
-    """Shift each payoff matrix by ceil(|min|) + 1 where needed (else 0)."""
-
-    def shift_for(m: Matrix) -> Fraction:
-        lowest = m.min_entry()
-        return Fraction(0) if lowest > 0 else Fraction(ceil(abs(lowest)) + 1)
-
-    s1, s2 = shift_for(game.a), shift_for(game.b)
-    return BimatrixGame(game.a.shift(s1), game.b.shift(s2)), s1, s2

@@ -36,18 +36,25 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PathNode:
+    """A fully-labeled pair (v, w) with its duplicate label and its sign.
+    Each step makes one, so the constructor fills the instance dict in one
+    update."""
+
     v: Vertex
     w: Vertex
     duplicate: int
     sign: int
 
+    def __init__(self, v: Vertex, w: Vertex, duplicate: int, sign: int):
+        self.__dict__.update(v=v, w=w, duplicate=duplicate, sign=sign)
+
     def key(self) -> tuple[frozenset[int], frozenset[int]]:
         return (self.v.basis, self.w.basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PathEdge:
     """Oriented edge of the fully-labeled set.
 
@@ -55,6 +62,7 @@ class PathEdge:
     and ``head`` are the endpoint nodes in orientation order (None marks the
     open end of an unbounded edge). ``direction`` records whether increasing
     edge parameter runs tail-to-head (forward) or head-to-tail (backward).
+    As ``PathNode``, it fills its instance dict in one update.
     """
 
     kind: str
@@ -63,6 +71,11 @@ class PathEdge:
     tail: Optional[PathNode]
     head: Optional[PathNode]
     direction: str
+
+    def __init__(self, kind: str, fixed: Vertex, moving: EdgeDescriptor,
+                 tail: Optional[PathNode], head: Optional[PathNode], direction: str):
+        self.__dict__.update(kind=kind, fixed=fixed, moving=moving, tail=tail, head=head,
+                             direction=direction)
 
     def key(self) -> tuple[str, frozenset[int], frozenset[int]]:
         return (self.kind, self.fixed.basis, self.moving.tight_set)

@@ -197,13 +197,6 @@ class Matrix:
         p = s.numerator
         return Matrix._of_ints([[x * p for x in row] for row in rows], q * s.denominator)
 
-    def shift(self, s) -> "Matrix":
-        """Add a constant to every entry."""
-        s = frac(s)
-        rows, q = self._ints
-        d, add = s.denominator, s.numerator * q
-        return Matrix._of_ints([[x * d + add for x in row] for row in rows], q * d)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matmul shape mismatch")
@@ -214,10 +207,6 @@ class Matrix:
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vec:
         return tuple(vdot(r, v) for r in self._data)
-
-    def min_entry(self) -> Fraction:
-        rows, q = self._ints
-        return Fraction(min(chain.from_iterable(rows)), q)
 
     def max_abs(self) -> Fraction:
         rows, q = self._ints

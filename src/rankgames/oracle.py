@@ -1,8 +1,7 @@
 """Independent ground truth at desk scale.
 
-Brute-force support enumeration and exhaustive fully-labeled vertex-pair
-search. Guards are hard errors: a silently truncated oracle
-is worse than none.
+Brute-force support enumeration. Its guard is a hard error: a silently
+truncated oracle is worse than none.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ from .games import (
     verify_equilibrium,
 )
 from .linalg import Matrix, Vec, solve_linear_system
-from .polytope import GameFamily, Vertex, enumerate_vertices
 
 
 @dataclass(frozen=True)
@@ -81,19 +79,3 @@ def support_enumeration(game: BimatrixGame, guard: int = 6) -> OracleResult:
     records.sort(key=lambda r: (r.profile.x, r.profile.y))
     return OracleResult(tuple(records), "support-enumeration")
 
-
-def fully_labeled_pairs(family: GameFamily, guard: int = 4) -> list[tuple[Vertex, Vertex]]:
-    """Every fully-labeled vertex pair by exhaustive basis enumeration."""
-    if family.m > guard or family.n > guard:
-        raise TooLarge(f"{family.m}x{family.n} exceeds the pair-enumeration guard {guard}")
-    full = frozenset(range(1, family.m + family.n + 1))
-    p_vertices = enumerate_vertices(family.p)
-    q_vertices = enumerate_vertices(family.qp)
-    pairs = [
-        (v, w)
-        for v in p_vertices
-        for w in q_vertices
-        if (v.labels | w.labels) == full
-    ]
-    pairs.sort(key=lambda vw: (sorted(vw[0].basis), sorted(vw[1].basis)))
-    return pairs

@@ -114,11 +114,17 @@ class Crossing:
     orient_index: int  # +1 when the hyperplane value rises tail-to-head
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IsNEOutcome:
+    """One probe's answer. As ``Section`` and ``OptSet``, it fills its
+    instance dict in one update."""
+
     kind: str  # "found" | "below" | "above"
     optimum: Vertex  # the section's optimum over P: a warm start for the next probe
     crossing: Optional[Crossing] = None  # the hit, when found
+
+    def __init__(self, kind: str, optimum: Vertex, crossing: Optional[Crossing] = None):
+        self.__dict__.update(kind=kind, optimum=optimum, crossing=crossing)
 
 
 class SectionRows(NamedTuple):
@@ -156,7 +162,7 @@ class Objective(NamedTuple):
     row: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Section:
     """Optimal section at lambda = delta: the optimum v of P and the lifted
     point w that with v certifies both optima.
@@ -165,7 +171,8 @@ class Section:
     every label of the lifted polytope, in label order, as integers over one
     positive unit, each times its row's scale: w's tight labels are its zero
     slacks. ``w_point`` is w as integers over one positive denominator, and
-    ``w_coords`` is read off it when first used.
+    ``w_coords`` is read off it when first used. The constructor fills the
+    instance dict in one update: each probe makes one.
     """
 
     v: Vertex
@@ -174,16 +181,25 @@ class Section:
     slacks: tuple[int, ...] = field(compare=False, repr=False)
     w_point: tuple[tuple[int, ...], int] = field(compare=False, repr=False)
 
+    def __init__(self, v: Vertex, w_coords: Optional[Vec], rows: SectionRows,
+                 slacks: tuple[int, ...], w_point: tuple[tuple[int, ...], int]):
+        self.__dict__.update(v=v, w_coords=w_coords, rows=rows, slacks=slacks, w_point=w_point)
+
     @property
     def v_coords(self) -> Vec:
         return self.v.coords
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OptSet(Section):
     """A rank-1 section with the edge of the path containing it."""
 
     edge: PathEdge
+
+    def __init__(self, v: Vertex, w_coords: Optional[Vec], rows: SectionRows,
+                 slacks: tuple[int, ...], w_point: tuple[tuple[int, ...], int], edge: PathEdge):
+        self.__dict__.update(v=v, w_coords=w_coords, rows=rows, slacks=slacks, w_point=w_point,
+                             edge=edge)
 
 
 def section_rows(p: Polytope, v: Vertex, betas: IntBetas) -> SectionRows:

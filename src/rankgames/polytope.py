@@ -24,11 +24,13 @@ exchange for the equality and one per other basis row, 2 for a pure vertex of
 P. A pivot is one ``linalg.exchange_pivot`` on a copy of the base vertex's
 tableau; the edge direction, the ratio test (``linalg.least_ratios``), the
 far vertex and its labels are read off that tableau, so the walk solves no
-system. Coordinates, directions and steps are still returned as ``Fraction``,
-but a pivot's far vertex and its edge are made without their coordinates,
-direction and step: those are read off the tableau, or the step's integers,
-when first used, which on most path edges is never. Each edge holds its base
-point and direction as integers over one denominator, and a pivot's edge
+system. The ratio test reads the slack rows in dictionary order and sorts
+only the labels that tie, so Bland's rule and every degeneracy message see
+them in label order. Coordinates, directions and steps are still returned
+as ``Fraction``, but a pivot's far vertex and its edge are made without
+their coordinates, direction and step: those are read off the tableau, or
+the step's integers, when first used, which on most path edges is never.
+Each edge holds its base point and direction as integers over one denominator, and a pivot's edge
 reads even those off its tableau on first use (``EdgeDescriptor.origin`` and
 ``column``). A section walk reads two rows of each vertex's tableau
 (``Tableau.z_row``) and only the far end of each pivot, so it builds no edge
@@ -39,10 +41,9 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     ConstantBeta,
@@ -51,7 +52,6 @@ from .errors import (
     DimensionMismatch,
     NoBetas,
     Singular,
-    TooLarge,
     ZeroBeta,
 )
 from .games import BimatrixGame, family_game
@@ -135,9 +135,11 @@ class ReadOff:
 
     Set as the class attribute, it has no default, so the field stays
     positional and required. Given as a field's default
-    (``field(default=ReadOff(...))``), it is its own default, which reads as
-    None: the field is then optional. Equality, hashing and
-    ``dataclasses.replace`` see the computed value.
+    (``field(default=ReadOff(...))``), the field is optional, and the
+    record's constructor takes None for it. Equality, hashing and
+    ``dataclasses.replace`` see the computed value. Each record that has one
+    fills its instance dict in its own constructor; ``__set__`` is defined
+    so that the descriptor, not the instance dict, answers every read.
     """
 
     def __init__(self, read: Callable):
@@ -155,10 +157,10 @@ class ReadOff:
         return value
 
     def __set__(self, obj, value) -> None:
-        obj.__dict__[self.name] = None if value is self else value
+        obj.__dict__[self.name] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Vertex:
     """Basic feasible point keyed by its defining tight-row set.
 
@@ -170,7 +172,8 @@ class Vertex:
     ``integer_point``, integers over one positive denominator, and its
     ``coords`` are read off those. A vertex with a tableau reads its
     ``integer_point`` off it when first used: the rhs of its z rows over
-    ``denom``.
+    ``denom``. The constructor fills the instance dict in one update: a
+    pivot makes one vertex per step.
     """
 
     coords: Vec = ReadOff(lambda v: rationals(*v.numerators()))
@@ -182,13 +185,19 @@ class Vertex:
                         else (v.tableau.z_column(-1), v.tableau.denom)),
         compare=False, repr=False)
 
+    def __init__(self, coords: Optional[Vec], basis: frozenset[int], labels: frozenset[int],
+                 tableau: Optional[Tableau] = None,
+                 integer_point: Optional[tuple[Sequence[int], int]] = None):
+        self.__dict__.update(coords=coords, basis=basis, labels=labels, tableau=tableau,
+                             integer_point=integer_point)
+
     def numerators(self) -> tuple[Sequence[int], int]:
         """The point as integers over one positive denominator
         (``integer_point``), read once."""
         return self.integer_point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EdgeDescriptor:
     """One-dimensional face reached by relaxing one inequality at a vertex.
 
@@ -205,7 +214,8 @@ class EdgeDescriptor:
     column there, times minus the scale. A section walk reads only the far
     end, so it builds neither. The section edge of
     ``paramlp.solve_lp_delta`` is read off P's tableau at the section
-    optimum (``paramlp.section_edge``) and carries no tableau.
+    optimum (``paramlp.section_edge``) and carries no tableau. As ``Vertex``,
+    it fills its instance dict in one update.
     """
 
     base: Vertex
@@ -223,6 +233,16 @@ class EdgeDescriptor:
     denom: int = field(default=1, compare=False, repr=False)
     step: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
     scale: int = field(default=1, compare=False, repr=False)
+
+    def __init__(self, base: Vertex, relaxed: int, direction: Optional[Vec],
+                 t_max: Optional[Rat], far_end: Optional[Vertex],
+                 tableau: Optional[Tableau] = None,
+                 column: Optional[tuple[int, ...]] = None,
+                 origin: Optional[tuple[int, ...]] = None,
+                 denom: int = 1, step: Optional[tuple[int, int]] = None, scale: int = 1):
+        self.__dict__.update(base=base, relaxed=relaxed, direction=direction, t_max=t_max,
+                             far_end=far_end, tableau=tableau, column=column, origin=origin,
+                             denom=denom, step=step, scale=scale)
 
     @property
     def unbounded(self) -> bool:
@@ -250,18 +270,19 @@ def _edge_column(tab: Optional[Tableau], relax: int, scale: int) -> Optional[tup
 
 def min_ratio(steps: Iterable[tuple[int, int, int]],
               tight: frozenset[int]) -> tuple[int, int, Optional[int]]:
-    """The shortest step over (label, slack, rate) integer triples in
-    ascending label order, as (slack, rate), with its label; the label is
-    None when no rate is positive. A zero step or a tie is degenerate;
-    ``tight`` names the edge in the message.
+    """The shortest step over (label, slack, rate) integer triples, in any
+    order, as (slack, rate), with its label; the label is None when no rate
+    is positive. A zero step or a tie is degenerate: the message names the
+    lowest label of a zero step, or the tied labels in ascending order, and
+    ``tight`` names the edge.
     """
     best_s, best_r, hits = least_ratios(steps)
     if not hits:
         return 0, 0, None
     if best_s == 0:
-        raise DegeneratePolytope(f"extra tight row {hits[0]} leaving {sorted(tight)}")
+        raise DegeneratePolytope(f"extra tight row {min(hits)} leaving {sorted(tight)}")
     if len(hits) > 1:
-        raise DegeneratePolytope(f"ratio tie between rows {hits} leaving {sorted(tight)}")
+        raise DegeneratePolytope(f"ratio tie between rows {sorted(hits)} leaving {sorted(tight)}")
     return best_s, best_r, hits[0]
 
 
@@ -418,11 +439,12 @@ class Polytope:
                  if not row[-1]}
         return Vertex(None, basis, basis | zeros, tab)
 
-    def _ratio_rows(self, tab: Tableau, relax: int) -> list[tuple[int, int, int]]:
-        """(label, slack, rate) of every basic slack along relax's edge, in label order."""
+    def _ratio_rows(self, tab: Tableau, relax: int) -> Iterator[tuple[int, int, int]]:
+        """(label, slack, rate) of every basic slack along relax's edge, in
+        dictionary order: the ratio test orders only tied labels."""
         d, col, start = self.dim, tab.cols.index(relax), self._slacks_from
-        slack_rows = zip(tab.basic[start:], tab.rows[start:])
-        return sorted((var - d + 1, row[-1], row[col]) for var, row in slack_rows)
+        return ((var - d + 1, row[-1], row[col])
+                for var, row in zip(tab.basic[start:], tab.rows[start:]))
 
     def _pivot_to(self, vertex: Vertex, tab: Tableau, relax: int, hit: int) -> Vertex:
         """One exchange on a copy of the tableau: relax leaves the basis, hit
@@ -475,7 +497,7 @@ class Polytope:
         allowed; None when the edge is unbounded."""
         tab = self.tableau(vertex)
         _, _, hits = least_ratios(self._ratio_rows(tab, relax))
-        return self._pivot_to(vertex, tab, relax, hits[0]) if hits else None
+        return self._pivot_to(vertex, tab, relax, min(hits)) if hits else None
 
     def edge_through_point(self, tight: Iterable[int], point: Sequence[Fraction],
                            direction: Vec) -> EdgeDescriptor:
@@ -673,18 +695,3 @@ class GameFamily:
     def lambda_of(self, w: Vertex) -> Rat:
         return w.coords[self.m]
 
-
-def basis_count(poly: Polytope) -> int:
-    return comb(poly.n_labels, poly.basis_size)
-
-
-def enumerate_vertices(poly: Polytope, guard: int = 10**6) -> list[Vertex]:
-    """All basic feasible points by exhaustive basis enumeration (guarded)."""
-    if basis_count(poly) > guard:
-        raise TooLarge(f"{basis_count(poly)} bases exceeds guard {guard}")
-    seen: dict[Vec, Vertex] = {}
-    for combo in combinations(range(1, poly.n_labels + 1), poly.basis_size):
-        v = poly.try_vertex(combo)
-        if v is not None and v.coords not in seen:
-            seen[v.coords] = v
-    return list(seen.values())

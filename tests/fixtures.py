@@ -1,12 +1,15 @@
 """Shared fixtures: the worked example, canonical rank-1 games, generators."""
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import random
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import ceil, comb
 from operator import mul
 from typing import NamedTuple
 
@@ -47,10 +50,11 @@ from rankgames.paramlp import Crossing, Hyperplane
 from rankgames.polytope import (
     GameFamily,
     Polytope,
+    ReadOff,
     Tableau,
+    Vertex,
     _edge_column,
     build_p,
-    enumerate_vertices,
 )
 
 # Worked example: a game family whose fully-labeled set is a path plus one
@@ -78,6 +82,18 @@ EX1_CYCLE_P_DECIMALS = (((0.5, 0.0, 0.5), 5.5), ((0.38, 0.18, 0.44), 5.56), ((0.
 
 def zero_matrix(rows: int, cols: int) -> Matrix:
     return Matrix([[0] * cols for _ in range(rows)])
+
+
+def shift(mat: Matrix, s) -> Matrix:
+    """``mat`` with the constant s added to every entry, on its integer rows."""
+    s = Fraction(s)
+    d, add = s.denominator, s.numerator * mat.denom
+    return Matrix._of_ints([[x * d + add for x in row] for row in mat.int_rows], mat.denom * d)
+
+
+def min_entry(mat: Matrix) -> Fraction:
+    """The least entry of a nonempty ``mat``, off its integer rows."""
+    return Fraction(min(min(row) for row in mat.int_rows), mat.denom)
 
 
 def submatrix(mat: Matrix, row_idx, col_idx) -> Matrix:
@@ -201,6 +217,19 @@ def edge_column(poly: Polytope, tab: Tableau, relax: int) -> tuple:
     """Relax's edge direction times ``tab.denom``, as the edge that
     ``Polytope.pivot`` makes reads it (``EdgeDescriptor.column``)."""
     return _edge_column(tab, relax, poly.scales[relax])
+
+
+def enumerate_vertices(poly: Polytope, guard: int = 10**6) -> list[Vertex]:
+    """All basic feasible points by exhaustive basis enumeration (guarded)."""
+    count = comb(poly.n_labels, poly.basis_size)
+    if count > guard:
+        raise TooLarge(f"{count} bases exceeds guard {guard}")
+    seen: dict[tuple, Vertex] = {}
+    for combo in combinations(range(1, poly.n_labels + 1), poly.basis_size):
+        v = poly.try_vertex(combo)
+        if v is not None and v.coords not in seen:
+            seen[v.coords] = v
+    return list(seen.values())
 
 
 def check_nondegenerate(poly: Polytope, guard: int = 10**6) -> bool:
@@ -505,6 +534,32 @@ def reference_analyze_edge(edge, h):
     return ("point", Crossing(*edge.point_at(t_star), 1 if rising else -1))
 
 
+def record_faults(record) -> list[str]:
+    """What is wrong with a frozen dataclass record whose constructor is
+    written by hand: its parameters against ``dataclasses.fields``, in order
+    and with the same defaults (a ``ReadOff`` default is taken as None), a
+    field that can be assigned, and a ``dataclasses.replace`` copy that is
+    not equal or hashes otherwise."""
+    cls, faults = type(record), []
+    fields = dataclasses.fields(cls)
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    want = [(f.name, None if isinstance(f.default, ReadOff)
+             else inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in fields]
+    if [(p.name, p.default) for p in params] != want:
+        return [f"{cls.__name__}.__init__ parameters differ from its fields {want}"]
+    for f in fields:
+        try:
+            setattr(record, f.name, None)
+        except dataclasses.FrozenInstanceError:
+            continue
+        faults.append(f"{cls.__name__}.{f.name} can be assigned")
+    copy = dataclasses.replace(record)
+    if copy != record or hash(copy) != hash(record):
+        faults.append(f"{cls.__name__}: replace makes an unequal copy")
+    return faults
+
+
 def ex1_family() -> GameFamily:
     return GameFamily(EX1_A, EX1_C, EX1_BETA)
 
@@ -728,6 +783,17 @@ MATCHING_PENNIES = BimatrixGame(
 )
 
 
+def positivity_shift(game: BimatrixGame) -> tuple[BimatrixGame, Fraction, Fraction]:
+    """Shift each payoff matrix by ceil(|min|) + 1 where needed (else 0)."""
+
+    def shift_for(m: Matrix) -> Fraction:
+        lowest = min_entry(m)
+        return Fraction(0) if lowest > 0 else Fraction(ceil(abs(lowest)) + 1)
+
+    s1, s2 = shift_for(game.a), shift_for(game.b)
+    return BimatrixGame(shift(game.a, s1), shift(game.b, s2)), s1, s2
+
+
 def zero_sum_solve(a: Matrix):
     """Exact minimax strategies and value of the game (a, -a), by two
     ``lp.solve_lp`` calls; the answer is verified on that game."""
@@ -779,6 +845,24 @@ def zero_sum_solve(a: Matrix):
     if not verify_equilibrium(game, profile):
         raise NotEquilibrium("minimax strategies failed verification")
     return make_record(game, profile, "zero-sum-lp")
+
+
+def fully_labeled_pairs(family: GameFamily, guard: int = 4) -> list[tuple]:
+    """Every fully-labeled vertex pair (v, w) by exhaustive basis
+    enumeration, in basis order."""
+    if family.m > guard or family.n > guard:
+        raise TooLarge(f"{family.m}x{family.n} exceeds the pair-enumeration guard {guard}")
+    full = frozenset(range(1, family.m + family.n + 1))
+    p_vertices = enumerate_vertices(family.p)
+    q_vertices = enumerate_vertices(family.qp)
+    pairs = [
+        (v, w)
+        for v in p_vertices
+        for w in q_vertices
+        if (v.labels | w.labels) == full
+    ]
+    pairs.sort(key=lambda vw: (sorted(vw[0].basis), sorted(vw[1].basis)))
+    return pairs
 
 
 def extreme_equilibria(game: BimatrixGame, guard: int = 6) -> list:

@@ -30,7 +30,7 @@ from rankgames.games import (
 )
 from rankgames.labeledpath import W_FIXED, trace_path
 from rankgames.linalg import vdot
-from rankgames.oracle import fully_labeled_pairs, support_enumeration
+from rankgames.oracle import support_enumeration
 from rankgames.paramlp import (
     box_bounds,
     fixed_point_eval,
@@ -46,6 +46,7 @@ from fixtures import (
     R1A,
     check_nondegenerate,
     ex1_family,
+    fully_labeled_pairs,
     g_value,
     random_general_games,
     random_rank1,

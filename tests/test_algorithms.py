@@ -624,16 +624,16 @@ def test_enumerate_general_ex1_unit_gamma_is_degenerate():
 
 @pytest.fixture(scope="module")
 def large_rank1_answers():
-    """(draw, enumerate_rank1's records) of four wide-span rank-1 draws at
-    each of 8x8, 12x12, 16x16 and 24x24: ``random_rank1`` of a fresh
-    random.Random(23) for each size. No oracle reaches these sizes, and
-    every draw is nondegenerate."""
+    """(draw, enumerate_rank1's records, bin_search's report) of four
+    wide-span rank-1 draws at each of 8x8, 12x12, 16x16 and 24x24:
+    ``random_rank1`` of a fresh random.Random(23) for each size. No oracle
+    reaches these sizes, and every draw is nondegenerate."""
     answers = []
     for size in (8, 12, 16, 24):
         rng = random.Random(23)
         for _ in range(4):
             d = random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
-            answers.append((d, enumerate_rank1(d)))
+            answers.append((d, enumerate_rank1(d), bin_search(d)))
     return answers
 
 
@@ -643,21 +643,21 @@ def indexed(records) -> set:
 
 def test_large_rank1_answer_sets_are_odd_with_index_sum_one(large_rank1_answers):
     # The index theorem on every answer set.
-    for _, recs in large_rank1_answers:
+    for _, recs, _ in large_rank1_answers:
         assert len(recs) % 2 == 1 and sum(r.index for r in recs) == 1
-    assert sum(len(recs) for _, recs in large_rank1_answers) == 44
+    assert sum(len(recs) for _, recs, _ in large_rank1_answers) == 44
 
 
 def test_bin_search_answer_is_in_the_large_rank1_enumeration(large_rank1_answers):
-    for d, recs in large_rank1_answers:
-        assert indexed([bin_search(d).equilibrium]) <= indexed(recs)
+    for _, recs, report in large_rank1_answers:
+        assert indexed([report.equilibrium]) <= indexed(recs)
 
 
 def test_permuting_strategies_permutes_the_large_rank1_enumeration(large_rank1_answers):
     # Rows permuted with gamma and columns with beta: the answer set is
     # permuted the same way and keeps its indices.
     rng = random.Random(6)
-    for d, recs in large_rank1_answers:
+    for d, recs, _ in large_rank1_answers:
         m, n = d.a.rows, d.a.cols
         rows, cols = rng.sample(range(m), m), rng.sample(range(n), n)
         permuted = Rank1Decomposition(
@@ -669,12 +669,25 @@ def test_permuting_strategies_permutes_the_large_rank1_enumeration(large_rank1_a
         assert indexed(enumerate_rank1(permuted)) == moved
 
 
+def test_positive_scaling_leaves_the_large_rank1_answers_unchanged(large_rank1_answers):
+    # A and gamma times s > 0 scale both payoff matrices by s: the same
+    # equilibria with the same indices, and bin_search answers with the same
+    # profile after as many probes.
+    for d, recs, report in large_rank1_answers:
+        for s in (3, Fraction(1, 2)):
+            scaled = Rank1Decomposition(d.a.scale(s), tuple(s * g for g in d.gamma), d.beta)
+            assert indexed(enumerate_rank1(scaled)) == indexed(recs)
+            out = bin_search(scaled)
+            assert (out.equilibrium.profile, out.iterations) == (
+                report.equilibrium.profile, report.iterations)
+
+
 def test_enumerate_general_with_the_games_own_beta_equals_enumerate_rank1(large_rank1_answers):
     # With the game's own beta the general embedding is the rank-1 family:
     # wherever it answers, the same equilibria with the same indices. The
     # rest raise "tied extreme entries".
     compared = 0
-    for d, recs in large_rank1_answers[:12]:  # 8x8 to 16x16
+    for d, recs, _ in large_rank1_answers[:12]:  # 8x8 to 16x16
         try:
             general = enumerate_general(d.game(), d.beta)
         except DegeneracyError:
@@ -686,7 +699,7 @@ def test_enumerate_general_with_the_games_own_beta_equals_enumerate_rank1(large_
 
 def test_enumerate_general_default_beta_misses_equilibria_of_a_rank1_game(large_rank1_answers):
     # The first 16x16 draw: the default beta's path crosses 3 of its 7.
-    d, recs = large_rank1_answers[8]
+    d, recs, _ = large_rank1_answers[8]
     general = enumerate_general(d.game())
     assert (len(general), len(recs)) == (3, 7)
     assert indexed(general) < indexed(recs)

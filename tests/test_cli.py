@@ -22,7 +22,7 @@ from rankgames.errors import NotEquilibrium
 from rankgames.games import BimatrixGame
 from rankgames.linalg import Matrix
 
-from fixtures import EX1_A, EX1_BETA, EX1_C, MATCHING_PENNIES, R1A, R1B, R1C, zero_matrix
+from fixtures import EX1_A, EX1_BETA, EX1_C, MATCHING_PENNIES, R1A, R1B, R1C, shift, zero_matrix
 
 
 def write_game(tmp_path, game, name="g.game"):
@@ -426,7 +426,7 @@ def test_perturb_is_an_option_only_of_the_verbs_that_retry(tmp_path, capsys):
 
 
 def test_guard_exceeded_exits_4(tmp_path, capsys):
-    big = BimatrixGame(zero_matrix(7, 7).shift(1), zero_matrix(7, 7).shift(2))
+    big = BimatrixGame(shift(zero_matrix(7, 7), 1), shift(zero_matrix(7, 7), 2))
     path = write_game(tmp_path, big)
     assert main(["oracle", "--input", path]) == EXIT_GUARD
 

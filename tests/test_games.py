@@ -12,7 +12,6 @@ from rankgames.games import (
     decompose_rank1,
     decompose_rank_k,
     payoffs,
-    positivity_shift,
     reduce_constant_beta,
     verify_equilibrium,
 )
@@ -29,7 +28,9 @@ from fixtures import (
     fraction_payoffs,
     fraction_verify_equilibrium,
     integerize,
+    min_entry,
     naive_determinant,
+    positivity_shift,
     rank1_game,
     submatrix,
     zero_matrix,
@@ -323,8 +324,8 @@ def test_positivity_shift_rules():
     shifted2, s1, s2 = positivity_shift(game2)
     assert s1 == 4  # ceil(|-3|) + 1
     assert s2 == 1  # zero entries still need a bump
-    assert shifted2.a.min_entry() > 0
-    assert shifted2.b.min_entry() > 0
+    assert min_entry(shifted2.a) > 0
+    assert min_entry(shifted2.b) > 0
 
 
 def test_positivity_shift_preserves_equilibria():

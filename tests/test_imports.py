@@ -165,10 +165,20 @@ def test_every_definition_is_named_elsewhere():
 
 
 # Package definitions that only tests and the bench name. Each must still
-# exist with no mention in the package, so the tuple can only shrink: one
-# that the package starts to use, or that moves to tests/fixtures.py, leaves.
+# exist with no mention in the package, so the tuple only shrinks, but for
+# what a stricter lint finds: one that the package starts to use, or that
+# moves to tests/fixtures.py, leaves.
 TEST_ONLY = ("degree", "render_game", "from_lists", "tolists", "over", "ineqs", "eq",
-             "edge_through_point")
+             "edge_through_point", "determinant")
+# Library API that README documents and no package module calls: the paper's
+# homeomorphism, both ways.
+API = ("homeo_forward", "homeo_inverse")
+
+
+def _mentioners(package: dict[str, ast.Module]) -> list[ast.Module]:
+    """The package's modules but ``__init__.py``, whose imports only
+    re-export: a name it imports is not a use."""
+    return [tree for name, tree in package.items() if name != "__init__.py"]
 
 
 def _off_the_pins(unnamed: list[str], pinned: Sequence[str]) -> list[str]:
@@ -185,16 +195,18 @@ def test_finds_an_unpinned_and_a_stale_test_only_definition():
                           "def for_tests():\n    pass\ndef new():\n    pass\n"),
         "__init__.py": ast.parse("from .a import run\n__all__ = ['run']\n"),
     }
-    unnamed = _unnamed(package, package.values())
-    assert unnamed == ["a.py: for_tests", "a.py: new"]
-    assert _off_the_pins(unnamed, ("for_tests", "helper", "gone")) == [
+    # Read as a use, the re-export would hide run.
+    assert _unnamed(package, package.values()) == ["a.py: for_tests", "a.py: new"]
+    unnamed = _unnamed(package, _mentioners(package))
+    assert unnamed == ["a.py: run", "a.py: for_tests", "a.py: new"]
+    assert _off_the_pins(unnamed, ("run", "for_tests", "helper", "gone")) == [
         "unpinned a.py: new", "stale helper", "stale gone",
     ]
 
 
 def test_package_definitions_are_named_in_the_package_but_the_pinned_test_only_ones():
     package = _package()
-    assert _off_the_pins(_unnamed(package, package.values()), TEST_ONLY) == []
+    assert _off_the_pins(_unnamed(package, _mentioners(package)), TEST_ONLY + API) == []
 
 
 def _prose(markdown: str, heading: str) -> str:

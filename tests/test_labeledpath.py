@@ -26,7 +26,6 @@ from rankgames.labeledpath import (
 )
 from rankgames.games import BimatrixGame
 from rankgames.linalg import Matrix, determinant, sign
-from rankgames.oracle import fully_labeled_pairs
 from rankgames.polytope import GameFamily, Polytope
 
 from fixtures import (
@@ -37,10 +36,12 @@ from fixtures import (
     EX1_PATH_P_VERTICES,
     ex1_family,
     full_node_sign,
+    fully_labeled_pairs,
     g_value,
     nondegenerate_rank1_fixtures,
     ray_anchors,
     random_rank1,
+    record_faults,
 )
 
 
@@ -168,6 +169,13 @@ def test_cycle_retrace_is_identical(ex1, ex1_cycle):
 def test_trace_cycle_rejects_path_seed(ex1, ex1_path):
     with pytest.raises(SeedOnPath):
         trace_cycle(ex1, ex1_path.nodes[0])
+
+
+def test_path_records_keep_the_dataclass_contract(ex1, ex1_path, ex1_cycle):
+    # Both rays, the path's bounded edges and a cycle's, with every node.
+    records = {*ex1_path.nodes, *ex1_path.edges, *ex1_cycle.nodes, *ex1_cycle.edges}
+    assert {type(r).__name__ for r in records} == {"PathNode", "PathEdge"}
+    assert [fault for record in records for fault in record_faults(record)] == []
 
 
 def test_export_lines_shape(ex1, ex1_path):

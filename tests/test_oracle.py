@@ -7,7 +7,7 @@ import pytest
 from rankgames.errors import NotEquilibrium, TooLarge
 from rankgames.games import BimatrixGame, verify_equilibrium
 from rankgames.linalg import Matrix
-from rankgames.oracle import fully_labeled_pairs, support_enumeration
+from rankgames.oracle import support_enumeration
 from rankgames.polytope import GameFamily, build_p
 
 from fixtures import (
@@ -16,10 +16,13 @@ from fixtures import (
     R1B,
     R1C,
     check_nondegenerate,
+    enumerate_vertices,
     extreme_equilibria,
     fraction_verify_equilibrium,
+    fully_labeled_pairs,
     nondegenerate_rank1_fixtures,
     random_general_games,
+    shift,
     zero_matrix,
     zero_sum_solve,
 )
@@ -61,7 +64,7 @@ def test_all_outputs_verify_and_counts_are_odd():
 
 
 def test_size_guard():
-    big = BimatrixGame(zero_matrix(7, 3).shift(1), zero_matrix(7, 3).shift(2))
+    big = BimatrixGame(shift(zero_matrix(7, 3), 1), shift(zero_matrix(7, 3), 2))
     with pytest.raises(TooLarge):
         support_enumeration(big)
 
@@ -77,14 +80,12 @@ def test_fully_labeled_pairs_1x1_has_no_vertex_pairs():
     # vertices, so the fully-labeled set is a single edge and the vertex-pair
     # enumeration is honestly empty.
     fam = GameFamily(Matrix([[5]]), Matrix([[-5]]), (2,))
-    from rankgames.polytope import enumerate_vertices
-
     assert enumerate_vertices(fam.qp) == []
     assert fully_labeled_pairs(fam) == []
 
 
 def test_fully_labeled_pairs_guard():
-    a = zero_matrix(5, 5).shift(1)
+    a = shift(zero_matrix(5, 5), 1)
     with pytest.raises(TooLarge):
         fully_labeled_pairs(GameFamily(a, a.scale(-1), (1, 2, 3, 4, 5)))
 

@@ -57,6 +57,7 @@ from fixtures import (
     reference_piece_fixed_point,
     reference_section_edge,
     reference_z_rows,
+    record_faults,
     section_gap,
     section_objective,
     watch_solve_lp,
@@ -129,6 +130,19 @@ def test_objective_zero_certificate_strict_on_non_labeled_points(r1a_family):
         v_coords = tuple(y) + (pi1,)
         w_coords = tuple(x) + (lam, pi2)
         assert section_gap((fam.beta,), v_coords, w_coords) < 0
+
+
+def test_probe_records_keep_the_dataclass_contract(r1a_family):
+    sec = solve_lp_k(r1a_family, (R1A_NE_LAMBDA,))
+    # w_coords given as None is read off w_point on first use, and kept.
+    assert vars(sec)["w_coords"] is None
+    assert sec.w_coords[: r1a_family.m] == R1A_NE_X and vars(sec)["w_coords"] == sec.w_coords
+    h = Hyperplane(R1A.gamma)
+    records = (sec, solve_lp_delta(r1a_family, R1A_NE_LAMBDA), is_ne(r1a_family, h, R1A_NE_LAMBDA),
+               is_ne(r1a_family, h, min(R1A.gamma)))
+    assert [type(r).__name__ for r in records] == [
+        "Section", "OptSet", "IsNEOutcome", "IsNEOutcome"]
+    assert [fault for record in records for fault in record_faults(record)] == []
 
 
 def test_is_ne_found_at_equilibrium_lambda(r1a_family):

@@ -16,7 +16,7 @@ from rankgames.errors import (
     TooLarge,
     ZeroBeta,
 )
-from rankgames.linalg import Matrix, solve_linear_system, vadd, vdot, vscale
+from rankgames.linalg import Matrix, least_ratios, solve_linear_system, vadd, vdot, vscale
 from rankgames.paramlp import _section
 from rankgames.polytope import (
     EdgeDescriptor,
@@ -25,7 +25,6 @@ from rankgames.polytope import (
     Vertex,
     build_p,
     build_qprime,
-    enumerate_vertices,
 )
 
 from fixtures import (
@@ -33,6 +32,7 @@ from fixtures import (
     EX1_C,
     check_nondegenerate,
     edge_column,
+    enumerate_vertices,
     ex1_family,
     feasible,
     fraction_polytope_rows,
@@ -43,6 +43,8 @@ from fixtures import (
     random_rank1,
     random_rank_k,
     ray_anchors,
+    record_faults,
+    shift,
     tableau_point,
 )
 
@@ -637,6 +639,42 @@ def test_simplex_pivot_steps_through_a_degenerate_vertex():
     assert p.simplex_pivot(v, 1) is None
 
 
+def test_ratio_test_orders_only_the_tied_labels():
+    # Each simplex_pivot below leaves Tableau.basic out of label order, so the
+    # ratio rows come in dictionary order and least_ratios meets the tied
+    # labels out of order. Bland's rule still enters the lowest, and each
+    # message names the tied labels ascending and the lowest zero step.
+    cases = (
+        ([[2, 3], [1, 3]], {1, 2}, 2, 4, [3, 2], 2,
+         "ratio tie between rows [2, 3] leaving [1, 4]"),
+        ([[1, 3], [1, 0], [1, 3]], {1, 2}, 1, 5, [3, 1], 1,
+         "extra tight row 1 leaving [2, 5]"),
+    )
+    for a, start, first, relax, met, enters, message in cases:
+        p = build_p(Matrix(a))
+        v = p.simplex_pivot(p.vertex_from_basis(start), first)
+        assert list(v.tableau.basic) != sorted(v.tableau.basic)
+        assert least_ratios(p._ratio_rows(v.tableau, relax))[2] == met
+        assert p.simplex_pivot(v, relax).basis == v.basis - {relax} | {enters}
+        with pytest.raises(DegeneratePolytope) as err:
+            p.pivot(v, relax)
+        assert str(err.value) == message
+
+
+def test_hot_path_records_keep_the_dataclass_contract():
+    fam = ex1_family()
+    v_s, ray = fam.ray(high=False)
+    ed = fam.p.pivot(v_s, 4)
+    for record in (v_s, ed.far_end, ed, ray.base, ray):
+        assert record_faults(record) == []
+    # A field given as None is still read off the tableau on first use, and kept.
+    lazy = Vertex(None, v_s.basis, v_s.basis, v_s.tableau)
+    assert vars(lazy)["coords"] is None and vars(lazy)["integer_point"] is None
+    assert lazy.coords == v_s.coords == (Fraction(0), Fraction(1), Fraction(0), Fraction(9))
+    assert vars(lazy)["coords"] == v_s.coords
+    assert vars(lazy)["integer_point"] == v_s.integer_point
+
+
 def test_a_family_decides_minus_a_without_building_a_matrix(monkeypatch):
     # GameFamily decides c = -a on the integer rows: a family builds no
     # Matrix at k = 1, where one nonzero beta needs no rank either, and only
@@ -652,7 +690,7 @@ def test_a_family_decides_minus_a_without_building_a_matrix(monkeypatch):
                 for _ in range(3)])
     a2, betas, _ = random_rank_k(rng, 2, 3, 4)
     cases = [(a, -a, [(1, 2, 3, 5)], True), (a, a, [(1, 2, 3, 5)], False),
-             (a, (-a).shift(1), [(Fraction(1, 2), 2, 3, 5)], False),
+             (a, shift(-a, 1), [(Fraction(1, 2), 2, 3, 5)], False),
              (a, Matrix((-a).tolists()), [(1, 2, 3, 5)], True),
              (EX1_A, EX1_C, [(9, 7, 8)], False), (a2, -a2, betas, True), (a2, a2, betas, False)]
     for a, c, betas, minus_a in cases:
