@@ -7,7 +7,8 @@ the forward/inverse homeomorphism maps, the exact rank-k fixed-point search
 region extraction. A path walk reads each node's lifted point once, as
 integers: enumeration's lambda checks compare by cross-multiplication, and
 the crossing test (``paramlp.path_crossings``) takes the hyperplane's value
-there, so no node builds ``Fraction`` coordinates; only an answer does.
+there, so no node builds ``Fraction`` coordinates; an answer builds only
+its x and y, off the crossing's integer points.
 """
 from __future__ import annotations
 
@@ -48,7 +49,17 @@ from .labeledpath import (
     trace_path,
     walk,
 )
-from .linalg import Matrix, Rat, Vec, integer_determinant, sign, vdot, vector, vscale
+from .linalg import (
+    Matrix,
+    Rat,
+    Vec,
+    integer_determinant,
+    rationals,
+    sign,
+    vdot,
+    vector,
+    vscale,
+)
 from .lp import EQ, LE, LinearProgram, solve_lp
 from .paramlp import (
     Crossing,
@@ -137,8 +148,10 @@ def index_of(game: BimatrixGame, rec: EquilibriumRecord, crossing: Crossing) -> 
 def _finalize(game: BimatrixGame, crossing: Crossing, provenance: str) -> EquilibriumRecord:
     """A crossing as an answer: its profile, verified exactly on ``game``, the
     caller's input game, and recorded there once with its cross-checked
-    index."""
-    profile = MixedProfile(crossing.w_coords[: game.m], crossing.v_coords[: game.n])
+    index. Only x and y are built as ``Fraction``s, off the crossing's
+    integer points."""
+    (v, v_den), (w, w_den) = crossing.v_point, crossing.w_point
+    profile = MixedProfile(rationals(w[: game.m], w_den), rationals(v[: game.n], v_den))
     if not verify_equilibrium(game, profile):
         raise NotEquilibrium("hyperplane crossing failed exact verification")
     rec = make_record(game, profile, provenance)

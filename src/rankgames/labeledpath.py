@@ -193,12 +193,12 @@ def walk(family: GameFamily, first: PathNode) -> Iterator[PathEdge]:
     A positive sign directs the P-side relaxation away from the node. The walk
     ends after a ray (head None) or on the edge that returns to ``first``.
     """
-    budget = step_budget(family.m, family.n)
+    budget, start = step_budget(family.m, family.n), first.key()
     node = first
     for _ in range(budget):
         edge, node = step(family, node, "P" if node.sign > 0 else "Q")
         yield edge
-        if node is None or node.key() == first.key():
+        if node is None or node.key() == start:
             return
     raise StepBudgetExceeded(f"more than {budget} steps from one node")
 

@@ -8,8 +8,9 @@ rows only when an entry, row or column is read (see ``Matrix``).
 The package's one exact integer kernel lives here, as in the integer pivoting
 of lrsnash (Avis, Rosenberg, Savani & von Stengel, 2010): one integerizer
 (``integers``), one ratio test (``least_ratios``), one fraction-free pivot
-on a dictionary, which keeps only the nonbasic columns (``exchange_pivot``),
-with its form on a full tableau (``integer_pivot``), and one Gauss-Jordan
+on a dictionary, which keeps only the nonbasic columns and returns the new
+rows, sharing those it leaves unchanged (``exchange_pivot``), with its form
+on a full tableau (``integer_pivot``), and one Gauss-Jordan
 loop of exchanges (``gauss_jordan``), which solves, ranks and builds every
 polytope tableau; a build takes the columns of its sign rows (-z_c <= 0) as
 already pivoted and exchanges only the rest. Each division is exact and
@@ -236,10 +237,14 @@ def integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (q // x.denominator) for x in values], q
 
 
+_ZERO = Fraction(0)
+
+
 def rationals(numerators: Iterable[int], denom: int) -> Vec:
     """The values ``numerators / denom``, one ``Fraction`` each: the inverse
-    of ``integers``."""
-    return tuple(Fraction(x, denom) for x in numerators)
+    of ``integers``. Every zero is one shared ``Fraction(0)``, which costs no
+    gcd: most entries of a mixed strategy are zero."""
+    return tuple(Fraction(x, denom) if x else _ZERO for x in numerators)
 
 
 def least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[int]]:
@@ -258,51 +263,74 @@ def least_ratios(steps: Iterable[tuple[int, int, int]]) -> tuple[int, int, list[
     return best_s, best_r, hits
 
 
-def exchange_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) -> int:
-    """Fraction-free pivot of a dictionary at column ``c`` of ``prow``, in
-    place, on integer rows whose true values are ``row / d``: the variable of
-    column ``c`` enters at ``prow``, and the variable basic there leaves and
-    takes column ``c``. Returns the new common denominator ``p = prow[c]``.
+def exchange_pivot(rows: Sequence[Sequence[int]], r: int, c: int, d: int,
+                   at: Optional[int] = None) -> tuple[list[Sequence[int]], int]:
+    """Fraction-free pivot of a dictionary at column ``c`` of row ``r``, on
+    integer rows whose true values are ``row / d``: the variable of column
+    ``c`` enters at row ``r``, and the variable basic there leaves and takes
+    column ``c``. Returns the new rows and the new common denominator ``p =
+    rows[r][c]``; ``rows`` is left as it is.
 
     The rows hold only the nonbasic columns; each basic variable's column,
     ``d`` on its own row and zero elsewhere, is left implicit. The pivot row
-    is kept and every other row becomes ``(row * p - f * prow) / d`` in
-    place, with ``f = row[c]``; then the leaving variable's column is written
-    into column ``c``: ``-f`` on every other row and ``d`` on the pivot row.
+    is kept and every other row becomes ``(row * p - f * prow) / d``, with
+    ``f = row[c]``; where ``p == d`` that is ``row - f * prow / d``, with no
+    division at all when ``d == 1``. The leaving variable's column is then
+    written into column ``c``: ``-f`` on every other row and ``d`` on the
+    pivot row. With ``at``, that column is moved to index ``at`` as each row
+    is built, the columns between shifting by one. Each new row is a tuple,
+    but a row that the exchange leaves as it was (f = 0, p == d, no move) is
+    the input row itself, shared.
     Each division is exact: every entry stays a subdeterminant of the
     starting integer rows (Edmonds' integer-preserving elimination, as in
     Bareiss), and is the one the full tableau holds in that column.
     """
+    prow = rows[r]
     p = prow[c]
-    for row in rows:
-        if row is prow:
-            continue
+    moved = at is not None and at != c
+    out = []
+    for i, row in enumerate(rows):
         f = row[c]
-        if f:
-            row[:] = [(x * p - f * y) // d for x, y in zip(row, prow)]
-            row[c] = -f
+        if i == r:
+            new, f = list(row), -d  # the leaving variable's column holds d here
+        elif not f:
+            if p == d and not moved:
+                out.append(row)
+                continue
+            new = list(row) if p == d else [x * p // d for x in row]
         elif p != d:
-            row[:] = [x * p // d for x in row]
-    prow[c] = d
-    return p
+            new = [(x * p - f * y) // d for x, y in zip(row, prow)]
+        elif d != 1:
+            new = [x - f * y // d for x, y in zip(row, prow)]
+        else:
+            new = [x - f * y for x, y in zip(row, prow)]
+        if moved:
+            del new[c]
+            new.insert(at, -f)
+        else:
+            new[c] = -f
+        out.append(tuple(new))
+    return out, p
 
 
-def integer_pivot(rows: Sequence[list[int]], prow: list[int], c: int, d: int) -> int:
-    """``exchange_pivot`` on a full tableau, which keeps every column: column
-    ``c`` becomes basic, ``p = prow[c]`` on the pivot row and zero on every
-    other row. Returns the new common denominator ``p``."""
-    p = exchange_pivot(rows, prow, c, d)
-    for row in rows:
+def integer_pivot(rows: Sequence[list[int]], r: int, c: int, d: int) -> int:
+    """``exchange_pivot`` on a full tableau, which keeps every column, in
+    place: column ``c`` becomes basic, ``p = rows[r][c]`` on the pivot row
+    and zero on every other row. Returns the new common denominator ``p``."""
+    new, p = exchange_pivot(rows, r, c, d)
+    for row, exchanged in zip(rows, new):
+        row[:] = exchanged
         row[c] = 0
-    prow[c] = p
+    rows[r][c] = p
     return p
 
 
-def gauss_jordan(rows: Sequence[list[int]], free: Iterable[int], cols: int,
+def gauss_jordan(rows: list[Sequence[int]], free: Iterable[int], cols: int,
                  pivots: Optional[Sequence[Optional[int]]] = None,
                  ) -> tuple[list[Optional[int]], int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place, by
-    exchanges (``exchange_pivot``).
+    """Fraction-free Gauss-Jordan elimination of integer rows by exchanges
+    (``exchange_pivot``): the list ``rows`` is updated in place, each row
+    replaced by its exchanged row.
 
     Each row r carries an implicit basic variable of its own, its slack:
     ``rows`` is a dictionary with those basic. Columns 0..cols-1 are taken in
@@ -330,7 +358,7 @@ def gauss_jordan(rows: Sequence[list[int]], free: Iterable[int], cols: int,
             r = next((r for r in free if rows[r][col]), None)
             if r is not None:
                 free.remove(r)
-                denom = exchange_pivot(rows, rows[r], col, denom)
+                rows[:], denom = exchange_pivot(rows, r, col, denom)
             pivots[col] = r
     return pivots, denom
 

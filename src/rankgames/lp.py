@@ -104,7 +104,7 @@ class _Tableau:
     def pivot(self, r: int, c: int, costrow: list[int]) -> None:
         self.pivots += 1
         every = self.rows + [costrow]
-        self.denom = integer_pivot(every, self.rows[r], c, self.denom)
+        self.denom = integer_pivot(every, r, c, self.denom)
         if self.denom < 0:  # a negative pivot, met only in the artificial drive-out
             for row in every:
                 row[:] = [-x for x in row]

@@ -23,12 +23,14 @@ crossing is only geometry, which the caller verifies on its own game. Every
 moving path edge holds its base point and direction as integers over one
 denominator, and a bounded one its length as an integer ratio, so the
 hyperplane's value and its rate are integer dots with the hyperplane's
-integer row and the hit is placed by cross-multiplication. A fixed vertex of
-Q' gives only a side: the sign of one integer dot with its point's
-numerators (``Vertex.numerators``). Along a path (``path_crossings``) that
-dot is taken once per node, and an edge whose two end values share one
-strict sign is skipped unread: only an edge with a zero or a sign change at
-its ends, or a ray, has its base point and direction read. Every point is
+integer row and the hit is placed by cross-multiplication; a hit is kept as
+integer points (``Crossing``), read as ``Fraction``s only when asked. A
+fixed vertex of Q' gives only a side: the sign of one integer dot with its
+point's numerators (``Vertex.numerators``). Along a path
+(``path_crossings``) that dot is taken once per node, and an edge whose two
+end values share one strict sign is skipped unread: only an edge with a
+zero or a sign change at its ends, or a ray, has its base point and
+direction read. Every point is
 read off a tableau through ``Tableau.z_column``, or kept as integers where
 no tableau is built: a tableau holds no row for a sign-constrained
 coordinate.
@@ -105,13 +107,27 @@ class Hyperplane:
         return Fraction(self.dot(numerators), self.scale * denom)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Crossing:
-    """A hyperplane hit strictly inside an oriented edge: the (v, w) point."""
+    """A hyperplane hit strictly inside an oriented edge: the (v, w) point.
 
-    v_coords: Vec
-    w_coords: Vec
+    ``v_point`` and ``w_point`` hold v and w as integers over one positive
+    denominator, as ``_analyze_edge`` finds them, and ``v_coords`` and
+    ``w_coords``, given as None, are read off them when first used. As
+    ``Section``, it fills its instance dict in one update.
+    """
+
+    v_coords: Vec = ReadOff(lambda hit: rationals(*hit.v_point))
+    w_coords: Vec = ReadOff(lambda hit: rationals(*hit.w_point))
     orient_index: int  # +1 when the hyperplane value rises tail-to-head
+    v_point: Optional[tuple[Sequence[int], int]] = field(default=None, compare=False, repr=False)
+    w_point: Optional[tuple[Sequence[int], int]] = field(default=None, compare=False, repr=False)
+
+    def __init__(self, v_coords: Optional[Vec], w_coords: Optional[Vec], orient_index: int,
+                 v_point: Optional[tuple[Sequence[int], int]] = None,
+                 w_point: Optional[tuple[Sequence[int], int]] = None):
+        self.__dict__.update(v_coords=v_coords, w_coords=w_coords, orient_index=orient_index,
+                             v_point=v_point, w_point=w_point)
 
 
 @dataclass(frozen=True, init=False)
@@ -441,10 +457,12 @@ def _analyze_edge(edge: PathEdge, h: Hyperplane):
     dh, are integer dots with the edge's integer base point and direction
     (``EdgeDescriptor.origin`` and ``column``), over one positive unit,
     whether ``Polytope.pivot`` or ``section_edge`` made it. The hit t* =
-    -h0 / dh is placed against 0 and ``t_max`` by cross-multiplication, and
-    its ``Fraction`` is built only when it lies strictly inside; a bounded
-    edge's t_max is read as its integer ``step``. A fixed vertex of Q' gives
-    only a side, read off its point's numerators.
+    -h0 / dh is placed against 0 and ``t_max`` by cross-multiplication; a
+    bounded edge's t_max is read as its integer ``step``. A hit strictly
+    inside is kept in integers: w = (origin * den + num * column) / (denom
+    * den) at t* = num / den, and v is the fixed vertex's numerators
+    (``Vertex.numerators``), so no ``Fraction`` is built. A fixed vertex of
+    Q' gives only a side, read off its point's numerators.
     """
     if edge.kind == W_FIXED:
         h0, dh = _h_at(h, edge.fixed), 0
@@ -467,8 +485,9 @@ def _analyze_edge(edge: PathEdge, h: Hyperplane):
         )
     if num < 0 or past > 0:
         return ("none", 1 if h0 > 0 else -1)
-    t_star = Fraction(num, den)
-    return ("point", Crossing(*edge.point_at(t_star), _orient_index(edge, dh)))
+    # The hyperplane reads only w, so a hit has dh != 0: w moves and v is fixed.
+    w = ([o * den + num * c for o, c in zip(ed.origin, ed.column)], ed.denom * den)
+    return ("point", Crossing(None, None, _orient_index(edge, dh), edge.fixed.numerators(), w))
 
 
 def _orient_index(edge: PathEdge, dh: int) -> int:

@@ -21,15 +21,18 @@ reader of coordinates reads it off that slack's row through one accessor,
 ``linalg.gauss_jordan`` on the integer rows but the sign rows, with the
 columns of its sign rows (y_j >= 0, x_i >= 0) taken as already pivoted: one
 exchange for the equality and one per other basis row, 2 for a pure vertex of
-P. A pivot is one ``linalg.exchange_pivot`` on a copy of the base vertex's
-tableau; the edge direction, the ratio test (``linalg.least_ratios``), the
-far vertex and its labels are read off that tableau, so the walk solves no
-system. The ratio test reads the slack rows in dictionary order and sorts
-only the labels that tie, so Bland's rule and every degeneracy message see
-them in label order. Coordinates, directions and steps are still returned
-as ``Fraction``, but a pivot's far vertex and its edge are made without
-their coordinates, direction and step: those are read off the tableau, or
-the step's integers, when first used, which on most path edges is never.
+P. A pivot is one ``linalg.exchange_pivot`` of the base vertex's tableau,
+which is left as it is: each far row is built once, as a tuple, with the
+entering slack's column already in its label-order place, and the far
+labels are read off the new rhs. The edge direction, the ratio test
+(``linalg.least_ratios``), the far vertex and its labels are read off the
+tableaux, so the walk solves no system. The ratio test zips the slack rows'
+columns in dictionary order and sorts only the labels that tie, so Bland's
+rule and every degeneracy message see them in label order. Coordinates,
+directions and steps are still returned as ``Fraction``, but a pivot's far
+vertex and its edge are made without their coordinates, direction and step:
+those are read off the tableau, or the step's integers, when first used,
+which on most path edges is never.
 Each edge holds its base point and direction as integers over one denominator, and a pivot's edge
 reads even those off its tableau on first use (``EdgeDescriptor.origin`` and
 ``column``). A section walk reads two rows of each vertex's tableau
@@ -42,7 +45,8 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, mul
+from itertools import repeat
+from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -404,7 +408,7 @@ class Polytope:
                 free.append(at[lab])
             else:
                 labels[c] = lab
-        rows = [list(self.int_rows[i]) for i in kept]
+        rows = [self.int_rows[i] for i in kept]  # each exchange builds new rows: no copy
         # A sign coordinate's own sign row is not eliminated: -1 marks it pivoted.
         pivots = [None if lab is None else at.get(lab, -1) for lab in labels]
         pivots, denom = gauss_jordan(rows, free, d, pivots)
@@ -441,24 +445,24 @@ class Polytope:
 
     def _ratio_rows(self, tab: Tableau, relax: int) -> Iterator[tuple[int, int, int]]:
         """(label, slack, rate) of every basic slack along relax's edge, in
-        dictionary order: the ratio test orders only tied labels."""
-        d, col, start = self.dim, tab.cols.index(relax), self._slacks_from
-        return ((var - d + 1, row[-1], row[col])
-                for var, row in zip(tab.basic[start:], tab.rows[start:]))
+        dictionary order: the ratio test orders only tied labels. The triples
+        are zipped from the rows' columns, with no Python frame per row."""
+        col, start = tab.cols.index(relax), self._slacks_from
+        rows = tab.rows[start:]
+        return zip(map(sub, tab.basic[start:], repeat(self.dim - 1)),
+                   map(itemgetter(-1), rows), map(itemgetter(col), rows))
 
     def _pivot_to(self, vertex: Vertex, tab: Tableau, relax: int, hit: int) -> Vertex:
-        """One exchange on a copy of the tableau: relax leaves the basis, hit
-        enters, and hit's slack column moves to its place in label order."""
-        d, c = self.dim, tab.cols.index(relax)
+        """One exchange (``exchange_pivot``) of the tableau: relax leaves the
+        basis and hit enters. Each far row is built once, as a tuple, with
+        hit's slack column already in its place in label order; the far
+        labels are the basis and every basic slack whose new rhs is zero."""
+        d, c, start = self.dim, tab.cols.index(relax), self._slacks_from
         r = tab.basic.index(d + hit - 1)
-        rows = [list(row) for row in tab.rows]
-        denom = exchange_pivot(rows, rows[r], c, tab.denom)
         cols = [*tab.cols[:c], *tab.cols[c + 1:]]
         k = bisect(cols, hit)
         cols.insert(k, hit)
-        if k != c:
-            for row in rows:
-                row.insert(k, row.pop(c))
+        rows, denom = exchange_pivot(tab.rows, r, c, tab.denom, k)
         basic = tab.basic[:r] + (d + relax - 1,) + tab.basic[r + 1:]
         # Row r was hit's slack's and is relax's: a sign coordinate that read
         # it reads its unit row now, and one that read relax's reads it.
@@ -470,12 +474,14 @@ class Polytope:
             if relax in coord:
                 z_at[coord[relax]] = r
             z_at = tuple(z_at)
-        tab = Tableau(tuple(map(tuple, rows)), denom, basic, tuple(cols), z_at)
-        return self._tableau_vertex(vertex.basis - {relax} | {hit}, tab)
+        basis = vertex.basis - {relax} | {hit}
+        zeros = {var - d + 1 for var, row in zip(basic[start:], rows[start:]) if not row[-1]}
+        tab = Tableau(tuple(rows), denom, basic, tuple(cols), z_at)
+        return Vertex(None, basis, basis | zeros, tab)
 
     def pivot(self, vertex: Vertex, relax: int) -> EdgeDescriptor:
         """Exact ratio test along the edge obtained by relaxing one basis row,
-        and one integer pivot on a copy of the vertex's tableau to its far end.
+        and one integer exchange of the vertex's tableau to its far end.
         The edge's base point and direction are read off the tableau when
         first used."""
         if relax not in vertex.basis:

@@ -158,7 +158,7 @@ def full_basis_tableau(poly: Polytope, basis) -> FullTableau:
         if r is None:
             raise Singular(f"basis {sorted(basis)} is singular in {poly.which}")
         free.remove(r)
-        denom = integer_pivot(rows, rows[r], col, denom)
+        denom = integer_pivot(rows, r, col, denom)
         basic[r] = col
     order = sorted(range(len(rows)), key=basic.__getitem__)
     sign = 1 if denom > 0 else -1
@@ -172,7 +172,7 @@ def full_pivot(poly: Polytope, tab: FullTableau, relax: int, hit: int) -> FullTa
     d, col = poly.dim, poly.dim + relax - 1
     r = tab.basic.index(d + hit - 1)
     rows = [list(row) for row in tab.rows]
-    denom = integer_pivot(rows, rows[r], col, tab.denom)
+    denom = integer_pivot(rows, r, col, tab.denom)
     return FullTableau(tuple(map(tuple, rows)), denom,
                        tab.basic[:r] + (col,) + tab.basic[r + 1:])
 
@@ -399,20 +399,34 @@ def _exact(num: int, den: int) -> int:
     return quo
 
 
-def checked_exchange_pivot(rows, prow: list, c: int, d: int) -> int:
-    """``linalg.exchange_pivot`` with every ``//`` checked to divide exactly."""
+def checked_exchange_pivot(rows, r: int, c: int, d: int, at=None) -> tuple[list, int]:
+    """``linalg.exchange_pivot`` with every ``//`` checked to divide exactly:
+    the same formulas, new rows and shared rows (at d = 1 it checks the
+    division by 1 that the kernel leaves out)."""
+    prow = rows[r]
     p = prow[c]
-    for row in rows:
-        if row is prow:
-            continue
+    moved = at is not None and at != c
+    out = []
+    for i, row in enumerate(rows):
         f = row[c]
-        if f:
-            row[:] = [_exact(x * p - f * y, d) for x, y in zip(row, prow)]
-            row[c] = -f
+        if i == r:
+            new, f = list(row), -d
+        elif not f:
+            if p == d and not moved:
+                out.append(row)
+                continue
+            new = list(row) if p == d else [_exact(x * p, d) for x in row]
         elif p != d:
-            row[:] = [_exact(x * p, d) for x in row]
-    prow[c] = d
-    return p
+            new = [_exact(x * p - f * y, d) for x, y in zip(row, prow)]
+        else:
+            new = [x - _exact(f * y, d) for x, y in zip(row, prow)]
+        if moved:
+            del new[c]
+            new.insert(at, -f)
+        else:
+            new[c] = -f
+        out.append(tuple(new))
+    return out, p
 
 
 def checked_integer_determinant(a: list) -> int:
@@ -721,6 +735,38 @@ def cli_rank1_draws(*tags: str) -> list[tuple[str, Rank1Decomposition]]:
     if "large" in tags:
         draws += [("large", random_rank1(random.Random(11), s, s, **WIDE_SPANS)) for s in (16, 32)]
     return [(tag, decompose_rank1(d.game())) for tag, d in draws]
+
+
+def bench_corpus_texts() -> list[tuple[str, str]]:
+    """(verb, game file text) of the three bench corpora, drawn as
+    bench/run.py draws them from random.Random(1): rank1-solve's 60 rank-1
+    games at 4, 4, 5 with both item-1 reproducers (the 4x5 game and the
+    first 14x14 draw of random.Random(14)), rank1-enumerate's 30 at 4 to 8,
+    with the wide spans, B = -A + gamma beta^T; and general-enumerate's 120
+    at 4, 5, 7, 8 with A and B uniform in -99..99."""
+    def text(a, b) -> str:
+        rows = [f"{len(a)} {len(a[0])}", *(" ".join(map(str, row)) for row in [*a, *b])]
+        return "\n".join(rows) + "\n"
+
+    def rank1(d) -> str:
+        a = d.a.tolists()
+        return text(a, [[-x + Fraction(g) * b for x, b in zip(row, d.beta)]
+                        for row, g in zip(a, d.gamma)])
+
+    item1 = Rank1Decomposition(
+        Matrix([[-11, -12, 22, 20, -27], [2, -29, -19, -8, -15], [-29, 20, -18, 29, 10],
+                [-29, 19, -9, -14, 23]]), (7, -19, -18, 0), (17, 17, 13, 10, 11))
+    texts = [("solve", rank1(item1)),
+             ("solve", rank1(random_rank1(random.Random(14), 14, 14, **WIDE_SPANS)))]
+    for verb, sizes, rounds in (("solve", (4, 4, 5), 20),
+                                ("enumerate", (4, 5, 4, 7, 5, 4, 5, 4, 7, 8), 3)):
+        rng = random.Random(1)
+        texts += [(verb, rank1(random_rank1(rng, s, s, **WIDE_SPANS))) for s in sizes * rounds]
+    rng = random.Random(1)
+    for s in (4, 5, 7, 8) * 30:
+        a, b = ([[rng.randint(-99, 99) for _ in range(s)] for _ in range(s)] for _ in range(2))
+        texts.append(("enumerate", text(a, b)))
+    return texts
 
 
 def random_rank_k(rng: random.Random, k: int, m: int, n: int):

@@ -492,11 +492,11 @@ def test_enumeration_reads_points_only_for_answers_and_edge_data_only_where_anal
     # On the rank1-enumerate bench corpus (random.Random(1), sizes 4, 5, 4,
     # 7, 5, 4, 5, 4, 7, 8 three times, the wide spans, decomposed as the CLI
     # does), enumerate_rank1 reads each node's lambda and hyperplane value off
-    # its integers. It builds a vertex's Fraction coords only for the fixed
-    # vertex of an answer's edge, and reads an edge's integer base point and
-    # direction (EdgeDescriptor.origin and column) only where path_crossings
-    # analyzes it: a ray, or an edge whose two end values do not share one
-    # strict sign.
+    # its integers. It builds no vertex's Fraction coords, not even for an
+    # answer, whose fixed vertex gives its numerators, and reads an edge's
+    # integer base point and direction (EdgeDescriptor.origin and column)
+    # only where path_crossings analyzes it: a ray, or an edge whose two end
+    # values do not share one strict sign.
     import rankgames.algorithms as algorithms
     import rankgames.paramlp as paramlp
     from rankgames.algorithms import rank1_family
@@ -536,7 +536,7 @@ def test_enumeration_reads_points_only_for_answers_and_edge_data_only_where_anal
     for d, answers, edges, crossed, built in runs:
         h = Hyperplane(rank1_family(d)[0].gamma)
         hits = [edge for _, edge in crossed if real_records(h, edge)]
-        assert [id(v) for v in built["coords"]] == [id(edge.fixed) for edge in hits]
+        assert built["coords"] == [] and len(hits) == (answers or 0)
         assert {id(e) for e in built["origin"] + built["column"]} <= {
             id(edge.moving) for _, edge in crossed}
         for edge in edges:
@@ -551,8 +551,96 @@ def test_enumeration_reads_points_only_for_answers_and_edge_data_only_where_anal
     # Section edges carry their integers, so only pivots' edges read them.
     assert counts == {
         ("edge", "skipped"): 323, ("edge", "analyzed"): 32, ("ray", "analyzed"): 37,
-        "answers": 44, "failed": 0, "coords": 44, "origin": 48, "column": 48,
+        "answers": 44, "failed": 0, "coords": 0, "origin": 48, "column": 48,
     }
+
+
+def _fraction_finalize(game, crossing, provenance):
+    """The reference for ``algorithms._finalize``: the profile sliced from
+    the crossing's ``Fraction`` coordinates, verified, recorded and indexed
+    on ``game``."""
+    from dataclasses import replace
+
+    from rankgames.algorithms import index_of
+    from rankgames.games import make_record
+
+    profile = MixedProfile(crossing.w_coords[: game.m], crossing.v_coords[: game.n])
+    if not verify_equilibrium(game, profile):
+        raise NotEquilibrium("hyperplane crossing failed exact verification")
+    rec = make_record(game, profile, provenance)
+    return replace(rec, index=index_of(game, rec, crossing))
+
+
+def test_integer_crossings_and_their_answers_equal_the_fraction_ones(monkeypatch, tmp_path):
+    # On the three bench corpora through the CLI, and on the small-entry
+    # yardstick (its 200 rank-1 games by enumerate_rank1 and bin_search, as
+    # the CLI decomposes them, and the 200 general games of
+    # random.Random(78) by enumerate_general), each hit that _analyze_edge
+    # keeps in integers equals the Fraction reference's point_at(t*), with
+    # its index; each answer _finalize makes from it, record or error, has
+    # the repr that the reference crossing's Fraction coordinates give, and
+    # _finalize reads neither crossing's coordinates.
+    import contextlib
+    import io
+
+    import rankgames.algorithms as algorithms
+    import rankgames.paramlp as paramlp
+    from rankgames.cli import main
+    from rankgames.linalg import rationals
+
+    from fixtures import bench_corpus_texts, reference_analyze_edge
+
+    real_analyze, real_finalize = paramlp._analyze_edge, algorithms._finalize
+    references, counts, faults = {}, Counter(), []
+
+    def analyze(edge, h):
+        ours = real_analyze(edge, h)
+        if ours[0] == "point":
+            hit, (kind, want) = ours[1], reference_analyze_edge(edge, h)
+            got = ("point", rationals(*hit.v_point), rationals(*hit.w_point), hit.orient_index)
+            if got != (kind, want.v_coords, want.w_coords, want.orient_index):
+                faults.append(("crossing", got, want))
+            references[id(hit)] = hit, want
+            counts["crossing"] += 1
+        return ours
+
+    def outcome(run, *args):
+        try:
+            return run(*args)
+        except RankGamesError as exc:
+            return exc
+
+    def finalize(game, crossing, provenance):
+        got = outcome(real_finalize, game, crossing, provenance)
+        want = outcome(_fraction_finalize, game, references[id(crossing)][1], provenance)
+        if repr(got) != repr(want) or any(vars(crossing)[name] is not None
+                                          for name in ("v_coords", "w_coords")):
+            faults.append(("answer", got, want))
+        counts["answer" if not isinstance(got, RankGamesError) else "rejected"] += 1
+        if isinstance(got, RankGamesError):
+            raise got
+        return got
+
+    monkeypatch.setattr(paramlp, "_analyze_edge", analyze)
+    monkeypatch.setattr(algorithms, "_finalize", finalize)
+    for i, (verb, text) in enumerate(bench_corpus_texts()):
+        path = tmp_path / f"bench{i}.game"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main([verb, "--input", str(path), "--json"])
+    for _, d in cli_rank1_draws("yardstick"):
+        for run in (enumerate_rank1, bin_search):
+            outcome(run, d)
+    rng = random.Random(78)
+    for g in range(200):
+        s = 3 + g % 3
+        a, b = (Matrix([[rng.randint(-2, 2) for _ in range(s)] for _ in range(s)])
+                for _ in range(2))
+        outcome(enumerate_general, BimatrixGame(a, b))
+    assert faults == []
+    # Probes' hits of index -1 and hits on walks that later meet a
+    # degeneracy are never answers.
+    assert counts == {"crossing": 556, "answer": 538}
 
 
 def test_each_answer_is_verified_and_recorded_once_on_the_input_game(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -14,10 +15,20 @@ from rankgames.linalg import (
     integers,
     least_ratios,
     matrix_rank,
+    rationals,
     solve_linear_system,
 )
 
-from fixtures import EX1_A, EX1_C, min_entry, naive_determinant, shift, submatrix, zero_matrix
+from fixtures import (
+    EX1_A,
+    EX1_C,
+    checked_exchange_pivot,
+    min_entry,
+    naive_determinant,
+    shift,
+    submatrix,
+    zero_matrix,
+)
 
 
 def test_determinant_identity():
@@ -139,18 +150,18 @@ def test_gauss_jordan_pivots_each_column_on_its_first_free_nonzero_row():
     # [[1, 3], [2, 5]]^-1 is -[[5, -3], [-2, 1]].
     rows = [[1, 2, 3], [2, 4, 5]]
     assert gauss_jordan(rows, [0, 1], 3) == ([0, None, 1], -1)
-    assert rows == [[5, -2, -3], [-2, 0, 1]]
+    assert rows == [(5, -2, -3), (-2, 0, 1)]
     # Free rows are tried in the order given; a dependent row keeps its slack
     # basic: rows / 3 is over (s_2, s_1), and row 0 reads s_0 = 2 s_1 - s_2.
     rows = [[0, 1], [3, 4], [6, 7]]
     assert gauss_jordan(rows, [2, 1, 0], 2) == ([2, 1], 3)
-    assert rows == [[3, -6], [-3, 6], [4, -7]]
+    assert rows == [(3, -6), (-3, 6), (4, -7)]
     # A column given as pivoted is skipped: row 1 reads -z_0 + s_1 = 0, so
     # z_0 = s_1 as the rows stand, and one exchange brings z_1 into row 0.
     # rows / 2 is over (s_1, s_0): z_1 = 3/2 - s_1/2 - s_0/2, z_0 = s_1.
     rows = [[1, 2, 3], [-1, 0, 0], [2, 5, 4]]
     assert gauss_jordan(rows, [0], 2, [1, None]) == ([1, 0], 2)
-    assert rows == [[1, 1, 3], [-2, 0, 0], [-1, -5, -7]]
+    assert rows == [(1, 1, 3), (-2, 0, 0), (-1, -5, -7)]
 
 
 def test_exchange_pivot_keeps_the_full_pivots_nonbasic_columns():
@@ -158,14 +169,73 @@ def test_exchange_pivot_keeps_the_full_pivots_nonbasic_columns():
     # and its dictionary over (z_0, z_1 | rhs): z_1 enters at row 1. The
     # dictionary's columns become (z_0, s_1), each the full pivot's column.
     full = [[2, 1, 1, 0, 4], [1, 3, 0, 1, 6]]
-    narrow = [[2, 1, 4], [1, 3, 6]]
-    assert integer_pivot(full, full[1], 1, 1) == exchange_pivot(narrow, narrow[1], 1, 1) == 3
-    assert narrow == [[row[0], row[3], row[4]] for row in full] == [[5, -1, 6], [1, 1, 6]]
+    narrow = [(2, 1, 4), (1, 3, 6)]
+    new, p = exchange_pivot(narrow, 1, 1, 1)
+    assert integer_pivot(full, 1, 1, 1) == p == 3
+    assert new == [(row[0], row[3], row[4]) for row in full] == [(5, -1, 6), (1, 1, 6)]
+    assert narrow == [(2, 1, 4), (1, 3, 6)]  # the input rows are left as they are
+    # With ``at``, the leaving variable's column is built in its new place:
+    # (s_1, z_0) instead of (z_0, s_1).
+    assert exchange_pivot(narrow, 1, 1, 1, 0) == ([(-1, 5, 6), (1, 1, 6)], 3)
+
+
+def test_exchange_pivot_at_p_equal_d_matches_the_general_formula():
+    # Where the pivot entry equals the denominator, a row becomes row - f *
+    # prow / d, with no division when d = 1, and another row with f = 0 is
+    # shared. On seeded random dictionaries, reached from small integer rows
+    # by up to three exchanges, a pivot at an entry equal to d, with d = 1
+    # and with d > 1 or d < 0, gives the general formula's rows (row * p - f *
+    # prow) / d, each division checked exact, with the leaving column moved
+    # to ``at``.
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(400):
+        width, height = rng.randint(2, 6), rng.randint(2, 6)
+        rows = [tuple(rng.choice((-2, -1, 0, 0, 1, 1, 2)) for _ in range(width))
+                for _ in range(height)]
+        d = 1
+        for _ in range(rng.randint(0, 3)):
+            r, c = rng.randrange(height), rng.randrange(width)
+            if rows[r][c]:
+                rows, d = exchange_pivot(rows, r, c, d)
+        hits = [(r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x == d]
+        if not hits:
+            continue
+        (r, c), at = rng.choice(hits), rng.randrange(width)
+        got, p = exchange_pivot(rows, r, c, d, at)
+        assert p == d and (got, p) == checked_exchange_pivot(rows, r, c, d, at)
+        want = []
+        for i, row in enumerate(rows):
+            f = row[c]
+            general = list(row)  # the pivot row is kept
+            if i != r:
+                general = []
+                for x, y in zip(row, rows[r]):
+                    quo, rem = divmod(x * p - f * y, d)
+                    assert rem == 0
+                    general.append(quo)
+            general[c] = d if i == r else -f
+            general.insert(at, general.pop(c))
+            want.append(tuple(general))
+        assert got == want
+        if at == c:
+            assert [new is row for new, row in zip(got, rows)] == [
+                i != r and not row[c] for i, row in enumerate(rows)]
+        seen["d = 1" if d == 1 else "d > 1" if d > 1 else "d < 0"] += 1
+    assert seen == {"d = 1": 221, "d > 1": 44, "d < 0": 99}
 
 
 def test_integers_are_numerators_over_the_least_common_denominator():
     assert integers((Fraction(1, 2), Fraction(-2, 3), Fraction(4))) == ([3, -4, 24], 6)
     assert integers(()) == ([], 1)
+
+
+def test_rationals_invert_integers_and_share_one_zero():
+    values = rationals([0, 6, -4, 0, 12], 8)
+    assert values == (0, Fraction(3, 4), Fraction(-1, 2), 0, Fraction(3, 2))
+    assert all(type(v) is Fraction for v in values) and values[0] is values[3]
+    assert integers(values) == ([0, 3, -2, 0, 6], 4)
+    assert rationals(*integers(values)) == values
 
 
 def test_matrix_access_is_bounds_checked():

@@ -190,9 +190,9 @@ def test_integer_tableau_matches_oracle_on_rational_lps(monkeypatch):
     negative_pivots = []
     plain_pivot = lp_module.integer_pivot
 
-    def watched(rows, prow, c, d):
-        negative_pivots.append(prow[c] < 0)
-        return plain_pivot(rows, prow, c, d)
+    def watched(rows, r, c, d):
+        negative_pivots.append(rows[r][c] < 0)
+        return plain_pivot(rows, r, c, d)
 
     monkeypatch.setattr(lp_module, "integer_pivot", watched)
     counts = {"optimal": 0, "infeasible": 0, "redundant": 0, "negative_rhs": 0}

@@ -14,9 +14,18 @@ from rankgames.errors import (
 )
 from rankgames.games import MixedProfile, decompose_rank_k, family_game, verify_equilibrium
 from rankgames.labeledpath import V_FIXED, W_FIXED, trace_path
-from rankgames.linalg import Matrix, integers, sign, solve_linear_system, vdot, vscale
+from rankgames.linalg import (
+    Matrix,
+    integers,
+    rationals,
+    sign,
+    solve_linear_system,
+    vdot,
+    vscale,
+)
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
 from rankgames.paramlp import (
+    Crossing,
     Hyperplane,
     _h_at,
     box_bounds,
@@ -138,10 +147,19 @@ def test_probe_records_keep_the_dataclass_contract(r1a_family):
     assert vars(sec)["w_coords"] is None
     assert sec.w_coords[: r1a_family.m] == R1A_NE_X and vars(sec)["w_coords"] == sec.w_coords
     h = Hyperplane(R1A.gamma)
-    records = (sec, solve_lp_delta(r1a_family, R1A_NE_LAMBDA), is_ne(r1a_family, h, R1A_NE_LAMBDA),
-               is_ne(r1a_family, h, min(R1A.gamma)))
+    found = is_ne(r1a_family, h, R1A_NE_LAMBDA)
+    # A crossing's coords given as None are read off its integer points on
+    # first use, and kept; one given by its coords compares equal.
+    hit = found.crossing
+    assert vars(hit)["v_coords"] is None and vars(hit)["w_coords"] is None
+    assert hit.v_coords[: r1a_family.n] == R1A_NE_Y and vars(hit)["v_coords"] == hit.v_coords
+    assert rationals(*hit.w_point) == hit.w_coords
+    given = Crossing(hit.v_coords, hit.w_coords, hit.orient_index)
+    assert given == hit and given.w_point is None
+    records = (sec, solve_lp_delta(r1a_family, R1A_NE_LAMBDA), found,
+               is_ne(r1a_family, h, min(R1A.gamma)), hit, given)
     assert [type(r).__name__ for r in records] == [
-        "Section", "OptSet", "IsNEOutcome", "IsNEOutcome"]
+        "Section", "OptSet", "IsNEOutcome", "IsNEOutcome", "Crossing", "Crossing"]
     assert [fault for record in records for fault in record_faults(record)] == []
 
 
@@ -321,7 +339,7 @@ def test_integer_edge_analysis_matches_the_fraction_reference():
     # On every walked edge of both corpora, under each gamma, the crossing
     # decided by integer cross-multiplication equals the Fraction reference's:
     # the side, the crossing point and its index, or the error class and
-    # message. Every outcome occurs, and hits occur with the value rising
+    # message; a hit's integer points equal the reference's point_at(t*). Every outcome occurs, and hits occur with the value rising
     # along the edge parameter (forward, +1) and falling (forward -1 and
     # backward +1), so t* = -h0 / dh is taken with dh of either sign.
     from itertools import chain
@@ -340,11 +358,15 @@ def test_integer_edge_analysis_matches_the_fraction_reference():
             h = Hyperplane(gamma)
             for edge in edges:
                 ours = outcome(_analyze_edge, edge, h)
-                assert ours == outcome(reference_analyze_edge, edge, h)
+                theirs = outcome(reference_analyze_edge, edge, h)
                 if ours[0] == "point":
-                    counts["point", edge.direction, ours[1].orient_index] += 1
+                    hit = ours[1]  # its integer points, read before its coords
+                    assert (rationals(*hit.v_point), rationals(*hit.w_point)) == (
+                        theirs[1].v_coords, theirs[1].w_coords)
+                    counts["point", edge.direction, hit.orient_index] += 1
                 else:
                     counts[ours[0]] += 1
+                assert ours == theirs
     assert counts == {
         "none": 2460, "DegeneratePolytope": 133, "EdgeInHyperplane": 72,
         ("point", "forward", 1): 287, ("point", "backward", 1): 78,
@@ -1400,8 +1422,9 @@ def test_every_kernel_division_is_exact(monkeypatch):
     # package binds them, over the section corpus, the 60 rank-k draws'
     # cell walks, the small-entry yardstick's walks and the solves of the
     # large draws and the yardstick, as generated and as the CLI decomposes
-    # them. Each call also runs the kernel on a copy of its rows, and both
-    # must give the same rows.
+    # them. Each pivot call must give the kernel's rows and denominator,
+    # share the rows the kernel shares and leave its input as it was; each
+    # determinant call must give the kernel's value.
     import sys
 
     import rankgames.linalg as linalg
@@ -1410,12 +1433,12 @@ def test_every_kernel_division_is_exact(monkeypatch):
             "integer_determinant": linalg.integer_determinant}
     calls = Counter()
 
-    def pivot_spy(rows, prow, c, d):
-        copies = [list(row) for row in rows]
-        at = next(i for i, row in enumerate(rows) if row is prow)
-        want = real["exchange_pivot"](copies, copies[at], c, d)
-        assert checked_exchange_pivot(rows, prow, c, d) == want
-        assert list(map(list, rows)) == copies
+    def pivot_spy(rows, r, c, d, at=None):
+        before = list(map(tuple, rows))
+        want = real["exchange_pivot"](rows, r, c, d, at)
+        got = checked_exchange_pivot(rows, r, c, d, at)
+        assert got == want and list(map(tuple, rows)) == before
+        assert [x is y for x, y in zip(got[0], rows)] == [x is y for x, y in zip(want[0], rows)]
         calls["exchange_pivot"] += 1
         return want
 
@@ -1432,9 +1455,9 @@ def test_every_kernel_division_is_exact(monkeypatch):
                 if vars(module).get(attr) is real[attr]:
                     monkeypatch.setattr(module, attr, spy)
     _run_kernel_corpora()
-    # The three small corpora take 7,872 pivots and 482 determinants; path
-    # steps take none.
-    assert calls["exchange_pivot"] > 5000 and calls["integer_determinant"] > 500
+    # Every build exchange and every path step calls the kernel, so a pivot
+    # or a build that went round it would make the first count fall.
+    assert calls == {"exchange_pivot": 10762, "integer_determinant": 1608}
 
 
 def test_every_tableau_denominator_is_within_the_hadamard_bound(monkeypatch):

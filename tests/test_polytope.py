@@ -338,6 +338,136 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
     assert counts == {"build": 851, "singular": 148, "pivot": 2523, "rejected": 29}
 
 
+def _copy_exchange_move_pivot_to(poly, vertex, tab, relax, hit):
+    """The reference for ``Polytope._pivot_to``, the far vertex made in
+    passes: a list copy of the exchanged rows (``exchange_pivot`` without
+    ``at``), hit's column moved into label order row by row, every row frozen
+    with ``tuple``, and the labels read by ``_tableau_vertex``'s rescan."""
+    from bisect import bisect
+
+    from rankgames.linalg import exchange_pivot
+    from rankgames.polytope import Tableau
+
+    d, c = poly.dim, tab.cols.index(relax)
+    r = tab.basic.index(d + hit - 1)
+    exchanged, denom = exchange_pivot(tab.rows, r, c, tab.denom)
+    rows = [list(row) for row in exchanged]
+    cols = [*tab.cols[:c], *tab.cols[c + 1:]]
+    k = bisect(cols, hit)
+    cols.insert(k, hit)
+    for row in rows:
+        row.insert(k, row.pop(c))
+    basic = tab.basic[:r] + (d + relax - 1,) + tab.basic[r + 1:]
+    z_at = list(tab.z_at)
+    for lab, at in ((hit, -hit), (relax, r)):
+        if lab in poly.signs:
+            z_at[poly.signs.index(lab)] = at
+    tab = Tableau(tuple(map(tuple, rows)), denom, basic, tuple(cols), tuple(z_at))
+    return poly._tableau_vertex(vertex.basis - {relax} | {hit}, tab)
+
+
+def _spy_far_vertices(monkeypatch, one_pass) -> tuple[Counter, list]:
+    """Patch ``Polytope.pivot`` and ``simplex_pivot`` so that each call runs
+    twice, with ``one_pass`` and with the copy-exchange-move reference as
+    ``_pivot_to``, and records any difference in the far vertex's tableau,
+    basis and labels, or in the ``DegeneratePolytope`` message; the call
+    returns ``one_pass``'s outcome. Returns the counts and the differences,
+    which a CLI run cannot swallow."""
+    counts, faults = Counter(), []
+    real = {name: getattr(Polytope, name) for name in ("pivot", "simplex_pivot")}
+    monkeypatch.setattr(Polytope, "_pivot_to", one_pass)
+
+    def run(name, poly, vertex, relax, pivot_to):
+        Polytope._pivot_to = pivot_to
+        try:
+            result = real[name](poly, vertex, relax)
+        except DegeneratePolytope as exc:
+            return exc, str(exc)
+        finally:
+            Polytope._pivot_to = one_pass
+        far = result.far_end if isinstance(result, EdgeDescriptor) else result
+        return result, None if far is None else (far.tableau, far.basis, far.labels)
+
+    def spy(name):
+        def checked(poly, vertex, relax):
+            result, got = run(name, poly, vertex, relax, one_pass)
+            _, want = run(name, poly, vertex, relax, _copy_exchange_move_pivot_to)
+            if got != want:
+                faults.append((name, sorted(vertex.basis), relax, got, want))
+            counts[name, "raises" if isinstance(got, str) else "ray" if got is None
+                   else "far"] += 1
+            if isinstance(result, DegeneratePolytope):
+                raise result
+            return result
+        return checked
+
+    for name in real:
+        monkeypatch.setattr(Polytope, name, spy(name))
+    return counts, faults
+
+
+def _pivot_equivalence_corpora(tmp_path):
+    """The three bench corpora through the CLI (each verb as the bench runs
+    it), every edge of every vertex of the pivot corpus and of each far end,
+    and the small-entry yardstick's walks."""
+    import contextlib
+    import io
+
+    from rankgames.cli import main
+    from test_paramlp import _yardstick_walks
+
+    from fixtures import bench_corpus_texts
+
+    for i, (verb, text) in enumerate(bench_corpus_texts()):
+        path = tmp_path / f"bench{i}.game"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main([verb, "--input", str(path), "--json"])
+    for poly in _pivot_corpus():
+        for v in enumerate_vertices(poly):
+            for relax in sorted(v.basis):
+                far = poly.simplex_pivot(v, relax)
+                for again in sorted(far.basis) if far is not None else ():
+                    try:
+                        poly.pivot(far, again)
+                    except DegeneratePolytope:
+                        pass
+    for _ in _yardstick_walks():
+        pass
+
+
+def test_one_pass_far_vertices_equal_the_copy_exchange_move_reference(monkeypatch, tmp_path):
+    # Every far vertex that pivot and simplex_pivot make, built in one pass
+    # by _pivot_to, equals the one the reference makes in separate passes:
+    # copy, exchange, move, freeze, rescan. Tableau, basis and labels are
+    # equal, and so is every DegeneratePolytope message, on the three bench
+    # corpora, the pivot corpus and the small-entry yardstick.
+    counts, faults = _spy_far_vertices(monkeypatch, Polytope._pivot_to)
+    _pivot_equivalence_corpora(tmp_path)
+    assert faults == []
+    assert counts == {("pivot", "far"): 4969, ("pivot", "raises"): 740, ("pivot", "ray"): 783,
+                      ("simplex_pivot", "far"): 525, ("simplex_pivot", "ray"): 125}
+
+
+def test_a_one_pass_pivot_that_drops_a_zero_rhs_row_fails_the_spy(monkeypatch, tmp_path):
+    # A mutant of _pivot_to whose label scan stops one row short, so that it
+    # misses a zero rhs in the last slack row, makes far vertices whose
+    # labels, and degeneracy messages, the spy finds to differ.
+    import inspect
+    import textwrap
+
+    import rankgames.polytope as polytope
+
+    source = textwrap.dedent(inspect.getsource(Polytope._pivot_to))
+    scan = "zip(basic[start:], rows[start:])"
+    assert source.count(scan) == 1
+    namespace = dict(vars(polytope))
+    exec(source.replace(scan, "zip(basic[start:], rows[start:-1])"), namespace)
+    _, faults = _spy_far_vertices(monkeypatch, namespace["_pivot_to"])
+    _pivot_equivalence_corpora(tmp_path)
+    assert len(faults) == 154
+
+
 def test_compact_tableaux_read_the_reference_z_rows(monkeypatch):
     # A tableau keeps no row for y_j in P or x_i in Q': each is a copy of its
     # sign slack's row, or -denom in that slack's column. On every basis of
