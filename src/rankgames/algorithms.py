@@ -13,7 +13,7 @@ its x and y, off the crossing's integer points.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import factorial
@@ -35,7 +35,6 @@ from .games import (
     Rank1Decomposition,
     default_beta,
     integer_scale,
-    make_record,
     reduce_constant_beta,
     verify_equilibrium,
 )
@@ -111,11 +110,16 @@ def _trivial_single_strategy(game: BimatrixGame, provenance: str) -> Optional[Eq
     pure = tuple(Fraction(int(i == picks[0])) for i in range(len(payoffs)))
     one = (Fraction(1),)
     profile = MixedProfile(pure, one) if game.n == 1 else MixedProfile(one, pure)
-    return make_record(game, profile, provenance, index=1)
+    pays = verify_equilibrium(game, profile)
+    if not pays:
+        raise NotEquilibrium("single-strategy best reply failed exact verification")
+    return EquilibriumRecord(profile, *pays, profile.support(), 1, provenance)
 
 
-def index_of(game: BimatrixGame, rec: EquilibriumRecord, crossing: Crossing) -> int:
-    """Equilibrium index; asserts the determinant and orientation routes agree.
+def index_of(game: BimatrixGame, support: tuple[tuple[int, ...], tuple[int, ...]],
+             crossing: Crossing) -> int:
+    """Index of the equilibrium on the 1-based ``support`` (I, J); asserts the
+    determinant and orientation routes agree.
 
     The determinant route is (-1)^(|I|+1) * sign(det A_I^J * det B_I^J) on a
     strictly positive shift of the game, taken here on the game itself: each
@@ -125,7 +129,7 @@ def index_of(game: BimatrixGame, rec: EquilibriumRecord, crossing: Crossing) -> 
     A_I^J) at an equilibrium. The orientation value comes from which side of
     the hyperplane the directed edge enters from.
     """
-    big_i, big_j = rec.support
+    big_i, big_j = support
     if len(big_i) != len(big_j):
         raise DegeneratePolytope("unbalanced support at an equilibrium")
     # The bordered blocks on the integer rows: a positive denominator
@@ -146,16 +150,17 @@ def index_of(game: BimatrixGame, rec: EquilibriumRecord, crossing: Crossing) -> 
 
 
 def _finalize(game: BimatrixGame, crossing: Crossing, provenance: str) -> EquilibriumRecord:
-    """A crossing as an answer: its profile, verified exactly on ``game``, the
-    caller's input game, and recorded there once with its cross-checked
-    index. Only x and y are built as ``Fraction``s, off the crossing's
-    integer points."""
+    """A crossing as an answer: its profile, verified and priced exactly on
+    ``game``, the caller's input game, and recorded there once with its
+    cross-checked index. Only x and y are built as ``Fraction``s."""
     (v, v_den), (w, w_den) = crossing.v_point, crossing.w_point
     profile = MixedProfile(rationals(w[: game.m], w_den), rationals(v[: game.n], v_den))
-    if not verify_equilibrium(game, profile):
+    pays = verify_equilibrium(game, profile)
+    if not pays:
         raise NotEquilibrium("hyperplane crossing failed exact verification")
-    rec = make_record(game, profile, provenance)
-    return replace(rec, index=index_of(game, rec, crossing))
+    support = profile.support()
+    return EquilibriumRecord(profile, *pays, support, index_of(game, support, crossing),
+                             provenance)
 
 
 def rank1_family(d: Rank1Decomposition) -> tuple[Rank1Decomposition, GameFamily]:
@@ -394,10 +399,10 @@ def fixed_point_record(
 ) -> EquilibriumRecord:
     """The section at an exact fixed point as a verified equilibrium record."""
     profile = MixedProfile(section.w_coords[: family.m], section.v_coords[: family.n])
-    game = family.game_at(*gammas)
-    if not verify_equilibrium(game, profile):
+    pays = verify_equilibrium(family.game_at(*gammas), profile)
+    if not pays:
         raise NotEquilibrium("exact fixed point failed equilibrium verification")
-    return make_record(game, profile, "fixed-point")
+    return EquilibriumRecord(profile, *pays, profile.support(), None, "fixed-point")
 
 
 def fixed_point_search(

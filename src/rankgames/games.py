@@ -49,9 +49,9 @@ class MixedProfile:
 
     ``int_x`` and ``int_y`` hold x and y as integers over their least common
     denominators, ``(numerators, q)``, which the simplex check computes; the
-    answer checks (``verify_equilibrium``, ``payoffs``, ``support``) read
-    them, so a profile is integerized once. Neither takes part in equality,
-    hashing or repr.
+    answer checks (``verify_equilibrium``, which also takes the payoffs, and
+    ``support``) read them, so a profile is integerized once. Neither takes
+    part in equality, hashing or repr.
     """
 
     x: Vec
@@ -87,49 +87,27 @@ class EquilibriumRecord:
         return (self.profile.x, self.profile.y)
 
 
-def _check_shape(game: BimatrixGame, p: MixedProfile) -> None:
-    if len(p.x) != game.m or len(p.y) != game.n:
-        raise DimensionMismatch("profile does not match game shape")
-
-
-def payoffs(game: BimatrixGame, p: MixedProfile) -> tuple[Rat, Rat]:
-    """``x . A y`` and ``x . B y``: integer dots on the matrices' integer
-    rows, with the profile's x and y over their least common denominators
-    (``MixedProfile.int_x``, ``int_y``), and one ``Fraction`` per payoff."""
-    _check_shape(game, p)
-    (x, qx), (y, qy) = p.int_x, p.int_y
-    rows = [(i, xi) for i, xi in enumerate(x) if xi]
-    return tuple(
-        Fraction(sum(xi * sum(map(mul, mat.int_rows[i], y)) for i, xi in rows),
-                 qx * qy * mat.denom)
-        for mat in (game.a, game.b)
-    )
-
-
-def make_record(
-    game: BimatrixGame, p: MixedProfile, provenance: str, index: Optional[int] = None
-) -> EquilibriumRecord:
-    p1, p2 = payoffs(game, p)
-    return EquilibriumRecord(p, p1, p2, p.support(), index, provenance)
-
-
-def verify_equilibrium(game: BimatrixGame, p: MixedProfile) -> bool:
+def verify_equilibrium(game: BimatrixGame, p: MixedProfile) -> Optional[tuple[Rat, Rat]]:
     """Exact best-response check: every played pure strategy attains the max.
 
     Every row and column payoff is an integer dot on the matrices' integer
     rows, with the profile's x and y over their least common denominators
     (``MixedProfile.int_x``, ``int_y``): one positive scale per player, which
-    changes no comparison.
+    changes no comparison. At an equilibrium the two maxima, over those
+    scales, are the payoffs (x . A y, x . B y): it returns them, else None.
     """
-    _check_shape(game, p)
-    (x, _), (y, _) = p.int_x, p.int_y
+    if len(p.x) != game.m or len(p.y) != game.n:
+        raise DimensionMismatch("profile does not match game shape")
+    (x, qx), (y, qy) = p.int_x, p.int_y
     row_payoffs = [sum(map(mul, row, y)) for row in game.a.int_rows]
     best1 = max(row_payoffs)
     if any(xi > 0 and v != best1 for xi, v in zip(x, row_payoffs)):
-        return False
+        return None
     col_payoffs = [sum(map(mul, col, x)) for col in zip(*game.b.int_rows)]
     best2 = max(col_payoffs)
-    return not any(yj > 0 and v != best2 for yj, v in zip(y, col_payoffs))
+    if any(yj > 0 and v != best2 for yj, v in zip(y, col_payoffs)):
+        return None
+    return Fraction(best1, qy * game.a.denom), Fraction(best2, qx * game.b.denom)
 
 
 def default_beta(n: int) -> Vec:

@@ -207,7 +207,8 @@ def trace_path(family: GameFamily) -> ComponentTrace:
     """The unique path, oriented from the low ray to the high ray.
 
     The walk starts at the low ray's bounding node (``GameFamily.ray``); its
-    last edge must be the high ray, checked against ``GameFamily.ray_bases``.
+    last edge must be the high ray, checked against ``GameFamily.ray_bases``,
+    whose ratio test runs once the low ray is built; both share their anchors.
     """
     v_s, ray_s = family.ray(high=False)
     v_e, w_e, _ = family.ray_bases(high=True)

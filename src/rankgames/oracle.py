@@ -14,7 +14,6 @@ from .games import (
     BimatrixGame,
     EquilibriumRecord,
     MixedProfile,
-    make_record,
     verify_equilibrium,
 )
 from .linalg import Matrix, Vec, solve_linear_system
@@ -70,12 +69,14 @@ def support_enumeration(game: BimatrixGame, guard: int = 6) -> OracleResult:
                 for j, wt in zip(cols, y_part[0]):
                     y[j] = wt
                 profile = MixedProfile(tuple(x), tuple(y))
-                if not verify_equilibrium(game, profile):
+                pays = verify_equilibrium(game, profile)
+                if not pays:
                     continue
                 key = (profile.x, profile.y)
                 if key not in seen:
                     seen.add(key)
-                    records.append(make_record(game, profile, "support-enumeration"))
+                    records.append(EquilibriumRecord(profile, *pays, profile.support(), None,
+                                                     "support-enumeration"))
     records.sort(key=lambda r: (r.profile.x, r.profile.y))
     return OracleResult(tuple(records), "support-enumeration")
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from itertools import repeat
 from operator import itemgetter, mul, sub
@@ -661,25 +662,31 @@ class GameFamily:
             raise DimensionMismatch(f"{len(alphas)} row weights for {self.k} betas")
         return family_game(self.a, self.c, alphas, self.betas)
 
+    @cached_property
+    def ray_anchors(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(i, j) of the low ray and of the high ray, found once for both:
+        column j has the least beta on the low ray (lambda -> -inf) and the
+        greatest on the high ray, and row i is its best; each is unique."""
+        beta, _ = self.int_beta
+        if all(b == beta[0] for b in beta):
+            raise ConstantBeta("beta is constant; no distinct path endpoints")
+        cols = [_unique_arg_extreme(beta, want_max) for want_max in (False, True)]
+        rows = [_unique_arg_extreme([row[j] for row in self.a.int_rows], True) for j in cols]
+        return tuple(zip(rows, cols))
+
     def ray_bases(self, high: bool) -> tuple[frozenset[int], frozenset[int], int]:
         """Bases of one ray of the path, found in integers: P's pure vertex,
         Q''s bound vertex, and the label that the ray edge relaxes there.
 
-        Column j has the least beta on the low ray (lambda -> -inf) and the
-        greatest on the high ray; i is its best row. Along x = e_i with column
-        j's row tight, column k's slack is (c_ij - c_ik) + (beta_j - beta_k)
+        At the ray's anchor (``ray_anchors``), along x = e_i with column j's
+        row tight, column k's slack is (c_ij - c_ik) + (beta_j - beta_k)
         lambda, so the bounding column k has the least ratio of c_ij - c_ik
         over beta_k - beta_j (low ray) or beta_j - beta_k (high ray): positive
         rates, slacks of either sign.
         """
         m, n = self.m, self.n
         beta, _ = self.int_beta
-        if all(b == beta[0] for b in beta):
-            raise ConstantBeta("beta is constant; no distinct path endpoints")
-        # Both rays' columns, then both rows, are unique before either bound.
-        cols = [_unique_arg_extreme(beta, want_max) for want_max in (False, True)]
-        rows = [_unique_arg_extreme([row[j] for row in self.a.int_rows], True) for j in cols]
-        i, j = rows[high], cols[high]
+        i, j = self.ray_anchors[high]
         tight = frozenset(row + 1 for row in range(m) if row != i) | {m + j + 1}
         c, side = self.c.int_rows[i], -1 if high else 1
         _, _, hits = least_ratios(

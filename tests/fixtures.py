@@ -25,11 +25,11 @@ from rankgames.errors import (
 )
 from rankgames.games import (
     BimatrixGame,
+    EquilibriumRecord,
     MixedProfile,
     Rank1Decomposition,
     decompose_rank1,
     integer_scale,
-    make_record,
     verify_equilibrium,
 )
 from rankgames.linalg import (
@@ -365,8 +365,9 @@ def fraction_payoff_rows(mat: Matrix, rows, y) -> list:
 
 
 def fraction_payoffs(game: BimatrixGame, p: MixedProfile) -> tuple:
-    """The reference for ``games.payoffs``: ``x . A y`` and ``x . B y`` in
-    ``Fraction``s, summed over both supports."""
+    """The reference for the payoffs that ``games.verify_equilibrium``
+    returns at an equilibrium: ``x . A y`` and ``x . B y`` in ``Fraction``s,
+    summed over both supports."""
     rows = [i for i, xi in enumerate(p.x) if xi]
     return tuple(
         sum((p.x[i] * v for i, v in zip(rows, fraction_payoff_rows(mat, rows, p.y))),
@@ -376,9 +377,10 @@ def fraction_payoffs(game: BimatrixGame, p: MixedProfile) -> tuple:
 
 
 def fraction_verify_equilibrium(game: BimatrixGame, p: MixedProfile) -> bool:
-    """The reference for ``games.verify_equilibrium``: every row payoff
-    ``A y`` and column payoff ``x B`` in ``Fraction``s, each summed over the
-    other player's support, and every played strategy at the max."""
+    """The reference for the truth value of ``games.verify_equilibrium``:
+    every row payoff ``A y`` and column payoff ``x B`` in ``Fraction``s, each
+    summed over the other player's support, and every played strategy at the
+    max."""
     row_payoffs = fraction_payoff_rows(game.a, range(game.m), p.y)
     best1 = max(row_payoffs)
     if any(xi > 0 and row_payoffs[i] != best1 for i, xi in enumerate(p.x)):
@@ -890,7 +892,8 @@ def zero_sum_solve(a: Matrix):
     profile = MixedProfile(x, y)
     if not verify_equilibrium(game, profile):
         raise NotEquilibrium("minimax strategies failed verification")
-    return make_record(game, profile, "zero-sum-lp")
+    return EquilibriumRecord(profile, *fraction_payoffs(game, profile), profile.support(), None,
+                             "zero-sum-lp")
 
 
 def fully_labeled_pairs(family: GameFamily, guard: int = 4) -> list[tuple]:
@@ -935,7 +938,8 @@ def extreme_equilibria(game: BimatrixGame, guard: int = 6) -> list:
                 profile = MixedProfile(w.coords[:m], v.coords[:n])
                 if not verify_equilibrium(game, profile):
                     raise NotEquilibrium("a completely labeled pair failed exact verification")
-                records.append(make_record(game, profile, "extreme-equilibria"))
+                records.append(EquilibriumRecord(profile, *fraction_payoffs(game, profile),
+                                                 profile.support(), None, "extreme-equilibria"))
     return sorted(records, key=lambda r: (r.profile.x, r.profile.y))
 
 

@@ -362,9 +362,9 @@ def test_no_lp_and_one_section_per_probe_and_per_enumeration(monkeypatch):
 
 def test_each_answer_is_integerized_once(monkeypatch):
     # An answer's profile integerizes x and y once, in its simplex check, and
-    # the equilibrium check, the payoffs, the support and the index check
-    # read those integers: linalg.integers runs twice inside _finalize, on
-    # every answer of the three solvers.
+    # the equilibrium check, which also takes the payoffs, the support and
+    # the index check read those integers: linalg.integers runs twice inside
+    # _finalize, on every answer of the three solvers.
     import sys
 
     import rankgames.algorithms as algorithms
@@ -557,18 +557,20 @@ def test_enumeration_reads_points_only_for_answers_and_edge_data_only_where_anal
 
 def _fraction_finalize(game, crossing, provenance):
     """The reference for ``algorithms._finalize``: the profile sliced from
-    the crossing's ``Fraction`` coordinates, verified, recorded and indexed
-    on ``game``."""
-    from dataclasses import replace
-
+    the crossing's ``Fraction`` coordinates, verified by the ``Fraction``
+    reference, priced by ``fixtures.fraction_payoffs`` and indexed on
+    ``game``, in that order."""
     from rankgames.algorithms import index_of
-    from rankgames.games import make_record
+    from rankgames.games import EquilibriumRecord
+
+    from fixtures import fraction_payoffs, fraction_verify_equilibrium
 
     profile = MixedProfile(crossing.w_coords[: game.m], crossing.v_coords[: game.n])
-    if not verify_equilibrium(game, profile):
+    if not fraction_verify_equilibrium(game, profile):
         raise NotEquilibrium("hyperplane crossing failed exact verification")
-    rec = make_record(game, profile, provenance)
-    return replace(rec, index=index_of(game, rec, crossing))
+    pays, support = fraction_payoffs(game, profile), profile.support()
+    return EquilibriumRecord(profile, *pays, support, index_of(game, support, crossing),
+                             provenance)
 
 
 def test_integer_crossings_and_their_answers_equal_the_fraction_ones(monkeypatch, tmp_path):
@@ -646,27 +648,32 @@ def test_integer_crossings_and_their_answers_equal_the_fraction_ones(monkeypatch
 def test_each_answer_is_verified_and_recorded_once_on_the_input_game(monkeypatch):
     # A crossing is only a point: the solvers verify each answer once, on the
     # game they were given rather than on the integerized or constant-beta
-    # reduced copy the path ran on, and record it once.
+    # reduced copy the path ran on, and build its record once, with the
+    # payoffs that check returns: those of the input game. Every
+    # EquilibriumRecord built is counted, a dataclasses.replace copy too.
     import sys
 
     import rankgames.games as games
 
+    from fixtures import fraction_payoffs
+
     seen = {"verify": [], "record": []}
+    real_verify, real_init = games.verify_equilibrium, games.EquilibriumRecord.__init__
 
-    def count(kind, real):
-        def counted(game, *args, **kwargs):
-            seen[kind].append(game)
-            return real(game, *args, **kwargs)
+    def verify(game, *args, **kwargs):
+        seen["verify"].append(game)
+        return real_verify(game, *args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "rankgames":
-                for key, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, key, counted)
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        seen["record"].append(self)
 
     general = random_general_games(33, 6, min_mn=3, max_mn=5, pipeline=enumerate_general)
-    count("verify", games.verify_equilibrium)
-    count("record", games.make_record)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rankgames" and vars(module).get(
+                "verify_equilibrium") is real_verify:
+            monkeypatch.setattr(module, "verify_equilibrium", verify)
+    monkeypatch.setattr(games.EquilibriumRecord, "__init__", init)
     # Each fractional game is its fixture's game over 3; integerize scales it.
     fractional = [
         Rank1Decomposition(d.a.scale(Fraction(1, 3)), tuple(g * Fraction(2, 3) for g in d.gamma),
@@ -685,7 +692,9 @@ def test_each_answer_is_verified_and_recorded_once_on_the_input_game(monkeypatch
         assert recs and all(verify_equilibrium(game, rec.profile) for rec in recs)
         assert len({rec.key() for rec in recs}) == len(recs)
         assert seen["verify"] == [game] * len(recs)
-        assert seen["record"] == [game] * len(recs)
+        assert list(map(id, seen["record"])) == list(map(id, recs))
+        assert all((rec.payoff1, rec.payoff2) == fraction_payoffs(game, rec.profile)
+                   for rec in recs)
     assert fractional[0].game() != integerize(fractional[0])[0].game()
 
 

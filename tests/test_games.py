@@ -11,7 +11,6 @@ from rankgames.games import (
     Rank1Decomposition,
     decompose_rank1,
     decompose_rank_k,
-    payoffs,
     reduce_constant_beta,
     verify_equilibrium,
 )
@@ -103,10 +102,12 @@ def test_support_sums_match_dense_products():
         for p in profiles:
             ay, by = game.a.mul_vec(p.y), game.b.mul_vec(p.y)
             bx = game.b.transpose().mul_vec(p.x)
-            assert payoffs(game, p) == (vdot(p.x, ay), vdot(p.x, by))
+            assert fraction_payoffs(game, p) == (vdot(p.x, ay), vdot(p.x, by))
             dense = all(ay[i] == max(ay) for i in range(m) if p.x[i]) and all(
                 bx[j] == max(bx) for j in range(n) if p.y[j])
-            assert verify_equilibrium(game, p) == dense
+            got = verify_equilibrium(game, p)
+            assert bool(got) == dense
+            assert got == (fraction_payoffs(game, p) if dense else None)
             checked += 1
             equilibria += dense
     assert (checked, equilibria) == (195, 81)
@@ -116,13 +117,17 @@ def test_per_answer_checks_match_the_fraction_references():
     # Games with fractional payoffs over coprime denominators; every answer
     # of support_enumeration, and near misses that move half of one support
     # entry's weight onto another of the same player's, which must fail.
+    # verify_equilibrium prices an answer as best1 / (qy A.denom) and
+    # best2 / (qx B.denom); on the answers counted in ``apart`` qx != qy,
+    # A.denom != B.denom, qy A.denom != qx B.denom and both payoffs are
+    # nonzero, so any swap of those denominators changes a payoff.
     rng = random.Random(33)
 
     def grid(m, n):
         return [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)]
                 for _ in range(m)]
 
-    answers = near_misses = 0
+    answers = near_misses = apart = 0
     for _ in range(40):
         m, n = rng.randint(2, 4), rng.randint(2, 4)
         a, b = grid(m, n), grid(m, n)
@@ -132,8 +137,13 @@ def test_per_answer_checks_match_the_fraction_references():
         b_pos = [[x + s2 for x in row] for row in b]
         for rec in support_enumeration(game).equilibria:
             p = rec.profile
-            assert verify_equilibrium(game, p) and fraction_verify_equilibrium(game, p)
-            assert payoffs(game, p) == fraction_payoffs(game, p) == (rec.payoff1, rec.payoff2)
+            assert fraction_verify_equilibrium(game, p)
+            assert verify_equilibrium(game, p) == fraction_payoffs(game, p) == (
+                rec.payoff1, rec.payoff2)
+            (_, qx), (_, qy) = p.int_x, p.int_y
+            apart += (qx != qy and game.a.denom != game.b.denom
+                      and qy * game.a.denom != qx * game.b.denom
+                      and 0 not in (rec.payoff1, rec.payoff2))
             # The index (-1)^(|I|+1) * sign(det A_I^J * det B_I^J) on the
             # positive shift; index_of, on the input game's bordered support
             # blocks, must agree with it.
@@ -144,7 +154,7 @@ def test_per_answer_checks_match_the_fraction_references():
                          for mat in (a_pos, b_pos)]
             assert sign(checked) == sign(reference[0] * reference[1]) != 0
             classic = (-1) ** (len(rows) + 1) * sign(checked)
-            assert index_of(game, rec, Crossing((), (), classic)) == classic
+            assert index_of(game, rec.support, Crossing((), (), classic)) == classic
             answers += 1
             for side in (0, 1):
                 vec = list((p.x, p.y)[side])
@@ -154,11 +164,10 @@ def test_per_answer_checks_match_the_fraction_references():
                 i, j = rng.sample(support, 2)
                 vec[i], vec[j] = vec[i] / 2, vec[j] + vec[i] / 2
                 miss = MixedProfile(*((vec, p.y) if side == 0 else (p.x, vec)))
-                assert not verify_equilibrium(game, miss)
+                assert verify_equilibrium(game, miss) is None
                 assert not fraction_verify_equilibrium(game, miss)
-                assert payoffs(game, miss) == fraction_payoffs(game, miss)
                 near_misses += 1
-    assert (answers, near_misses) == (67, 42)
+    assert (answers, near_misses, apart) == (67, 42, 12)
 
 
 def test_decompose_rank1_zero_sum_defaults():

@@ -688,11 +688,21 @@ def ray_degeneracies(a: Matrix, c: Matrix, beta) -> list[tuple[str, str]]:
     return found
 
 
-def test_ray_degeneracy_messages_come_in_check_order():
+def test_ray_degeneracy_messages_come_in_check_order(monkeypatch):
     # On small-entry families that tie often, trace_path raises the first ray
     # degeneracy of the reference, with its class and message: a tied high
     # extreme is reported before a tied low bound, and the low bound before
-    # the high one. Families without one build both rays.
+    # the high one. Families without one build both rays, off anchors found
+    # once a family (four unique-extreme checks) that equal the reference's.
+    import rankgames.polytope as polytope
+
+    real_extreme, extremes = polytope._unique_arg_extreme, []
+
+    def extreme(values, want_max):
+        extremes.append(want_max)
+        return real_extreme(values, want_max)
+
+    monkeypatch.setattr(polytope, "_unique_arg_extreme", extreme)
     rng = random.Random(21)
     seen = Counter()
     for g in range(200):
@@ -704,8 +714,12 @@ def test_ray_degeneracy_messages_come_in_check_order():
         found = ray_degeneracies(a, c, beta)
         seen[tuple(kind for kind, _ in found)] += 1
         if not found:
+            extremes.clear()
             fam.ray(high=False)
             fam.ray(high=True)
+            sd = ray_anchors(a, c, beta)
+            assert fam.ray_anchors == ((sd.i_s - 1, sd.j_s - 1), (sd.i_e - 1, sd.j_e - 1))
+            assert extremes == [False, True, True, True]
             continue
         kind, message = found[0]
         with pytest.raises(ConstantBeta if kind == "constant beta" else DegeneracyError) as exc:
