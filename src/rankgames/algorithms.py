@@ -179,10 +179,10 @@ def _better_start(family: GameFamily, delta: Rat, low: Vertex, high: Vertex) -> 
     """Of the optima of the bracket ends, the one whose section objective at
     lambda = delta is larger; a tie goes to ``low``. At a vertex of P the
     objective is one integer dot of its ``integer_objective`` row with the
-    vertex's numerators (``Vertex.numerators``), over D times their
+    vertex's integers (``Vertex.integer_point``), over D times their
     denominator, so the two are compared by cross-multiplication."""
     row = integer_objective(family.int_betas, (delta,)).row
-    (lo, lo_den), (hi, hi_den) = low.numerators(), high.numerators()
+    (lo, lo_den), (hi, hi_den) = low.integer_point, high.integer_point
     return high if sum(map(mul, row, hi)) * lo_den > sum(map(mul, row, lo)) * hi_den else low
 
 
@@ -253,12 +253,12 @@ def _edges_until(family: GameFamily, start: PathEdge, lam_max: Rat) -> Iterator[
     """The oriented path from ``start`` through the first edge whose head lambda
     exceeds ``lam_max``: lambda never decreases along the path, and every
     equilibrium has lambda = gamma . x <= max gamma. Each node's lambda is
-    read off its lifted point's numerators (``Vertex.numerators``), and both
+    read off its lifted point's integers (``Vertex.integer_point``), and both
     checks compare by cross-multiplication."""
     m, top, top_den = family.m, lam_max.numerator, lam_max.denominator
 
     def lam(node: PathNode) -> tuple[int, int]:
-        nums, den = node.w.numerators()
+        nums, den = node.w.integer_point
         return nums[m], den
 
     for edge in chain([start], walk(family, start.head) if start.head is not None else ()):
@@ -482,11 +482,6 @@ class Region:
 class RegionGraph:
     regions: tuple[Region, ...]
     kind: str  # inherited from the trace: "path" | "cycle"
-
-    def degree(self, idx: int) -> int:
-        if self.kind == "cycle":
-            return 2
-        return sum(1 for j in (idx - 1, idx + 1) if 0 <= j < len(self.regions))
 
 
 def region_graph(family: GameFamily, trace: ComponentTrace) -> RegionGraph:

@@ -106,14 +106,6 @@ def parse_game_file(text: str) -> BimatrixGame:
     return BimatrixGame(Matrix(rows_a), Matrix(rows_b))
 
 
-def render_game(game: BimatrixGame) -> str:
-    lines = [f"{game.m} {game.n}"]
-    for mat in (game.a, game.b):
-        for i in range(mat.rows):
-            lines.append(" ".join(str(x) for x in mat.row(i)))
-    return "\n".join(lines) + "\n"
-
-
 def _vec_str(v: Sequence[Fraction]) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 

@@ -95,15 +95,9 @@ class Matrix:
 
     @classmethod
     def _of_ints(cls, rows: Iterable[Sequence[int]], denom: int) -> "Matrix":
-        """The matrix ``rows / denom`` (``denom > 0``), reduced by the gcd of
-        ``denom`` and every entry."""
-        rows = tuple(map(tuple, rows))
-        g = gcd(denom, *chain.from_iterable(rows))
-        if g != 1:
-            rows = tuple(tuple(x // g for x in row) for row in rows)
-            denom //= g
+        """The matrix ``rows / denom`` (``denom > 0``), in lowest terms."""
         m = object.__new__(cls)
-        m._store(rows, denom)
+        m._store(*lowest_terms(rows, denom))
         return m
 
     def _store(self, rows: IntRows, denom: int) -> None:
@@ -228,6 +222,17 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def lowest_terms(rows: Iterable[Sequence[int]], denom: int) -> tuple[IntRows, int]:
+    """The integer rows ``rows / denom`` (``denom > 0``) as tuples, with the
+    gcd of ``denom`` and every entry divided out: one form for equal values."""
+    rows = tuple(map(tuple, rows))
+    g = gcd(denom, *chain.from_iterable(rows))
+    if g != 1:
+        rows = tuple(tuple(x // g for x in row) for row in rows)
+        denom //= g
+    return rows, denom
 
 
 def integers(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -17,28 +17,30 @@ until read. On a rank-1 section the path edge through that point is read
 off the same rows (``section_edge``): one integer ratio test per side gives
 its ends, and no Q' tableau is built. The rank-k cell walk reads a vertex's
 cell of the box map off the same rows once (``cell_rows``), and the fixed
-point of its affine piece off that cell (``piece_fixed_point``). Intersecting the containing edge with a game's
-selection hyperplane yields a crossing point or a side classification; the
-crossing is only geometry, which the caller verifies on its own game. Every
-moving path edge holds its base point and direction as integers over one
-denominator, and a bounded one its length as an integer ratio, so the
-hyperplane's value and its rate are integer dots with the hyperplane's
-integer row and the hit is placed by cross-multiplication; a hit is kept as
-integer points (``Crossing``), read as ``Fraction``s only when asked. A
-fixed vertex of Q' gives only a side: the sign of one integer dot with its
-point's numerators (``Vertex.numerators``). Along a path
-(``path_crossings``) that dot is taken once per node, and an edge whose two
-end values share one strict sign is skipped unread: only an edge with a
-zero or a sign change at its ends, or a ray, has its base point and
-direction read. Every point is
-read off a tableau through ``Tableau.z_column``, or kept as integers where
-no tableau is built: a tableau holds no row for a sign-constrained
-coordinate.
+point of its affine piece off that cell (``piece_fixed_point``).
+Intersecting the containing edge with a game's selection hyperplane yields a
+crossing point or a side classification; the crossing is only geometry,
+which the caller verifies on its own game. Every moving path edge holds its
+base point and direction as integers over one denominator, and a bounded one
+its length as an integer ratio, so the hyperplane's value and its rate are
+integer dots with the hyperplane's integer row and the hit is placed by
+cross-multiplication. A hit is kept as integer points in lowest terms
+(``Crossing``), as a section keeps its lifted point (``Section``): their
+fields are integers only, and their ``Fraction`` coordinates are read-only
+views, built only when asked. A fixed vertex of Q' gives only a side: the
+sign of one integer dot with its point's integers (``Vertex.integer_point``).
+Along a path (``path_crossings``) that dot is taken once per node, and an
+edge whose two end values share one strict sign is skipped unread: only an
+edge with a zero or a sign change at its ends, or a ray, has its base point
+and direction read. Every point is read off a tableau through
+``Tableau.z_column``, or kept as integers where no tableau is built: a
+tableau holds no row for a sign-constrained coordinate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -61,16 +63,24 @@ from .labeledpath import (
 )
 from .linalg import (
     Matrix,
-    Rat,
     Vec,
     frac,
     integers,
+    lowest_terms,
     rationals,
     solve_linear_system,
     vdot,
     vector,
 )
-from .polytope import EdgeDescriptor, GameFamily, Polytope, ReadOff, Tableau, Vertex, min_ratio
+from .polytope import (
+    EdgeDescriptor,
+    GameFamily,
+    IntPoint,
+    Polytope,
+    Tableau,
+    Vertex,
+    min_ratio,
+)
 
 IntBetas = Sequence[tuple[Sequence[int], int]]  # each beta as (b, q): see GameFamily.int_betas
 Cell = dict[int, tuple[tuple[int, ...], int]]  # (h_r, e_r) per basis label r: see cell_rows
@@ -83,7 +93,7 @@ class Hyperplane:
     ``row`` is lambda - gamma . x over (x, lambda, pi2) times ``scale``, the
     least positive integer that makes it integral. On a vector held as
     integers over one denominator, such as a tableau column, the hyperplane's
-    value is then one integer dot (``over``).
+    value, times that denominator and ``scale``, is then one integer dot.
     """
 
     gamma: Vec
@@ -102,45 +112,46 @@ class Hyperplane:
         denominator, times that denominator and ``scale``."""
         return sum(map(mul, self.row, numerators))
 
-    def over(self, numerators: Iterable[int], denom: int) -> Rat:
-        """The value at the vector ``numerators / denom``."""
-        return Fraction(self.dot(numerators), self.scale * denom)
+
+def in_lowest_terms(numerators: Iterable[int], denom: int) -> IntPoint:
+    """The point ``numerators / denom`` (``denom > 0``) in lowest terms
+    (``linalg.lowest_terms``): the one form of a crossing's or a section's
+    point, so that their equality and hashing are the fields'."""
+    (numerators,), denom = lowest_terms((numerators,), denom)
+    return numerators, denom
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Crossing:
     """A hyperplane hit strictly inside an oriented edge: the (v, w) point.
 
     ``v_point`` and ``w_point`` hold v and w as integers over one positive
-    denominator, as ``_analyze_edge`` finds them, and ``v_coords`` and
-    ``w_coords``, given as None, are read off them when first used. As
-    ``Section``, it fills its instance dict in one update.
+    denominator, in lowest terms (``in_lowest_terms``), as ``_analyze_edge``
+    finds them; ``v_coords`` and ``w_coords`` are their ``Fraction`` views,
+    built on first read. Equality and hashing are on the points and the
+    orientation.
     """
 
-    v_coords: Vec = ReadOff(lambda hit: rationals(*hit.v_point))
-    w_coords: Vec = ReadOff(lambda hit: rationals(*hit.w_point))
+    v_point: IntPoint
+    w_point: IntPoint
     orient_index: int  # +1 when the hyperplane value rises tail-to-head
-    v_point: Optional[tuple[Sequence[int], int]] = field(default=None, compare=False, repr=False)
-    w_point: Optional[tuple[Sequence[int], int]] = field(default=None, compare=False, repr=False)
 
-    def __init__(self, v_coords: Optional[Vec], w_coords: Optional[Vec], orient_index: int,
-                 v_point: Optional[tuple[Sequence[int], int]] = None,
-                 w_point: Optional[tuple[Sequence[int], int]] = None):
-        self.__dict__.update(v_coords=v_coords, w_coords=w_coords, orient_index=orient_index,
-                             v_point=v_point, w_point=w_point)
+    @cached_property
+    def v_coords(self) -> Vec:
+        return rationals(*self.v_point)
+
+    @cached_property
+    def w_coords(self) -> Vec:
+        return rationals(*self.w_point)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class IsNEOutcome:
-    """One probe's answer. As ``Section`` and ``OptSet``, it fills its
-    instance dict in one update."""
+    """One probe's answer."""
 
     kind: str  # "found" | "below" | "above"
     optimum: Vertex  # the section's optimum over P: a warm start for the next probe
     crossing: Optional[Crossing] = None  # the hit, when found
-
-    def __init__(self, kind: str, optimum: Vertex, crossing: Optional[Crossing] = None):
-        self.__dict__.update(kind=kind, optimum=optimum, crossing=crossing)
 
 
 class SectionRows(NamedTuple):
@@ -178,44 +189,38 @@ class Objective(NamedTuple):
     row: tuple[int, ...]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Section:
     """Optimal section at lambda = delta: the optimum v of P and the lifted
     point w that with v certifies both optima.
 
-    ``rows`` are v's ``section_rows``. ``slacks`` holds the slack at w of
-    every label of the lifted polytope, in label order, as integers over one
-    positive unit, each times its row's scale: w's tight labels are its zero
-    slacks. ``w_point`` is w as integers over one positive denominator, and
-    ``w_coords`` is read off it when first used. The constructor fills the
-    instance dict in one update: each probe makes one.
+    ``w_point`` is w as integers over one positive denominator, in lowest
+    terms (``in_lowest_terms``), and ``w_coords`` its ``Fraction`` view,
+    built on first read. ``rows`` are v's ``section_rows``. ``slacks`` holds
+    the slack at w of every label of the lifted polytope, in label order, as
+    integers over one positive unit, each times its row's scale: w's tight
+    labels are its zero slacks. Equality and hashing are on v and w_point.
     """
 
     v: Vertex
-    w_coords: Vec = ReadOff(lambda sec: rationals(*sec.w_point))
+    w_point: IntPoint
     rows: SectionRows = field(compare=False, repr=False)
     slacks: tuple[int, ...] = field(compare=False, repr=False)
-    w_point: tuple[tuple[int, ...], int] = field(compare=False, repr=False)
 
-    def __init__(self, v: Vertex, w_coords: Optional[Vec], rows: SectionRows,
-                 slacks: tuple[int, ...], w_point: tuple[tuple[int, ...], int]):
-        self.__dict__.update(v=v, w_coords=w_coords, rows=rows, slacks=slacks, w_point=w_point)
+    @cached_property
+    def w_coords(self) -> Vec:
+        return rationals(*self.w_point)
 
     @property
     def v_coords(self) -> Vec:
         return self.v.coords
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class OptSet(Section):
     """A rank-1 section with the edge of the path containing it."""
 
     edge: PathEdge
-
-    def __init__(self, v: Vertex, w_coords: Optional[Vec], rows: SectionRows,
-                 slacks: tuple[int, ...], w_point: tuple[tuple[int, ...], int], edge: PathEdge):
-        self.__dict__.update(v=v, w_coords=w_coords, rows=rows, slacks=slacks, w_point=w_point,
-                             edge=edge)
 
 
 def section_rows(p: Polytope, v: Vertex, betas: IntBetas) -> SectionRows:
@@ -344,8 +349,8 @@ def lifted_section(p: Polytope, lifted: Polytope, v: Vertex, rows: SectionRows, 
         raise NonzeroOptimum(f"section objective is {gap}, expected 0")
     den = lcm(*(d.denominator for d in delta))  # w = (x, delta, pi2) over unit * den
     lams = (d.numerator * (den // d.denominator) * unit for d in delta)
-    point = (*(xi * den for xi in x), *lams, value * den)
-    return Section(v, None, rows, (*x, *(slack for slack, _ in slacks)), (point, unit * den))
+    point = in_lowest_terms((*(xi * den for xi in x), *lams, value * den), unit * den)
+    return Section(v, point, rows, (*x, *(slack for slack, _ in slacks)))
 
 
 def _section(family: GameFamily, delta: Vec, start: Optional[Vertex] = None) -> Section:
@@ -400,7 +405,7 @@ def section_edge(family: GameFamily, beta: tuple[list[int], int], sec: Section,
 
     def vertex(r: int, ints: tuple[int, ...], den: int) -> Vertex:
         basis = tight | {r}
-        return Vertex(None, basis, basis, None, (ints, den))
+        return Vertex(basis, basis, None, (ints, den))
 
     relaxed = high if low is None else low
     num, den = end(relaxed)
@@ -413,8 +418,8 @@ def section_edge(family: GameFamily, beta: tuple[list[int], int], sec: Section,
     # Rising lambda from the lower end, else falling from the upper, over u * den.
     scale = -den if low is None else den
     direction = (*(-g[i] if i in g else 0 for i in range(1, m + 1)), u, beta_y)
-    return EdgeDescriptor(base, relaxed, None, None, far, None,
-                          tuple(scale * k for k in direction), origin, u * den, step)
+    return EdgeDescriptor(base, relaxed, far, None, tuple(scale * k for k in direction), origin,
+                          u * den, step)
 
 
 def solve_lp_delta(family: GameFamily, delta, start: Optional[Vertex] = None) -> OptSet:
@@ -437,17 +442,17 @@ def solve_lp_delta(family: GameFamily, delta, start: Optional[Vertex] = None) ->
         ed = family.p.pivot(v, min(v.labels & w_labels))
         if ed.unbounded:
             raise RankGamesError("unexpected unbounded edge in the row polytope")
-        w = Vertex(None, w_labels, w_labels, None, sec.w_point)
+        w = Vertex(w_labels, w_labels, None, sec.w_point)
         edge = oriented_edge(family, W_FIXED, w, ed)
     else:
         raise DegeneratePolytope(f"section optimum has {len(w_labels)} tight rows in Q'")
-    return OptSet(v, None, sec.rows, sec.slacks, sec.w_point, edge)
+    return OptSet(v, sec.w_point, sec.rows, sec.slacks, edge)
 
 
 def _h_at(h: Hyperplane, w: Vertex) -> int:
     """A number with the sign of the hyperplane's value at a vertex of Q':
-    an integer dot with its point's numerators (``Vertex.numerators``)."""
-    return h.dot(w.numerators()[0])
+    an integer dot with its point's integers (``Vertex.integer_point``)."""
+    return h.dot(w.integer_point[0])
 
 
 def _analyze_edge(edge: PathEdge, h: Hyperplane):
@@ -459,10 +464,10 @@ def _analyze_edge(edge: PathEdge, h: Hyperplane):
     whether ``Polytope.pivot`` or ``section_edge`` made it. The hit t* =
     -h0 / dh is placed against 0 and ``t_max`` by cross-multiplication; a
     bounded edge's t_max is read as its integer ``step``. A hit strictly
-    inside is kept in integers: w = (origin * den + num * column) / (denom
-    * den) at t* = num / den, and v is the fixed vertex's numerators
-    (``Vertex.numerators``), so no ``Fraction`` is built. A fixed vertex of
-    Q' gives only a side, read off its point's numerators.
+    inside is kept in integers, in lowest terms: w = (origin * den + num *
+    column) / (denom * den) at t* = num / den, and v is the fixed vertex's
+    ``integer_point``, so no ``Fraction`` is built. A fixed vertex of Q'
+    gives only a side, read off its point's integers.
     """
     if edge.kind == W_FIXED:
         h0, dh = _h_at(h, edge.fixed), 0
@@ -486,8 +491,9 @@ def _analyze_edge(edge: PathEdge, h: Hyperplane):
     if num < 0 or past > 0:
         return ("none", 1 if h0 > 0 else -1)
     # The hyperplane reads only w, so a hit has dh != 0: w moves and v is fixed.
-    w = ([o * den + num * c for o, c in zip(ed.origin, ed.column)], ed.denom * den)
-    return ("point", Crossing(None, None, _orient_index(edge, dh), edge.fixed.numerators(), w))
+    w = in_lowest_terms([o * den + num * c for o, c in zip(ed.origin, ed.column)], ed.denom * den)
+    return ("point", Crossing(in_lowest_terms(*edge.fixed.integer_point), w,
+                              _orient_index(edge, dh)))
 
 
 def _orient_index(edge: PathEdge, dh: int) -> int:

@@ -8,16 +8,15 @@ single probability equality.
 
 Each polytope holds its rows as integers, each row times its own least
 positive scale (``Polytope.int_rows``, ``Polytope.scales``), built straight
-from the matrices' integer rows; the ``Fraction`` rows are built only when
-read. Pivoting runs on a fraction-free integer tableau of the polytope that
-each vertex carries (integer pivoting as in lrsnash: Avis, Rosenberg, Savani
-& von Stengel, 2010), on ``linalg``'s one exact kernel. The tableau is a
-dictionary: it keeps only the d - 1 nonbasic slack columns and the rhs, in
-label order, and as lrsnash's dictionary it keeps rows only for the slacks
-and the free coordinates (pi1 in P, lambda and pi2 in Q'). A sign-constrained
-coordinate (y_j in P, x_i in Q') equals its sign row's slack, and every
-reader of coordinates reads it off that slack's row through one accessor,
-``Tableau.z_column``. A vertex given only by its basis gets its tableau from
+from the matrices' integer rows. Pivoting runs on a fraction-free integer
+tableau of the polytope that each vertex carries (integer pivoting as in
+lrsnash: Avis, Rosenberg, Savani & von Stengel, 2010), on ``linalg``'s one
+exact kernel. The tableau is a dictionary: it keeps only the d - 1 nonbasic
+slack columns and the rhs, in label order, and as lrsnash's dictionary it
+keeps rows only for the slacks and the free coordinates (pi1 in P, lambda
+and pi2 in Q'). A sign-constrained coordinate (y_j in P, x_i in Q') equals
+its sign row's slack, and every reader of coordinates reads it off that
+slack's row through one accessor, ``Tableau.z_column``. A vertex given only by its basis gets its tableau from
 ``linalg.gauss_jordan`` on the integer rows but the sign rows, with the
 columns of its sign rows (y_j >= 0, x_i >= 0) taken as already pivoted: one
 exchange for the equality and one per other basis row, 2 for a pure vertex of
@@ -28,16 +27,16 @@ labels are read off the new rhs. The edge direction, the ratio test
 (``linalg.least_ratios``), the far vertex and its labels are read off the
 tableaux, so the walk solves no system. The ratio test zips the slack rows'
 columns in dictionary order and sorts only the labels that tie, so Bland's
-rule and every degeneracy message see them in label order. Coordinates,
-directions and steps are still returned as ``Fraction``, but a pivot's far
-vertex and its edge are made without their coordinates, direction and step:
-those are read off the tableau, or the step's integers, when first used,
-which on most path edges is never.
-Each edge holds its base point and direction as integers over one denominator, and a pivot's edge
-reads even those off its tableau on first use (``EdgeDescriptor.origin`` and
-``column``). A section walk reads two rows of each vertex's tableau
-(``Tableau.z_row``) and only the far end of each pivot, so it builds no edge
-column, base point or ``Fraction`` direction at all.
+rule and every degeneracy message see them in label order. Every record
+holds its point once, in integers: a vertex its point over one denominator
+(``Vertex.integer_point``), an edge its base point and direction over one
+denominator and its length as an integer ratio, and a pivot's far vertex and
+edge read even those off the tableau on first use (``EdgeDescriptor.origin``
+and ``column``). Their ``Fraction`` coordinates, direction and length are
+views, built when first read, which on most path edges is never. A section
+walk reads two rows of each vertex's tableau (``Tableau.z_row``) and only the
+far end of each pivot, so it builds no edge column, base point or
+``Fraction`` direction at all.
 """
 from __future__ import annotations
 
@@ -135,16 +134,15 @@ class Tableau(NamedTuple):
 
 
 class ReadOff:
-    """A dataclass field that may be given as None: it is then computed by
-    ``read`` from the instance (off its tableau) on first use, and kept.
+    """A dataclass field's default that reads the field off the instance, off
+    its tableau, when the field was given as None: ``read`` runs on first
+    use, and the value is kept.
 
-    Set as the class attribute, it has no default, so the field stays
-    positional and required. Given as a field's default
-    (``field(default=ReadOff(...))``), the field is optional, and the
-    record's constructor takes None for it. Equality, hashing and
-    ``dataclasses.replace`` see the computed value. Each record that has one
-    fills its instance dict in its own constructor; ``__set__`` is defined
-    so that the descriptor, not the instance dict, answers every read.
+    Given as ``field(default=ReadOff(...))``, the field is optional, and the
+    record's constructor takes None for it; ``dataclasses.replace`` sees the
+    value read. Each record that has one fills its instance dict in its own
+    constructor; ``__set__`` is defined so that the descriptor, not the
+    instance dict, answers every read.
     """
 
     def __init__(self, read: Callable):
@@ -155,7 +153,7 @@ class ReadOff:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError(self.name)  # no class-level default
+            return self
         value = obj.__dict__[self.name]
         if value is None:
             value = obj.__dict__[self.name] = self.read(obj)
@@ -165,68 +163,67 @@ class ReadOff:
         obj.__dict__[self.name] = value
 
 
+IntPoint = tuple[Sequence[int], int]  # integers over one positive denominator
+
+
 @dataclass(frozen=True, init=False)
 class Vertex:
     """Basic feasible point keyed by its defining tight-row set.
 
     ``tableau`` is the polytope's tableau at this vertex, set by ``pivot`` and
-    ``try_vertex``; when it is None ``Polytope.tableau`` builds it. Those two
-    make the vertex with ``coords`` None, which are read off the tableau when
-    first used. A vertex made in integers without a tableau (the ends of
-    ``paramlp.section_edge``, a section's lifted point) holds its point as
-    ``integer_point``, integers over one positive denominator, and its
-    ``coords`` are read off those. A vertex with a tableau reads its
-    ``integer_point`` off it when first used: the rhs of its z rows over
-    ``denom``. The constructor fills the instance dict in one update: a
-    pivot makes one vertex per step.
+    ``try_vertex``; when it is None ``Polytope.tableau`` builds it. The point
+    is held once, as ``integer_point``: integers over one positive
+    denominator. A vertex with a tableau reads it off the tableau when first
+    used, the rhs of its z rows over ``denom``; one made without a tableau
+    (the ends of ``paramlp.section_edge``, a section's lifted point, the ends
+    of ``Polytope.edge_through_point``) is given it. ``coords``, one
+    ``Fraction`` per coordinate, is a view of it, built on first read.
+    Equality and hashing are on (basis, labels): within one polytope a
+    basis fixes the point. The constructor fills the instance dict in one
+    update: a pivot makes one vertex per step.
     """
 
-    coords: Vec = ReadOff(lambda v: rationals(*v.numerators()))
     basis: frozenset[int]
     labels: frozenset[int]
     tableau: Optional[Tableau] = field(default=None, compare=False, repr=False)
-    integer_point: Optional[tuple[Sequence[int], int]] = field(
+    integer_point: Optional[IntPoint] = field(
         default=ReadOff(lambda v: None if v.tableau is None
                         else (v.tableau.z_column(-1), v.tableau.denom)),
         compare=False, repr=False)
 
-    def __init__(self, coords: Optional[Vec], basis: frozenset[int], labels: frozenset[int],
-                 tableau: Optional[Tableau] = None,
-                 integer_point: Optional[tuple[Sequence[int], int]] = None):
-        self.__dict__.update(coords=coords, basis=basis, labels=labels, tableau=tableau,
+    def __init__(self, basis: frozenset[int], labels: frozenset[int],
+                 tableau: Optional[Tableau] = None, integer_point: Optional[IntPoint] = None):
+        self.__dict__.update(basis=basis, labels=labels, tableau=tableau,
                              integer_point=integer_point)
 
-    def numerators(self) -> tuple[Sequence[int], int]:
-        """The point as integers over one positive denominator
-        (``integer_point``), read once."""
-        return self.integer_point
+    @cached_property
+    def coords(self) -> Vec:
+        return rationals(*self.integer_point)
 
 
 @dataclass(frozen=True, init=False)
 class EdgeDescriptor:
     """One-dimensional face reached by relaxing one inequality at a vertex.
 
-    Points are ``base.coords + t * direction`` for t in [0, t_max], with
-    t_max None on unbounded edges, which have no far end. Every edge the
-    package makes holds its base point as ``origin`` and its direction as
-    ``column``, integers over one positive ``denom``; ``point_at`` reads
-    them, and ``direction`` is read off them when first used. A bounded one
-    holds t_max as ``step``, integers (num, den > 0), and ``t_max`` is read
-    off it when first used. An edge that ``pivot`` makes carries its base's
-    ``tableau`` and the relaxed row's ``scale`` instead, and ``origin`` and
-    ``column`` are read off them on first use: ``origin`` is its point's rhs
-    (``Tableau.z_column``) and ``column`` the relaxed slack's nonbasic
-    column there, times minus the scale. A section walk reads only the far
-    end, so it builds neither. The section edge of
-    ``paramlp.solve_lp_delta`` is read off P's tableau at the section
-    optimum (``paramlp.section_edge``) and carries no tableau. As ``Vertex``,
-    it fills its instance dict in one update.
+    Points are ``origin + t * column`` over ``denom`` for t in [0, t_max],
+    with no far end on an unbounded edge. The edge holds its base point as
+    ``origin``, its direction as ``column``, integers over one positive
+    ``denom``, and a bounded one its length as ``step``, integers (num, den
+    > 0); ``point_at`` reads them. ``direction`` and ``t_max`` are
+    ``Fraction`` views of ``column`` and ``step``, built on first read. An
+    edge that ``pivot`` makes carries its base's ``tableau`` and the relaxed
+    row's ``scale``, and ``origin`` and ``column`` are read off them on first
+    use: ``origin`` is its point's rhs (``Tableau.z_column``) and ``column``
+    the relaxed slack's nonbasic column there, times minus the scale. A
+    section walk reads only the far end, so it builds neither. The section
+    edge of ``paramlp.solve_lp_delta`` is read off P's tableau at the section
+    optimum (``paramlp.section_edge``) and carries no tableau. Equality and
+    hashing are on (base, relaxed, far_end). As ``Vertex``, it fills its
+    instance dict in one update.
     """
 
     base: Vertex
     relaxed: int
-    direction: Vec = ReadOff(lambda e: rationals(e.column, e.denom))
-    t_max: Optional[Rat] = ReadOff(lambda e: None if e.step is None else Fraction(*e.step))
     far_end: Optional[Vertex]
     tableau: Optional[Tableau] = field(default=None, compare=False, repr=False)
     column: Optional[tuple[int, ...]] = field(
@@ -239,15 +236,22 @@ class EdgeDescriptor:
     step: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
     scale: int = field(default=1, compare=False, repr=False)
 
-    def __init__(self, base: Vertex, relaxed: int, direction: Optional[Vec],
-                 t_max: Optional[Rat], far_end: Optional[Vertex],
+    def __init__(self, base: Vertex, relaxed: int, far_end: Optional[Vertex],
                  tableau: Optional[Tableau] = None,
                  column: Optional[tuple[int, ...]] = None,
                  origin: Optional[tuple[int, ...]] = None,
                  denom: int = 1, step: Optional[tuple[int, int]] = None, scale: int = 1):
-        self.__dict__.update(base=base, relaxed=relaxed, direction=direction, t_max=t_max,
-                             far_end=far_end, tableau=tableau, column=column, origin=origin,
-                             denom=denom, step=step, scale=scale)
+        self.__dict__.update(base=base, relaxed=relaxed, far_end=far_end, tableau=tableau,
+                             column=column, origin=origin, denom=denom, step=step, scale=scale)
+
+    @cached_property
+    def direction(self) -> Vec:
+        return rationals(self.column, self.denom)
+
+    @cached_property
+    def t_max(self) -> Optional[Rat]:
+        """The edge's length; None on an unbounded edge."""
+        return None if self.step is None else Fraction(*self.step)
 
     @property
     def unbounded(self) -> bool:
@@ -308,9 +312,6 @@ class Polytope:
         self.scales = tuple(scales)
         self.m = m
         self.n = n
-        # Label -> c of each sign row -z_c <= 0: one -1, zeros elsewhere.
-        self._sign_cols = {lab: row.index(-1) for lab, row in enumerate(self.int_rows[1:], 1)
-                           if not row[-1] and row.count(0) == len(row) - 1 and -1 in row}
         self.signs = tuple(signs)
         # A tableau's slack rows follow the z rows of the free coordinates.
         self._slacks_from = self.signs.count(0)
@@ -320,32 +321,9 @@ class Polytope:
         # The rows a build eliminates: every row but the coordinates' sign rows.
         self._kept = tuple(i for i in range(len(self.int_rows)) if i not in self._sign_coord)
 
-    def _fraction_row(self, index: int) -> tuple[Vec, Rat]:
-        row, scale = self.int_rows[index], self.scales[index]
-        return tuple(Fraction(x, scale) for x in row[:-1]), Fraction(row[-1], scale)
-
-    @property
-    def ineqs(self) -> tuple[tuple[Vec, Rat], ...]:
-        """Every inequality (a, b) in ``Fraction``s, label order."""
-        return tuple(self._fraction_row(lab) for lab in range(1, len(self.int_rows)))
-
-    @property
-    def eq(self) -> tuple[Vec, Rat]:
-        """The probability equality (a, b) in ``Fraction``s."""
-        return self._fraction_row(0)
-
-    @property
-    def n_labels(self) -> int:
-        return len(self.int_rows) - 1
-
     @property
     def basis_size(self) -> int:
         return self.dim - 1  # one equality is always active
-
-    def row(self, label: int) -> tuple[Vec, Rat]:
-        if not 1 <= label <= self.n_labels:
-            raise IndexError(f"label {label} out of 1..{self.n_labels}")
-        return self._fraction_row(label)
 
     def _dots(self, v: Sequence[Fraction]) -> tuple[list[int], int]:
         """``a . v`` of every inequality, times its row scale and q, the least
@@ -404,7 +382,7 @@ class Polytope:
         # is overwritten, and one column is left without a free row.
         labels, free = [None] * d, [0]
         for lab in sorted(basis):
-            c = self._sign_cols.get(lab)
+            c = self._sign_coord.get(lab)
             if c is None:
                 free.append(at[lab])
             else:
@@ -442,7 +420,7 @@ class Polytope:
         d, start = self.dim, self._slacks_from
         zeros = {var - d + 1 for var, row in zip(tab.basic[start:], tab.rows[start:])
                  if not row[-1]}
-        return Vertex(None, basis, basis | zeros, tab)
+        return Vertex(basis, basis | zeros, tab)
 
     def _ratio_rows(self, tab: Tableau, relax: int) -> Iterator[tuple[int, int, int]]:
         """(label, slack, rate) of every basic slack along relax's edge, in
@@ -478,7 +456,7 @@ class Polytope:
         basis = vertex.basis - {relax} | {hit}
         zeros = {var - d + 1 for var, row in zip(basic[start:], rows[start:]) if not row[-1]}
         tab = Tableau(tuple(rows), denom, basic, tuple(cols), z_at)
-        return Vertex(None, basis, basis | zeros, tab)
+        return Vertex(basis, basis | zeros, tab)
 
     def pivot(self, vertex: Vertex, relax: int) -> EdgeDescriptor:
         """Exact ratio test along the edge obtained by relaxing one basis row,
@@ -490,12 +468,11 @@ class Polytope:
         tab, scale = self.tableau(vertex), self.scales[relax]
         slack, rate, hit = min_ratio(self._ratio_rows(tab, relax), vertex.basis)
         if hit is None:
-            return EdgeDescriptor(vertex, relax, None, None, None, tab, denom=tab.denom,
-                                  scale=scale)
+            return EdgeDescriptor(vertex, relax, None, tab, denom=tab.denom, scale=scale)
         far = self._pivot_to(vertex, tab, relax, hit)
         if (tight := len(far.labels)) > self.basis_size:
             raise DegeneratePolytope(f"vertex {sorted(far.basis)} has {tight} tight rows")
-        return EdgeDescriptor(vertex, relax, None, None, far, tab, denom=tab.denom,
+        return EdgeDescriptor(vertex, relax, far, tab, denom=tab.denom,
                               step=(slack, rate * scale), scale=scale)
 
     def simplex_pivot(self, vertex: Vertex, relax: int) -> Optional[Vertex]:
@@ -515,8 +492,9 @@ class Polytope:
         end on the -direction side, and the edge runs along +direction; when
         that side is unbounded, the base is the other end and the edge runs
         along -direction. The package does not call it: it is the ``Fraction``
-        reference that the tests hold ``paramlp.section_edge`` to, and its
-        edge carries no integer base point or column.
+        reference that the tests hold ``paramlp.section_edge`` to. Its ends'
+        points and its edge's base point, direction and length are made
+        integers (``linalg.integers``) from its ``Fraction`` work.
         """
         tight = frozenset(tight)
         point, direction = vector(point), vector(direction)
@@ -541,7 +519,7 @@ class Polytope:
         def end_vertex(t: Rat, lab: int, d: Vec) -> Vertex:
             coords = vadd(point, vscale(t, d))
             basis = tight | {lab}
-            vert = Vertex(coords, basis, self.labels_at(coords))
+            vert = Vertex(basis, self.labels_at(coords), None, integers(coords))
             if len(vert.labels) > self.basis_size:
                 raise DegeneratePolytope(f"degenerate edge endpoint {sorted(basis)}")
             return vert
@@ -554,8 +532,10 @@ class Polytope:
             direction = vscale(-1, direction)
         base = neg_v
         relaxed = next(iter(base.basis - tight))
-        t_total = None if pos_v is None else t_pos + t_neg
-        return EdgeDescriptor(base, relaxed, direction, t_total, pos_v)
+        d = len(direction)
+        nums, q = integers((*base.coords, *direction))
+        step = None if pos_v is None else (t_pos + t_neg).as_integer_ratio()
+        return EdgeDescriptor(base, relaxed, pos_v, None, tuple(nums[d:]), tuple(nums[:d]), q, step)
 
 
 def _integer_row(nums: Sequence[int], q: int, tail: Sequence[Rat]) -> tuple[tuple[int, ...], int]:

@@ -4,15 +4,18 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import random
+import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from math import ceil, comb
 from operator import mul
 from typing import NamedTuple
 
+from rankgames.algorithms import RegionGraph
 from rankgames.errors import (
     DegeneracyError,
     DegeneratePolytope,
@@ -46,7 +49,7 @@ from rankgames.linalg import (
 )
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
 from rankgames.labeledpath import FORWARD, W_FIXED, g_at, trace_path
-from rankgames.paramlp import Crossing, Hyperplane
+from rankgames.paramlp import Crossing, Hyperplane, in_lowest_terms
 from rankgames.polytope import (
     GameFamily,
     Polytope,
@@ -103,11 +106,29 @@ def submatrix(mat: Matrix, row_idx, col_idx) -> Matrix:
     return Matrix._of_ints([[rows[i][j] for j in col_idx] for i in row_idx], mat.denom)
 
 
+def n_labels(poly: Polytope) -> int:
+    return len(poly.int_rows) - 1
+
+
+def fraction_row(poly: Polytope, index: int) -> tuple:
+    """Row ``index`` of a polytope, (a, b) in ``Fraction``s: its integer row
+    over its scale; the equality at index 0, inequality l at index l."""
+    if not 0 <= index <= n_labels(poly):
+        raise IndexError(f"row {index} out of 0..{n_labels(poly)}")
+    row, scale = poly.int_rows[index], poly.scales[index]
+    return tuple(Fraction(x, scale) for x in row[:-1]), Fraction(row[-1], scale)
+
+
+def fraction_ineqs(poly: Polytope) -> tuple:
+    """Every inequality (a, b) of a polytope in ``Fraction``s, label order."""
+    return tuple(fraction_row(poly, lab) for lab in range(1, n_labels(poly) + 1))
+
+
 def polytope_lp(poly: Polytope, objective) -> LinearProgram:
     """A polytope's rows as a generic LP: the reference for its section walk."""
-    rows = [a for a, _ in poly.ineqs] + [poly.eq[0]]
-    rhs = [b for _, b in poly.ineqs] + [poly.eq[1]]
-    return LinearProgram.build(objective, rows, [LE] * len(poly.ineqs) + [EQ], rhs)
+    (a_eq, b_eq), rows = fraction_row(poly, 0), fraction_ineqs(poly)
+    return LinearProgram.build(objective, [a for a, _ in rows] + [a_eq],
+                               [LE] * len(rows) + [EQ], [b for _, b in rows] + [b_eq])
 
 
 def fraction_polytope_rows(a: Matrix, c: Matrix, betas) -> tuple:
@@ -147,10 +168,10 @@ def full_basis_tableau(poly: Polytope, basis) -> FullTableau:
     """The reference for ``Polytope._basis_tableau``: Gauss-Jordan with
     ``linalg.integer_pivot`` on the full-width tableau, each row's slack
     column an explicit unit column."""
-    d, n_labels = poly.dim, poly.n_labels
-    rows = [[*row[:d], *([0] * n_labels), row[d]] for row in poly.int_rows]
-    basic = [-1] + list(range(d, d + n_labels))
-    for lab in range(1, n_labels + 1):
+    d, labels = poly.dim, n_labels(poly)
+    rows = [[*row[:d], *([0] * labels), row[d]] for row in poly.int_rows]
+    basic = [-1] + list(range(d, d + labels))
+    for lab in range(1, labels + 1):
         rows[lab][d + lab - 1] = 1
     free, denom = [0, *sorted(basis)], 1
     for col in range(d):
@@ -181,7 +202,7 @@ def _narrow(poly: Polytope, tab: FullTableau) -> tuple[tuple, list]:
     """The basis labels of a full-width tableau, and a map of its rows onto
     their nonbasic slack columns, in label order, and the rhs."""
     d = poly.dim
-    labels = tuple(lab for lab in range(1, poly.n_labels + 1) if d + lab - 1 not in tab.basic)
+    labels = tuple(lab for lab in range(1, n_labels(poly) + 1) if d + lab - 1 not in tab.basic)
     return labels, [(*(row[d + lab - 1] for lab in labels), row[-1]) for row in tab.rows]
 
 
@@ -221,11 +242,11 @@ def edge_column(poly: Polytope, tab: Tableau, relax: int) -> tuple:
 
 def enumerate_vertices(poly: Polytope, guard: int = 10**6) -> list[Vertex]:
     """All basic feasible points by exhaustive basis enumeration (guarded)."""
-    count = comb(poly.n_labels, poly.basis_size)
+    count = comb(n_labels(poly), poly.basis_size)
     if count > guard:
         raise TooLarge(f"{count} bases exceeds guard {guard}")
     seen: dict[tuple, Vertex] = {}
-    for combo in combinations(range(1, poly.n_labels + 1), poly.basis_size):
+    for combo in combinations(range(1, n_labels(poly) + 1), poly.basis_size):
         v = poly.try_vertex(combo)
         if v is not None and v.coords not in seen:
             seen[v.coords] = v
@@ -308,7 +329,7 @@ def section_objective(betas, delta) -> tuple:
 def feasible(poly: Polytope, point) -> bool:
     """The point meets the polytope's equality and every inequality, each
     slack taken exactly in the polytope's integer rows."""
-    ea, eb = poly.eq
+    ea, eb = fraction_row(poly, 0)
     return vdot(ea, point) == eb and min(poly._slacks(point)[0]) >= 0
 
 
@@ -484,7 +505,7 @@ def fraction_lifted_section(lifted, betas, v, rates, delta):
         for i in range(1, m + 1)
     )
     x_lam = x + tuple(delta)
-    pi2 = max(vdot(a[: m + k], x_lam) for a, _ in lifted.ineqs[m:])
+    pi2 = max(vdot(a[: m + k], x_lam) for a, _ in fraction_ineqs(lifted)[m:])
     w_coords = x_lam + (pi2,)
     if not feasible(lifted, w_coords):
         raise RankGamesError("complementary lifted point is infeasible")
@@ -508,6 +529,14 @@ def reference_section_edge(family: GameFamily, sec):
     return family.qp.edge_through_point(tight, sec.w_coords, direction)
 
 
+def edge_views(ed) -> tuple:
+    """An edge's ends (basis, labels, coordinates), relaxed label, direction
+    and length: its ``Fraction`` views, to compare with a ``Fraction``
+    reference's, where equality compares only base, relaxed and far end."""
+    ends = ((u.basis, u.labels, u.coords) if u else None for u in (ed.base, ed.far_end))
+    return (*ends, ed.relaxed, ed.direction, ed.t_max)
+
+
 def hyperplane_value(h: Hyperplane, w_coords) -> Fraction:
     """lambda - gamma . x at a point of Q' in ``Fraction``s: the reference
     for the hyperplane's integer dots (``Hyperplane.dot``)."""
@@ -523,7 +552,8 @@ def h_linear(edge, h) -> tuple:
     if edge.kind == W_FIXED:
         return hyperplane_value(h, edge.fixed.coords), Fraction(0)
     ed = edge.moving
-    return h.over(ed.origin, ed.denom), h.over(ed.column, ed.denom)
+    unit = h.scale * ed.denom
+    return Fraction(h.dot(ed.origin), unit), Fraction(h.dot(ed.column), unit)
 
 
 def reference_analyze_edge(edge, h):
@@ -547,15 +577,24 @@ def reference_analyze_edge(edge, h):
     if not inside:
         return ("none", 1 if h0 > 0 else -1)
     rising = dh > 0 if edge.direction == FORWARD else dh < 0
-    return ("point", Crossing(*edge.point_at(t_star), 1 if rising else -1))
+    v, w = (in_lowest_terms(*integers(point)) for point in edge.point_at(t_star))
+    return ("point", Crossing(v, w, 1 if rising else -1))
+
+
+def record_views(cls) -> list[str]:
+    """The names of a record class's views: its ``cached_property``s."""
+    return sorted({name for klass in cls.__mro__ for name, attr in vars(klass).items()
+                   if isinstance(attr, cached_property)})
 
 
 def record_faults(record) -> list[str]:
-    """What is wrong with a frozen dataclass record whose constructor is
-    written by hand: its parameters against ``dataclasses.fields``, in order
-    and with the same defaults (a ``ReadOff`` default is taken as None), a
-    field that can be assigned, and a ``dataclasses.replace`` copy that is
-    not equal or hashes otherwise."""
+    """What is wrong with a frozen dataclass record: the parameters of a
+    constructor written by hand against ``dataclasses.fields``, in order and
+    with the same defaults (a ``ReadOff`` default is taken as None), a field
+    annotated as a ``Fraction`` point or number (``Vec``, ``Rat``), a view
+    (``record_views``) not kept after its first read, a field or view that
+    can be assigned, and a ``dataclasses.replace`` copy that is not equal,
+    hashes otherwise or reads other views."""
     cls, faults = type(record), []
     fields = dataclasses.fields(cls)
     params = list(inspect.signature(cls.__init__).parameters.values())[1:]
@@ -564,16 +603,41 @@ def record_faults(record) -> list[str]:
             for f in fields]
     if [(p.name, p.default) for p in params] != want:
         return [f"{cls.__name__}.__init__ parameters differ from its fields {want}"]
-    for f in fields:
+    faults += [f"{cls.__name__}.{f.name} is a Fraction field" for f in fields
+               if re.search(r"\b(Vec|Rat)\b", str(f.type))]
+    views = record_views(cls)
+    for name in views:
+        value = getattr(record, name)
+        if name not in vars(record) or vars(record)[name] is not value:
+            faults.append(f"{cls.__name__}.{name} is not kept after its first read")
+    for name in [*(f.name for f in fields), *views]:
         try:
-            setattr(record, f.name, None)
+            setattr(record, name, None)
         except dataclasses.FrozenInstanceError:
             continue
-        faults.append(f"{cls.__name__}.{f.name} can be assigned")
+        faults.append(f"{cls.__name__}.{name} can be assigned")
     copy = dataclasses.replace(record)
     if copy != record or hash(copy) != hash(record):
         faults.append(f"{cls.__name__}: replace makes an unequal copy")
+    elif any(getattr(copy, name) != getattr(record, name) for name in views):
+        faults.append(f"{cls.__name__}: replace makes a copy with other views")
     return faults
+
+
+def degree(graph: RegionGraph, idx: int) -> int:
+    """The number of regions next to region ``idx`` of a region graph."""
+    if graph.kind == "cycle":
+        return 2
+    return sum(1 for j in (idx - 1, idx + 1) if 0 <= j < len(graph.regions))
+
+
+def render_game(game: BimatrixGame) -> str:
+    """A game as the text of a game file (``cli.parse_game_file``)."""
+    lines = [f"{game.m} {game.n}"]
+    for mat in (game.a, game.b):
+        for i in range(mat.rows):
+            lines.append(" ".join(str(x) for x in mat.row(i)))
+    return "\n".join(lines) + "\n"
 
 
 def ex1_family() -> GameFamily:

@@ -46,6 +46,7 @@ from fixtures import (
     R1A,
     check_nondegenerate,
     ex1_family,
+    fraction_row,
     fully_labeled_pairs,
     g_value,
     random_general_games,
@@ -294,7 +295,7 @@ def test_criterion_9_objective_zero_certificate(corpus30):
                 x = [v / sum(x) for v in x]
                 lam = Fraction(rng.randint(-40, 40), 3)
                 pi2 = max(
-                    vdot(fam.qp.row(fam.m + 1 + j)[0][: fam.m], x)
+                    vdot(fraction_row(fam.qp, fam.m + 1 + j)[0][: fam.m], x)
                     + fam.beta[j] * lam
                     for j in range(fam.n)
                 )

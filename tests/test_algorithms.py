@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -56,7 +57,9 @@ from fixtures import (
     R1B_NE_KEYS,
     R1C,
     cli_rank1_draws,
+    degree,
     ex1_family,
+    fraction_row,
     hyperplane_value,
     integerize,
     nondegenerate_rank1_fixtures,
@@ -397,46 +400,42 @@ def test_each_answer_is_integerized_once(monkeypatch):
 
 def test_a_path_builds_its_game_once_and_evaluates_no_hyperplane_per_edge(monkeypatch):
     # A path builds no gamma game: the index check reads the input game. The
-    # hyperplane is read off the Q' tableaux, so its Fraction evaluation
-    # (Hyperplane.over) runs at most once per enumerate_general path and
-    # once per is_ne probe.
+    # hyperplane is read off the Q' tableaux as integer dots: the package
+    # has no Fraction evaluation of it (its reference, fixtures.h_linear,
+    # is the tests'), so no path and no is_ne probe makes one.
     import rankgames.algorithms as algorithms
     from rankgames.algorithms import rank1_family
     from rankgames.paramlp import Hyperplane, is_ne
     from rankgames.polytope import GameFamily
 
+    assert [name for name, attr in vars(Hyperplane).items()
+            if callable(attr) and not name.startswith("__")] == ["dot"]
     general = random_general_games(31, 12, min_mn=3, max_mn=6, span=30,
                                    pipeline=enumerate_general)
     rank1 = [R1A, R1B, R1C] + nondegenerate_rank1_fixtures(32, 9, pipeline=enumerate_rank1)
-    built, evaluated, paths = [], [], []
-    real_game_at, real_over = GameFamily.game_at, Hyperplane.over
+    built, paths = [], []
+    real_game_at = GameFamily.game_at
     real_paths = algorithms._path_equilibria
     monkeypatch.setattr(GameFamily, "game_at",
                         lambda fam, alpha: built.append(1) or real_game_at(fam, alpha))
-    monkeypatch.setattr(Hyperplane, "over",
-                        lambda h, *args: evaluated.append(1) or real_over(h, *args))
     monkeypatch.setattr(algorithms, "_path_equilibria",
                         lambda *args: paths.append(1) or real_paths(*args))
     crossings = 0
     for solve, inputs in ((enumerate_general, general), (enumerate_rank1, rank1)):
         for x in inputs:
-            built.clear(), evaluated.clear(), paths.clear()
+            built.clear(), paths.clear()
             crossings += len(solve(x))
             assert len(paths) == 1 and len(built) == 0
-            if solve is enumerate_general:
-                assert len(evaluated) <= 1
     probes = 0
     for d in rank1:
         run, fam = rank1_family(d)
         lo, hi = min(run.gamma), max(run.gamma)
         for step in range(9):
-            evaluated.clear()
             try:
                 is_ne(fam, Hyperplane(run.gamma), lo + (hi - lo) * Fraction(step, 8))
             except DegeneracyError:
                 continue
             probes += 1
-            assert len(evaluated) <= 1
     assert (crossings, probes) == (34, 108)
 
 
@@ -448,11 +447,11 @@ def _lambda_walk(monkeypatch, family, lams):
     from rankgames.labeledpath import FORWARD, V_FIXED, PathEdge, PathNode
     from rankgames.polytope import Vertex
 
-    m, v = family.m, Vertex((), frozenset(), frozenset())
+    m, v = family.m, Vertex(frozenset(), frozenset())
 
     def node(num, den):
         point = (*[0] * m, num, 0)
-        return PathNode(v, Vertex(None, frozenset(), frozenset(), None, (point, den)), 1, 1)
+        return PathNode(v, Vertex(frozenset(), frozenset(), None, (point, den)), 1, 1)
 
     nodes = [node(*lam) for lam in lams]
     edges = [PathEdge(V_FIXED, v, None, tail, head, FORWARD) for tail, head in zip(nodes, nodes[1:])]
@@ -493,7 +492,7 @@ def test_enumeration_reads_points_only_for_answers_and_edge_data_only_where_anal
     # 7, 5, 4, 5, 4, 7, 8 three times, the wide spans, decomposed as the CLI
     # does), enumerate_rank1 reads each node's lambda and hyperplane value off
     # its integers. It builds no vertex's Fraction coords, not even for an
-    # answer, whose fixed vertex gives its numerators, and reads an edge's
+    # answer, whose fixed vertex gives its integer point, and reads an edge's
     # integer base point and direction (EdgeDescriptor.origin and column)
     # only where path_crossings analyzes it: a ray, or an edge whose two end
     # values do not share one strict sign.
@@ -506,8 +505,10 @@ def test_enumeration_reads_points_only_for_answers_and_edge_data_only_where_anal
 
     reads = {"coords": [], "origin": [], "column": []}
     for owner, name in ((Vertex, "coords"), (EdgeDescriptor, "origin"), (EdgeDescriptor, "column")):
+        # A view (cached_property) computes by its func, a ReadOff by its read.
         slot = owner.__dict__[name]
-        monkeypatch.setattr(slot, "read", lambda obj, name=name, read=slot.read:
+        attr = "func" if isinstance(slot, cached_property) else "read"
+        monkeypatch.setattr(slot, attr, lambda obj, name=name, read=getattr(slot, attr):
                             reads[name].append(obj) or read(obj))
     walked, analyzed = [], []
     real_until, real_records = algorithms._edges_until, paramlp.crossing_records
@@ -615,7 +616,7 @@ def test_integer_crossings_and_their_answers_equal_the_fraction_ones(monkeypatch
     def finalize(game, crossing, provenance):
         got = outcome(real_finalize, game, crossing, provenance)
         want = outcome(_fraction_finalize, game, references[id(crossing)][1], provenance)
-        if repr(got) != repr(want) or any(vars(crossing)[name] is not None
+        if repr(got) != repr(want) or any(name in vars(crossing)
                                           for name in ("v_coords", "w_coords")):
             faults.append(("answer", got, want))
         counts["answer" if not isinstance(got, RankGamesError) else "rejected"] += 1
@@ -1080,8 +1081,8 @@ def basis_scan_fixed_points(kfam, gammas):
         v = kfam.p.try_vertex(basis)
         if v is None or len(v.labels) != n:
             continue
-        lacks = [kfam.qp.row(lab)[0] for lab in range(1, m + n + 1) if lab not in v.labels]
-        system = Matrix([kfam.qp.eq[0]] + [unit.row(m + l) for l in range(k)] + lacks)
+        lacks = [fraction_row(kfam.qp, lab)[0] for lab in range(1, m + n + 1) if lab not in v.labels]
+        system = Matrix([fraction_row(kfam.qp, 0)[0]] + [unit.row(m + l) for l in range(k)] + lacks)
         try:
             x0 = solve_linear_system(system, [1] + [0] * (k + m))[:m]
             xs = [solve_linear_system(system, unit.row(1 + l))[:m] for l in range(k)]
@@ -1141,7 +1142,7 @@ def test_region_graph_worked_example():
     middle = graph.regions[1]
     assert middle.kind == TWO_HYPERPLANE_UNION  # |I| = 2 at the interior vertex
     assert len(middle.hyperplanes) == 2
-    assert graph.degree(0) == 1 and graph.degree(1) == 2 and graph.degree(2) == 1
+    assert degree(graph, 0) == 1 and degree(graph, 1) == 2 and degree(graph, 2) == 1
 
 
 def test_region_graph_slab_kind_exists():

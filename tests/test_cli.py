@@ -16,13 +16,23 @@ from rankgames.cli import (
     main,
     parse_fraction,
     parse_game_file,
-    render_game,
 )
 from rankgames.errors import NotEquilibrium
 from rankgames.games import BimatrixGame
 from rankgames.linalg import Matrix
 
-from fixtures import EX1_A, EX1_BETA, EX1_C, MATCHING_PENNIES, R1A, R1B, R1C, shift, zero_matrix
+from fixtures import (
+    EX1_A,
+    EX1_BETA,
+    EX1_C,
+    MATCHING_PENNIES,
+    R1A,
+    R1B,
+    R1C,
+    render_game,
+    shift,
+    zero_matrix,
+)
 
 
 def write_game(tmp_path, game, name="g.game"):

@@ -23,11 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from rankgames.cli import main, render_game
+from rankgames.cli import main
 from rankgames.games import BimatrixGame, family_game
 from rankgames.linalg import Matrix
 
-from fixtures import random_rank1, random_rank_k
+from fixtures import random_rank1, random_rank_k, render_game
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 GOLDEN_FIXEDPOINT = Path(__file__).with_name("golden_fixedpoint.json")

@@ -2,7 +2,8 @@
 package imports only the standard library and itself, every function, class
 and method the package defines is named somewhere else, and in the package
 itself but for a pinned list of test-only ones, no module checks with an
-assert statement, which python -O strips, every name README gives as a
+assert statement, which python -O strips, the records that hold points
+have no Fraction field, every name README gives as a
 library entry point exists, and its entry-point example runs and prints
 what it shows (no linter ships here)."""
 import ast
@@ -168,8 +169,7 @@ def test_every_definition_is_named_elsewhere():
 # exist with no mention in the package, so the tuple only shrinks, but for
 # what a stricter lint finds: one that the package starts to use, or that
 # moves to tests/fixtures.py, leaves.
-TEST_ONLY = ("degree", "render_game", "from_lists", "tolists", "over", "ineqs", "eq",
-             "edge_through_point", "determinant")
+TEST_ONLY = ("from_lists", "tolists", "edge_through_point", "determinant")
 # Library API that README documents and no package module calls: the paper's
 # homeomorphism, both ways.
 API = ("homeo_forward", "homeo_inverse")
@@ -207,6 +207,52 @@ def test_finds_an_unpinned_and_a_stale_test_only_definition():
 def test_package_definitions_are_named_in_the_package_but_the_pinned_test_only_ones():
     package = _package()
     assert _off_the_pins(_unnamed(package, _mentioners(package)), TEST_ONLY + API) == []
+
+
+# The records that hold points: each field is integer state, and each
+# Fraction point is a view. ReadOff reads only the integer fields that a
+# tableau gives.
+POINT_RECORDS = ("Vertex", "EdgeDescriptor", "Crossing", "Section", "OptSet")
+READ_OFF = ("Vertex.integer_point", "EdgeDescriptor.column", "EdgeDescriptor.origin")
+
+
+def _record_fields(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """The class fields of a module that are annotated ``Vec`` or ``Rat``
+    in a class of ``POINT_RECORDS``, and those, in any class, whose value
+    calls ``ReadOff``; each as Class.field."""
+    fractions, read_off = [], []
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for stmt in cls.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            name = f"{cls.name}.{stmt.target.id}"
+            types = {n.id for n in ast.walk(stmt.annotation) if isinstance(n, ast.Name)}
+            if cls.name in POINT_RECORDS and types & {"Vec", "Rat"}:
+                fractions.append(name)
+            if stmt.value is not None and any(
+                    isinstance(n, ast.Call) and getattr(n.func, "id", None) == "ReadOff"
+                    for n in ast.walk(stmt.value)):
+                read_off.append(name)
+    return fractions, read_off
+
+
+def test_finds_a_fraction_field_and_a_read_off_field():
+    tree = ast.parse(
+        "class Vertex:\n"
+        "    coords: Vec = ReadOff(lambda v: v)\n"
+        "    basis: frozenset[int]\n"
+        "    step: Optional[Rat] = field(default=ReadOff(read), compare=False)\n"
+        "class Hyperplane:\n"
+        "    gamma: Vec\n"
+    )
+    assert _record_fields(tree) == (["Vertex.coords", "Vertex.step"],
+                                    ["Vertex.coords", "Vertex.step"])
+
+
+def test_point_records_hold_no_fraction_field_and_read_off_only_integer_fields():
+    found = [_record_fields(tree) for tree in _package().values()]
+    assert [name for fractions, _ in found for name in fractions] == []
+    assert sorted(name for _, read_off in found for name in read_off) == sorted(READ_OFF)
 
 
 def _prose(markdown: str, heading: str) -> str:

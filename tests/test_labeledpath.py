@@ -172,9 +172,13 @@ def test_trace_cycle_rejects_path_seed(ex1, ex1_path):
 
 
 def test_path_records_keep_the_dataclass_contract(ex1, ex1_path, ex1_cycle):
-    # Both rays, the path's bounded edges and a cycle's, with every node.
-    records = {*ex1_path.nodes, *ex1_path.edges, *ex1_cycle.nodes, *ex1_cycle.edges}
-    assert {type(r).__name__ for r in records} == {"PathNode", "PathEdge"}
+    # Both rays, the path's bounded edges and a cycle's, with every node,
+    # and the vertices and polytope edges that they pair and move along.
+    nodes, edges = (*ex1_path.nodes, *ex1_cycle.nodes), (*ex1_path.edges, *ex1_cycle.edges)
+    records = [*nodes, *edges, *(u.v for u in nodes), *(u.w for u in nodes),
+               *(e.moving for e in edges)]
+    assert {type(r).__name__ for r in records} == {
+        "PathNode", "PathEdge", "Vertex", "EdgeDescriptor"}
     assert [fault for record in records for fault in record_faults(record)] == []
 
 

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -33,6 +33,7 @@ from rankgames.paramlp import (
     crossing_records,
     fixed_point_eval,
     improving_labels,
+    in_lowest_terms,
     integer_objective,
     is_ne,
     lifted_section,
@@ -53,7 +54,10 @@ from fixtures import (
     checked_integer_determinant,
     cli_rank1_draws,
     column_dots,
+    edge_views,
+    fraction_ineqs,
     fraction_lifted_section,
+    fraction_row,
     full_basis_tableau,
     h_linear,
     hyperplane_value,
@@ -67,6 +71,7 @@ from fixtures import (
     reference_section_edge,
     reference_z_rows,
     record_faults,
+    record_views,
     section_gap,
     section_objective,
     watch_solve_lp,
@@ -134,7 +139,7 @@ def test_objective_zero_certificate_strict_on_non_labeled_points(r1a_family):
         x = [v / total for v in x]
         lam = Fraction(rng.randint(-50, 50), 7)
         pi2 = max(
-            vdot(fam.qp.row(m + 1 + j)[0][:m], x) + fam.beta[j] * lam for j in range(n)
+            vdot(fraction_row(fam.qp, m + 1 + j)[0][:m], x) + fam.beta[j] * lam for j in range(n)
         )
         v_coords = tuple(y) + (pi1,)
         w_coords = tuple(x) + (lam, pi2)
@@ -143,24 +148,30 @@ def test_objective_zero_certificate_strict_on_non_labeled_points(r1a_family):
 
 def test_probe_records_keep_the_dataclass_contract(r1a_family):
     sec = solve_lp_k(r1a_family, (R1A_NE_LAMBDA,))
-    # w_coords given as None is read off w_point on first use, and kept.
-    assert vars(sec)["w_coords"] is None
-    assert sec.w_coords[: r1a_family.m] == R1A_NE_X and vars(sec)["w_coords"] == sec.w_coords
+    # w_coords is a view of w_point, built on first read, and kept.
+    assert "w_coords" not in vars(sec)
+    assert sec.w_coords[: r1a_family.m] == R1A_NE_X and vars(sec)["w_coords"] is sec.w_coords
     h = Hyperplane(R1A.gamma)
     found = is_ne(r1a_family, h, R1A_NE_LAMBDA)
-    # A crossing's coords given as None are read off its integer points on
-    # first use, and kept; one given by its coords compares equal.
+    # A crossing's coords are views of its integer points, held in lowest
+    # terms, built on first read and kept; one given the same points over
+    # other denominators, put in lowest terms, compares and hashes equal.
     hit = found.crossing
-    assert vars(hit)["v_coords"] is None and vars(hit)["w_coords"] is None
-    assert hit.v_coords[: r1a_family.n] == R1A_NE_Y and vars(hit)["v_coords"] == hit.v_coords
+    assert "v_coords" not in vars(hit) and "w_coords" not in vars(hit)
+    assert hit.v_coords[: r1a_family.n] == R1A_NE_Y and vars(hit)["v_coords"] is hit.v_coords
     assert rationals(*hit.w_point) == hit.w_coords
-    given = Crossing(hit.v_coords, hit.w_coords, hit.orient_index)
-    assert given == hit and given.w_point is None
+    assert all(gcd(den, *nums) == 1 for nums, den in (hit.v_point, hit.w_point, sec.w_point))
+    scaled = [([3 * x for x in nums], 3 * den) for nums, den in (hit.v_point, hit.w_point)]
+    given = Crossing(*(in_lowest_terms(*point) for point in scaled), hit.orient_index)
+    assert given == hit and hash(given) == hash(hit)
+    assert Crossing(*scaled, hit.orient_index) != hit
     records = (sec, solve_lp_delta(r1a_family, R1A_NE_LAMBDA), found,
                is_ne(r1a_family, h, min(R1A.gamma)), hit, given)
     assert [type(r).__name__ for r in records] == [
         "Section", "OptSet", "IsNEOutcome", "IsNEOutcome", "Crossing", "Crossing"]
     assert [fault for record in records for fault in record_faults(record)] == []
+    assert [record_views(type(r)) for r in records[:2] + records[-1:]] == [
+        ["w_coords"], ["w_coords"], ["v_coords", "w_coords"]]
 
 
 def test_is_ne_found_at_equilibrium_lambda(r1a_family):
@@ -222,9 +233,9 @@ def lifted_lp_point(lifted: Polytope, delta):
     with lambda pinned to delta (k = len(delta) lambda rows)."""
     k, unit = len(delta), Matrix.identity(lifted.dim)
     m = lifted.dim - k - 1
-    rows = [a for a, _ in lifted.ineqs] + [lifted.eq[0]] + [unit.row(m + l) for l in range(k)]
-    rels = [LE] * len(lifted.ineqs) + [EQ] * (k + 1)
-    rhs = [b for _, b in lifted.ineqs] + [lifted.eq[1], *delta]
+    rows = [a for a, _ in fraction_ineqs(lifted)] + [fraction_row(lifted, 0)[0]] + [unit.row(m + l) for l in range(k)]
+    rels = [LE] * len(fraction_ineqs(lifted)) + [EQ] * (k + 1)
+    rhs = [b for _, b in fraction_ineqs(lifted)] + [fraction_row(lifted, 0)[1], *delta]
     sol = solve_lp(LinearProgram.build(vscale(-1, unit.row(m + k)), rows, rels, rhs))
     assert sol.optimal
     return sol.point
@@ -692,8 +703,8 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
         if edge.kind != V_FIXED:
             continue
         m, unit = fam.m, Matrix.identity(fam.m + 2)
-        lacks = [fam.qp.row(lab)[0] for lab in range(1, m + fam.n + 1) if lab not in v.labels]
-        system = Matrix([fam.qp.eq[0], unit.row(m), *lacks])
+        lacks = [fraction_row(fam.qp, lab)[0] for lab in range(1, m + fam.n + 1) if lab not in v.labels]
+        system = Matrix([fraction_row(fam.qp, 0)[0], unit.row(m), *lacks])
         direction = solve_linear_system(system, [0, 1] + [0] * m)
         assert edge.moving.direction in (direction, vscale(-1, direction))
         v_fixed += 1
@@ -759,10 +770,12 @@ def test_section_edge_matches_edge_through_point():
             counts[corpus, "w is a vertex" if len(tight) == fam.m + 1 else "more tight"] += 1
             continue
         ours = outcome(lambda: section_edge(fam, integers(fam.beta), sec, tight))
-        assert ours == outcome(lambda: reference_section_edge(fam, sec))
+        theirs = outcome(lambda: reference_section_edge(fam, sec))
         if isinstance(ours, tuple):
+            assert ours == theirs
             counts[corpus, ours[1].split(" between")[0]] += 1
             continue
+        assert ours == theirs and edge_views(ours) == edge_views(theirs)
         assert ours.point_at(Fraction(0)) == ours.base.coords
         if ours.far_end is not None:
             assert ours.point_at(ours.t_max) == ours.far_end.coords
@@ -820,8 +833,8 @@ def test_probes_below_or_above_build_no_edge_data_and_no_fraction_point(monkeypa
         walk = [(poly, ed) for poly, ed in edges if ed is not edge.moving]
         assert all(ed.__dict__["column"] is ed.__dict__["origin"] is None for _, ed in walk)
         ends = [edge.moving.base, edge.moving.far_end] if edge.kind == V_FIXED else [edge.fixed]
-        assert all(lift.__dict__["w_coords"] is None for lift in (*lifts, sec))
-        assert all(u.__dict__["coords"] is None for u in ends if u is not None)
+        assert all("w_coords" not in vars(lift) for lift in (*lifts, sec))
+        assert all("coords" not in vars(u) for u in ends if u is not None)
         for poly, ed in walk:
             z_rows = reference_z_rows(poly, full_basis_tableau(poly, ed.base.basis))
             col = ed.tableau.cols.index(ed.relaxed)
@@ -829,7 +842,8 @@ def test_probes_below_or_above_build_no_edge_data_and_no_fraction_point(monkeypa
             assert ed.column == tuple(-poly.scales[ed.relaxed] * row[col] for row in z_rows)
         assert sec.w_coords == lifted_lp_point(family.qp, (delta,))
         if edge.kind == V_FIXED:
-            assert edge.moving == reference_section_edge(family, sec)
+            want = reference_section_edge(family, sec)
+            assert edge.moving == want and edge_views(edge.moving) == edge_views(want)
         else:
             assert edge.fixed.coords == sec.w_coords
         counts[out.kind, edge.kind] += 1
@@ -1456,8 +1470,9 @@ def test_every_kernel_division_is_exact(monkeypatch):
                     monkeypatch.setattr(module, attr, spy)
     _run_kernel_corpora()
     # Every build exchange and every path step calls the kernel, so a pivot
-    # or a build that went round it would make the first count fall.
-    assert calls == {"exchange_pivot": 10762, "integer_determinant": 1608}
+    # or a build that went round it would make the first count fall. A
+    # zero payoff row is no sign row, so its builds exchange it too.
+    assert calls == {"exchange_pivot": 10765, "integer_determinant": 1608}
 
 
 def test_every_tableau_denominator_is_within_the_hadamard_bound(monkeypatch):

@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -35,15 +36,19 @@ from fixtures import (
     enumerate_vertices,
     ex1_family,
     feasible,
+    fraction_ineqs,
     fraction_polytope_rows,
+    fraction_row,
     full_basis_tableau,
     full_pivot,
+    n_labels,
     nonbasic_columns,
     reference_z_rows,
     random_rank1,
     random_rank_k,
     ray_anchors,
     record_faults,
+    record_views,
     shift,
     tableau_point,
 )
@@ -105,7 +110,7 @@ def test_qprime_slice_matches_direct_best_response_polytope():
         alpha = tuple(Fraction(rng.randint(-4, 4)) for _ in range(m))
         game_b = fam.game_at(alpha).b
         for j in range(n):
-            lifted, _ = fam.qp.row(m + 1 + j)
+            lifted, _ = fraction_row(fam.qp, m + 1 + j)
             direct = tuple(
                 lifted[i] + lifted[m] * alpha[i] for i in range(m)
             )  # fold the lambda coefficient through the substitution
@@ -160,30 +165,44 @@ def test_pivot_involution_over_all_edges():
 
 
 def fraction_slack(poly, lab, point):
-    a, b = poly.row(lab)
+    a, b = fraction_row(poly, lab)
     return b - vdot(a, point)
 
 
 def fraction_labels(poly, point):
     return frozenset(
-        lab for lab in range(1, poly.n_labels + 1) if fraction_slack(poly, lab, point) == 0
+        lab for lab in range(1, n_labels(poly) + 1) if fraction_slack(poly, lab, point) == 0
     )
+
+
+class FractionVertex(NamedTuple):
+    coords: tuple
+    basis: frozenset
+    labels: frozenset
+
+
+class FractionEdge(NamedTuple):
+    direction: tuple
+    t_max: Optional[Fraction]
+    far_end: Optional[FractionVertex]
 
 
 def reference_pivot(poly, vertex, relax):
     """The pivot by a fresh d x d solve and Fraction slacks: the direction
     from the equality, the kept basis rows and the relaxed row; the ratio test
-    over every row outside the basis; the far vertex's labels from its slacks."""
+    over every row outside the basis; the far vertex's labels from its slacks.
+    Its edge and far vertex hold ``Fraction``s only, to compare with the
+    views of the records that ``Polytope.pivot`` makes."""
     kept = vertex.basis - {relax}
-    rows = [poly.eq[0]] + [poly.row(lab)[0] for lab in sorted(kept)] + [poly.row(relax)[0]]
+    rows = [fraction_row(poly, lab)[0] for lab in (0, *sorted(kept), relax)]
     direction = solve_linear_system(
         Matrix(rows), [Fraction(0)] * (len(rows) - 1) + [Fraction(-1)]
     )
     best_t, hits = None, []
-    for lab in range(1, poly.n_labels + 1):
+    for lab in range(1, n_labels(poly) + 1):
         if lab in vertex.basis:
             continue
-        rate = vdot(poly.row(lab)[0], direction)
+        rate = vdot(fraction_row(poly, lab)[0], direction)
         if rate <= 0:
             continue
         t = fraction_slack(poly, lab, vertex.coords) / rate
@@ -197,12 +216,12 @@ def reference_pivot(poly, vertex, relax):
     if len(hits) > 1:
         raise DegeneratePolytope(f"ratio tie between rows {hits} leaving {tight}")
     if best_t is None:
-        return EdgeDescriptor(vertex, relax, direction, None, None)
+        return FractionEdge(direction, None, None)
     coords = vadd(vertex.coords, vscale(best_t, direction))
-    far = Vertex(coords, kept | {hits[0]}, fraction_labels(poly, coords))
+    far = FractionVertex(coords, kept | {hits[0]}, fraction_labels(poly, coords))
     if len(far.labels) > poly.basis_size:
         raise DegeneratePolytope(f"vertex {sorted(far.basis)} has {len(far.labels)} tight rows")
-    return EdgeDescriptor(vertex, relax, direction, best_t, far)
+    return FractionEdge(direction, best_t, far)
 
 
 def _pivot_outcome(poly, vertex, relax):
@@ -292,8 +311,16 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
     # variables and denominator; the reference pivots its own full-width
     # tableau alongside. Builds come from every vertex of the pivot corpus,
     # pivots from every edge of each vertex and of its far end (Bland's rule
-    # takes the degenerate ones too), and both from every section walk.
+    # takes the degenerate ones too), and both from every section walk. The
+    # corpus adds P of a game with a zero row of A (-pi1 <= 0) and Q' of a
+    # family with a zero lifted column row (-pi2 <= 0): neither is a
+    # coordinate's sign row.
     from test_paramlp import section_corpus
+
+    zero_row = GameFamily(Matrix([[0, 0, 0], [1, 3, 2], [2, 1, 4]]),
+                          Matrix([[1, 0, 2], [3, 0, 1], [2, 0, 3]]), (2, 0, 5))
+    assert zero_row.p.int_rows[1] == (0, 0, 0, -1, 0)
+    assert zero_row.qp.int_rows[3 + 2] == (0, 0, 0, 0, -1, 0)
 
     reference = {}  # id of a narrow tableau -> (that tableau, its full-width reference)
     counts = Counter()
@@ -324,7 +351,7 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
 
     monkeypatch.setattr(Polytope, "_basis_tableau", checked_build)
     monkeypatch.setattr(Polytope, "_pivot_to", checked_pivot)
-    for poly in _pivot_corpus():
+    for poly in (*_pivot_corpus(), zero_row.p, zero_row.qp):
         for v in enumerate_vertices(poly):
             for relax in sorted(v.basis):
                 far = poly.simplex_pivot(v, relax)
@@ -335,7 +362,7 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
             _section(fam, delta)
         except RankGamesError:
             counts["rejected"] += 1
-    assert counts == {"build": 851, "singular": 148, "pivot": 2523, "rejected": 29}
+    assert counts == {"build": 882, "singular": 152, "pivot": 2637, "rejected": 29}
 
 
 def _copy_exchange_move_pivot_to(poly, vertex, tab, relax, hit):
@@ -496,7 +523,7 @@ def test_compact_tableaux_read_the_reference_z_rows(monkeypatch):
         return z_rows
 
     for poly in _pivot_corpus():
-        for basis in combinations(range(1, poly.n_labels + 1), poly.basis_size):
+        for basis in combinations(range(1, n_labels(poly) + 1), poly.basis_size):
             try:
                 full = full_basis_tableau(poly, basis)
             except Singular:
@@ -551,7 +578,7 @@ def test_start_builds_exchange_only_the_rows_that_are_not_sign_rows(monkeypatch)
     for poly in _pivot_corpus():
         m, n = poly.m, poly.n
         signs = set(range(m + 1, m + n + 1) if poly.which == "P" else range(1, m + 1))
-        for basis in combinations(range(1, poly.n_labels + 1), poly.basis_size):
+        for basis in combinations(range(1, n_labels(poly) + 1), poly.basis_size):
             try:
                 got = exchanges(poly, basis)
             except Singular:
@@ -570,11 +597,11 @@ def test_start_builds_exchange_only_the_rows_that_are_not_sign_rows(monkeypatch)
         for high in (False, True):
             v_basis, w_basis, _ = fam.ray_bases(high)
             assert (exchanges(fam.p, v_basis), exchanges(fam.qp, w_basis)) == (2, 3)
-    # A zero payoff row reads -pi1 <= 0, a sign row of pi1's column: with
-    # y_1 >= 0 beside it a build takes one exchange, and a second such row
-    # makes the basis singular, as in the reference.
+    # A zero payoff row reads -pi1 <= 0 but is no coordinate's sign row:
+    # with y_1 >= 0 beside it a build exchanges it as any payoff row, and a
+    # second such row makes the basis singular, as in the reference.
     p = build_p(Matrix([[0, 0], [0, 0], [1, 2]]))
-    assert exchanges(p, {1, 4}) == 1
+    assert exchanges(p, {1, 4}) == 2
     assert p._basis_tableau(frozenset({1, 4})) == nonbasic_columns(
         p, full_basis_tableau(p, {1, 4}))
     with pytest.raises(Singular) as want:
@@ -603,7 +630,7 @@ def test_polytope_rows_equal_the_fraction_rows_made_integer():
         p = build_p(a)
         assert ((p.int_rows, p.scales), (qp.int_rows, qp.scales)) == fraction_polytope_rows(
             a, c, betas)
-        assert p.ineqs[0] == (tuple(a.row(0)) + (-1,), 0)
+        assert fraction_ineqs(p)[0] == (tuple(a.row(0)) + (-1,), 0)
 
 
 def test_integer_labels_and_feasibility_match_fraction_slacks():
@@ -623,7 +650,7 @@ def test_integer_labels_and_feasibility_match_fraction_slacks():
             for point in points:
                 assert poly.labels_at(point) == fraction_labels(poly, point)
                 expected = all(
-                    fraction_slack(poly, lab, point) >= 0 for lab in range(1, poly.n_labels + 1)
+                    fraction_slack(poly, lab, point) >= 0 for lab in range(1, n_labels(poly) + 1)
                 )
                 assert feasible(poly, point) == expected
                 checked += 1
@@ -703,9 +730,9 @@ def test_lambda_bounds_sign_convention_by_lp_probe():
     m = fam.m
 
     def probe(lam) -> str:
-        rows = [row for row, _ in fam.qp.ineqs] + [fam.qp.eq[0]]
-        rhs = [b for _, b in fam.qp.ineqs] + [fam.qp.eq[1]]
-        rels = [LE] * len(fam.qp.ineqs) + [EQ]
+        rows = [row for row, _ in fraction_ineqs(fam.qp)] + [fraction_row(fam.qp, 0)[0]]
+        rhs = [b for _, b in fraction_ineqs(fam.qp)] + [fraction_row(fam.qp, 0)[1]]
+        rels = [LE] * len(fraction_ineqs(fam.qp)) + [EQ]
         for i in range(m):  # pin x to the pure strategy of the low ray
             unit = [Fraction(0)] * (m + 2)
             unit[i] = Fraction(1)
@@ -718,7 +745,7 @@ def test_lambda_bounds_sign_convention_by_lp_probe():
         rhs.append(lam)
         rels.append(EQ)
         # full labeling on the ray keeps the min-beta column tight
-        tight_row, tight_rhs = fam.qp.row(m + sd.j_s)
+        tight_row, tight_rhs = fraction_row(fam.qp, m + sd.j_s)
         rows.append(tight_row)
         rhs.append(tight_rhs)
         rels.append(EQ)
@@ -745,7 +772,7 @@ def test_build_qprime_wedge_vertices_match_enumeration():
         assert feasible(qk, v.coords)
         assert len(v.labels) == qk.basis_size
     combos = 0
-    for c in combinations(range(1, qk.n_labels + 1), qk.basis_size):
+    for c in combinations(range(1, n_labels(qk) + 1), qk.basis_size):
         if qk.try_vertex(c) is not None:
             combos += 1
     assert combos == len(vertices)  # nondegenerate: one basis per vertex
@@ -795,13 +822,22 @@ def test_hot_path_records_keep_the_dataclass_contract():
     fam = ex1_family()
     v_s, ray = fam.ray(high=False)
     ed = fam.p.pivot(v_s, 4)
-    for record in (v_s, ed.far_end, ed, ray.base, ray):
+    # The Fraction reference gives its ends and its edge integer state too,
+    # so point_at works on its edge, and it equals the pivot's edge.
+    mid = ed.point_at(ed.t_max / 2)
+    ref = fam.p.edge_through_point(ed.tight_set, mid, ed.direction)
+    assert ref == ed and (ref.base.coords, ref.far_end.coords) == (v_s.coords, ed.far_end.coords)
+    assert (ref.direction, ref.t_max, ref.point_at(ed.t_max / 2)) == (ed.direction, ed.t_max, mid)
+    for record in (v_s, ed.far_end, ed, ray.base, ray, ref, ref.base, ref.far_end):
         assert record_faults(record) == []
-    # A field given as None is still read off the tableau on first use, and kept.
-    lazy = Vertex(None, v_s.basis, v_s.basis, v_s.tableau)
-    assert vars(lazy)["coords"] is None and vars(lazy)["integer_point"] is None
+    assert (record_views(Vertex), record_views(EdgeDescriptor)) == (
+        ["coords"], ["direction", "t_max"])
+    # An integer field given as None is still read off the tableau on first
+    # use, and kept; the coordinates are a view of it, built on first read.
+    lazy = Vertex(v_s.basis, v_s.basis, v_s.tableau)
+    assert vars(lazy)["integer_point"] is None and "coords" not in vars(lazy)
     assert lazy.coords == v_s.coords == (Fraction(0), Fraction(1), Fraction(0), Fraction(9))
-    assert vars(lazy)["coords"] == v_s.coords
+    assert vars(lazy)["coords"] is lazy.coords
     assert vars(lazy)["integer_point"] == v_s.integer_point
 
 
