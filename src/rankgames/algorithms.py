@@ -366,9 +366,7 @@ def homeo_inverse(family: GameFamily, alpha_prime: Sequence[Fraction]) -> tuple[
                                  "the bracket did not shrink")
         probed.add(edge.key())
         g0 = g_at(family, *edge.point_at(0))  # g is affine along the edge
-        dg = g_at(family, *edge.point_at(1)) - g0
-        if dg == 0:
-            raise RankGamesError("path coordinate is constant on a probed edge")
+        dg = g_at(family, *edge.point_at(1)) - g0  # nonzero: oriented_edge checks it
         t_star = (target - g0) / dg
         t_max = edge.moving.t_max
         t_end = max(t_star, 0) if t_max is None else min(max(t_star, 0), t_max)

@@ -8,10 +8,11 @@ traversal, and they alternate along every path and cycle (Shapley 1974).
 
 A step is one ``Polytope.pivot``, an integer pivot on the moving vertex's
 tableau, so the walk solves no linear system and takes no determinant: the
-far node takes the sign opposite to its near node's. Only a walk's start
-takes its sign from the determinants of the two tight-constraint systems
-(``node_sign``): the low ray's node, a section edge's two nodes
-(``oriented_edge``) and a cycle's seed.
+far node takes the sign opposite to its near node's. A walk's start takes
+its edge's orientation: the low ray's node is +1, and a section edge points
+where g = beta . y + lambda grows (``oriented_edge``). Only a cycle's seed
+(``trace --all-from``) takes the tight-system determinants (``node_sign``),
+so ``index_of``'s determinant check is independent of the orientation.
 """
 from __future__ import annotations
 
@@ -110,8 +111,8 @@ def _tight_determinant(poly: Polytope, labels: list[int], order: list[int]) -> i
 def node_sign(family: GameFamily, v: Vertex, w: Vertex, duplicate: int) -> int:
     """Sign of the pair from the two tight-system determinants.
 
-    Only a walk's start node takes it (``make_node``); a step gives its far
-    node the opposite of its near node's sign.
+    Only a cycle's seed takes it (``make_node``, for ``trace --all-from``);
+    the tests check the signs that orientation and steps give against it.
 
     The full systems, of order n + 1 in P and m + 2 in Q', order their blocks:
     shared strategy sets ascending, the duplicate's unit row or column in its
@@ -158,8 +159,14 @@ def _duplicate(family: GameFamily, v: Vertex, w: Vertex) -> int:
     return next(iter(shared))
 
 
+def _end_node(family: GameFamily, kind: str, fixed: Vertex, end: Vertex, s: int) -> PathNode:
+    """An oriented edge's end as a node, with the sign its orientation gives."""
+    v, w = (fixed, end) if kind == V_FIXED else (end, fixed)
+    return PathNode(v, w, _duplicate(family, v, w), s)
+
+
 def make_node(family: GameFamily, v: Vertex, w: Vertex) -> PathNode:
-    """Validate full labeling, find the duplicate, and attach the sign."""
+    """Validate full labeling, find the duplicate, and attach ``node_sign``."""
     dup = _duplicate(family, v, w)
     return PathNode(v, w, dup, node_sign(family, v, w, dup))
 
@@ -206,16 +213,14 @@ def walk(family: GameFamily, first: PathNode) -> Iterator[PathEdge]:
 def trace_path(family: GameFamily) -> ComponentTrace:
     """The unique path, oriented from the low ray to the high ray.
 
-    The walk starts at the low ray's bounding node (``GameFamily.ray``); its
-    last edge must be the high ray, checked against ``GameFamily.ray_bases``,
-    whose ratio test runs once the low ray is built; both share their anchors.
+    The walk starts at the low ray's bounding node (``GameFamily.ray``), its
+    head (+1); the last edge must be the high ray (``GameFamily.ray_bases``,
+    whose ratio test runs once the low ray is built; both share anchors).
     """
     v_s, ray_s = family.ray(high=False)
     v_e, w_e, _ = family.ray_bases(high=True)
-    low = oriented_edge(family, V_FIXED, v_s, ray_s)
-    if low.head is None:
-        raise RankGamesError("start node sign is not +1; orientation broken")
-    edges = [low, *walk(family, low.head)]
+    start = _end_node(family, V_FIXED, v_s, ray_s.base, 1)
+    edges = [PathEdge(V_FIXED, v_s, ray_s, None, start, BACKWARD), *walk(family, start)]
     if edges[-1].head is not None:
         raise RankGamesError("path returned to its start node; traversal is broken")
     if edges[-1].fixed.basis != v_e:
@@ -238,28 +243,24 @@ def trace_cycle(family: GameFamily, seed: PathNode) -> ComponentTrace:
 def oriented_edge(
     family: GameFamily, kind: str, fixed: Vertex, ed: EdgeDescriptor
 ) -> PathEdge:
-    """Orient an edge found off the walk by the signs of its endpoint nodes.
+    """Orient a section edge of a family with c = -a toward growing g.
 
-    Moving edges of type (v, E_v) point at their +1 node, edges of type
-    (E_w, w) at their -1 node; rays put the infinite end opposite the single
-    bounding node. Both nodes take their signs from ``node_sign``, so a walk
-    from the head starts from a sign found in the polytopes' rows.
+    g = beta . y + lambda rises strictly along the path (the homeomorphism);
+    its rate is one integer dot with ``column``: lambda's entry m on a
+    (v, E_v) edge, ``int_beta`` with the y part on an (E_w, w) edge. A
+    (v, E_v) edge's head takes +1, an (E_w, w) edge's -1, the tail the other.
     """
-    def node(u: Vertex) -> PathNode:
-        return make_node(family, fixed, u) if kind == V_FIXED else make_node(family, u, fixed)
-
-    head_sign = 1 if kind == V_FIXED else -1
-    base_node = node(ed.base)
-    far_node = node(ed.far_end) if ed.far_end else None
-    if far_node is None:
-        if base_node.sign == head_sign:
-            return PathEdge(kind, fixed, ed, None, base_node, BACKWARD)
-        return PathEdge(kind, fixed, ed, base_node, None, FORWARD)
-    if base_node.sign == far_node.sign:
-        raise RankGamesError("edge endpoints share a sign; orientation broken")
-    if far_node.sign == head_sign:
-        return PathEdge(kind, fixed, ed, base_node, far_node, FORWARD)
-    return PathEdge(kind, fixed, ed, far_node, base_node, BACKWARD)
+    if kind == V_FIXED:
+        rate, head_sign = ed.column[family.m], 1
+    else:
+        rate, head_sign = sum(b * y for b, y in zip(family.int_beta[0], ed.column)), -1
+    if rate == 0:
+        raise DegeneratePolytope("path coordinate constant along an edge")
+    base = _end_node(family, kind, fixed, ed.base, -head_sign * sign(rate))
+    far = _end_node(family, kind, fixed, ed.far_end, -base.sign) if ed.far_end else None
+    if rate > 0:
+        return PathEdge(kind, fixed, ed, base, far, FORWARD)
+    return PathEdge(kind, fixed, ed, far, base, BACKWARD)
 
 
 def g_at(family: GameFamily, v_coords: Vec, w_coords: Vec) -> Rat:

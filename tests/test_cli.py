@@ -391,19 +391,35 @@ def test_degenerate_without_perturb_exits_3(tmp_path, capsys):
     assert "--perturb" in capsys.readouterr().err
 
 
-def test_singular_tight_system_is_degenerate(tmp_path, capsys):
-    # Game 4 of the small-entry rank-1 yardstick reaches a fully-labeled pair
-    # whose tight system is singular: no node sign exists there.
+def test_singular_tight_system_is_degenerate(tmp_path, capsys, monkeypatch):
+    # Game 4 of the small-entry rank-1 yardstick reaches a section edge along
+    # which the path coordinate is constant, so no orientation exists there;
+    # both its nodes' tight systems are singular, so node_sign (through
+    # make_node) has no sign for them either.
     from fixtures import random_rank1
     from rankgames.algorithms import bin_search, enumerate_rank1
     from rankgames.errors import DegeneratePolytope
+    from rankgames.labeledpath import V_FIXED, make_node
+    import rankgames.paramlp as paramlp
 
     rng = random.Random(77)
     d = [random_rank1(rng, s, s, span=2, gamma_span=1, beta_span=3) for s in (3, 4, 5, 3, 4)][4]
-    message = "singular tight system at a fully-labeled pair"
+    message = "path coordinate constant along an edge"
+    real, edges = paramlp.oriented_edge, []
+
+    def recorded(family, kind, fixed, ed):
+        edges.append((family, kind, fixed, ed))
+        return real(family, kind, fixed, ed)
+
+    monkeypatch.setattr(paramlp, "oriented_edge", recorded)
     for run in (enumerate_rank1, bin_search):
         with pytest.raises(DegeneratePolytope, match=message):
             run(d)
+        family, kind, fixed, ed = edges[-1]
+        for end in (ed.base, ed.far_end):
+            with pytest.raises(DegeneratePolytope,
+                               match="singular tight system at a fully-labeled pair"):
+                make_node(family, *((fixed, end) if kind == V_FIXED else (end, fixed)))
     path = write_game(tmp_path, d.game())
     assert main(["solve", "--input", path, "--json"]) == EXIT_DEGENERATE
     captured = capsys.readouterr()

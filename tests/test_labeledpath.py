@@ -10,12 +10,16 @@ import pytest
 import rankgames.labeledpath
 import rankgames.linalg
 import rankgames.lp
+import rankgames.paramlp
 
 from rankgames.algorithms import bin_search, enumerate_general, enumerate_rank1, general_family
 from rankgames.errors import ConstantBeta, DegeneracyError, NotFullyLabeled, RankGamesError, SeedOnPath
 from rankgames.labeledpath import (
+    BACKWARD,
+    FORWARD,
     V_FIXED,
     W_FIXED,
+    PathNode,
     export_lines,
     make_node,
     node_sign,
@@ -442,55 +446,91 @@ def _wide_general_family(rng, size):
             continue
 
 
-def _spy_node_signs(monkeypatch) -> dict[str, list[int]]:
+def _spy_node_signs(monkeypatch) -> dict[str, list]:
     """Check the sign of every node that a walk starts from or steps to, in
-    ``labeledpath``, through which every walk calls ``node_sign`` and
-    ``step``: each equals the sign of the full systems (``full_node_sign``),
-    and each step's far node has the opposite of its near node's sign.
-    Returns the checked signs by the function that gave them."""
-    real_sign, real_step = rankgames.labeledpath.node_sign, rankgames.labeledpath.step
-    signs = {"node_sign": [], "step": []}
+    ``labeledpath``: each equals the sign of the full systems
+    (``full_node_sign``). A cycle's seed takes ``node_sign``. Every other
+    start is an end of an edge that ``oriented_edge`` or ``trace_path``
+    orients (``_end_node``); each edge that ``oriented_edge`` returns must
+    have its head's sign +1 on a (v, E_v) edge and -1 on an (E_w, w) edge,
+    its tail's the opposite, both the full systems'. Each step's far node
+    has the opposite of its near node's sign. Returns the checked
+    (family, node) pairs by what gave their sign: "node_sign", "start" or
+    "step"."""
+    lp = rankgames.labeledpath
+    real_sign, real_end, real_step = lp.node_sign, lp._end_node, lp.step
+    real_edge = rankgames.paramlp.oriented_edge
+    nodes = {"node_sign": [], "start": [], "step": []}
+
+    def full(family, node) -> int:
+        return full_node_sign(family, node.v, node.w, node.duplicate)
 
     def checked_sign(family, v, w, duplicate):
-        signs["node_sign"].append(real_sign(family, v, w, duplicate))
-        assert signs["node_sign"][-1] == full_node_sign(family, v, w, duplicate)
-        return signs["node_sign"][-1]
+        node = PathNode(v, w, duplicate, real_sign(family, v, w, duplicate))
+        assert node.sign == full(family, node)
+        nodes["node_sign"].append((family, node))
+        return node.sign
+
+    def checked_end(family, kind, fixed, end, s):
+        node = real_end(family, kind, fixed, end, s)
+        assert node.sign == full(family, node)
+        nodes["start"].append((family, node))
+        return node
+
+    def checked_edge(family, kind, fixed, ed):
+        edge = real_edge(family, kind, fixed, ed)
+        head_sign = 1 if kind == V_FIXED else -1
+        for node, want in ((edge.head, head_sign), (edge.tail, -head_sign)):
+            assert node is None or node.sign == want == full(family, node)
+        return edge
 
     def checked_step(family, node, side):
         edge, far = real_step(family, node, side)
         if far is not None:
             assert far.sign == -node.sign
-            assert far.sign == full_node_sign(family, far.v, far.w, far.duplicate)
-            signs["step"].append(far.sign)
+            assert far.sign == full(family, far)
+            nodes["step"].append((family, far))
         return edge, far
 
-    monkeypatch.setattr(rankgames.labeledpath, "node_sign", checked_sign)
-    monkeypatch.setattr(rankgames.labeledpath, "step", checked_step)
-    return signs
+    monkeypatch.setattr(lp, "node_sign", checked_sign)
+    monkeypatch.setattr(lp, "_end_node", checked_end)
+    monkeypatch.setattr(lp, "step", checked_step)
+    for module in (lp, rankgames.paramlp):
+        monkeypatch.setattr(module, "oriented_edge", checked_edge)
+    return nodes
 
 
 def test_node_sign_matches_the_full_systems_past_the_seed_sizes(monkeypatch):
     # Every node made while tracing wide-entry general paths at 8x8 to 14x14
     # and walking the rank-1 paths of six 12x12 and 16x16 games, whether its
-    # sign came from node_sign or from a step: supports are far smaller than
-    # n there, so the support block is much smaller than the full systems.
-    signs = _spy_node_signs(monkeypatch)
+    # sign came from its edge's orientation or from a step; then make_node
+    # gives each start its own sign back from node_sign: supports are far
+    # smaller than n there, so the support block is much smaller than the
+    # full systems.
+    nodes = _spy_node_signs(monkeypatch)
     rng = random.Random(18)
     for size in (8, 10, 12, 14):
         _wide_general_family(rng, size)
     rng = random.Random(11)
     for size in (12, 12, 12, 16, 16, 16):
         enumerate_rank1(random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50))
-    walked = signs["node_sign"] + signs["step"]
-    assert len(walked) == 631 and set(walked) == {-1, 1}
+    walked = [u.sign for _, u in nodes["start"] + nodes["step"]]
+    assert len(walked) == 631 and set(walked) == {-1, 1} and not nodes["node_sign"]
+    starts = nodes["start"]
+    assert [make_node(fam, u.v, u.w).sign for fam, u in starts] == [u.sign for _, u in starts]
+    assert len(nodes["node_sign"]) == len(starts) == 15
 
 
-def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch):
+def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch, ex1, ex1_cycle):
     # The sign rows are expanded away: P's determinant has order |supp y| + 1
     # and Q''s |supp x| + 2, where the full systems have n + 1 and m + 2.
-    # Only a walk's start takes them, both at once: the low ray's node of a
-    # traced path, and both nodes of the section edge that enumerate_rank1
-    # walks from, of a 16x16 draw. A step takes none.
+    # Walks take none: make_node takes both at once, here on the low ray's
+    # node of a traced path, on both nodes of the section edge that
+    # enumerate_rank1 walks from, of a 16x16 draw, and on the worked
+    # example's cycle seed; each gives the walk's own sign.
+    from rankgames.algorithms import rank1_family
+    from rankgames.paramlp import solve_lp_delta
+
     real_det, real_sign = rankgames.labeledpath.integer_determinant, node_sign
     orders, expected = [], []
 
@@ -503,16 +543,29 @@ def test_node_sign_takes_bareiss_on_the_support_block_only(monkeypatch):
         expected.extend((sum(map(bool, y)) + 1, sum(map(bool, x)) + 2))
         return real_sign(family, v, w, duplicate)
 
+    def signed(fam, starts) -> list[int]:
+        # make_node must give each start the walk's own sign; returns the
+        # orders of the determinants it took.
+        assert [make_node(fam, u.v, u.w).sign for u in starts] == [u.sign for u in starts]
+        taken = orders[:]
+        assert taken == expected
+        orders.clear(), expected.clear()
+        return taken
+
     fam, _ = _wide_general_family(random.Random(12), 12)
     d = random_rank1(random.Random(11), 16, 16, span=99, gamma_span=20, beta_span=50)
     monkeypatch.setattr(rankgames.labeledpath, "integer_determinant", sized)
     monkeypatch.setattr(rankgames.labeledpath, "node_sign", supports)
     path = trace_path(fam)
-    assert orders == expected and len(orders) == 2 and max(orders) < 13
-    assert len(path.nodes) == 114
-    orders.clear(), expected.clear()
-    assert len(enumerate_rank1(d)) == 1
-    assert orders == expected and len(orders) == 4 and max(orders) < 17
+    assert len(path.nodes) == 114 and orders == [] and path.nodes[0].sign == 1
+    taken = signed(fam, path.nodes[:1])
+    assert len(taken) == 2 and max(taken) < 13
+    run, rank1 = rank1_family(d)
+    edge = solve_lp_delta(rank1, min(run.gamma)).edge
+    assert len(enumerate_rank1(d)) == 1 and orders == []
+    taken = signed(rank1, [edge.tail, edge.head])
+    assert len(taken) == 4 and max(taken) < 17
+    assert len(signed(ex1, ex1_cycle.nodes[:1])) == 2
 
 
 def _walk_corpus(name):
@@ -523,7 +576,11 @@ def _walk_corpus(name):
     _yardstick_walks(). "bench": enumerate_rank1 on the rank1-enumerate
     bench corpus (random.Random(1), sizes 4, 5, 4, 7, 5, 4, 5, 4, 7, 8 three
     times, the wide spans, decomposed as the CLI does). "large-16" and
-    "large-32": enumerate_rank1 on the large draw at that size."""
+    "large-32": enumerate_rank1 on the large draw at that size. "cycles":
+    the path and every cycle of the worked example and of 39 families
+    3x3 and 4x4 from random.Random(2), entries in -9..9 and beta in 1..4,
+    each cycle seeded at its first pair off the components traced before
+    it."""
     from test_paramlp import _large_rank1_draws, _walked_edges, _yardstick_walks, section_corpus
 
     from rankgames.games import decompose_rank1
@@ -543,6 +600,21 @@ def _walk_corpus(name):
                     pass
             except DegeneracyError:
                 pass
+    elif name == "cycles":
+        rng, families = random.Random(2), [ex1_family()]
+        while len(families) < 40:
+            size = 3 + len(families) % 2
+            a, c = (Matrix([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)])
+                    for _ in range(2))
+            families.append(GameFamily(a, c, tuple(rng.randint(1, 4) for _ in range(size))))
+        for fam in families:
+            try:
+                seen = {u.key() for u in trace_path(fam).nodes}
+                for v, w in fully_labeled_pairs(fam):
+                    if (v.basis, w.basis) not in seen:
+                        seen |= {u.key() for u in trace_cycle(fam, make_node(fam, v, w)).nodes}
+            except (ConstantBeta, DegeneracyError):
+                pass
     elif name == "walks":
         for _ in chain(_walked_edges(), _yardstick_walks()):
             pass
@@ -560,17 +632,20 @@ def _walk_corpus(name):
         enumerate_rank1(next(d for d in _large_rank1_draws() if d.a.rows == size))
 
 
-@pytest.mark.parametrize("corpus", ["sections", "walks", "bench", "large-16", "large-32"])
+@pytest.mark.parametrize("corpus", ["sections", "walks", "bench", "large-16", "large-32",
+                                    "cycles"])
 def test_every_walked_node_takes_the_full_systems_sign_and_alternates(monkeypatch, corpus):
     # A step gives its far node the opposite of its near node's sign and
-    # takes no determinant; only walk starts take node_sign. The spy checks
-    # both against the full systems at every node, and the alternation at
-    # every step. The counts are (node_sign nodes, stepped nodes).
-    counts = {"sections": (178, 467), "walks": (301, 1293), "bench": (43, 342),
-              "large-16": (2, 64), "large-32": (2, 180)}
-    signs = _spy_node_signs(monkeypatch)
+    # takes no determinant; a walk's start takes its edge's orientation, and
+    # only a cycle's seed takes node_sign. The spy checks all three against
+    # the full systems at every node, and the alternation across every
+    # oriented edge and every step. The counts are (node_sign nodes,
+    # oriented start nodes, stepped nodes).
+    counts = {"sections": (0, 178, 467), "walks": (0, 301, 1293), "bench": (0, 43, 342),
+              "large-16": (0, 2, 64), "large-32": (0, 2, 180), "cycles": (4, 17, 123)}
+    nodes = _spy_node_signs(monkeypatch)
     _walk_corpus(corpus)
-    assert (len(signs["node_sign"]), len(signs["step"])) == counts[corpus]
+    assert tuple(map(len, nodes.values())) == counts[corpus]
 
 
 def test_a_step_that_keeps_its_sign_fails_the_spy(monkeypatch, ex1):
@@ -595,6 +670,40 @@ def test_a_step_that_keeps_its_sign_fails_the_spy(monkeypatch, ex1):
             with pytest.raises(AssertionError):
                 trace_path(ex1)
             assert len(calls) == wrong + 1
+
+
+def test_an_oriented_edge_with_tail_and_head_swapped_fails_the_spy(monkeypatch):
+    # The mutant swaps the tail and head of the section edge that
+    # solve_lp_delta orients, on a 4x4 wide draw at lambda below, at and
+    # between its path's node lambdas and above them: bounded edges moving
+    # in either polytope and both rays. Unmutated, each probe passes the
+    # spy; mutated, the spy must fail at every one.
+    from rankgames.algorithms import rank1_family
+    from rankgames.paramlp import solve_lp_delta
+
+    _, fam = rank1_family(random_rank1(random.Random(1), 4, 4, span=99, gamma_span=20,
+                                       beta_span=50))
+    lams = sorted({fam.lambda_of(u.w) for u in trace_path(fam).nodes})
+    deltas = [lams[0] - 1, *lams, *((a + b) / 2 for a, b in zip(lams, lams[1:])), lams[-1] + 1]
+    real, kinds = rankgames.paramlp.oriented_edge, set()
+
+    def mutant(family, kind, fixed, ed):
+        edge = real(family, kind, fixed, ed)
+        flipped = BACKWARD if edge.direction == FORWARD else FORWARD
+        return replace(edge, tail=edge.head, head=edge.tail, direction=flipped)
+
+    for delta in deltas:
+        with monkeypatch.context() as patch:
+            _spy_node_signs(patch)
+            edge = solve_lp_delta(fam, delta).edge
+            kinds.add((edge.kind, edge.moving.unbounded))
+        with monkeypatch.context() as patch:
+            patch.setattr(rankgames.paramlp, "oriented_edge", mutant)
+            _spy_node_signs(patch)
+            with pytest.raises(AssertionError):
+                solve_lp_delta(fam, delta)
+    assert kinds == {(V_FIXED, False), (V_FIXED, True), (W_FIXED, False)}
+    assert len(deltas) == 11
 
 
 def _count_calls(monkeypatch, counts):

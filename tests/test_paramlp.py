@@ -1471,8 +1471,9 @@ def test_every_kernel_division_is_exact(monkeypatch):
     _run_kernel_corpora()
     # Every build exchange and every path step calls the kernel, so a pivot
     # or a build that went round it would make the first count fall. A
-    # zero payoff row is no sign row, so its builds exchange it too.
-    assert calls == {"exchange_pivot": 10765, "integer_determinant": 1608}
+    # zero payoff row is no sign row, so its builds exchange it too. Walks
+    # take no node-sign determinant, so the second count is index_of's.
+    assert calls == {"exchange_pivot": 10765, "integer_determinant": 258}
 
 
 def test_every_tableau_denominator_is_within_the_hadamard_bound(monkeypatch):
