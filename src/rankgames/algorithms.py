@@ -44,6 +44,7 @@ from .labeledpath import (
     PathEdge,
     PathNode,
     g_at,
+    g_rate,
     step_budget,
     trace_path,
     walk,
@@ -344,12 +345,13 @@ def homeo_inverse(family: GameFamily, alpha_prime: Sequence[Fraction]) -> tuple[
     the simplex, its lambda lies in [g* - max beta, g* - min beta], and
     section probes (``solve_lp_delta``, each from the last optimum) bisect
     that bracket. On a probe's path edge g and lambda are affine in the edge
-    parameter: the point is solved there when the edge spans g*, and else
-    the bracket end on g*'s side moves to the edge's end nearest g*. So a
-    g* on an edge of constant lambda (moving in P) is probed where the two
-    ends meet. Each unanswered probe thus moves the bracket past its edge,
-    and a probe that lands on an edge probed before raises. The row weights
-    solve the remaining affine system, and the answer is verified exactly.
+    parameter, g with the rate ``g_rate`` from its value at the base: the
+    point is solved there when the edge spans g*, and else the bracket end
+    on g*'s side moves to the edge's end nearest g*. So a g* on an edge of
+    constant lambda (moving in P) is probed where the two ends meet. Each
+    unanswered probe thus moves the bracket past its edge, and a probe that
+    lands on an edge probed before raises. The row weights solve the
+    remaining affine system, and the answer is verified exactly.
     """
     if not family.minus_a:
         raise RankGamesError("homeomorphism maps are defined on families with c = -a")
@@ -366,7 +368,7 @@ def homeo_inverse(family: GameFamily, alpha_prime: Sequence[Fraction]) -> tuple[
                                  "the bracket did not shrink")
         probed.add(edge.key())
         g0 = g_at(family, *edge.point_at(0))  # g is affine along the edge
-        dg = g_at(family, *edge.point_at(1)) - g0  # nonzero: oriented_edge checks it
+        dg = Fraction(*g_rate(family, edge.kind, edge.moving))  # nonzero: oriented_edge checks it
         t_star = (target - g0) / dg
         t_max = edge.moving.t_max
         t_end = max(t_star, 0) if t_max is None else min(max(t_star, 0), t_max)

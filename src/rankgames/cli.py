@@ -50,7 +50,7 @@ from .games import (
     decompose_rank_k,
 )
 from .labeledpath import export_lines, make_node, trace_cycle, trace_path
-from .linalg import Matrix, matrix_rank
+from .linalg import Matrix
 from .oracle import support_enumeration
 from .paramlp import box_bounds, fixed_point_eval
 from .polytope import GameFamily
@@ -205,9 +205,8 @@ def cmd_oracle(game: BimatrixGame, args, out: dict) -> None:
 
 
 def cmd_rank(game: BimatrixGame, args, out: dict) -> None:
-    s = game.payoff_sum()
     d = decompose_rank_k(game)
-    out["rank"] = matrix_rank(s)
+    out["rank"] = d.k
     out["decomposition"] = {
         "gammas": [[str(v) for v in g] for g in d.gammas],
         "betas": [[str(v) for v in b] for b in d.betas],

@@ -8,7 +8,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NotConstantBeta, RankTooHigh
-from .linalg import Matrix, Rat, Vec, integers, vector
+from .linalg import IntRows, Matrix, Rat, Vec, integers, lowest_terms, vector
 
 
 @dataclass(frozen=True)
@@ -160,21 +160,24 @@ class RankKDecomposition:
         return family_game(self.a, -self.a, self.gammas, self.betas)
 
 
-def _first_nonzero(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
-    """(i, j) of the first nonzero entry, row-major; None when every entry is zero."""
-    return next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
-
-
-def _peel_rank1(m: Matrix) -> tuple[Vec, Vec, Matrix]:
-    """Split off one rank-1 term at the first nonzero entry (row-major)."""
-    rows = m.int_rows
-    pivot = _first_nonzero(rows)
+def _peel(rows: IntRows, denom: int) -> Optional[tuple[Vec, Vec, tuple[IntRows, int]]]:
+    """One rank-1 term of the matrix ``rows / denom`` (``denom > 0``), split off
+    at its first nonzero entry p = rows[i0][j0] (row-major): gamma, column j0
+    over p, beta, row i0 over ``denom``, and the rest, the matrix minus gamma .
+    beta^T, as integer rows over a positive denominator in lowest terms. Its
+    entries are the 2x2 minors through p, rows[i][j] * p - rows[i][j0] *
+    rows[i0][j], over p * denom, each negated with p when p < 0. None when
+    every entry is zero."""
+    pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
     if pivot is None:
-        raise ValueError("zero matrix has no rank-1 term")
+        return None
     i0, j0 = pivot
-    beta = tuple(Fraction(x, m.denom) for x in rows[i0])
-    gamma = tuple(Fraction(row[j0], rows[i0][j0]) for row in rows)
-    return gamma, beta, m - Matrix.outer(gamma, beta)
+    top, p = rows[i0], rows[i0][j0]
+    s = 1 if p > 0 else -1
+    rest = [[s * (x * p - row[j0] * b) for x, b in zip(row, top)] for row in rows]
+    gamma = tuple(Fraction(row[j0], p) for row in rows)
+    beta = tuple(Fraction(b, denom) for b in top)
+    return gamma, beta, lowest_terms(rest, s * p * denom)
 
 
 def decompose_rank1(
@@ -182,37 +185,33 @@ def decompose_rank1(
 ) -> Rank1Decomposition:
     """Exact rank-1 factorization of a + b; raises RankTooHigh above rank 1.
 
+    One ``_peel`` of a + b's integer rows gives gamma and beta; a + b has rank
+    1 iff the rest, the 2x2 minors through its first nonzero entry, is zero.
     For zero-sum games (a + b = 0) gamma is zero and beta falls back to the
     caller-supplied vector or the generic default (1, ..., n).
     """
     s = game.payoff_sum()
-    rows = s.int_rows
-    pivot = _first_nonzero(rows)
-    if pivot is None:
+    peel = _peel(s.int_rows, s.denom)
+    if peel is None:
         beta = vector(beta_default) if beta_default is not None else default_beta(game.n)
         return Rank1Decomposition(game.a, vector([0] * game.m), beta)
-    # Rank 1 iff every 2x2 minor through the first nonzero entry vanishes:
-    # s[i][j] * s[i0][j0] == s[i][j0] * s[i0][j]; the first that does not
-    # decides, before any term is peeled off. The integer rows are s times
-    # its denominator, which scales every minor alike.
-    i0, j0 = pivot
-    p, top = rows[i0][j0], rows[i0]
-    for row in rows:
-        if any(x * p != row[j0] * b for x, b in zip(row, top)):
-            raise RankTooHigh("payoff sum has rank >= 2")
-    beta = tuple(Fraction(b, s.denom) for b in top)
-    return Rank1Decomposition(game.a, tuple(Fraction(row[j0], p) for row in rows), beta)
+    gamma, beta, (rest, _) = peel
+    if any(map(any, rest)):
+        raise RankTooHigh("payoff sum has rank >= 2")
+    return Rank1Decomposition(game.a, gamma, beta)
 
 
 def decompose_rank_k(game: BimatrixGame) -> RankKDecomposition:
-    """Greedy rank-1 peeling of a + b; yields k = rank(a + b) staircase terms."""
+    """Greedy rank-1 peeling of a + b: ``_peel`` its rest until it is zero,
+    which yields k = rank(a + b) staircase terms."""
     gammas: list[Vec] = []
     betas: list[Vec] = []
-    residue = game.payoff_sum()
-    while not residue.is_zero():
-        g, b, residue = _peel_rank1(residue)
-        gammas.append(g)
-        betas.append(b)
+    s = game.payoff_sum()
+    rest = s.int_rows, s.denom
+    while (peel := _peel(*rest)) is not None:
+        gamma, beta, rest = peel
+        gammas.append(gamma)
+        betas.append(beta)
     return RankKDecomposition(game.a, tuple(gammas), tuple(betas))
 
 

@@ -10,14 +10,16 @@ A step is one ``Polytope.pivot``, an integer pivot on the moving vertex's
 tableau, so the walk solves no linear system and takes no determinant: the
 far node takes the sign opposite to its near node's. A walk's start takes
 its edge's orientation: the low ray's node is +1, and a section edge points
-where g = beta . y + lambda grows (``oriented_edge``). Only a cycle's seed
-(``trace --all-from``) takes the tight-system determinants (``node_sign``),
-so ``index_of``'s determinant check is independent of the orientation.
+where g = beta . y + lambda grows (``oriented_edge``, by ``g_rate``'s sign).
+Only a cycle's seed (``trace --all-from``) takes the tight-system
+determinants (``node_sign``), so ``index_of``'s determinant check is
+independent of the orientation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Iterator, Optional
 
 from .errors import (
@@ -240,20 +242,28 @@ def trace_cycle(family: GameFamily, seed: PathNode) -> ComponentTrace:
     return ComponentTrace("cycle", nodes, edges)
 
 
+def g_rate(family: GameFamily, kind: str, ed: EdgeDescriptor) -> tuple[int, int]:
+    """The rate of g = beta . y + lambda per unit of edge parameter along an
+    edge of the family's path, as (num, den > 0): lambda's entry of
+    ``column`` over ``denom`` on a (v, E_v) edge, and ``int_beta`` dotted
+    with its y part over q * ``denom`` on an (E_w, w) edge."""
+    if kind == V_FIXED:
+        return ed.column[family.m], ed.denom
+    b, q = family.int_beta
+    return sum(map(mul, b, ed.column)), q * ed.denom
+
+
 def oriented_edge(
     family: GameFamily, kind: str, fixed: Vertex, ed: EdgeDescriptor
 ) -> PathEdge:
     """Orient a section edge of a family with c = -a toward growing g.
 
-    g = beta . y + lambda rises strictly along the path (the homeomorphism);
-    its rate is one integer dot with ``column``: lambda's entry m on a
-    (v, E_v) edge, ``int_beta`` with the y part on an (E_w, w) edge. A
-    (v, E_v) edge's head takes +1, an (E_w, w) edge's -1, the tail the other.
+    g = beta . y + lambda rises strictly along the path (the homeomorphism),
+    so the sign of its rate (``g_rate``) orients the edge. A (v, E_v)
+    edge's head takes +1, an (E_w, w) edge's -1, the tail the other.
     """
-    if kind == V_FIXED:
-        rate, head_sign = ed.column[family.m], 1
-    else:
-        rate, head_sign = sum(b * y for b, y in zip(family.int_beta[0], ed.column)), -1
+    rate, _ = g_rate(family, kind, ed)
+    head_sign = 1 if kind == V_FIXED else -1
     if rate == 0:
         raise DegeneratePolytope("path coordinate constant along an edge")
     base = _end_node(family, kind, fixed, ed.base, -head_sign * sign(rate))

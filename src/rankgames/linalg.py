@@ -207,9 +207,6 @@ class Matrix:
         rows, q = self._ints
         return Fraction(max(map(abs, chain.from_iterable(rows)), default=0), q)
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self.int_rows))
-
     def tolists(self) -> list[list[Fraction]]:
         return [list(r) for r in self._data]
 

@@ -1,10 +1,12 @@
 """Lambda-section LPs, hyperplane probes, and rank-k fixed-point evaluation.
 
-The section LP at a parameter value is a primal walk on the row polytope's own
-tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot`` by Bland's rule
-where every improving pivot is degenerate), from the best pure vertex or from
-a vertex the caller gives, such as an earlier probe's optimum, which carries
-its tableau. At each vertex the walk reads two kinds of row off P's integer
+The section LP at a parameter value has one entry, ``solve_lp_k``, which
+``solve_lp_delta`` and ``is_ne`` call at rank 1. It is a primal walk on the
+row polytope's own tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot``
+by Bland's rule where every improving pivot is degenerate), from the best
+pure vertex, read off a's integer columns, or from a vertex the caller
+gives, such as an earlier probe's optimum, which carries its tableau. At
+each vertex the walk reads two kinds of row off P's integer
 tableau (``polytope.Tableau``), as lrsnash keeps its cost row: beta_l . y for
 each beta, and pi1's own z row (``section_rows``). Their entries in the
 column of a basis label are that label's edge rates, and their rhs entries
@@ -13,11 +15,12 @@ them, gives the improving labels by its signs, and, at the optimum, the
 multipliers of the lifted point, a fully-labeled partner with combined
 objective exactly zero: its feasibility and zero gap are checked in integers,
 which leaves its slack of every label, and the point is kept as integers
-until read. On a rank-1 section the path edge through that point is read
-off the same rows (``section_edge``): one integer ratio test per side gives
-its ends, and no Q' tableau is built. The rank-k cell walk reads a vertex's
-cell of the box map off the same rows once (``cell_rows``), and the fixed
-point of its affine piece off that cell (``piece_fixed_point``).
+until read. The rank-k cell walk reads a vertex's cell of the box map off
+the same rows once (``cell_rows``), and the fixed point of its affine piece
+off that cell (``piece_fixed_point``). On a rank-1 section the path edge
+through that point is read off the same cell's label rates
+(``section_edge``): one integer ratio test per side gives its ends, and no
+Q' tableau is built.
 Intersecting the containing edge with a game's selection hyperplane yields a
 crossing point or a side classification; the crossing is only geometry,
 which the caller verifies on its own game. Every moving path edge holds its
@@ -272,35 +275,34 @@ def integer_objective(betas: IntBetas, delta: Vec) -> Objective:
     return Objective((*weights, -scale), (*row, -scale))
 
 
-def _best_pure_vertex(p: Polytope, objective: Sequence[int]) -> Vertex:
+def _best_pure_vertex(family: GameFamily, objective: Sequence[int]) -> Vertex:
     """The pure vertex y = e_j of P of best objective, preferring columns with
-    one best row; ties go to the lowest column."""
-    n, m, scale = p.n, p.m, -objective[-1]
-    # Column j of a over the payoff rows' common scale, read off P's integer rows.
-    rows, scales = p.int_rows[1: m + 1], p.scales[1: m + 1]
-    common = lcm(*scales)
-    cols = [[row[j] * (common // s) for row, s in zip(rows, scales)] for j in range(n)]
+    one best row; ties go to the lowest column. Column j of a is read off
+    a's integer rows over ``a.denom``, as ``GameFamily.ray_anchors`` reads it."""
+    m, n, scale, denom = family.m, family.n, -objective[-1], family.a.denom
+    cols = list(zip(*family.a.int_rows))
     starts = [j for j, col in enumerate(cols) if col.count(max(col)) == 1] or range(n)
-    j = max(starts, key=lambda j: objective[j] * common - scale * max(cols[j]))
+    j = max(starts, key=lambda j: objective[j] * denom - scale * max(cols[j]))
     i = cols[j].index(max(cols[j]))
-    return p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
+    return family.p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
 
 
-def _section_walk(p: Polytope, betas: IntBetas, objective: Objective,
+def _section_walk(family: GameFamily, objective: Objective,
                   start: Optional[Vertex]) -> tuple[Vertex, SectionRows]:
-    """The optimum over P of the section of the integer betas whose
-    ``integer_objective`` is ``objective``, by a primal walk on P's tableau,
-    with its rows.
+    """The optimum over P of the family's section whose ``integer_objective``
+    is ``objective``, by a primal walk on P's tableau, with its rows.
 
-    The walk starts at ``start``, a vertex of P such as an earlier probe's
-    optimum, whose tableau it reuses; without one, at the best pure vertex. It
+    ``solve_lp_k`` calls it once per section. The walk starts at ``start``, a
+    vertex of P such as an earlier probe's optimum, whose tableau it reuses;
+    without one, at the best pure vertex (``_best_pure_vertex``). It
     relaxes the lowest basis label of positive rate whose pivot is
     nondegenerate (a strict gain), else takes the simplex pivot on the lowest
     such label by Bland's rule, which cannot cycle, so it ends from any start.
     The signs of the rates come off the vertex's rows, read once at each
     vertex (``improving_labels``); the optimum must have exactly n tight rows.
     """
-    v = _best_pure_vertex(p, objective.row) if start is None else start
+    p, betas = family.p, family.int_betas
+    v = _best_pure_vertex(family, objective.row) if start is None else start
     rows = section_rows(p, v, betas)
     while improving := improving_labels(rows, objective.weights):
         fars = (nondegenerate_far_end(p, v, r) for r in improving)
@@ -353,54 +355,40 @@ def lifted_section(p: Polytope, lifted: Polytope, v: Vertex, rows: SectionRows, 
     return Section(v, point, rows, (*x, *(slack for slack, _ in slacks)))
 
 
-def _section(family: GameFamily, delta: Vec, start: Optional[Vertex] = None) -> Section:
-    """Optimal section at lambda = delta: a primal walk on P's tableau from
-    ``start`` (else the best pure vertex), whose rows at the optimum give the
-    dual in the lifted polytope."""
-    objective = integer_objective(family.int_betas, delta)
-    v, rows = _section_walk(family.p, family.int_betas, objective, start)
-    return lifted_section(family.p, family.qp, v, rows, delta, objective)
-
-
-def section_edge(family: GameFamily, beta: tuple[list[int], int], sec: Section,
-                 tight: frozenset[int]) -> EdgeDescriptor:
+def section_edge(family: GameFamily, sec: Section, tight: frozenset[int]) -> EdgeDescriptor:
     """The edge of Q' through the lifted point w of a rank-1 section, whose m
     tight labels in Q' are ``tight``, read off the rows of P's tableau at
-    the optimum v (``sec.rows``); ``beta`` is ``integers`` of the family's
-    beta, whose q it reads.
+    the optimum v (``sec.rows``).
 
     Along the edge v stays optimal. Each of v's basis labels r has slack
-    c_r - g_r * lambda (``cell_rows``), ``sec.slacks`` at w, with g_r and
-    c_r the beta row's and pi1's entries in r's column, each times
-    -scales[r] and over q * denom and denom; w's tight labels stay at zero.
-    One ratio test per side (``min_ratio``, rising lambda first) gives each
-    end's entering label r, at lambda = c_r / g_r. Base, far end and
-    direction are those of ``Polytope.edge_through_point``, its reference in
-    the tests. On the edge x_i = c_i - g_i * lambda on v's basis rows, and
-    pi2 = lambda * beta . y - pi1. The ends keep their points as integers.
+    c_r - g_r * lambda, ``sec.slacks`` at w, with g_r and c_r the rates
+    that ``cell_rows`` reads off those rows, over its unit u = q * denom;
+    w's tight labels stay at zero. One ratio test per side (``min_ratio``,
+    rising lambda first) gives each end's entering label r, at lambda =
+    c_r / g_r. Base, far end and direction are those of
+    ``Polytope.edge_through_point``, its reference in the tests. On the
+    edge x_i = c_i - g_i * lambda on v's basis rows, and pi2 = lambda *
+    beta . y - pi1. The ends keep their points as integers.
     """
-    p, qp, m = family.p, family.qp, family.m
-    rows, scales = sec.rows, p.scales
-    tab, (beta_row,) = rows.tab, rows.betas
-    _, q = beta
-    g = {r: -scales[r] * k for r, k in zip(tab.cols, beta_row)}  # g_r * q * denom
-    c = {r: -scales[r] * k for r, k in zip(tab.cols, rows.pi1)}  # c_r * denom
-    steps = [(r, sec.slacks[r - 1], qp.scales[r] * g[r]) for r in tab.cols]
+    qp, m, (_, q), rows = family.qp, family.m, family.int_beta, sec.rows
+    u, cell = cell_rows(family, rows)
+    g = {r: h for r, ((h,), _) in cell.items()}  # g_r * u
+    c = {r: e for r, (_, e) in cell.items()}  # c_r * u
+    steps = [(r, sec.slacks[r - 1], qp.scales[r] * g[r]) for r in cell]
     *_, high = min_ratio(steps, tight)
     *_, low = min_ratio(((r, s, -rate) for r, s, rate in steps), tight)
     if high is None and low is None:
         raise DegeneratePolytope("edge is a full line; polytope not pointed")
-    u = q * tab.denom
-    beta_y, pi1 = beta_row[-1], rows.pi1[-1]  # beta . y over u, pi1 over denom
+    beta_y, pi1 = rows.betas[0][-1], rows.pi1[-1]  # beta . y over u, pi1 over denom
 
     def end(r: int) -> tuple[int, int]:
         """lambda = c_r / g_r, where r's slack reaches zero, as (num, den > 0)."""
-        num, den = q * c[r], g[r]
+        num, den = c[r], g[r]
         return (num, den) if den > 0 else (-num, -den)
 
     def point(num: int, den: int) -> tuple[int, ...]:
         """The point at lambda = num / den, times u * den."""
-        xs = (q * den * c[i] - num * g[i] if i in c else 0 for i in range(1, m + 1))
+        xs = (den * c[i] - num * g[i] if i in c else 0 for i in range(1, m + 1))
         return (*xs, num * u, num * beta_y - q * den * pi1)
 
     def vertex(r: int, ints: tuple[int, ...], den: int) -> Vertex:
@@ -430,12 +418,12 @@ def solve_lp_delta(family: GameFamily, delta, start: Optional[Vertex] = None) ->
     an edge of Q' (``section_edge``); with m + 1 it is a vertex of Q', and
     the edge moves in P.
     """
-    m, beta = family.m, family.int_beta
+    m = family.m
     sec = solve_lp_k(family, (frac(delta),), start)
     v = sec.v
     w_labels = frozenset(lab for lab, slack in enumerate(sec.slacks, 1) if not slack)
     if len(w_labels) == m:
-        edge = oriented_edge(family, V_FIXED, v, section_edge(family, beta, sec, w_labels))
+        edge = oriented_edge(family, V_FIXED, v, section_edge(family, sec, w_labels))
     elif len(w_labels) == m + 1:
         # The zero gap makes the pair fully labeled, so its n + m + 1 labels
         # share exactly one: the duplicate.
@@ -558,14 +546,18 @@ def is_ne(family: GameFamily, h: Hyperplane, delta,
 def solve_lp_k(family: GameFamily, delta: Sequence[Fraction],
                start: Optional[Vertex] = None) -> Section:
     """Optimal section at a fixed lambda vector, one entry per beta, of a
-    family with c = -a; the walk starts at ``start``, a vertex of the family's
-    P, when given."""
+    family with c = -a: the one section entry. A primal walk on P's tableau
+    (``_section_walk``) from ``start``, a vertex of the family's P, when
+    given, else from the best pure vertex; the rows at its optimum give the
+    dual in the lifted polytope (``lifted_section``)."""
     if not family.minus_a:
         raise RankGamesError("section LP needs a family with c = -a")
     delta = vector(delta)
     if len(delta) != family.k:
         raise DimensionMismatch(f"delta has length {len(delta)}, expected {family.k}")
-    return _section(family, delta, start)
+    objective = integer_objective(family.int_betas, delta)
+    v, rows = _section_walk(family, objective, start)
+    return lifted_section(family.p, family.qp, v, rows, delta, objective)
 
 
 def box_bounds(gammas: Sequence[Sequence[Fraction]]) -> tuple[Vec, Vec]:

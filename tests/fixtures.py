@@ -494,6 +494,31 @@ def naive_determinant(m: Matrix) -> Fraction:
     return total
 
 
+def reference_peel(m: Matrix):
+    """The reference for ``games._peel``, on ``Matrix`` arithmetic: one
+    rank-1 term split off m at its first nonzero entry (row-major), as
+    (gamma, beta, m - gamma . beta^T), with beta that entry's row and gamma
+    its column over it; None when every entry is zero."""
+    rows = m.int_rows
+    pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
+    if pivot is None:
+        return None
+    i0, j0 = pivot
+    beta = tuple(Fraction(x, m.denom) for x in rows[i0])
+    gamma = tuple(Fraction(row[j0], rows[i0][j0]) for row in rows)
+    return gamma, beta, m - Matrix.outer(gamma, beta)
+
+
+def reference_rank_k_terms(m: Matrix) -> list:
+    """The reference for ``games.decompose_rank_k``: the (gamma, beta) of
+    each ``reference_peel`` of the rest, until the rest is zero."""
+    terms = []
+    while (peel := reference_peel(m)) is not None:
+        gamma, beta, m = peel
+        terms.append((gamma, beta))
+    return terms
+
+
 def fraction_lifted_section(lifted, betas, v, rates, delta):
     """The reference for ``paramlp.lifted_section``, in ``Fraction``s: row i's
     multiplier is c_i - g_i . delta on v's basis rows, lambda = delta, and

@@ -342,8 +342,8 @@ def test_no_lp_and_one_section_per_probe_and_per_enumeration(monkeypatch):
 
     lp_calls = watch_solve_lp(monkeypatch)
     sections = []
-    real_section, real_is_ne = paramlp._section, algorithms.is_ne
-    monkeypatch.setattr(paramlp, "_section", lambda *a: sections.append(a) or real_section(*a))
+    real_section, real_is_ne = paramlp._section_walk, algorithms.is_ne
+    monkeypatch.setattr(paramlp, "_section_walk", lambda *a: sections.append(a) or real_section(*a))
     per_probe = []
 
     def counted_is_ne(*args):

@@ -436,6 +436,39 @@ def test_degenerate_with_perturb_recovers(tmp_path, capsys):
     assert "x = " in captured.out
 
 
+def test_exits_that_no_other_test_reaches_pin_their_message_and_code(tmp_path, capsys):
+    # Two header errors, a --all-from seed with no '/', fixedpoint on a
+    # zero-sum game (k = 0), and a tie between beta's greatest entries at
+    # the ray anchors, beta = (1, 4, 4): --perturb keeps A + B, and with it
+    # beta, so the retry meets the same tie.
+    header, zero = tmp_path / "header.game", tmp_path / "zero.game"
+    header.write_text("2 x\n")
+    zero.write_text("0 2\n")
+    ex1 = write_game(tmp_path, BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA)),
+                     "ex1.game")
+    pennies = write_game(tmp_path, MATCHING_PENNIES, "pennies.game")
+    tied = write_game(tmp_path, BimatrixGame(Matrix([[1, 2, 3], [4, 5, 6]]),
+                                             Matrix([[0, 2, 1], [-3, -1, -2]])), "tied.game")
+    tie = "tied extreme entries at positions [1, 2]"
+    cases = [
+        (["solve", "--input", str(header)], EXIT_PARSE,
+         "error: header entries must be integers\n"),
+        (["solve", "--input", str(zero)], EXIT_PARSE, "error: dimensions must be at least 1\n"),
+        (["trace", "--input", ex1, "--beta", "9,7,8", "--all-from", "1,2"], EXIT_PARSE,
+         "error: --all-from wants 'v1,v2,../w1,w2,..'\n"),
+        (["fixedpoint", "--input", pennies, "--search"], EXIT_PARSE,
+         "error: zero-sum game: the fixed-point box is empty (k = 0)\n"),
+        (["trace", "--input", tied, "--perturb", "1"], EXIT_DEGENERATE,
+         f"notice: degenerate instance ({tie}); retrying on a perturbed game (seed=1) -- "
+         f"output belongs to the perturbed game\n"
+         f"error: still degenerate after perturbation ({tie})\n"),
+    ]
+    for argv, code, err in cases:
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err), argv
+
+
 def test_perturb_is_an_option_only_of_the_verbs_that_retry(tmp_path, capsys):
     # oracle and rank cannot meet a degenerate instance: --perturb is an
     # unknown option there, not a flag they ignore.

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from rankgames.algorithms import index_of
+from rankgames import games
 from rankgames.errors import DimensionMismatch, NotConstantBeta, RankTooHigh
 from rankgames.games import (
     BimatrixGame,
@@ -11,10 +13,11 @@ from rankgames.games import (
     Rank1Decomposition,
     decompose_rank1,
     decompose_rank_k,
+    family_game,
     reduce_constant_beta,
     verify_equilibrium,
 )
-from rankgames.linalg import Matrix, determinant, sign, vdot
+from rankgames.linalg import Matrix, determinant, matrix_rank, sign, vdot
 from rankgames.oracle import support_enumeration
 from rankgames.paramlp import Crossing
 
@@ -30,7 +33,11 @@ from fixtures import (
     min_entry,
     naive_determinant,
     positivity_shift,
+    random_rank1,
+    random_rank_k,
     rank1_game,
+    reference_peel,
+    reference_rank_k_terms,
     submatrix,
     zero_matrix,
 )
@@ -233,6 +240,100 @@ def test_decompose_rank1_agrees_with_the_rank_k_peel():
             d = decompose_rank1(game)
             assert (peel.gammas, peel.betas) == ((d.gamma,), (d.beta,))
     assert min(ranks) == 0 and max(ranks) == 2
+
+
+def _peel_cases():
+    """(tag, game) of the peel's corpora: the rank-k corpus's 60 draws; the
+    small-entry yardstick's 200 rank-1 and 200 general games; those 460
+    games times -2/7, whose sums have Fraction entries and whose first
+    nonzero entry changes sign; and sums with leading zero rows and columns
+    and a negative first nonzero entry."""
+    games = []
+    rng = random.Random(11)
+    for g in range(60):
+        k, size = 2 + g % 2, 3 + (g // 2) % 3
+        a, betas, gammas = random_rank_k(rng, k, size, size)
+        games.append(("rank-k", family_game(a, -a, gammas, betas)))
+    rng = random.Random(77)
+    games += [("yardstick", random_rank1(rng, s, s, span=2, gamma_span=1, beta_span=3).game())
+              for s in (3, 4, 5) * 66 + (3, 4)]
+    rng = random.Random(78)
+    for g in range(200):
+        s = 3 + g % 3
+        a, b = (Matrix([[rng.randint(-2, 2) for _ in range(s)] for _ in range(s)])
+                for _ in range(2))
+        games.append(("yardstick", BimatrixGame(a, b)))
+    games += [("times -2/7", game.scale(Fraction(-2, 7))) for _, game in games]
+    sums = (
+        [[0, 0, 0], [0, -2, 4], [0, 3, -6]],
+        [[0, 0, 0, 0], [0, 0, Fraction(-1, 2), 3], [0, Fraction(5, 3), 1, 0]],
+        [[0, 0], [0, 0], [-3, Fraction(7, 4)], [6, -1]],
+    )
+    games += [("leading zeros", BimatrixGame(zero_matrix(len(s), len(s[0])), Matrix(s)))
+              for s in sums]
+    return games
+
+
+def _peel_faults(peel) -> tuple[int, int]:
+    """(faults, negatives) of ``peel`` over every peel of every case's payoff
+    sum down to zero: a fault is a term or rest, as integer rows over its
+    denominator, that differs from ``reference_peel``'s; a negative is a
+    peel whose first nonzero entry is negative."""
+    faults = negatives = 0
+    for _, game in _peel_cases():
+        m = game.payoff_sum()
+        while (ref := reference_peel(m)) is not None:
+            gamma, beta, rest = ref
+            faults += peel(m.int_rows, m.denom) != (gamma, beta, (rest.int_rows, rest.denom))
+            negatives += next(x for row in m.int_rows for x in row if x) < 0
+            m = rest
+        faults += peel(m.int_rows, m.denom) is not None
+    return faults, negatives
+
+
+def test_decompositions_match_the_matrix_peel_reference():
+    # decompose_rank1 peels a + b once, and returns the term or raises
+    # RankTooHigh; decompose_rank_k peels until the rest is zero, and its k
+    # is the rank that the rank verb prints. Both equal the Matrix-based
+    # reference on every case, and so does every peel of the chain.
+    counts = Counter()
+    for tag, game in _peel_cases():
+        s = game.payoff_sum()
+        terms = reference_rank_k_terms(s)
+        d = decompose_rank_k(game)
+        assert list(zip(d.gammas, d.betas)) == terms
+        assert d.k == matrix_rank(s)
+        if len(terms) >= 2:
+            with pytest.raises(RankTooHigh, match="payoff sum has rank >= 2"):
+                decompose_rank1(game)
+        elif terms:
+            d1 = decompose_rank1(game)
+            assert (d1.gamma, d1.beta) == terms[0]
+        counts[tag, len(terms)] += 1
+    assert counts == {
+        ("rank-k", 1): 1, ("rank-k", 2): 29, ("rank-k", 3): 30,
+        ("yardstick", 0): 5, ("yardstick", 1): 195, ("yardstick", 2): 4,
+        ("yardstick", 3): 67, ("yardstick", 4): 63, ("yardstick", 5): 66,
+        ("times -2/7", 0): 5, ("times -2/7", 1): 196, ("times -2/7", 2): 33,
+        ("times -2/7", 3): 97, ("times -2/7", 4): 63, ("times -2/7", 5): 66,
+        ("leading zeros", 1): 1, ("leading zeros", 2): 2,
+    }
+    assert _peel_faults(games._peel) == (0, 1138)
+
+
+def test_a_peel_that_keeps_a_negative_denominator_fails_the_reference():
+    # Without its sign normalization, a peel at a negative first entry leaves
+    # its rest over a negative denominator: every such peel, and no other,
+    # differs from the reference's Matrix, whose denominator is positive.
+    import inspect
+    import textwrap
+
+    source = textwrap.dedent(inspect.getsource(games._peel))
+    assert source.count("s = 1 if p > 0 else -1") == 1
+    namespace = dict(vars(games))
+    exec(source.replace("s = 1 if p > 0 else -1", "s = 1"), namespace)
+    faults, negatives = _peel_faults(namespace["_peel"])
+    assert faults == negatives == 1138
 
 
 def test_decompose_rank_k_zero_sum_is_empty():

@@ -13,10 +13,9 @@ from rankgames.errors import (
     RankGamesError,
 )
 from rankgames.games import MixedProfile, decompose_rank_k, family_game, verify_equilibrium
-from rankgames.labeledpath import V_FIXED, W_FIXED, trace_path
+from rankgames.labeledpath import V_FIXED, W_FIXED, g_at, g_rate, trace_path
 from rankgames.linalg import (
     Matrix,
-    integers,
     rationals,
     sign,
     solve_linear_system,
@@ -555,8 +554,8 @@ def test_rank_k_sections_make_no_lp_call(k2, monkeypatch):
 
     lp_calls = watch_solve_lp(monkeypatch)
     sections = []
-    real_section = paramlp._section
-    monkeypatch.setattr(paramlp, "_section", lambda *a: sections.append(a) or real_section(*a))
+    real_section = paramlp._section_walk
+    monkeypatch.setattr(paramlp, "_section_walk", lambda *a: sections.append(a) or real_section(*a))
     d, kfam = k2
     lows, highs = box_bounds(d.gammas)
     mid = tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))
@@ -663,7 +662,7 @@ def test_section_walk_matches_generic_lp_reference(monkeypatch):
         assert ref.optimal
         ref_ok = len(p.labels_at(ref.point)) == p.n
         try:
-            sec = paramlp._section(family, delta)
+            sec = paramlp.solve_lp_k(family, delta)
         except DegeneratePolytope:
             counts[corpus, "rejected by both" if not ref_ok else "rejected by the walk"] += 1
             continue
@@ -769,7 +768,7 @@ def test_section_edge_matches_edge_through_point():
         if len(tight) != fam.m:
             counts[corpus, "w is a vertex" if len(tight) == fam.m + 1 else "more tight"] += 1
             continue
-        ours = outcome(lambda: section_edge(fam, integers(fam.beta), sec, tight))
+        ours = outcome(lambda: section_edge(fam, sec, tight))
         theirs = outcome(lambda: reference_section_edge(fam, sec))
         if isinstance(ours, tuple):
             assert ours == theirs
@@ -790,6 +789,38 @@ def test_section_edge_matches_edge_through_point():
         ("yardstick", "w is a vertex"): 265, ("yardstick", "more tight"): 69,
         ("yardstick", "no section"): 604,
         ("constant beta", full_line): 17, ("constant beta", "no section"): 3,
+    }
+
+
+def test_g_rate_is_the_fraction_slope_on_every_probed_edge():
+    # g_rate reads the rate of g = beta . y + lambda off a path edge's
+    # integer column. On every edge that a probe of the section corpus's
+    # rank-1 families returns it equals the slope g_at(point_at(1)) -
+    # g_at(point_at(0)) in Fractions, over a positive denominator; a probe
+    # that raises builds no edge. Each family's copy with beta / 3, probed at
+    # 3 delta, has the same sections, and its beta's q is 3.
+    counts, thirds = Counter(), {}
+    for corpus, fam, *_, delta in section_corpus():
+        if fam.k != 1:
+            continue
+        if fam not in thirds:
+            thirds[fam] = GameFamily(fam.a, fam.c, [b / 3 for b in fam.beta])
+        for tag, family, lam in ((corpus, fam, delta[0]), ("/ 3", thirds[fam], 3 * delta[0])):
+            try:
+                edge = solve_lp_delta(family, lam).edge
+            except DegeneracyError:
+                counts[tag, "no edge"] += 1
+                continue
+            num, den = g_rate(family, edge.kind, edge.moving)
+            slope = g_at(family, *edge.point_at(1)) - g_at(family, *edge.point_at(0))
+            assert den > 0 and Fraction(num, den) == slope != 0
+            counts[tag, edge.kind, "ray" if edge.moving.unbounded else "edge"] += 1
+    assert dict(counts) == {
+        ("wide", V_FIXED, "edge"): 11, ("wide", V_FIXED, "ray"): 13,
+        ("small", V_FIXED, "edge"): 56, ("small", V_FIXED, "ray"): 29,
+        ("small", W_FIXED, "edge"): 4, ("small", "no edge"): 31,
+        ("/ 3", V_FIXED, "edge"): 67, ("/ 3", V_FIXED, "ray"): 42,
+        ("/ 3", W_FIXED, "edge"): 4, ("/ 3", "no edge"): 31,
     }
 
 
@@ -929,7 +960,7 @@ def test_sections_take_each_column_once_and_build_no_fraction_rates(monkeypatch)
     for _, fam, *_, delta in section_corpus():
         taken.clear()
         try:
-            sec = paramlp._section(fam, delta)
+            sec = paramlp.solve_lp_k(fam, delta)
         except DegeneratePolytope:
             counts["rejected"] += 1
             continue
@@ -958,7 +989,7 @@ def test_integer_improving_labels_match_the_fraction_rates(monkeypatch):
     for fam, delta in [*_corpus_sections(), *_wide_12x12_sections()]:
         visited.clear()
         try:
-            paramlp._section(fam, delta)
+            paramlp.solve_lp_k(fam, delta)
         except DegeneratePolytope:
             pass
         objective = integer_objective(fam.int_betas, delta)
@@ -984,12 +1015,12 @@ def test_a_warm_section_ends_at_the_cold_optimum_where_it_is_unique():
         if fam is not family:
             family, start = fam, None
         try:
-            cold = paramlp._section(fam, delta)
+            cold = paramlp.solve_lp_k(fam, delta)
         except DegeneratePolytope:
             cold = None
         if start is not None:
             try:
-                warm = paramlp._section(fam, delta, start)
+                warm = paramlp.solve_lp_k(fam, delta, start)
             except DegeneratePolytope:
                 warm = None
             if cold is None:
@@ -1031,7 +1062,7 @@ def test_integer_lifted_section_matches_the_fraction_reference(monkeypatch):
     for fam, delta in [*_corpus_sections(), *_rank_k_corpus_sections()]:
         visited.clear()
         try:
-            paramlp._section(fam, delta)
+            paramlp.solve_lp_k(fam, delta)
         except DegeneracyError:
             pass
         p, lifted, betas = fam.p, fam.qp, fam.betas
@@ -1106,7 +1137,7 @@ def test_section_rows_equal_the_dots_with_each_basis_column(monkeypatch):
     for fam, delta in sections:
         visited.clear()
         try:
-            paramlp._section(fam, delta)
+            paramlp.solve_lp_k(fam, delta)
         except DegeneracyError:
             pass
         p, betas = fam.p, fam.int_betas
@@ -1167,7 +1198,7 @@ def test_cell_rows_and_pieces_match_the_fraction_rates(monkeypatch):
             calls.clear()
         for delta in _box_points(gammas):
             try:
-                paramlp._section(fam, delta)
+                paramlp.solve_lp_k(fam, delta)
             except DegeneracyError:
                 pass
         try:
@@ -1258,7 +1289,7 @@ def test_section_walk_leaves_a_degenerate_start(monkeypatch):
         Polytope, "simplex_pivot", lambda self, v, r: bland.append(r) or real(self, v, r)
     )
     for delta in (-1, 0, Fraction(3, 2)):
-        sec = paramlp._section(fam, (Fraction(delta),))
+        sec = paramlp.solve_lp_k(fam, (Fraction(delta),))
         v, w_coords = sec.v, sec.w_coords
         ref = solve_lp(polytope_lp(fam.p, section_objective((fam.beta,), (delta,))))
         assert v.coords == ref.point and v.coords[:2] == (Fraction(1, 2), Fraction(1, 2))
@@ -1407,7 +1438,7 @@ def _run_kernel_corpora():
 
     for _, fam, *_, delta in section_corpus():
         try:
-            paramlp._section(fam, delta)
+            paramlp.solve_lp_k(fam, delta)
         except DegeneracyError:
             pass
     for fam, gammas in _rank_k_corpus():

@@ -18,7 +18,7 @@ from rankgames.errors import (
     ZeroBeta,
 )
 from rankgames.linalg import Matrix, least_ratios, solve_linear_system, vadd, vdot, vscale
-from rankgames.paramlp import _section
+from rankgames.paramlp import solve_lp_k
 from rankgames.polytope import (
     EdgeDescriptor,
     GameFamily,
@@ -359,7 +359,7 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
                     poly.simplex_pivot(far, again)
     for _, fam, *_, delta in section_corpus():
         try:
-            _section(fam, delta)
+            solve_lp_k(fam, delta)
         except RankGamesError:
             counts["rejected"] += 1
     assert counts == {"build": 882, "singular": 152, "pivot": 2637, "rejected": 29}
