@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -34,7 +34,6 @@ from .games import (
     MixedProfile,
     Rank1Decomposition,
     default_beta,
-    integer_scale,
     reduce_constant_beta,
     verify_equilibrium,
 )
@@ -54,6 +53,7 @@ from .linalg import (
     Rat,
     Vec,
     integer_determinant,
+    integers,
     rationals,
     sign,
     vdot,
@@ -187,12 +187,37 @@ def _better_start(family: GameFamily, delta: Rat, low: Vertex, high: Vertex) -> 
     return high if sum(map(mul, row, hi)) * lo_den > sum(map(mul, row, lo)) * hi_den else low
 
 
+def iteration_bound(a: Matrix, gamma: tuple[Sequence[int], int],
+                    beta: tuple[Sequence[int], int]) -> int:
+    """``bin_search``'s probe bound for the game -a + gamma . beta^T, with
+    gamma and beta as integers over their least common denominators
+    (``linalg.integers``).
+
+    It is read off the integerized copy (a c^2, gamma c, beta c), c the lcm
+    of all three denominators: with b_max the copy's largest entry in
+    absolute value and delta = (m + 2)! b_max^(m + 2), its vertex-denominator
+    bound, it is ceil(log2(delta^2 (max gamma - min gamma) c)). Every entry
+    of the copy is an integer, so the floor divisions that read b_max and
+    (max gamma - min gamma) c off the integer forms are exact, and no
+    ``Fraction`` is built.
+    """
+    rows, qa = a.int_rows, a.denom
+    (gs, gq), (bs, bq) = gamma, beta
+    c = lcm(qa, gq, bq)
+    b_max = max(max(map(abs, chain.from_iterable(rows))) * c * c // qa,
+                max(map(abs, bs)) * c // bq, max(map(abs, gs)) * c // gq)
+    delta_bound = factorial(a.rows + 2) * b_max ** (a.rows + 2)
+    return _ceil_log2(delta_bound * delta_bound * ((max(gs) - min(gs)) * c // gq))
+
+
 def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     """Binary search on the path's lambda coordinate for one equilibrium.
 
-    Probes d's own family. The iteration cap comes from the
-    vertex-denominator bound of the integerized copy (a c^2, gamma c, beta
-    c), read off c alone: that copy maps each section onto a scaled one, so
+    Probes d's own family, and verifies the answer on ``d.game()``, the
+    caller's game when ``decompose_rank1`` made d. The iteration cap comes
+    from the vertex-denominator bound of the integerized copy (a c^2, gamma
+    c, beta c), read off the integers of a, gamma and beta
+    (``iteration_bound``): that copy maps each section onto a scaled one, so
     it has the same optima and crossings. Each midpoint probe starts at the
     optimum of the bracket end with the larger section objective there.
     Constant beta is reduced away first; with constant gamma the bound is 0
@@ -212,10 +237,7 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
         rec = _finalize(game, crossing, "bin-search")
         return BinSearchReport(rec, iters, bound, tuple(hist))
 
-    c = integer_scale(d)
-    b_max = max(run.a.max_abs() * c * c, max(map(abs, run.beta)) * c, max(map(abs, gamma)) * c)
-    delta_bound = factorial(game.m + 2) * int(b_max) ** (game.m + 2)
-    bound_k = _ceil_log2(delta_bound * delta_bound * int((g_max - g_min) * c))
+    bound_k = iteration_bound(run.a, integers(gamma), family.int_beta)
 
     h = Hyperplane(gamma)
     low = is_ne(family, h, g_min)
@@ -282,7 +304,9 @@ def _path_equilibria(
 
 
 def enumerate_rank1(d: Rank1Decomposition) -> list[EquilibriumRecord]:
-    """All equilibria of a rank-1 game, in path order, with indices attached."""
+    """All equilibria of a rank-1 game, in path order, with indices attached,
+    each verified on ``d.game()``: the caller's game when ``decompose_rank1``
+    made d."""
     game = d.game()
     if (rec := _trivial_single_strategy(game, "enumeration")) is not None:
         return [rec]

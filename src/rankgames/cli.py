@@ -2,9 +2,12 @@
 
 Game file format: optional '#' comment lines, a header ``m n``, then m rows
 of n tokens for the first payoff matrix and m more for the second. Tokens are
-integers or fractions like ``-3/4``. A plain integer token is read as an
-``int`` and any other token as a ``Fraction``, so an integer game file builds
-its matrices' integer rows with no ``Fraction`` in between (``linalg.Matrix``).
+integers or fractions like ``-3/4``. A plain integer token, an optional sign
+and ASCII decimal digits (``_plain_integer``), is read as an ``int`` and any
+other token as a ``Fraction``, so an integer game file builds its matrices'
+integer rows with no ``Fraction`` in between (``linalg.Matrix``). When every
+value token is a plain integer, one pattern match over the joined tokens
+checks them all and ``int`` reads them; otherwise each token is read alone.
 All output stays exact; JSON renders every rational as a string.
 """
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from math import ceil
@@ -74,6 +78,11 @@ def _plain_integer(token: str) -> bool:
     return token.isascii() and digits.isdigit()
 
 
+# The ``_plain_integer`` rule over whitespace-free tokens joined by single
+# spaces: every token is an optional sign and ASCII decimal digits.
+_PLAIN_INTEGERS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*", re.ASCII)
+
+
 def parse_fraction(token: str) -> Fraction:
     if _plain_integer(token):
         return Fraction(int(token))
@@ -100,7 +109,11 @@ def parse_game_file(text: str) -> BimatrixGame:
     need = 2 + 2 * m * n
     if len(tokens) != need:
         raise ParseError(f"expected {need} tokens, found {len(tokens)}")
-    values = [int(t) if _plain_integer(t) else parse_fraction(t) for t in tokens[2:]]
+    values = tokens[2:]
+    if _PLAIN_INTEGERS.fullmatch(" ".join(values)):
+        values = list(map(int, values))
+    else:
+        values = [int(t) if _plain_integer(t) else parse_fraction(t) for t in values]
     rows_a = [values[i * n: (i + 1) * n] for i in range(m)]
     rows_b = [values[m * n + i * n: m * n + (i + 1) * n] for i in range(m)]
     return BimatrixGame(Matrix(rows_a), Matrix(rows_b))

@@ -1,11 +1,16 @@
-"""Bimatrix games, payoff-sum factorizations, and exact equilibrium checks."""
+"""Bimatrix games, payoff-sum factorizations, and exact equilibrium checks.
+
+A factorization reads a + b's integer rows: a rank-1 decomposition is
+checked on the integer 2x2 minors before any ``Fraction`` is built, and it
+keeps the game it factorized, so a solver verifies on the caller's game.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, NotConstantBeta, RankTooHigh
 from .linalg import IntRows, Matrix, Rat, Vec, integers, lowest_terms, vector
@@ -126,15 +131,24 @@ def family_game(a: Matrix, c: Matrix, alphas: Iterable[Sequence],
 
 @dataclass(frozen=True)
 class Rank1Decomposition:
-    """Factorization b = -a + gamma . beta^T of a rank-1 payoff sum."""
+    """Factorization b = -a + gamma . beta^T of a rank-1 payoff sum.
+
+    ``source`` is the game that ``decompose_rank1`` factorized, kept so that
+    ``game()`` returns it instead of rebuilding b; a decomposition built by
+    hand has none. It takes no part in equality, hashing or repr.
+    """
 
     a: Matrix
     gamma: Vec
     beta: Vec
+    source: Optional[BimatrixGame] = field(default=None, init=False, compare=False, repr=False)
 
     def game(self) -> BimatrixGame:
-        """The game (a, -a + gamma . beta^T), built in one pass over a's
-        integer rows and the integers of gamma and beta."""
+        """The game (a, -a + gamma . beta^T): the factorized game itself when
+        there is one (``source``), else built in one pass over a's integer
+        rows and the integers of gamma and beta."""
+        if self.source is not None:
+            return self.source
         (gs, gq), (bs, bq) = integers(self.gamma), integers(self.beta)
         rows, qa = self.a.int_rows, self.a.denom
         q = lcm(qa, gq * bq)
@@ -160,24 +174,43 @@ class RankKDecomposition:
         return family_game(self.a, -self.a, self.gammas, self.betas)
 
 
+def _pivot(rows: IntRows) -> Optional[tuple[int, int]]:
+    """(i0, j0) of the first nonzero entry of integer rows, row-major; None
+    when every entry is zero."""
+    return next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
+
+
+def _term(rows: IntRows, denom: int, i0: int, j0: int) -> tuple[Vec, Vec]:
+    """The rank-1 term of ``rows / denom`` through its nonzero entry p =
+    rows[i0][j0]: gamma, column j0 over p, and beta, row i0 over ``denom``."""
+    p = rows[i0][j0]
+    return tuple(Fraction(row[j0], p) for row in rows), tuple(Fraction(b, denom) for b in rows[i0])
+
+
+def _minors(rows: IntRows, top: Sequence[int], j0: int) -> Iterator[list[int]]:
+    """The 2x2 minors through p = top[j0] != 0, one row at a time, as they
+    are read: rows[i][j] * p - rows[i][j0] * top[j]. With ``top`` a row of
+    ``rows`` or its negative, they are p times the rows minus gamma . beta^T
+    of that row's ``_term``; they are all zero iff ``rows`` has rank 1."""
+    p = top[j0]
+    return ([x * p - row[j0] * b for x, b in zip(row, top)] for row in rows)
+
+
 def _peel(rows: IntRows, denom: int) -> Optional[tuple[Vec, Vec, tuple[IntRows, int]]]:
     """One rank-1 term of the matrix ``rows / denom`` (``denom > 0``), split off
-    at its first nonzero entry p = rows[i0][j0] (row-major): gamma, column j0
-    over p, beta, row i0 over ``denom``, and the rest, the matrix minus gamma .
-    beta^T, as integer rows over a positive denominator in lowest terms. Its
-    entries are the 2x2 minors through p, rows[i][j] * p - rows[i][j0] *
-    rows[i0][j], over p * denom, each negated with p when p < 0. None when
+    at its first nonzero entry p = rows[i0][j0] (``_pivot``): gamma and beta
+    (``_term``), and the rest, the matrix minus gamma . beta^T, as integer
+    rows over a positive denominator in lowest terms: the ``_minors``
+    through p over p * denom, each negated with p when p < 0. None when
     every entry is zero."""
-    pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
+    pivot = _pivot(rows)
     if pivot is None:
         return None
     i0, j0 = pivot
-    top, p = rows[i0], rows[i0][j0]
+    p = rows[i0][j0]
     s = 1 if p > 0 else -1
-    rest = [[s * (x * p - row[j0] * b) for x, b in zip(row, top)] for row in rows]
-    gamma = tuple(Fraction(row[j0], p) for row in rows)
-    beta = tuple(Fraction(b, denom) for b in top)
-    return gamma, beta, lowest_terms(rest, s * p * denom)
+    top = [s * b for b in rows[i0]]
+    return (*_term(rows, denom, i0, j0), lowest_terms(_minors(rows, top, j0), s * p * denom))
 
 
 def decompose_rank1(
@@ -185,20 +218,26 @@ def decompose_rank1(
 ) -> Rank1Decomposition:
     """Exact rank-1 factorization of a + b; raises RankTooHigh above rank 1.
 
-    One ``_peel`` of a + b's integer rows gives gamma and beta; a + b has rank
-    1 iff the rest, the 2x2 minors through its first nonzero entry, is zero.
-    For zero-sum games (a + b = 0) gamma is zero and beta falls back to the
-    caller-supplied vector or the generic default (1, ..., n).
+    a + b has rank 1 iff its 2x2 minors through its first nonzero entry
+    (``_minors``) are zero; they are read row by row, in integers, and the
+    first nonzero one raises before any ``Fraction`` is built. Then gamma and
+    beta are that entry's ``_term``. For zero-sum games (a + b = 0) gamma is
+    zero and beta falls back to the caller-supplied vector or the generic
+    default (1, ..., n). The decomposition keeps ``game`` as its ``source``.
     """
     s = game.payoff_sum()
-    peel = _peel(s.int_rows, s.denom)
-    if peel is None:
+    rows = s.int_rows
+    pivot = _pivot(rows)
+    if pivot is None:
         beta = vector(beta_default) if beta_default is not None else default_beta(game.n)
-        return Rank1Decomposition(game.a, vector([0] * game.m), beta)
-    gamma, beta, (rest, _) = peel
-    if any(map(any, rest)):
-        raise RankTooHigh("payoff sum has rank >= 2")
-    return Rank1Decomposition(game.a, gamma, beta)
+        d = Rank1Decomposition(game.a, vector([0] * game.m), beta)
+    else:
+        i0, j0 = pivot
+        if any(map(any, _minors(rows, rows[i0], j0))):
+            raise RankTooHigh("payoff sum has rank >= 2")
+        d = Rank1Decomposition(game.a, *_term(rows, s.denom, i0, j0))
+    object.__setattr__(d, "source", game)
+    return d
 
 
 def decompose_rank_k(game: BimatrixGame) -> RankKDecomposition:
@@ -213,13 +252,6 @@ def decompose_rank_k(game: BimatrixGame) -> RankKDecomposition:
         gammas.append(gamma)
         betas.append(beta)
     return RankKDecomposition(game.a, tuple(gammas), tuple(betas))
-
-
-def integer_scale(d: Rank1Decomposition) -> int:
-    """The lcm of a's denominator and every denominator of gamma and beta:
-    the c for which a*c^2, gamma*c and beta*c are integers, as in the
-    integerized copy that ``algorithms.bin_search`` reads its bound off."""
-    return lcm(d.a.denom, *(x.denominator for x in d.gamma), *(x.denominator for x in d.beta))
 
 
 def reduce_constant_beta(d: Rank1Decomposition) -> Rank1Decomposition:

@@ -18,9 +18,11 @@ which leaves its slack of every label, and the point is kept as integers
 until read. The rank-k cell walk reads a vertex's cell of the box map off
 the same rows once (``cell_rows``), and the fixed point of its affine piece
 off that cell (``piece_fixed_point``). On a rank-1 section the path edge
-through that point is read off the same cell's label rates
-(``section_edge``): one integer ratio test per side gives its ends, and no
-Q' tableau is built.
+through that point is read off the same rows' label rates, by the reader
+that ``cell_rows`` uses (``section_edge``): one integer ratio test per side
+gives its ends, and no Q' tableau is built. A section's objective weights
+come off delta's numerators and denominators (``integer_objective``), with
+no ``Fraction`` division.
 Intersecting the containing edge with a game's selection hyperplane yields a
 crossing point or a side classification; the crossing is only geometry,
 which the caller verifies on its own game. Every moving path edge holds its
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -232,20 +234,28 @@ def section_rows(p: Polytope, v: Vertex, betas: IntBetas) -> SectionRows:
     return SectionRows(tab, tuple(tab.z_row(b) for b, _ in betas), tab.rows[tab.z_at[p.n]])
 
 
+def _label_rates(rows: SectionRows, scales: Sequence[int], row: Sequence[int],
+                 factor: int) -> dict[int, int]:
+    """-scales[r] * factor * row[j] for each basis label r = tab.cols[j], in
+    label order: along r's edge, the rate of the quantity that ``row``, one
+    of a vertex's ``SectionRows``, holds, times ``factor`` and its tableau's
+    denominator."""
+    f = -factor
+    return {r: f * scales[r] * x for r, x in zip(rows.tab.cols, row)}
+
+
 def cell_rows(family: GameFamily, rows: SectionRows) -> tuple[int, Cell]:
     """The cell of a vertex v of P with these ``section_rows``, the a where no
     edge at v raises the section objective: one integer half-space h_r . a <=
     e_r per basis label r, in label order, with its ``unit`` Q * denom, Q =
     lcm(q_l). Along r's edge the objective's rate is g_r . a - c_r, and (h_r,
-    e_r) is (g_r, c_r) times ``unit``: h_r's entry l is -scales[r] * Q / q_l
-    times beta row l's entry in r's column, e_r -scales[r] * Q times pi1's."""
+    e_r) is (g_r, c_r) times ``unit``: h_r's entry l is beta row l's rate
+    (``_label_rates``) times Q / q_l, e_r pi1's times Q."""
     scales, betas = family.p.scales, family.int_betas
     big_q = lcm(*(q for _, q in betas))
-    return big_q * rows.tab.denom, {
-        r: (tuple(-scales[r] * row[j] * (big_q // q) for row, (_, q) in zip(rows.betas, betas)),
-            -scales[r] * big_q * rows.pi1[j])
-        for j, r in enumerate(rows.tab.cols)
-    }
+    hs = [_label_rates(rows, scales, row, big_q // q) for row, (_, q) in zip(rows.betas, betas)]
+    es = _label_rates(rows, scales, rows.pi1, big_q)
+    return big_q * rows.tab.denom, {r: (tuple(h[r] for h in hs), e) for r, e in es.items()}
 
 
 def improving_labels(rows: SectionRows, weights: Sequence[int]) -> list[int]:
@@ -269,8 +279,18 @@ def nondegenerate_far_end(p: Polytope, v: Vertex, r: int) -> Optional[Vertex]:
 
 def integer_objective(betas: IntBetas, delta: Vec) -> Objective:
     """The section objective at lambda = delta of the integer betas, with D
-    the least common denominator of the delta_l / q_l."""
-    weights, scale = integers([d / q for d, (_, q) in zip(delta, betas)])
+    the least common denominator of the delta_l / q_l.
+
+    Each delta_l / q_l is read off delta_l's numerator n_l and denominator
+    e_l in lowest terms: with g_l = gcd(n_l, q_l) it is (n_l / g_l) over
+    e_l * q_l / g_l, so no ``Fraction`` division is made."""
+    nums, dens = [], []
+    for d, (_, q) in zip(delta, betas):
+        g = gcd(d.numerator, q)
+        nums.append(d.numerator // g)
+        dens.append(d.denominator * (q // g))
+    scale = lcm(*dens)
+    weights = [n * (scale // e) for n, e in zip(nums, dens)]
     row = (sum(map(mul, weights, col)) for col in zip(*(b for b, _ in betas)))
     return Objective((*weights, -scale), (*row, -scale))
 
@@ -361,25 +381,27 @@ def section_edge(family: GameFamily, sec: Section, tight: frozenset[int]) -> Edg
     the optimum v (``sec.rows``).
 
     Along the edge v stays optimal. Each of v's basis labels r has slack
-    c_r - g_r * lambda, ``sec.slacks`` at w, with g_r and c_r the rates
-    that ``cell_rows`` reads off those rows, over its unit u = q * denom;
-    w's tight labels stay at zero. One ratio test per side (``min_ratio``,
-    rising lambda first) gives each end's entering label r, at lambda =
-    c_r / g_r. Base, far end and direction are those of
-    ``Polytope.edge_through_point``, its reference in the tests. On the
+    c_r - g_r * lambda, ``sec.slacks`` at w, with g_r and c_r the rates of
+    beta . y and of pi1 along r's edge, read straight off the beta row and
+    pi1's row (``_label_rates``, as ``cell_rows`` reads them), both over
+    the unit u = q * denom; w's tight labels stay at zero. One ratio test
+    per side (``min_ratio``, rising lambda first) gives each end's entering
+    label r, at lambda = c_r / g_r. Base, far end and direction are those
+    of ``Polytope.edge_through_point``, its reference in the tests. On the
     edge x_i = c_i - g_i * lambda on v's basis rows, and pi2 = lambda *
     beta . y - pi1. The ends keep their points as integers.
     """
     qp, m, (_, q), rows = family.qp, family.m, family.int_beta, sec.rows
-    u, cell = cell_rows(family, rows)
-    g = {r: h for r, ((h,), _) in cell.items()}  # g_r * u
-    c = {r: e for r, (_, e) in cell.items()}  # c_r * u
-    steps = [(r, sec.slacks[r - 1], qp.scales[r] * g[r]) for r in cell]
+    scales, (beta_row,) = family.p.scales, rows.betas
+    u = q * rows.tab.denom
+    g = _label_rates(rows, scales, beta_row, 1)  # g_r * u
+    c = _label_rates(rows, scales, rows.pi1, q)  # c_r * u
+    steps = [(r, sec.slacks[r - 1], qp.scales[r] * g[r]) for r in g]
     *_, high = min_ratio(steps, tight)
     *_, low = min_ratio(((r, s, -rate) for r, s, rate in steps), tight)
     if high is None and low is None:
         raise DegeneratePolytope("edge is a full line; polytope not pointed")
-    beta_y, pi1 = rows.betas[0][-1], rows.pi1[-1]  # beta . y over u, pi1 over denom
+    beta_y, pi1 = beta_row[-1], rows.pi1[-1]  # beta . y over u, pi1 over denom
 
     def end(r: int) -> tuple[int, int]:
         """lambda = c_r / g_r, where r's slack reaches zero, as (num, den > 0)."""

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from math import ceil, comb
+from math import ceil, comb, factorial, lcm
 from operator import mul
 from typing import NamedTuple
 
-from rankgames.algorithms import RegionGraph
+from rankgames.algorithms import RegionGraph, _ceil_log2, rank1_family
 from rankgames.errors import (
     DegeneracyError,
     DegeneratePolytope,
@@ -32,7 +32,6 @@ from rankgames.games import (
     MixedProfile,
     Rank1Decomposition,
     decompose_rank1,
-    integer_scale,
     verify_equilibrium,
 )
 from rankgames.linalg import (
@@ -790,10 +789,30 @@ def random_rank1(rng: random.Random, m: int, n: int, span: int = 9,
 WIDE_SPANS = dict(span=99, gamma_span=20, beta_span=50)
 
 
+def integer_scale(d: Rank1Decomposition) -> int:
+    """The lcm of a's denominator and every denominator of gamma and beta:
+    the c for which a*c^2, gamma*c and beta*c are integers, as in the
+    integerized copy that ``algorithms.bin_search`` reads its bound off."""
+    return lcm(d.a.denom, *(x.denominator for x in d.gamma), *(x.denominator for x in d.beta))
+
+
+def reference_bound_k(d: Rank1Decomposition) -> int:
+    """``bin_search``'s bound_k in ``Fraction`` arithmetic: the reference for
+    ``algorithms.iteration_bound``. c is read off d, and the entries off the
+    decomposition the path runs on (``rank1_family``, which reduces a
+    constant beta to zero gamma)."""
+    c = integer_scale(d)
+    run, _ = rank1_family(d)
+    gamma = run.gamma
+    b_max = max(run.a.max_abs() * c * c, max(map(abs, run.beta)) * c, max(map(abs, gamma)) * c)
+    delta_bound = factorial(run.a.rows + 2) * int(b_max) ** (run.a.rows + 2)
+    return _ceil_log2(delta_bound * delta_bound * int((max(gamma) - min(gamma)) * c))
+
+
 def integerize(d: Rank1Decomposition) -> tuple[Rank1Decomposition, Fraction]:
     """Clear denominators: a*c^2, gamma*c, beta*c with c =
-    ``games.integer_scale(d)``, the copy whose integers ``bin_search``'s
-    bound is proved on.
+    ``integer_scale(d)``, the copy whose integers ``bin_search``'s bound is
+    proved on.
 
     Scales both payoff matrices by c^2, which leaves the equilibrium set
     untouched; returns the scale c^2.

@@ -17,6 +17,8 @@ from rankgames.algorithms import (
     fixed_point_search,
     homeo_forward,
     homeo_inverse,
+    iteration_bound,
+    rank1_family,
     region_graph,
     solve_general,
 )
@@ -38,7 +40,7 @@ from rankgames.games import (
     verify_equilibrium,
 )
 from rankgames.labeledpath import step_budget, trace_path
-from rankgames.linalg import Matrix, solve_linear_system, vdot
+from rankgames.linalg import Matrix, integers, solve_linear_system, vdot
 from rankgames.oracle import support_enumeration
 from rankgames.paramlp import box_bounds, fixed_point_eval, solve_lp_delta, solve_lp_k
 from rankgames.polytope import GameFamily
@@ -61,12 +63,14 @@ from fixtures import (
     ex1_family,
     fraction_row,
     hyperplane_value,
+    integer_scale,
     integerize,
     nondegenerate_rank1_fixtures,
     random_general_games,
     random_rank1,
     random_rank_k,
     ray_anchors,
+    reference_bound_k,
     reference_homeo_inverse,
     watch_solve_lp,
     zero_sum_solve,
@@ -230,6 +234,32 @@ def _integerized_bound_k(d) -> int:
     b_max = max(di.a.max_abs(), max(map(abs, di.beta)), max(map(abs, di.gamma)))
     delta_bound = factorial(di.a.rows + 2) * int(b_max) ** (di.a.rows + 2)
     return _ceil_log2(delta_bound * delta_bound * int(max(di.gamma) - min(di.gamma)))
+
+
+def test_iteration_bound_equals_the_fraction_formula():
+    # bound_k, read off the integers of a, gamma and beta with floor
+    # divisions, equals the Fraction formula (fixtures.reference_bound_k) on
+    # the yardstick and the wide draws as the CLI decomposes them, and on
+    # their copies with a times 2/7 and gamma and beta divided by 3, where
+    # every integerizing scale c exceeds 1. Through bin_search: a
+    # constant-beta decomposition, reduced to zero gamma, and a zero-sum
+    # game with a beta override, both of bound 0.
+    draws = [d for _, d in cli_rank1_draws("yardstick", "wide")]
+    copies = [Rank1Decomposition(d.a.scale(Fraction(2, 7)), tuple(g / 3 for g in d.gamma),
+                                 tuple(b / 3 for b in d.beta)) for d in draws]
+    assert all(integer_scale(d) > 1 for d in copies)
+    bounds = Counter()
+    for d in draws + copies:
+        run, family = rank1_family(d)
+        bound = iteration_bound(run.a, integers(run.gamma), family.int_beta)
+        assert bound == reference_bound_k(d)
+        bounds[bound > 0] += 1
+    assert bounds == {True: 504, False: 16}
+    constant = Rank1Decomposition(Matrix([[1, 0], [0, 1]]), (Fraction(1, 2), 3),
+                                  (Fraction(5, 3), Fraction(5, 3)))
+    zero_sum = decompose_rank1(BimatrixGame(EX1_A, -EX1_A), (1, Fraction(5, 2), 2))
+    for d in (constant, zero_sum):
+        assert bin_search(d).bound_k == reference_bound_k(d) == 0
 
 
 def test_bin_search_probes_the_input_family_and_builds_no_integerized_copy(monkeypatch):

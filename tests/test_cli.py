@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from fixtures import (
     R1A,
     R1B,
     R1C,
+    bench_corpus_texts,
     render_game,
     shift,
     zero_matrix,
@@ -124,6 +126,43 @@ def test_plain_integer_tokens_parse_exactly_as_fraction_does():
         else:
             assert parse_fraction(token) == want
     assert taken == 885
+
+
+def test_the_whole_file_check_reads_every_game_file_as_the_per_token_rule(
+        monkeypatch, tmp_path, capsys):
+    # parse_game_file checks an all-integer file with one pattern over the
+    # joined tokens and reads it with int, and reads any other file token by
+    # token. Integer files, the three bench corpora and the matching
+    # pennies, give the same Matrix as the per-token rule alone, with
+    # _plain_integer never called. Each odd token, in a 2x2 file with
+    # integers around it, gives the value or the exit-2 message that
+    # parse_fraction gives it alone.
+    integer_files = [text for _, text in bench_corpus_texts()] + [MP_TEXT]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_plain_integer", None)
+        whole = [parse_game_file(text) for text in integer_files]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_PLAIN_INTEGERS", re.compile("(?!)"))  # matches nothing
+        assert whole == [parse_game_file(text) for text in integer_files]
+    assert all(type(x) is int for game in whole for row in game.a.int_rows for x in row)
+    outcomes = Counter()
+    for token in ("+7", "-0", "007", "3/4", "-3/4", "1_000", "\u0663", "1e3", "0x1F"):
+        text = f"2 2\n1 {token}\n-2 3\n0 4\n{token} -5\n"
+        path = tmp_path / "tok.game"
+        path.write_text(text, encoding="utf-8")
+        try:
+            value = parse_fraction(token)
+        except cli.ParseError as exc:
+            assert main(["enumerate", "--input", str(path)]) == EXIT_PARSE
+            assert capsys.readouterr().err == f"error: {exc}\n"
+            outcomes["exit 2"] += 1
+        else:
+            game = parse_game_file(text)
+            assert game.a[0, 1] == game.b[1, 0] == value
+            assert game.a == Matrix([[1, value], [-2, 3]])
+            outcomes["value"] += 1
+    # Fraction reads "1_000" from Python 3.11 on, so the split depends on it.
+    assert set(outcomes) == {"value", "exit 2"} and sum(outcomes.values()) == 9
 
 
 def test_solve_matching_pennies(tmp_path, capsys):

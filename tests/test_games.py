@@ -336,6 +336,47 @@ def test_a_peel_that_keeps_a_negative_denominator_fails_the_reference():
     assert faults == negatives == 1138
 
 
+def test_decompose_rank1_above_rank_1_raises_before_building_a_fraction(monkeypatch):
+    # On every case of the peel's corpora of rank 2 or more, decompose_rank1
+    # raises RankTooHigh off the integer minors alone: games.Fraction, here
+    # a function that fails, is never called.
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    cases = [game for _, game in _peel_cases() if matrix_rank(game.payoff_sum()) >= 2]
+    monkeypatch.setattr(games, "Fraction", no_fraction)
+    for game in cases:
+        with pytest.raises(RankTooHigh, match="payoff sum has rank >= 2"):
+            decompose_rank1(game)
+    assert len(cases) == 520
+
+
+def test_decompose_rank1_keeps_its_game_and_the_identity_of_a_hand_built_decomposition():
+    # decompose_rank1 keeps the game it factorized, and game() returns it:
+    # on the 403 cases of the peel's corpora of rank 0 or 1, and on 20
+    # zero-sum games with and without a Fraction beta override. A
+    # decomposition built by hand from the same a, gamma and beta holds no
+    # game, rebuilds an equal one, and is equal, hashes equal and prints
+    # the same; so does a copy made by dataclasses.replace.
+    import dataclasses
+
+    cases = [game for _, game in _peel_cases() if matrix_rank(game.payoff_sum()) <= 1]
+    zero_sum = [BimatrixGame(game.a, -game.a) for game in cases[:20]]
+    assert len(cases) == 403
+    overrides = [(game, None) for game in cases + zero_sum]
+    overrides += [(game, tuple(Fraction(j, 3) for j in range(game.n, 0, -1))) for game in zero_sum]
+    for game, beta in overrides:
+        d = decompose_rank1(game, beta)
+        assert d.game() is game and d.source is game
+        built = Rank1Decomposition(d.a, d.gamma, d.beta)
+        assert built.source is None
+        assert built.game() == game and built.game() is not game
+        assert d == built and hash(d) == hash(built) and repr(d) == repr(built)
+        assert "source" not in repr(d)
+        copy = dataclasses.replace(d)
+        assert copy.source is None and copy == d and copy.game() == game
+
+
 def test_decompose_rank_k_zero_sum_is_empty():
     d = decompose_rank_k(BimatrixGame(EX1_A, -EX1_A))
     assert d.k == 0

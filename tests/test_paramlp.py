@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -16,6 +17,7 @@ from rankgames.games import MixedProfile, decompose_rank_k, family_game, verify_
 from rankgames.labeledpath import V_FIXED, W_FIXED, g_at, g_rate, trace_path
 from rankgames.linalg import (
     Matrix,
+    integers,
     rationals,
     sign,
     solve_linear_system,
@@ -1085,6 +1087,32 @@ def _rank_k_corpus():
         a, betas, gammas = random_rank_k(rng, k, size, size)
         d = decompose_rank_k(family_game(a, -a, gammas, betas))
         yield GameFamily(d.a, -d.a, *d.betas), d.gammas
+
+
+def test_integer_objective_equals_the_fraction_division():
+    # integer_objective's weights N_l / D = delta_l / q_l, read off
+    # numerators, denominators and one gcd each, equal integers() of the
+    # Fraction quotients delta_l / q_l, and so does its row: for k = 1, 2
+    # and 3, on the first one, two or three betas of the rank-k corpus and
+    # of their copies divided by 3 (q > 1), at the box points of the gammas
+    # and at those points times 5/7.
+    def reference(betas, delta):
+        weights, scale = integers([d / q for d, (_, q) in zip(delta, betas)])
+        row = (sum(map(mul, weights, col)) for col in zip(*(b for b, _ in betas)))
+        return (*weights, -scale), (*row, -scale)
+
+    counts = Counter()
+    for fam, gammas in _rank_k_corpus():
+        for betas in (fam.betas, tuple(tuple(b / 3 for b in beta) for beta in fam.betas)):
+            int_betas = tuple(integers(b) for b in betas)
+            for k in range(1, len(betas) + 1):
+                for point in _box_points(gammas[:k]):
+                    for delta in (point, tuple(d * Fraction(5, 7) for d in point)):
+                        assert integer_objective(int_betas[:k], delta) == reference(
+                            int_betas[:k], delta)
+                        counts[k, max(q for _, q in int_betas[:k]) > 1] += 1
+    assert counts == {(1, False): 420, (1, True): 300, (2, False): 120, (2, True): 588,
+                      (3, False): 6, (3, True): 354}
 
 
 def _box_points(gammas):
