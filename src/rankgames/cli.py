@@ -1,6 +1,7 @@
 """Command-line front end: game files in, bit-exact equilibria out.
 
-Game file format: optional '#' comment lines, a header ``m n``, then m rows
+Game file format: optional '#' comment lines, a header ``m n`` of two plain
+integers (``_plain_int``), then m rows
 of n tokens for the first payoff matrix and m more for the second. Tokens are
 integers or fractions like ``-3/4``. A plain integer token, an optional sign
 and ASCII decimal digits (``_plain_integer``), is read as an ``int`` and any
@@ -78,9 +79,20 @@ def _plain_integer(token: str) -> bool:
     return token.isascii() and digits.isdigit()
 
 
-# The ``_plain_integer`` rule over whitespace-free tokens joined by single
-# spaces: every token is an optional sign and ASCII decimal digits.
-_PLAIN_INTEGERS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*", re.ASCII)
+# The ``_plain_integer`` rule as a pattern, for one token and for
+# whitespace-free tokens joined by single spaces: every token is an optional
+# sign and ASCII decimal digits.
+_PLAIN = r"[+-]?[0-9]+"
+_PLAIN_INTEGER = re.compile(_PLAIN, re.ASCII)
+_PLAIN_INTEGERS = re.compile(rf"{_PLAIN}(?: {_PLAIN})*", re.ASCII)
+
+
+def _plain_int(token: str) -> int:
+    """The ``int`` of a ``_plain_integer`` token; ValueError on any other,
+    so a header or a seed label reads only a sign and ASCII digits."""
+    if not _PLAIN_INTEGER.fullmatch(token):
+        raise ValueError(f"not a plain integer: {token!r}")
+    return int(token)
 
 
 def parse_fraction(token: str) -> Fraction:
@@ -101,7 +113,7 @@ def parse_game_file(text: str) -> BimatrixGame:
     if len(tokens) < 2:
         raise ParseError("missing 'm n' header")
     try:
-        m, n = int(tokens[0]), int(tokens[1])
+        m, n = _plain_int(tokens[0]), _plain_int(tokens[1])
     except ValueError as exc:
         raise ParseError("header entries must be integers") from exc
     if m < 1 or n < 1:
@@ -234,8 +246,8 @@ def cmd_trace(game: BimatrixGame, args, out: dict) -> None:
     if args.all_from:
         try:
             v_part, w_part = args.all_from.split("/")
-            v_basis = frozenset(int(t) for t in v_part.split(","))
-            w_basis = frozenset(int(t) for t in w_part.split(","))
+            v_basis = frozenset(map(_plain_int, v_part.split(",")))
+            w_basis = frozenset(map(_plain_int, w_part.split(",")))
         except ValueError as exc:
             raise ParseError("--all-from wants 'v1,v2,../w1,w2,..'") from exc
         top = family.m + family.n

@@ -13,7 +13,9 @@ its edge's orientation: the low ray's node is +1, and a section edge points
 where g = beta . y + lambda grows (``oriented_edge``, by ``g_rate``'s sign).
 Only a cycle's seed (``trace --all-from``) takes the tight-system
 determinants (``node_sign``), so ``index_of``'s determinant check is
-independent of the orientation.
+independent of the orientation. An edge keeps its two end nodes in path
+order, tail then head, and no parameter direction: a hyperplane crossing is
+read off those two ends (``paramlp._analyze_edge``).
 """
 from __future__ import annotations
 
@@ -35,8 +37,6 @@ from .polytope import EdgeDescriptor, GameFamily, Polytope, Vertex
 
 V_FIXED = "v_fixed"  # vertex of P fixed, edge moves in Q'
 W_FIXED = "w_fixed"  # vertex of Q' fixed, edge moves in P
-FORWARD = "forward"
-BACKWARD = "backward"
 
 
 @dataclass(frozen=True, init=False)
@@ -63,8 +63,8 @@ class PathEdge:
 
     ``moving`` parametrizes the non-fixed side from its base vertex; ``tail``
     and ``head`` are the endpoint nodes in orientation order (None marks the
-    open end of an unbounded edge). ``direction`` records whether increasing
-    edge parameter runs tail-to-head (forward) or head-to-tail (backward).
+    open end of an unbounded edge), whichever of them holds the base. A
+    crossing is read off the two ends alone (``paramlp._analyze_edge``).
     As ``PathNode``, it fills its instance dict in one update.
     """
 
@@ -73,12 +73,10 @@ class PathEdge:
     moving: EdgeDescriptor
     tail: Optional[PathNode]
     head: Optional[PathNode]
-    direction: str
 
     def __init__(self, kind: str, fixed: Vertex, moving: EdgeDescriptor,
-                 tail: Optional[PathNode], head: Optional[PathNode], direction: str):
-        self.__dict__.update(kind=kind, fixed=fixed, moving=moving, tail=tail, head=head,
-                             direction=direction)
+                 tail: Optional[PathNode], head: Optional[PathNode]):
+        self.__dict__.update(kind=kind, fixed=fixed, moving=moving, tail=tail, head=head)
 
     def key(self) -> tuple[str, frozenset[int], frozenset[int]]:
         return (self.kind, self.fixed.basis, self.moving.tight_set)
@@ -188,12 +186,12 @@ def step(family: GameFamily, node: PathNode, side: str) -> tuple[PathEdge, Optio
     elif side == "Q":
         ed = family.qp.pivot(node.w, node.duplicate)
         if ed.unbounded:
-            return PathEdge(V_FIXED, node.v, ed, node, None, FORWARD), None
+            return PathEdge(V_FIXED, node.v, ed, node, None), None
         kind, fixed, v, w = V_FIXED, node.v, node.v, ed.far_end
     else:
         raise ValueError(f"side must be 'P' or 'Q', got {side!r}")
     far = PathNode(v, w, _duplicate(family, v, w), -node.sign)
-    return PathEdge(kind, fixed, ed, node, far, FORWARD), far
+    return PathEdge(kind, fixed, ed, node, far), far
 
 
 def walk(family: GameFamily, first: PathNode) -> Iterator[PathEdge]:
@@ -222,7 +220,7 @@ def trace_path(family: GameFamily) -> ComponentTrace:
     v_s, ray_s = family.ray(high=False)
     v_e, w_e, _ = family.ray_bases(high=True)
     start = _end_node(family, V_FIXED, v_s, ray_s.base, 1)
-    edges = [PathEdge(V_FIXED, v_s, ray_s, None, start, BACKWARD), *walk(family, start)]
+    edges = [PathEdge(V_FIXED, v_s, ray_s, None, start), *walk(family, start)]
     if edges[-1].head is not None:
         raise RankGamesError("path returned to its start node; traversal is broken")
     if edges[-1].fixed.basis != v_e:
@@ -268,9 +266,7 @@ def oriented_edge(
         raise DegeneratePolytope("path coordinate constant along an edge")
     base = _end_node(family, kind, fixed, ed.base, -head_sign * sign(rate))
     far = _end_node(family, kind, fixed, ed.far_end, -base.sign) if ed.far_end else None
-    if rate > 0:
-        return PathEdge(kind, fixed, ed, base, far, FORWARD)
-    return PathEdge(kind, fixed, ed, far, base, BACKWARD)
+    return PathEdge(kind, fixed, ed, *((base, far) if rate > 0 else (far, base)))
 
 
 def g_at(family: GameFamily, v_coords: Vec, w_coords: Vec) -> Rat:

@@ -53,13 +53,14 @@ def support_enumeration(game: BimatrixGame, guard: int = 6) -> OracleResult:
         raise TooLarge(f"{m}x{n} exceeds the support-enumeration guard {guard}")
     records: list[EquilibriumRecord] = []
     seen: set[tuple[Vec, Vec]] = set()
+    a_t = game.a.transpose()
     for size in range(1, min(m, n) + 1):
         for rows in combinations(range(m), size):
             for cols in combinations(range(n), size):
                 x_part = _indifference_solve(game.b, rows, cols)
                 if x_part is None:
                     continue
-                y_part = _indifference_solve(game.a.transpose(), cols, rows)
+                y_part = _indifference_solve(a_t, cols, rows)
                 if y_part is None:
                     continue
                 x = [Fraction(0)] * m

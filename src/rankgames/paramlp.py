@@ -25,19 +25,19 @@ come off delta's numerators and denominators (``integer_objective``), with
 no ``Fraction`` division.
 Intersecting the containing edge with a game's selection hyperplane yields a
 crossing point or a side classification; the crossing is only geometry,
-which the caller verifies on its own game. Every moving path edge holds its
-base point and direction as integers over one denominator, and a bounded one
-its length as an integer ratio, so the hyperplane's value and its rate are
-integer dots with the hyperplane's integer row and the hit is placed by
-cross-multiplication. A hit is kept as integer points in lowest terms
-(``Crossing``), as a section keeps its lifted point (``Section``): their
-fields are integers only, and their ``Fraction`` coordinates are read-only
-views, built only when asked. A fixed vertex of Q' gives only a side: the
-sign of one integer dot with its point's integers (``Vertex.integer_point``).
-Along a path (``path_crossings``) that dot is taken once per node, and an
-edge whose two end values share one strict sign is skipped unread: only an
-edge with a zero or a sign change at its ends, or a ray, has its base point
-and direction read. Every point is read off a tableau through
+which the caller verifies on its own game. The hyperplane's value is linear
+in the lifted point, so an edge's crossing is read off its two ends alone:
+one integer dot of the hyperplane's integer row with each end's point
+(``Vertex.integer_point``), or, at a ray's open end, with the ray's
+direction, a point at infinity. Opposite signs place the hit between the
+ends in integers, and a fixed vertex of Q' gives only a side. A hit is kept
+as integer points in lowest terms (``Crossing``), as a section keeps its
+lifted point (``Section``): their fields are integers only, and their
+``Fraction`` coordinates are read-only views, built only when asked. Along
+a path (``path_crossings``) that dot is taken once per lifted point, and an
+edge whose two end values share one strict sign is skipped: only an edge
+with a zero or a sign change at its ends, or a ray, is analyzed, and only a
+ray's direction is read. Every point is read off a tableau through
 ``Tableau.z_column``, or kept as integers where no tableau is built: a
 tableau holds no row for a sign-constrained coordinate.
 """
@@ -60,7 +60,6 @@ from .errors import (
     Singular,
 )
 from .labeledpath import (
-    FORWARD,
     V_FIXED,
     W_FIXED,
     PathEdge,
@@ -132,9 +131,9 @@ class Crossing:
 
     ``v_point`` and ``w_point`` hold v and w as integers over one positive
     denominator, in lowest terms (``in_lowest_terms``), as ``_analyze_edge``
-    finds them; ``v_coords`` and ``w_coords`` are their ``Fraction`` views,
-    built on first read. Equality and hashing are on the points and the
-    orientation.
+    finds them between the edge's two ends; ``v_coords`` and ``w_coords``
+    are their ``Fraction`` views, built on first read. Equality and hashing
+    are on the points and the orientation.
     """
 
     v_point: IntPoint
@@ -468,47 +467,39 @@ def _h_at(h: Hyperplane, w: Vertex) -> int:
 def _analyze_edge(edge: PathEdge, h: Hyperplane):
     """('none', side_sign) | ('point', Crossing) for the hit strictly inside.
 
-    On a moving edge the hyperplane's value at the base, h0, and its rate,
-    dh, are integer dots with the edge's integer base point and direction
-    (``EdgeDescriptor.origin`` and ``column``), over one positive unit,
-    whether ``Polytope.pivot`` or ``section_edge`` made it. The hit t* =
-    -h0 / dh is placed against 0 and ``t_max`` by cross-multiplication; a
-    bounded edge's t_max is read as its integer ``step``. A hit strictly
-    inside is kept in integers, in lowest terms: w = (origin * den + num *
-    column) / (denom * den) at t* = num / den, and v is the fixed vertex's
-    ``integer_point``, so no ``Fraction`` is built. A fixed vertex of Q'
-    gives only a side, read off its point's integers.
+    The hyperplane's value is linear in w, so it is read at the edge's two
+    ends alone, tail then head: an integer dot with each end's lifted point
+    (``Vertex.integer_point``), or the fixed w's one value at both ends of
+    an edge moving in P. A ray's open end is the point at infinity along
+    its ``column``, over denominator 0; every unbounded edge of Q' moves
+    lambda, so that end's value is never zero. Two zero values put the edge
+    in the hyperplane, one puts the hit at a vertex pair, and one strict
+    sign at both ends is the side. Values ht < 0 < hh, or ht > 0 > hh, put
+    the hit at (ht * P_h - hh * P_t) / (ht * d_h - hh * d_t) between the
+    ends P_t / d_t and P_h / d_h, kept in lowest terms with v the fixed
+    vertex's ``integer_point``, so no ``Fraction`` is built; its index is +1
+    when the value rises from tail to head.
     """
     if edge.kind == W_FIXED:
-        h0, dh = _h_at(h, edge.fixed), 0
+        ht = hh = _h_at(h, edge.fixed)
     else:
-        ed = edge.moving
-        h0, dh = h.dot(ed.origin), h.dot(ed.column)
-    if dh == 0:
-        if h0 == 0:
-            raise EdgeInHyperplane(
-                "edge lies inside the selection hyperplane (degenerate game)"
-            )
-        return ("none", 1 if h0 > 0 else -1)
-    num, den = (-h0, dh) if dh > 0 else (h0, -dh)  # t* = num / den, den > 0
-    step = edge.moving.step
-    # t* - t_max over den times the step's positive denominator; negative on a ray.
-    past = -1 if step is None else num * step[1] - step[0] * den
-    if num == 0 or past == 0:
+        (pt, dt), (ph, dh) = ((edge.moving.column, 0) if node is None else node.w.integer_point
+                              for node in (edge.tail, edge.head))
+        ht, hh = h.dot(pt), h.dot(ph)
+    if ht * hh > 0:
+        return ("none", 1 if ht > 0 else -1)
+    if ht == hh == 0:
+        raise EdgeInHyperplane("edge lies inside the selection hyperplane (degenerate game)")
+    if ht == 0 or hh == 0:
         raise DegeneratePolytope(
             "equilibrium at a vertex pair of the fully-labeled set (degenerate game)"
         )
-    if num < 0 or past > 0:
-        return ("none", 1 if h0 > 0 else -1)
-    # The hyperplane reads only w, so a hit has dh != 0: w moves and v is fixed.
-    w = in_lowest_terms([o * den + num * c for o, c in zip(ed.origin, ed.column)], ed.denom * den)
-    return ("point", Crossing(in_lowest_terms(*edge.fixed.integer_point), w,
-                              _orient_index(edge, dh)))
-
-
-def _orient_index(edge: PathEdge, dh: int) -> int:
-    rising = dh > 0 if edge.direction == FORWARD else dh < 0
-    return 1 if rising else -1
+    # Opposite signs: a W-fixed edge has one value, so w moves and v is fixed.
+    num, den = [ht * a - hh * b for a, b in zip(ph, pt)], ht * dh - hh * dt
+    if den < 0:
+        num, den = [-x for x in num], -den
+    return ("point", Crossing(in_lowest_terms(*edge.fixed.integer_point),
+                              in_lowest_terms(num, den), 1 if ht < 0 else -1))
 
 
 def crossing_records(h: Hyperplane, edge: PathEdge) -> list[Crossing]:
@@ -524,29 +515,23 @@ def crossing_records(h: Hyperplane, edge: PathEdge) -> list[Crossing]:
 def path_crossings(h: Hyperplane, edges: Iterable[PathEdge]) -> Iterator[Crossing]:
     """The hyperplane's crossings strictly inside the edges, in their order.
 
-    The hyperplane's value is taken once at each node (``_h_at`` on its
-    lifted point): an edge's head is the next edge's tail, and a W-fixed
-    edge's two nodes share its fixed w. The value is affine along an edge,
-    so where it has one strict sign at both ends the edge has no hit and
-    ``_analyze_edge`` would raise nothing; such an edge is skipped, and
-    neither its base point nor its direction is read. An edge with a zero
-    or a sign change at its ends, and a ray, goes through
+    The hyperplane's value is taken once per lifted point (``_h_at`` on a
+    node's w): an edge's head is the next edge's tail, and a W-fixed edge's
+    two nodes share its fixed w. The value is linear along an edge, so
+    where it has one strict sign at both ends the edge has no hit and
+    ``_analyze_edge`` would raise nothing; such an edge is skipped. An edge
+    with a zero or a sign change at its ends, and a ray, goes through
     ``crossing_records``, so every crossing, index and error is its.
     """
-    seen = (None, 0)  # the last node valued, and its value
+    seen = (None, 0)  # the last lifted point valued, and its value
     for edge in edges:
         ends = []
         for node in (edge.tail, edge.head):
             if node is None:
                 continue
-            if node is seen[0]:
-                value = seen[1]
-            elif ends and edge.kind == W_FIXED:
-                value = ends[0]
-            else:
-                value = _h_at(h, node.w)
-            ends.append(value)
-            seen = (node, value)
+            if node.w is not seen[0]:
+                seen = (node.w, _h_at(h, node.w))
+            ends.append(seen[1])
         if len(ends) < 2 or ends[0] * ends[1] <= 0:
             yield from crossing_records(h, edge)
 

@@ -47,7 +47,7 @@ from rankgames.linalg import (
     vector,
 )
 from rankgames.lp import EQ, LE, LinearProgram, solve_lp
-from rankgames.labeledpath import FORWARD, W_FIXED, g_at, trace_path
+from rankgames.labeledpath import V_FIXED, W_FIXED, g_at, trace_path
 from rankgames.paramlp import Crossing, Hyperplane, in_lowest_terms
 from rankgames.polytope import (
     GameFamily,
@@ -580,9 +580,20 @@ def h_linear(edge, h) -> tuple:
     return Fraction(h.dot(ed.origin), unit), Fraction(h.dot(ed.column), unit)
 
 
+def edge_runs_forward(edge) -> bool:
+    """Whether a path edge's parameter runs from its tail to its head: the
+    tail holds the base of the edge's moving side."""
+    tail = edge.tail
+    if tail is None:
+        return False
+    return (tail.w if edge.kind == V_FIXED else tail.v) is edge.moving.base
+
+
 def reference_analyze_edge(edge, h):
     """The reference for ``paramlp._analyze_edge``, in ``Fraction``s: t* =
-    -h0 / dh against 0 and the edge's ``t_max``."""
+    -h0 / dh against 0 and the edge's ``t_max``. The edge parameter runs
+    forward, from tail to head, when the tail holds the moving side's base
+    (``edge_runs_forward``)."""
     h0, dh = h_linear(edge, h)
     t_max = edge.moving.t_max
     if dh == 0:
@@ -600,7 +611,7 @@ def reference_analyze_edge(edge, h):
         )
     if not inside:
         return ("none", 1 if h0 > 0 else -1)
-    rising = dh > 0 if edge.direction == FORWARD else dh < 0
+    rising = dh > 0 if edge_runs_forward(edge) else dh < 0
     v, w = (in_lowest_terms(*integers(point)) for point in edge.point_at(t_star))
     return ("point", Crossing(v, w, 1 if rising else -1))
 

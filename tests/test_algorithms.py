@@ -474,7 +474,7 @@ def _lambda_walk(monkeypatch, family, lams):
     (num, den) kept over its own denominator: the start edge, then the
     edges that ``walk`` yields from its head, patched in."""
     import rankgames.algorithms as algorithms
-    from rankgames.labeledpath import FORWARD, V_FIXED, PathEdge, PathNode
+    from rankgames.labeledpath import V_FIXED, PathEdge, PathNode
     from rankgames.polytope import Vertex
 
     m, v = family.m, Vertex(frozenset(), frozenset())
@@ -484,7 +484,7 @@ def _lambda_walk(monkeypatch, family, lams):
         return PathNode(v, Vertex(frozenset(), frozenset(), None, (point, den)), 1, 1)
 
     nodes = [node(*lam) for lam in lams]
-    edges = [PathEdge(V_FIXED, v, None, tail, head, FORWARD) for tail, head in zip(nodes, nodes[1:])]
+    edges = [PathEdge(V_FIXED, v, None, tail, head) for tail, head in zip(nodes, nodes[1:])]
     monkeypatch.setattr(algorithms, "walk", lambda fam, first: iter(edges[1:]))
     return edges
 
@@ -522,10 +522,11 @@ def test_enumeration_reads_points_only_for_answers_and_edge_data_only_where_anal
     # 7, 5, 4, 5, 4, 7, 8 three times, the wide spans, decomposed as the CLI
     # does), enumerate_rank1 reads each node's lambda and hyperplane value off
     # its integers. It builds no vertex's Fraction coords, not even for an
-    # answer, whose fixed vertex gives its integer point, and reads an edge's
-    # integer base point and direction (EdgeDescriptor.origin and column)
-    # only where path_crossings analyzes it: a ray, or an edge whose two end
-    # values do not share one strict sign.
+    # answer, whose fixed vertex gives its integer point. It never reads an
+    # edge's integer base point (EdgeDescriptor.origin), and reads its
+    # direction (column) only on a ray that path_crossings analyzes, whose
+    # open end is a point at infinity; path_crossings analyzes a ray, or an
+    # edge whose two end values do not share one strict sign.
     import rankgames.algorithms as algorithms
     import rankgames.paramlp as paramlp
     from rankgames.algorithms import rank1_family
@@ -570,6 +571,7 @@ def test_enumeration_reads_points_only_for_answers_and_edge_data_only_where_anal
         assert built["coords"] == [] and len(hits) == (answers or 0)
         assert {id(e) for e in built["origin"] + built["column"]} <= {
             id(edge.moving) for _, edge in crossed}
+        assert all(e.unbounded for e in built["column"])
         for edge in edges:
             ends = [hyperplane_value(h, u.w.coords) for u in (edge.tail, edge.head) if u]
             analyze = len(ends) < 2 or ends[0] * ends[1] <= 0
@@ -582,7 +584,7 @@ def test_enumeration_reads_points_only_for_answers_and_edge_data_only_where_anal
     # Section edges carry their integers, so only pivots' edges read them.
     assert counts == {
         ("edge", "skipped"): 323, ("edge", "analyzed"): 32, ("ray", "analyzed"): 37,
-        "answers": 44, "failed": 0, "coords": 0, "origin": 48, "column": 48,
+        "answers": 44, "failed": 0, "coords": 0, "origin": 0, "column": 20,
     }
 
 

@@ -665,6 +665,35 @@ def test_internal_failure_is_one_line_and_exits_5(tmp_path, capsys, monkeypatch)
     assert captured.err == "error: internal failure (NotEquilibrium: forced failure)\n"
 
 
+def test_header_and_all_from_labels_read_only_plain_integers(tmp_path, capsys):
+    # The header and --all-from's labels follow the _plain_integer rule, as
+    # value tokens do: a non-ASCII digit or an underscore, which int alone
+    # accepts, exits 2 with the existing message, and a sign still reads.
+    body = "1 -1\n-1 1\n-1 1\n1 -1\n"
+    solved = []
+    for header in ("2 2", "+2 2", "2 +2"):
+        path = tmp_path / "ok.game"
+        path.write_text(f"{header}\n{body}", encoding="utf-8")
+        assert main(["solve", "--input", str(path)]) == EXIT_OK, header
+        solved.append(capsys.readouterr())
+    assert solved[0].out.startswith("x = ") and solved == solved[:1] * 3
+    for header in ("\u0662 2", "+2 0_2", "2 \u0662", "1_0 2", "\uff12 2"):
+        path = tmp_path / "bad.game"
+        path.write_text(f"{header}\n{body}", encoding="utf-8")
+        assert main(["solve", "--input", str(path)]) == EXIT_PARSE, header
+        assert capsys.readouterr() == ("", "error: header entries must be integers\n"), header
+    ex1 = write_game(tmp_path, BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA)))
+    trace = ["trace", "--input", ex1, "--beta", "9,7,8", "--all-from"]
+    assert main(trace + ["2,3,5/1,3,4,6"]) == EXIT_OK
+    cycle = capsys.readouterr()
+    assert cycle.out.startswith("trace kind=cycle")
+    assert main(trace + ["+2,3,5/1,3,4,+6"]) == EXIT_OK
+    assert capsys.readouterr() == cycle
+    for seed in ("\u0662,3,5/1,3,4,6", "2,3,5/1,3,4,\u0666", "2,3,5/1,3,4,0_6", "2, 3,5/1,3,4,6"):
+        assert main(trace + [seed]) == EXIT_PARSE, seed
+        assert capsys.readouterr() == ("", "error: --all-from wants 'v1,v2,../w1,w2,..'\n"), seed
+
+
 def test_all_from_label_out_of_range_is_parse_error(tmp_path, capsys):
     # Also every other seed that names no fully-labeled vertex pair off the
     # path: a label out of range, a basis of the wrong size, a basis that is

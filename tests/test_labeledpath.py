@@ -15,8 +15,6 @@ import rankgames.paramlp
 from rankgames.algorithms import bin_search, enumerate_general, enumerate_rank1, general_family
 from rankgames.errors import ConstantBeta, DegeneracyError, NotFullyLabeled, RankGamesError, SeedOnPath
 from rankgames.labeledpath import (
-    BACKWARD,
-    FORWARD,
     V_FIXED,
     W_FIXED,
     PathNode,
@@ -689,8 +687,7 @@ def test_an_oriented_edge_with_tail_and_head_swapped_fails_the_spy(monkeypatch):
 
     def mutant(family, kind, fixed, ed):
         edge = real(family, kind, fixed, ed)
-        flipped = BACKWARD if edge.direction == FORWARD else FORWARD
-        return replace(edge, tail=edge.head, head=edge.tail, direction=flipped)
+        return replace(edge, tail=edge.head, head=edge.tail)
 
     for delta in deltas:
         with monkeypatch.context() as patch:

@@ -55,6 +55,7 @@ from fixtures import (
     checked_integer_determinant,
     cli_rank1_draws,
     column_dots,
+    edge_runs_forward,
     edge_views,
     fraction_ineqs,
     fraction_lifted_section,
@@ -351,9 +352,12 @@ def test_integer_edge_analysis_matches_the_fraction_reference():
     # On every walked edge of both corpora, under each gamma, the crossing
     # decided by integer cross-multiplication equals the Fraction reference's:
     # the side, the crossing point and its index, or the error class and
-    # message; a hit's integer points equal the reference's point_at(t*). Every outcome occurs, and hits occur with the value rising
-    # along the edge parameter (forward, +1) and falling (forward -1 and
-    # backward +1), so t* = -h0 / dh is taken with dh of either sign.
+    # message; a hit's integer points equal the reference's point_at(t*),
+    # though _analyze_edge reads only the edge's two ends. Every outcome
+    # occurs, and hits occur with the reference's value rising along the
+    # edge parameter (forward, +1: the tail holds the base) and falling
+    # (forward -1 and backward +1), so t* = -h0 / dh is taken with dh of
+    # either sign.
     from itertools import chain
 
     from rankgames.paramlp import _analyze_edge
@@ -375,7 +379,8 @@ def test_integer_edge_analysis_matches_the_fraction_reference():
                     hit = ours[1]  # its integer points, read before its coords
                     assert (rationals(*hit.v_point), rationals(*hit.w_point)) == (
                         theirs[1].v_coords, theirs[1].w_coords)
-                    counts["point", edge.direction, hit.orient_index] += 1
+                    way = "forward" if edge_runs_forward(edge) else "backward"
+                    counts["point", way, hit.orient_index] += 1
                 else:
                     counts[ours[0]] += 1
                 assert ours == theirs
@@ -792,6 +797,64 @@ def test_section_edge_matches_edge_through_point():
         ("yardstick", "no section"): 604,
         ("constant beta", full_line): 17, ("constant beta", "no section"): 3,
     }
+
+
+def test_every_ray_of_a_path_moves_lambda(monkeypatch, tmp_path):
+    # _analyze_edge reads a ray's open end as the point at infinity along its
+    # column, and a zero value there as impossible. That rests on this fact:
+    # every unbounded edge of Q' moves lambda. x stays in the simplex, so a
+    # ray moves no x; and a ray that moved neither x nor lambda would move
+    # pi2 alone, which changes the slack of every column row, so the edge's
+    # m tight labels would all be x_i >= 0 rows, more than x in the simplex
+    # can have tight. So the open end's hyperplane value, lambda's rate
+    # times the hyperplane's scale, is never zero. Checked on both rays of
+    # each path of the section corpus's rank-1 families and every ray that a
+    # probe of those sections returns, and, through the CLI, on every ray
+    # the three bench corpora analyze: bin_search's probes, the
+    # enumerations' walks and the general games' paths.
+    import contextlib
+    import io
+
+    import rankgames.paramlp as paramlp
+    from rankgames.cli import main
+
+    from fixtures import bench_corpus_texts
+
+    counts = Counter()
+
+    def check(tag, edge):
+        if edge.tail is not None and edge.head is not None:
+            return
+        *x, lam, _ = edge.moving.column  # over (x, lambda, pi2)
+        assert edge.kind == V_FIXED and edge.moving.unbounded
+        assert lam != 0 and not any(x), tag
+        counts[tag] += 1
+
+    families = []
+    for corpus, fam, *_, delta in section_corpus():
+        if corpus == "rank-k":
+            continue
+        if fam not in families:
+            families.append(fam)
+            try:
+                path = trace_path(fam)
+            except DegeneracyError:
+                counts["path", "degenerate"] += 1
+            else:
+                check("path", path.edges[0]), check("path", path.edges[-1])
+        try:
+            check("probe", solve_lp_delta(fam, delta[0]).edge)
+        except DegeneracyError:
+            pass
+    real = paramlp._analyze_edge
+    monkeypatch.setattr(paramlp, "_analyze_edge",
+                        lambda edge, h: check("bench", edge) or real(edge, h))
+    for i, (verb, text) in enumerate(bench_corpus_texts()):
+        path = tmp_path / f"bench{i}.game"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main([verb, "--input", str(path), "--json"])
+    assert dict(counts) == {"path": 42, ("path", "degenerate"): 27, "probe": 42, "bench": 320}
 
 
 def test_g_rate_is_the_fraction_slope_on_every_probed_edge():
