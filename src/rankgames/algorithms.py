@@ -173,7 +173,7 @@ def rank1_family(d: Rank1Decomposition) -> tuple[Rank1Decomposition, GameFamily]
     """
     if all(b == d.beta[0] for b in d.beta):
         d = reduce_constant_beta(d)
-    return d, GameFamily(d.a, d.a.scale(-1), d.beta)
+    return d, GameFamily(d.a, -d.a, d.beta)
 
 
 def _better_start(family: GameFamily, delta: Rat, low: Vertex, high: Vertex) -> Vertex:

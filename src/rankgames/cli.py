@@ -44,6 +44,7 @@ from .errors import (
     RankTooHigh,
     SeedOnPath,
     StepBudgetExceeded,
+    TiedBeta,
     TooLarge,
     ZeroBeta,
 )
@@ -446,6 +447,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             command(game, args, out)
         except DegeneracyError as exc:
+            if isinstance(exc, TiedBeta):  # perturb_game keeps A + B, and so beta
+                print(f"error: degenerate instance ({exc}); the tie is in beta, "
+                      f"which every perturbation keeps", file=sys.stderr)
+                return EXIT_DEGENERATE
             if getattr(args, "perturb", None) is None:  # oracle and rank take none
                 print(
                     f"error: degenerate instance ({exc}); rerun with --perturb SEED",

@@ -37,6 +37,11 @@ class DegeneratePolytope(DegeneracyError):
     """A basic feasible point has more tight constraints than its dimension."""
 
 
+class TiedBeta(DegeneratePolytope):
+    """Beta's least or greatest entry is tied at the path's ray anchors: a
+    perturbation that keeps A + B keeps beta, so it cannot break the tie."""
+
+
 class MultipleDuplicates(DegeneracyError):
     """A vertex pair shares more than one tight inequality."""
 

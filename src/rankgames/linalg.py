@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NotSquare, Singular
@@ -184,7 +184,12 @@ class Matrix:
         return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-1)
+        """Negated integer rows over the same denominator: negation keeps
+        lowest terms, so no gcd is taken."""
+        rows, q = self._ints
+        m = object.__new__(Matrix)
+        m._store(tuple(tuple(map(neg, row)) for row in rows), q)
+        return m
 
     def scale(self, s) -> "Matrix":
         s = frac(s)

@@ -4,16 +4,17 @@ The section LP at a parameter value has one entry, ``solve_lp_k``, which
 ``solve_lp_delta`` and ``is_ne`` call at rank 1. It is a primal walk on the
 row polytope's own tableau (``Polytope.pivot``, and ``Polytope.simplex_pivot``
 by Bland's rule where every improving pivot is degenerate), from the best
-pure vertex, read off a's integer columns, or from a vertex the caller
-gives, such as an earlier probe's optimum, which carries its tableau. At
-each vertex the walk reads two kinds of row off P's integer
-tableau (``polytope.Tableau``), as lrsnash keeps its cost row: beta_l . y for
-each beta, and pi1's own z row (``section_rows``). Their entries in the
-column of a basis label are that label's edge rates, and their rhs entries
-beta_l . y and pi1 at the vertex. The objective's row, one weighted sum of
-them, gives the improving labels by its signs, and, at the optimum, the
-multipliers of the lifted point, a fully-labeled partner with combined
-objective exactly zero: its feasibility and zero gap are checked in integers,
+pure vertex, read off a's integer columns, whose tableau is written down
+from P's integer rows with no elimination (``GameFamily.pure_vertex``), or
+from a vertex the caller gives, such as an earlier probe's optimum, which
+carries its tableau. At each vertex the walk reads two kinds of row off
+P's integer tableau (``polytope.Tableau``), as lrsnash keeps its cost row:
+beta_l . y for each beta, and pi1's own z row (``section_rows``). Their
+entries in the column of a basis label are that label's edge rates, and
+their rhs entries beta_l . y and pi1 at the vertex. The objective's row, one
+weighted sum of them, gives the improving labels by its signs, and, at the
+optimum, the multipliers of the lifted point, a fully-labeled partner with
+combined objective exactly zero: its feasibility and zero gap are checked in integers,
 which leaves its slack of every label, and the point is kept as integers
 until read. The rank-k cell walk reads a vertex's cell of the box map off
 the same rows once (``cell_rows``), and the fixed point of its affine piece
@@ -297,13 +298,14 @@ def integer_objective(betas: IntBetas, delta: Vec) -> Objective:
 def _best_pure_vertex(family: GameFamily, objective: Sequence[int]) -> Vertex:
     """The pure vertex y = e_j of P of best objective, preferring columns with
     one best row; ties go to the lowest column. Column j of a is read off
-    a's integer rows over ``a.denom``, as ``GameFamily.ray_anchors`` reads it."""
-    m, n, scale, denom = family.m, family.n, -objective[-1], family.a.denom
+    a's integer rows over ``a.denom``, as ``GameFamily.ray_anchors`` reads it,
+    and the vertex, tight at the column's first best row, is written down
+    from P's integer rows (``GameFamily.pure_vertex``)."""
+    n, scale, denom = family.n, -objective[-1], family.a.denom
     cols = list(zip(*family.a.int_rows))
     starts = [j for j, col in enumerate(cols) if col.count(max(col)) == 1] or range(n)
     j = max(starts, key=lambda j: objective[j] * denom - scale * max(cols[j]))
-    i = cols[j].index(max(cols[j]))
-    return family.p.vertex_from_basis({i + 1} | {m + c + 1 for c in range(n) if c != j})
+    return family.pure_vertex(cols[j].index(max(cols[j])), j)
 
 
 def _section_walk(family: GameFamily, objective: Objective,

@@ -7,8 +7,9 @@ player 1 first, then columns of player 2); each polytope additionally has the
 single probability equality.
 
 Each polytope holds its rows as integers, each row times its own least
-positive scale (``Polytope.int_rows``, ``Polytope.scales``), built straight
-from the matrices' integer rows. Pivoting runs on a fraction-free integer
+positive scale (``Polytope.int_rows``, ``Polytope.scales``), built once,
+straight from the matrices' integer rows and the family's integer betas,
+with no ``Fraction``. Pivoting runs on a fraction-free integer
 tableau of the polytope that each vertex carries (integer pivoting as in
 lrsnash: Avis, Rosenberg, Savani & von Stengel, 2010), on ``linalg``'s one
 exact kernel. The tableau is a dictionary: it keeps only the d - 1 nonbasic
@@ -16,13 +17,16 @@ slack columns and the rhs, in label order, and as lrsnash's dictionary it
 keeps rows only for the slacks and the free coordinates (pi1 in P, lambda
 and pi2 in Q'). A sign-constrained coordinate (y_j in P, x_i in Q') equals
 its sign row's slack, and every reader of coordinates reads it off that
-slack's row through one accessor, ``Tableau.z_column``. A vertex given only by its basis gets its tableau from
-``linalg.gauss_jordan`` on the integer rows but the sign rows, with the
-columns of its sign rows (y_j >= 0, x_i >= 0) taken as already pivoted: one
-exchange for the equality and one per other basis row, 2 for a pure vertex of
-P. A pivot is one ``linalg.exchange_pivot`` of the base vertex's tableau,
-which is left as it is: each far row is built once, as a tuple, with the
-entering slack's column already in its label-order place, and the far
+slack's row through one accessor, ``Tableau.z_column``. A pure vertex of P,
+the start of a section walk and of the low ray, has its tableau written down
+from P's integer rows and scales, with no elimination
+(``GameFamily.pure_vertex``). Every other vertex given only by its basis
+gets its tableau from ``linalg.gauss_jordan`` on the integer rows but the
+sign rows, with the columns of its sign rows (y_j >= 0, x_i >= 0) taken as
+already pivoted: one exchange for the equality and one per other basis row.
+A pivot is one ``linalg.exchange_pivot`` of the base vertex's tableau, which
+is left as it is: each far row is built once, as a tuple, with the entering
+slack's column already in its label-order place, and the far
 labels are read off the new rhs. The edge direction, the ratio test
 (``linalg.least_ratios``), the far vertex and its labels are read off the
 tableaux, so the walk solves no system. The ratio test zips the slack rows'
@@ -56,6 +60,7 @@ from .errors import (
     DimensionMismatch,
     NoBetas,
     Singular,
+    TiedBeta,
     ZeroBeta,
 )
 from .games import BimatrixGame, family_game
@@ -170,8 +175,9 @@ IntPoint = tuple[Sequence[int], int]  # integers over one positive denominator
 class Vertex:
     """Basic feasible point keyed by its defining tight-row set.
 
-    ``tableau`` is the polytope's tableau at this vertex, set by ``pivot`` and
-    ``try_vertex``; when it is None ``Polytope.tableau`` builds it. The point
+    ``tableau`` is the polytope's tableau at this vertex, set by ``pivot``,
+    ``try_vertex`` and ``GameFamily.pure_vertex``; when it is None
+    ``Polytope.tableau`` builds it. The point
     is held once, as ``integer_point``: integers over one positive
     denominator. A vertex with a tableau reads it off the tableau when first
     used, the rhs of its z rows over ``denom``; one made without a tableau
@@ -538,53 +544,59 @@ class Polytope:
         return EdgeDescriptor(base, relaxed, pos_v, None, tuple(nums[d:]), tuple(nums[:d]), q, step)
 
 
-def _integer_row(nums: Sequence[int], q: int, tail: Sequence[Rat]) -> tuple[tuple[int, ...], int]:
-    """The row (nums / q, *tail) in integers, times its least positive scale,
-    and that scale; ``tail`` holds ints or Fractions."""
-    scale = lcm(q // gcd(q, *nums), *(t.denominator for t in tail))
-    return (*(x * scale // q for x in nums),
-            *(t.numerator * (scale // t.denominator) for t in tail)), scale
-
-
-def _sign_row(i: int, width: int) -> tuple[tuple[int, ...], int]:
-    """z_i >= 0 as -z_i <= 0, over ``width`` columns with the rhs."""
-    row = [0] * width
-    row[i] = -1
-    return tuple(row), 1
+def _sign_rows(count: int, width: int) -> list[tuple[int, ...]]:
+    """z_c >= 0 as -z_c <= 0 for each c < ``count``, over ``width`` columns
+    with the rhs; each row's scale is 1."""
+    rows = []
+    for c in range(count):
+        row = [0] * width
+        row[c] = -1
+        rows.append(tuple(row))
+    return rows
 
 
 def build_p(a: Matrix) -> Polytope:
     """Best-response polytope of the row player over (y, pi1), from the
-    integer rows of ``a``."""
-    m, n = a.rows, a.cols
-    rows = [((*[1] * n, 0, 1), 1)]
-    rows += [_integer_row(row, a.denom, (-1, 0)) for row in a.int_rows]
-    rows += [_sign_row(j, n + 2) for j in range(n)]
-    int_rows, scales = zip(*rows)
-    return Polytope("P", n + 1, int_rows, scales, m, n, (*range(m + 1, m + n + 1), 0))
+    integer rows of ``a``: row i is a_i . y - pi1 <= 0 times s_i = q / g, q
+    the denominator of ``a`` and g the gcd of q and the row's integers."""
+    m, n, q = a.rows, a.cols, a.denom
+    rows, scales = [(*[1] * n, 0, 1)], [1]
+    for row in a.int_rows:
+        g = gcd(q, *row)
+        rows.append((*(x // g for x in row), -(q // g), 0))
+        scales.append(q // g)
+    rows += _sign_rows(n, n + 2)
+    scales += [1] * n
+    return Polytope("P", n + 1, rows, scales, m, n, (*range(m + 1, m + n + 1), 0))
 
 
-def build_qprime(c: Matrix, betas: Sequence[Sequence[Fraction]]) -> Polytope:
+def build_qprime(c: Matrix, betas: Sequence[tuple[Sequence[int], int]]) -> Polytope:
     """Lifted column-player polytope over (x, lambda_1..lambda_k, pi2), one
     lambda per beta; column j's row is c_j . x + sum_l beta_l[j] lambda_l <= pi2,
-    built from the integer rows of ``c``."""
-    betas = tuple(vector(b) for b in betas)
+    built from the integer rows of ``c`` and each beta as integers b over q
+    (``linalg.integers``, as ``GameFamily.int_betas`` holds them). The row's
+    scale s is the least common denominator of c_j and of each b[j] / q: with
+    g the gcd of c's denominator d and c_j's integers, s is a multiple of d /
+    g, so c_j's integers x become x / g times s / (d / g)."""
     if not betas:
         raise NoBetas("the lifted polytope needs at least one beta")
-    if any(all(b == 0 for b in beta) for beta in betas):
+    if any(not any(b) for b, _ in betas):
         raise ZeroBeta("beta must be nonzero")
-    m, n, k = c.rows, c.cols, len(betas)
-    if any(len(beta) != n for beta in betas):
+    m, n, k, q = c.rows, c.cols, len(betas), c.denom
+    if any(len(b) != n for b, _ in betas):
         raise DimensionMismatch("beta length differs from column count")
     # One nonzero beta has rank 1: only k >= 2 betas take a rank.
-    if k > 1 and matrix_rank(Matrix(betas)) != k:
+    if k > 1 and matrix_rank(Matrix([b for b, _ in betas])) != k:
         raise DependentBetas("beta vectors are linearly dependent")
-    rows = [((*[1] * m, *[0] * (k + 1), 1), 1)]
-    rows += [_sign_row(i, m + k + 2) for i in range(m)]
-    rows += [_integer_row(col, c.denom, (*(beta[j] for beta in betas), -1, 0))
-             for j, col in enumerate(zip(*c.int_rows))]
-    int_rows, scales = zip(*rows)
-    return Polytope("Qprime", m + k + 1, int_rows, scales, m, n,
+    rows, scales = [(*[1] * m, *[0] * (k + 1), 1), *_sign_rows(m, m + k + 2)], [1] * (m + 1)
+    for j, col in enumerate(zip(*c.int_rows)):
+        bs = [(b[j], qb) for b, qb in betas]
+        g = gcd(q, *col)
+        s = lcm(q // g, *(qb // gcd(qb, x) for x, qb in bs))
+        f = s * g // q
+        rows.append((*(x // g * f for x in col), *(x * s // qb for x, qb in bs), -s, 0))
+        scales.append(s)
+    return Polytope("Qprime", m + k + 1, rows, scales, m, n,
                     (*range(1, m + 1), *[0] * (k + 1)))
 
 
@@ -614,11 +626,9 @@ class GameFamily:
         self.m, self.n = a.rows, a.cols
         self.int_betas = tuple(integers(b) for b in self.betas)
         self.p = build_p(a)
-        self.qp = build_qprime(c, self.betas)
+        self.qp = build_qprime(c, self.int_betas)
         # Both integer forms are over their least common denominators.
-        self.minus_a = c.denom == a.denom and all(
-            x == -y for c_row, a_row in zip(c.int_rows, a.int_rows)
-            for x, y in zip(c_row, a_row))
+        self.minus_a = c == -a
 
     @property
     def beta(self) -> Vec:
@@ -646,11 +656,17 @@ class GameFamily:
     def ray_anchors(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """(i, j) of the low ray and of the high ray, found once for both:
         column j has the least beta on the low ray (lambda -> -inf) and the
-        greatest on the high ray, and row i is its best; each is unique."""
+        greatest on the high ray, and row i is its best; each is unique. A
+        tie in beta raises ``TiedBeta``: it is the family's, which a
+        perturbation of the game that keeps A + B keeps too. A tied best row
+        raises a plain ``DegeneratePolytope``."""
         beta, _ = self.int_beta
         if all(b == beta[0] for b in beta):
             raise ConstantBeta("beta is constant; no distinct path endpoints")
-        cols = [_unique_arg_extreme(beta, want_max) for want_max in (False, True)]
+        try:
+            cols = [_unique_arg_extreme(beta, want_max) for want_max in (False, True)]
+        except DegeneratePolytope as exc:
+            raise TiedBeta(str(exc)) from None
         rows = [_unique_arg_extreme([row[j] for row in self.a.int_rows], True) for j in cols]
         return tuple(zip(rows, cols))
 
@@ -679,11 +695,58 @@ class GameFamily:
 
     def ray(self, high: bool) -> tuple[Vertex, EdgeDescriptor]:
         """Pure vertex of P and unbounded edge of Q' on one ray of the path,
-        built from ``ray_bases``: both vertices carry their tableaux, and the
-        edge is the one ``Polytope.pivot`` makes at the lambda bound."""
-        v_basis, w_basis, relax = self.ray_bases(high)
+        built from ``ray_bases``: both vertices carry their tableaux, P's
+        written down at the ray's anchor (``pure_vertex``), and the edge is
+        the one ``Polytope.pivot`` makes at the lambda bound."""
+        _, w_basis, relax = self.ray_bases(high)
         w = self.qp.vertex_from_basis(w_basis)
-        return self.p.vertex_from_basis(v_basis), self.qp.pivot(w, relax)
+        return self.pure_vertex(*self.ray_anchors[high]), self.qp.pivot(w, relax)
+
+    def pure_vertex(self, i: int, j: int) -> Vertex:
+        """P's vertex y = e_j with row i tight, whose basis is row i and every
+        sign row but y_j's, with its tableau written down from P's integer
+        rows, as lrsnash reads a dictionary straight off them: no elimination.
+
+        Here a_kc are the integers of P's row of a_k, a's row k times the
+        row's scale s_k, so the row is sum_c a_kc y_c - s_k pi1 <= 0, and
+        they are a's entries when every scale is 1. The denominator is s_i, the
+        |det| of the basis rows; the columns are row i's slack, then y_c for
+        each c != j, then the rhs; the rows are pi1's, each other row k's
+        slack, then y_j's:
+
+            pi1:  -1,    a_ij - a_ic,                                 a_ij
+            k:    -s_k,  s_i (a_kc - a_kj) - s_k (a_ic - a_ij),       s_k a_ij - s_i a_kj
+            y_j:  0,     s_i,                                         s_i
+
+        Row k's rhs is s_i s_k times its true slack, the amount by which a_i
+        beats a_k in column j, so the vertex is feasible when row i is a best
+        row of column j, and it raises ``DegeneratePolytope`` as
+        ``Polytope.vertex_from_basis`` does otherwise. Its labels are the
+        basis and every other best row. It is the vertex that
+        ``Polytope.vertex_from_basis`` builds for that basis, tableau and
+        all, which the tests hold it to.
+        """
+        m, n, p = self.m, self.n, self.p
+        others = [c for c in range(n) if c != j]
+        basis = frozenset({i + 1, *(m + c + 1 for c in others)})
+        r_i, s_i = p.int_rows[i + 1], p.scales[i + 1]
+        top = r_i[j]
+        gains = [r_i[c] - top for c in others]
+        rows, ks = [(-1, *(-g for g in gains), top)], [k for k in range(m) if k != i]
+        for k in ks:
+            r_k, s_k = p.int_rows[k + 1], p.scales[k + 1]
+            low = r_k[j]
+            rhs = s_k * top - s_i * low
+            if rhs < 0:
+                raise DegeneratePolytope(f"basis {sorted(basis)} is not a feasible vertex")
+            rows.append((-s_k, *(s_i * (r_k[c] - low) - s_k * g for c, g in zip(others, gains)),
+                         rhs))
+        rows.append((0, *[s_i] * len(others), s_i))
+        d = n + 1
+        tab = Tableau(tuple(rows), s_i, (n, *(d + k for k in ks), d + m + j),
+                      (i + 1, *(m + c + 1 for c in others)),
+                      (*(m if c == j else -(m + c + 1) for c in range(n)), 0))
+        return Vertex(basis, basis | {k + 1 for k, row in zip(ks, rows[1:]) if not row[-1]}, tab)
 
     def lambda_of(self, w: Vertex) -> Rat:
         return w.coords[self.m]

@@ -193,15 +193,19 @@ def test_bin_search_within_its_bound_at_12x12_and_16x16():
 
 
 def test_bin_search_builds_one_start_tableau_per_game(monkeypatch):
-    # Only the low probe starts cold, at a pure vertex whose tableau it
-    # builds; every later probe starts at an earlier probe's optimum, which
-    # carries its tableau.
-    from rankgames.polytope import Polytope
+    # Only the low probe starts cold, at a pure vertex whose tableau is
+    # written down from P's integer rows (GameFamily.pure_vertex), with no
+    # elimination; every later probe starts at an earlier probe's optimum,
+    # which carries its tableau. So no tableau is built from a basis.
+    from rankgames.polytope import GameFamily, Polytope
 
-    builds = []
-    real = Polytope._basis_tableau
+    builds, starts = [], []
+    real, real_pure = Polytope._basis_tableau, GameFamily.pure_vertex
     monkeypatch.setattr(
         Polytope, "_basis_tableau", lambda self, basis: builds.append(basis) or real(self, basis)
+    )
+    monkeypatch.setattr(
+        GameFamily, "pure_vertex", lambda self, i, j: starts.append((i, j)) or real_pure(self, i, j)
     )
     rng = random.Random(11)
     games = [R1A, R1B, R1C] + [
@@ -211,8 +215,9 @@ def test_bin_search_builds_one_start_tableau_per_game(monkeypatch):
     probes = 0
     for d in games:
         builds.clear()
+        starts.clear()
         probes += bin_search(d).iterations
-        assert len(builds) == 1
+        assert (len(starts), builds) == (1, [])
     assert probes > 0
 
 

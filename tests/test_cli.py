@@ -479,7 +479,8 @@ def test_exits_that_no_other_test_reaches_pin_their_message_and_code(tmp_path, c
     # Two header errors, a --all-from seed with no '/', fixedpoint on a
     # zero-sum game (k = 0), and a tie between beta's greatest entries at
     # the ray anchors, beta = (1, 4, 4): --perturb keeps A + B, and with it
-    # beta, so the retry meets the same tie.
+    # beta, so the tie is neither met with a suggestion of --perturb nor
+    # retried on one.
     header, zero = tmp_path / "header.game", tmp_path / "zero.game"
     header.write_text("2 x\n")
     zero.write_text("0 2\n")
@@ -498,9 +499,11 @@ def test_exits_that_no_other_test_reaches_pin_their_message_and_code(tmp_path, c
         (["fixedpoint", "--input", pennies, "--search"], EXIT_PARSE,
          "error: zero-sum game: the fixed-point box is empty (k = 0)\n"),
         (["trace", "--input", tied, "--perturb", "1"], EXIT_DEGENERATE,
-         f"notice: degenerate instance ({tie}); retrying on a perturbed game (seed=1) -- "
-         f"output belongs to the perturbed game\n"
-         f"error: still degenerate after perturbation ({tie})\n"),
+         f"error: degenerate instance ({tie}); the tie is in beta, which every "
+         f"perturbation keeps\n"),
+        (["trace", "--input", tied], EXIT_DEGENERATE,
+         f"error: degenerate instance ({tie}); the tie is in beta, which every "
+         f"perturbation keeps\n"),
     ]
     for argv, code, err in cases:
         assert main(argv) == code, argv

@@ -13,7 +13,14 @@ import rankgames.lp
 import rankgames.paramlp
 
 from rankgames.algorithms import bin_search, enumerate_general, enumerate_rank1, general_family
-from rankgames.errors import ConstantBeta, DegeneracyError, NotFullyLabeled, RankGamesError, SeedOnPath
+from rankgames.errors import (
+    ConstantBeta,
+    DegeneracyError,
+    NotFullyLabeled,
+    RankGamesError,
+    SeedOnPath,
+    TiedBeta,
+)
 from rankgames.labeledpath import (
     V_FIXED,
     W_FIXED,
@@ -802,8 +809,10 @@ def test_ray_degeneracy_messages_come_in_check_order(monkeypatch):
     # On small-entry families that tie often, trace_path raises the first ray
     # degeneracy of the reference, with its class and message: a tied high
     # extreme is reported before a tied low bound, and the low bound before
-    # the high one. Families without one build both rays, off anchors found
-    # once a family (four unique-extreme checks) that equal the reference's.
+    # the high one. A tie in beta is a TiedBeta, which the CLI does not
+    # retry on a perturbed game; a tied best row or bound is not. Families
+    # without one build both rays, off anchors found once a family (four
+    # unique-extreme checks) that equal the reference's.
     import rankgames.polytope as polytope
 
     real_extreme, extremes = polytope._unique_arg_extreme, []
@@ -835,6 +844,7 @@ def test_ray_degeneracy_messages_come_in_check_order(monkeypatch):
         with pytest.raises(ConstantBeta if kind == "constant beta" else DegeneracyError) as exc:
             trace_path(fam)
         assert str(exc.value) == message
+        assert isinstance(exc.value, TiedBeta) == (kind in ("least beta", "greatest beta"))
     for pair in [("least beta", "greatest beta"), ("low best row", "high best row"),
                  ("greatest beta", "low bound"), ("high best row", "low bound"),
                  ("low bound", "high bound")]:

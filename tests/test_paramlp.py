@@ -63,6 +63,7 @@ from fixtures import (
     full_basis_tableau,
     h_linear,
     hyperplane_value,
+    nonbasic_columns,
     polytope_lp,
     random_rank1,
     random_rank_k,
@@ -1560,7 +1561,10 @@ def test_every_kernel_division_is_exact(monkeypatch):
     # large draws and the yardstick, as generated and as the CLI decomposes
     # them. Each pivot call must give the kernel's rows and denominator,
     # share the rows the kernel shares and leave its input as it was; each
-    # determinant call must give the kernel's value.
+    # determinant call must give the kernel's value. A pure vertex of P is
+    # written down with no exchange (GameFamily.pure_vertex): its tableau
+    # must equal the full-width reference's, whose elimination runs on the
+    # checked kernel too and is counted apart.
     import sys
 
     import rankgames.linalg as linalg
@@ -1584,18 +1588,33 @@ def test_every_kernel_division_is_exact(monkeypatch):
         calls["integer_determinant"] += 1
         return want
 
+    real_pure = GameFamily.pure_vertex
+
+    def pure_spy(family, i, j):
+        v = real_pure(family, i, j)
+        package = calls["exchange_pivot"]
+        assert v.tableau == nonbasic_columns(family.p, full_basis_tableau(family.p, v.basis))
+        calls["reference_exchange_pivot"] += calls["exchange_pivot"] - package
+        calls["exchange_pivot"] = package
+        calls["pure_vertex"] += 1
+        return v
+
     spies = {"exchange_pivot": pivot_spy, "integer_determinant": determinant_spy}
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "rankgames":
             for attr, spy in spies.items():
                 if vars(module).get(attr) is real[attr]:
                     monkeypatch.setattr(module, attr, spy)
+    monkeypatch.setattr(GameFamily, "pure_vertex", pure_spy)
     _run_kernel_corpora()
     # Every build exchange and every path step calls the kernel, so a pivot
     # or a build that went round it would make the first count fall. A
     # zero payoff row is no sign row, so its builds exchange it too. Walks
     # take no node-sign determinant, so the second count is index_of's.
-    assert calls == {"exchange_pivot": 10765, "integer_determinant": 258}
+    # Every section walk without a warm start, and every low ray, starts at
+    # a written-down pure vertex, whose reference takes d exchanges.
+    assert calls == {"exchange_pivot": 8833, "integer_determinant": 258, "pure_vertex": 966,
+                     "reference_exchange_pivot": 4953}
 
 
 def test_every_tableau_denominator_is_within_the_hadamard_bound(monkeypatch):
@@ -1603,9 +1622,9 @@ def test_every_tableau_denominator_is_within_the_hadamard_bound(monkeypatch):
     # d of the polytope's integer rows. So Hadamard's inequality bounds its
     # square by the product of the d largest squared norms of those rows
     # over the z columns, the polynomial size of a vertex that the paper's
-    # bound rests on. Every tableau that a build or a pivot makes is
-    # compared with it in integers, over the corpora of the exact-division
-    # test.
+    # bound rests on. Every tableau that a build, a written-down pure vertex
+    # of P or a pivot makes is compared with it in integers, over the
+    # corpora of the exact-division test.
     bounds, bits = {}, []
 
     def check(poly, tab):
@@ -1627,6 +1646,14 @@ def test_every_tableau_denominator_is_within_the_hadamard_bound(monkeypatch):
         return vertex
 
     monkeypatch.setattr(Polytope, "_pivot_to", pivot_to)
+    real_pure = GameFamily.pure_vertex
+
+    def pure_vertex(self, i, j):
+        vertex = real_pure(self, i, j)
+        check(self.p, vertex.tableau)
+        return vertex
+
+    monkeypatch.setattr(GameFamily, "pure_vertex", pure_vertex)
     _run_kernel_corpora()
     # 4,489 tableaux; the largest denominator has 148 bits.
     assert len(bits) > 2000 and max(bits) > 100

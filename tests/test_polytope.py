@@ -17,7 +17,15 @@ from rankgames.errors import (
     TooLarge,
     ZeroBeta,
 )
-from rankgames.linalg import Matrix, least_ratios, solve_linear_system, vadd, vdot, vscale
+from rankgames.linalg import (
+    Matrix,
+    integers,
+    least_ratios,
+    solve_linear_system,
+    vadd,
+    vdot,
+    vscale,
+)
 from rankgames.paramlp import solve_lp_k
 from rankgames.polytope import (
     EdgeDescriptor,
@@ -80,7 +88,7 @@ def test_build_p_enumerated_vertices_are_feasible():
 def test_build_qprime_single_strategy_ray():
     # With one row the lifted polytope has no vertex; the boundary line
     # pi2 = c + beta*lambda carries the single column label.
-    q = build_qprime(Matrix([[-7]]), [(2,)])
+    q = build_qprime(Matrix([[-7]]), [((2,), 1)])
     assert enumerate_vertices(q) == []
     for lam in (Fraction(-3), Fraction(0), Fraction(5)):
         point = (Fraction(1), lam, -7 + 2 * lam)
@@ -90,7 +98,7 @@ def test_build_qprime_single_strategy_ray():
 
 def test_build_qprime_rejects_zero_beta():
     with pytest.raises(ZeroBeta):
-        build_qprime(Matrix([[1, 2]]), [(0, 0)])
+        build_qprime(Matrix([[1, 2]]), [((0, 0), 1)])
 
 
 def test_build_qprime_start_vertex_exists():
@@ -254,7 +262,7 @@ def _pivot_corpus():
         polys += [fam.p, fam.qp]
     for k, size in ((2, 3), (2, 4), (3, 4)):
         a, betas, _ = random_rank_k(rng, k, size, size)
-        polys.append(build_qprime(a.scale(-1), betas))
+        polys.append(build_qprime(a.scale(-1), [integers(b) for b in betas]))
     return polys
 
 
@@ -305,16 +313,17 @@ def test_tableau_pivot_matches_fraction_reference_on_every_edge():
 
 
 def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
-    # Every tableau that a build or a pivot makes equals the full-width
-    # reference's nonbasic columns and rhs, row for row, on every row but
-    # the z rows of the sign-constrained coordinates, with the same basic
-    # variables and denominator; the reference pivots its own full-width
-    # tableau alongside. Builds come from every vertex of the pivot corpus,
-    # pivots from every edge of each vertex and of its far end (Bland's rule
-    # takes the degenerate ones too), and both from every section walk. The
-    # corpus adds P of a game with a zero row of A (-pi1 <= 0) and Q' of a
-    # family with a zero lifted column row (-pi2 <= 0): neither is a
-    # coordinate's sign row.
+    # Every tableau that a build, a written-down pure vertex of P or a pivot
+    # makes equals the full-width reference's nonbasic columns and rhs, row
+    # for row, on every row but the z rows of the sign-constrained
+    # coordinates, with the same basic variables and denominator; the
+    # reference pivots its own full-width tableau alongside. Builds come from
+    # every vertex of the pivot corpus, pivots from every edge of each vertex
+    # and of its far end (Bland's rule takes the degenerate ones too), and
+    # pure vertices and pivots from every section walk, which starts at a
+    # written-down pure vertex. The corpus adds P of a game with a zero row
+    # of A (-pi1 <= 0) and Q' of a family with a zero lifted column row
+    # (-pi2 <= 0): neither is a coordinate's sign row.
     from test_paramlp import section_corpus
 
     zero_row = GameFamily(Matrix([[0, 0, 0], [1, 3, 2], [2, 1, 4]]),
@@ -324,7 +333,7 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
 
     reference = {}  # id of a narrow tableau -> (that tableau, its full-width reference)
     counts = Counter()
-    build, pivot_to = Polytope._basis_tableau, Polytope._pivot_to
+    build, pivot_to, pure = Polytope._basis_tableau, Polytope._pivot_to, GameFamily.pure_vertex
 
     def checked_build(self, basis):
         try:
@@ -341,6 +350,14 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
         counts["build"] += 1
         return tab
 
+    def checked_pure(self, i, j):
+        v = pure(self, i, j)
+        full = full_basis_tableau(self.p, v.basis)
+        assert v.tableau == nonbasic_columns(self.p, full)
+        reference[id(v.tableau)] = v.tableau, full
+        counts["pure"] += 1
+        return v
+
     def checked_pivot(self, vertex, tab, relax, hit):
         far = pivot_to(self, vertex, tab, relax, hit)
         full = full_pivot(self, reference[id(tab)][1], relax, hit)
@@ -351,6 +368,7 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
 
     monkeypatch.setattr(Polytope, "_basis_tableau", checked_build)
     monkeypatch.setattr(Polytope, "_pivot_to", checked_pivot)
+    monkeypatch.setattr(GameFamily, "pure_vertex", checked_pure)
     for poly in (*_pivot_corpus(), zero_row.p, zero_row.qp):
         for v in enumerate_vertices(poly):
             for relax in sorted(v.basis):
@@ -362,7 +380,50 @@ def test_narrow_tableaux_equal_the_full_width_reference(monkeypatch):
             solve_lp_k(fam, delta)
         except RankGamesError:
             counts["rejected"] += 1
-    assert counts == {"build": 882, "singular": 152, "pivot": 2637, "rejected": 29}
+    assert counts == {"build": 674, "pure": 208, "singular": 152, "pivot": 2637, "rejected": 29}
+
+
+def test_a_written_down_pure_vertex_is_the_one_a_basis_builds():
+    # GameFamily.pure_vertex writes P's vertex y = e_j with row i tight down
+    # from the integer rows and scales. For every column j and each best row
+    # i, ties included, it equals the vertex that vertex_from_basis builds
+    # by elimination: basis, labels (every other best row's zero slack),
+    # tableau and integer point. A row that is not best is infeasible for
+    # both, with one message. The games are the three bench corpora, the
+    # 200 small-entry yardstick rank-1 games, and those times -3/4, whose
+    # rows of P have scales 1, 2 and 4.
+    from rankgames.cli import parse_game_file
+
+    from fixtures import bench_corpus_texts
+
+    rng = random.Random(77)
+    yardstick = [random_rank1(rng, s, s, span=2, gamma_span=1, beta_span=3).a
+                 for s in (3, 4, 5) * 66 + (3, 4)]
+    matrices = [parse_game_file(text).a for _, text in bench_corpus_texts()]
+    matrices += yardstick + [a.scale(Fraction(-3, 4)) for a in yardstick]
+    counts, scales = Counter(), set()
+    for a in matrices:
+        m, n = a.rows, a.cols
+        fam = GameFamily(a, -a, tuple(range(1, n + 1)))  # P is a's alone
+        scales.update(fam.p.scales)
+        for j in range(n):
+            col = [row[j] for row in a.int_rows]
+            for i in range(m):
+                basis = {i + 1} | {m + c + 1 for c in range(n) if c != j}
+                if col[i] < max(col):
+                    with pytest.raises(DegeneratePolytope) as want:
+                        fam.p.vertex_from_basis(basis)
+                    with pytest.raises(DegeneratePolytope) as got:
+                        fam.pure_vertex(i, j)
+                    assert str(got.value) == str(want.value)
+                    counts["infeasible"] += 1
+                    continue
+                got, want = fam.pure_vertex(i, j), fam.p.vertex_from_basis(basis)
+                assert (got.basis, got.labels, got.tableau, got.integer_point) == (
+                    want.basis, want.labels, want.tableau, want.integer_point)
+                counts["tied" if col.count(col[i]) > 1 else "unique"] += 1
+    assert scales == {1, 2, 4}
+    assert counts == {"unique": 2138, "tied": 1370, "infeasible": 10021}
 
 
 def _copy_exchange_move_pivot_to(poly, vertex, tab, relax, hit):
@@ -624,7 +685,7 @@ def test_polytope_rows_equal_the_fraction_rows_made_integer():
         if rng.random() < 0.5 and n > 2:
             betas.append(tuple(Fraction(rng.randint(-6, 6)) for _ in range(n)))
         try:
-            qp = build_qprime(c, betas)
+            qp = build_qprime(c, [integers(b) for b in betas])
         except DependentBetas:
             continue
         p = build_p(a)
@@ -760,13 +821,13 @@ def test_lambda_bounds_sign_convention_by_lp_probe():
 
 def test_build_qprime_rejects_dependent_betas():
     with pytest.raises(DependentBetas):
-        build_qprime(EX1_A.scale(-1), [(1, 2, 3), (2, 4, 6)])
+        build_qprime(EX1_A.scale(-1), [((1, 2, 3), 1), ((2, 4, 6), 1)])
 
 
 def test_build_qprime_wedge_vertices_match_enumeration():
     # k = 2, m = 1: three-dimensional wedge over (x1, l1, l2, pi2).
     a = Matrix([[1, 0, 2]])
-    qk = build_qprime(a.scale(-1), [(1, 0, 1), (0, 1, 2)])
+    qk = build_qprime(a.scale(-1), [((1, 0, 1), 1), ((0, 1, 2), 1)])
     vertices = enumerate_vertices(qk)
     for v in vertices:
         assert feasible(qk, v.coords)
