@@ -218,8 +218,10 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
     from the vertex-denominator bound of the integerized copy (a c^2, gamma
     c, beta c), read off the integers of a, gamma and beta
     (``iteration_bound``): that copy maps each section onto a scaled one, so
-    it has the same optima and crossings. Each midpoint probe starts at the
-    optimum of the bracket end with the larger section objective there.
+    it has the same optima and crossings. Both bracket-end probes, at min
+    gamma and max gamma, start at the best pure vertex; each midpoint probe
+    starts at the optimum of the bracket end with the larger section
+    objective there.
     Constant beta is reduced away first; with constant gamma the bound is 0
     and the low probe must find the equilibrium.
     """
@@ -245,7 +247,7 @@ def bin_search(d: Rank1Decomposition) -> BinSearchReport:
         return report_for(low.crossing, 0, bound_k, ())
     if low.kind != "below":
         raise RankGamesError("low probe is not on the low side of the hyperplane")
-    high = is_ne(family, h, g_max, low.optimum)
+    high = is_ne(family, h, g_max)
     if high.kind == "found":
         return report_for(high.crossing, 0, bound_k, ())
     if high.kind != "above":

@@ -15,7 +15,7 @@ from math import ceil, comb, factorial, lcm
 from operator import mul
 from typing import NamedTuple
 
-from rankgames.algorithms import RegionGraph, _ceil_log2, rank1_family
+from rankgames.algorithms import RegionGraph, rank1_family
 from rankgames.errors import (
     DegeneracyError,
     DegeneratePolytope,
@@ -807,6 +807,15 @@ def integer_scale(d: Rank1Decomposition) -> int:
     return lcm(d.a.denom, *(x.denominator for x in d.gamma), *(x.denominator for x in d.beta))
 
 
+def reference_ceil_log2(n: int) -> int:
+    """The least k >= 0 with 2^k >= n, by doubling: the reference for
+    ``algorithms._ceil_log2``, which reads it off a bit length."""
+    k = 0
+    while 1 << k < n:
+        k += 1
+    return k
+
+
 def reference_bound_k(d: Rank1Decomposition) -> int:
     """``bin_search``'s bound_k in ``Fraction`` arithmetic: the reference for
     ``algorithms.iteration_bound``. c is read off d, and the entries off the
@@ -817,7 +826,7 @@ def reference_bound_k(d: Rank1Decomposition) -> int:
     gamma = run.gamma
     b_max = max(run.a.max_abs() * c * c, max(map(abs, run.beta)) * c, max(map(abs, gamma)) * c)
     delta_bound = factorial(run.a.rows + 2) * int(b_max) ** (run.a.rows + 2)
-    return _ceil_log2(delta_bound * delta_bound * int((max(gamma) - min(gamma)) * c))
+    return reference_ceil_log2(delta_bound * delta_bound * int((max(gamma) - min(gamma)) * c))
 
 
 def integerize(d: Rank1Decomposition) -> tuple[Rank1Decomposition, Fraction]:

@@ -71,6 +71,7 @@ from fixtures import (
     random_rank_k,
     ray_anchors,
     reference_bound_k,
+    reference_ceil_log2,
     reference_homeo_inverse,
     watch_solve_lp,
     zero_sum_solve,
@@ -193,32 +194,43 @@ def test_bin_search_within_its_bound_at_12x12_and_16x16():
 
 
 def test_bin_search_builds_one_start_tableau_per_game(monkeypatch):
-    # Only the low probe starts cold, at a pure vertex whose tableau is
+    # The bracket-end probes start cold, at a pure vertex whose tableau is
     # written down from P's integer rows (GameFamily.pure_vertex), with no
-    # elimination; every later probe starts at an earlier probe's optimum,
-    # which carries its tableau. So no tableau is built from a basis.
+    # elimination: one such start when the low probe answers, two when the
+    # high probe runs too. Every midpoint probe starts at a bracket end's
+    # optimum, which carries its tableau. So no tableau is built from a basis.
+    import rankgames.algorithms as algorithms
     from rankgames.polytope import GameFamily, Polytope
 
-    builds, starts = [], []
-    real, real_pure = Polytope._basis_tableau, GameFamily.pure_vertex
+    builds, starts, cold = [], [], []
+    real, real_pure, real_is_ne = Polytope._basis_tableau, GameFamily.pure_vertex, algorithms.is_ne
     monkeypatch.setattr(
         Polytope, "_basis_tableau", lambda self, basis: builds.append(basis) or real(self, basis)
     )
     monkeypatch.setattr(
         GameFamily, "pure_vertex", lambda self, i, j: starts.append((i, j)) or real_pure(self, i, j)
     )
+    monkeypatch.setattr(
+        algorithms, "is_ne",
+        lambda family, h, delta, start=None: cold.append(start is None)
+        or real_is_ne(family, h, delta, start),
+    )
     rng = random.Random(11)
     games = [R1A, R1B, R1C] + [
         random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50)
         for size in (12, 12, 12, 16, 16, 16)
     ]
-    probes = 0
+    probes = high_probes = 0
     for d in games:
         builds.clear()
         starts.clear()
+        cold.clear()
         probes += bin_search(d).iterations
-        assert (len(starts), builds) == (1, [])
-    assert probes > 0
+        ends = min(len(cold), 2)
+        assert cold == [True] * ends + [False] * (len(cold) - ends)
+        assert (len(starts), builds) == (ends, [])
+        high_probes += ends == 2
+    assert probes > 0 and high_probes > 0
 
 
 def _bin_search_outcome(d):
@@ -233,12 +245,23 @@ def _integerized_bound_k(d) -> int:
     """bound_k as read off the integerized copy (a c^2, gamma c, beta c)."""
     from math import factorial
 
-    from rankgames.algorithms import _ceil_log2, rank1_family
-
     di, _ = rank1_family(integerize(d)[0])
     b_max = max(di.a.max_abs(), max(map(abs, di.beta)), max(map(abs, di.gamma)))
     delta_bound = factorial(di.a.rows + 2) * int(b_max) ** (di.a.rows + 2)
-    return _ceil_log2(delta_bound * delta_bound * int(max(di.gamma) - min(di.gamma)))
+    return reference_ceil_log2(delta_bound * delta_bound * int(max(di.gamma) - min(di.gamma)))
+
+
+def test_ceil_log2_at_powers_of_two_and_their_neighbours():
+    # bound_k is ceil(log2) of an integer, and its argument can be an exact
+    # power of two, where a plain bit length is one too many. _ceil_log2 and
+    # the doubling reference agree at 0 to 5 and at 2^k - 1, 2^k and 2^k + 1
+    # for every k from 2 to 200.
+    from rankgames.algorithms import _ceil_log2
+
+    for log2 in (_ceil_log2, reference_ceil_log2):
+        assert [log2(n) for n in range(6)] == [0, 0, 1, 2, 2, 3]
+        for k in range(2, 201):
+            assert [log2(n) for n in (2**k - 1, 2**k, 2**k + 1)] == [k, k, k + 1]
 
 
 def test_iteration_bound_equals_the_fraction_formula():
@@ -311,12 +334,15 @@ def test_bin_search_probes_the_input_family_and_builds_no_integerized_copy(monke
 
 
 def test_bin_search_better_end_starts_change_no_report(monkeypatch):
-    # The reference starts every probe after the low one at the previous
-    # probe's optimum. bin_search starts each midpoint probe at the bracket
-    # end with the larger section objective instead. The reports, or the
-    # errors, are equal on the yardstick, the wide draws and the large draws,
-    # as the CLI decomposes them; the starts differ on some probes, and the
-    # section walks take fewer pivots in all.
+    # The reference starts the high probe at the low probe's optimum and
+    # every midpoint probe at the previous probe's optimum. bin_search starts
+    # the high probe at the best pure vertex, as the low one, and each
+    # midpoint probe at the bracket end with the larger section objective.
+    # The reports, or the errors, are equal on the yardstick, the wide draws
+    # and the large draws, as the CLI decomposes them, but for yardstick
+    # draws 20 and 199: each is degenerate from both starts, and the walk
+    # meets a different degeneracy. The starts differ on some probes, and
+    # the section walks take fewer pivots in all.
     import rankgames.algorithms as algorithms
     from rankgames.polytope import Polytope
 
@@ -324,10 +350,10 @@ def test_bin_search_better_end_starts_change_no_report(monkeypatch):
     previous, moved, pivots = [], [0], [0]
 
     def previous_optimum_is_ne(family, h, delta, start=None):
-        if start is None:
-            previous.clear()
-        else:
-            moved[0] += start is not previous[-1]
+        if previous:
+            # After both bracket ends, count the midpoints whose start
+            # bin_search chose apart from the previous probe's optimum.
+            moved[0] += len(previous) > 1 and start is not previous[-1]
             start = previous[-1]
         out = real_is_ne(family, h, delta, start)
         previous.append(out.optimum)
@@ -337,13 +363,23 @@ def test_bin_search_better_end_starts_change_no_report(monkeypatch):
         pivots[0] += 1
         return real_pivot(self, v, relax)
 
+    def reference_outcome(d):
+        previous.clear()
+        return _bin_search_outcome(d)
+
     monkeypatch.setattr(Polytope, "pivot", counted_pivot)
     draws = cli_rank1_draws("yardstick", "wide", "large")
     ours = [_bin_search_outcome(d) for _, d in draws]
     our_pivots, pivots[0] = pivots[0], 0
     monkeypatch.setattr(algorithms, "is_ne", previous_optimum_is_ne)
-    reference = [_bin_search_outcome(d) for _, d in draws]
-    assert ours == reference
+    reference = [reference_outcome(d) for _, d in draws]
+    assert [k for k, (a, b) in enumerate(zip(ours, reference)) if a != b] == [20, 199]
+    assert [(ours[k], reference[k]) for k in (20, 199)] == [
+        (("DegeneratePolytope", "ratio tie between rows [3, 6, 9] leaving [4, 5, 7, 8, 10]"),
+         ("DegeneratePolytope", "section optimum has 7 tight rows in P")),
+        (("DegeneratePolytope", "ratio tie between rows [1, 2, 4] leaving [3, 5, 6, 7]"),
+         ("DegeneratePolytope", "section optimum has 6 tight rows in P")),
+    ]
     assert moved[0] > 0 and our_pivots < pivots[0]
     assert sum(not isinstance(out, tuple) for out in ours) > 100
 

@@ -200,6 +200,41 @@ def test_trace_path_records(tmp_path, capsys):
     assert lines[-1].startswith("edge ")
 
 
+def _edge_lambda_fields(lines: list[str]) -> list[str]:
+    """The lambda fields of a text path trace's edge lines, each checked
+    against its end nodes' lambda: a W-fixed edge's is the point its two
+    nodes share, a V-fixed edge's is [min,max] of its two nodes', and a ray's
+    is (-inf,x] or [x,+inf) at its one node's x."""
+    assert lines[0].startswith("trace kind=path")
+    body = [dict(field.split("=", 1) for field in line.split()[1:]) for line in lines[1:]]
+    edges, nodes = body[0::2], [Fraction(node["lambda"]) for node in body[1::2]]
+    assert [line.split()[0] for line in lines[1:]] == ["edge", "node"] * len(nodes) + ["edge"]
+    for k, edge in enumerate(edges):
+        ends = nodes[max(k - 1, 0): k + 1]
+        if len(ends) == 1:
+            (x,) = ends
+            assert edge["lambda"] in (f"(-inf,{x}]", f"[{x},+inf)")
+        elif edge["kind"] == "w_fixed":
+            assert ends[0] == ends[1] and edge["lambda"] == str(ends[0])
+        else:
+            assert edge["kind"] == "v_fixed"
+            assert edge["lambda"] == f"[{min(ends)},{max(ends)}]"
+    return [edge["lambda"] for edge in edges]
+
+
+def test_trace_edge_lambdas_agree_with_their_nodes(tmp_path, capsys):
+    # Text trace prints each edge's lambda range. On the worked example
+    # under beta (9, 7, 8), whose path has both kinds of edge and both rays,
+    # and on R1A, every edge line's lambda agrees with its end nodes'.
+    ex1 = write_game(tmp_path, BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA)),
+                     "ex1.game")
+    assert main(["trace", "--input", ex1, "--beta", "9,7,8"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert _edge_lambda_fields(lines) == ["(-inf,1]", "1", "[-3/2,1]", "-3/2", "[-3/2,+inf)"]
+    assert main(["trace", "--input", write_game(tmp_path, R1A.game())]) == EXIT_OK
+    assert len(_edge_lambda_fields(capsys.readouterr().out.strip().splitlines())) == 7
+
+
 def test_trace_cycle_from_seed(tmp_path, capsys):
     # The worked example's cycle seed, embedded as a general game.
     game = BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA))

@@ -956,7 +956,7 @@ def test_probes_below_or_above_build_no_edge_data_and_no_fraction_point(monkeypa
         bin_search(random_rank1(rng, size, size, span=99, gamma_span=20, beta_span=50))
     bin_search(R1C)
     assert dict(counts) == {("below", V_FIXED): 45, ("above", V_FIXED): 33,
-                            ("below", W_FIXED): 1, "walk pivots": 149}
+                            ("below", W_FIXED): 1, "walk pivots": 72}
 
 
 def _section_breakpoints(fam) -> list[Fraction]:
@@ -1613,8 +1613,8 @@ def test_every_kernel_division_is_exact(monkeypatch):
     # take no node-sign determinant, so the second count is index_of's.
     # Every section walk without a warm start, and every low ray, starts at
     # a written-down pure vertex, whose reference takes d exchanges.
-    assert calls == {"exchange_pivot": 8833, "integer_determinant": 258, "pure_vertex": 966,
-                     "reference_exchange_pivot": 4953}
+    assert calls == {"exchange_pivot": 8745, "integer_determinant": 258, "pure_vertex": 1011,
+                     "reference_exchange_pivot": 5262}
 
 
 def test_every_tableau_denominator_is_within_the_hadamard_bound(monkeypatch):

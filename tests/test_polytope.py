@@ -533,7 +533,7 @@ def test_one_pass_far_vertices_equal_the_copy_exchange_move_reference(monkeypatc
     counts, faults = _spy_far_vertices(monkeypatch, Polytope._pivot_to)
     _pivot_equivalence_corpora(tmp_path)
     assert faults == []
-    assert counts == {("pivot", "far"): 4969, ("pivot", "raises"): 740, ("pivot", "ray"): 783,
+    assert counts == {("pivot", "far"): 4836, ("pivot", "raises"): 739, ("pivot", "ray"): 783,
                       ("simplex_pivot", "far"): 525, ("simplex_pivot", "ray"): 125}
 
 
