@@ -9,16 +9,19 @@ other token as a ``Fraction``, so an integer game file builds its matrices'
 integer rows with no ``Fraction`` in between (``linalg.Matrix``). When every
 value token is a plain integer, one pattern match over the joined tokens
 checks them all and ``int`` reads them; otherwise each token is read alone.
-All output stays exact; JSON renders every rational as a string.
+All output stays exact. ``--json`` prints what ``json.dumps(doc, indent=2)``
+would print for the verb's document, ASCII only, with every rational a string
+and no float; ``_write_json`` writes it, since ``json.dumps`` with an indent
+runs the pure-Python encoder.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import ceil
 from typing import Optional, Sequence
 
@@ -398,6 +401,50 @@ def _join_signed_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _write_json(value, indent: str, out: list) -> None:
+    """Append the text of ``json.dumps(value, indent=2)`` to ``out`` piece by
+    piece, for a document of dicts with string keys, lists, tuples, strings,
+    ints, None and bools, with strings through the C escaper that
+    ``json.dumps`` uses; ``indent`` is the line break and spaces before the
+    value's closing bracket. TypeError on any other type, a float or a
+    ``Fraction`` included, since no rational is written as a number."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        opener = "{" + inner
+        for key, item in value.items():
+            out.append(opener + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            opener = "," + inner
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        opener = "[" + inner
+        for item in value:
+            out.append(opener)
+            _write_json(item, inner, out)
+            opener = "," + inner
+        out.append(indent + "]" if value else "[]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, joined once from ``_write_json``'s pieces."""
+    pieces: list = []
+    _write_json(doc, "\n", pieces)
+    return "".join(pieces)
+
+
 def _emit(out: dict, as_json: bool, perturbed: Optional[int]) -> None:
     records = out.get("records")
     if as_json:
@@ -410,7 +457,7 @@ def _emit(out: dict, as_json: bool, perturbed: Optional[int]) -> None:
         ):
             if key in out and out[key] is not None:
                 doc[key] = out[key]
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
         return
     for line in out.get("lines", []):
         print(line)

@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import ceil
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,9 @@ from fixtures import (
     shift,
     zero_matrix,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_game(tmp_path, game, name="g.game"):
@@ -740,6 +744,7 @@ def test_all_from_label_out_of_range_is_parse_error(tmp_path, capsys):
     path = write_game(tmp_path, game)
     for seed, detail in [
         ("2,3,9/1,3,4,6", "1..6"),
+        ("0,3,5/1,3,4,6", "1..6"),
         ("1/1", "basis size 1 != 3"),
         ("1,2,4/1,2,3,4", "not a feasible vertex pair"),
         ("1,2,3/1,2,4,5", "missing labels [6]"),
@@ -765,7 +770,7 @@ def test_no_verb_takes_max_iters_or_tol(tmp_path, capsys):
 def test_readme_cli_block_matches_the_parser(capsys):
     # Every verb of the README synopsis exists, and every --flag it lists for
     # a verb is one that verb's parser accepts.
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```")[1]
     synopsis = [line.split() for line in block.splitlines() if line.startswith("rankgames ")]
     assert sorted(words[1] for words in synopsis) == sorted(cli.COMMANDS)
@@ -774,6 +779,111 @@ def test_readme_cli_block_matches_the_parser(capsys):
         accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         listed = set(re.findall(r"--[a-z][a-z-]*", " ".join(words)))
         assert listed <= accepted, (words[1], listed - accepted)
+
+
+def test_readme_json_example_is_what_solve_prints(tmp_path, capsys):
+    # README's JSON example is the exact stdout of `rankgames solve --input
+    # g.txt --json` on the 2x2 game that the CI workflow writes to g.txt.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    printf = next(line for line in workflow.splitlines() if line.endswith("> g.txt"))
+    text = printf.split("'")[1].replace("\\n", "\n")
+    assert text == "2 2\n1 -1\n-1 1\n-1 1\n1 -1\n"
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("### JSON output", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["solve", "--input", str(path), "--json"]) == EXIT_OK
+    assert capsys.readouterr().out == example
+
+
+def _json_documents(monkeypatch, capsys, runs) -> list[tuple[list, object, str]]:
+    """(argv, document, stdout) of each run of ``runs`` that exits 0: the
+    writer is wrapped to keep the document that ``_emit`` hands it."""
+    writer, documents = cli._json_text, []
+
+    def kept(doc):
+        documents.append(doc)
+        return writer(doc)
+
+    monkeypatch.setattr(cli, "_json_text", kept)
+    printed = []
+    for argv in runs:
+        documents.clear()
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert len(documents) == (code == EXIT_OK), argv
+        if code == EXIT_OK:
+            printed.append((argv, documents[0], out))
+    return printed
+
+
+def test_json_output_is_what_json_dumps_prints(tmp_path, capsys, monkeypatch):
+    # Every verb's document prints exactly json.dumps(doc, indent=2): on the
+    # golden games, the rank-k draws of the fixed-point golden file, the
+    # three bench corpora, a --all-from cycle and a --perturb retry.
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())["games"]
+    rank_k = json.loads((ROOT / "tests" / "golden_fixedpoint.json").read_text())["games"]
+    runs = []
+    for name, entry in golden.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(entry["text"])
+        runs += [[verb, "--input", str(path), "--json"] for verb in
+                 ("solve", "enumerate", "index", "trace", "regions", "rank", "oracle")]
+    for name, entry in rank_k.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(entry["text"])
+        runs.append(["fixedpoint", "--input", str(path), "--search", "--json"])
+    for i, (verb, text) in enumerate(bench_corpus_texts()):
+        path = tmp_path / f"bench-{i}.txt"
+        path.write_text(text)
+        runs.append([verb, "--input", str(path), "--json"])
+    ex1 = write_game(tmp_path, BimatrixGame(EX1_A, EX1_C + Matrix.outer((0, 1, 1), EX1_BETA)),
+                     "ex1.game")
+    runs.append(["trace", "--input", ex1, "--beta", "9,7,8", "--all-from", "2,3,5/1,3,4,6",
+                 "--json"])
+    tied_rows = write_game(tmp_path, BimatrixGame(Matrix([[1, 2], [1, 2]]),
+                                                  Matrix([[0, 1], [3, 1]])), "tied.game")
+    runs.append(["solve", "--input", tied_rows, "--perturb", "7", "--json"])
+    printed = _json_documents(monkeypatch, capsys, runs)
+    # --k-eval at each rank-k draw's fixed point, which lies in its box.
+    printed += _json_documents(monkeypatch, capsys, [
+        ["fixedpoint", "--input", argv[2], "--k-eval", ",".join(doc["fixedpoint"]["a"]), "--json"]
+        for argv, doc, _ in printed if argv[0] == "fixedpoint"
+    ])
+    for _, doc, out in printed:
+        assert out == json.dumps(doc, indent=2) + "\n"
+    verbs = Counter(argv[0] + " " + argv[3] for argv, _, _ in printed)
+    assert verbs["fixedpoint --search"] > 40 and verbs["fixedpoint --k-eval"] > 40
+    assert {key for _, doc, _ in printed for key in doc} == {
+        "perturbed_seed", "equilibria", "iterations", "bound_k", "trace", "regions", "rank",
+        "decomposition", "fixedpoint"}
+    assert [argv[-3:] for argv, doc, _ in printed if doc["perturbed_seed"] is not None] == [
+        ["--perturb", "7", "--json"]]
+    assert sum(doc.get("trace", {}).get("kind") == "cycle" for _, doc, _ in printed) == 1
+
+
+def test_json_writer_prints_json_dumps_bytes_and_refuses_numbers_it_cannot_keep_exact():
+    class Label(int):  # ints print through int.__repr__, whatever the subclass says
+        def __repr__(self):
+            return "label"
+
+        __str__ = __repr__
+
+    documents = [
+        Label(3), [Label(-4), {"label": Label(0)}],
+        {}, [], (), "", 0, -7, 10**40, -(10**40), None, True, False,
+        {"a": {}, "b": [], "c": ()}, [[], {}, [[{}]], ({},)], (1, "a", (None, (True,))),
+        {"": "", "duplicate": False, "index": None, "sign": -1, "nested": {"x": [1, [2, [3]]]}},
+        ['say "hi"', "back\\slash", "/slash", "\x00\x01\b\t\n\f\r\x1f\x7f",
+         "caf\u00e9 \u03bb \u221e \u2028 \U0001f600", {"k\u00e9y \"q\"": "\\"}],
+    ]
+    for doc in documents:
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+    # json.dumps prints a float and a non-string key; the writer refuses
+    # both, since every rational travels as a string.
+    for doc in (1.5, Fraction(1, 2), {1, 2}, [0.0], {"a": Fraction(3)}, {1: "a"}):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
 
 
 def test_perturb_keeps_a_rank1_factorization():
@@ -786,6 +896,25 @@ def test_perturb_keeps_a_rank1_factorization():
     assert perturbed.b == -perturbed.a + Matrix.outer(R1A.gamma, R1A.beta)
     d = decompose_rank1(perturbed)
     assert (d.gamma, d.beta) == (decompose_rank1(game).gamma, decompose_rank1(game).beta)
+
+
+def test_perturb_moves_every_entry_strictly_inside_its_interval(monkeypatch):
+    # Each entry of A moves up by a rational in (0, 1/D), where D = 2 (m + n)
+    # (ceil(max |entry|) + 1) 10^6, and B moves down by the same: even a
+    # generator that returns an end of every range it is asked for.
+    game = R1A.game()
+    top = max(game.a.max_abs(), game.b.max_abs())
+    bound = Fraction(1, 2 * (game.m + game.n) * (ceil(top) + 1) * 10**6)
+    for end in (0, 1):
+        class Ends(random.Random):
+            def randint(self, a, b):
+                return (a, b)[end]
+
+        monkeypatch.setattr(cli.random, "Random", Ends)
+        perturbed = cli.perturb_game(game, 1)
+        moves = [perturbed.a[i, j] - game.a[i, j] for i in range(game.m) for j in range(game.n)]
+        assert all(0 < move < bound for move in moves), end
+        assert perturbed.a + perturbed.b == game.a + game.b
 
 
 def test_perturb_keeps_the_rank_of_a_rank2_game():
